@@ -20,7 +20,7 @@ use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::LayerShape;
 use adagp_obs::crit::{CritReport, FRACTION_TOLERANCE};
-use adagp_sim::{critical_path, model_sim_layers, simulate_batch, Phase, SimConfig, StepSim};
+use adagp_sim::{critical_path, model_sim_layers, simulate_batch, Phase, SimConfig};
 use adagp_sweep::presets;
 use adagp_sweep::shapes::cached_shapes;
 use adagp_tensor::Prng;
@@ -85,13 +85,13 @@ fn fig17_chains_are_bit_exact_for_every_cell_and_phase() {
                 &shapes,
                 &cell_cfg,
             );
-            let step = StepSim::run(spec.design, &layers, &spec.schedule.mix(), &cell_cfg);
-            for (phase, sim) in [
-                ("baseline", &step.baseline),
-                ("bp", &step.bp),
-                ("gp", &step.gp),
+            for (phase, design) in [
+                (Phase::Baseline, None),
+                (Phase::Bp, Some(spec.design)),
+                (Phase::Gp, Some(spec.design)),
             ] {
-                checked_report(sim, &format!("{} {phase}", spec.key()));
+                let sim = simulate_batch(phase, design, &layers, &cell_cfg);
+                checked_report(&sim, &format!("{} {}", spec.key(), phase.name()));
             }
             3usize
         })

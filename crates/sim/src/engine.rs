@@ -1,31 +1,57 @@
-//! The discrete-event core: tasks, resources, a virtual clock and an
-//! event heap.
+//! The discrete-event core: a compiled task graph, a virtual clock and an
+//! event heap — *compile once, replay many*.
 //!
-//! A simulation is a DAG of [`TaskSpec`]s. Each task has a fixed cycle
-//! duration, an optional resource it occupies for that duration, and a
-//! list of dependencies. The engine advances a virtual clock from
-//! completion event to completion event; a task starts as soon as all of
-//! its dependencies have completed *and* its resource has a free unit of
-//! capacity. Everything is deterministic:
+//! A simulation is a DAG of tasks. Each task has a fixed cycle duration,
+//! an optional resource it occupies for that duration, and a list of
+//! dependencies. [`SimBuilder`] accumulates resources and tasks and
+//! compiles them into a [`TaskGraph`]: struct-of-arrays columns (kind,
+//! layer, resource, duration, buffer delta), dependencies and dependents
+//! in CSR form, and labels rendered on demand from a static prefix plus
+//! the layer-label table instead of one `String` per task. The topology
+//! of a compiled graph never changes; durations may be rewritten between
+//! runs ([`TaskGraph::set_duration`] — the batch workloads re-time their
+//! DRAM tasks per bandwidth), so one build serves any number of runs.
+//!
+//! One event loop runs a graph, over per-thread scratch (indegrees,
+//! capacities, FIFO queues, heap) that is reset, not reallocated, per
+//! run. The loop is generic over what it records:
+//!
+//! * [`TaskGraph::run`] records nothing and returns the [`RunStats`]
+//!   (makespan, buffer peak) — the replay the roofline knee search and
+//!   the sweep's cell evaluation call dozens of times per graph;
+//! * [`TaskGraph::simulate`] records the full [`SimResult`] trace: one
+//!   [`Span`] per task, ready cycles, admission causes and the
+//!   buffer-occupancy curve fed by each task's `buffer_delta`.
+//!
+//! [`SimBuilder::simulate`] is the one-shot entry (compile + traced run)
+//! for hand-built graphs of owned [`TaskSpec`]s.
+//!
+//! The loop advances the clock from completion event to completion
+//! event; a task starts as soon as all of its dependencies have completed
+//! *and* its resource has a free unit of capacity. Everything is
+//! deterministic:
 //!
 //! * completion events are ordered by `(time, task id)` — equal-time
 //!   completions are processed in task-id order;
 //! * tasks that become ready are appended to their resource's FIFO wait
-//!   queue in task-id order, and admitted strictly FIFO;
-//! * the engine is single-threaded — callers may run many simulations in
-//!   parallel (the sweep runner does), but one simulation never races.
-//!
-//! The output is the full execution trace: one [`Span`] per task, plus
-//! per-resource busy cycles and a buffer-occupancy curve fed by each
-//! task's `buffer_delta`.
+//!   queue in task-id order, and admitted strictly FIFO; a completing
+//!   task releases its capacity before its dependents are enqueued;
+//! * a run is single-threaded — callers may run many simulations in
+//!   parallel (the sweep runner does), but one simulation never races,
+//!   and no state survives in the scratch from one run to the next.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Index of a resource registered with [`SimBuilder::add_resource`].
 pub type ResourceId = usize;
 /// Index of a task registered with [`SimBuilder::add_task`].
 pub type TaskId = usize;
+
+/// Column encoding of "no resource" / "no layer".
+const NONE: u32 = u32::MAX;
 
 /// What kind of work a task models — the category shown in the Gantt
 /// timeline and the Chrome trace.
@@ -80,7 +106,8 @@ pub struct ResourceSpec {
     pub capacity: u32,
 }
 
-/// One node of the simulation DAG.
+/// One node of a hand-built simulation DAG, in owned form (the input of
+/// [`SimBuilder::add_task`]).
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
     /// Display label, e.g. `fwd conv3`.
@@ -116,11 +143,87 @@ impl TaskSpec {
     }
 }
 
-/// Accumulates resources and tasks, then runs the simulation.
-#[derive(Debug, Default)]
-pub struct SimBuilder {
+/// One per-layer task in allocation-free form (the input of
+/// [`SimBuilder::add_layer_task`]): its label is rendered on demand as
+/// `"{prefix} {layer label}{suffix}"` from the builder's layer-label
+/// table.
+#[derive(Debug, Clone, Copy)]
+pub struct LayerTask {
+    /// Work category.
+    pub kind: TaskKind,
+    /// Layer index — also the label-table row.
+    pub layer: usize,
+    /// Label text before the layer label.
+    pub prefix: &'static str,
+    /// Label text after the layer label (usually empty).
+    pub suffix: &'static str,
+    /// Resource occupied while running.
+    pub resource: Option<ResourceId>,
+    /// Cycles the task takes.
+    pub duration: u64,
+    /// Signed buffer-occupancy change applied at completion (words).
+    pub buffer_delta: i64,
+}
+
+/// How a task's display label is rendered.
+#[derive(Debug, Clone, Copy)]
+enum Label {
+    /// Verbatim row of the graph's custom-label table.
+    Custom(u32),
+    /// `"{prefix} {layer label}{suffix}"`.
+    Layer {
+        prefix: &'static str,
+        suffix: &'static str,
+    },
+}
+
+/// One task's column values, as [`SimBuilder`] appends them.
+struct Row {
+    kind: TaskKind,
+    label: Label,
+    layer: Option<usize>,
+    resource: Option<ResourceId>,
+    duration: u64,
+    buffer_delta: i64,
+}
+
+/// A compiled simulation DAG: task columns plus CSR adjacency. Built by
+/// [`SimBuilder::compile`]; run with [`TaskGraph::run`] (untraced) or
+/// [`TaskGraph::simulate`] (traced).
+#[derive(Debug, Clone)]
+pub struct TaskGraph {
     resources: Vec<ResourceSpec>,
-    tasks: Vec<TaskSpec>,
+    layer_labels: Arc<[String]>,
+    custom_labels: Vec<String>,
+    kind: Vec<TaskKind>,
+    label: Vec<Label>,
+    /// Layer index per task ([`NONE`] for synthetic nodes).
+    layer: Vec<u32>,
+    /// Resource per task ([`NONE`] for resourceless tasks).
+    resource: Vec<u32>,
+    duration: Vec<u64>,
+    buffer_delta: Vec<i64>,
+    /// Task `t` depends on `deps[dep_start[t]..dep_start[t + 1]]`.
+    dep_start: Vec<u32>,
+    deps: Vec<u32>,
+    /// Task `t` unblocks `succ[succ_start[t]..succ_start[t + 1]]`, in
+    /// task-id order.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+}
+
+/// Accumulates resources and tasks, then compiles or runs the graph.
+#[derive(Debug)]
+pub struct SimBuilder {
+    /// The graph under construction (`succ*` stay empty until
+    /// [`SimBuilder::compile`]).
+    g: TaskGraph,
+}
+
+impl Default for SimBuilder {
+    fn default() -> Self {
+        Self::with_layer_labels(Arc::from(Vec::new()))
+    }
 }
 
 /// One executed task: where and when it ran.
@@ -134,24 +237,36 @@ pub struct Span {
     pub end: u64,
 }
 
-/// The completed simulation: makespan, the full span trace, per-resource
-/// busy cycles and the buffer-occupancy curve.
+/// What an untraced run reports. (Per-resource busy cycles are not here:
+/// every task runs exactly once, so they are a column sum of the graph —
+/// [`TaskGraph::busy`].)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunStats {
+    /// Cycle at which the last task completed.
+    pub makespan: u64,
+    /// Peak buffer occupancy in words.
+    pub buffer_peak: i64,
+}
+
+/// The completed traced simulation: makespan, the full span trace,
+/// per-resource busy cycles and the buffer-occupancy curve.
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Cycle at which the last task completed.
     pub makespan: u64,
     /// One span per task, sorted by `(start, task)`.
     pub spans: Vec<Span>,
-    /// The task specs, for labeling spans.
-    pub tasks: Vec<TaskSpec>,
-    /// The resource specs, for labeling lanes.
-    pub resources: Vec<ResourceSpec>,
+    /// The graph that ran: task columns (for labeling spans) and
+    /// resource specs (for labeling lanes).
+    pub tasks: TaskGraph,
     /// Busy cycles per resource (sum of resident span durations).
     pub busy: Vec<u64>,
     /// Buffer occupancy after each change, as `(cycle, words)` steps.
     pub buffer_curve: Vec<(u64, i64)>,
     /// Peak buffer occupancy in words.
     pub buffer_peak: i64,
+    /// Cycle each task started, indexed by task id.
+    pub start_of: Vec<u64>,
     /// Cycle each task became ready (its last dependency completed; 0
     /// for dependency-free tasks), indexed by task id. A task's start
     /// minus its ready cycle is its admission-queueing slack.
@@ -169,21 +284,22 @@ impl SimResult {
         if self.makespan == 0 {
             return 0.0;
         }
-        self.busy[r] as f64 / (self.makespan as f64 * self.resources[r].capacity as f64)
+        self.busy[r] as f64 / (self.makespan as f64 * self.tasks.resources[r].capacity as f64)
     }
 
     /// The span of a task (panics if the task id is out of range).
     pub fn span_of(&self, task: TaskId) -> Span {
-        *self
-            .spans
-            .iter()
-            .find(|s| s.task == task)
-            .expect("every task has a span")
+        let start = self.start_of[task];
+        Span {
+            task,
+            start,
+            end: start + self.tasks.duration[task],
+        }
     }
 
     /// Cycles the task sat ready in its resource's FIFO before starting.
     pub fn queue_wait_of(&self, task: TaskId) -> u64 {
-        self.span_of(task).start - self.ready_of[task]
+        self.start_of[task] - self.ready_of[task]
     }
 }
 
@@ -193,6 +309,29 @@ impl SimBuilder {
         Self::default()
     }
 
+    /// A fresh simulation whose [`LayerTask`]s take their labels from
+    /// `layer_labels` (shared, so several graphs over one model clone no
+    /// strings).
+    pub fn with_layer_labels(layer_labels: Arc<[String]>) -> Self {
+        SimBuilder {
+            g: TaskGraph {
+                resources: Vec::new(),
+                layer_labels,
+                custom_labels: Vec::new(),
+                kind: Vec::new(),
+                label: Vec::new(),
+                layer: Vec::new(),
+                resource: Vec::new(),
+                duration: Vec::new(),
+                buffer_delta: Vec::new(),
+                dep_start: vec![0],
+                deps: Vec::new(),
+                succ_start: Vec::new(),
+                succ: Vec::new(),
+            },
+        }
+    }
+
     /// Registers a resource and returns its id.
     ///
     /// # Panics
@@ -200,11 +339,11 @@ impl SimBuilder {
     /// Panics if `capacity == 0`.
     pub fn add_resource(&mut self, name: impl Into<String>, capacity: u32) -> ResourceId {
         assert!(capacity > 0, "resource capacity must be positive");
-        self.resources.push(ResourceSpec {
+        self.g.resources.push(ResourceSpec {
             name: name.into(),
             capacity,
         });
-        self.resources.len() - 1
+        self.g.resources.len() - 1
     }
 
     /// Registers a task and returns its id. Dependencies must refer to
@@ -214,162 +353,396 @@ impl SimBuilder {
     ///
     /// Panics on a forward dependency or an unknown resource id.
     pub fn add_task(&mut self, spec: TaskSpec) -> TaskId {
-        let id = self.tasks.len();
-        for &d in &spec.deps {
+        let label = Label::Custom(self.g.custom_labels.len() as u32);
+        self.g.custom_labels.push(spec.label);
+        self.push(
+            Row {
+                kind: spec.kind,
+                label,
+                layer: spec.layer,
+                resource: spec.resource,
+                duration: spec.duration,
+                buffer_delta: spec.buffer_delta,
+            },
+            spec.deps,
+        )
+    }
+
+    /// Registers a per-layer task without allocating (see [`LayerTask`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a forward dependency, an unknown resource id, or a layer
+    /// index outside the builder's label table.
+    pub fn add_layer_task(
+        &mut self,
+        task: LayerTask,
+        deps: impl IntoIterator<Item = TaskId>,
+    ) -> TaskId {
+        assert!(
+            task.layer < self.g.layer_labels.len(),
+            "layer {} has no label",
+            task.layer
+        );
+        self.push(
+            Row {
+                kind: task.kind,
+                label: Label::Layer {
+                    prefix: task.prefix,
+                    suffix: task.suffix,
+                },
+                layer: Some(task.layer),
+                resource: task.resource,
+                duration: task.duration,
+                buffer_delta: task.buffer_delta,
+            },
+            deps,
+        )
+    }
+
+    fn push(&mut self, row: Row, deps: impl IntoIterator<Item = TaskId>) -> TaskId {
+        let g = &mut self.g;
+        let id = g.kind.len();
+        assert!(id < NONE as usize, "too many tasks");
+        for d in deps {
             assert!(d < id, "task {id} depends on not-yet-registered task {d}");
+            g.deps.push(d as u32);
         }
-        if let Some(r) = spec.resource {
-            assert!(r < self.resources.len(), "task {id} uses unknown resource");
+        g.dep_start.push(g.deps.len() as u32);
+        if let Some(r) = row.resource {
+            assert!(r < g.resources.len(), "task {id} uses unknown resource");
         }
-        self.tasks.push(spec);
+        g.kind.push(row.kind);
+        g.label.push(row.label);
+        g.layer.push(row.layer.map_or(NONE, |l| l as u32));
+        g.resource.push(row.resource.map_or(NONE, |r| r as u32));
+        g.duration.push(row.duration);
+        g.buffer_delta.push(row.buffer_delta);
         id
     }
 
-    /// Runs the simulation to completion and returns the trace.
+    /// Compiles the accumulated tasks into a replayable [`TaskGraph`].
+    pub fn compile(self) -> TaskGraph {
+        let mut g = self.g;
+        let n = g.kind.len();
+        // Counting sort of the dependency edges by source: dependents of
+        // each task end up in task-id order, which is the order the loop
+        // enqueues them in.
+        let mut start = vec![0u32; n + 1];
+        for &d in &g.deps {
+            start[d as usize + 1] += 1;
+        }
+        for t in 0..n {
+            start[t + 1] += start[t];
+        }
+        let mut next = start.clone();
+        let mut succ = vec![0u32; g.deps.len()];
+        for t in 0..n {
+            for &d in &g.deps[g.dep_start[t] as usize..g.dep_start[t + 1] as usize] {
+                succ[next[d as usize] as usize] = t as u32;
+                next[d as usize] += 1;
+            }
+        }
+        g.succ_start = start;
+        g.succ = succ;
+        g
+    }
+
+    /// Compiles the graph, runs it to completion and returns the trace.
     ///
     /// # Panics
     ///
     /// Panics if any task never becomes runnable (impossible for graphs
     /// built through [`SimBuilder::add_task`], which forbids cycles).
     pub fn simulate(self) -> SimResult {
-        let n = self.tasks.len();
-        let mut indegree: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (id, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                dependents[d].push(id);
+        self.compile().simulate()
+    }
+}
+
+/// Reusable engine state of one thread: reset at the start of every run,
+/// so nothing leaks from one run into the next.
+#[derive(Default)]
+struct Scratch {
+    indegree: Vec<u32>,
+    available: Vec<u32>,
+    queues: Vec<VecDeque<u32>>,
+    /// Min-heap of completion events ordered by (time, task id).
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// What the event loop reports as it goes. The untraced run records
+/// nothing; the traced run records everything a [`SimResult`] holds.
+trait Recorder {
+    /// `task`'s last dependency completed at `clock`.
+    fn ready(&mut self, _task: usize, _clock: u64) {}
+    /// `task` started at `clock`; `cause` is the task whose completion
+    /// is being processed (`None` during the t = 0 seeding).
+    fn start(&mut self, _task: usize, _clock: u64, _cause: Option<TaskId>) {}
+    /// The buffer occupancy changed to `words` at `clock`.
+    fn buffer(&mut self, _clock: u64, _words: i64) {}
+}
+
+struct Untraced;
+
+impl Recorder for Untraced {}
+
+struct Traced {
+    start_of: Vec<u64>,
+    ready_of: Vec<u64>,
+    unblocked_by: Vec<Option<TaskId>>,
+    buffer_curve: Vec<(u64, i64)>,
+}
+
+impl Recorder for Traced {
+    fn ready(&mut self, task: usize, clock: u64) {
+        self.ready_of[task] = clock;
+    }
+
+    fn start(&mut self, task: usize, clock: u64, cause: Option<TaskId>) {
+        self.start_of[task] = clock;
+        // A task admitted later than its ready cycle waited for capacity:
+        // the completion being processed freed it, so `cause`'s end cycle
+        // equals this start cycle exactly.
+        if clock > self.ready_of[task] {
+            self.unblocked_by[task] = cause;
+        }
+    }
+
+    fn buffer(&mut self, clock: u64, words: i64) {
+        self.buffer_curve.push((clock, words));
+    }
+}
+
+/// One run in flight: the graph, the thread's scratch and the recorder.
+struct Run<'a, R> {
+    g: &'a TaskGraph,
+    st: &'a mut Scratch,
+    rec: &'a mut R,
+}
+
+impl<R: Recorder> Run<'_, R> {
+    /// Admits a ready task: resourceless ones start immediately, the rest
+    /// join their resource's FIFO queue.
+    fn enqueue(&mut self, id: u32, clock: u64, cause: Option<TaskId>) {
+        let task = id as usize;
+        self.rec.ready(task, clock);
+        match self.g.resource[task] {
+            NONE => {
+                self.rec.start(task, clock, cause);
+                self.st
+                    .heap
+                    .push(Reverse((clock + self.g.duration[task], id)));
+            }
+            r => {
+                self.st.queues[r as usize].push_back(id);
+                self.drain(r as usize, clock, cause);
             }
         }
+    }
 
-        // Mutable engine state shared by `enqueue`/`drain` — bundled so the
-        // admission helpers stay readable now that they also record slack.
-        struct RunState {
-            available: Vec<u32>,
-            queues: Vec<VecDeque<TaskId>>,
-            /// Min-heap of completion events ordered by (time, task id).
-            heap: BinaryHeap<Reverse<(u64, TaskId)>>,
-            start_of: Vec<Option<u64>>,
-            ready_of: Vec<u64>,
-            unblocked_by: Vec<Option<TaskId>>,
-            busy: Vec<u64>,
+    /// Starts queued tasks on `r` while capacity remains.
+    fn drain(&mut self, r: usize, clock: u64, cause: Option<TaskId>) {
+        while self.st.available[r] > 0 {
+            let Some(id) = self.st.queues[r].pop_front() else {
+                break;
+            };
+            self.st.available[r] -= 1;
+            self.rec.start(id as usize, clock, cause);
+            self.st
+                .heap
+                .push(Reverse((clock + self.g.duration[id as usize], id)));
         }
+    }
+}
 
-        let mut st = RunState {
-            available: self.resources.iter().map(|r| r.capacity).collect(),
-            queues: vec![VecDeque::new(); self.resources.len()],
-            heap: BinaryHeap::new(),
-            start_of: vec![None; n],
+impl TaskGraph {
+    /// Number of tasks.
+    pub fn len(&self) -> usize {
+        self.kind.len()
+    }
+
+    /// Whether the graph has no tasks.
+    pub fn is_empty(&self) -> bool {
+        self.kind.is_empty()
+    }
+
+    /// The resource specs, indexed by [`ResourceId`].
+    pub fn resources(&self) -> &[ResourceSpec] {
+        &self.resources
+    }
+
+    /// Work category of `task`.
+    pub fn kind(&self, task: TaskId) -> TaskKind {
+        self.kind[task]
+    }
+
+    /// Layer index `task` belongs to (`None` for synthetic nodes).
+    pub fn layer(&self, task: TaskId) -> Option<usize> {
+        Some(self.layer[task])
+            .filter(|&l| l != NONE)
+            .map(|l| l as usize)
+    }
+
+    /// Resource `task` occupies while running.
+    pub fn resource(&self, task: TaskId) -> Option<ResourceId> {
+        Some(self.resource[task])
+            .filter(|&r| r != NONE)
+            .map(|r| r as usize)
+    }
+
+    /// Cycles `task` takes.
+    pub fn duration(&self, task: TaskId) -> u64 {
+        self.duration[task]
+    }
+
+    /// Re-times `task`. The topology is fixed at compile time; durations
+    /// are the one thing a replay may change.
+    pub fn set_duration(&mut self, task: TaskId, cycles: u64) {
+        self.duration[task] = cycles;
+    }
+
+    /// Signed buffer-occupancy change `task` applies at completion.
+    pub fn buffer_delta(&self, task: TaskId) -> i64 {
+        self.buffer_delta[task]
+    }
+
+    /// The tasks `task` waits on, in registration order.
+    pub fn deps(&self, task: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+        self.deps[self.dep_start[task] as usize..self.dep_start[task + 1] as usize]
+            .iter()
+            .map(|&d| d as usize)
+    }
+
+    /// Display label of `task`, e.g. `fwd conv3`, rendered on demand.
+    pub fn label(&self, task: TaskId) -> String {
+        match self.label[task] {
+            Label::Custom(i) => self.custom_labels[i as usize].clone(),
+            Label::Layer { prefix, suffix } => format!(
+                "{prefix} {}{suffix}",
+                self.layer_labels[self.layer[task] as usize]
+            ),
+        }
+    }
+
+    /// Busy cycles per resource: the summed durations of the tasks that
+    /// occupy it (every task runs exactly once, so this needs no run).
+    pub fn busy(&self) -> Vec<u64> {
+        let mut busy = vec![0u64; self.resources.len()];
+        for (&r, &d) in self.resource.iter().zip(&self.duration) {
+            if r != NONE {
+                busy[r as usize] += d;
+            }
+        }
+        busy
+    }
+
+    /// Runs the graph to completion without recording a trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any task never becomes runnable (impossible for graphs
+    /// built through [`SimBuilder`], which forbids cycles).
+    pub fn run(&self) -> RunStats {
+        self.execute(&mut Untraced)
+    }
+
+    /// Runs the graph to completion and returns the full trace.
+    ///
+    /// # Panics
+    ///
+    /// As [`TaskGraph::run`].
+    pub fn simulate(self) -> SimResult {
+        let n = self.len();
+        let mut trace = Traced {
+            start_of: vec![0; n],
             ready_of: vec![0; n],
             unblocked_by: vec![None; n],
-            busy: vec![0; self.resources.len()],
+            buffer_curve: Vec::new(),
         };
-        let mut spans: Vec<Span> = Vec::with_capacity(n);
-        let mut occupancy: i64 = 0;
-        let mut peak: i64 = 0;
-        let mut curve: Vec<(u64, i64)> = Vec::new();
-        let mut clock: u64 = 0;
-        let mut completed = 0usize;
+        let stats = self.execute(&mut trace);
+        let mut result = SimResult {
+            makespan: stats.makespan,
+            spans: Vec::new(),
+            busy: self.busy(),
+            tasks: self,
+            buffer_curve: trace.buffer_curve,
+            buffer_peak: stats.buffer_peak,
+            start_of: trace.start_of,
+            ready_of: trace.ready_of,
+            unblocked_by: trace.unblocked_by,
+        };
+        result.spans = (0..n).map(|t| result.span_of(t)).collect();
+        result.spans.sort_unstable_by_key(|s| (s.start, s.task));
+        result
+    }
 
-        // Admits ready tasks: resourceless ones start immediately, the rest
-        // join their resource's FIFO queue. `cause` is the task whose
-        // completion is being processed (`None` during the t=0 seeding).
-        fn enqueue(
-            st: &mut RunState,
-            tasks: &[TaskSpec],
-            id: TaskId,
-            clock: u64,
-            cause: Option<TaskId>,
-        ) {
-            st.ready_of[id] = clock;
-            match tasks[id].resource {
-                None => {
-                    st.start_of[id] = Some(clock);
-                    st.heap.push(Reverse((clock + tasks[id].duration, id)));
-                }
-                Some(r) => {
-                    st.queues[r].push_back(id);
-                    drain(st, tasks, r, clock, cause);
-                }
-            }
-        }
+    /// The event loop — the only one; `rec` decides what is kept.
+    fn execute<R: Recorder>(&self, rec: &mut R) -> RunStats {
+        SCRATCH.with_borrow_mut(|st| {
+            let n = self.len();
+            st.indegree.clear();
+            st.indegree
+                .extend(self.dep_start.windows(2).map(|w| w[1] - w[0]));
+            st.available.clear();
+            st.available
+                .extend(self.resources.iter().map(|r| r.capacity));
+            st.queues.iter_mut().for_each(VecDeque::clear);
+            st.queues.resize_with(self.resources.len(), VecDeque::new);
+            st.heap.clear();
 
-        /// Starts queued tasks on `r` while capacity remains. Any task
-        /// admitted later than its ready cycle records `cause` — the
-        /// completion freed the capacity, so `cause`'s end cycle equals
-        /// the admitted task's start cycle exactly.
-        fn drain(
-            st: &mut RunState,
-            tasks: &[TaskSpec],
-            r: ResourceId,
-            clock: u64,
-            cause: Option<TaskId>,
-        ) {
-            while st.available[r] > 0 {
-                let Some(id) = st.queues[r].pop_front() else {
-                    break;
-                };
-                st.available[r] -= 1;
-                st.start_of[id] = Some(clock);
-                if clock > st.ready_of[id] {
-                    st.unblocked_by[id] = cause;
-                }
-                st.busy[r] += tasks[id].duration;
-                st.heap.push(Reverse((clock + tasks[id].duration, id)));
-            }
-        }
+            let mut run = Run { g: self, st, rec };
+            let mut occupancy: i64 = 0;
+            let mut peak: i64 = 0;
+            let mut clock: u64 = 0;
+            let mut completed = 0usize;
 
-        for id in 0..n {
-            if indegree[id] == 0 {
-                enqueue(&mut st, &self.tasks, id, clock, None);
-            }
-        }
-
-        while let Some(Reverse((end, id))) = st.heap.pop() {
-            clock = end;
-            completed += 1;
-            spans.push(Span {
-                task: id,
-                start: st.start_of[id].expect("started task has a start"),
-                end,
-            });
-            let freed = self.tasks[id].resource;
-            if let Some(r) = freed {
-                st.available[r] += 1;
-            }
-            if self.tasks[id].buffer_delta != 0 {
-                occupancy += self.tasks[id].buffer_delta;
-                peak = peak.max(occupancy);
-                curve.push((clock, occupancy));
-            }
-            for &dep in &dependents[id] {
-                indegree[dep] -= 1;
-                if indegree[dep] == 0 {
-                    enqueue(&mut st, &self.tasks, dep, clock, Some(id));
+            for id in 0..n {
+                if run.st.indegree[id] == 0 {
+                    run.enqueue(id as u32, clock, None);
                 }
             }
-            if let Some(r) = freed {
-                drain(&mut st, &self.tasks, r, clock, Some(id));
+            while let Some(Reverse((end, id))) = run.st.heap.pop() {
+                let task = id as usize;
+                clock = end;
+                completed += 1;
+                // Release the capacity before enqueueing dependents, so a
+                // dependent on the same resource is admitted at once.
+                let freed = self.resource[task];
+                if freed != NONE {
+                    run.st.available[freed as usize] += 1;
+                }
+                if self.buffer_delta[task] != 0 {
+                    occupancy += self.buffer_delta[task];
+                    peak = peak.max(occupancy);
+                    run.rec.buffer(clock, occupancy);
+                }
+                for i in self.succ_start[task]..self.succ_start[task + 1] {
+                    let dep = self.succ[i as usize];
+                    run.st.indegree[dep as usize] -= 1;
+                    if run.st.indegree[dep as usize] == 0 {
+                        run.enqueue(dep, clock, Some(task));
+                    }
+                }
+                if freed != NONE {
+                    run.drain(freed as usize, clock, Some(task));
+                }
             }
-        }
 
-        assert_eq!(
-            completed,
-            n,
-            "simulation stalled: {} of {n} tasks never ran",
-            n - completed
-        );
-        spans.sort_by_key(|s| (s.start, s.task));
-        SimResult {
-            makespan: clock,
-            spans,
-            tasks: self.tasks,
-            resources: self.resources,
-            busy: st.busy,
-            buffer_curve: curve,
-            buffer_peak: peak,
-            ready_of: st.ready_of,
-            unblocked_by: st.unblocked_by,
-        }
+            assert_eq!(
+                completed,
+                n,
+                "simulation stalled: {} of {n} tasks never ran",
+                n - completed
+            );
+            RunStats {
+                makespan: clock,
+                buffer_peak: peak,
+            }
+        })
     }
 }
 
@@ -558,6 +931,69 @@ mod tests {
         assert_eq!(r.span_of(w).start, 20);
         assert_eq!(r.unblocked_by[w], Some(a));
         assert_eq!(r.span_of(a).end, r.span_of(w).start);
+    }
+
+    #[test]
+    fn layer_tasks_render_labels_on_demand_and_share_the_table() {
+        let labels: Arc<[String]> = vec!["conv1".to_string(), "fc".to_string()].into();
+        let mut b = SimBuilder::with_layer_labels(labels);
+        let pe = b.add_resource("pe", 1);
+        let row = |layer, prefix, suffix| LayerTask {
+            kind: TaskKind::Forward,
+            layer,
+            prefix,
+            suffix,
+            resource: Some(pe),
+            duration: 5,
+            buffer_delta: 0,
+        };
+        let a = b.add_layer_task(row(0, "fwd", ""), None);
+        let c = b.add_layer_task(row(1, "pred-fill", " (out)"), [a]);
+        let j = b.add_task(TaskSpec::join("end", vec![a, c]));
+        let g = b.compile();
+        assert_eq!(g.len(), 3);
+        assert_eq!(g.label(a), "fwd conv1");
+        assert_eq!(g.label(c), "pred-fill fc (out)");
+        assert_eq!(g.label(j), "end");
+        assert_eq!(
+            (g.layer(a), g.layer(c), g.layer(j)),
+            (Some(0), Some(1), None)
+        );
+        assert_eq!((g.resource(c), g.resource(j)), (Some(pe), None));
+        assert_eq!(g.deps(j).collect::<Vec<_>>(), vec![a, c]);
+        assert_eq!(g.busy(), vec![10]);
+    }
+
+    #[test]
+    fn a_compiled_graph_replays_after_retiming_like_a_fresh_build() {
+        // pe: a → c; aux: d gates c too. Re-time d and the replayed run —
+        // untraced and traced — must match a graph built with that
+        // duration, with nothing left over from the runs in between.
+        let build = |d_cycles| {
+            let mut b = SimBuilder::new();
+            let pe = b.add_resource("pe", 1);
+            let aux = b.add_resource("aux", 1);
+            let a = b.add_task(task(Some(pe), 10, vec![]));
+            let mut dt = task(Some(aux), d_cycles, vec![]);
+            dt.buffer_delta = 7;
+            let d = b.add_task(dt);
+            b.add_task(task(Some(pe), 4, vec![a, d]));
+            (b.compile(), d)
+        };
+        let (mut g, d) = build(3);
+        assert_eq!(g.run().makespan, 14);
+        for cycles in [30, 3, 0, 12] {
+            g.set_duration(d, cycles);
+            let (fresh, _) = build(cycles);
+            assert_eq!(g.run(), fresh.run(), "d = {cycles}");
+            let (replayed, fresh) = (g.clone().simulate(), fresh.simulate());
+            assert_eq!(replayed.makespan, 10u64.max(cycles) + 4);
+            assert_eq!(replayed.spans, fresh.spans);
+            assert_eq!(replayed.ready_of, fresh.ready_of);
+            assert_eq!(replayed.unblocked_by, fresh.unblocked_by);
+            assert_eq!(replayed.buffer_curve, fresh.buffer_curve);
+            assert_eq!(replayed.busy, fresh.busy);
+        }
     }
 
     #[test]

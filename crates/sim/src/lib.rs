@@ -26,12 +26,22 @@
 //! channel, and [`SimConfig`] port counts turn any resource multi-ported
 //! (the engine admits up to `capacity` tasks at once).
 //!
-//! * [`engine`] — the deterministic event core: tasks, resources, event
-//!   heap, spans, busy/occupancy accounting.
+//! * [`engine`] — the deterministic event core, *compile once, replay
+//!   many*: a [`SimBuilder`] compiles tasks into a [`TaskGraph`]
+//!   (struct-of-arrays columns, CSR adjacency, labels rendered on
+//!   demand), and one event loop runs it either untraced
+//!   ([`TaskGraph::run`]: makespan and buffer peak) or traced
+//!   ([`TaskGraph::simulate`]: spans, ready cycles, admission causes,
+//!   busy/occupancy accounting) over per-thread reusable scratch.
 //! * [`workload`] — batch task graphs per phase × design, mirroring the
-//!   paper's §3.7 overlap semantics layer by layer.
+//!   paper's §3.7 overlap semantics layer by layer. A [`BatchGraph`] is
+//!   built once per (phase, design, layers, ports, buffer); its DRAM
+//!   tasks carry their words and are re-timed per bandwidth
+//!   ([`BatchGraph::set_bandwidth`]), so [`simulate_batch`] is one build
+//!   plus one traced run and a bandwidth probe is one untraced replay.
 //! * [`step`] — training-run aggregation (epoch-mix weighting) to cycles,
-//!   speed-up, utilization and overlap-efficiency metrics.
+//!   speed-up, utilization and overlap-efficiency metrics; [`StepGraphs`]
+//!   holds the three compiled schedules of one design point.
 //! * [`steps`] — the §3.7 step timeline (Figures 7–9), now *simulated*
 //!   instead of closed-form.
 //! * [`trace`] — Chrome-trace JSON export.
@@ -71,12 +81,14 @@ pub mod trace;
 pub mod workload;
 
 pub use engine::{
-    ResourceId, ResourceSpec, SimBuilder, SimResult, Span, TaskId, TaskKind, TaskSpec,
+    LayerTask, ResourceId, ResourceSpec, RunStats, SimBuilder, SimResult, Span, TaskGraph, TaskId,
+    TaskKind, TaskSpec,
 };
 pub use report::{crit_tasks, critical_path};
-pub use step::StepSim;
+pub use step::{epoch_total, StepGraphs, StepSim};
 pub use steps::{step_timeline, StepTimeline};
 pub use trace::{chrome_trace, write_chrome_trace};
 pub use workload::{
-    layer_spill_words, model_sim_layers, simulate_batch, BatchSim, Phase, SimConfig, SimLayer,
+    layer_spill_words, model_sim_layers, simulate_batch, BatchGraph, BatchSim, BatchStats, Phase,
+    SimConfig, SimLayer,
 };

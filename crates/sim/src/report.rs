@@ -17,9 +17,8 @@ pub fn span_table(result: &SimResult, limit: usize) -> String {
         limit.min(result.spans.len())
     };
     for span in &result.spans[..shown] {
-        let task = &result.tasks[span.task];
-        let resource = match task.resource {
-            Some(r) => result.resources[r].name.as_str(),
+        let resource = match result.tasks.resource(span.task) {
+            Some(r) => result.tasks.resources()[r].name.as_str(),
             None => "-",
         };
         out.push_str(&format!(
@@ -28,7 +27,7 @@ pub fn span_table(result: &SimResult, limit: usize) -> String {
             span.end,
             span.end - span.start,
             resource,
-            task.label
+            result.tasks.label(span.task)
         ));
     }
     if shown < result.spans.len() {
@@ -49,7 +48,7 @@ pub fn utilization_report(sim: &BatchSim) -> String {
         sim.design.map_or("baseline", |d| d.name()),
         r.makespan
     );
-    for (i, res) in r.resources.iter().enumerate() {
+    for (i, res) in r.tasks.resources().iter().enumerate() {
         out.push_str(&format!(
             "  {:<16} busy {:>12} cycles  utilization {:>6.1}%\n",
             res.name,
@@ -59,9 +58,9 @@ pub fn utilization_report(sim: &BatchSim) -> String {
     }
     out.push_str(&format!(
         "  model {} + predictor {} + buffer-spill {} cycles; overlap efficiency {:.1}%\n",
-        sim.model_cycles,
-        sim.predictor_cycles,
-        sim.spill_cycles,
+        sim.stats.model_cycles,
+        sim.stats.predictor_cycles,
+        sim.stats.spill_cycles,
         100.0 * sim.overlap_efficiency()
     ));
     out.push_str(&format!(
@@ -77,27 +76,22 @@ pub fn utilization_report(sim: &BatchSim) -> String {
 /// the engine's ready cycles and admission causes, and resource names as
 /// lanes (`-` for resourceless synchronization nodes).
 pub fn crit_tasks(result: &SimResult) -> Vec<CritTask> {
-    let mut start = vec![0u64; result.tasks.len()];
-    let mut end = vec![0u64; result.tasks.len()];
-    for s in &result.spans {
-        start[s.task] = s.start;
-        end[s.task] = s.end;
-    }
-    result
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(id, t)| CritTask {
-            label: t.label.clone(),
-            kind: t.kind.name().to_string(),
-            lane: t
-                .resource
-                .map_or_else(|| "-".to_string(), |r| result.resources[r].name.clone()),
-            start: start[id],
-            end: end[id],
-            ready: result.ready_of[id],
-            deps: t.deps.clone(),
-            unblocked_by: result.unblocked_by[id],
+    let graph = &result.tasks;
+    (0..graph.len())
+        .map(|id| {
+            let span = result.span_of(id);
+            CritTask {
+                label: graph.label(id),
+                kind: graph.kind(id).name().to_string(),
+                lane: graph
+                    .resource(id)
+                    .map_or_else(|| "-".to_string(), |r| graph.resources()[r].name.clone()),
+                start: span.start,
+                end: span.end,
+                ready: result.ready_of[id],
+                deps: graph.deps(id).collect(),
+                unblocked_by: result.unblocked_by[id],
+            }
         })
         .collect()
 }

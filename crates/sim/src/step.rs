@@ -9,20 +9,86 @@
 //! totals and speed-up ratios are bit-identical to the closed forms, not
 //! merely close. The fig17-grid golden test relies on this.
 
-use crate::workload::{simulate_batch, BatchSim, Phase, SimConfig, SimLayer};
+use crate::workload::{layer_labels, BatchGraph, BatchStats, Phase, SimConfig, SimLayer};
 use adagp_accel::speedup::EpochMix;
 use adagp_accel::AdaGpDesign;
+
+/// The analytic [`adagp_accel::speedup::adagp_training_cycles`] shape,
+/// applied to any per-batch statistic: per stage,
+/// `epochs × (g × GP value + (1 − g) × BP value)`, summed. Every
+/// epoch-weighted number of the simulator goes through this one
+/// expression so the bit-exactness contract cannot drift between metrics.
+pub fn epoch_total(mix: &EpochMix, bp: f64, gp: f64) -> f64 {
+    mix.stages()
+        .iter()
+        .map(|&(g, epochs)| epochs as f64 * (g * gp + (1.0 - g) * bp))
+        .sum()
+}
+
+/// The three batch schedules of one (design, layers, ports, buffer)
+/// point, compiled once: replayable at any DRAM bandwidth.
+#[derive(Debug, Clone)]
+pub struct StepGraphs {
+    /// Baseline batch (no predictor).
+    pub baseline: BatchGraph,
+    /// Warm-up / Phase BP batch.
+    pub bp: BatchGraph,
+    /// Phase GP batch.
+    pub gp: BatchGraph,
+}
+
+impl StepGraphs {
+    /// Compiles the three batch schedules of `design` over `layers`.
+    pub fn build(design: AdaGpDesign, layers: &[SimLayer], cfg: &SimConfig) -> Self {
+        let labels = layer_labels(layers);
+        let build =
+            |phase, design| BatchGraph::build_labeled(phase, design, layers, cfg, labels.clone());
+        StepGraphs {
+            baseline: build(Phase::Baseline, None),
+            bp: build(Phase::Bp, Some(design)),
+            gp: build(Phase::Gp, Some(design)),
+        }
+    }
+
+    /// Re-times all three batches to `words_per_cycle`
+    /// ([`BatchGraph::set_bandwidth`]).
+    pub fn set_bandwidth(&mut self, words_per_cycle: u64) {
+        self.baseline.set_bandwidth(words_per_cycle);
+        self.bp.set_bandwidth(words_per_cycle);
+        self.gp.set_bandwidth(words_per_cycle);
+    }
+
+    /// Simulated ADA-GP training cycles at the current bandwidth, from
+    /// just the two batches they need (the baseline batch is skipped).
+    pub fn adagp_training_cycles(&self, mix: &EpochMix) -> f64 {
+        epoch_total(
+            mix,
+            self.bp.run().makespan as f64,
+            self.gp.run().makespan as f64,
+        )
+    }
+
+    /// Replays all three batches at the current bandwidth.
+    pub fn run(&self, mix: &EpochMix) -> StepSim {
+        StepSim {
+            baseline: self.baseline.run(),
+            bp: self.bp.run(),
+            gp: self.gp.run(),
+            mix: *mix,
+        }
+    }
+}
 
 /// The three simulated batches of one (design, schedule) training run
 /// plus the derived training-level statistics.
 #[derive(Debug, Clone)]
 pub struct StepSim {
     /// Baseline batch (no predictor).
-    pub baseline: BatchSim,
+    pub baseline: BatchStats,
     /// Warm-up / Phase BP batch.
-    pub bp: BatchSim,
+    pub bp: BatchStats,
     /// Phase GP batch.
-    pub gp: BatchSim,
+    pub gp: BatchStats,
     /// The epoch mix the totals are weighted by.
     pub mix: EpochMix,
 }
@@ -30,39 +96,21 @@ pub struct StepSim {
 impl StepSim {
     /// Simulates the three batch schedules of `design` over `layers`.
     pub fn run(design: AdaGpDesign, layers: &[SimLayer], mix: &EpochMix, cfg: &SimConfig) -> Self {
-        StepSim {
-            baseline: simulate_batch(Phase::Baseline, None, layers, cfg),
-            bp: simulate_batch(Phase::Bp, Some(design), layers, cfg),
-            gp: simulate_batch(Phase::Gp, Some(design), layers, cfg),
-            mix: *mix,
-        }
+        StepGraphs::build(design, layers, cfg).run(mix)
     }
 
     /// Simulated baseline training cycles — the analytic
     /// [`adagp_accel::speedup::baseline_training_cycles`] shape:
     /// `total epochs × baseline batch`.
     pub fn baseline_training_cycles(&self) -> f64 {
-        self.mix.total() as f64 * self.baseline.makespan() as f64
-    }
-
-    /// The analytic [`adagp_accel::speedup::adagp_training_cycles`]
-    /// shape, applied to any per-batch statistic: per stage, `epochs ×
-    /// (g × GP value + (1 − g) × BP value)`, summed. Every epoch-weighted
-    /// number this type reports goes through this one expression so the
-    /// bit-exactness contract cannot drift between metrics.
-    fn epoch_total(&self, bp: f64, gp: f64) -> f64 {
-        self.mix
-            .stages()
-            .iter()
-            .map(|&(g, epochs)| epochs as f64 * (g * gp + (1.0 - g) * bp))
-            .sum()
+        self.mix.total() as f64 * self.baseline.makespan as f64
     }
 
     /// Simulated ADA-GP training cycles — the analytic
     /// [`adagp_accel::speedup::adagp_training_cycles`] shape: per stage,
     /// `epochs × (g × GP batch + (1 − g) × BP batch)`.
     pub fn adagp_training_cycles(&self) -> f64 {
-        self.epoch_total(self.bp.makespan() as f64, self.gp.makespan() as f64)
+        epoch_total(&self.mix, self.bp.makespan as f64, self.gp.makespan as f64)
     }
 
     /// Simulated end-to-end training speed-up.
@@ -73,7 +121,7 @@ impl StepSim {
     /// Epoch-weighted mean of a per-batch statistic over the ADA-GP run
     /// (warm-up and BP stages weigh the BP batch, GP shares the GP batch).
     fn epoch_weighted(&self, bp: f64, gp: f64) -> f64 {
-        self.epoch_total(bp, gp) / self.mix.total() as f64
+        epoch_total(&self.mix, bp, gp) / self.mix.total() as f64
     }
 
     /// Epoch-weighted main-array utilization of the ADA-GP run.
@@ -88,19 +136,22 @@ impl StepSim {
 
     /// Simulated ADA-GP spill cycles over the training run — the same
     /// epoch weighting as [`StepSim::adagp_training_cycles`], applied to
-    /// each batch's [`crate::workload::BatchSim::spill_cycles`]. Exactly
+    /// each batch's [`BatchStats::spill_cycles`]. Exactly
     /// zero with an unbounded buffer or with the DRAM channel disabled.
     pub fn adagp_spill_cycles(&self) -> f64 {
-        self.epoch_total(self.bp.spill_cycles as f64, self.gp.spill_cycles as f64)
+        epoch_total(
+            &self.mix,
+            self.bp.spill_cycles as f64,
+            self.gp.spill_cycles as f64,
+        )
     }
 
     /// Largest buffer occupancy any of the three batches reached (words).
     pub fn peak_buffer_words(&self) -> i64 {
         self.baseline
-            .result
             .buffer_peak
-            .max(self.bp.result.buffer_peak)
-            .max(self.gp.result.buffer_peak)
+            .max(self.bp.buffer_peak)
+            .max(self.gp.buffer_peak)
     }
 }
 

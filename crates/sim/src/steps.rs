@@ -11,7 +11,7 @@
 //! Steps are simulated in a `2^20`-cycles-per-step fixed point, so every
 //! α representable in 20 fractional bits (0.25, 0.5, …) is exact.
 
-use crate::workload::{simulate_batch, Phase, SimConfig, SimLayer};
+use crate::workload::{BatchGraph, Phase, SimConfig, SimLayer};
 use adagp_accel::layer_cost::LayerCost;
 use adagp_accel::AdaGpDesign;
 
@@ -53,7 +53,10 @@ pub fn step_timeline(n_layers: usize, alpha: f64) -> StepTimeline {
         .collect();
     let cfg = SimConfig::no_contention();
     let steps = |phase, design| {
-        simulate_batch(phase, design, &layers, &cfg).makespan() as f64 / STEP as f64
+        BatchGraph::build(phase, design, &layers, &cfg)
+            .run()
+            .makespan as f64
+            / STEP as f64
     };
     StepTimeline {
         baseline: steps(Phase::Baseline, None),

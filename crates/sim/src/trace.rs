@@ -24,23 +24,23 @@ const PID: u64 = 1;
 pub fn chrome_trace(result: &SimResult, title: &str) -> String {
     let mut t = TraceEvents::new();
     t.process_name(PID, title);
-    for (tid, r) in result.resources.iter().enumerate() {
+    let graph = &result.tasks;
+    for (tid, r) in graph.resources().iter().enumerate() {
         t.thread_name(PID, tid as u64, &r.name);
     }
     for span in &result.spans {
-        let task = &result.tasks[span.task];
-        let Some(tid) = task.resource else {
+        let Some(tid) = graph.resource(span.task) else {
             continue; // synchronization nodes are not drawn
         };
         let mut args = vec![("task", Value::UInt(span.task as u64))];
-        if let Some(layer) = task.layer {
+        if let Some(layer) = graph.layer(span.task) {
             args.push(("layer", Value::UInt(layer as u64)));
         }
         t.complete(
             PID,
             tid as u64,
-            &task.label,
-            task.kind.name(),
+            &graph.label(span.task),
+            graph.kind(span.task).name(),
             Value::UInt(span.start),
             Value::UInt(span.end - span.start),
             Some(Value::object(args)),

@@ -35,14 +35,22 @@
 //! the channel disabled (`dram_words_per_cycle: None`) neither weight
 //! loads nor spills exist, whatever the buffer knobs say — so
 //! `--no-contention` always reproduces the closed forms bit-for-bit.
+//!
+//! A schedule is compiled once into a [`BatchGraph`]. The bandwidth only
+//! sets the durations of the DRAM tasks (`words.div_ceil(bandwidth)`),
+//! never which tasks exist or what they wait on, so the graph keeps each
+//! DRAM task's *words* and [`BatchGraph::set_bandwidth`] re-times them:
+//! [`BatchGraph::run`] then replays the batch untraced, and
+//! [`simulate_batch`] is one build plus one traced run.
 
-use crate::engine::{ResourceId, SimBuilder, SimResult, TaskKind, TaskSpec};
+use crate::engine::{LayerTask, ResourceId, SimBuilder, SimResult, TaskGraph, TaskId, TaskKind};
 use adagp_accel::buffer::{tiled_fw_traffic, BufferConfig};
 use adagp_accel::dataflow::{AcceleratorConfig, Dataflow};
 use adagp_accel::layer_cost::{model_costs, LayerCost, PredictorCostModel};
 use adagp_accel::speedup::MODEL_BATCH;
 use adagp_accel::AdaGpDesign;
 use adagp_nn::models::shapes::LayerShape;
+use std::sync::Arc;
 
 /// Simulator configuration: batch size plus the contention axes — DRAM
 /// bandwidth, on-chip buffer capacity and per-resource port counts.
@@ -230,19 +238,23 @@ pub fn model_sim_layers(
 struct Lanes {
     pe: ResourceId,
     pred: Option<ResourceId>,
-    dram: Option<ResourceId>,
+    /// The DRAM channel and the words per cycle its tasks are timed at.
+    dram: Option<(ResourceId, u64)>,
 }
 
-/// One simulated batch: the trace plus the work totals the derived
-/// statistics need.
-#[derive(Debug, Clone)]
-pub struct BatchSim {
-    /// Which schedule ran.
-    pub phase: Phase,
-    /// Which design ran it (`None` for the baseline).
-    pub design: Option<AdaGpDesign>,
-    /// The execution trace.
-    pub result: SimResult,
+/// The numbers one batch run yields: the makespan and buffer peak of the
+/// run plus the graph's work totals — everything the training-level
+/// statistics of [`crate::StepSim`] are derived from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Batch makespan in cycles.
+    pub makespan: u64,
+    /// Peak buffer occupancy in words.
+    pub buffer_peak: i64,
+    /// Busy cycles of the main PE array.
+    pub pe_busy: u64,
+    /// Ports (engine capacity) of the main PE array.
+    pub pe_ports: u32,
     /// Σ durations of model tasks (FW, BW-data, BW-weight).
     pub model_cycles: u64,
     /// Σ durations of predictor tasks (fill, update, reload).
@@ -251,19 +263,15 @@ pub struct BatchSim {
     /// too-small buffer forced; 0 with an unbounded buffer or with the
     /// DRAM channel disabled).
     pub spill_cycles: u64,
-    /// Resource id of the main PE array in [`BatchSim::result`].
-    pub pe_array: ResourceId,
 }
 
-impl BatchSim {
-    /// Batch makespan in cycles.
-    pub fn makespan(&self) -> u64 {
-        self.result.makespan
-    }
-
+impl BatchStats {
     /// Busy fraction of the main PE array over the batch.
     pub fn pe_utilization(&self) -> f64 {
-        self.result.utilization(self.pe_array)
+        if self.makespan == 0 {
+            return 0.0;
+        }
+        self.pe_busy as f64 / (self.makespan as f64 * self.pe_ports as f64)
     }
 
     /// How much of the predictor's work the schedule hid: `1 −
@@ -277,87 +285,40 @@ impl BatchSim {
         if self.predictor_cycles == 0 {
             return 1.0;
         }
-        let overhead = self.result.makespan.saturating_sub(self.model_cycles) as f64;
+        let overhead = self.makespan.saturating_sub(self.model_cycles) as f64;
         (1.0 - overhead / self.predictor_cycles as f64).clamp(0.0, 1.0)
     }
 }
 
-/// Streaming-cycle cost of `words` at the configured bandwidth.
-fn load_cycles(cfg: &SimConfig, words: u64) -> Option<u64> {
-    cfg.dram_words_per_cycle.map(|bw| words.div_ceil(bw))
+/// One simulated batch with its full trace.
+#[derive(Debug, Clone)]
+pub struct BatchSim {
+    /// Which schedule ran.
+    pub phase: Phase,
+    /// Which design ran it (`None` for the baseline).
+    pub design: Option<AdaGpDesign>,
+    /// The execution trace.
+    pub result: SimResult,
+    /// Makespan, buffer peak and work totals of the run.
+    pub stats: BatchStats,
+    /// Resource id of the main PE array in [`BatchSim::result`].
+    pub pe_array: ResourceId,
 }
 
-/// Builder-side helper: adds the per-layer DRAM prefetch task when
-/// contention is enabled; returns the dependency FW must wait on.
-fn add_weight_load(
-    b: &mut SimBuilder,
-    lanes: &Lanes,
-    cfg: &SimConfig,
-    layer_idx: usize,
-    layer: &SimLayer,
-) -> Option<usize> {
-    let dram = lanes.dram?;
-    let cycles = load_cycles(cfg, layer.weight_words)?;
-    if layer.weight_words == 0 {
-        return None;
+impl BatchSim {
+    /// Batch makespan in cycles.
+    pub fn makespan(&self) -> u64 {
+        self.stats.makespan
     }
-    Some(b.add_task(TaskSpec {
-        label: format!("load {}", layer.label),
-        kind: TaskKind::WeightLoad,
-        layer: Some(layer_idx),
-        resource: Some(dram),
-        duration: cycles,
-        deps: Vec::new(), // prefetch: ready at t=0, serialized by the channel
-        buffer_delta: 0,
-    }))
-}
 
-/// Builder-side helper: adds the layer's buffer-spill task (the excess
-/// re-stream traffic a too-small buffer forces) when contention is
-/// enabled; returns the dependency FW must wait on. Unlike weight loads,
-/// a spill re-reads *operands the previous layer produced*, so it carries
-/// `deps` (the same readiness dependency the FW has) instead of
-/// prefetching from t = 0.
-fn add_spill(
-    b: &mut SimBuilder,
-    lanes: &Lanes,
-    cfg: &SimConfig,
-    layer_idx: usize,
-    layer: &SimLayer,
-    deps: Vec<usize>,
-) -> Option<usize> {
-    let dram = lanes.dram?;
-    let cycles = load_cycles(cfg, layer.spill_words)?;
-    if layer.spill_words == 0 {
-        return None;
+    /// Busy fraction of the main PE array over the batch.
+    pub fn pe_utilization(&self) -> f64 {
+        self.stats.pe_utilization()
     }
-    Some(b.add_task(TaskSpec {
-        label: format!("spill {}", layer.label),
-        kind: TaskKind::Spill,
-        layer: Some(layer_idx),
-        resource: Some(dram),
-        duration: cycles,
-        deps,
-        buffer_delta: 0,
-    }))
-}
 
-fn compute_task(
-    kind: TaskKind,
-    layer_idx: usize,
-    label: &str,
-    resource: ResourceId,
-    duration: u64,
-    deps: Vec<usize>,
-) -> TaskSpec {
-    TaskSpec {
-        label: format!("{} {}", kind.name(), label),
-        kind,
-        layer: Some(layer_idx),
-        resource: Some(resource),
-        duration,
-        deps,
-        buffer_delta: 0,
+    /// Predictor-overlap efficiency ([`BatchStats::overlap_efficiency`]).
+    pub fn overlap_efficiency(&self) -> f64 {
+        self.stats.overlap_efficiency()
     }
 }
 
@@ -368,188 +329,346 @@ pub fn split_bw(bw: u64) -> (u64, u64) {
     (data, bw - data)
 }
 
-/// Simulates one batch of `phase` under `design` over `layers`.
+/// The shared layer-label table of `layers` ([`BatchGraph::build_labeled`]).
+pub fn layer_labels(layers: &[SimLayer]) -> Arc<[String]> {
+    layers.iter().map(|l| l.label.clone()).collect()
+}
+
+/// One batch schedule compiled for replay: the task graph of `phase`
+/// under `design`, built once per (phase, design, layers, ports, buffer).
+/// Only the DRAM tasks' durations depend on the bandwidth — they carry
+/// their *words* and [`BatchGraph::set_bandwidth`] re-times them — so one
+/// build serves every bandwidth probe.
+#[derive(Debug, Clone)]
+pub struct BatchGraph {
+    phase: Phase,
+    design: Option<AdaGpDesign>,
+    graph: TaskGraph,
+    pe_array: ResourceId,
+    /// Words per cycle the DRAM tasks are currently timed at (`None`:
+    /// built with the channel disabled).
+    bandwidth: Option<u64>,
+    /// `(task, words)` of every weight-load and spill task.
+    dram_words: Vec<(TaskId, u64)>,
+    /// Work totals; `makespan` and `buffer_peak` are filled per run.
+    totals: BatchStats,
+}
+
+/// Emits one batch graph: the builder plus what the per-layer helpers
+/// share.
+struct Emitter<'a> {
+    b: SimBuilder,
+    lanes: Lanes,
+    layers: &'a [SimLayer],
+    dram_words: Vec<(TaskId, u64)>,
+}
+
+impl Emitter<'_> {
+    /// A compute task of `kind` for layer `i`, labeled `"{kind} {layer}"`.
+    fn compute(
+        &mut self,
+        kind: TaskKind,
+        i: usize,
+        resource: ResourceId,
+        duration: u64,
+        buffer_delta: i64,
+        deps: impl IntoIterator<Item = TaskId>,
+    ) -> TaskId {
+        self.b.add_layer_task(
+            LayerTask {
+                kind,
+                layer: i,
+                prefix: kind.name(),
+                suffix: "",
+                resource: Some(resource),
+                duration,
+                buffer_delta,
+            },
+            deps,
+        )
+    }
+
+    /// A DRAM-channel task streaming `words` for layer `i`, when the
+    /// channel exists and there is anything to stream.
+    fn dram_task(
+        &mut self,
+        kind: TaskKind,
+        prefix: &'static str,
+        i: usize,
+        words: u64,
+        deps: Option<TaskId>,
+    ) -> Option<TaskId> {
+        let (dram, bw) = self.lanes.dram?;
+        if words == 0 {
+            return None;
+        }
+        let id = self.b.add_layer_task(
+            LayerTask {
+                kind,
+                layer: i,
+                prefix,
+                suffix: "",
+                resource: Some(dram),
+                duration: words.div_ceil(bw),
+                buffer_delta: 0,
+            },
+            deps,
+        );
+        self.dram_words.push((id, words));
+        Some(id)
+    }
+
+    /// Layer `i`'s forward pass, gated on `ready` plus the layer's DRAM
+    /// traffic when contention is enabled: the weight prefetch (ready at
+    /// t = 0, serialized by the channel) and the buffer spill — which
+    /// re-reads *operands the previous layer produced*, so it carries the
+    /// same readiness dependency the FW has instead of prefetching.
+    fn forward(&mut self, i: usize, ready: Option<TaskId>) -> TaskId {
+        let l = &self.layers[i];
+        let load = self.dram_task(TaskKind::WeightLoad, "load", i, l.weight_words, None);
+        let spill = self.dram_task(TaskKind::Spill, "spill", i, l.spill_words, ready);
+        self.compute(
+            TaskKind::Forward,
+            i,
+            self.lanes.pe,
+            l.cost.fw,
+            l.activation_words as i64,
+            [ready, load, spill].into_iter().flatten(),
+        )
+    }
+
+    /// A resourceless barrier closing layer `i`'s window, freeing the
+    /// layer's activation.
+    fn join(&mut self, prefix: &'static str, i: usize, deps: [TaskId; 2]) -> TaskId {
+        self.b.add_layer_task(
+            LayerTask {
+                kind: TaskKind::Join,
+                layer: i,
+                prefix,
+                suffix: "",
+                resource: None,
+                duration: 0,
+                buffer_delta: -(self.layers[i].activation_words as i64),
+            },
+            deps,
+        )
+    }
+}
+
+impl BatchGraph {
+    /// Compiles one batch of `phase` under `design` over `layers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty, if `phase` is not [`Phase::Baseline`]
+    /// while `design` is `None`, or if the configured DRAM bandwidth is
+    /// `Some(0)` (disable contention with `None` instead).
+    pub fn build(
+        phase: Phase,
+        design: Option<AdaGpDesign>,
+        layers: &[SimLayer],
+        cfg: &SimConfig,
+    ) -> Self {
+        Self::build_labeled(phase, design, layers, cfg, layer_labels(layers))
+    }
+
+    /// [`BatchGraph::build`] with the label table of `layers` passed in,
+    /// so several graphs over one model share it ([`layer_labels`]).
+    pub fn build_labeled(
+        phase: Phase,
+        design: Option<AdaGpDesign>,
+        layers: &[SimLayer],
+        cfg: &SimConfig,
+        labels: Arc<[String]>,
+    ) -> Self {
+        assert!(!layers.is_empty(), "need at least one layer");
+        assert!(
+            cfg.dram_words_per_cycle != Some(0),
+            "DRAM bandwidth must be positive (use None to disable contention)"
+        );
+        if phase != Phase::Baseline {
+            assert!(design.is_some(), "ADA-GP phases need a design");
+        }
+        let mut b = SimBuilder::with_layer_labels(labels);
+        let pe = b.add_resource("pe-array", cfg.pe_ports);
+        let pred = match design {
+            Some(AdaGpDesign::Max) if phase != Phase::Baseline => {
+                Some(b.add_resource("predictor-array", cfg.pred_ports))
+            }
+            _ => None,
+        };
+        let dram = cfg
+            .dram_words_per_cycle
+            .map(|bw| (b.add_resource("dram", cfg.dram_ports), bw));
+        let mut e = Emitter {
+            b,
+            lanes: Lanes { pe, pred, dram },
+            layers,
+            dram_words: Vec::new(),
+        };
+        match (phase, design) {
+            (Phase::Baseline, _) => build_baseline(&mut e),
+            (Phase::Bp, Some(AdaGpDesign::Max)) => build_bp_max(&mut e),
+            (Phase::Bp, Some(d)) => build_bp_shared(&mut e, d),
+            (Phase::Gp, Some(AdaGpDesign::Max)) => build_gp_max(&mut e),
+            (Phase::Gp, Some(d)) => build_gp_shared(&mut e, d),
+            _ => unreachable!("design checked above"),
+        }
+
+        let graph = e.b.compile();
+        let mut totals = BatchStats {
+            makespan: 0,
+            buffer_peak: 0,
+            pe_busy: graph.busy()[pe],
+            pe_ports: cfg.pe_ports,
+            model_cycles: 0,
+            predictor_cycles: 0,
+            spill_cycles: 0,
+        };
+        for t in 0..graph.len() {
+            let cycles = graph.duration(t);
+            match graph.kind(t) {
+                TaskKind::Forward | TaskKind::BackwardData | TaskKind::BackwardWeight => {
+                    totals.model_cycles += cycles
+                }
+                TaskKind::PredictorFill | TaskKind::PredictorUpdate | TaskKind::PredictorReload => {
+                    totals.predictor_cycles += cycles
+                }
+                TaskKind::Spill => totals.spill_cycles += cycles,
+                TaskKind::WeightLoad | TaskKind::Join => {}
+            }
+        }
+        BatchGraph {
+            phase,
+            design,
+            graph,
+            pe_array: pe,
+            bandwidth: cfg.dram_words_per_cycle,
+            dram_words: e.dram_words,
+            totals,
+        }
+    }
+
+    /// Re-times every DRAM task to `words_per_cycle`; the graph then runs
+    /// exactly as one freshly built at that bandwidth would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words_per_cycle == 0`, or if the graph was built with
+    /// the DRAM channel disabled — enabling it changes the topology, so
+    /// build with [`SimConfig::with_bandwidth`] instead.
+    pub fn set_bandwidth(&mut self, words_per_cycle: u64) {
+        assert!(words_per_cycle > 0, "DRAM bandwidth must be positive");
+        assert!(
+            self.bandwidth.is_some(),
+            "graph was built without a DRAM channel"
+        );
+        if self.bandwidth == Some(words_per_cycle) {
+            return;
+        }
+        self.bandwidth = Some(words_per_cycle);
+        self.totals.spill_cycles = 0;
+        for &(task, words) in &self.dram_words {
+            let cycles = words.div_ceil(words_per_cycle);
+            self.graph.set_duration(task, cycles);
+            if self.graph.kind(task) == TaskKind::Spill {
+                self.totals.spill_cycles += cycles;
+            }
+        }
+    }
+
+    /// The compiled task graph.
+    pub fn graph(&self) -> &TaskGraph {
+        &self.graph
+    }
+
+    /// Replays the batch at the current bandwidth without a trace.
+    pub fn run(&self) -> BatchStats {
+        let run = self.graph.run();
+        BatchStats {
+            makespan: run.makespan,
+            buffer_peak: run.buffer_peak,
+            ..self.totals
+        }
+    }
+
+    /// Runs the batch at the current bandwidth with the full trace.
+    pub fn simulate(self) -> BatchSim {
+        let result = self.graph.simulate();
+        BatchSim {
+            phase: self.phase,
+            design: self.design,
+            stats: BatchStats {
+                makespan: result.makespan,
+                buffer_peak: result.buffer_peak,
+                ..self.totals
+            },
+            result,
+            pe_array: self.pe_array,
+        }
+    }
+}
+
+/// Simulates one batch of `phase` under `design` over `layers`: one graph
+/// build plus one traced run.
 ///
 /// # Panics
 ///
-/// Panics if `layers` is empty, if `phase` is not [`Phase::Baseline`]
-/// while `design` is `None`, or if the configured DRAM bandwidth is
-/// `Some(0)` (disable contention with `None` instead).
+/// As [`BatchGraph::build`].
 pub fn simulate_batch(
     phase: Phase,
     design: Option<AdaGpDesign>,
     layers: &[SimLayer],
     cfg: &SimConfig,
 ) -> BatchSim {
-    assert!(!layers.is_empty(), "need at least one layer");
-    assert!(
-        cfg.dram_words_per_cycle != Some(0),
-        "DRAM bandwidth must be positive (use None to disable contention)"
-    );
-    if phase != Phase::Baseline {
-        assert!(design.is_some(), "ADA-GP phases need a design");
-    }
-    let mut b = SimBuilder::new();
-    let pe = b.add_resource("pe-array", cfg.pe_ports);
-    let pred = match design {
-        Some(AdaGpDesign::Max) if phase != Phase::Baseline => {
-            Some(b.add_resource("predictor-array", cfg.pred_ports))
-        }
-        _ => None,
-    };
-    let dram = cfg
-        .dram_words_per_cycle
-        .map(|_| b.add_resource("dram", cfg.dram_ports));
-    let lanes = Lanes { pe, pred, dram };
-
-    match (phase, design) {
-        (Phase::Baseline, _) => build_baseline(&mut b, &lanes, layers, cfg),
-        (Phase::Bp, Some(AdaGpDesign::Max)) => build_bp_max(&mut b, &lanes, layers, cfg),
-        (Phase::Bp, Some(d)) => build_bp_shared(&mut b, &lanes, layers, cfg, d),
-        (Phase::Gp, Some(AdaGpDesign::Max)) => build_gp_max(&mut b, &lanes, layers, cfg),
-        (Phase::Gp, Some(d)) => build_gp_shared(&mut b, &lanes, layers, cfg, d),
-        _ => unreachable!("design checked above"),
-    }
-
-    let result = b.simulate();
-    let mut model_cycles = 0u64;
-    let mut predictor_cycles = 0u64;
-    let mut spill_cycles = 0u64;
-    for t in &result.tasks {
-        match t.kind {
-            TaskKind::Forward | TaskKind::BackwardData | TaskKind::BackwardWeight => {
-                model_cycles += t.duration
-            }
-            TaskKind::PredictorFill | TaskKind::PredictorUpdate | TaskKind::PredictorReload => {
-                predictor_cycles += t.duration
-            }
-            TaskKind::Spill => spill_cycles += t.duration,
-            TaskKind::WeightLoad | TaskKind::Join => {}
-        }
-    }
-    BatchSim {
-        phase,
-        design,
-        result,
-        model_cycles,
-        predictor_cycles,
-        spill_cycles,
-        pe_array: pe,
-    }
+    BatchGraph::build(phase, design, layers, cfg).simulate()
 }
 
 /// Baseline: FW sweep then BW sweep (data + weight), all on the PE array.
-fn build_baseline(b: &mut SimBuilder, lanes: &Lanes, layers: &[SimLayer], cfg: &SimConfig) {
-    let mut prev: Option<usize> = None;
-    for (i, l) in layers.iter().enumerate() {
-        let ready: Vec<usize> = prev.into_iter().collect();
-        let mut deps = ready.clone();
-        deps.extend(add_weight_load(b, lanes, cfg, i, l));
-        deps.extend(add_spill(b, lanes, cfg, i, l, ready));
-        let mut fwd = compute_task(TaskKind::Forward, i, &l.label, lanes.pe, l.cost.fw, deps);
-        fwd.buffer_delta = l.activation_words as i64;
-        prev = Some(b.add_task(fwd));
+fn build_baseline(e: &mut Emitter) {
+    let (pe, layers) = (e.lanes.pe, e.layers);
+    let mut prev: Option<TaskId> = None;
+    for i in 0..layers.len() {
+        prev = Some(e.forward(i, prev));
     }
     for (i, l) in layers.iter().enumerate().rev() {
         let (data, weight) = split_bw(l.cost.bw);
-        let bd = b.add_task(compute_task(
-            TaskKind::BackwardData,
-            i,
-            &l.label,
-            lanes.pe,
-            data,
-            prev.into_iter().collect(),
-        ));
-        let mut bw = compute_task(
-            TaskKind::BackwardWeight,
-            i,
-            &l.label,
-            lanes.pe,
-            weight,
-            vec![bd],
-        );
-        bw.buffer_delta = -(l.activation_words as i64);
-        prev = Some(b.add_task(bw));
+        let bd = e.compute(TaskKind::BackwardData, i, pe, data, 0, prev);
+        let freed = -(l.activation_words as i64);
+        prev = Some(e.compute(TaskKind::BackwardWeight, i, pe, weight, freed, [bd]));
     }
 }
 
 /// Phase BP on a shared array (Efficient / LOW): the predictor's fill
 /// follows each FW and its update follows each layer's BW, with LOW
 /// paying a weight reload before every predictor use.
-fn build_bp_shared(
-    b: &mut SimBuilder,
-    lanes: &Lanes,
-    layers: &[SimLayer],
-    cfg: &SimConfig,
-    design: AdaGpDesign,
-) {
+fn build_bp_shared(e: &mut Emitter, design: AdaGpDesign) {
+    let (pe, layers) = (e.lanes.pe, e.layers);
     let reload = design.reload_cycles();
-    let mut prev: Option<usize> = None;
+    let mut prev: Option<TaskId> = None;
     for (i, l) in layers.iter().enumerate() {
-        let ready: Vec<usize> = prev.into_iter().collect();
-        let mut deps = ready.clone();
-        deps.extend(add_weight_load(b, lanes, cfg, i, l));
-        deps.extend(add_spill(b, lanes, cfg, i, l, ready));
-        let mut fwd = compute_task(TaskKind::Forward, i, &l.label, lanes.pe, l.cost.fw, deps);
-        fwd.buffer_delta = l.activation_words as i64;
-        prev = Some(b.add_task(fwd));
+        prev = Some(e.forward(i, prev));
         if reload > 0 {
-            prev = Some(b.add_task(compute_task(
-                TaskKind::PredictorReload,
-                i,
-                &l.label,
-                lanes.pe,
-                reload,
-                prev.into_iter().collect(),
-            )));
+            prev = Some(e.compute(TaskKind::PredictorReload, i, pe, reload, 0, prev));
         }
-        prev = Some(b.add_task(compute_task(
-            TaskKind::PredictorFill,
-            i,
-            &l.label,
-            lanes.pe,
-            l.cost.alpha,
-            prev.into_iter().collect(),
-        )));
+        prev = Some(e.compute(TaskKind::PredictorFill, i, pe, l.cost.alpha, 0, prev));
     }
     for (i, l) in layers.iter().enumerate().rev() {
         let (data, weight) = split_bw(l.cost.bw);
-        prev = Some(b.add_task(compute_task(
-            TaskKind::BackwardData,
-            i,
-            &l.label,
-            lanes.pe,
-            data,
-            prev.into_iter().collect(),
-        )));
-        prev = Some(b.add_task(compute_task(
-            TaskKind::BackwardWeight,
-            i,
-            &l.label,
-            lanes.pe,
-            weight,
-            prev.into_iter().collect(),
-        )));
+        prev = Some(e.compute(TaskKind::BackwardData, i, pe, data, 0, prev));
+        prev = Some(e.compute(TaskKind::BackwardWeight, i, pe, weight, 0, prev));
         if reload > 0 {
-            prev = Some(b.add_task(compute_task(
-                TaskKind::PredictorReload,
-                i,
-                &l.label,
-                lanes.pe,
-                reload,
-                prev.into_iter().collect(),
-            )));
+            prev = Some(e.compute(TaskKind::PredictorReload, i, pe, reload, 0, prev));
         }
-        let mut upd = compute_task(
+        let freed = -(l.activation_words as i64);
+        prev = Some(e.compute(
             TaskKind::PredictorUpdate,
             i,
-            &l.label,
-            lanes.pe,
+            pe,
             2 * l.cost.alpha,
-            prev.into_iter().collect(),
-        );
-        upd.buffer_delta = -(l.activation_words as i64);
-        prev = Some(b.add_task(upd));
+            freed,
+            prev,
+        ));
     }
 }
 
@@ -557,150 +676,72 @@ fn build_bp_shared(
 /// and the predictor's fill→update chain start together at the window
 /// barrier and the next window opens when both finish — the per-layer
 /// `max(FW + BW, 3α)` of the analytic model.
-fn build_bp_max(b: &mut SimBuilder, lanes: &Lanes, layers: &[SimLayer], cfg: &SimConfig) {
-    let pred = lanes.pred.expect("MAX has a predictor array");
-    let mut barrier: Option<usize> = None;
+fn build_bp_max(e: &mut Emitter) {
+    let (pe, layers) = (e.lanes.pe, e.layers);
+    let pred = e.lanes.pred.expect("MAX has a predictor array");
+    let mut barrier: Option<TaskId> = None;
     for (i, l) in layers.iter().enumerate() {
-        let window: Vec<usize> = barrier.into_iter().collect();
-        let mut fwd_deps = window.clone();
-        fwd_deps.extend(add_weight_load(b, lanes, cfg, i, l));
-        fwd_deps.extend(add_spill(b, lanes, cfg, i, l, window.clone()));
-        let mut fwd = compute_task(
-            TaskKind::Forward,
-            i,
-            &l.label,
-            lanes.pe,
-            l.cost.fw,
-            fwd_deps,
-        );
-        fwd.buffer_delta = l.activation_words as i64;
-        let fwd = b.add_task(fwd);
+        let fwd = e.forward(i, barrier);
         let (data, weight) = split_bw(l.cost.bw);
-        let bd = b.add_task(compute_task(
-            TaskKind::BackwardData,
-            i,
-            &l.label,
-            lanes.pe,
-            data,
-            vec![fwd],
-        ));
-        let bw = b.add_task(compute_task(
-            TaskKind::BackwardWeight,
-            i,
-            &l.label,
-            lanes.pe,
-            weight,
-            vec![bd],
-        ));
+        let bd = e.compute(TaskKind::BackwardData, i, pe, data, 0, [fwd]);
+        let bw = e.compute(TaskKind::BackwardWeight, i, pe, weight, 0, [bd]);
         // The predictor consumes the layer's *input* activation (already
         // on chip at the window barrier), so its chain needs no FW dep.
-        let fill = b.add_task(compute_task(
-            TaskKind::PredictorFill,
-            i,
-            &l.label,
-            pred,
-            l.cost.alpha,
-            window,
-        ));
-        let upd = b.add_task(compute_task(
+        let fill = e.compute(TaskKind::PredictorFill, i, pred, l.cost.alpha, 0, barrier);
+        let upd = e.compute(
             TaskKind::PredictorUpdate,
             i,
-            &l.label,
             pred,
             2 * l.cost.alpha,
-            vec![fill],
-        ));
-        let mut join = TaskSpec::join(format!("window {}", l.label), vec![bw, upd]);
-        join.buffer_delta = -(l.activation_words as i64);
-        barrier = Some(b.add_task(join));
+            0,
+            [fill],
+        );
+        barrier = Some(e.join("window", i, [bw, upd]));
     }
 }
 
 /// Phase GP on a shared array (Efficient / LOW): FW then predictor fill
 /// per layer, serial, with LOW's reload in between.
-fn build_gp_shared(
-    b: &mut SimBuilder,
-    lanes: &Lanes,
-    layers: &[SimLayer],
-    cfg: &SimConfig,
-    design: AdaGpDesign,
-) {
+fn build_gp_shared(e: &mut Emitter, design: AdaGpDesign) {
+    let (pe, layers) = (e.lanes.pe, e.layers);
     let reload = design.reload_cycles();
-    let mut prev: Option<usize> = None;
+    let mut prev: Option<TaskId> = None;
     for (i, l) in layers.iter().enumerate() {
-        let ready: Vec<usize> = prev.into_iter().collect();
-        let mut deps = ready.clone();
-        deps.extend(add_weight_load(b, lanes, cfg, i, l));
-        deps.extend(add_spill(b, lanes, cfg, i, l, ready));
-        let mut fwd = compute_task(TaskKind::Forward, i, &l.label, lanes.pe, l.cost.fw, deps);
-        fwd.buffer_delta = l.activation_words as i64;
-        prev = Some(b.add_task(fwd));
+        prev = Some(e.forward(i, prev));
         if reload > 0 {
-            prev = Some(b.add_task(compute_task(
-                TaskKind::PredictorReload,
-                i,
-                &l.label,
-                lanes.pe,
-                reload,
-                prev.into_iter().collect(),
-            )));
+            prev = Some(e.compute(TaskKind::PredictorReload, i, pe, reload, 0, prev));
         }
-        let mut fill = compute_task(
-            TaskKind::PredictorFill,
-            i,
-            &l.label,
-            lanes.pe,
-            l.cost.alpha,
-            prev.into_iter().collect(),
-        );
-        fill.buffer_delta = -(l.activation_words as i64);
-        prev = Some(b.add_task(fill));
+        let freed = -(l.activation_words as i64);
+        prev = Some(e.compute(TaskKind::PredictorFill, i, pe, l.cost.alpha, freed, prev));
     }
 }
 
 /// Phase GP on ADA-GP-MAX: per-layer slots — FW on the PE array runs
 /// concurrently with the layer's predictor fill on the predictor array
 /// (`max(FW, α)` per slot), plus the trailing output-layer fill.
-fn build_gp_max(b: &mut SimBuilder, lanes: &Lanes, layers: &[SimLayer], cfg: &SimConfig) {
-    let pred = lanes.pred.expect("MAX has a predictor array");
-    let mut barrier: Option<usize> = None;
+fn build_gp_max(e: &mut Emitter) {
+    let layers = e.layers;
+    let pred = e.lanes.pred.expect("MAX has a predictor array");
+    let mut barrier: Option<TaskId> = None;
     for (i, l) in layers.iter().enumerate() {
-        let slot: Vec<usize> = barrier.into_iter().collect();
-        let mut fwd_deps = slot.clone();
-        fwd_deps.extend(add_weight_load(b, lanes, cfg, i, l));
-        fwd_deps.extend(add_spill(b, lanes, cfg, i, l, slot.clone()));
-        let mut fwd = compute_task(
-            TaskKind::Forward,
-            i,
-            &l.label,
-            lanes.pe,
-            l.cost.fw,
-            fwd_deps,
-        );
-        fwd.buffer_delta = l.activation_words as i64;
-        let fwd = b.add_task(fwd);
-        let fill = b.add_task(compute_task(
-            TaskKind::PredictorFill,
-            i,
-            &l.label,
-            pred,
-            l.cost.alpha,
-            slot,
-        ));
-        let mut join = TaskSpec::join(format!("slot {}", l.label), vec![fwd, fill]);
-        join.buffer_delta = -(l.activation_words as i64);
-        barrier = Some(b.add_task(join));
+        let fwd = e.forward(i, barrier);
+        let fill = e.compute(TaskKind::PredictorFill, i, pred, l.cost.alpha, 0, barrier);
+        barrier = Some(e.join("slot", i, [fwd, fill]));
     }
     // The last layer's own prediction cannot hide behind a next layer.
-    let last = layers.last().expect("non-empty");
-    b.add_task(compute_task(
-        TaskKind::PredictorFill,
-        layers.len() - 1,
-        &format!("{} (out)", last.label),
-        pred,
-        last.cost.alpha,
-        barrier.into_iter().collect(),
-    ));
+    let last = layers.len() - 1;
+    e.b.add_layer_task(
+        LayerTask {
+            kind: TaskKind::PredictorFill,
+            layer: last,
+            prefix: TaskKind::PredictorFill.name(),
+            suffix: " (out)",
+            resource: Some(pred),
+            duration: layers[last].cost.alpha,
+            buffer_delta: 0,
+        },
+        barrier,
+    );
 }
 
 #[cfg(test)]
@@ -872,9 +913,9 @@ mod tests {
         ] {
             let clean = simulate_batch(phase, design, &layers(), &cfg);
             let spilled = simulate_batch(phase, design, &spilling_layers(), &cfg);
-            assert_eq!(clean.spill_cycles, 0, "{phase:?}");
+            assert_eq!(clean.stats.spill_cycles, 0, "{phase:?}");
             assert_eq!(
-                spilled.spill_cycles,
+                spilled.stats.spill_cycles,
                 3 * 50_000u64.div_ceil(64),
                 "{phase:?}"
             );
@@ -894,7 +935,7 @@ mod tests {
         let ls = spilling_layers();
         let cs = costs();
         let sim = simulate_batch(Phase::Baseline, None, &ls, &cfg);
-        assert_eq!(sim.spill_cycles, 0);
+        assert_eq!(sim.stats.spill_cycles, 0);
         assert_eq!(sim.makespan(), baseline_batch_cycles(&cs));
     }
 

@@ -9,11 +9,15 @@
 //!    span trace, and equal-time event ties always resolve the same way.
 //! 3. **Sanity of derived stats** — utilizations and overlap
 //!    efficiencies stay inside [0, 1], buffer occupancy returns to zero.
+//! 4. **Replay ≡ rebuild** — a graph compiled once and re-timed to a
+//!    bandwidth runs exactly as one freshly built at that bandwidth
+//!    (stats and the whole trace), and nothing survives in the engine's
+//!    per-thread scratch from one run to the next.
 
 use adagp_accel::designs::{baseline_batch_cycles, bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::LayerCost;
 use adagp_accel::AdaGpDesign;
-use adagp_sim::{simulate_batch, Phase, SimConfig, SimLayer};
+use adagp_sim::{simulate_batch, BatchGraph, BatchSim, Phase, SimConfig, SimLayer};
 use adagp_tensor::Prng;
 
 /// A random model: 1–24 layers with FW in [1, 10⁶], BW = 2×FW ± jitter,
@@ -151,7 +155,7 @@ fn event_ties_resolve_by_task_id_even_with_equal_costs() {
         .result
         .spans
         .iter()
-        .filter(|s| a.result.tasks[s.task].kind == adagp_sim::TaskKind::Forward)
+        .filter(|s| a.result.tasks.kind(s.task) == adagp_sim::TaskKind::Forward)
         .map(|s| s.start)
         .collect();
     let mut sorted = fwd_starts.clone();
@@ -159,4 +163,90 @@ fn event_ties_resolve_by_task_id_even_with_equal_costs() {
     assert_eq!(fwd_starts, sorted, "forward sweep must stay in layer order");
     // 16 slots of max(fw, α) = 100 plus the trailing fill.
     assert_eq!(a.makespan(), 16 * 100 + 100);
+}
+
+/// Asserts a replayed graph's traced run equals a freshly built one:
+/// every span, ready cycle and admission cause, plus the summary numbers.
+fn assert_same_trace(replayed: &BatchSim, fresh: &BatchSim, context: &str) {
+    assert_eq!(replayed.stats, fresh.stats, "{context}: stats");
+    assert_eq!(replayed.result.makespan, fresh.result.makespan, "{context}");
+    assert_eq!(replayed.result.busy, fresh.result.busy, "{context}: busy");
+    assert_eq!(
+        replayed.result.buffer_peak, fresh.result.buffer_peak,
+        "{context}: buffer peak"
+    );
+    assert_eq!(
+        replayed.result.buffer_curve, fresh.result.buffer_curve,
+        "{context}: buffer curve"
+    );
+    assert_eq!(
+        replayed.result.spans, fresh.result.spans,
+        "{context}: spans"
+    );
+    assert_eq!(
+        replayed.result.ready_of, fresh.result.ready_of,
+        "{context}: ready_of"
+    );
+    assert_eq!(
+        replayed.result.unblocked_by, fresh.result.unblocked_by,
+        "{context}: unblocked_by"
+    );
+}
+
+#[test]
+fn replayed_graph_equals_a_fresh_build_at_every_bandwidth() {
+    let mut rng = Prng::seed_from_u64(0x5EED_CAFE);
+    for case in 0..200 {
+        let layers = random_layers(&mut rng);
+        let built_at = 1 + rng.next_u64() % 256;
+        let cfg = SimConfig {
+            dram_ports: 1 + (rng.next_u64() % 2) as u32,
+            ..SimConfig::default().with_bandwidth(built_at)
+        };
+        let probes = [1, 2, 3, 7, 18, 64, 1 << 20, 1 + rng.next_u64() % 4096];
+        for (phase, design) in phases() {
+            let mut graph = BatchGraph::build(phase, design, &layers, &cfg);
+            for bw in probes {
+                let context = format!("case {case}: {phase:?} {design:?} at {bw} w/c");
+                let fresh = simulate_batch(phase, design, &layers, &cfg.with_bandwidth(bw));
+                graph.set_bandwidth(bw);
+                assert_eq!(graph.run(), fresh.stats, "{context}: untraced");
+                assert_eq!(graph.graph().busy(), fresh.result.busy, "{context}: busy");
+                assert_same_trace(&graph.clone().simulate(), &fresh, &context);
+            }
+        }
+    }
+}
+
+#[test]
+fn no_state_leaks_through_the_scratch_between_runs() {
+    // One graph at bandwidths a, b, a — with runs of other, differently
+    // shaped graphs (more resources, more tasks) in between on the same
+    // thread, traced and untraced interleaved.
+    let mut rng = Prng::seed_from_u64(0x0ABA);
+    for case in 0..50 {
+        let layers = random_layers(&mut rng);
+        let other = random_layers(&mut rng);
+        let cfg = SimConfig {
+            dram_ports: 1 + (rng.next_u64() % 2) as u32,
+            ..SimConfig::default()
+        };
+        let (a, b) = (1 + rng.next_u64() % 64, 65 + rng.next_u64() % 4096);
+        for (phase, design) in phases() {
+            let mut graph = BatchGraph::build(phase, design, &layers, &cfg);
+            graph.set_bandwidth(a);
+            let first = graph.run();
+            let first_traced = graph.clone().simulate();
+            simulate_batch(Phase::Bp, Some(AdaGpDesign::Max), &other, &cfg);
+            graph.set_bandwidth(b);
+            let second = graph.run();
+            BatchGraph::build(Phase::Baseline, None, &other, &SimConfig::no_contention()).run();
+            graph.set_bandwidth(a);
+            let context = format!("case {case}: {phase:?} {design:?} {a} → {b} → {a}");
+            assert_eq!(graph.run(), first, "{context}");
+            assert_same_trace(&graph.clone().simulate(), &first_traced, &context);
+            graph.set_bandwidth(b);
+            assert_eq!(graph.run(), second, "{context} → {b}");
+        }
+    }
 }

@@ -36,8 +36,9 @@
 //! * [`roofline`] — the bandwidth-roofline analysis: per cell, the
 //!   smallest DRAM bandwidth within 1% of the contention-free training
 //!   cycles (the *knee*), found by binary search on the simulator's
-//!   monotone bandwidth→makespan curve and memoized across bandwidth-axis
-//!   siblings.
+//!   monotone bandwidth→makespan curve — every probe a replay of the
+//!   cell's already-compiled batch graphs — and memoized across
+//!   bandwidth-axis siblings.
 //! * [`presets`] — the named grids the `sweep` CLI exposes (`fig17-ws`,
 //!   `fig18-rs`, `fig19-is`, `energy`, `dataflows`, `schedules`,
 //!   `bandwidth`, `bandwidth-smoke`, `roofline`, `smoke`).

@@ -7,24 +7,35 @@
 //! The search leans on a property the simulator guarantees (and
 //! `crates/sim/tests/contention_properties.rs` sweeps): the simulated
 //! makespan is monotone non-increasing in `dram_words_per_cycle`, so the
-//! knee is well-defined and binary search finds it exactly. The
-//! contention-free reference is the `no_contention` simulation, which
-//! equals the analytic closed form bit-for-bit — the knee is therefore
-//! anchored to the same number the figures print.
+//! knee is well-defined and binary search over `[1, KNEE_MAX_BW]` finds
+//! it exactly.
+//!
+//! **Build once, replay per probe.** The bandwidth being probed only
+//! changes the durations of the DRAM tasks, never the topology of the
+//! batch graphs, so the search compiles nothing: it re-times the cell's
+//! already-built Phase-BP and Phase-GP graphs
+//! ([`adagp_sim::StepGraphs::set_bandwidth`]) and replays them untraced,
+//! two makespans per probe. The graphs are the same set the cell's
+//! `simulate_cell` numbers came from ([`crate::simeval`]'s `CellGraphs`);
+//! they live for one cell evaluation. The contention-free reference is
+//! the closed form of [`adagp_accel::designs`] on the cell's layer costs,
+//! which the `no_contention` simulation equals bit-for-bit (the sim
+//! crate's contract, golden-tested) — the knee is anchored to the same
+//! number the figures print, without simulating it again.
 //!
 //! Knees are memoized per (cell-sans-bandwidth, buffer, batch, ports,
 //! tolerance): the `bandwidth` preset revisits the same (model, buffer)
 //! point once per bandwidth axis value, and the fig17-sized grids ask
-//! once per cell.
+//! once per cell. A miss costs one lookup before the search and one
+//! insert after it.
 
 use crate::grid::{CellSpec, GridSpec};
-use crate::shapes::cached_shapes;
-use crate::simeval::cell_sim_config;
+use crate::simeval::{cell_sim_config, CellGraphs};
 use crate::store::csv_float;
-use adagp_accel::layer_cost::PredictorCostModel;
+use adagp_accel::designs::{bp_batch_cycles, gp_batch_cycles};
+use adagp_accel::layer_cost::LayerCost;
 use adagp_accel::speedup::EpochMix;
-use adagp_accel::{AcceleratorConfig, AdaGpDesign};
-use adagp_sim::{model_sim_layers, simulate_batch, Phase, SimConfig, SimLayer};
+use adagp_sim::{epoch_total, SimConfig, StepGraphs};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -38,36 +49,17 @@ pub const KNEE_TOLERANCE: f64 = 0.01;
 /// dominates, which no paper-scale model exhibits.
 pub const KNEE_MAX_BW: u64 = 1 << 20;
 
-/// Simulated ADA-GP training cycles (the [`adagp_sim::StepSim`] epoch
-/// weighting) from just the two batches it needs — the knee search calls
-/// this dozens of times per cell, so the baseline batch is skipped.
-fn adagp_training_cycles(
-    design: AdaGpDesign,
-    layers: &[SimLayer],
-    mix: &EpochMix,
-    cfg: &SimConfig,
-) -> f64 {
-    let bp = simulate_batch(Phase::Bp, Some(design), layers, cfg).makespan() as f64;
-    let gp = simulate_batch(Phase::Gp, Some(design), layers, cfg).makespan() as f64;
-    mix.stages()
-        .iter()
-        .map(|&(g, epochs)| epochs as f64 * (g * gp + (1.0 - g) * bp))
-        .sum()
-}
-
 /// Smallest bandwidth in `[1, KNEE_MAX_BW]` whose simulated training
 /// cycles are within `tolerance` of `free_cycles`, by binary search on
-/// the monotone bandwidth→cycles curve.
-fn knee_search(
-    design: AdaGpDesign,
-    layers: &[SimLayer],
-    mix: &EpochMix,
-    cfg: &SimConfig,
-    free_cycles: f64,
-    tolerance: f64,
-) -> u64 {
+/// the monotone bandwidth→cycles curve. Each probe re-times `graphs`
+/// (which must have a DRAM channel) and replays BP and GP; the graphs
+/// are left at the last probed bandwidth.
+fn knee_search(graphs: &mut StepGraphs, mix: &EpochMix, free_cycles: f64, tolerance: f64) -> u64 {
     let target = free_cycles * (1.0 + tolerance);
-    let at = |bw: u64| adagp_training_cycles(design, layers, mix, &cfg.with_bandwidth(bw));
+    let mut at = |bw: u64| {
+        graphs.set_bandwidth(bw);
+        graphs.adagp_training_cycles(mix)
+    };
     if at(KNEE_MAX_BW) > target {
         return KNEE_MAX_BW; // capped: even the top of the range stalls
     }
@@ -83,47 +75,82 @@ fn knee_search(
     hi
 }
 
+impl CellGraphs {
+    /// Contention-free ADA-GP training cycles of the cell: the closed
+    /// forms on its layer costs (== the `no_contention` simulation).
+    fn free_cycles(&self, spec: &CellSpec) -> f64 {
+        let costs: Vec<LayerCost> = self.layers.iter().map(|l| l.cost).collect();
+        epoch_total(
+            &self.mix,
+            bp_batch_cycles(spec.design, &costs) as f64,
+            gp_batch_cycles(spec.design, &costs) as f64,
+        )
+    }
+
+    /// Simulated ADA-GP training cycles at `words_per_cycle`, leaving the
+    /// graphs at the cell's configured bandwidth. A cell under a
+    /// contention-off base has no DRAM tasks to re-time, so it compiles a
+    /// channel-enabled set through the same path.
+    fn cycles_at(&mut self, spec: &CellSpec, words_per_cycle: u64) -> f64 {
+        self.with_channel(spec, |graphs, mix| {
+            graphs.set_bandwidth(words_per_cycle);
+            graphs.adagp_training_cycles(mix)
+        })
+    }
+
+    /// The cell's knee by [`knee_search`] (not memoized).
+    fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
+        let free = self.free_cycles(spec);
+        self.with_channel(spec, |graphs, mix| {
+            knee_search(graphs, mix, free, tolerance)
+        })
+    }
+
+    /// Runs `f` on graphs that have a DRAM channel: the cell's own
+    /// (restored to the configured bandwidth afterwards), or — under a
+    /// contention-off base — a set compiled `with_bandwidth`.
+    fn with_channel<T>(
+        &mut self,
+        spec: &CellSpec,
+        f: impl FnOnce(&mut StepGraphs, &EpochMix) -> T,
+    ) -> T {
+        match self.cfg.dram_words_per_cycle {
+            Some(configured) => {
+                let out = f(&mut self.graphs, &self.mix);
+                self.graphs.set_bandwidth(configured);
+                out
+            }
+            None => {
+                let cfg = self.cfg.with_bandwidth(KNEE_MAX_BW);
+                let mut graphs = StepGraphs::build(spec.design, &self.layers, &cfg);
+                f(&mut graphs, &self.mix)
+            }
+        }
+    }
+}
+
 fn knee_cache() -> &'static Mutex<HashMap<KneeMemoKey, u64>> {
     static CACHE: std::sync::OnceLock<Mutex<HashMap<KneeMemoKey, u64>>> =
         std::sync::OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Everything the knee search needs about one cell, built once.
-struct CellCurve {
-    layers: Vec<SimLayer>,
-    mix: EpochMix,
-    cfg: SimConfig,
-    /// Contention-free ADA-GP training cycles (== the analytic form).
-    free: f64,
-}
-
-fn cell_curve(spec: &CellSpec, base: &SimConfig) -> CellCurve {
-    let cfg = cell_sim_config(spec, base);
-    let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
-    let layers = model_sim_layers(
-        &AcceleratorConfig::default(),
-        spec.dataflow,
-        &PredictorCostModel::default(),
-        &shapes,
-        &cfg,
-    );
-    let mix = spec.schedule.mix();
-    let free = adagp_training_cycles(
-        spec.design,
-        &layers,
-        &mix,
-        &SimConfig {
-            batch: cfg.batch,
-            ..SimConfig::no_contention()
-        },
-    );
-    CellCurve {
-        layers,
-        mix,
-        cfg,
-        free,
-    }
+/// The memoized knee under `key`: one lookup, and on a miss `search`
+/// (outside the lock) followed by one insert.
+fn memoized_knee(key: KneeMemoKey, search: impl FnOnce() -> u64) -> u64 {
+    let cached = knee_cache()
+        .lock()
+        .expect("knee memo poisoned")
+        .get(&key)
+        .copied();
+    cached.unwrap_or_else(|| {
+        let knee = search();
+        knee_cache()
+            .lock()
+            .expect("knee memo poisoned")
+            .insert(key, knee);
+        knee
+    })
 }
 
 /// Memo key of one cell's knee. The cell's own bandwidth value is
@@ -133,7 +160,7 @@ fn cell_curve(spec: &CellSpec, base: &SimConfig) -> CellCurve {
 /// `Debug`/`Eq`), so it cannot silently alias two distinct curves into
 /// one memo slot the way an ad-hoc format string could. Derivable from
 /// the resolved config alone, so callers can check the cache before
-/// building a [`CellCurve`].
+/// building any graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KneeMemoKey {
     /// Dataflow display name (all axis names are `&'static str`s from
@@ -182,37 +209,22 @@ impl KneeMemoKey {
     }
 }
 
-/// Memoized knee of a built curve.
-fn knee_of_curve(spec: &CellSpec, curve: &CellCurve, tolerance: f64) -> u64 {
-    let key = KneeMemoKey::new(spec, &curve.cfg, tolerance);
-    if let Some(&knee) = knee_cache().lock().unwrap().get(&key) {
-        return knee;
-    }
-    let knee = knee_search(
-        spec.design,
-        &curve.layers,
-        &curve.mix,
-        &curve.cfg,
-        curve.free,
-        tolerance,
-    );
-    knee_cache().lock().unwrap().insert(key, knee);
-    knee
+/// The memoized knee of a cell whose graphs are already built (the
+/// runner's and [`cell_roofline`]'s path: a miss searches on them).
+pub(crate) fn knee_of_cell(spec: &CellSpec, cell: &mut CellGraphs, tolerance: f64) -> u64 {
+    memoized_knee(KneeMemoKey::new(spec, &cell.cfg, tolerance), || {
+        cell.search_knee(spec, tolerance)
+    })
 }
 
 /// The roofline knee of one cell (words/cycle), memoized. A memo hit
-/// costs only the key lookup — the layer list and the contention-free
-/// reference simulations are built only on a miss.
+/// costs only the key lookup — the layer list and the batch graphs are
+/// built only on a miss.
 pub fn cell_knee(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> u64 {
-    let cfg = cell_sim_config(spec, base);
-    if let Some(&knee) = knee_cache()
-        .lock()
-        .unwrap()
-        .get(&KneeMemoKey::new(spec, &cfg, tolerance))
-    {
-        return knee;
-    }
-    knee_of_curve(spec, &cell_curve(spec, base), tolerance)
+    let key = KneeMemoKey::new(spec, &cell_sim_config(spec, base), tolerance);
+    memoized_knee(key, || {
+        CellGraphs::build(spec, base).search_knee(spec, tolerance)
+    })
 }
 
 /// One cell's roofline summary.
@@ -240,24 +252,20 @@ pub struct RooflinePoint {
 /// Analyzes one cell: knee (memoized), contention-free reference and the
 /// stall breakdown at the cell's configured bandwidth.
 pub fn cell_roofline(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> RooflinePoint {
-    let curve = cell_curve(spec, base);
-    let knee = knee_of_curve(spec, &curve, tolerance);
-    let knee_cycles = adagp_training_cycles(
-        spec.design,
-        &curve.layers,
-        &curve.mix,
-        &curve.cfg.with_bandwidth(knee),
-    );
-    let step = adagp_sim::StepSim::run(spec.design, &curve.layers, &curve.mix, &curve.cfg);
+    let mut cell = CellGraphs::build(spec, base);
+    let knee = knee_of_cell(spec, &mut cell, tolerance);
+    let knee_cycles = cell.cycles_at(spec, knee);
+    let free_cycles = cell.free_cycles(spec);
+    let step = cell.graphs.run(&cell.mix);
     let sim_cycles = step.adagp_training_cycles();
     RooflinePoint {
         spec: spec.clone(),
-        free_cycles: curve.free,
+        free_cycles,
         knee_words_per_cycle: knee,
         knee_cycles,
         sim_cycles,
         spill_cycles: step.adagp_spill_cycles(),
-        dram_stall_frac: ((sim_cycles - curve.free) / sim_cycles).max(0.0),
+        dram_stall_frac: ((sim_cycles - free_cycles) / sim_cycles).max(0.0),
     }
 }
 
@@ -317,8 +325,9 @@ pub fn roofline_csv(points: &[RooflinePoint]) -> String {
 mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
-    use adagp_accel::Dataflow;
+    use adagp_accel::{AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
+    use adagp_sim::StepSim;
 
     fn cell(buffer: Option<u64>) -> CellSpec {
         CellSpec::with_contention(
@@ -339,23 +348,17 @@ mod tests {
         assert!(p.knee_words_per_cycle >= 1);
         assert!(p.knee_words_per_cycle < KNEE_MAX_BW, "finite knee expected");
         assert!(p.knee_cycles <= p.free_cycles * (1.0 + KNEE_TOLERANCE));
-        // One step below the knee must violate the tolerance (minimality).
+        // One step below the knee must violate the tolerance (minimality)
+        // — checked on freshly built graphs, not a replay.
         if p.knee_words_per_cycle > 1 {
-            let shapes = cached_shapes(CnnModel::Vgg13, DatasetScale::Cifar10.input_scale());
-            let cfg = cell_sim_config(&cell(None), &base);
-            let layers = model_sim_layers(
-                &AcceleratorConfig::default(),
-                Dataflow::WeightStationary,
-                &PredictorCostModel::default(),
-                &shapes,
-                &cfg,
-            );
-            let below = adagp_training_cycles(
+            let cell = CellGraphs::build(&cell(None), &base);
+            let below = StepSim::run(
                 AdaGpDesign::Max,
-                &layers,
-                &PhaseSchedule::Paper.mix(),
-                &cfg.with_bandwidth(p.knee_words_per_cycle - 1),
-            );
+                &cell.layers,
+                &cell.mix,
+                &cell.cfg.with_bandwidth(p.knee_words_per_cycle - 1),
+            )
+            .adagp_training_cycles();
             assert!(below > p.free_cycles * (1.0 + KNEE_TOLERANCE));
         }
     }
@@ -373,15 +376,7 @@ mod tests {
     fn memoized_knee_matches_the_direct_search() {
         let base = SimConfig::default();
         let spec = cell(Some(1 << 14));
-        let curve = cell_curve(&spec, &base);
-        let direct = knee_search(
-            AdaGpDesign::Max,
-            &curve.layers,
-            &curve.mix,
-            &curve.cfg,
-            curve.free,
-            KNEE_TOLERANCE,
-        );
+        let direct = CellGraphs::build(&spec, &base).search_knee(&spec, KNEE_TOLERANCE);
         assert_eq!(cell_knee(&spec, &base, KNEE_TOLERANCE), direct);
         assert_eq!(cell_knee(&spec, &base, KNEE_TOLERANCE), direct); // cached
     }

@@ -10,7 +10,7 @@
 use crate::grid::{CellSpec, GridSpec};
 use crate::roofline;
 use crate::shapes::cached_shapes;
-use crate::simeval::simulate_cell;
+use crate::simeval::CellGraphs;
 use adagp_accel::energy::{adagp_energy_joules, baseline_energy_joules, EnergyConfig};
 use adagp_accel::speedup::{adagp_training_cycles, baseline_training_cycles};
 use adagp_accel::AcceleratorConfig;
@@ -111,8 +111,11 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
     let adagp_cycles = adagp_training_cycles(&cfg, spec.dataflow, spec.design, &layers, &mix);
     let ecfg = EnergyConfig::default();
     let sim_base = SimConfig::default();
-    let sim = simulate_cell(spec, &sim_base);
-    let knee = roofline::cell_knee(spec, &sim_base, roofline::KNEE_TOLERANCE);
+    // One set of compiled batch graphs serves the sim metrics and, on a
+    // knee-memo miss, every probe of the knee search.
+    let mut cell = CellGraphs::build(spec, &sim_base);
+    let sim = cell.detail(spec);
+    let knee = roofline::knee_of_cell(spec, &mut cell, roofline::KNEE_TOLERANCE);
     CellMetrics {
         speedup: baseline_cycles / adagp_cycles,
         baseline_cycles,

@@ -14,6 +14,11 @@
 //!   byte-stable CSV ([`sim_detail_csv`]) that CI byte-compares against a
 //!   committed golden, exactly like the analytic smoke grid.
 //!
+//! Both go through `CellGraphs`: a cell's layer list and its three batch
+//! graphs (baseline, BP, GP) compiled once per evaluation and replayed —
+//! untraced — for the metrics above and for every bandwidth probe of
+//! [`crate::roofline`]'s knee search.
+//!
 //! With [`SimConfig::no_contention`] the simulated speed-up is
 //! bit-identical to the analytic `training_speedup` (the sim crate's
 //! contract); the golden test in `adagp-bench` asserts that over the full
@@ -22,8 +27,9 @@
 use crate::grid::{CellSpec, GridSpec};
 use crate::shapes::cached_shapes;
 use adagp_accel::layer_cost::PredictorCostModel;
+use adagp_accel::speedup::EpochMix;
 use adagp_accel::AcceleratorConfig;
-use adagp_sim::{model_sim_layers, SimConfig, StepSim};
+use adagp_sim::{model_sim_layers, SimConfig, SimLayer, StepGraphs};
 
 /// One simulated cell: batch-level makespans plus derived training-level
 /// statistics.
@@ -72,33 +78,69 @@ pub fn cell_sim_config(spec: &CellSpec, base: &SimConfig) -> SimConfig {
     cfg
 }
 
+/// Everything one cell evaluation simulates on, built once: the resolved
+/// config, the layer list and the three compiled batch graphs
+/// (baseline, BP, GP). One set serves [`simulate_cell`]'s numbers, every
+/// probe of the roofline knee search and [`crate::roofline`]'s
+/// knee-cycles; it lives for one cell evaluation and is never cached.
+pub(crate) struct CellGraphs {
+    /// [`cell_sim_config`]`(spec, base)`.
+    pub cfg: SimConfig,
+    /// The model's layers under `cfg` (same shapes, accelerator config and
+    /// predictor cost model as the analytic evaluator).
+    pub layers: Vec<SimLayer>,
+    /// The cell's epoch mix.
+    pub mix: EpochMix,
+    /// The compiled schedules, timed at `cfg`'s bandwidth.
+    pub graphs: StepGraphs,
+}
+
+impl CellGraphs {
+    /// Compiles `spec`'s three batch schedules under
+    /// [`cell_sim_config`]`(spec, base)`.
+    pub fn build(spec: &CellSpec, base: &SimConfig) -> Self {
+        let cfg = cell_sim_config(spec, base);
+        let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
+        let layers = model_sim_layers(
+            &AcceleratorConfig::default(),
+            spec.dataflow,
+            &PredictorCostModel::default(),
+            &shapes,
+            &cfg,
+        );
+        let graphs = StepGraphs::build(spec.design, &layers, &cfg);
+        CellGraphs {
+            cfg,
+            layers,
+            mix: spec.schedule.mix(),
+            graphs,
+        }
+    }
+
+    /// The batch-level detail of the cell: one untraced replay of each
+    /// graph at the current bandwidth.
+    pub fn detail(&self, spec: &CellSpec) -> SimCellDetail {
+        let step = self.graphs.run(&self.mix);
+        SimCellDetail {
+            spec: spec.clone(),
+            baseline_batch_cycles: step.baseline.makespan,
+            bp_batch_cycles: step.bp.makespan,
+            gp_batch_cycles: step.gp.makespan,
+            sim_speedup: step.training_speedup(),
+            sim_cycles: step.adagp_training_cycles(),
+            pe_utilization: step.pe_utilization(),
+            overlap_efficiency: step.overlap_efficiency(),
+            spill_cycles: step.adagp_spill_cycles(),
+            peak_buffer_words: step.peak_buffer_words(),
+        }
+    }
+}
+
 /// Simulates one cell under [`cell_sim_config`]`(spec, base)`: the same
 /// shapes, accelerator config and epoch mix the analytic evaluator uses,
 /// executed on the event engine.
 pub fn simulate_cell(spec: &CellSpec, base: &SimConfig) -> SimCellDetail {
-    let cfg = cell_sim_config(spec, base);
-    let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
-    let layers = model_sim_layers(
-        &AcceleratorConfig::default(),
-        spec.dataflow,
-        &PredictorCostModel::default(),
-        &shapes,
-        &cfg,
-    );
-    let mix = spec.schedule.mix();
-    let step = StepSim::run(spec.design, &layers, &mix, &cfg);
-    SimCellDetail {
-        spec: spec.clone(),
-        baseline_batch_cycles: step.baseline.makespan(),
-        bp_batch_cycles: step.bp.makespan(),
-        gp_batch_cycles: step.gp.makespan(),
-        sim_speedup: step.training_speedup(),
-        sim_cycles: step.adagp_training_cycles(),
-        pe_utilization: step.pe_utilization(),
-        overlap_efficiency: step.overlap_efficiency(),
-        spill_cycles: step.adagp_spill_cycles(),
-        peak_buffer_words: step.peak_buffer_words(),
-    }
+    CellGraphs::build(spec, base).detail(spec)
 }
 
 /// Simulates every cell of `grid` in parallel on the shared runtime pool
