@@ -2,20 +2,19 @@
 //!
 //! ```text
 //! serve [--addr host:port] [--workers n] [--queue-depth n] [--window n]
-//!       [--warm path]... [--flush path] [--log-dir dir]
+//!       [--warm path]... [--log-dir dir]
 //! ```
 //!
 //! Binds, warm-loads the cache from every `--warm` artifact (committed
-//! `runs/*.csv`/`.json`, any schema version), prints the bound address
+//! `runs/*.csv`/`.json`; an in-memory preload), prints the bound address
 //! on stdout (`listening on <addr>` — parseable by scripts and the
 //! load-test harness), and serves until `POST /shutdown`, at which point
-//! it drains in-flight evaluations and, with `--flush`, writes the
-//! byte-stable cache snapshot. `--log-dir` adds crash-safe incremental
-//! durability: every fresh evaluation is appended to a shard log in the
-//! directory (fsync per record) as it completes, and a restarted server
-//! replays the merged log — killing the process mid-grid costs zero
-//! recomputation. Cell evaluations run on the shared runtime pool
-//! (`ADAGP_THREADS` sizes it).
+//! it drains in-flight evaluations. `--log-dir` is the server's
+//! persistence: every fresh evaluation is appended to a shard log in
+//! the directory (fsync per record) as it completes, and a restarted
+//! server replays the merged log — stopping or killing the process
+//! mid-grid costs zero recomputation. Cell evaluations run on the
+//! shared runtime pool (`ADAGP_THREADS` sizes it).
 
 use adagp_serve::{server, ServerConfig};
 use std::path::PathBuf;
@@ -28,7 +27,6 @@ Usage:
         [--queue-depth n]    bounded accept queue; overflow answers 503
         [--window n]         cells per /grid streaming window (default 8)
         [--warm path]...     warm the cache from stored runs (repeatable)
-        [--flush path]       write the cache snapshot on shutdown
         [--log-dir dir]      crash-safe append log: replay it on start,
                              append every fresh evaluation (fsync'd)
 
@@ -38,8 +36,8 @@ and /critical the live stall attribution (adagp-critpath-v1); both are
 non-empty when running under ADAGP_TRACE or ADAGP_PROFILE.
 
 Exit codes:
-  0  clean shutdown (drained and, if configured, flushed)
-  2  usage, bind, warm-load or flush error
+  0  clean shutdown (drained)
+  2  usage, bind, warm-load or log-replay error
 ";
 
 fn main() -> ExitCode {
@@ -71,7 +69,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             "--window" => cfg.grid_window = parse_num(&value("--window")?, "--window")?,
             "--warm" => cfg.warm.push(PathBuf::from(value("--warm")?)),
-            "--flush" => cfg.flush_path = Some(PathBuf::from(value("--flush")?)),
             "--log-dir" => cfg.log_dir = Some(PathBuf::from(value("--log-dir")?)),
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -83,10 +80,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let handle = server::start(cfg)?;
     let state = handle.state().clone();
     println!("listening on {}", handle.addr());
-    match handle.serve_forever()? {
-        Some(flushed) => println!("drained; flushed {flushed} cells"),
-        None => println!("drained"),
-    }
+    handle.serve_forever()?;
+    println!("drained");
     let m: std::collections::HashMap<&str, u64> = state.metrics.snapshot().into_iter().collect();
     println!(
         "served {} requests ({} grids, {} cells: {} hits, {} evaluated, {} joined)",

@@ -19,8 +19,9 @@
 //! 4. The scraped `/metrics` must satisfy the counter invariants and
 //!    show **exactly one evaluation per distinct cell requested** —
 //!    coalescing and memoization, proven end-to-end.
-//! 5. Graceful shutdown flushes the cache; the snapshot must reload
-//!    byte-stably.
+//! 5. After a graceful shutdown, a second server on the same shard-log
+//!    directory answers the whole universe with **zero evaluations**,
+//!    still bit-identical — the log is the cache's persistence.
 //!
 //! With `--addr` the harness drives an external server instead: the
 //! bit-exactness checks still run (the universe is evaluated locally),
@@ -32,7 +33,7 @@ use adagp_nn::models::CnnModel;
 use adagp_obs as obs;
 use adagp_serve::wire::grid_to_value;
 use adagp_serve::{
-    check_invariants, fetch_metrics, http_request, server, submit_grid, CellCache, ServerConfig,
+    check_invariants, fetch_metrics, http_request, server, submit_grid, ServerConfig,
 };
 use adagp_sweep::grid::{DatasetScale, GridSpec, PhaseSchedule};
 use adagp_sweep::{evaluate_cell, metrics_to_array};
@@ -236,17 +237,18 @@ fn run(opts: &Options) -> Result<(), String> {
     if opts.addr.is_none() {
         obs::set_enabled(true);
     }
-    let flush =
-        std::env::temp_dir().join(format!("adagp-serve-loadtest-{}.json", std::process::id()));
+    let log_dir = std::env::temp_dir().join(format!("adagp-serve-loadtest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&log_dir);
+    let config = ServerConfig {
+        workers: opts.workers,
+        queue_depth: opts.queue_depth,
+        grid_window: opts.window,
+        log_dir: Some(log_dir.clone()),
+        ..ServerConfig::default()
+    };
     let local = match opts.addr {
         Some(_) => None,
-        None => Some(server::start(ServerConfig {
-            workers: opts.workers,
-            queue_depth: opts.queue_depth,
-            grid_window: opts.window,
-            flush_path: Some(flush.clone()),
-            ..ServerConfig::default()
-        })?),
+        None => Some(server::start(config.clone())?),
     };
     let addr = opts
         .addr
@@ -361,23 +363,37 @@ fn run(opts: &Options) -> Result<(), String> {
         );
     }
 
-    // 5. Graceful shutdown and byte-stable flush (in-process mode only).
+    // 5. Graceful shutdown, then a restart on the same shard log
+    // (in-process mode only): every cell the clients requested comes
+    // back as a hit, bit-identical, with no evaluation.
     if let Some(handle) = local {
-        let flushed = handle.shutdown()?.expect("flush path was configured");
-        if flushed as u64 != merged.requested_ids.len() as u64 {
+        handle.shutdown()?;
+        let restarted = server::start(config)?;
+        let spec_json = serde::json::to_string(&grid_to_value(&full));
+        let replay = submit_grid(restarted.addr(), &spec_json)?;
+        let evaluations = fetch_metrics(restarted.addr())?["evaluations"];
+        restarted.shutdown()?;
+        std::fs::remove_dir_all(&log_dir).ok();
+        let requested = merged.requested_ids.len() as u64;
+        if replay.done.hits != requested
+            || evaluations != (expected.len() as u64 - requested) as i128
+        {
             return Err(format!(
-                "flushed {flushed} cells, expected {}",
-                merged.requested_ids.len()
+                "restart on the log served {} hits and ran {evaluations} evaluations \
+                 for {requested} logged of {} cells",
+                replay.done.hits,
+                expected.len()
             ));
         }
-        let bytes = std::fs::read(&flush).map_err(|e| format!("read flush: {e}"))?;
-        let reload = CellCache::new();
-        reload.warm_load(&flush)?;
-        if reload.snapshot_json().into_bytes() != bytes {
-            return Err("flushed snapshot did not reload byte-stably".to_string());
+        for line in &replay.cells {
+            let got: Vec<u64> = line.metrics.iter().map(|m| m.to_bits()).collect();
+            if got != expected[&line.id] {
+                return Err(format!("replayed cell {} is not bit-identical", line.id));
+            }
         }
-        println!("loadtest: graceful shutdown; {flushed}-cell flush reloads byte-stable");
-        std::fs::remove_file(&flush).ok();
+        println!(
+            "loadtest: graceful shutdown; restart replays {requested} logged cells, 0 re-evaluated"
+        );
     }
     Ok(())
 }

@@ -45,8 +45,8 @@
 use adagp_bench::report::render_table;
 use adagp_sim::SimConfig;
 use adagp_sweep::{
-    diff, presets, roofline, runner, shardlog, simeval, store, DiffConfig, GridSpec, Shard,
-    StoredRun,
+    diff, presets, roofline, runner, shardlog, simeval, store, DiffConfig, GridSpec, RunFormat,
+    Shard, StoredRun,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -345,34 +345,26 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Streams a merged run into its final CSV/JSON artifacts (bounded
-/// memory; bytes identical to the whole-file writers).
+/// memory; bytes identical to an uninterrupted run's). The JSON record
+/// carries zero timings: wall clocks are meaningless across resumed
+/// fragments.
 fn write_merged_outputs(
     run: &shardlog::MergedRun,
     grid_name: &str,
     csv_path: Option<&Path>,
     json_path: Option<&Path>,
 ) -> Result<(), String> {
-    if let Some(p) = csv_path {
-        let mut w = store::StreamingCsvWriter::create(p)
-            .map_err(|e| format!("write {}: {e}", p.display()))?;
-        for cell in &run.cells {
-            w.write_cell(cell)
+    let json = RunFormat::Json {
+        grid: grid_name,
+        total_wall_micros: 0,
+    };
+    let outputs = [("CSV", csv_path, RunFormat::Csv), ("JSON", json_path, json)];
+    for (name, path, format) in outputs {
+        if let Some(p) = path {
+            store::write_run_file(p, format, run.cells.iter().map(|c| (c, 0)))
                 .map_err(|e| format!("write {}: {e}", p.display()))?;
+            println!("wrote {name} to {}", p.display());
         }
-        w.finish()
-            .map_err(|e| format!("write {}: {e}", p.display()))?;
-        println!("wrote CSV to {}", p.display());
-    }
-    if let Some(p) = json_path {
-        let mut w = store::StreamingJsonWriter::create(p, grid_name)
-            .map_err(|e| format!("write {}: {e}", p.display()))?;
-        for cell in &run.cells {
-            w.write_cell(cell)
-                .map_err(|e| format!("write {}: {e}", p.display()))?;
-        }
-        w.finish()
-            .map_err(|e| format!("write {}: {e}", p.display()))?;
-        println!("wrote JSON to {}", p.display());
     }
     Ok(())
 }

@@ -2,7 +2,8 @@
 //!
 //! * `serve_loadtest` at the acceptance scale (≥64 overlapping grids,
 //!   ≥4 client threads) must PASS — bit-identical replies, exactly-once
-//!   evaluation, graceful shutdown with a byte-stable flush.
+//!   evaluation, graceful shutdown and a restart that replays the shard
+//!   log without evaluating.
 //! * The `serve` CLI itself must come up, answer traffic, and drain
 //!   cleanly on `POST /shutdown`.
 
@@ -24,8 +25,8 @@ fn loadtest_smoke_passes_at_acceptance_scale() {
         "coalescing line missing:\n{stdout}"
     );
     assert!(
-        stdout.contains("flush reloads byte-stable"),
-        "flush line missing:\n{stdout}"
+        stdout.contains("logged cells, 0 re-evaluated"),
+        "restart line missing:\n{stdout}"
     );
 }
 

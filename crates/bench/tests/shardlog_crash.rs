@@ -443,3 +443,32 @@ fn corrupted_shard_logs_never_panic_and_keep_every_intact_record() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// `testdata/shardlog_unversioned_smoke/` is the smoke grid as the
+/// commit before record versions wrote it (`sweep run smoke --shard k/2`,
+/// records without a `v`). It must stay readable: resume finds every
+/// cell committed, and the merge is the committed golden, byte for byte.
+#[test]
+fn log_written_before_record_versions_resumes_and_merges_to_the_golden() {
+    let testdata = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("testdata");
+    let fixture = testdata.join("shardlog_unversioned_smoke");
+    let dir = tmp_dir("unversioned");
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = adagp_sweep::presets::smoke();
+    for k in 1..=2 {
+        let shard = Shard { k, n: 2 };
+        let name = shard_file_name(shard);
+        let text = std::fs::read_to_string(fixture.join(&name)).expect("fixture log");
+        assert!(!text.contains("\"v\""), "the fixture predates the version");
+        std::fs::write(dir.join(&name), text).unwrap();
+        let stats = run_sharded(&grid, shard, &dir, 16).unwrap();
+        assert_eq!((stats.owned, stats.resumed, stats.evaluated), (2, 2, 0));
+    }
+    let run = merge_to_run(&dir, &grid).unwrap();
+    assert!(run.is_complete() && run.skipped.is_empty(), "{run:?}");
+    assert_eq!(
+        run.to_csv_string(),
+        std::fs::read_to_string(testdata.join("sweep_smoke_golden.csv")).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -92,7 +92,7 @@ fn no_contention_composes_with_explicit_bandwidth_and_buffer_flags() {
 /// usage errors — the codes CI branches on.
 #[test]
 fn diff_exit_codes_cover_clean_regressed_and_usage() {
-    use adagp_sweep::store::{RunRecord, StoredCell};
+    use adagp_sweep::store::{stored_json_string, StoredCell};
     use adagp_sweep::{evaluate_cell, presets};
 
     let cells: Vec<StoredCell> = presets::smoke()
@@ -102,8 +102,7 @@ fn diff_exit_codes_cover_clean_regressed_and_usage() {
         .collect();
     let write = |name: &str, cells: &[StoredCell]| {
         let path = tmp(name);
-        let text = serde::json::to_string_pretty(&RunRecord::from_stored_cells("smoke", cells));
-        std::fs::write(&path, text).expect("run record written");
+        std::fs::write(&path, stored_json_string("smoke", cells)).expect("run record written");
         path
     };
     let before = write("diff-before.json", &cells);

@@ -1,5 +1,5 @@
 //! The memoized cell store: content-derived cell IDs → evaluated
-//! metrics, with request coalescing and a byte-stable disk snapshot.
+//! cells, with request coalescing and a crash-safe append log.
 //!
 //! ## Coalescing
 //!
@@ -16,70 +16,35 @@
 //! ## Warm start vs. bit-exactness
 //!
 //! The cache warm-loads from any committed `runs/*` artifact (CSV or
-//! JSON, schema v1–v3). Legacy files carry fewer metric columns, so
-//! their entries are **partial**: they answer nothing by themselves —
-//! a request for such a cell re-evaluates and upgrades the entry. Full
-//! CSV entries are quantized to 6 decimals (byte-stable, not bit-exact);
-//! callers that require bit-exact metrics (the load-test harness) start
-//! cold instead of warm.
+//! JSON) through the one store loader; every loaded cell is a full
+//! entry and answers requests as a hit. CSV entries are quantized to 6
+//! decimals (byte-stable, not bit-exact); callers that require
+//! bit-exact metrics (the load-test harness) start cold, or from a
+//! shard log, instead.
 //!
-//! ## Snapshot
-//!
-//! [`CellCache::snapshot_json`] emits the full-precision JSON run-record
-//! form, cells sorted by ID, timing zeroed — reloading and re-flushing
-//! is byte-identical (asserted by the cache-consistency tests). CSV is
-//! deliberately *not* used here: 6-decimal quantization of ~4e11-cycle
-//! metrics exceeds an `f64`'s ~17 significant digits, so CSV would not
-//! reload byte-stably. [`CellCache::flush`] stages the snapshot in a
-//! temp sibling and renames it into place, so a crash mid-flush never
-//! leaves a torn snapshot where the last good one stood.
-//!
-//! ## Incremental append log
+//! ## Durability: the append log
 //!
 //! With a [`ShardWriter`] attached ([`CellCache::attach_log`]), every
-//! *fresh* evaluation is appended to the crash-safe shard log the moment
-//! it completes — the server no longer depends on a graceful shutdown
-//! flush for durability. A killed server warm-loads the merged log on
-//! restart and re-evaluates nothing that already reached the disk.
+//! *fresh* evaluation is appended to the crash-safe shard log (fsync
+//! per record) the moment it completes. That log is the cache's only
+//! persistence: a stopped or killed server replays the merged log on
+//! restart ([`CellCache::warm`]) and re-evaluates nothing that reached
+//! the disk. Its records are full precision, so replayed cells are
+//! bit-identical to the evaluation that produced them.
 
+use adagp_sweep::evaluate_cell;
 use adagp_sweep::grid::CellSpec;
 use adagp_sweep::shardlog::ShardWriter;
-use adagp_sweep::store::{RunRecord, StoredCell, StoredRun, METRICS};
-use adagp_sweep::{evaluate_cell, metrics_from_array, CellMetrics};
+use adagp_sweep::store::{StoredCell, StoredRun};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// One memoized cell with how many of its metric slots are real (legacy
-/// warm loads carry a prefix; the rest are zero-filled).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedCell {
-    /// The cell's stored form (id, axes, metrics).
-    pub cell: StoredCell,
-    /// Leading valid entries of `cell.metrics`.
-    pub metric_count: usize,
-}
-
-impl CachedCell {
-    /// Whether every metric slot is valid (a current-schema entry).
-    pub fn is_full(&self) -> bool {
-        self.metric_count == METRICS.len()
-    }
-
-    /// The typed metrics view. Only meaningful when [`is_full`]
-    /// (partial entries have zero-filled tails).
-    ///
-    /// [`is_full`]: CachedCell::is_full
-    pub fn metrics(&self) -> CellMetrics {
-        metrics_from_array(&self.cell.metrics)
-    }
-}
-
 /// How a cell was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Served {
-    /// Already memoized in full.
+    /// Already memoized.
     Hit,
     /// This call ran the evaluator.
     Evaluated,
@@ -91,7 +56,7 @@ pub enum Served {
 #[derive(Debug)]
 enum FlightState {
     Pending,
-    Done(Arc<CachedCell>),
+    Done(Arc<StoredCell>),
     Failed(String),
 }
 
@@ -109,7 +74,7 @@ impl Flight {
         }
     }
 
-    fn complete(&self, result: Result<Arc<CachedCell>, String>) {
+    fn complete(&self, result: Result<Arc<StoredCell>, String>) {
         let mut s = self.state.lock().unwrap();
         *s = match result {
             Ok(cell) => FlightState::Done(cell),
@@ -118,7 +83,7 @@ impl Flight {
         self.done.notify_all();
     }
 
-    fn wait(&self) -> Result<Arc<CachedCell>, String> {
+    fn wait(&self) -> Result<Arc<StoredCell>, String> {
         let mut s = self.state.lock().unwrap();
         loop {
             match &*s {
@@ -132,13 +97,13 @@ impl Flight {
 
 #[derive(Debug)]
 enum Entry {
-    Ready(Arc<CachedCell>),
+    Ready(Arc<StoredCell>),
     InFlight(Arc<Flight>),
 }
 
 /// What the map lookup decided this caller should do.
 enum Claim {
-    Hit(Arc<CachedCell>),
+    Hit(Arc<StoredCell>),
     Wait(Arc<Flight>),
     Evaluate(Arc<Flight>),
 }
@@ -147,9 +112,9 @@ enum Claim {
 #[derive(Debug, Default)]
 pub struct CellCache {
     map: Mutex<HashMap<String, Entry>>,
-    /// The attached incremental append log (`None`: snapshot-only
-    /// durability). Its own mutex, never held together with `map`:
-    /// appends happen after the entry is published.
+    /// The attached append log (`None`: the cache is memory-only). Its
+    /// own mutex, never held together with `map`: appends happen after
+    /// the entry is published.
     log: Mutex<Option<ShardWriter>>,
 }
 
@@ -167,9 +132,11 @@ impl CellCache {
     }
 
     /// Appends a freshly evaluated cell to the attached log, if any.
-    /// Append failures are reported on stderr but do not fail the
-    /// serving path — the entry is already published in memory, and the
-    /// next graceful flush still captures it.
+    /// An append failure does not fail the serving path — the entry is
+    /// already published in memory and the reply is correct — but the
+    /// cell is *not* durable: a restart will evaluate it again. The
+    /// writer counts each failure on `sweep_log_append_errors_total`
+    /// (`/metrics`), and it is reported on stderr here.
     fn log_append(&self, cell: &StoredCell) {
         let mut log = self.log.lock().unwrap();
         if let Some(writer) = log.as_mut() {
@@ -182,7 +149,7 @@ impl CellCache {
         }
     }
 
-    /// Number of ready (memoized) cells, partial entries included.
+    /// Number of ready (memoized) cells.
     pub fn len(&self) -> usize {
         self.map
             .lock()
@@ -198,21 +165,19 @@ impl CellCache {
     }
 
     /// Serves `spec` from the memo store, evaluating it (exactly once
-    /// across all concurrent callers) on a miss. Partial warm-loaded
-    /// entries count as misses and are upgraded in place.
+    /// across all concurrent callers) on a miss.
     ///
     /// # Errors
     ///
     /// Returns the panic message if the evaluation itself panicked (the
     /// entry is removed so a later request can retry).
-    pub fn get_or_evaluate(&self, spec: &CellSpec) -> Result<(Arc<CachedCell>, Served), String> {
+    pub fn get_or_evaluate(&self, spec: &CellSpec) -> Result<(Arc<StoredCell>, Served), String> {
         let claim = {
             let mut map = self.map.lock().unwrap();
             match map.get(&spec.id) {
-                Some(Entry::Ready(cell)) if cell.is_full() => Claim::Hit(Arc::clone(cell)),
+                Some(Entry::Ready(cell)) => Claim::Hit(Arc::clone(cell)),
                 Some(Entry::InFlight(flight)) => Claim::Wait(Arc::clone(flight)),
-                _ => {
-                    // Absent or partial: this caller evaluates.
+                None => {
                     let flight = Arc::new(Flight::new());
                     map.insert(spec.id.clone(), Entry::InFlight(Arc::clone(&flight)));
                     Claim::Evaluate(flight)
@@ -227,14 +192,11 @@ impl CellCache {
                 let mut map = self.map.lock().unwrap();
                 match result {
                     Ok(metrics) => {
-                        let cell = Arc::new(CachedCell {
-                            cell: StoredCell::from_evaluation(spec, &metrics),
-                            metric_count: METRICS.len(),
-                        });
+                        let cell = Arc::new(StoredCell::from_evaluation(spec, &metrics));
                         map.insert(spec.id.clone(), Entry::Ready(Arc::clone(&cell)));
                         drop(map);
                         flight.complete(Ok(Arc::clone(&cell)));
-                        self.log_append(&cell.cell);
+                        self.log_append(&cell);
                         Ok((cell, Served::Evaluated))
                     }
                     Err(payload) => {
@@ -249,92 +211,29 @@ impl CellCache {
         }
     }
 
-    /// Memoizes every cell of an already-loaded stored run. Entries that
-    /// are already memoized in full (or mid-evaluation) are left alone;
-    /// a fuller record upgrades a partial one. Returns how many entries
-    /// were inserted or upgraded.
-    pub fn warm_from_stored(&self, run: &StoredRun) -> usize {
+    /// Memoizes already-evaluated cells (a loaded run file, a replayed
+    /// shard log). Cells already memoized or mid-evaluation are left
+    /// alone. Returns how many entries were inserted.
+    pub fn warm(&self, cells: impl IntoIterator<Item = StoredCell>) -> usize {
         let mut map = self.map.lock().unwrap();
         let mut loaded = 0;
-        for cell in &run.cells {
-            let upgrade = match map.get(&cell.id) {
-                None => true,
-                Some(Entry::Ready(existing)) => existing.metric_count < run.metric_count,
-                Some(Entry::InFlight(_)) => false,
-            };
-            if upgrade {
-                map.insert(
-                    cell.id.clone(),
-                    Entry::Ready(Arc::new(CachedCell {
-                        cell: cell.clone(),
-                        metric_count: run.metric_count,
-                    })),
-                );
+        for cell in cells {
+            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(cell.id.clone()) {
+                slot.insert(Entry::Ready(Arc::new(cell)));
                 loaded += 1;
             }
         }
         loaded
     }
 
-    /// Warm-loads a committed run artifact (CSV or JSON, any supported
-    /// schema version). Returns how many entries were inserted/upgraded.
+    /// Warm-loads a committed run artifact (CSV or JSON). Returns how
+    /// many entries were inserted.
     ///
     /// # Errors
     ///
     /// Returns the loader's description of an I/O or parse failure.
     pub fn warm_load(&self, path: &Path) -> Result<usize, String> {
-        Ok(self.warm_from_stored(&StoredRun::load(path)?))
-    }
-
-    /// Renders the byte-stable snapshot: every *full* entry, sorted by
-    /// cell ID, as a full-precision schema-v3 JSON run record (grid name
-    /// `cache`, timing zeroed). Partial legacy entries are skipped —
-    /// flushing their zero-filled tails would masquerade as real data.
-    pub fn snapshot_json(&self) -> String {
-        let mut cells: Vec<StoredCell> = {
-            let map = self.map.lock().unwrap();
-            map.values()
-                .filter_map(|e| match e {
-                    Entry::Ready(c) if c.is_full() => Some(c.cell.clone()),
-                    _ => None,
-                })
-                .collect()
-        };
-        cells.sort_by(|a, b| a.id.cmp(&b.id));
-        let mut text =
-            serde::json::to_string_pretty(&RunRecord::from_stored_cells("cache", &cells));
-        text.push('\n');
-        text
-    }
-
-    /// Writes [`CellCache::snapshot_json`] to `path`, returning how many
-    /// cells it holds. Crash-safe: the snapshot is staged in a
-    /// `.{pid}.tmp` sibling and atomically renamed into place (the same
-    /// discipline as `adagp_nn::checkpoint`), so an interrupted flush
-    /// never truncates or tears an existing snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing or renaming the file.
-    pub fn flush(&self, path: &Path) -> std::io::Result<usize> {
-        let full = {
-            let map = self.map.lock().unwrap();
-            map.values()
-                .filter(|e| matches!(e, Entry::Ready(c) if c.is_full()))
-                .count()
-        };
-        let mut tmp_name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_else(|| "snapshot".into());
-        tmp_name.push(format!(".{}.tmp", std::process::id()));
-        let tmp = path.with_file_name(tmp_name);
-        std::fs::write(&tmp, self.snapshot_json())?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        Ok(full)
+        Ok(self.warm(StoredRun::load(path)?.cells))
     }
 }
 
@@ -375,13 +274,7 @@ mod tests {
         assert_eq!(served, Served::Hit);
         assert_eq!(cache.len(), 1);
         let direct = metrics_to_array(&evaluate_cell(&spec()));
-        for ((a, b), d) in first
-            .cell
-            .metrics
-            .iter()
-            .zip(&second.cell.metrics)
-            .zip(&direct)
-        {
+        for ((a, b), d) in first.metrics.iter().zip(&second.metrics).zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());
             assert_eq!(a.to_bits(), d.to_bits());
         }
@@ -389,40 +282,42 @@ mod tests {
     }
 
     #[test]
-    fn partial_warm_entries_are_upgraded_by_evaluation() {
+    fn warm_entries_hit_and_never_replace_memoized_cells() {
         let cache = CellCache::new();
         let s = spec();
-        let partial = StoredRun {
-            cells: vec![StoredCell::from_evaluation(&s, &evaluate_cell(&s))],
-            metric_count: 5, // pretend it came from a schema-v1 file
-        };
-        assert_eq!(cache.warm_from_stored(&partial), 1);
-        assert_eq!(cache.len(), 1);
-        // A partial entry is a miss: the cell is re-evaluated in full.
+        let mut stale = StoredCell::from_evaluation(&s, &evaluate_cell(&s));
+        stale.metrics[0] = -1.0;
+        assert_eq!(cache.warm([stale.clone()]), 1);
         let (cell, served) = cache.get_or_evaluate(&s).unwrap();
-        assert_eq!(served, Served::Evaluated);
-        assert!(cell.is_full());
-        // And now it hits.
-        assert_eq!(cache.get_or_evaluate(&s).unwrap().1, Served::Hit);
-        // Re-warming with a *less* complete record does not downgrade.
-        assert_eq!(cache.warm_from_stored(&partial), 0);
-        assert_eq!(cache.get_or_evaluate(&s).unwrap().1, Served::Hit);
+        assert_eq!(served, Served::Hit);
+        assert_eq!(*cell, stale);
+        // Warming again leaves the memoized entry alone.
+        assert_eq!(
+            cache.warm([StoredCell::from_evaluation(&s, &evaluate_cell(&s))]),
+            0
+        );
+        assert_eq!(*cache.get_or_evaluate(&s).unwrap().0, stale);
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
-    fn snapshot_skips_partial_entries_and_sorts_by_id() {
+    fn failed_log_append_is_counted_and_the_cell_is_still_served() {
+        use adagp_sweep::{shard_file_name, Shard};
+        // `/dev/full` accepts the open and fails every write with ENOSPC.
+        let dir = std::env::temp_dir().join(format!("adagp-serve-fulldisk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join(shard_file_name(Shard::default())))
+            .unwrap();
         let cache = CellCache::new();
-        let s = spec();
-        let partial = StoredRun {
-            cells: vec![StoredCell::from_evaluation(&s, &evaluate_cell(&s))],
-            metric_count: 5,
-        };
-        cache.warm_from_stored(&partial);
-        let empty = StoredRun::from_json_str(&cache.snapshot_json()).unwrap();
-        assert!(empty.cells.is_empty(), "partial entries must not flush");
-        cache.get_or_evaluate(&s).unwrap();
-        let full = StoredRun::from_json_str(&cache.snapshot_json()).unwrap();
-        assert_eq!(full.cells.len(), 1);
-        assert_eq!(full.cells[0].id, s.id);
+        cache.attach_log(ShardWriter::open(&dir, Shard::default()).unwrap());
+        let errors = adagp_obs::registry().counter("sweep_log_append_errors_total");
+        let before = errors.get();
+        let (cell, served) = cache.get_or_evaluate(&spec()).unwrap();
+        assert_eq!(served, Served::Evaluated);
+        assert_eq!(cell.metrics(), evaluate_cell(&spec()));
+        assert!(errors.get() > before, "the failed append must be counted");
+        assert_eq!(cache.get_or_evaluate(&spec()).unwrap().1, Served::Hit);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,14 +21,15 @@
 //!   recover bit-identical `f64`s.
 //! * [`cache`] — the coalescing memo store: exactly one evaluation per
 //!   cell across any number of concurrent requests, warm-loadable from
-//!   committed `runs/*` artifacts (CSV/JSON, schema v1–v3), flushed on
-//!   shutdown as a byte-stable full-precision JSON snapshot.
+//!   committed `runs/*` artifacts (CSV/JSON), made durable by appending
+//!   every fresh evaluation to a crash-safe shard log that a restarted
+//!   server replays.
 //! * [`metrics`] — atomic hit/miss/evaluation/in-flight counters on
 //!   `/metrics`, with machine-checkable cross-counter invariants.
 //! * [`server`] — accept loop + bounded connection queue (503 on
 //!   overload via `BoundedQueue::try_push`) + worker threads; cell
 //!   evaluation runs on the shared `adagp_runtime::pool()`; graceful
-//!   shutdown drains accepted requests and flushes the cache.
+//!   shutdown drains accepted requests.
 //! * [`client`] — the blocking client the load-test harness and the
 //!   integration tests drive the server with.
 //!
@@ -48,7 +49,7 @@ pub mod metrics;
 pub mod server;
 pub mod wire;
 
-pub use cache::{CachedCell, CellCache, Served};
+pub use cache::{CellCache, Served};
 pub use client::{
     fetch_metrics, http_request, http_request_retrying, submit_grid, GridResponse, HttpReply,
     RetryPolicy,

@@ -1,5 +1,5 @@
 //! The resident sweep server: accept loop, bounded connection queue,
-//! worker threads, routing, and graceful drain-and-flush shutdown.
+//! worker threads, routing, and graceful draining shutdown.
 //!
 //! Threading model: one accept thread pushes connections onto a
 //! [`BoundedQueue`] with [`try_push`](BoundedQueue::try_push) — a full
@@ -12,15 +12,16 @@
 //!
 //! Shutdown (via [`ServerHandle::shutdown`] or `POST /shutdown`) raises
 //! a flag and pokes the listener with a wake-up connection; the accept
-//! thread stops and closes the queue, the workers finish every already
-//! accepted request (draining in-flight evaluations with them), and the
-//! cache is flushed to disk as a byte-stable JSON snapshot.
+//! thread stops and closes the queue, and the workers finish every
+//! already accepted request (draining in-flight evaluations with them).
 //!
-//! Durability does not depend on that graceful flush: with
+//! Durability does not depend on a graceful shutdown: with
 //! [`ServerConfig::log_dir`] set, every fresh evaluation is appended to
 //! a crash-safe shard log (fsync per record) the moment it completes,
 //! and a restarted server replays the merged log before accepting
-//! traffic — a `kill -9` mid-grid costs zero recomputation.
+//! traffic — a `kill -9` mid-grid costs zero recomputation. The log is
+//! the server's only persistence; without it the cache lives and dies
+//! with the process.
 
 use crate::cache::{CellCache, Served};
 use crate::http::{error_response, response, streaming_head, HttpError, Request, RequestParser};
@@ -48,15 +49,14 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Cells per streaming window of a `/grid` response.
     pub grid_window: usize,
-    /// Run artifacts to warm the cache from before accepting traffic.
+    /// Run artifacts to warm the cache from before accepting traffic
+    /// (an in-memory preload; nothing is written back).
     pub warm: Vec<PathBuf>,
-    /// Where shutdown flushes the cache snapshot (`None`: no flush).
-    pub flush_path: Option<PathBuf>,
-    /// Incremental shard-log directory (`None`: snapshot-only
-    /// durability). When set, the cache warm-loads every record already
-    /// merged from the directory's shard logs and appends each fresh
-    /// evaluation to `shard-1-of-1.ndjson` with an fsync per record —
-    /// a killed server restarts mid-grid with zero recomputation.
+    /// Shard-log directory (`None`: nothing is persisted). When set, the
+    /// cache warm-loads every record already merged from the directory's
+    /// shard logs and appends each fresh evaluation to
+    /// `shard-1-of-1.ndjson` with an fsync per record — a stopped or
+    /// killed server restarts mid-grid with zero recomputation.
     pub log_dir: Option<PathBuf>,
 }
 
@@ -68,7 +68,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             grid_window: 8,
             warm: Vec::new(),
-            flush_path: None,
             log_dir: None,
         }
     }
@@ -153,7 +152,6 @@ pub fn route(req: &Request) -> Routed {
 #[derive(Debug)]
 pub struct ServerHandle {
     state: Arc<ServeState>,
-    flush_path: Option<PathBuf>,
     accept: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -181,17 +179,13 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     }
     if let Some(dir) = &cfg.log_dir {
         // Replay the crash-safe append log: every record any previous
-        // incarnation committed becomes a full warm entry (resume hits
-        // on /metrics), then this incarnation appends to the same log.
+        // incarnation committed becomes a warm entry (resume hits on
+        // /metrics), then this incarnation appends to the same log.
         let merged = adagp_sweep::shardlog::merge_dir(dir)?;
         for (path, span) in &merged.skipped {
             eprintln!("adagp-serve: warning: {}: skipped {span}", path.display());
         }
-        let cells: Vec<_> = merged.by_id.into_values().collect();
-        let resumed = state.cache.warm_from_stored(&adagp_sweep::StoredRun {
-            cells,
-            ..Default::default()
-        });
+        let resumed = state.cache.warm(merged.by_id.into_values());
         adagp_sweep::shardlog::note_resume_hits(resumed as u64);
         let writer = adagp_sweep::shardlog::ShardWriter::open(dir, adagp_sweep::Shard::default())
             .map_err(|e| format!("open shard log in {}: {e}", dir.display()))?;
@@ -225,7 +219,6 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     };
     Ok(ServerHandle {
         state,
-        flush_path: cfg.flush_path,
         accept: Some(accept),
         workers,
     })
@@ -478,49 +471,39 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, drain every accepted request
-    /// (in-flight evaluations included), join all threads, and flush the
-    /// cache snapshot if configured. Returns the number of cells flushed
-    /// (`None` when no flush path was configured).
+    /// (in-flight evaluations included) and join all threads. Nothing is
+    /// written here — every evaluation reached the shard log when it
+    /// completed.
     ///
     /// # Errors
     ///
-    /// Returns a description of a flush I/O failure; the threads are
-    /// joined regardless.
-    pub fn shutdown(mut self) -> Result<Option<usize>, String> {
-        self.shutdown_impl()
+    /// Returns how many server threads panicked, if any did; all of them
+    /// are joined regardless.
+    pub fn shutdown(mut self) -> Result<(), String> {
+        self.shutdown_impl(0)
     }
 
     /// Blocks until shutdown is requested remotely (`POST /shutdown`),
-    /// then drains, joins and flushes exactly like
+    /// then drains and joins exactly like
     /// [`shutdown`](ServerHandle::shutdown). This is the CLI's main
     /// loop.
     ///
     /// # Errors
     ///
-    /// Returns a description of a flush I/O failure.
-    pub fn serve_forever(mut self) -> Result<Option<usize>, String> {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.shutdown_impl()
+    /// Returns how many server threads panicked, if any did.
+    pub fn serve_forever(mut self) -> Result<(), String> {
+        let accept_panicked = self.accept.take().is_some_and(|a| a.join().is_err());
+        self.shutdown_impl(usize::from(accept_panicked))
     }
 
-    fn shutdown_impl(&mut self) -> Result<Option<usize>, String> {
+    fn shutdown_impl(&mut self, mut panicked: usize) -> Result<(), String> {
         self.state.request_shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        for thread in self.accept.take().into_iter().chain(self.workers.drain(..)) {
+            panicked += usize::from(thread.join().is_err());
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        match self.flush_path.take() {
-            None => Ok(None),
-            Some(path) => self
-                .state
-                .cache
-                .flush(&path)
-                .map(Some)
-                .map_err(|e| format!("flush {}: {e}", path.display())),
+        match panicked {
+            0 => Ok(()),
+            n => Err(format!("{n} server thread(s) panicked")),
         }
     }
 }
@@ -529,7 +512,7 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         // Best-effort cleanup for handles dropped without an explicit
         // shutdown (e.g. a panicking test): threads must not leak.
-        let _ = self.shutdown_impl();
+        let _ = self.shutdown_impl(0);
     }
 }
 

@@ -4,16 +4,16 @@
 //!    of the same cell trigger one evaluation; everyone gets bit-exact
 //!    copies and the `/metrics` counters account for every request.
 //! 2. **Warm-start fidelity** — a cache warmed from each committed
-//!    `runs/*` artifact (CSV and JSON, every schema vintage present)
-//!    agrees with fresh evaluation within the `sweep diff` tolerances.
-//! 3. **Byte-stable flush** — a shutdown-flushed snapshot reloads into
-//!    an identical snapshot, byte for byte, through any number of
-//!    flush → warm-load cycles.
+//!    `runs/*` artifact (CSV and JSON) agrees with fresh evaluation
+//!    within the `sweep diff` tolerances.
+//! 3. **Byte-stable log** — restarting on a shard log answers from it
+//!    without touching it: the log's bytes survive any number of
+//!    shutdown → replay cycles and merge to a standard run file.
 
 use adagp_serve::{check_invariants, fetch_metrics, server, submit_grid, CellCache, ServerConfig};
 use adagp_sweep::diff::{diff_runs, DiffConfig};
-use adagp_sweep::store::{RunRecord, StoredCell, StoredRun};
-use adagp_sweep::{evaluate_cell, presets};
+use adagp_sweep::store::{to_csv_string, StoredCell, StoredRun};
+use adagp_sweep::{evaluate_cell, merge_to_run, presets, run_grid};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -109,7 +109,7 @@ fn warm_load_from_every_committed_artifact_matches_fresh_evaluation() {
     for file in files {
         let stored = StoredRun::load(&file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
         let cache = CellCache::new();
-        let loaded = cache.warm_from_stored(&stored);
+        let loaded = cache.warm(stored.cells.clone());
         assert_eq!(loaded, stored.cells.len(), "{file:?} loaded partially");
 
         // Reconstruct the specs from the grid preset that generated the
@@ -141,12 +141,8 @@ fn warm_load_from_every_committed_artifact_matches_fresh_evaluation() {
             }
             let before = StoredRun {
                 cells: vec![warmed.clone()],
-                metric_count: stored.metric_count,
             };
-            let after = StoredRun {
-                cells: vec![fresh],
-                ..StoredRun::default()
-            };
+            let after = StoredRun { cells: vec![fresh] };
             let report = diff_runs(&before, &after, &DiffConfig::default());
             assert_eq!(report.matched_cells, 1);
             assert!(
@@ -162,73 +158,50 @@ fn warm_load_from_every_committed_artifact_matches_fresh_evaluation() {
 }
 
 #[test]
-fn shutdown_flush_reloads_byte_stable_through_repeated_cycles() {
-    let flush_a = tmp("flush-a.json");
-    let flush_b = tmp("flush-b.json");
-
-    // First server: evaluate a small grid cold, flush on shutdown.
-    let server = server::start(ServerConfig {
-        flush_path: Some(flush_a.clone()),
+fn shard_log_survives_restart_cycles_byte_stable_and_merges_to_a_run_file() {
+    let dir = tmp("log-cycles");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        log_dir: Some(dir.clone()),
         ..ServerConfig::default()
-    })
-    .expect("server starts");
+    };
+    let log_bytes = || {
+        let log = dir.join(adagp_sweep::shard_file_name(adagp_sweep::Shard::default()));
+        std::fs::read(log).expect("shard log")
+    };
+
+    // First server: evaluate a small grid cold; every cell is appended.
+    let server = server::start(config.clone()).expect("server starts");
     let response = submit_grid(server.addr(), r#"{"preset":"smoke"}"#).expect("grid accepted");
-    assert_eq!(response.done.cells, response.announced_cells);
-    let flushed = server.shutdown().expect("clean shutdown");
-    assert_eq!(flushed, Some(response.done.cells as usize));
-    let bytes_a = std::fs::read(&flush_a).expect("flushed snapshot");
-
-    // Second server: warm from the snapshot, serve the same grid (all
-    // hits, zero evaluations), flush again — bytes must be identical.
-    let server = server::start(ServerConfig {
-        warm: vec![flush_a.clone()],
-        flush_path: Some(flush_b.clone()),
-        ..ServerConfig::default()
-    })
-    .expect("warm server starts");
-    let warmed = submit_grid(server.addr(), r#"{"preset":"smoke"}"#).expect("grid accepted");
-    assert_eq!(warmed.done.hits, warmed.done.cells, "warm serve must hit");
-    assert!(warmed.cells.iter().all(|c| c.cached));
-    let metrics = fetch_metrics(server.addr()).expect("metrics");
-    assert_eq!(metrics["evaluations"], 0, "{metrics:?}");
+    assert_eq!(response.done.evaluated, response.announced_cells);
     server.shutdown().expect("clean shutdown");
-    let bytes_b = std::fs::read(&flush_b).expect("second snapshot");
-    assert_eq!(
-        bytes_a, bytes_b,
-        "flush → warm-load → flush is not byte-stable"
-    );
+    let bytes = log_bytes();
 
-    // And the cell metrics travel bit-exactly through the cycle.
-    let (a, b) = (&response.cells, &warmed.cells);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.id, y.id);
-        for (mx, my) in x.metrics.iter().zip(&y.metrics) {
-            assert_eq!(mx.to_bits(), my.to_bits(), "cell {}", x.id);
+    // Two more incarnations on the same directory: all hits, zero
+    // evaluations, bit-identical metrics — and nothing re-appended.
+    for cycle in 0..2 {
+        let server = server::start(config.clone()).expect("restarted server starts");
+        let replay = submit_grid(server.addr(), r#"{"preset":"smoke"}"#).expect("grid accepted");
+        assert_eq!(replay.done.hits, replay.done.cells, "cycle {cycle}");
+        assert!(replay.cells.iter().all(|c| c.cached));
+        let metrics = fetch_metrics(server.addr()).expect("metrics");
+        assert_eq!(metrics["evaluations"], 0, "{metrics:?}");
+        server.shutdown().expect("clean shutdown");
+        assert_eq!(response.cells.len(), replay.cells.len());
+        for (x, y) in response.cells.iter().zip(&replay.cells) {
+            assert_eq!(x.id, y.id);
+            for (mx, my) in x.metrics.iter().zip(&y.metrics) {
+                assert_eq!(mx.to_bits(), my.to_bits(), "cell {}", x.id);
+            }
         }
+        assert_eq!(log_bytes(), bytes, "cycle {cycle} rewrote the log");
     }
 
-    // A direct in-process reload round-trips too (no server needed).
-    let cache = CellCache::new();
-    cache.warm_load(&flush_b).expect("snapshot reloads");
-    assert_eq!(cache.snapshot_json().into_bytes(), bytes_a);
-
-    std::fs::remove_file(&flush_a).ok();
-    std::fs::remove_file(&flush_b).ok();
-}
-
-/// The snapshot's run-record form stays loadable by the standard store
-/// loaders (it *is* a schema-v3 record), so `sweep diff` can compare a
-/// server flush against any committed run.
-#[test]
-fn flushed_snapshot_is_a_standard_run_record() {
-    let cache = CellCache::new();
-    let spec = presets::smoke().expand()[0].clone();
-    cache.get_or_evaluate(&spec).expect("evaluation");
-    let snapshot = cache.snapshot_json();
-    let reloaded = StoredRun::from_json_str(&snapshot).expect("snapshot parses");
-    assert_eq!(reloaded.cells.len(), 1);
-    assert_eq!(reloaded.cells[0].id, spec.id);
-    let record: RunRecord = RunRecord::from_stored_cells("cache", &reloaded.cells);
-    assert_eq!(serde::json::to_string_pretty(&record) + "\n", snapshot);
+    // The served log is a standard shard log: `sweep merge` rebuilds
+    // the run file of the grid from it, byte for byte.
+    let grid = presets::smoke();
+    let merged = merge_to_run(&dir, &grid).expect("log merges");
+    assert!(merged.is_complete(), "{:?}", merged.missing);
+    assert_eq!(merged.to_csv_string(), to_csv_string(&run_grid(&grid)));
+    std::fs::remove_dir_all(&dir).ok();
 }

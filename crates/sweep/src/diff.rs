@@ -101,18 +101,13 @@ impl DiffReport {
     }
 }
 
-/// Compares `after` against `before` cell-by-cell. Only the metrics both
-/// runs carry are compared (a legacy schema-v1 run diffs against a fresh
-/// one over their shared five analytic metrics).
+/// Compares `after` against `before` cell-by-cell, over every metric of
+/// [`METRICS`].
 pub fn diff_runs(before: &StoredRun, after: &StoredRun, cfg: &DiffConfig) -> DiffReport {
     let after_by_id: HashMap<&str, &StoredCell> =
         after.cells.iter().map(|c| (c.id.as_str(), c)).collect();
     let before_ids: std::collections::HashSet<&str> =
         before.cells.iter().map(|c| c.id.as_str()).collect();
-    let shared_metrics = before
-        .metric_count
-        .min(after.metric_count)
-        .min(METRICS.len());
 
     let mut report = DiffReport::default();
     for b in &before.cells {
@@ -121,7 +116,7 @@ pub fn diff_runs(before: &StoredRun, after: &StoredRun, cfg: &DiffConfig) -> Dif
             continue;
         };
         report.matched_cells += 1;
-        for (i, metric) in METRICS.iter().take(shared_metrics).enumerate() {
+        for (i, metric) in METRICS.iter().enumerate() {
             let (old, new) = (b.metrics[i], a.metrics[i]);
             let denom = old.abs().max(f64::MIN_POSITIVE);
             let rel_delta = (new - old) / denom;
@@ -175,10 +170,7 @@ mod tests {
     }
 
     fn run(cells: Vec<StoredCell>) -> StoredRun {
-        StoredRun {
-            cells,
-            ..StoredRun::default()
-        }
+        StoredRun { cells }
     }
 
     #[test]

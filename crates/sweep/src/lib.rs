@@ -20,11 +20,12 @@
 //!   the `adagp-sim` discrete-event simulator, contributing the
 //!   `sim_cycles` / `pe_utilization` / `overlap_efficiency` metrics and
 //!   the batch-level detail view behind the `sweep sim` subcommand.
-//! * [`store`] — serializes runs to byte-stable CSV (fixed-precision
-//!   floats, no timing columns) and JSON (full precision + timing, via
-//!   the now-activated vendored serde derives), and loads either back —
-//!   including streaming bounded-memory writers whose output is
-//!   byte-identical to the whole-file forms.
+//! * [`store`] — the one stored form of a cell
+//!   ([`StoredCell`](store::StoredCell)) with one encoder and one
+//!   decoder per format: byte-stable CSV (fixed-precision floats, no
+//!   timing columns) and JSON (full precision + timing), rendered to a
+//!   string or streamed to a file in bounded memory — the same bytes
+//!   either way — and loaded back through one validation.
 //! * [`shardlog`] — append-only, shard-per-worker NDJSON result logs
 //!   with fsync'd record boundaries: crash-safe resumable execution
 //!   (`--shard k/n`), a torn-tail-tolerant loader, and a deterministic
@@ -81,6 +82,6 @@ pub use shardlog::{
 };
 pub use simeval::{cell_sim_config, run_sim_grid, sim_detail_csv, simulate_cell, SimCellDetail};
 pub use store::{
-    metrics_from_array, metrics_to_array, stored_csv_string, stored_json_string, RunRecord,
-    StoredCell, StoredRun, StreamingCsvWriter, StreamingJsonWriter,
+    metrics_to_array, stored_csv_string, stored_json_string, write_run_file, RunFormat, StoredCell,
+    StoredRun,
 };

@@ -5,8 +5,13 @@
 //! ## Format
 //!
 //! A *shard log* is an NDJSON file named `shard-<k>-of-<n>.ndjson`: one
-//! compact-JSON [`StoredCell`] record per line, appended with an fsync
-//! at every record boundary. A record is committed iff its trailing
+//! compact-JSON record per line — a [`StoredCell`] under a record
+//! version, `{"v":1,"id":…,"axes":[…],"metrics":[…]}` — appended with an
+//! fsync at every record boundary. The loader dispatches on `v` (a line
+//! without one is version 1: logs written before the field existed), so
+//! a later change to the record's fields can keep reading old logs; a
+//! version this build does not know is skipped like any other
+//! undecodable line. A record is committed iff its trailing
 //! newline reached the file — the loader treats the final line of a
 //! file that does not end in `\n` as a *torn tail* (a crash mid-append)
 //! and skips it with a line-numbered warning instead of failing. Any
@@ -31,9 +36,10 @@
 //! ID-keyed cell map, deterministically: files in `(n, k)` order, lines
 //! in file order, **last write wins** for duplicate IDs. Given the
 //! grid, [`merge_to_run`] re-sequences the map into expansion order —
-//! from there [`stored_csv_string`]/[`stored_json_string`] (or the
-//! streaming writers) reproduce byte-identical final artifacts no
-//! matter how the work was sharded, interleaved, crashed or resumed.
+//! from there [`stored_csv_string`]/[`stored_json_string`] (or
+//! [`write_run_file`](crate::store::write_run_file)) reproduce
+//! byte-identical final artifacts no matter how the work was sharded,
+//! interleaved, crashed or resumed.
 //!
 //! ## Fault injection
 //!
@@ -46,6 +52,7 @@ use crate::grid::{CellSpec, GridSpec, Shard};
 use crate::runner;
 use crate::store::{stored_csv_string, stored_json_string, StoredCell};
 use adagp_obs as obs;
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -61,6 +68,13 @@ pub const FAULT_ENV: &str = "ADAGP_SHARD_FAULT_AFTER";
 fn appends_counter() -> &'static Arc<obs::Counter> {
     static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
     C.get_or_init(|| obs::registry().counter("sweep_log_appends_total"))
+}
+
+/// Appends that failed in the write or the fsync — records that are
+/// *not* durable (`adagp_sweep_log_append_errors_total` on `/metrics`).
+fn append_errors_counter() -> &'static Arc<obs::Counter> {
+    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| obs::registry().counter("sweep_log_append_errors_total"))
 }
 
 /// Cells skipped because their ID was already committed to a shard log
@@ -95,10 +109,36 @@ pub fn parse_shard_file_name(name: &str) -> Option<Shard> {
     (shard.k >= 1 && shard.k <= shard.n).then_some(shard)
 }
 
+/// The record version [`record_line`] writes.
+const RECORD_VERSION: u64 = 1;
+
 /// One record serialized as a compact single-line JSON object — the
-/// exact bytes [`ShardWriter::append`] commits (newline excluded).
+/// exact bytes [`ShardWriter::append`] commits (newline excluded): the
+/// cell's fields behind the record version.
 pub fn record_line(cell: &StoredCell) -> String {
-    serde::json::to_string(cell)
+    let Value::Object(mut fields) = cell.to_value() else {
+        unreachable!("a derived struct serializes to an object");
+    };
+    fields.insert(0, ("v".to_string(), Value::UInt(RECORD_VERSION)));
+    serde::json::to_string(&Value::Object(fields))
+}
+
+/// Decodes one committed line: dispatches on the record version (absent
+/// means 1 — the field is younger than the format), then applies the
+/// check every stored-cell decoder ends in.
+fn decode_record(text: &str) -> Result<StoredCell, String> {
+    let value = serde::json::parse_value(text).map_err(|e| format!("undecodable record: {e}"))?;
+    let version = match value.field("v") {
+        Ok(v) => u64::from_value(v).map_err(|e| format!("undecodable record version: {e}"))?,
+        Err(_) => 1,
+    };
+    let cell = match version {
+        1 => StoredCell::from_value(&value).map_err(|e| format!("undecodable record: {e}"))?,
+        other => return Err(format!("unknown record version {other}")),
+    };
+    cell.validate()
+        .map_err(|e| format!("invalid record: {e}"))?;
+    Ok(cell)
 }
 
 /// The append side of one shard log. Opens the file in append mode (an
@@ -145,6 +185,8 @@ impl ShardWriter {
                 file.sync_data()?;
             }
         }
+        // Registered here so a healthy log scrapes as an explicit 0.
+        append_errors_counter();
         Ok(ShardWriter {
             file,
             path,
@@ -171,7 +213,8 @@ impl ShardWriter {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the write or the fsync.
+    /// Returns any I/O error from the write or the fsync, after counting
+    /// it on `sweep_log_append_errors_total`: the record is not durable.
     pub fn append(&mut self, cell: &StoredCell) -> std::io::Result<()> {
         let mut line = record_line(cell);
         if self.fault_after == Some(self.appended) {
@@ -187,11 +230,18 @@ impl ShardWriter {
             std::process::abort();
         }
         line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
-        self.appended += 1;
-        appends_counter().inc();
-        Ok(())
+        let committed = self
+            .file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.sync_data());
+        match committed {
+            Ok(()) => {
+                self.appended += 1;
+                appends_counter().inc();
+            }
+            Err(_) => append_errors_counter().inc(),
+        }
+        committed
     }
 }
 
@@ -228,20 +278,6 @@ pub struct ShardLoad {
     /// Undecodable line spans, in file order (a torn tail appears here
     /// as the final span).
     pub skipped: Vec<SkippedSpan>,
-}
-
-/// Validates one decoded record beyond JSON shape: IDs must be
-/// non-empty and metrics finite (the JSON writer encodes non-finite
-/// floats as `null`, which already fails decoding, but a corrupted
-/// line could still parse as a record with an empty ID).
-fn validate_record(cell: &StoredCell) -> Result<(), String> {
-    if cell.id.is_empty() {
-        return Err("record has an empty cell ID".to_string());
-    }
-    if let Some(bad) = cell.metrics.iter().find(|m| !m.is_finite()) {
-        return Err(format!("record carries a non-finite metric {bad}"));
-    }
-    Ok(())
 }
 
 /// Loads one shard log tolerantly: every intact record is recovered,
@@ -299,16 +335,9 @@ pub fn load_shard(path: &Path) -> std::io::Result<ShardLoad> {
                 continue;
             }
         };
-        match serde::json::from_str::<StoredCell>(text) {
-            Ok(cell) => match validate_record(&cell) {
-                Ok(()) => load.cells.push(cell),
-                Err(why) => skip(lineno, why, &mut load.skipped),
-            },
-            Err(e) => skip(
-                lineno,
-                format!("undecodable record: {e}"),
-                &mut load.skipped,
-            ),
+        match decode_record(text) {
+            Ok(cell) => load.cells.push(cell),
+            Err(why) => skip(lineno, why, &mut load.skipped),
         }
     }
     Ok(load)
@@ -797,6 +826,46 @@ mod tests {
         let direct = crate::store::to_csv_string(&runner::run_grid(&g));
         assert_eq!(run.to_csv_string(), direct);
         std::fs::remove_dir_all(&ref_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn records_carry_a_version_and_undecodable_ones_are_skipped_by_line() {
+        let g = grid();
+        let specs = g.expand();
+        let cells: Vec<StoredCell> = specs[..4]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| synthetic_cell(s, i as u64))
+            .collect();
+        let line = record_line(&cells[0]);
+        assert!(line.starts_with("{\"v\":1,\"id\":"), "{line}");
+        // Version 1 with and without its `v` decodes to the same cell.
+        let unversioned = serde::json::to_string(&cells[1]);
+        assert!(!unversioned.contains("\"v\""));
+        let future = record_line(&cells[2]).replacen("\"v\":1", "\"v\":2", 1);
+        let garbled = record_line(&cells[2]).replacen("\"v\":1", "\"v\":\"one\"", 1);
+        let no_id = record_line(&cells[3]).replacen(&cells[3].id, "", 1);
+
+        let dir = tmp_dir("versions");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(shard_file_name(Shard::default()));
+        let lines = [line, future, garbled, unversioned, no_id];
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let load = load_shard(&path).unwrap();
+        assert_eq!(load.cells, cells[..2]);
+        let skipped: Vec<(usize, usize, &str)> = load
+            .skipped
+            .iter()
+            .map(|s| (s.first_line, s.last_line, s.reason.as_str()))
+            .collect();
+        assert_eq!(
+            skipped,
+            [
+                (2, 3, "unknown record version 2"),
+                (5, 5, "invalid record: empty cell ID")
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,26 +9,32 @@
 //!   on a committed run file means something changed in the *model*, not
 //!   in float formatting or scheduling noise.
 //! * **JSON** — the run record. Full-precision metrics plus per-cell and
-//!   total wall time, serialized through the activated vendored serde
-//!   derives on [`RunRecord`]/[`CellRecord`].
+//!   total wall time (zero where no wall clock is meaningful: logs
+//!   merged across resumed fragments).
 //!
-//! [`StoredRun`] is the format-agnostic view the [`diff`](crate::diff)
-//! engine consumes; it loads from either format (by extension) or
-//! directly from an in-memory [`SweepRun`].
+//! [`StoredCell`] is the one stored form of a cell. Each format has one
+//! encoder and one decoder for it, both driven by the column list
+//! ([`CSV_HEADER`]/[`METRICS`]). The string forms ([`to_csv_string`],
+//! [`stored_json_string`], …) and the file forms ([`write_csv`],
+//! [`write_run_file`], …; one cell in memory at a time, renamed into
+//! place when complete) run the same encoder, so their bytes cannot
+//! differ. Every decoder — CSV row, JSON cell and the
+//! [`shardlog`](crate::shardlog) record — ends in
+//! [`StoredCell::validate`]. [`StoredRun`] is a loaded file: what the
+//! [`diff`](crate::diff) engine and the serve warm start consume.
 
 use crate::grid::CellSpec;
 use crate::runner::{CellMetrics, SweepRun};
-use serde::{Deserialize, Serialize};
-use std::path::Path;
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Borrow;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Fixed decimal places for every metric float in CSV output.
 pub const CSV_FLOAT_DECIMALS: usize = 6;
 
-/// Schema version embedded in JSON run records. v2 added the
-/// discrete-event simulator metrics (`sim_cycles`, `pe_utilization`,
-/// `overlap_efficiency`); v3 added the contention axes (`dram_bw`,
-/// `buffer_words` columns) and the contention-study metrics
-/// (`spill_cycles`, `dram_stall_frac`, `knee_words_per_cycle`).
+/// Schema version embedded in JSON run records — the only one this
+/// build writes or reads; [`CSV_HEADER`] is its CSV counterpart.
 pub const RUN_SCHEMA_VERSION: u32 = 3;
 
 /// The CSV column layout: identity, axis values (the two contention
@@ -58,10 +64,6 @@ pub const CSV_HEADER: [&str; 19] = [
 
 /// Number of leading non-metric (identity + axis) columns in the CSV.
 pub const CSV_META_COLUMNS: usize = 8;
-
-/// Number of leading non-metric columns a schema-v1/v2 CSV carried
-/// (before the contention-axis columns existed).
-pub const LEGACY_META_COLUMNS: usize = 6;
 
 /// One metric column: its name and which direction is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,201 +123,8 @@ pub const METRICS: [Metric; 11] = [
     },
 ];
 
-/// JSON run record (schema, grid name, timing, cells).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunRecord {
-    /// Record schema version ([`RUN_SCHEMA_VERSION`]).
-    pub schema: u32,
-    /// Name of the grid that ran.
-    pub grid: String,
-    /// Total sweep wall time in microseconds.
-    pub total_wall_micros: u64,
-    /// Every cell, in expansion order.
-    pub cells: Vec<CellRecord>,
-}
-
-/// JSON cell record: axis names as strings (stable display names), full
-/// precision metrics, per-cell timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellRecord {
-    /// Content-derived cell ID.
-    pub id: String,
-    /// Dataflow display name.
-    pub dataflow: String,
-    /// Dataset display name.
-    pub dataset: String,
-    /// Model display name.
-    pub model: String,
-    /// Design display name.
-    pub design: String,
-    /// Schedule name.
-    pub schedule: String,
-    /// Simulator bandwidth override (`"default"` or words/cycle).
-    pub dram_bw: String,
-    /// Simulator buffer-capacity override (`"default"` or words).
-    pub buffer_words: String,
-    /// End-to-end speed-up.
-    pub speedup: f64,
-    /// Baseline training cycles.
-    pub baseline_cycles: f64,
-    /// ADA-GP training cycles.
-    pub adagp_cycles: f64,
-    /// Baseline memory energy (J).
-    pub baseline_energy_j: f64,
-    /// ADA-GP memory energy (J).
-    pub adagp_energy_j: f64,
-    /// Simulated ADA-GP training cycles (with contention).
-    pub sim_cycles: f64,
-    /// Simulated PE-array utilization.
-    pub pe_utilization: f64,
-    /// Simulated predictor-overlap efficiency.
-    pub overlap_efficiency: f64,
-    /// Epoch-weighted buffer-spill cycles.
-    pub spill_cycles: f64,
-    /// Memory-stall fraction of the simulated cycles.
-    pub dram_stall_frac: f64,
-    /// Bandwidth-roofline knee (words/cycle).
-    pub knee_words_per_cycle: f64,
-    /// Wall-clock microseconds for this cell.
-    pub wall_micros: u64,
-}
-
-/// The PR 4 (schema v2) run record shape — loaded for backward
-/// compatibility, never written.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RunRecordV2 {
-    schema: u32,
-    grid: String,
-    total_wall_micros: u64,
-    cells: Vec<CellRecordV2>,
-}
-
-/// A schema-v2 cell record: five analytic plus three sim metrics, no
-/// contention axes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CellRecordV2 {
-    id: String,
-    dataflow: String,
-    dataset: String,
-    model: String,
-    design: String,
-    schedule: String,
-    speedup: f64,
-    baseline_cycles: f64,
-    adagp_cycles: f64,
-    baseline_energy_j: f64,
-    adagp_energy_j: f64,
-    sim_cycles: f64,
-    pe_utilization: f64,
-    overlap_efficiency: f64,
-    wall_micros: u64,
-}
-
-/// The PR 3 (schema v1) run record shape — loaded for backward
-/// compatibility, never written.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RunRecordV1 {
-    schema: u32,
-    grid: String,
-    total_wall_micros: u64,
-    cells: Vec<CellRecordV1>,
-}
-
-/// A schema-v1 cell record: the five analytic metrics only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CellRecordV1 {
-    id: String,
-    dataflow: String,
-    dataset: String,
-    model: String,
-    design: String,
-    schedule: String,
-    speedup: f64,
-    baseline_cycles: f64,
-    adagp_cycles: f64,
-    baseline_energy_j: f64,
-    adagp_energy_j: f64,
-    wall_micros: u64,
-}
-
-impl RunRecord {
-    /// Builds the JSON record of a completed run.
-    pub fn from_run(run: &SweepRun) -> RunRecord {
-        RunRecord {
-            schema: RUN_SCHEMA_VERSION,
-            grid: run.grid.clone(),
-            total_wall_micros: run.total_wall_micros,
-            cells: run
-                .cells
-                .iter()
-                .map(|c| CellRecord {
-                    id: c.spec.id.clone(),
-                    dataflow: c.spec.dataflow.name().to_string(),
-                    dataset: c.spec.dataset.name().to_string(),
-                    model: c.spec.model.name().to_string(),
-                    design: c.spec.design.name().to_string(),
-                    schedule: c.spec.schedule.name().to_string(),
-                    dram_bw: c.spec.dram_bw_name(),
-                    buffer_words: c.spec.buffer_words_name(),
-                    speedup: c.metrics.speedup,
-                    baseline_cycles: c.metrics.baseline_cycles,
-                    adagp_cycles: c.metrics.adagp_cycles,
-                    baseline_energy_j: c.metrics.baseline_energy_j,
-                    adagp_energy_j: c.metrics.adagp_energy_j,
-                    sim_cycles: c.metrics.sim_cycles,
-                    pe_utilization: c.metrics.pe_utilization,
-                    overlap_efficiency: c.metrics.overlap_efficiency,
-                    spill_cycles: c.metrics.spill_cycles,
-                    dram_stall_frac: c.metrics.dram_stall_frac,
-                    knee_words_per_cycle: c.metrics.knee_words_per_cycle,
-                    wall_micros: c.wall_micros,
-                })
-                .collect(),
-        }
-    }
-
-    /// Builds a current-schema record from stored cells — the serve-side
-    /// cache flush format. Timing fields are zeroed: a cache snapshot has
-    /// no meaningful wall clock, and zeroing keeps repeated
-    /// flush → reload → flush cycles byte-identical. Metrics pass through
-    /// at full precision (the vendored JSON float writer is
-    /// shortest-round-trip, so reloading recovers the exact bits).
-    pub fn from_stored_cells(grid: &str, cells: &[StoredCell]) -> RunRecord {
-        RunRecord {
-            schema: RUN_SCHEMA_VERSION,
-            grid: grid.to_string(),
-            total_wall_micros: 0,
-            cells: cells
-                .iter()
-                .map(|c| CellRecord {
-                    id: c.id.clone(),
-                    dataflow: c.axes[0].clone(),
-                    dataset: c.axes[1].clone(),
-                    model: c.axes[2].clone(),
-                    design: c.axes[3].clone(),
-                    schedule: c.axes[4].clone(),
-                    dram_bw: c.axes[5].clone(),
-                    buffer_words: c.axes[6].clone(),
-                    speedup: c.metrics[0],
-                    baseline_cycles: c.metrics[1],
-                    adagp_cycles: c.metrics[2],
-                    baseline_energy_j: c.metrics[3],
-                    adagp_energy_j: c.metrics[4],
-                    sim_cycles: c.metrics[5],
-                    pe_utilization: c.metrics[6],
-                    overlap_efficiency: c.metrics[7],
-                    spill_cycles: c.metrics[8],
-                    dram_stall_frac: c.metrics[9],
-                    knee_words_per_cycle: c.metrics[10],
-                    wall_micros: 0,
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Flattens typed cell metrics into [`METRICS`]-column order — the array
-/// view [`StoredCell`] and the serve-side cell cache share.
+/// view [`StoredCell`] carries.
 pub fn metrics_to_array(m: &CellMetrics) -> [f64; METRICS.len()] {
     [
         m.speedup,
@@ -332,108 +141,34 @@ pub fn metrics_to_array(m: &CellMetrics) -> [f64; METRICS.len()] {
     ]
 }
 
-/// Rebuilds typed cell metrics from a [`METRICS`]-ordered array.
-pub fn metrics_from_array(a: &[f64; METRICS.len()]) -> CellMetrics {
-    CellMetrics {
-        speedup: a[0],
-        baseline_cycles: a[1],
-        adagp_cycles: a[2],
-        baseline_energy_j: a[3],
-        adagp_energy_j: a[4],
-        sim_cycles: a[5],
-        pe_utilization: a[6],
-        overlap_efficiency: a[7],
-        spill_cycles: a[8],
-        dram_stall_frac: a[9],
-        knee_words_per_cycle: a[10],
-    }
-}
-
 /// Formats a metric float exactly as the CSV stores it.
 pub fn csv_float(v: f64) -> String {
     format!("{v:.prec$}", prec = CSV_FLOAT_DECIMALS)
 }
 
-/// Renders a run as byte-stable CSV (header + one row per cell).
-pub fn to_csv_string(run: &SweepRun) -> String {
-    let mut out = String::new();
-    out.push_str(&CSV_HEADER.join(","));
-    out.push('\n');
-    for c in &run.cells {
-        let m = c.metrics;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.spec.id,
-            c.spec.dataflow.name(),
-            c.spec.dataset.name(),
-            c.spec.model.name(),
-            c.spec.design.name(),
-            c.spec.schedule.name(),
-            c.spec.dram_bw_name(),
-            c.spec.buffer_words_name(),
-            csv_float(m.speedup),
-            csv_float(m.baseline_cycles),
-            csv_float(m.adagp_cycles),
-            csv_float(m.baseline_energy_j),
-            csv_float(m.adagp_energy_j),
-            csv_float(m.sim_cycles),
-            csv_float(m.pe_utilization),
-            csv_float(m.overlap_efficiency),
-            csv_float(m.spill_cycles),
-            csv_float(m.dram_stall_frac),
-            csv_float(m.knee_words_per_cycle),
-        ));
-    }
-    out
-}
-
-/// Renders a run as a pretty-printed JSON record.
-pub fn to_json_string(run: &SweepRun) -> String {
-    let mut s = serde::json::to_string_pretty(&RunRecord::from_run(run));
-    s.push('\n');
-    s
-}
-
-/// Writes the CSV form of `run` to `path`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_csv(path: &Path, run: &SweepRun) -> std::io::Result<()> {
-    std::fs::write(path, to_csv_string(run))
-}
-
-/// Writes the JSON record of `run` to `path`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_json(path: &Path, run: &SweepRun) -> std::io::Result<()> {
-    std::fs::write(path, to_json_string(run))
-}
-
 /// One stored cell: identity, axis values, metric values in
-/// [`METRICS`] order.
+/// [`METRICS`] order — the form every run file, shard log and the
+/// serve-side cell cache hold.
 ///
-/// The serde derives double as the shard-log record format: one compact
-/// JSON object per log line (`{"id": …, "axes": […], "metrics": […]}`),
-/// full-precision floats (the shortest-round-trip writer recovers the
-/// exact bits on reload).
+/// The serde derives are the body of a shard-log record
+/// (`"id": …, "axes": […], "metrics": […]`; see
+/// [`shardlog::record_line`](crate::shardlog::record_line)):
+/// full-precision floats, so the shortest-round-trip writer recovers
+/// the exact bits on reload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredCell {
     /// Content-derived cell ID.
     pub id: String,
     /// Axis display values: dataflow, dataset, model, design, schedule,
     /// dram_bw, buffer_words (the last two read `default` for cells
-    /// without overrides — including every cell of a legacy file).
+    /// without overrides).
     pub axes: [String; 7],
     /// Metric values, aligned with [`METRICS`].
     pub metrics: [f64; METRICS.len()],
 }
 
 impl StoredCell {
-    /// Builds the stored view of one freshly evaluated cell — the shape
-    /// the serve-side cell cache keeps and flushes.
+    /// Builds the stored form of one freshly evaluated cell.
     pub fn from_evaluation(spec: &CellSpec, metrics: &CellMetrics) -> StoredCell {
         StoredCell {
             id: spec.id.clone(),
@@ -447,6 +182,25 @@ impl StoredCell {
                 spec.buffer_words_name(),
             ],
             metrics: metrics_to_array(metrics),
+        }
+    }
+
+    /// The typed view of the metric array (the inverse of
+    /// [`metrics_to_array`]).
+    pub fn metrics(&self) -> CellMetrics {
+        let a = &self.metrics;
+        CellMetrics {
+            speedup: a[0],
+            baseline_cycles: a[1],
+            adagp_cycles: a[2],
+            baseline_energy_j: a[3],
+            adagp_energy_j: a[4],
+            sim_cycles: a[5],
+            pe_utilization: a[6],
+            overlap_efficiency: a[7],
+            spill_cycles: a[8],
+            dram_stall_frac: a[9],
+            knee_words_per_cycle: a[10],
         }
     }
 
@@ -464,64 +218,309 @@ impl StoredCell {
         }
         key
     }
+
+    /// The check every decoder ends in (CSV row, JSON cell, shard-log
+    /// record): an ID — it is the cache and merge key — and finite
+    /// metrics. `str::parse::<f64>` accepts `NaN`/`inf` and a JSON
+    /// exponent can overflow to infinity, so a damaged file would
+    /// otherwise be served as a hit and rendered as `null` on the wire.
+    ///
+    /// # Errors
+    ///
+    /// Returns which of the two the cell lacks.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.id.is_empty() {
+            return Err("empty cell ID".to_string());
+        }
+        match self.metrics.iter().position(|m| !m.is_finite()) {
+            Some(i) => Err(format!(
+                "non-finite {} value {}",
+                METRICS[i].name, self.metrics[i]
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The one CSV-row encoder: appends the newline-terminated row,
+    /// field by field, straight into `out`. The quantization to
+    /// [`CSV_FLOAT_DECIMALS`] decimals happens here, at format time.
+    fn push_csv_row(&self, out: &mut String) {
+        use std::fmt::Write;
+        out.push_str(&self.id);
+        for axis in &self.axes {
+            out.push(',');
+            out.push_str(axis);
+        }
+        for m in &self.metrics {
+            write!(out, ",{m:.prec$}", prec = CSV_FLOAT_DECIMALS)
+                .expect("formatting into a String cannot fail");
+        }
+        out.push('\n');
+    }
+
+    /// The one CSV-row decoder (`line` is 1-based, for the error).
+    fn from_csv_row(row: &str, line: usize) -> Result<StoredCell, String> {
+        let fields: Vec<&str> = row.split(',').collect();
+        if fields.len() != CSV_HEADER.len() {
+            return Err(format!(
+                "line {line}: {} fields (expected {})",
+                fields.len(),
+                CSV_HEADER.len()
+            ));
+        }
+        let mut metrics = [0.0f64; METRICS.len()];
+        for ((m, raw), metric) in metrics
+            .iter_mut()
+            .zip(&fields[CSV_META_COLUMNS..])
+            .zip(&METRICS)
+        {
+            *m = raw
+                .parse()
+                .map_err(|_| format!("line {line}: bad {} value `{raw}`", metric.name))?;
+        }
+        let cell = StoredCell {
+            id: fields[0].to_string(),
+            axes: std::array::from_fn(|i| fields[i + 1].to_string()),
+            metrics,
+        };
+        cell.validate().map_err(|e| format!("line {line}: {e}"))?;
+        Ok(cell)
+    }
+
+    /// The one JSON-cell encoder: appends the cell's object (fields
+    /// named by [`CSV_HEADER`], then `wall_micros`) laid out as the
+    /// vendored pretty writer lays out an element of a record's `cells`
+    /// array (a test re-renders a record through it and compares); each
+    /// string and float is that writer's own rendering.
+    fn push_json_cell(&self, out: &mut String, wall_micros: u64) {
+        use std::fmt::Write;
+        let texts = std::iter::once(&self.id).chain(&self.axes);
+        let values = texts
+            .map(serde::json::to_string)
+            .chain(self.metrics.iter().map(serde::json::to_string));
+        out.push_str("    {\n");
+        for (name, value) in CSV_HEADER.iter().zip(values) {
+            writeln!(out, "      \"{name}\": {value},").expect("formatting into a String");
+        }
+        write!(out, "      \"wall_micros\": {wall_micros}\n    }}")
+            .expect("formatting into a String");
+    }
+
+    /// The one JSON-cell decoder (`index` is 0-based, for the error).
+    fn from_json_cell(value: &Value, index: usize) -> Result<StoredCell, String> {
+        let decode = || -> Result<StoredCell, serde::Error> {
+            let text = |name: &str| String::from_value(value.field(name)?);
+            let mut axes: [String; 7] = Default::default();
+            for (axis, name) in axes.iter_mut().zip(&CSV_HEADER[1..CSV_META_COLUMNS]) {
+                *axis = text(name)?;
+            }
+            let mut metrics = [0.0f64; METRICS.len()];
+            for (m, metric) in metrics.iter_mut().zip(&METRICS) {
+                *m = f64::from_value(value.field(metric.name)?)?;
+            }
+            Ok(StoredCell {
+                id: text(CSV_HEADER[0])?,
+                axes,
+                metrics,
+            })
+        };
+        let cell = decode().map_err(|e| format!("cell {index}: {e}"))?;
+        cell.validate().map_err(|e| format!("cell {index}: {e}"))?;
+        Ok(cell)
+    }
 }
 
-/// Renders stored cells as the byte-stable CSV form — identical, byte
-/// for byte, to [`to_csv_string`] over the run the cells came from:
-/// the quantization to [`CSV_FLOAT_DECIMALS`] decimals happens here, at
-/// format time, from the full-precision metrics the cells carry.
-pub fn stored_csv_string(cells: &[StoredCell]) -> String {
-    let mut out = String::new();
-    out.push_str(&CSV_HEADER.join(","));
-    out.push('\n');
-    for c in cells {
-        out.push_str(&stored_csv_row(c));
+/// The two on-disk run formats, each with what only it stores.
+#[derive(Debug, Clone, Copy)]
+pub enum RunFormat<'a> {
+    /// The byte-stable table: no grid name, no timings.
+    Csv,
+    /// The run record.
+    Json {
+        /// Name of the grid that ran.
+        grid: &'a str,
+        /// Total sweep wall time in microseconds (0 for merged logs,
+        /// whose resumed fragments share no meaningful wall clock).
+        total_wall_micros: u64,
+    },
+}
+
+impl<'a> RunFormat<'a> {
+    /// The JSON record of `run`, with its name and total wall time.
+    fn json_of(run: &'a SweepRun) -> Self {
+        RunFormat::Json {
+            grid: &run.grid,
+            total_wall_micros: run.total_wall_micros,
+        }
     }
+}
+
+/// The one run writer: appends a run to a `String`, piece by piece —
+/// [`open`](Encoder::open), one [`cell`](Encoder::cell) per cell,
+/// [`close`](Encoder::close). The string forms hand it one growing
+/// buffer; the file forms a scratch buffer drained after every piece.
+struct Encoder {
+    json: bool,
+    cells: usize,
+}
+
+impl Encoder {
+    /// Starts a run: the CSV header, or the JSON record up to the
+    /// opening bracket of its cell array.
+    fn open(out: &mut String, format: RunFormat) -> Encoder {
+        match format {
+            RunFormat::Csv => {
+                out.push_str(&CSV_HEADER.join(","));
+                out.push('\n');
+            }
+            RunFormat::Json {
+                grid,
+                total_wall_micros,
+            } => {
+                // Carved out of the pretty form of an empty record, so
+                // these bytes (grid-name escaping included) are the
+                // vendored writer's own.
+                let empty = serde::json::to_string_pretty(&Value::object(vec![
+                    ("schema", RUN_SCHEMA_VERSION.to_value()),
+                    ("grid", grid.to_value()),
+                    ("total_wall_micros", total_wall_micros.to_value()),
+                    ("cells", Value::Array(Vec::new())),
+                ]));
+                let open = empty
+                    .rfind("[]")
+                    .expect("empty record renders an empty cell array");
+                out.push_str(&empty[..=open]);
+            }
+        }
+        Encoder {
+            json: matches!(format, RunFormat::Json { .. }),
+            cells: 0,
+        }
+    }
+
+    fn cell(&mut self, out: &mut String, cell: &StoredCell, wall_micros: u64) {
+        if self.json {
+            out.push_str(if self.cells > 0 { ",\n" } else { "\n" });
+            cell.push_json_cell(out, wall_micros);
+        } else {
+            cell.push_csv_row(out);
+        }
+        self.cells += 1;
+    }
+
+    fn close(&self, out: &mut String) {
+        if self.json {
+            out.push_str(if self.cells > 0 { "\n  " } else { "" });
+            out.push_str("]\n}\n");
+        }
+    }
+}
+
+/// A run's cells in stored form, each with its wall time.
+fn run_cells(run: &SweepRun) -> impl Iterator<Item = (StoredCell, u64)> + '_ {
+    run.cells.iter().map(|c| {
+        (
+            StoredCell::from_evaluation(&c.spec, &c.metrics),
+            c.wall_micros,
+        )
+    })
+}
+
+/// The whole-string sink: one buffer through the [`Encoder`].
+fn render<C: Borrow<StoredCell>>(
+    format: RunFormat,
+    cells: impl Iterator<Item = (C, u64)>,
+) -> String {
+    let mut out = String::new();
+    let mut encoder = Encoder::open(&mut out, format);
+    for (cell, wall_micros) in cells {
+        encoder.cell(&mut out, cell.borrow(), wall_micros);
+    }
+    encoder.close(&mut out);
     out
 }
 
-/// One CSV row (newline-terminated) of a stored cell.
-fn stored_csv_row(c: &StoredCell) -> String {
-    let mut row = String::new();
-    row.push_str(&c.id);
-    for axis in &c.axes {
-        row.push(',');
-        row.push_str(axis);
-    }
-    for &m in &c.metrics {
-        row.push(',');
-        row.push_str(&csv_float(m));
-    }
-    row.push('\n');
-    row
+/// Renders a run as byte-stable CSV (header + one row per cell).
+pub fn to_csv_string(run: &SweepRun) -> String {
+    render(RunFormat::Csv, run_cells(run))
+}
+
+/// Renders a run as a pretty-printed JSON record with its timings.
+pub fn to_json_string(run: &SweepRun) -> String {
+    render(RunFormat::json_of(run), run_cells(run))
+}
+
+/// Renders stored cells as the byte-stable CSV form — identical, byte
+/// for byte, to [`to_csv_string`] over the run the cells came from.
+pub fn stored_csv_string(cells: &[StoredCell]) -> String {
+    render(RunFormat::Csv, cells.iter().map(|c| (c, 0)))
 }
 
 /// Renders stored cells as the full-precision, zero-timing JSON run
-/// record (the [`RunRecord::from_stored_cells`] form, trailing newline
-/// included) — the byte-stable format the shard-log merge and the serve
-/// cache snapshot share.
+/// record — the byte-stable form of a shard-log merge.
 pub fn stored_json_string(grid: &str, cells: &[StoredCell]) -> String {
-    let mut text = serde::json::to_string_pretty(&RunRecord::from_stored_cells(grid, cells));
-    text.push('\n');
-    text
+    let format = RunFormat::Json {
+        grid,
+        total_wall_micros: 0,
+    };
+    render(format, cells.iter().map(|c| (c, 0)))
 }
 
-/// Bounded-memory CSV writer: header up front, one row per
-/// [`write_cell`](StreamingCsvWriter::write_cell), rows never buffered.
-/// Writes to `<path>.tmp` and renames into place on
-/// [`finish`](StreamingCsvWriter::finish), so a crash mid-write never
-/// leaves a truncated file at the destination. The finished bytes are
-/// identical to [`stored_csv_string`] over the same cells (asserted in
-/// tests), so streaming and whole-file outputs stay interchangeable.
-#[derive(Debug)]
-pub struct StreamingCsvWriter {
+/// Writes `cells`, each with its wall time, as a run file of `format`
+/// at `path`: the bytes of the string forms, in bounded memory (one cell
+/// at a time, so `cells` may be lazy), staged in a temp sibling that is
+/// fsynced and renamed into place — a crash mid-write never leaves a
+/// truncated file at the destination.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating, writing or renaming the file.
+pub fn write_run_file<C: Borrow<StoredCell>>(
+    path: &Path,
+    format: RunFormat,
+    cells: impl Iterator<Item = (C, u64)>,
+) -> std::io::Result<()> {
+    let mut file = StagedFile::create(path)?;
+    let mut buf = String::new();
+    let mut encoder = Encoder::open(&mut buf, format);
+    for (cell, wall_micros) in cells {
+        encoder.cell(&mut buf, cell.borrow(), wall_micros);
+        file.out.write_all(buf.as_bytes())?;
+        buf.clear();
+    }
+    encoder.close(&mut buf);
+    file.out.write_all(buf.as_bytes())?;
+    file.commit()
+}
+
+/// Writes the CSV form of `run` to `path` (see [`write_run_file`]).
+///
+/// # Errors
+///
+/// Returns any I/O error from creating, writing or renaming the file.
+pub fn write_csv(path: &Path, run: &SweepRun) -> std::io::Result<()> {
+    write_run_file(path, RunFormat::Csv, run_cells(run))
+}
+
+/// Writes the JSON record of `run` to `path` (see [`write_run_file`]).
+///
+/// # Errors
+///
+/// Returns any I/O error from creating, writing or renaming the file.
+pub fn write_json(path: &Path, run: &SweepRun) -> std::io::Result<()> {
+    write_run_file(path, RunFormat::json_of(run), run_cells(run))
+}
+
+/// A file that appears at `path` complete or not at all: written as a
+/// temp sibling, renamed into place by [`commit`](StagedFile::commit).
+struct StagedFile {
     out: std::io::BufWriter<std::fs::File>,
-    tmp: std::path::PathBuf,
-    path: std::path::PathBuf,
+    tmp: PathBuf,
+    path: PathBuf,
 }
 
-/// The temp-file sibling a streaming writer stages its output in.
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+/// The temp-file sibling `path` is staged in.
+fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -530,175 +529,46 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-impl StreamingCsvWriter {
-    /// Opens the temp file and writes the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the temp file.
-    pub fn create(path: &Path) -> std::io::Result<StreamingCsvWriter> {
-        use std::io::Write;
+impl StagedFile {
+    fn create(path: &Path) -> std::io::Result<StagedFile> {
         let tmp = tmp_sibling(path);
-        let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        out.write_all(CSV_HEADER.join(",").as_bytes())?;
-        out.write_all(b"\n")?;
-        Ok(StreamingCsvWriter {
-            out,
+        Ok(StagedFile {
+            out: std::io::BufWriter::new(std::fs::File::create(&tmp)?),
             tmp,
             path: path.to_path_buf(),
         })
-    }
-
-    /// Appends one cell row.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the write.
-    pub fn write_cell(&mut self, cell: &StoredCell) -> std::io::Result<()> {
-        use std::io::Write;
-        self.out.write_all(stored_csv_row(cell).as_bytes())
     }
 
     /// Flushes, fsyncs and atomically renames the temp file into place.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the flush, sync or rename.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        use std::io::Write;
+    fn commit(mut self) -> std::io::Result<()> {
         self.out.flush()?;
         self.out.get_ref().sync_all()?;
         std::fs::rename(&self.tmp, &self.path)
     }
 }
 
-impl Drop for StreamingCsvWriter {
+impl Drop for StagedFile {
     fn drop(&mut self) {
-        // An unfinished writer leaves no debris: the destination was
-        // never touched, and the temp file is best-effort removed.
+        // An uncommitted file leaves no debris: the destination was
+        // never touched, and the temp file is best-effort removed (after
+        // a successful `commit` it is already gone).
         let _ = std::fs::remove_file(&self.tmp);
     }
 }
 
-/// Bounded-memory JSON run-record writer: the [`stored_json_string`]
-/// bytes, produced one cell at a time (each cell is serialized and
-/// re-indented individually; the whole record is never held in memory).
-/// Same temp-file + atomic-rename discipline as [`StreamingCsvWriter`].
-#[derive(Debug)]
-pub struct StreamingJsonWriter {
-    out: std::io::BufWriter<std::fs::File>,
-    tmp: std::path::PathBuf,
-    path: std::path::PathBuf,
-    cells: usize,
+/// How to replace a run file this build can no longer read.
+fn regenerate_hint(flag: &str) -> String {
+    format!(
+        "only schema {RUN_SCHEMA_VERSION} is readable; regenerate the file with \
+         `sweep run <grid> {flag} <path>`"
+    )
 }
 
-impl StreamingJsonWriter {
-    /// Opens the temp file and writes the record prelude (schema, grid
-    /// name, zeroed total wall time, the opening of the cell array).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the temp file.
-    pub fn create(path: &Path, grid: &str) -> std::io::Result<StreamingJsonWriter> {
-        use std::io::Write;
-        let tmp = tmp_sibling(path);
-        let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        // The prelude is carved out of the pretty form of an empty
-        // record, so its bytes (grid-name escaping included) can never
-        // drift from the whole-string writer.
-        let empty = serde::json::to_string_pretty(&RunRecord::from_stored_cells(grid, &[]));
-        let open = empty
-            .rfind("[]")
-            .expect("empty record renders an empty cell array");
-        out.write_all(&empty.as_bytes()[..open + 1])?;
-        Ok(StreamingJsonWriter {
-            out,
-            tmp,
-            path: path.to_path_buf(),
-            cells: 0,
-        })
-    }
-
-    /// Appends one cell record object.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the write.
-    pub fn write_cell(&mut self, cell: &StoredCell) -> std::io::Result<()> {
-        use std::io::Write;
-        if self.cells > 0 {
-            self.out.write_all(b",")?;
-        }
-        self.out.write_all(b"\n")?;
-        let record = RunRecord::from_stored_cells("", std::slice::from_ref(cell));
-        let pretty = serde::json::to_string_pretty(&record.cells[0]);
-        // The cell object sits at array-item depth: four leading spaces
-        // on every line (two levels of the writer's two-space indent).
-        let mut first = true;
-        for line in pretty.lines() {
-            if !first {
-                self.out.write_all(b"\n")?;
-            }
-            first = false;
-            self.out.write_all(b"    ")?;
-            self.out.write_all(line.as_bytes())?;
-        }
-        self.cells += 1;
-        Ok(())
-    }
-
-    /// Closes the array and record, fsyncs and atomically renames the
-    /// temp file into place.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the write, flush, sync or rename.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        use std::io::Write;
-        if self.cells > 0 {
-            self.out.write_all(b"\n  ")?;
-        }
-        self.out.write_all(b"]\n}\n")?;
-        self.out.flush()?;
-        self.out.get_ref().sync_all()?;
-        std::fs::rename(&self.tmp, &self.path)
-    }
-}
-
-impl Drop for StreamingJsonWriter {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.tmp);
-    }
-}
-
-/// Number of metric columns a schema-v1 (PR 3) CSV carried — the first
-/// five of [`METRICS`]; later schemas append, so older files parse as a
-/// prefix.
-pub const V1_METRIC_COUNT: usize = 5;
-
-/// Number of metric columns a schema-v2 (PR 4) CSV carried — the first
-/// eight of [`METRICS`].
-pub const V2_METRIC_COUNT: usize = 8;
-
-/// A format-agnostic stored run: what the diff engine consumes.
+/// A loaded run: what the diff engine and the serve warm start consume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRun {
     /// Stored cells, in file order.
     pub cells: Vec<StoredCell>,
-    /// How many leading entries of each cell's `metrics` the source file
-    /// actually carried ([`METRICS`]`.len()` for current files,
-    /// [`V1_METRIC_COUNT`] for legacy ones; the rest are zero-filled).
-    /// The diff engine only compares metrics both runs carry.
-    pub metric_count: usize,
-}
-
-impl Default for StoredRun {
-    fn default() -> Self {
-        StoredRun {
-            cells: Vec::new(),
-            metric_count: METRICS.len(),
-        }
-    }
 }
 
 impl StoredRun {
@@ -725,210 +595,58 @@ impl StoredRun {
         parsed.map_err(|e| format!("parse {}: {e}", path.display()))
     }
 
-    /// Parses the CSV form. Accepts the current header, the schema-v2
-    /// (PR 4) 14-column header and the schema-v1 (PR 3) 11-column header
-    /// — legacy metrics are a prefix of today's and legacy cells carry no
-    /// contention columns (loaded as `default`), so old committed runs
-    /// stay diffable against fresh ones.
+    /// Parses the CSV form.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed or invalid line; any
+    /// header but [`CSV_HEADER`] is refused with the regenerate command.
     pub fn from_csv_str(text: &str) -> Result<StoredRun, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty CSV")?;
-        let expected = CSV_HEADER.join(",");
-        let legacy_header = |metrics: usize| {
-            let mut cols: Vec<&str> = CSV_HEADER[..LEGACY_META_COLUMNS].to_vec();
-            cols.extend(METRICS[..metrics].iter().map(|m| m.name));
-            cols.join(",")
-        };
-        let (meta_columns, metric_count) = if header == expected {
-            (CSV_META_COLUMNS, METRICS.len())
-        } else if header == legacy_header(V2_METRIC_COUNT) {
-            (LEGACY_META_COLUMNS, V2_METRIC_COUNT)
-        } else if header == legacy_header(V1_METRIC_COUNT) {
-            (LEGACY_META_COLUMNS, V1_METRIC_COUNT)
-        } else {
+        if header != CSV_HEADER.join(",") {
             return Err(format!(
-                "unexpected CSV header `{header}` (expected `{expected}`)"
+                "unexpected CSV header `{header}`: {}",
+                regenerate_hint("--csv")
             ));
-        };
-        let columns = meta_columns + metric_count;
-        let mut cells = Vec::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != columns {
-                return Err(format!(
-                    "line {}: {} fields (expected {columns})",
-                    lineno + 2,
-                    fields.len(),
-                ));
-            }
-            let mut metrics = [0.0f64; METRICS.len()];
-            for (i, m) in metrics.iter_mut().take(metric_count).enumerate() {
-                let raw = fields[meta_columns + i];
-                *m = raw.parse::<f64>().map_err(|_| {
-                    format!("line {}: bad {} value `{raw}`", lineno + 2, METRICS[i].name)
-                })?;
-            }
-            let contention = |idx: usize| {
-                if meta_columns == CSV_META_COLUMNS {
-                    fields[idx].to_string()
-                } else {
-                    "default".to_string()
-                }
-            };
-            cells.push(StoredCell {
-                id: fields[0].to_string(),
-                axes: [
-                    fields[1].to_string(),
-                    fields[2].to_string(),
-                    fields[3].to_string(),
-                    fields[4].to_string(),
-                    fields[5].to_string(),
-                    contention(6),
-                    contention(7),
-                ],
-                metrics,
-            });
         }
-        Ok(StoredRun {
-            cells,
-            metric_count,
-        })
+        let cells = lines
+            .enumerate()
+            .filter(|(_, row)| !row.is_empty())
+            .map(|(i, row)| StoredCell::from_csv_row(row, i + 2))
+            .collect::<Result<_, _>>()?;
+        Ok(StoredRun { cells })
     }
 
-    /// Parses the JSON record form — the current schema or the v2 (PR 4)
-    /// / v1 (PR 3) ones, whose metrics are a prefix of today's.
+    /// Parses the JSON record form.
     ///
     /// # Errors
     ///
-    /// Returns a description of the syntax or schema mismatch.
+    /// Returns a description of the syntax error or the first malformed
+    /// or invalid cell; any schema but [`RUN_SCHEMA_VERSION`] is refused
+    /// with the regenerate command.
     pub fn from_json_str(text: &str) -> Result<StoredRun, String> {
         let value = serde::json::parse_value(text).map_err(|e| e.to_string())?;
-        let schema = match &value {
-            serde::Value::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == "schema")
-                .and_then(|(_, v)| u32::from_value(v).ok()),
-            _ => None,
+        let schema = value
+            .field("schema")
+            .and_then(u32::from_value)
+            .map_err(|e| format!("run record schema: {e}"))?;
+        if schema != RUN_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported run schema {schema}: {}",
+                regenerate_hint("--json")
+            ));
         }
-        .ok_or("run record has no schema field")?;
-        let default = || "default".to_string();
-        match schema {
-            RUN_SCHEMA_VERSION => {
-                let record = RunRecord::from_value(&value).map_err(|e| e.to_string())?;
-                Ok(StoredRun {
-                    cells: record
-                        .cells
-                        .into_iter()
-                        .map(|c| StoredCell {
-                            id: c.id,
-                            axes: [
-                                c.dataflow,
-                                c.dataset,
-                                c.model,
-                                c.design,
-                                c.schedule,
-                                c.dram_bw,
-                                c.buffer_words,
-                            ],
-                            metrics: [
-                                c.speedup,
-                                c.baseline_cycles,
-                                c.adagp_cycles,
-                                c.baseline_energy_j,
-                                c.adagp_energy_j,
-                                c.sim_cycles,
-                                c.pe_utilization,
-                                c.overlap_efficiency,
-                                c.spill_cycles,
-                                c.dram_stall_frac,
-                                c.knee_words_per_cycle,
-                            ],
-                        })
-                        .collect(),
-                    metric_count: METRICS.len(),
-                })
-            }
-            2 => {
-                let record = RunRecordV2::from_value(&value).map_err(|e| e.to_string())?;
-                Ok(StoredRun {
-                    cells: record
-                        .cells
-                        .into_iter()
-                        .map(|c| StoredCell {
-                            id: c.id,
-                            axes: [
-                                c.dataflow,
-                                c.dataset,
-                                c.model,
-                                c.design,
-                                c.schedule,
-                                default(),
-                                default(),
-                            ],
-                            metrics: [
-                                c.speedup,
-                                c.baseline_cycles,
-                                c.adagp_cycles,
-                                c.baseline_energy_j,
-                                c.adagp_energy_j,
-                                c.sim_cycles,
-                                c.pe_utilization,
-                                c.overlap_efficiency,
-                                0.0,
-                                0.0,
-                                0.0,
-                            ],
-                        })
-                        .collect(),
-                    metric_count: V2_METRIC_COUNT,
-                })
-            }
-            1 => {
-                let record = RunRecordV1::from_value(&value).map_err(|e| e.to_string())?;
-                Ok(StoredRun {
-                    cells: record
-                        .cells
-                        .into_iter()
-                        .map(|c| StoredCell {
-                            id: c.id,
-                            axes: [
-                                c.dataflow,
-                                c.dataset,
-                                c.model,
-                                c.design,
-                                c.schedule,
-                                default(),
-                                default(),
-                            ],
-                            metrics: [
-                                c.speedup,
-                                c.baseline_cycles,
-                                c.adagp_cycles,
-                                c.baseline_energy_j,
-                                c.adagp_energy_j,
-                                0.0,
-                                0.0,
-                                0.0,
-                                0.0,
-                                0.0,
-                                0.0,
-                            ],
-                        })
-                        .collect(),
-                    metric_count: V1_METRIC_COUNT,
-                })
-            }
-            other => Err(format!(
-                "unsupported run schema {other} (expected {RUN_SCHEMA_VERSION}, 2 or 1)"
-            )),
-        }
+        let cells = match value.field("cells").map_err(|e| e.to_string())? {
+            Value::Array(cells) => cells,
+            other => return Err(format!("`cells` is not an array but {}", other.kind())),
+        };
+        let cells = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| StoredCell::from_json_cell(cell, i))
+            .collect::<Result<_, _>>()?;
+        Ok(StoredRun { cells })
     }
 }
 
@@ -953,38 +671,8 @@ mod tests {
         })
     }
 
-    /// Rewrites a current CSV into its legacy form: drops the contention
-    /// meta columns and keeps the first `metric_count` metric columns.
-    fn legacy_csv(current: &str, metric_count: usize) -> String {
-        current
-            .lines()
-            .map(|line| {
-                let fields: Vec<&str> = line.split(',').collect();
-                let mut kept: Vec<&str> = fields[..LEGACY_META_COLUMNS].to_vec();
-                kept.extend(&fields[CSV_META_COLUMNS..CSV_META_COLUMNS + metric_count]);
-                kept.join(",") + "\n"
-            })
-            .collect()
-    }
-
-    /// Rewrites a current JSON record into a legacy schema: patches the
-    /// schema number and strips the named per-cell fields.
-    fn legacy_json(current: &str, schema: u32, dropped: &[&str]) -> String {
-        let mut text = current.replace(
-            &format!("\"schema\": {RUN_SCHEMA_VERSION}"),
-            &format!("\"schema\": {schema}"),
-        );
-        for key in dropped {
-            let mut out = String::new();
-            for line in text.lines() {
-                if !line.contains(&format!("\"{key}\"")) {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
-            text = out;
-        }
-        text
+    fn stored_cells(run: &SweepRun) -> Vec<StoredCell> {
+        run_cells(run).map(|(cell, _)| cell).collect()
     }
 
     #[test]
@@ -1009,19 +697,24 @@ mod tests {
     #[test]
     fn json_round_trips_at_full_precision() {
         let run = small_run();
-        let record = RunRecord::from_run(&run);
-        let back: RunRecord = serde::json::from_str(&to_json_string(&run)).unwrap();
-        assert_eq!(back, record);
+        let text = to_json_string(&run);
         // Bit-exact metrics (no quantization in JSON).
-        assert_eq!(
-            back.cells[0].speedup.to_bits(),
-            run.cells[0].metrics.speedup.to_bits()
-        );
-        let stored = StoredRun::from_json_str(&to_json_string(&run)).unwrap();
+        let stored = StoredRun::from_json_str(&text).unwrap();
+        assert_eq!(stored.cells, stored_cells(&run));
         assert_eq!(
             stored.cells[0].metrics[0].to_bits(),
             run.cells[0].metrics.speedup.to_bits()
         );
+        // The layout is exactly the vendored pretty printer's: parsing
+        // and re-rendering the text is the identity.
+        let value = serde::json::parse_value(&text).unwrap();
+        assert_eq!(serde::json::to_string_pretty(&value) + "\n", text);
+        // And the record carries the run's name and timings.
+        let (total, last) = (run.total_wall_micros, run.cells[1].wall_micros);
+        assert!(text.contains(&format!(
+            "\"grid\": \"store-test\",\n  \"total_wall_micros\": {total},"
+        )));
+        assert!(text.ends_with(&format!("\"wall_micros\": {last}\n    }}\n  ]\n}}\n")));
     }
 
     #[test]
@@ -1054,99 +747,57 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_files_still_load_and_diff_against_fresh_v3_runs() {
-        // A PR 4-era CSV (14 columns: no contention axes, no spill/stall/
-        // knee metrics) and JSON (schema 2) must load, report the smaller
-        // metric count, and diff cleanly against a fresh v3 run over the
-        // shared eight metrics.
-        let run = small_run();
-        let v2_csv = legacy_csv(&to_csv_string(&run), V2_METRIC_COUNT);
-        let legacy = StoredRun::from_csv_str(&v2_csv).expect("v2 CSV parses");
-        assert_eq!(legacy.metric_count, V2_METRIC_COUNT);
-        assert_eq!(legacy.cells.len(), run.cells.len());
-        // Legacy cells read `default` contention axes, so their keys (and
-        // content-derived IDs) line up with fresh default-knob cells.
-        assert_eq!(legacy.cells[0].key(), run.cells[0].spec.key());
-
-        let fresh = StoredRun::from_run(&run);
-        assert_eq!(fresh.metric_count, METRICS.len());
-        let report = crate::diff::diff_runs(&legacy, &fresh, &crate::diff::DiffConfig::default());
-        assert_eq!(report.matched_cells, run.cells.len());
-        assert!(!report.has_regressions(), "{}", report.render());
-        assert!(report.improvements.is_empty(), "{}", report.render());
-
-        let v2_json = legacy_json(
-            &to_json_string(&run),
-            2,
-            &[
-                "dram_bw",
-                "buffer_words",
-                "spill_cycles",
-                "dram_stall_frac",
-                "knee_words_per_cycle",
-            ],
-        );
-        let legacy_json_run = StoredRun::from_json_str(&v2_json).expect("v2 JSON parses");
-        assert_eq!(legacy_json_run.metric_count, V2_METRIC_COUNT);
-        // JSON keeps full precision; sim metrics are present in v2.
-        assert_eq!(
-            legacy_json_run.cells[0].metrics[5].to_bits(),
-            run.cells[0].metrics.sim_cycles.to_bits()
-        );
-        let report = crate::diff::diff_runs(
-            &legacy_json_run,
-            &fresh,
-            &crate::diff::DiffConfig::default(),
-        );
-        assert_eq!(report.matched_cells, run.cells.len());
-        assert!(!report.has_regressions(), "{}", report.render());
+    fn legacy_header_and_schema_are_rejected_with_the_regenerate_hint() {
+        // The 11- and 14-column CSV headers of schema 1 and 2: no
+        // contention axes, the first five / eight metrics.
+        for metrics in [5, 8] {
+            let mut header: Vec<&str> = CSV_HEADER[..6].to_vec();
+            header.extend(METRICS[..metrics].iter().map(|m| m.name));
+            let err = StoredRun::from_csv_str(&(header.join(",") + "\n")).unwrap_err();
+            assert!(err.contains("unexpected CSV header"), "{err}");
+            assert!(err.contains("`sweep run <grid> --csv <path>`"), "{err}");
+        }
+        let current = to_json_string(&small_run());
+        for schema in [1, 2, 9] {
+            let old = current.replace("\"schema\": 3", &format!("\"schema\": {schema}"));
+            let err = StoredRun::from_json_str(&old).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported run schema {schema}")),
+                "{err}"
+            );
+            assert!(err.contains("`sweep run <grid> --json <path>`"), "{err}");
+        }
     }
 
     #[test]
-    fn legacy_v1_files_still_load_and_diff_against_fresh_runs() {
-        // A PR 3-era CSV (11 columns, no sim metrics) and JSON (schema 1)
-        // must load, report the smaller metric count, and diff cleanly
-        // against a fresh run over the shared analytic metrics.
+    fn non_finite_metrics_and_empty_ids_are_rejected_by_both_decoders() {
         let run = small_run();
-        let v1_csv = legacy_csv(&to_csv_string(&run), V1_METRIC_COUNT);
-        let legacy = StoredRun::from_csv_str(&v1_csv).expect("v1 CSV parses");
-        assert_eq!(legacy.metric_count, V1_METRIC_COUNT);
-        assert_eq!(legacy.cells.len(), run.cells.len());
+        let cell = &stored_cells(&run)[1];
+        let speedup = cell.metrics[0];
 
-        let fresh = StoredRun::from_run(&run);
-        assert_eq!(fresh.metric_count, METRICS.len());
-        let report = crate::diff::diff_runs(&legacy, &fresh, &crate::diff::DiffConfig::default());
-        assert_eq!(report.matched_cells, run.cells.len());
-        assert!(!report.has_regressions(), "{}", report.render());
-        assert!(report.improvements.is_empty(), "{}", report.render());
+        let csv = to_csv_string(&run);
+        for bad in ["NaN", "inf", "-inf"] {
+            let err = StoredRun::from_csv_str(&csv.replace(&csv_float(speedup), bad)).unwrap_err();
+            assert!(err.contains("line 3: non-finite speedup"), "{bad}: {err}");
+        }
+        let err = StoredRun::from_csv_str(&csv.replace(&cell.id, "")).unwrap_err();
+        assert!(err.contains("line 3: empty cell ID"), "{err}");
 
-        let v1_json = legacy_json(
-            &to_json_string(&run),
-            1,
-            &[
-                "dram_bw",
-                "buffer_words",
-                "sim_cycles",
-                "pe_utilization",
-                "overlap_efficiency",
-                "spill_cycles",
-                "dram_stall_frac",
-                "knee_words_per_cycle",
-            ],
+        // JSON has no NaN literal (a syntax error), but an exponent that
+        // overflows parses to infinity.
+        let json = to_json_string(&run);
+        let shown = format!("\"speedup\": {speedup}");
+        assert!(json.contains(&shown));
+        let err =
+            StoredRun::from_json_str(&json.replace(&shown, "\"speedup\": 1e999")).unwrap_err();
+        assert!(err.contains("cell 1"), "{err}");
+        assert!(err.contains("non-finite speedup"), "{err}");
+        assert!(StoredRun::from_json_str(&json.replace(&shown, "\"speedup\": NaN")).is_err());
+        let err = StoredRun::from_json_str(&json.replace(&cell.id, "")).unwrap_err();
+        assert!(
+            err.contains("cell 1") && err.contains("empty cell ID"),
+            "{err}"
         );
-        let legacy_json_run = StoredRun::from_json_str(&v1_json).expect("v1 JSON parses");
-        assert_eq!(legacy_json_run.metric_count, V1_METRIC_COUNT);
-        // JSON keeps full precision; the fresh view is CSV-quantized.
-        assert_eq!(
-            legacy_json_run.cells[0].metrics[0].to_bits(),
-            run.cells[0].metrics.speedup.to_bits()
-        );
-        // Unknown future schemas still fail loudly.
-        assert!(StoredRun::from_json_str(
-            &to_json_string(&run).replace("\"schema\": 3", "\"schema\": 9")
-        )
-        .unwrap_err()
-        .contains("unsupported run schema 9"));
     }
 
     #[test]
@@ -1154,91 +805,70 @@ mod tests {
         let run = small_run();
         let cell = &run.cells[0];
         let arr = metrics_to_array(&cell.metrics);
-        assert_eq!(metrics_from_array(&arr), cell.metrics);
         // The array layout is exactly the stored/CSV column order.
         let stored = StoredCell::from_evaluation(&cell.spec, &cell.metrics);
         assert_eq!(stored.metrics, arr);
+        assert_eq!(stored.metrics(), cell.metrics);
         assert_eq!(stored.id, cell.spec.id);
         assert_eq!(stored.key(), cell.spec.key());
-        // And exactly what RunRecord::from_run writes per cell.
-        let record = RunRecord::from_run(&run);
-        assert_eq!(record.cells[0].speedup.to_bits(), arr[0].to_bits());
-        assert_eq!(
-            record.cells[0].knee_words_per_cycle.to_bits(),
-            arr[10].to_bits()
-        );
     }
 
     #[test]
     fn stored_cell_snapshot_round_trips_byte_stable() {
-        // The serve-cache flush path: evaluated cells → RunRecord JSON →
-        // StoredRun → RunRecord JSON must be byte-identical, including
-        // huge cycle counts whose CSV quantization would not be.
-        let run = small_run();
-        let stored: Vec<StoredCell> = run
-            .cells
-            .iter()
-            .map(|c| StoredCell::from_evaluation(&c.spec, &c.metrics))
-            .collect();
-        let record = RunRecord::from_stored_cells("cache", &stored);
-        let text = serde::json::to_string_pretty(&record);
+        // Evaluated cells → zero-timing JSON → StoredRun → JSON must be
+        // byte-identical (every float's shortest form names one bit
+        // pattern), including huge cycle counts whose CSV quantization
+        // would not be.
+        let stored = stored_cells(&small_run());
+        let text = stored_json_string("cache", &stored);
         let reloaded = StoredRun::from_json_str(&text).unwrap();
-        assert_eq!(reloaded.metric_count, METRICS.len());
-        let again = RunRecord::from_stored_cells("cache", &reloaded.cells);
-        assert_eq!(serde::json::to_string_pretty(&again), text);
-        for (a, b) in stored.iter().zip(&reloaded.cells) {
-            for (x, y) in a.metrics.iter().zip(&b.metrics) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn stored_csv_matches_run_csv_byte_for_byte() {
-        let run = small_run();
-        let stored: Vec<StoredCell> = run
-            .cells
-            .iter()
-            .map(|c| StoredCell::from_evaluation(&c.spec, &c.metrics))
-            .collect();
-        assert_eq!(stored_csv_string(&stored), to_csv_string(&run));
+        assert_eq!(stored_json_string("cache", &reloaded.cells), text);
     }
 
     #[test]
     fn streaming_writers_reproduce_whole_file_bytes_exactly() {
-        let run = small_run();
-        let stored: Vec<StoredCell> = run
-            .cells
-            .iter()
-            .map(|c| StoredCell::from_evaluation(&c.spec, &c.metrics))
-            .collect();
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
+        // One encoder behind every sink: the string forms (over a run,
+        // over stored cells) and the file forms (a run's, a lazy cell
+        // stream's) must agree to the byte, with and without cells.
+        let mut run = small_run();
         // Non-trivial grid name: exercises JSON string escaping in the
         // carved prelude.
-        for (label, cells) in [("all", stored.as_slice()), ("none", &[])] {
-            let csv_path = dir.join(format!("adagp-stream-{pid}-{label}.csv"));
-            let json_path = dir.join(format!("adagp-stream-{pid}-{label}.json"));
-            let mut cw = StreamingCsvWriter::create(&csv_path).unwrap();
-            let mut jw = StreamingJsonWriter::create(&json_path, "grid \"x\"").unwrap();
-            for c in cells {
-                cw.write_cell(c).unwrap();
-                jw.write_cell(c).unwrap();
+        run.grid = "grid \"x\"".to_string();
+        let path = std::env::temp_dir().join(format!("adagp-stream-{}", std::process::id()));
+        let read = |written: std::io::Result<()>| {
+            written.unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            text
+        };
+        for label in ["all", "none"] {
+            if label == "none" {
+                run.cells.clear();
             }
-            cw.finish().unwrap();
-            jw.finish().unwrap();
-            assert_eq!(
-                std::fs::read_to_string(&csv_path).unwrap(),
-                stored_csv_string(cells),
-                "CSV ({label})"
-            );
-            assert_eq!(
-                std::fs::read_to_string(&json_path).unwrap(),
-                stored_json_string("grid \"x\"", cells),
-                "JSON ({label})"
-            );
-            std::fs::remove_file(&csv_path).ok();
-            std::fs::remove_file(&json_path).ok();
+            let stored = stored_cells(&run);
+            let untimed = || stored.iter().map(|c| (c, 0));
+
+            let csv = to_csv_string(&run);
+            assert_eq!(csv.lines().count(), 1 + stored.len());
+            assert_eq!(stored_csv_string(&stored), csv, "{label}");
+            assert_eq!(read(write_csv(&path, &run)), csv, "{label}");
+            let streamed = write_run_file(&path, RunFormat::Csv, untimed());
+            assert_eq!(read(streamed), csv, "{label}");
+
+            // With the run's timings: string == file.
+            assert_eq!(read(write_json(&path, &run)), to_json_string(&run));
+            // Without: string == streamed file == the timed record with
+            // its clocks zeroed.
+            let zeroed = stored_json_string(&run.grid, &stored);
+            let format = RunFormat::Json {
+                grid: &run.grid,
+                total_wall_micros: 0,
+            };
+            assert_eq!(read(write_run_file(&path, format, untimed())), zeroed);
+            let mut stopped = run.clone();
+            stopped.total_wall_micros = 0;
+            stopped.cells.iter_mut().for_each(|c| c.wall_micros = 0);
+            assert_eq!(to_json_string(&stopped), zeroed, "{label}");
         }
     }
 
@@ -1247,8 +877,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("adagp-stream-drop-{}.csv", std::process::id()));
         {
-            let _w = StreamingCsvWriter::create(&path).unwrap();
-            // Dropped without finish(): a simulated crash mid-write.
+            let _staged = StagedFile::create(&path).unwrap();
+            // Dropped without commit(): a simulated crash mid-write.
         }
         assert!(!path.exists(), "destination must not exist");
         assert!(
