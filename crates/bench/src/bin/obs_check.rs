@@ -1,15 +1,14 @@
 //! CI helper: validate a Chrome-trace dump, a `/metrics` scrape, a
-//! span-tree profile dump, or a `BENCH_*.json` snapshot from the command
+//! span-tree profile dump, or a critical-path report from the command
 //! line, with the exact same checkers the test suites use
 //! (`adagp_obs::validate_chrome_trace`, `adagp_obs::validate_profile`,
-//! `adagp_obs::bench::Snapshot`, `adagp_serve::parse_metrics` +
+//! `adagp_obs::validate_critpath`, `adagp_serve::parse_metrics` +
 //! `check_invariants`) — no python in the loop.
 //!
 //! ```text
 //! obs_check trace <path>
 //! obs_check metrics <path> [--histogram <family>]...
 //! obs_check profile <path>
-//! obs_check bench <path>...
 //! obs_check critpath <path>
 //! ```
 //!
@@ -20,9 +19,7 @@
 //! requires that family to be present with a nonzero `_count`. `profile`
 //! accepts either the `adagp-profile-v1` JSON tree or a collapsed-stack
 //! dump, enforces the tree invariants (calls ≥ 1, self ≤ total, children
-//! sum ≤ parent), and fails on an empty profile. `bench` parses each
-//! path as an `adagp-bench-snapshot-v1` file and runs its sanity check
-//! (non-empty workloads, `min ≤ median`, `mad ≤ median`). `critpath`
+//! sum ≤ parent), and fails on an empty profile. `critpath`
 //! validates an `adagp-critpath-v1` report (`adagp_obs::validate_critpath`:
 //! chain contiguity, `Σ blame == makespan` in sim mode, exact per-lane
 //! busy/queue/idle accounting in measured mode) and additionally rejects
@@ -69,21 +66,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 stats.nodes, stats.lanes, stats.total_us
             ))
         }
-        [cmd, paths @ ..] if cmd == "bench" && !paths.is_empty() => {
-            let mut out = Vec::with_capacity(paths.len());
-            for path in paths {
-                let snap = adagp_obs::bench::Snapshot::load(path.as_ref())?;
-                snap.sanity().map_err(|e| format!("{path}: {e}"))?;
-                out.push(format!(
-                    "{path}: `{}` ({}), {} workloads × {} reps — ok",
-                    snap.name,
-                    snap.label,
-                    snap.workloads.len(),
-                    snap.reps
-                ));
-            }
-            Ok(out.join("\n"))
-        }
         [cmd, path] if cmd == "critpath" => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             let stats = adagp_obs::validate_critpath(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -121,7 +103,7 @@ fn run(args: &[String]) -> Result<String, String> {
         }
         _ => Err("usage: obs_check trace <path> | obs_check metrics <path> \
                   [--histogram <family>]... | obs_check profile <path> | \
-                  obs_check bench <path>... | obs_check critpath <path>"
+                  obs_check critpath <path>"
             .to_string()),
     }
 }

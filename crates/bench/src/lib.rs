@@ -1,13 +1,16 @@
 //! # adagp-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! ADA-GP paper's evaluation (§6). Each `src/bin/*.rs` binary prints the
-//! rows/series of one paper artifact; this library holds the shared
-//! experiment logic so integration tests can exercise the same code with
-//! reduced budgets.
+//! ADA-GP paper's evaluation (§6). The `paper` binary (`src/bin/paper/`)
+//! prints the rows/series of one paper artifact per invocation; this
+//! library holds the shared experiment logic so integration tests can
+//! exercise the same code with reduced budgets. The crate's other
+//! binaries are the `sweep`, `serve`, `serve_loadtest`, `critpath`,
+//! `sim_timeline` and `obs_check` CLIs.
 //!
-//! Run e.g. `cargo run -p adagp-bench --release --bin fig17_ws_speedup`.
-//! Set `ADAGP_FULL=1` for the slower, higher-fidelity training budgets.
+//! Run e.g. `cargo run -p adagp-bench --release --bin paper --
+//! fig17_ws_speedup` (`paper list` names every artifact). Set
+//! `ADAGP_FULL=1` for the slower, higher-fidelity training budgets.
 
 pub mod accuracy;
 pub mod detection;

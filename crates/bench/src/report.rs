@@ -1,7 +1,4 @@
-//! Plain-text table rendering and CSV emission for the harness binaries.
-
-use std::io::Write;
-use std::path::{Path, PathBuf};
+//! Plain-text table rendering for the harness binaries.
 
 /// Renders a table with a header row and aligned columns.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
@@ -35,114 +32,6 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
     out
 }
 
-/// One typed CSV cell. Floats are rendered at the sweep store's fixed
-/// precision (never shortest-round-trip `Display`), so CSV emitted by the
-/// harness is byte-stable across runs and machines — a prerequisite for
-/// meaningful `sweep diff`s of committed run files.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cell {
-    /// Verbatim text (escaped on write if needed).
-    Text(String),
-    /// Fixed-precision float.
-    Float(f64),
-    /// Unsigned integer.
-    Int(u64),
-}
-
-impl Cell {
-    /// Renders the cell to its CSV text (before escaping).
-    pub fn render(&self) -> String {
-        match self {
-            Cell::Text(s) => s.clone(),
-            // One precision definition for the whole harness: the sweep
-            // store's.
-            Cell::Float(v) => adagp_sweep::store::csv_float(*v),
-            Cell::Int(i) => i.to_string(),
-        }
-    }
-}
-
-impl From<String> for Cell {
-    fn from(s: String) -> Self {
-        Cell::Text(s)
-    }
-}
-
-impl From<&str> for Cell {
-    fn from(s: &str) -> Self {
-        Cell::Text(s.to_string())
-    }
-}
-
-impl From<f64> for Cell {
-    fn from(v: f64) -> Self {
-        Cell::Float(v)
-    }
-}
-
-impl From<u64> for Cell {
-    fn from(v: u64) -> Self {
-        Cell::Int(v)
-    }
-}
-
-/// Writes a header plus rows as RFC-4180-ish CSV (fields containing a
-/// comma, quote or newline are quoted; quotes are doubled). Float cells
-/// are written at fixed precision — see [`Cell`].
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<Cell>]) -> std::io::Result<()> {
-    let escape = |cell: &str| -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "{}",
-        header
-            .iter()
-            .map(|h| escape(h))
-            .collect::<Vec<_>>()
-            .join(",")
-    )?;
-    for row in rows {
-        writeln!(
-            f,
-            "{}",
-            row.iter()
-                .map(|c| escape(&c.render()))
-                .collect::<Vec<_>>()
-                .join(",")
-        )?;
-    }
-    Ok(())
-}
-
-/// Parses `--csv <path>` from the process arguments (the machine-readable
-/// output flag shared by the fig17–19 binaries).
-///
-/// # Panics
-///
-/// Panics with a usage message if `--csv` is present without a path.
-pub fn csv_path_from_args() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--csv" {
-            let path = args
-                .next()
-                .unwrap_or_else(|| panic!("--csv requires a path argument (usage: --csv <path>)"));
-            return Some(PathBuf::from(path));
-        }
-    }
-    None
-}
-
 /// Formats an `f64` with 2 decimal places.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -174,39 +63,5 @@ mod tests {
     fn columns_align() {
         let t = render_table("x", &["a"], &[vec!["longvalue".into()]]);
         assert!(t.contains("longvalue"));
-    }
-
-    #[test]
-    fn csv_roundtrip_with_escaping() {
-        let path = std::env::temp_dir().join(format!("adagp-csv-{}.csv", std::process::id()));
-        write_csv(
-            &path,
-            &["model", "note"],
-            &[
-                vec!["VGG13".into(), "plain".into()],
-                vec!["Res,Net".into(), "has \"quotes\"".into()],
-            ],
-        )
-        .unwrap();
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            got,
-            "model,note\nVGG13,plain\n\"Res,Net\",\"has \"\"quotes\"\"\"\n"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn float_cells_have_fixed_precision() {
-        // 0.3 printed via shortest-round-trip Display would be "0.3"; 1/3
-        // would be "0.3333333333333333". Fixed precision pins both.
-        assert_eq!(Cell::Float(0.3).render(), "0.300000");
-        assert_eq!(Cell::Float(1.0 / 3.0).render(), "0.333333");
-        assert_eq!(Cell::Float(2.0).render(), "2.000000");
-        assert_eq!(Cell::Int(7).render(), "7");
-        let path = std::env::temp_dir().join(format!("adagp-csvf-{}.csv", std::process::id()));
-        write_csv(&path, &["x"], &[vec![Cell::Float(1.0 / 3.0)]]).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "x\n0.333333\n");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Analytic speed-up/energy experiment logic (Figures 16–21, §6.6.1).
 //!
-//! Since the sweep engine landed, the fig17–19 binaries are thin
-//! *presets* over `adagp_sweep`: [`run_speedup_figure`] expands the
+//! Since the sweep engine landed, the fig17–19 artifacts are thin
+//! *presets* over `adagp_sweep`: [`print_speedup_figure`] expands the
 //! figure's grid, executes it in parallel on the shared runtime pool, and
 //! pivots the cells back into the paper's per-dataset panels. The numbers
 //! are identical to what the standalone per-figure loops produced — the
@@ -175,12 +175,13 @@ pub fn energy_rows() -> Vec<(String, f64, f64, f64)> {
         .collect()
 }
 
-/// Prints one of Figures 17–19 from an executed figure run: speed-up
-/// tables for every dataset panel.
-fn print_speedup_run(figure: &str, df: Dataflow, run: &SweepRun) {
+/// Prints one of Figures 17–19: runs the figure's grid through the sweep
+/// engine, then prints a speed-up table for every dataset panel.
+pub fn print_speedup_figure(figure: &str, df: Dataflow) {
     use crate::report::{f2, render_table};
+    let run = runner::run_grid(&presets::speedup_figure(df));
     for dataset in DatasetScale::all() {
-        let rows: Vec<Vec<String>> = rows_from_run(run, dataset)
+        let rows: Vec<Vec<String>> = rows_from_run(&run, dataset)
             .iter()
             .map(|r| vec![r.model.clone(), f2(r.low), f2(r.efficient), f2(r.max)])
             .collect();
@@ -196,70 +197,6 @@ fn print_speedup_run(figure: &str, df: Dataflow, run: &SweepRun) {
                 &rows,
             )
         );
-    }
-}
-
-/// Prints one of Figures 17–19 (runs the figure's grid through the sweep
-/// engine first).
-pub fn print_speedup_figure(figure: &str, df: Dataflow) {
-    print_speedup_run(figure, df, &runner::run_grid(&presets::speedup_figure(df)));
-}
-
-/// CSV header shared by the fig17–19 speed-up exports.
-pub const SPEEDUP_CSV_HEADER: [&str; 6] = [
-    "dataflow",
-    "dataset",
-    "model",
-    "adagp_low",
-    "adagp_efficient",
-    "adagp_max",
-];
-
-/// Flattens an executed figure run into the fig17–19 CSV layout:
-/// `(dataflow, dataset, model, low, efficient, max)` records, geomean
-/// rows included.
-fn csv_rows_from_run(df: Dataflow, run: &SweepRun) -> Vec<Vec<crate::report::Cell>> {
-    let mut rows = Vec::new();
-    for dataset in DatasetScale::all() {
-        for r in rows_from_run(run, dataset) {
-            rows.push(vec![
-                df.name().into(),
-                dataset.name().into(),
-                r.model.clone().into(),
-                r.low.into(),
-                r.efficient.into(),
-                r.max.into(),
-            ]);
-        }
-    }
-    rows
-}
-
-/// Machine-readable rows for one of Figures 17–19: every dataset panel
-/// flattened into `(dataflow, dataset, model, low, efficient, max)`
-/// records. Float cells carry full precision; `report::write_csv` fixes
-/// the decimal places. (This is the figure's presentation layout — for
-/// files that `sweep diff` can consume, use `sweep run fig17-ws --csv`,
-/// which writes the store's cell-per-row schema.)
-pub fn speedup_figure_csv_rows(df: Dataflow) -> Vec<Vec<crate::report::Cell>> {
-    csv_rows_from_run(df, &runner::run_grid(&presets::speedup_figure(df)))
-}
-
-/// Shared driver for the fig17–19 binaries: one sweep-engine run of the
-/// figure's preset grid, printed as the pretty panels and, when `--csv
-/// <path>` was passed on the command line, written as CSV too.
-pub fn run_speedup_figure(figure: &str, df: Dataflow) {
-    let run = runner::run_grid(&presets::speedup_figure(df));
-    print_speedup_run(figure, df, &run);
-    if let Some(path) = crate::report::csv_path_from_args() {
-        let rows = csv_rows_from_run(df, &run);
-        match crate::report::write_csv(&path, &SPEEDUP_CSV_HEADER, &rows) {
-            Ok(()) => println!("wrote {} rows to {}", rows.len(), path.display()),
-            Err(e) => {
-                eprintln!("failed to write CSV to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
     }
 }
 
@@ -289,7 +226,6 @@ pub fn cycle_pair(layers: &[LayerShape], design: AdaGpDesign) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Cell;
 
     #[test]
     fn speedup_rows_cover_13_models_plus_geomean() {
@@ -308,29 +244,6 @@ mod tests {
         let c = speedup_rows(Dataflow::WeightStationary, DatasetScale::Cifar10);
         let i = speedup_rows(Dataflow::WeightStationary, DatasetScale::ImageNet);
         assert!(i.last().unwrap().max >= c.last().unwrap().max - 0.02);
-    }
-
-    #[test]
-    fn csv_rows_flatten_every_dataset_panel() {
-        let rows = speedup_figure_csv_rows(Dataflow::WeightStationary);
-        // 3 datasets × (13 models + geomean).
-        assert_eq!(rows.len(), 3 * 14);
-        assert!(rows.iter().all(|r| r.len() == SPEEDUP_CSV_HEADER.len()));
-        let df_name = Dataflow::WeightStationary.name();
-        assert!(
-            rows.iter().all(|r| r[0] == Cell::Text(df_name.to_string())),
-            "dataflow column"
-        );
-        // Numeric columns render at fixed precision and parse back.
-        for r in &rows {
-            for v in &r[3..6] {
-                assert!(matches!(v, Cell::Float(_)));
-                let text = v.render();
-                let (_, decimals) = text.split_once('.').expect("fixed point");
-                assert_eq!(decimals.len(), adagp_sweep::store::CSV_FLOAT_DECIMALS);
-                text.parse::<f64>().expect("numeric CSV cell");
-            }
-        }
     }
 
     #[test]

@@ -1,142 +1,12 @@
-//! The bench-snapshot registry: one schema for every `BENCH_*.json`
-//! perf-trajectory point the repo commits.
-//!
-//! The ROADMAP's standing instruction is to keep committing perf
-//! snapshots so the reproduced speedups have a machine-checkable
-//! trajectory. Before this module each bench binary invented its own
-//! JSON shape, so nothing could read two files and compare them. Now
-//! every bench binary emits a [`Snapshot`]:
-//!
-//! * an identifying `name` plus a git-describe-able `label` (so a point
-//!   on the trajectory says *which revision* it measured);
-//! * the exact `regenerate` command, printed verbatim by `perf_gate`
-//!   when a comparison fails;
-//! * `reps` and per-workload robust statistics — `{median_us, mad_us,
-//!   min_us}`. Median and MAD (median absolute deviation) rather than
-//!   mean/stddev because bench runs on shared runners have heavy
-//!   one-sided tails; MAD gives `perf_gate` a noise band that a single
-//!   slow rep cannot inflate;
-//! * an environment block ([`EnvBlock`]: `ADAGP_THREADS`, nproc) so a
-//!   1-thread laptop point is never silently compared against an
-//!   8-thread CI point — `perf_gate` warns when env blocks differ.
-//!
-//! [`Snapshot::sanity`] checks the *internal* invariants (`min ≤
-//! median`, `mad ≤ median` — always true of MAD over nonnegative
-//! samples, so a violation means a corrupted or hand-edited file);
-//! `obs_check bench` runs it over every committed `BENCH_*.json` in CI.
+//! The revision label a measurement is stamped with. The benchmark's
+//! results files (`benchmark/`, `BENCHMARK.json`) record it in their env
+//! block as `git`, and read a `-dirty` suffix as "built from uncommitted
+//! changes".
 
-use serde::Value;
-use std::path::Path;
-
-/// Schema tag every snapshot carries.
-pub const SNAPSHOT_SCHEMA: &str = "adagp-bench-snapshot-v1";
-
-/// Environment variable overriding the git-derived snapshot label.
+/// Environment variable overriding the git-derived label.
 pub const LABEL_ENV: &str = "ADAGP_BENCH_LABEL";
 
-/// Robust summary of one workload's repetition samples, microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkloadStats {
-    /// Median wall time per rep.
-    pub median_us: u64,
-    /// Median absolute deviation from the median — the noise scale
-    /// `perf_gate` turns into a comparison band.
-    pub mad_us: u64,
-    /// Fastest rep — the "nothing interfered" floor.
-    pub min_us: u64,
-}
-
-fn median(sorted: &[u64]) -> u64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        // Midpoint of the central pair; the sum cannot overflow in
-        // practice (samples are run durations), but stay defensive.
-        sorted[n / 2 - 1] / 2 + sorted[n / 2] / 2 + (sorted[n / 2 - 1] % 2 + sorted[n / 2] % 2) / 2
-    }
-}
-
-impl WorkloadStats {
-    /// Summarizes raw per-rep samples (µs). Panics on an empty slice —
-    /// a bench that measured nothing has no statistics to report.
-    pub fn from_samples(samples: &[u64]) -> WorkloadStats {
-        assert!(!samples.is_empty(), "no samples to summarize");
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let med = median(&sorted);
-        let mut dev: Vec<u64> = sorted.iter().map(|&s| s.abs_diff(med)).collect();
-        dev.sort_unstable();
-        WorkloadStats {
-            median_us: med,
-            mad_us: median(&dev),
-            min_us: sorted[0],
-        }
-    }
-
-    fn to_value(self) -> Value {
-        Value::object(vec![
-            ("median_us", Value::UInt(self.median_us)),
-            ("mad_us", Value::UInt(self.mad_us)),
-            ("min_us", Value::UInt(self.min_us)),
-        ])
-    }
-
-    fn from_value(v: &Value, ctx: &str) -> Result<WorkloadStats, String> {
-        let num = |k: &str| {
-            v.field(k)
-                .ok()
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{ctx}: missing or non-integer `{k}`"))
-        };
-        Ok(WorkloadStats {
-            median_us: num("median_us")?,
-            mad_us: num("mad_us")?,
-            min_us: num("min_us")?,
-        })
-    }
-}
-
-/// The conditions a snapshot was measured under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnvBlock {
-    /// Worker threads the runtime pool was configured for.
-    pub adagp_threads: usize,
-    /// Hardware parallelism of the measuring host.
-    pub nproc: usize,
-}
-
-impl EnvBlock {
-    /// Captures the current host: `nproc` from the OS, the thread count
-    /// from the caller (obs sits *below* the runtime crate, so the pool
-    /// width has to be passed in).
-    pub fn current(adagp_threads: usize) -> EnvBlock {
-        EnvBlock {
-            adagp_threads,
-            nproc: std::thread::available_parallelism().map_or(1, usize::from),
-        }
-    }
-}
-
-/// One point on the perf trajectory — the payload of a `BENCH_*.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// Bench identity (e.g. `obs_overhead`, `kernels`, `sweep`).
-    pub name: String,
-    /// Revision label: `ADAGP_BENCH_LABEL`, else `git describe`, else
-    /// `unversioned`.
-    pub label: String,
-    /// The command that regenerates this file, verbatim.
-    pub regenerate: String,
-    /// Repetitions per workload.
-    pub reps: u64,
-    /// Measurement conditions.
-    pub env: EnvBlock,
-    /// Per-workload statistics, in insertion order.
-    pub workloads: Vec<(String, WorkloadStats)>,
-}
-
-/// Resolves the snapshot label: `ADAGP_BENCH_LABEL` wins, then
+/// Resolves the label: `ADAGP_BENCH_LABEL` wins, then
 /// `git describe --tags --always --dirty`, then `"unversioned"`.
 pub fn snapshot_label() -> String {
     if let Ok(label) = std::env::var(LABEL_ENV) {
@@ -153,297 +23,4 @@ pub fn snapshot_label() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unversioned".to_string())
-}
-
-impl Snapshot {
-    /// Starts a snapshot with the label resolved from the environment.
-    pub fn new(name: &str, regenerate: &str, reps: u64, env: EnvBlock) -> Snapshot {
-        Snapshot {
-            name: name.to_string(),
-            label: snapshot_label(),
-            regenerate: regenerate.to_string(),
-            reps,
-            env,
-            workloads: Vec::new(),
-        }
-    }
-
-    /// Appends one workload's summarized samples.
-    pub fn push_workload(&mut self, name: &str, stats: WorkloadStats) {
-        self.workloads.push((name.to_string(), stats));
-    }
-
-    /// Looks a workload up by name.
-    pub fn workload(&self, name: &str) -> Option<WorkloadStats> {
-        self.workloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, s)| s)
-    }
-
-    /// Renders the snapshot as pretty JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let workloads = Value::Object(
-            self.workloads
-                .iter()
-                .map(|(n, s)| (n.clone(), s.to_value()))
-                .collect(),
-        );
-        let root = Value::object(vec![
-            ("schema", Value::String(SNAPSHOT_SCHEMA.to_string())),
-            ("name", Value::String(self.name.clone())),
-            ("label", Value::String(self.label.clone())),
-            ("regenerate", Value::String(self.regenerate.clone())),
-            ("reps", Value::UInt(self.reps)),
-            (
-                "env",
-                Value::object(vec![
-                    ("adagp_threads", Value::UInt(self.env.adagp_threads as u64)),
-                    ("nproc", Value::UInt(self.env.nproc as u64)),
-                ]),
-            ),
-            ("workloads", workloads),
-        ]);
-        let mut out = serde::json::to_string_pretty(&root);
-        out.push('\n');
-        out
-    }
-
-    /// Parses a snapshot from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing field, wrong type, or
-    /// wrong schema tag.
-    pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let root = serde::json::parse_value(text).map_err(|e| format!("not JSON: {e}"))?;
-        let str_field = |k: &str| {
-            root.field(k)
-                .ok()
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string `{k}`"))
-        };
-        let schema = str_field("schema")?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(format!("schema `{schema}` is not `{SNAPSHOT_SCHEMA}`"));
-        }
-        let reps = root
-            .field("reps")
-            .ok()
-            .and_then(Value::as_u64)
-            .ok_or("missing or non-integer `reps`")?;
-        let env = root.field("env").map_err(|_| "missing `env` block")?;
-        let env_num = |k: &str| {
-            env.field(k)
-                .ok()
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("env: missing or non-integer `{k}`"))
-        };
-        let env = EnvBlock {
-            adagp_threads: env_num("adagp_threads")? as usize,
-            nproc: env_num("nproc")? as usize,
-        };
-        let Value::Object(entries) = root
-            .field("workloads")
-            .map_err(|_| "missing `workloads` object")?
-        else {
-            return Err("`workloads` is not an object".to_string());
-        };
-        let mut workloads = Vec::with_capacity(entries.len());
-        for (wname, v) in entries {
-            workloads.push((
-                wname.clone(),
-                WorkloadStats::from_value(v, &format!("workload `{wname}`"))?,
-            ));
-        }
-        Ok(Snapshot {
-            name: str_field("name")?,
-            label: str_field("label")?,
-            regenerate: str_field("regenerate")?,
-            reps,
-            env,
-            workloads,
-        })
-    }
-
-    /// Reads and parses a snapshot file.
-    ///
-    /// # Errors
-    ///
-    /// I/O and parse errors, prefixed with the path.
-    pub fn load(path: &Path) -> Result<Snapshot, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Snapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Writes the JSON form to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from creating or writing the file.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Internal-consistency check — the MAD-band sanity `perf_gate` and
-    /// `obs_check bench` hard-gate on: at least one workload, `reps ≥
-    /// 1`, and per workload `min_us ≤ median_us` and `mad_us ≤
-    /// median_us`. The last holds for MAD over any nonnegative sample
-    /// set (deviations below the median are at most the median itself,
-    /// and at least half the deviations are on that side), so a
-    /// violation means the file did not come from
-    /// [`WorkloadStats::from_samples`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn sanity(&self) -> Result<(), String> {
-        if self.workloads.is_empty() {
-            return Err(format!("snapshot `{}` has no workloads", self.name));
-        }
-        if self.reps == 0 {
-            return Err(format!("snapshot `{}` has reps = 0", self.name));
-        }
-        for (wname, s) in &self.workloads {
-            if s.min_us > s.median_us {
-                return Err(format!(
-                    "workload `{wname}`: min_us {} exceeds median_us {}",
-                    s.min_us, s.median_us
-                ));
-            }
-            if s.mad_us > s.median_us {
-                return Err(format!(
-                    "workload `{wname}`: mad_us {} exceeds median_us {} \
-                     (impossible for MAD over nonnegative samples)",
-                    s.mad_us, s.median_us
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_are_robust_to_one_sided_tails() {
-        // One pathological 100ms rep must not move median or MAD much.
-        let s = WorkloadStats::from_samples(&[100, 103, 101, 99, 100_000, 102, 98]);
-        assert_eq!(s.median_us, 101);
-        assert_eq!(s.min_us, 98);
-        assert!(s.mad_us <= 3, "MAD inflated by the outlier: {}", s.mad_us);
-    }
-
-    #[test]
-    fn median_handles_even_counts_and_singletons() {
-        assert_eq!(WorkloadStats::from_samples(&[7]).median_us, 7);
-        assert_eq!(WorkloadStats::from_samples(&[4, 8]).median_us, 6);
-        assert_eq!(WorkloadStats::from_samples(&[3, 4]).median_us, 3);
-        let s = WorkloadStats::from_samples(&[10, 20, 30, 40]);
-        assert_eq!((s.median_us, s.min_us), (25, 10));
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let mut snap = Snapshot {
-            name: "unit".into(),
-            label: "v1.2.3-4-gabcdef".into(),
-            regenerate: "cargo run --release -p adagp-bench --bin unit".into(),
-            reps: 9,
-            env: EnvBlock {
-                adagp_threads: 3,
-                nproc: 8,
-            },
-            workloads: Vec::new(),
-        };
-        snap.push_workload("conv", WorkloadStats::from_samples(&[500, 510, 505]));
-        snap.push_workload("matmul", WorkloadStats::from_samples(&[90, 95, 92]));
-        let parsed = Snapshot::parse(&snap.to_json()).expect("round trip");
-        assert_eq!(parsed, snap);
-        assert_eq!(parsed.workload("conv").unwrap().median_us, 505);
-        assert!(parsed.workload("absent").is_none());
-        parsed.sanity().expect("generated snapshots are sane");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_snapshots() {
-        assert!(Snapshot::parse("not json").is_err());
-        assert!(Snapshot::parse("{}").unwrap_err().contains("schema"));
-        let wrong_schema = r#"{"schema": "something-else"}"#;
-        assert!(Snapshot::parse(wrong_schema)
-            .unwrap_err()
-            .contains("something-else"));
-        let no_stats = r#"{
-            "schema": "adagp-bench-snapshot-v1", "name": "x", "label": "l",
-            "regenerate": "cmd", "reps": 3,
-            "env": {"adagp_threads": 1, "nproc": 1},
-            "workloads": {"w": {"median_us": 5}}
-        }"#;
-        assert!(Snapshot::parse(no_stats).unwrap_err().contains("mad_us"));
-    }
-
-    #[test]
-    fn sanity_flags_corrupted_statistics() {
-        let base = |median, mad, min| Snapshot {
-            name: "s".into(),
-            label: "l".into(),
-            regenerate: "cmd".into(),
-            reps: 3,
-            env: EnvBlock {
-                adagp_threads: 1,
-                nproc: 1,
-            },
-            workloads: vec![(
-                "w".into(),
-                WorkloadStats {
-                    median_us: median,
-                    mad_us: mad,
-                    min_us: min,
-                },
-            )],
-        };
-        base(100, 5, 90).sanity().expect("sane snapshot");
-        assert!(base(100, 5, 150).sanity().unwrap_err().contains("min_us"));
-        assert!(base(100, 200, 90).sanity().unwrap_err().contains("mad_us"));
-        let mut empty = base(100, 5, 90);
-        empty.workloads.clear();
-        assert!(empty.sanity().unwrap_err().contains("no workloads"));
-        let mut zero_reps = base(100, 5, 90);
-        zero_reps.reps = 0;
-        assert!(zero_reps.sanity().unwrap_err().contains("reps"));
-    }
-
-    #[test]
-    fn mad_is_never_above_median_for_nonnegative_samples() {
-        // Property sweep over adversarial shapes — the proof obligation
-        // behind the `sanity` hard gate.
-        let cases: &[&[u64]] = &[
-            &[0],
-            &[0, 0, 0],
-            &[0, u64::MAX / 2],
-            &[1, 1_000_000],
-            &[5, 5, 5, 5, 500],
-            &[1, 2, 3, 4, 5, 6, 7, 8, 9],
-            // Even counts stress the floored-midpoint median.
-            &[0, 1],
-            &[3, 4],
-            &[0, 0, 100, 1000],
-            &[0, 0, 100, 101],
-            &[10, 10, 1000, 1000],
-            &[0, 90, 110, 1000],
-            &[u64::MAX - 1, u64::MAX],
-        ];
-        for samples in cases {
-            let s = WorkloadStats::from_samples(samples);
-            assert!(
-                s.mad_us <= s.median_us,
-                "MAD {} > median {} for {samples:?}",
-                s.mad_us,
-                s.median_us
-            );
-        }
-    }
 }

@@ -17,9 +17,8 @@
 //!   caller→callee trees with self/total micros — rendered as a flat
 //!   profile, collapsed stacks (flamegraph-compatible, `ADAGP_PROFILE`)
 //!   and the JSON tree `adagp-serve`'s `GET /profile` serves;
-//! * the bench-snapshot registry ([`bench`]) — the one schema every
-//!   committed `BENCH_*.json` perf-trajectory point uses, consumed by
-//!   the `perf_gate` regression CLI in `adagp-bench`;
+//! * the revision label ([`bench::snapshot_label`]) the benchmark
+//!   (`benchmark/`, `BENCHMARK.json`) stamps its results files with;
 //! * a critical-path and stall-attribution analyzer ([`crit`]) that
 //!   walks simulated DAGs along zero-slack edges and folds measured
 //!   span lanes into busy/queue-wait/idle segments, emitting one

@@ -244,3 +244,32 @@ fn live_server_answers_garbage_with_4xx_and_stays_healthy() {
     assert_eq!(check_invariants(&metrics), None);
     server.shutdown().expect("clean shutdown");
 }
+
+#[test]
+fn deeply_nested_grid_body_is_a_400_and_the_server_stays_up() {
+    let server = server::start(ServerConfig {
+        workers: 2,
+        queue_depth: 16,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let bad_before = adagp_serve::fetch_metrics(addr).expect("metrics")["bad_requests"];
+    // 10 KB, far under MAX_BODY_BYTES: unbounded parser recursion on
+    // this body overflows the worker's stack, which aborts the process.
+    let body = "[".repeat(10_000);
+    assert!(body.len() < MAX_BODY_BYTES);
+    let reply = http_request(addr, "POST", "/grid", Some(&body)).expect("reply to nested body");
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("nesting deeper than 128"),
+        "{}",
+        reply.body
+    );
+    let health = http_request(addr, "GET", "/health", None).expect("health after nested body");
+    assert_eq!(health.status, 200);
+    let metrics = adagp_serve::fetch_metrics(addr).expect("metrics");
+    assert_eq!(metrics["bad_requests"], bad_before + 1);
+    assert_eq!(check_invariants(&metrics), None);
+    server.shutdown().expect("clean shutdown");
+}

@@ -870,6 +870,42 @@ mod tests {
     }
 
     #[test]
+    fn overdeep_line_is_a_skipped_span_and_its_neighbours_load() {
+        let g = grid();
+        let cells: Vec<StoredCell> = g.expand()[..2]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| synthetic_cell(s, i as u64))
+            .collect();
+        let dir = tmp_dir("overdeep");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(shard_file_name(Shard::default()));
+        // Unbounded parser recursion on the middle line overflows a
+        // spawned thread's 2 MiB stack, which aborts the process: no
+        // load, no resume.
+        let lines = [
+            record_line(&cells[0]),
+            "[".repeat(10_000),
+            record_line(&cells[1]),
+        ];
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let load = std::thread::spawn(move || load_shard(&path).unwrap())
+            .join()
+            .expect("loader thread");
+        assert_eq!(load.cells, cells);
+        assert_eq!(
+            load.skipped,
+            [SkippedSpan {
+                first_line: 2,
+                last_line: 2,
+                reason: "undecodable record: serde: nesting deeper than 128 at byte 128"
+                    .to_string(),
+            }]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn merge_reports_extras_and_missing() {
         let g = grid();
         let specs = g.expand();
