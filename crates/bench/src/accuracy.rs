@@ -6,14 +6,16 @@
 //! comparison of interest is the BP-vs-ADA-GP *delta*, which is what
 //! Table 1 demonstrates (ADA-GP tracks or slightly beats BP).
 
-use adagp_core::trainer::evaluate_accuracy;
-use adagp_core::{AdaGp, AdaGpConfig, BaselineTrainer, ScheduleConfig};
+use adagp_core::fit::{fit_adagp_pipelined, fit_baseline, FitOptions, FitReport};
+use adagp_core::{AdaGp, AdaGpConfig, ScheduleConfig};
+use adagp_nn::containers::Sequential;
 use adagp_nn::data::{DatasetSpec, VisionDataset};
 use adagp_nn::models::{build_cnn, CnnModel, ModelConfig};
-use adagp_nn::optim::Optimizer;
 use adagp_nn::optim::Sgd;
-use adagp_nn::sched::ReduceLrOnPlateau;
 use adagp_tensor::Prng;
+
+/// Depth of the pipelined fit's prefetch and predictor queues.
+const QUEUE_DEPTH: usize = 3;
 
 /// Budget of one accuracy experiment.
 #[derive(Debug, Clone, Copy)]
@@ -81,66 +83,99 @@ pub fn run_accuracy_experiment(
         classes: spec.classes,
     };
 
+    // Both arms: SGD under the paper's plateau scheduler (§5.2).
+    let options = FitOptions {
+        epochs: budget.epochs,
+        batches_per_epoch: budget.batches_per_epoch,
+        batch_size: budget.batch,
+        eval_batches: 4,
+        plateau: Some((0.5, 3)),
+    };
+
     // --- Arm 1: plain backpropagation (both arms share the init seed).
     let mut rng = Prng::seed_from_u64(seed ^ 0xBEEF);
     let mut bp_model = build_cnn(model, &cfg, spec.channels, spec.size, &mut rng);
-    let mut bp_opt = Sgd::new(0.01, 0.9);
-    let mut baseline = BaselineTrainer::new();
-    let mut bp_sched = ReduceLrOnPlateau::new(0.5, 3);
-    for _epoch in 0..budget.epochs {
-        let mut epoch_loss = 0.0f32;
-        for b in 0..budget.batches_per_epoch {
-            let (x, y) = dataset.train_batch(b, budget.batch);
-            epoch_loss += baseline
-                .train_batch(&mut bp_model, &mut bp_opt, &x, &y)
-                .loss;
-        }
-        let lr = bp_sched.step(epoch_loss, bp_opt.lr());
-        bp_opt.set_lr(lr);
-    }
-    let bp_accuracy = evaluate_accuracy(
-        &mut bp_model,
-        (0..4).map(|b| dataset.test_batch(b, budget.batch)),
-    );
+    let bp = fit_baseline(&mut bp_model, &dataset, &mut Sgd::new(0.01, 0.9), &options);
 
     // --- Arm 2: ADA-GP with the paper's schedule (compressed stages).
     let mut rng = Prng::seed_from_u64(seed ^ 0xBEEF);
     let mut gp_model = build_cnn(model, &cfg, spec.channels, spec.size, &mut rng);
-    let mut adagp_cfg = AdaGpConfig {
+    let adagp = fit_adagp_pipelined(
+        &mut gp_model,
+        &dataset,
+        quick_adagp_config(budget.warmup_epochs),
+        &mut Sgd::new(0.01, 0.9),
+        &options,
+        QUEUE_DEPTH,
+        &mut rng,
+    );
+
+    AccuracyResult {
+        bp_accuracy: bp.accuracy,
+        adagp_accuracy: adagp.accuracy,
+    }
+}
+
+/// ADA-GP as the CPU-scaled classification experiments run it: the
+/// paper's schedule with one-epoch stages after `warmup_epochs`, metrics
+/// off, and the predictor's own lr scaled up — the paper's 1e-4 presumes
+/// tens of thousands of training batches; these budgets see a few hundred.
+pub fn quick_adagp_config(warmup_epochs: usize) -> AdaGpConfig {
+    let mut cfg = AdaGpConfig {
         schedule: ScheduleConfig {
-            warmup_epochs: budget.warmup_epochs,
+            warmup_epochs,
             epochs_per_stage: 1,
             ..Default::default()
         },
         track_metrics: false,
         ..Default::default()
     };
-    // The paper's predictor lr (1e-4) presumes tens of thousands of
-    // training batches; the CPU budgets see a few hundred, so the
-    // predictor's own lr is scaled up accordingly.
-    adagp_cfg.predictor.lr = 1e-3;
-    let mut adagp = AdaGp::new(adagp_cfg, &mut gp_model, &mut rng);
-    let mut gp_opt = Sgd::new(0.01, 0.9);
-    let mut gp_sched = ReduceLrOnPlateau::new(0.5, 3);
-    for _epoch in 0..budget.epochs {
-        let mut epoch_loss = 0.0f32;
-        for b in 0..budget.batches_per_epoch {
-            let (x, y) = dataset.train_batch(b, budget.batch);
-            epoch_loss += adagp.train_batch(&mut gp_model, &mut gp_opt, &x, &y).loss;
-        }
-        adagp.controller_mut().end_epoch();
-        let lr = gp_sched.step(epoch_loss, gp_opt.lr());
-        gp_opt.set_lr(lr);
-    }
-    let adagp_accuracy = evaluate_accuracy(
-        &mut gp_model,
-        (0..4).map(|b| dataset.test_batch(b, budget.batch)),
-    );
+    cfg.predictor.lr = 1e-3;
+    cfg
+}
 
-    AccuracyResult {
-        bp_accuracy,
-        adagp_accuracy,
-    }
+/// Dataset, freshly initialised model and the RNG that built it for the
+/// VGG13 quick experiment: width-1/16 VGG13 on the 10-class 12×12 CIFAR10
+/// stand-in, dataset seed 42, init seed 1.
+pub fn vgg13_quick_setup() -> (VisionDataset, Sequential, Prng) {
+    let spec = DatasetSpec {
+        classes: 10,
+        channels: 3,
+        size: 12,
+        train_len: 160,
+        test_len: 64,
+    };
+    let model_cfg = ModelConfig {
+        width: 0.0625,
+        depth_div: 4,
+        classes: spec.classes,
+    };
+    let mut rng = Prng::seed_from_u64(1);
+    let model = build_cnn(CnnModel::Vgg13, &model_cfg, 3, spec.size, &mut rng);
+    (VisionDataset::new(spec, 42), model, rng)
+}
+
+/// The VGG13 quick experiment the ablations and the DNI comparison share:
+/// ADA-GP under `cfg` on [`vgg13_quick_setup`] for `epochs` epochs of 16
+/// batches of 8 at a fixed SGD rate, evaluated on 4 test batches.
+pub fn vgg13_quick_experiment(cfg: AdaGpConfig, epochs: usize) -> FitReport {
+    let (dataset, mut model, mut rng) = vgg13_quick_setup();
+    let options = FitOptions {
+        epochs,
+        batches_per_epoch: 16,
+        batch_size: 8,
+        eval_batches: 4,
+        plateau: None,
+    };
+    fit_adagp_pipelined(
+        &mut model,
+        &dataset,
+        cfg,
+        &mut Sgd::new(0.01, 0.9),
+        &options,
+        QUEUE_DEPTH,
+        &mut rng,
+    )
 }
 
 /// Per-layer predictor error series over epochs (Figure 15): trains VGG13

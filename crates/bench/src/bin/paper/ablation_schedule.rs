@@ -9,51 +9,23 @@
 use adagp_accel::dataflow::{AcceleratorConfig, Dataflow};
 use adagp_accel::designs::AdaGpDesign;
 use adagp_accel::speedup::{adagp_training_cycles, baseline_training_cycles, EpochMix};
+use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment};
 use adagp_bench::report::render_table;
-use adagp_core::trainer::evaluate_accuracy;
-use adagp_core::{AdaGp, AdaGpConfig, ScheduleConfig};
-use adagp_nn::data::{DatasetSpec, VisionDataset};
+use adagp_core::{AdaGpConfig, ScheduleConfig};
 use adagp_nn::models::shapes::{model_shapes, InputScale};
-use adagp_nn::models::{build_cnn, CnnModel, ModelConfig};
-use adagp_nn::optim::Sgd;
-use adagp_tensor::Prng;
+use adagp_nn::models::CnnModel;
 
 fn accuracy_with_ratio(ratio: (usize, usize), warmup: usize) -> f32 {
-    let spec = DatasetSpec {
-        classes: 10,
-        channels: 3,
-        size: 12,
-        train_len: 160,
-        test_len: 64,
-    };
-    let ds = VisionDataset::new(spec, 42);
-    let model_cfg = ModelConfig {
-        width: 0.0625,
-        depth_div: 4,
-        classes: spec.classes,
-    };
-    let mut rng = Prng::seed_from_u64(1);
-    let mut model = build_cnn(CnnModel::Vgg13, &model_cfg, 3, spec.size, &mut rng);
-    let mut cfg = AdaGpConfig {
+    // One fixed ratio in place of the annealed stages.
+    let cfg = AdaGpConfig {
         schedule: ScheduleConfig {
             warmup_epochs: warmup,
             ratios: [ratio; 4],
             ..Default::default()
         },
-        track_metrics: false,
-        ..Default::default()
+        ..quick_adagp_config(warmup)
     };
-    cfg.predictor.lr = 1e-3;
-    let mut adagp = AdaGp::new(cfg, &mut model, &mut rng);
-    let mut opt = Sgd::new(0.01, 0.9);
-    for _ in 0..6 {
-        for b in 0..16 {
-            let (x, y) = ds.train_batch(b, 8);
-            adagp.train_batch(&mut model, &mut opt, &x, &y);
-        }
-        adagp.controller_mut().end_epoch();
-    }
-    evaluate_accuracy(&mut model, (0..4).map(|b| ds.test_batch(b, 8)))
+    vgg13_quick_experiment(cfg, 6).accuracy
 }
 
 /// Analytic speed-up of a run whose post-warm-up epochs all use one ratio.

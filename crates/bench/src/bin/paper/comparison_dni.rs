@@ -5,34 +5,18 @@
 //! trains both on the same task and prints accuracy plus the §3.7 step
 //! costs.
 
+use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment, vgg13_quick_setup};
 use adagp_bench::report::render_table;
 use adagp_core::dni::{dni_vs_adagp_steps, DniTrainer};
 use adagp_core::trainer::evaluate_accuracy;
-use adagp_core::{AdaGp, AdaGpConfig, PredictorConfig, ScheduleConfig};
-use adagp_nn::data::{DatasetSpec, VisionDataset};
-use adagp_nn::models::{build_cnn, CnnModel, ModelConfig};
+use adagp_core::PredictorConfig;
 use adagp_nn::optim::Sgd;
-use adagp_tensor::Prng;
 
 pub fn run() {
-    let spec = DatasetSpec {
-        classes: 10,
-        channels: 3,
-        size: 12,
-        train_len: 160,
-        test_len: 64,
-    };
-    let ds = VisionDataset::new(spec, 42);
-    let model_cfg = ModelConfig {
-        width: 0.0625,
-        depth_div: 4,
-        classes: spec.classes,
-    };
     let (epochs, batches, batch) = (8, 16, 8);
 
-    // DNI arm.
-    let mut rng = Prng::seed_from_u64(1);
-    let mut dni_model = build_cnn(CnnModel::Vgg13, &model_cfg, 3, spec.size, &mut rng);
+    // DNI arm: a different algorithm, so its own loop.
+    let (ds, mut dni_model, mut rng) = vgg13_quick_setup();
     let pred_cfg = PredictorConfig {
         lr: 1e-3,
         ..Default::default()
@@ -47,30 +31,10 @@ pub fn run() {
     }
     let dni_acc = evaluate_accuracy(&mut dni_model, (0..4).map(|b| ds.test_batch(b, batch)));
 
-    // ADA-GP arm (same seed).
-    let mut rng = Prng::seed_from_u64(1);
-    let mut gp_model = build_cnn(CnnModel::Vgg13, &model_cfg, 3, spec.size, &mut rng);
-    let mut cfg = AdaGpConfig {
-        schedule: ScheduleConfig {
-            warmup_epochs: 2,
-            epochs_per_stage: 1,
-            ..Default::default()
-        },
-        track_metrics: false,
-        ..Default::default()
-    };
-    cfg.predictor.lr = 1e-3;
-    let mut adagp = AdaGp::new(cfg, &mut gp_model, &mut rng);
-    let mut opt = Sgd::new(0.01, 0.9);
-    for _ in 0..epochs {
-        for b in 0..batches {
-            let (x, y) = ds.train_batch(b, batch);
-            adagp.train_batch(&mut gp_model, &mut opt, &x, &y);
-        }
-        adagp.controller_mut().end_epoch();
-    }
-    let gp_acc = evaluate_accuracy(&mut gp_model, (0..4).map(|b| ds.test_batch(b, batch)));
-    let (_, _, gp_batches) = adagp.controller_mut().phase_counts();
+    // ADA-GP arm (same seeds).
+    let adagp = vgg13_quick_experiment(quick_adagp_config(2), epochs);
+    let gp_acc = adagp.accuracy;
+    let (_, _, gp_batches) = adagp.phase_counts;
 
     let (dni_steps, adagp_gp_steps, baseline_steps) = dni_vs_adagp_steps(13, 0.1);
     let rows = vec![

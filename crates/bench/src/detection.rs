@@ -4,8 +4,12 @@
 //! The cycle columns come from the accelerator model (both ADA-GP designs
 //! run the same algorithm, so their accuracy is identical and only cycles
 //! differ — exactly the structure of the paper's Table 3).
+//!
+//! The detection loss lives in [`YoloHead`], not in the model, so the
+//! ADA-GP arm hands [`AdaGp::train_step`] a closure over `head.loss`; the
+//! phase machine is the same one the classification harnesses use.
 
-use adagp_core::{AdaGp, AdaGpConfig, Phase, ScheduleConfig};
+use adagp_core::{AdaGp, AdaGpConfig, ScheduleConfig};
 use adagp_nn::containers::Sequential;
 use adagp_nn::data::DetectionDataset;
 use adagp_nn::metrics::mean_average_precision;
@@ -15,7 +19,7 @@ use adagp_nn::optim::{Optimizer, Sgd};
 use adagp_tensor::Prng;
 
 /// One arm's detection metrics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionArm {
     /// Responsible-cell classification accuracy, percent.
     pub class_acc: f32,
@@ -101,11 +105,7 @@ pub fn run_detection_experiment(
 ) -> (DetectionArm, DetectionArm) {
     let data = DetectionDataset::new(budget.classes, budget.size, 256, 64, seed);
     let head = YoloHead::new(budget.classes);
-    let cfg = ModelConfig {
-        width: 0.25,
-        depth_div: 1,
-        classes: budget.classes,
-    };
+    let cfg = model_config(budget);
     let eval_batches = 4;
 
     // --- BP arm.
@@ -126,7 +126,36 @@ pub fn run_detection_experiment(
     // --- ADA-GP arm.
     let mut rng = Prng::seed_from_u64(seed);
     let mut model = yolo_v3_tiny(&cfg, budget.classes, &mut rng);
-    let adagp_cfg = AdaGpConfig {
+    let mut adagp = AdaGp::new(adagp_config(budget), &mut model, &mut rng);
+    let mut opt = Sgd::new(0.005, 0.9);
+    for _ in 0..budget.epochs {
+        for b in 0..budget.batches_per_epoch {
+            let (x, labels) = data.train_batch(b, budget.batch);
+            adagp.train_step(&mut model, &mut opt, |model, backprop| {
+                let raw = model.forward(&x, &mut ForwardCtx::train_recording());
+                let (loss, grad) = head.loss(&raw, &labels);
+                if backprop {
+                    model.backward(&grad);
+                }
+                loss
+            });
+        }
+        adagp.controller_mut().end_epoch();
+    }
+    let gp = evaluate(&mut model, &head, &data, eval_batches, budget.batch);
+    (bp, gp)
+}
+
+fn model_config(budget: &DetectionBudget) -> ModelConfig {
+    ModelConfig {
+        width: 0.25,
+        depth_div: 1,
+        classes: budget.classes,
+    }
+}
+
+fn adagp_config(budget: &DetectionBudget) -> AdaGpConfig {
+    AdaGpConfig {
         schedule: ScheduleConfig {
             warmup_epochs: budget.warmup,
             epochs_per_stage: 1,
@@ -134,32 +163,7 @@ pub fn run_detection_experiment(
         },
         track_metrics: false,
         ..Default::default()
-    };
-    let mut adagp = AdaGp::new(adagp_cfg, &mut model, &mut rng);
-    let mut opt = Sgd::new(0.005, 0.9);
-    for _ in 0..budget.epochs {
-        for b in 0..budget.batches_per_epoch {
-            let (x, labels) = data.train_batch(b, budget.batch);
-            let phase = adagp.controller_mut().next_phase();
-            match phase {
-                Phase::WarmUp | Phase::BP => {
-                    let raw = model.forward(&x, &mut ForwardCtx::train_recording());
-                    let (_, grad) = head.loss(&raw, &labels);
-                    model.backward(&grad);
-                    adagp.train_predictor_from_sites(&mut model);
-                    opt.step(&mut model);
-                }
-                Phase::GP => {
-                    model.forward(&x, &mut ForwardCtx::train_recording());
-                    adagp.apply_predicted_gradients(&mut model);
-                    opt.step(&mut model);
-                }
-            }
-        }
-        adagp.controller_mut().end_epoch();
     }
-    let gp = evaluate(&mut model, &head, &data, eval_batches, budget.batch);
-    (bp, gp)
 }
 
 #[cfg(test)]
@@ -181,5 +185,35 @@ mod tests {
             assert!((0.0..=100.0).contains(&arm.class_acc));
             assert!((0.0..=1.0).contains(&arm.test_map));
         }
+        assert_eq!(gp, hook_reference_arm(&budget, 3));
+    }
+
+    /// The ADA-GP arm re-issued from `AdaGp`'s public hooks; `train_step`
+    /// must produce the same model, bit for bit.
+    fn hook_reference_arm(budget: &DetectionBudget, seed: u64) -> DetectionArm {
+        use adagp_core::Phase;
+        let data = DetectionDataset::new(budget.classes, budget.size, 256, 64, seed);
+        let head = YoloHead::new(budget.classes);
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut model = yolo_v3_tiny(&model_config(budget), budget.classes, &mut rng);
+        let mut adagp = AdaGp::new(adagp_config(budget), &mut model, &mut rng);
+        let mut opt = Sgd::new(0.005, 0.9);
+        for _ in 0..budget.epochs {
+            for b in 0..budget.batches_per_epoch {
+                let (x, labels) = data.train_batch(b, budget.batch);
+                let phase = adagp.controller_mut().next_phase();
+                let raw = model.forward(&x, &mut ForwardCtx::train_recording());
+                if phase == Phase::GP {
+                    adagp.apply_predicted_gradients(&mut model);
+                } else {
+                    let (_, grad) = head.loss(&raw, &labels);
+                    model.backward(&grad);
+                    adagp.train_predictor_from_sites(&mut model);
+                }
+                opt.step(&mut model);
+            }
+            adagp.controller_mut().end_epoch();
+        }
+        evaluate(&mut model, &head, &data, 4, budget.batch)
     }
 }

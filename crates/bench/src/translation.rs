@@ -1,12 +1,12 @@
 //! Table 2 experiment: Transformer on the Multi30k stand-in, BP vs
 //! ADA-GP.
 //!
-//! The transformer has a token-id interface, so the ADA-GP arm uses the
-//! low-level hooks (`train_predictor_from_sites` /
-//! `apply_predicted_gradients`) rather than the classification
-//! convenience wrapper.
+//! The transformer consumes token ids and has its own `backward(dlogits)`,
+//! so the ADA-GP arm hands [`AdaGp::train_step`] a closure over
+//! `forward_with_ctx` instead of going through the classification
+//! wrapper `train_batch`; the phase machine is the same one.
 
-use adagp_core::{AdaGp, AdaGpConfig, Phase, ScheduleConfig};
+use adagp_core::{AdaGp, AdaGpConfig, ScheduleConfig};
 use adagp_nn::data::{TranslationDataset, BOS};
 use adagp_nn::metrics::bleu;
 use adagp_nn::models::{Transformer, TransformerConfig};
@@ -16,7 +16,7 @@ use adagp_tensor::softmax::cross_entropy;
 use adagp_tensor::Prng;
 
 /// Table 2 row: one training arm's final metrics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransformerArm {
     /// Validation token accuracy, percent.
     pub val_acc: f32,
@@ -155,7 +155,31 @@ pub fn run_transformer_experiment(
     // --- ADA-GP arm.
     let mut rng = Prng::seed_from_u64(seed);
     let mut model = Transformer::new(cfg, &mut rng);
-    let adagp_cfg = AdaGpConfig {
+    let mut adagp = AdaGp::new(adagp_config(budget), &mut model, &mut rng);
+    let mut opt = Adam::new(2e-3);
+    for _ in 0..budget.epochs {
+        for b in 0..budget.batches_per_epoch {
+            let (src, tgt) = data.train_batch(b, budget.batch);
+            let tgt_in = teacher_inputs(&tgt);
+            let targets = flat_targets(&tgt);
+            adagp.train_step(&mut model, &mut opt, |model, backprop| {
+                let logits =
+                    model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
+                let (loss, dl) = cross_entropy(&logits, &targets);
+                if backprop {
+                    model.backward(&dl);
+                }
+                loss
+            });
+        }
+        adagp.controller_mut().end_epoch();
+    }
+    let gp = evaluate(&mut model, &data, eval_batches, budget.batch);
+    (bp, gp)
+}
+
+fn adagp_config(budget: &TransformerBudget) -> AdaGpConfig {
+    AdaGpConfig {
         schedule: ScheduleConfig {
             warmup_epochs: budget.warmup,
             epochs_per_stage: 1,
@@ -163,35 +187,7 @@ pub fn run_transformer_experiment(
         },
         track_metrics: false,
         ..Default::default()
-    };
-    let mut adagp = AdaGp::new(adagp_cfg, &mut model, &mut rng);
-    let mut opt = Adam::new(2e-3);
-    for _ in 0..budget.epochs {
-        for b in 0..budget.batches_per_epoch {
-            let (src, tgt) = data.train_batch(b, budget.batch);
-            let tgt_in = teacher_inputs(&tgt);
-            let targets = flat_targets(&tgt);
-            let phase = adagp.controller_mut().next_phase();
-            match phase {
-                Phase::WarmUp | Phase::BP => {
-                    let logits =
-                        model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
-                    let (_, dl) = cross_entropy(&logits, &targets);
-                    model.backward(&dl);
-                    adagp.train_predictor_from_sites(&mut model);
-                    opt.step(&mut model);
-                }
-                Phase::GP => {
-                    model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
-                    adagp.apply_predicted_gradients(&mut model);
-                    opt.step(&mut model);
-                }
-            }
-        }
-        adagp.controller_mut().end_epoch();
     }
-    let gp = evaluate(&mut model, &data, eval_batches, budget.batch);
-    (bp, gp)
 }
 
 #[cfg(test)]
@@ -212,6 +208,37 @@ mod tests {
             assert!(arm.loss.is_finite() && arm.loss > 0.0);
             assert!(arm.bleu.is_finite() && (0.0..=100.0).contains(&arm.bleu));
         }
+        assert_eq!(gp, hook_reference_arm(&budget, 5));
+    }
+
+    /// The ADA-GP arm re-issued from `AdaGp`'s public hooks; `train_step`
+    /// must produce the same model, bit for bit.
+    fn hook_reference_arm(budget: &TransformerBudget, seed: u64) -> TransformerArm {
+        use adagp_core::Phase;
+        let data = TranslationDataset::multi30k_like(seed);
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut model = Transformer::new(TransformerConfig::paper_like(data.vocab()), &mut rng);
+        let mut adagp = AdaGp::new(adagp_config(budget), &mut model, &mut rng);
+        let mut opt = Adam::new(2e-3);
+        for _ in 0..budget.epochs {
+            for b in 0..budget.batches_per_epoch {
+                let (src, tgt) = data.train_batch(b, budget.batch);
+                let tgt_in = teacher_inputs(&tgt);
+                let phase = adagp.controller_mut().next_phase();
+                let logits =
+                    model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
+                if phase == Phase::GP {
+                    adagp.apply_predicted_gradients(&mut model);
+                } else {
+                    let (_, dl) = cross_entropy(&logits, &flat_targets(&tgt));
+                    model.backward(&dl);
+                    adagp.train_predictor_from_sites(&mut model);
+                }
+                opt.step(&mut model);
+            }
+            adagp.controller_mut().end_epoch();
+        }
+        evaluate(&mut model, &data, 4, budget.batch)
     }
 
     #[test]

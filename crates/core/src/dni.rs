@@ -10,7 +10,7 @@
 //! skips a backward pass (so the accelerator model gives it ≤1× speed-up),
 //! whereas `AdaGp` skips it on every GP batch.
 
-use crate::metrics::{gradient_errors, GradientErrors};
+use crate::metrics::{gradient_errors, GradientErrors, MAPE_EPS};
 use crate::predictor::{Predictor, PredictorConfig};
 use adagp_nn::module::{site_metas, ForwardCtx, Module};
 use adagp_nn::optim::Optimizer;
@@ -35,7 +35,6 @@ pub struct DniBatchStats {
 pub struct DniTrainer {
     predictor: Predictor,
     sites: Vec<SiteMeta>,
-    mape_eps: f32,
 }
 
 impl std::fmt::Debug for DniTrainer {
@@ -55,11 +54,7 @@ impl DniTrainer {
         let sites = site_metas(model);
         assert!(!sites.is_empty(), "model exposes no prediction sites");
         let predictor = Predictor::for_sites(cfg, &sites, rng);
-        DniTrainer {
-            predictor,
-            sites,
-            mape_eps: 1e-3,
-        }
+        DniTrainer { predictor, sites }
     }
 
     /// Site metadata.
@@ -95,7 +90,6 @@ impl DniTrainer {
         // For every site: compare + train predictor on the true gradient,
         // then *overwrite* the site gradient with the synthetic one.
         let predictor = &mut self.predictor;
-        let eps = self.mape_eps;
         let mut pred_losses = Vec::with_capacity(self.sites.len());
         let mut mapes = Vec::with_capacity(self.sites.len());
         model.visit_sites(&mut |site| {
@@ -103,7 +97,7 @@ impl DniTrainer {
             if let Some(act) = site.take_activation() {
                 let true_grad = site.weight_param().grad.clone();
                 let synthetic = predictor.predict_gradient(&meta, &act);
-                let e: GradientErrors = gradient_errors(&synthetic, &true_grad, eps);
+                let e: GradientErrors = gradient_errors(&synthetic, &true_grad, MAPE_EPS);
                 mapes.push(e.mape);
                 pred_losses.push(predictor.train_step(&meta, &act, &true_grad));
                 let w = site.weight_param();

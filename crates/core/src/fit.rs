@@ -1,5 +1,8 @@
-//! High-level training loop: the epoch/scheduler/phase plumbing that every
-//! harness otherwise re-implements.
+//! High-level training loops: [`fit_adagp_pipelined`] and [`fit_baseline`]
+//! over one copy of the epoch / plateau-scheduler / final-evaluation
+//! plumbing. Harnesses that train a classifier call these; a harness
+//! that must observe per-batch state loops over [`AdaGp::train_batch`]
+//! itself.
 
 use crate::trainer::{evaluate_accuracy, AdaGp, AdaGpConfig, BaselineTrainer};
 use adagp_nn::module::Module;
@@ -68,31 +71,26 @@ pub struct FitReport {
     pub phase_counts: (u64, u64, u64),
 }
 
-/// Trains `model` with ADA-GP end to end and evaluates it.
-pub fn fit_adagp(
+/// The plumbing both fits share: runs `epoch` (one epoch of training,
+/// returning its mean loss) `options.epochs` times, steps the plateau
+/// scheduler on each mean, then evaluates on the test batches. The
+/// caller fills in `phase_counts`.
+fn fit_epochs(
     model: &mut dyn Module,
     data: &dyn BatchSource,
-    cfg: AdaGpConfig,
     opt: &mut dyn Optimizer,
     options: &FitOptions,
-    rng: &mut Prng,
+    mut epoch: impl FnMut(&mut dyn Module, &mut dyn Optimizer) -> f32,
 ) -> FitReport {
-    let mut adagp = AdaGp::new(cfg, model, rng);
     let mut sched = options.plateau.map(|(f, p)| ReduceLrOnPlateau::new(f, p));
     let mut epoch_losses = Vec::with_capacity(options.epochs);
     for _ in 0..options.epochs {
-        let mut loss = 0.0f32;
-        for b in 0..options.batches_per_epoch {
-            let (x, y) = data.train(b, options.batch_size);
-            loss += adagp.train_batch(model, opt, &x, &y).loss;
-        }
-        let mean = loss / options.batches_per_epoch.max(1) as f32;
+        let mean = epoch(model, opt);
         epoch_losses.push(mean);
         if let Some(s) = &mut sched {
             let lr = s.step(mean, opt.lr());
             opt.set_lr(lr);
         }
-        adagp.controller_mut().end_epoch();
     }
     let accuracy = evaluate_accuracy(
         model,
@@ -101,15 +99,15 @@ pub fn fit_adagp(
     FitReport {
         accuracy,
         epoch_losses,
-        phase_counts: adagp.controller_mut().phase_counts(),
+        phase_counts: (0, 0, 0),
     }
 }
 
-/// Trains `model` with ADA-GP using the pipelined batch queue
-/// ([`AdaGp::train_epoch_pipelined`]): batch generation, model work and
-/// predictor updates overlap across batches. Produces bit-identical
-/// results to [`fit_adagp`] — the pipeline buys wall-clock time, not
-/// different math.
+/// Trains `model` with ADA-GP end to end and evaluates it, one
+/// [`AdaGp::train_epoch_pipelined`] per epoch: batch generation, model
+/// work and predictor updates overlap across batches. The result is
+/// bit-identical to a serial [`AdaGp::train_batch`] loop over the same
+/// batches — the pipeline buys wall-clock time, not different math.
 ///
 /// `queue_depth` bounds the prefetch/predictor queues (2–4 is plenty).
 pub fn fit_adagp_pipelined<D: BatchSource + Sync>(
@@ -122,29 +120,17 @@ pub fn fit_adagp_pipelined<D: BatchSource + Sync>(
     rng: &mut Prng,
 ) -> FitReport {
     let mut adagp = AdaGp::new(cfg, model, rng);
-    let mut sched = options.plateau.map(|(f, p)| ReduceLrOnPlateau::new(f, p));
-    let mut epoch_losses = Vec::with_capacity(options.epochs);
-    for _ in 0..options.epochs {
-        let report =
+    let report = fit_epochs(model, data, opt, options, |model, opt| {
+        let epoch =
             adagp.train_epoch_pipelined(model, opt, options.batches_per_epoch, queue_depth, |b| {
                 data.train(b, options.batch_size)
             });
-        let mean = report.mean_loss();
-        epoch_losses.push(mean);
-        if let Some(s) = &mut sched {
-            let lr = s.step(mean, opt.lr());
-            opt.set_lr(lr);
-        }
         adagp.controller_mut().end_epoch();
-    }
-    let accuracy = evaluate_accuracy(
-        model,
-        (0..options.eval_batches).map(|b| data.test(b, options.batch_size)),
-    );
+        epoch.mean_loss()
+    });
     FitReport {
-        accuracy,
-        epoch_losses,
         phase_counts: adagp.controller_mut().phase_counts(),
+        ..report
     }
 }
 
@@ -157,31 +143,17 @@ pub fn fit_baseline(
     options: &FitOptions,
 ) -> FitReport {
     let mut trainer = BaselineTrainer::new();
-    let mut sched = options.plateau.map(|(f, p)| ReduceLrOnPlateau::new(f, p));
-    let mut epoch_losses = Vec::with_capacity(options.epochs);
-    let mut batches = 0u64;
-    for _ in 0..options.epochs {
+    let report = fit_epochs(model, data, opt, options, |model, opt| {
         let mut loss = 0.0f32;
         for b in 0..options.batches_per_epoch {
             let (x, y) = data.train(b, options.batch_size);
             loss += trainer.train_batch(model, opt, &x, &y).loss;
-            batches += 1;
         }
-        let mean = loss / options.batches_per_epoch.max(1) as f32;
-        epoch_losses.push(mean);
-        if let Some(s) = &mut sched {
-            let lr = s.step(mean, opt.lr());
-            opt.set_lr(lr);
-        }
-    }
-    let accuracy = evaluate_accuracy(
-        model,
-        (0..options.eval_batches).map(|b| data.test(b, options.batch_size)),
-    );
+        loss / options.batches_per_epoch.max(1) as f32
+    });
     FitReport {
-        accuracy,
-        epoch_losses,
-        phase_counts: (0, batches, 0),
+        phase_counts: (0, (options.epochs * options.batches_per_epoch) as u64, 0),
+        ..report
     }
 }
 
@@ -232,10 +204,22 @@ mod tests {
             ..Default::default()
         };
 
+        // Serial reference: a plain `train_batch` loop under the same
+        // epoch plumbing.
         let mut rng = Prng::seed_from_u64(5);
         let mut m_serial = model(&mut rng);
         let mut opt = Sgd::new(0.02, 0.9);
-        let serial = fit_adagp(&mut m_serial, &ds, cfg, &mut opt, &options, &mut rng);
+        let mut adagp = AdaGp::new(cfg, &mut m_serial, &mut rng);
+        let mut serial = fit_epochs(&mut m_serial, &ds, &mut opt, &options, |model, opt| {
+            let mut loss = 0.0f32;
+            for b in 0..options.batches_per_epoch {
+                let (x, y) = ds.train_batch(b, options.batch_size);
+                loss += adagp.train_batch(model, opt, &x, &y).loss;
+            }
+            adagp.controller_mut().end_epoch();
+            loss / options.batches_per_epoch as f32
+        });
+        serial.phase_counts = adagp.controller_mut().phase_counts();
 
         let mut rng = Prng::seed_from_u64(5);
         let mut m_pipe = model(&mut rng);
@@ -268,7 +252,15 @@ mod tests {
             ..Default::default()
         };
         cfg.predictor.lr = 1e-3;
-        let report = fit_adagp(&mut m, &ds, cfg, &mut opt, &FitOptions::default(), &mut rng);
+        let report = fit_adagp_pipelined(
+            &mut m,
+            &ds,
+            cfg,
+            &mut opt,
+            &FitOptions::default(),
+            3,
+            &mut rng,
+        );
         assert!(report.accuracy > 40.0, "accuracy {}", report.accuracy);
         let (warmup, bp, gp) = report.phase_counts;
         assert_eq!(warmup, 32);

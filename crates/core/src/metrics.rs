@@ -11,6 +11,10 @@ pub struct GradientErrors {
     pub mse: f32,
 }
 
+/// The MAPE denominator clamp both trainers ([`crate::AdaGp`],
+/// [`crate::DniTrainer`]) score their predictors with.
+pub const MAPE_EPS: f32 = 1e-3;
+
 /// Computes MAPE (percent) and MSE between predicted and true gradients.
 ///
 /// The MAPE denominator is clamped to `eps` to avoid division by

@@ -1,21 +1,31 @@
 //! The ADA-GP trainer: orchestrates warm-up, Phase BP and Phase GP over
 //! any [`Module`] that exposes prediction sites.
 //!
-//! * Phase BP/warm-up (§3.3): forward (recording activations) → loss →
-//!   backward → the predictor trains on each site's `(activation, true
-//!   gradient)` pair → optimizer step with true gradients.
-//! * Phase GP (§3.4): forward (recording activations) → the predictor
+//! There is one training step, [`AdaGp::train_step`]. The caller's closure
+//! runs the task — a recording forward pass, the loss and, only when
+//! asked, the backward pass — and the step owns everything ADA-GP adds:
+//!
+//! * Phase BP/warm-up (§3.3): the closure backpropagates → the predictor
+//!   trains on each site's `(activation, true gradient)` pair → the
+//!   controller hears the batch's MAPE → optimizer step with true
+//!   gradients.
+//! * Phase GP (§3.4): the closure stops after the loss → the predictor
 //!   writes predicted gradients into each site's weight parameter →
 //!   optimizer step. **No backward pass runs** — this is where the
 //!   hardware speed-up comes from.
 //!
-//! [`AdaGp::train_epoch_pipelined`] realizes the paper's overlap at batch
-//! granularity: batch generation, the model's forward/backward work and
-//! the predictor's training updates run on three concurrent stages joined
-//! by bounded queues, while staying bit-identical to the serial loop.
+//! [`AdaGp::train_batch`] is that step with the classification closure
+//! (`Module::forward` + cross-entropy). [`AdaGp::train_epoch_pipelined`]
+//! realizes the paper's overlap at batch granularity: batch generation, the
+//! model's forward/backward work and the predictor's training updates run
+//! on three concurrent stages joined by bounded queues. It is built from
+//! the same pieces as the step — one site harvest, one predictor update
+//! over a batch's examples, one predicted-gradient install — and differs
+//! only in *where* the predictor trains (a queue and a flush barrier
+//! instead of inline), so it stays bit-identical to the serial loop.
 
 use crate::controller::{Phase, PhaseController, ScheduleConfig};
-use crate::metrics::{gradient_errors, GradientErrors, PredictorMetrics};
+use crate::metrics::{gradient_errors, PredictorMetrics, MAPE_EPS};
 use crate::predictor::{Predictor, PredictorConfig};
 use adagp_nn::module::{site_metas, ForwardCtx, Module};
 use adagp_nn::optim::Optimizer;
@@ -25,6 +35,9 @@ use adagp_runtime::{BoundedQueue, PipelineStats, StageReport, WaitGroup};
 use adagp_tensor::softmax::cross_entropy;
 use adagp_tensor::{Prng, Tensor};
 use std::sync::Mutex;
+
+/// EMA decay of the per-site true-gradient norm estimate.
+pub const NORM_EMA_DECAY: f32 = 0.9;
 
 /// ADA-GP configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,8 +49,6 @@ pub struct AdaGpConfig {
     /// Track per-layer MAPE/MSE during BP phases (Figure 15). Adds one
     /// extra predictor forward per site per BP batch.
     pub track_metrics: bool,
-    /// Epsilon for the MAPE denominator clamp.
-    pub mape_eps: f32,
     /// Rescale each predicted gradient to the exponential moving average
     /// of that site's true-gradient norm (observed during BP phases).
     /// The predictor then only has to get the *direction* right; magnitude
@@ -46,8 +57,6 @@ pub struct AdaGpConfig {
     /// per site in hardware. Disable to reproduce the unscaled scheme
     /// (see the `ablation_calibration` harness).
     pub norm_calibration: bool,
-    /// EMA decay for the per-site gradient-norm estimate.
-    pub norm_ema_decay: f32,
 }
 
 impl Default for AdaGpConfig {
@@ -56,9 +65,7 @@ impl Default for AdaGpConfig {
             schedule: ScheduleConfig::default(),
             predictor: PredictorConfig::default(),
             track_metrics: true,
-            mape_eps: 1e-3,
             norm_calibration: true,
-            norm_ema_decay: 0.9,
         }
     }
 }
@@ -149,8 +156,53 @@ impl AdaGp {
         &self.sites
     }
 
-    /// Trains one classification batch (images + integer labels),
-    /// dispatching on the controller's phase.
+    /// Trains one batch of any task, dispatching on the controller's
+    /// phase — the one place a batch's phase is decided and carried out.
+    ///
+    /// `run(model, backprop)` does the task's share: a forward pass that
+    /// records site activations ([`ForwardCtx::train_recording`]), the
+    /// loss (returned; in Phase GP it is reported only) and, when
+    /// `backprop` is true, the task's own backward pass. The step does the
+    /// rest: predictor training and the MAPE report to the controller, or
+    /// the predicted-gradient install; then the optimizer step.
+    pub fn train_step<M: Module + ?Sized>(
+        &mut self,
+        mut model: &mut M,
+        opt: &mut dyn Optimizer,
+        run: impl FnOnce(&mut M, bool) -> f32,
+    ) -> BatchStats {
+        let phase = self.controller.next_phase();
+        obs::span(
+            "train",
+            || format!("batch ({phase:?})"),
+            || {
+                let backprop = phase != Phase::GP;
+                let loss = run(model, backprop);
+                // `&mut model`: a `&mut M` is itself a `Module`, which is
+                // how a possibly unsized `M` becomes `&mut dyn Module`.
+                let (predictor_loss, mape) = if backprop {
+                    let (pred_loss, mape) = self.train_predictor_from_sites(&mut model);
+                    if let Some(m) = mape {
+                        self.controller.report_mape(m);
+                    }
+                    (Some(pred_loss), mape)
+                } else {
+                    self.apply_predicted_gradients(&mut model);
+                    (None, None)
+                };
+                opt.step(&mut model);
+                BatchStats {
+                    phase,
+                    loss,
+                    predictor_loss,
+                    mape,
+                }
+            },
+        )
+    }
+
+    /// Trains one classification batch (images + integer labels):
+    /// [`AdaGp::train_step`] over `Module::forward` and cross-entropy.
     pub fn train_batch(
         &mut self,
         model: &mut dyn Module,
@@ -158,62 +210,9 @@ impl AdaGp {
         x: &Tensor,
         targets: &[usize],
     ) -> BatchStats {
-        let phase = self.controller.next_phase();
-        obs::span(
-            "train",
-            || format!("batch ({phase:?})"),
-            || match phase {
-                Phase::WarmUp | Phase::BP => {
-                    let logits = obs::span(
-                        "train",
-                        || "forward".to_string(),
-                        || model.forward(x, &mut ForwardCtx::train_recording()),
-                    );
-                    let (loss, dlogits) = cross_entropy(&logits, targets);
-                    obs::span(
-                        "train",
-                        || "backward".to_string(),
-                        || model.backward(&dlogits),
-                    );
-                    let (pred_loss, mape) = obs::span(
-                        "train",
-                        || "train predictor".to_string(),
-                        || self.train_predictor_from_sites(model),
-                    );
-                    opt.step(model);
-                    if let Some(m) = mape {
-                        self.controller.report_mape(m);
-                    }
-                    BatchStats {
-                        phase,
-                        loss,
-                        predictor_loss: Some(pred_loss),
-                        mape,
-                    }
-                }
-                Phase::GP => {
-                    let logits = obs::span(
-                        "train",
-                        || "forward".to_string(),
-                        || model.forward(x, &mut ForwardCtx::train_recording()),
-                    );
-                    // Loss is computed for reporting only — no backward pass.
-                    let (loss, _) = cross_entropy(&logits, targets);
-                    obs::span(
-                        "train",
-                        || "apply predicted gradients".to_string(),
-                        || self.apply_predicted_gradients(model),
-                    );
-                    opt.step(model);
-                    BatchStats {
-                        phase,
-                        loss,
-                        predictor_loss: None,
-                        mape: None,
-                    }
-                }
-            },
-        )
+        self.train_step(model, opt, |model, backprop| {
+            classify(model, x, targets, backprop)
+        })
     }
 
     /// Phase BP hook: trains the predictor on every site's recorded
@@ -221,50 +220,23 @@ impl AdaGp {
     /// loss, mean MAPE if tracked)`.
     ///
     /// Call after `model.backward(...)` on a forward pass that recorded
-    /// activations.
+    /// activations. [`AdaGp::train_step`] does; the hook is public for
+    /// callers that re-issue a batch piece by piece.
     pub fn train_predictor_from_sites(&mut self, model: &mut dyn Module) -> (f32, Option<f32>) {
-        let mut losses = Vec::with_capacity(self.sites.len());
-        let mut mapes = Vec::new();
-        let predictor = &mut self.predictor;
-        let metrics = &mut self.metrics;
-        let norm_ema = &mut self.grad_norm_ema;
-        let track = self.cfg.track_metrics;
-        let eps = self.cfg.mape_eps;
-        let decay = self.cfg.norm_ema_decay;
-        let mut site_idx = 0usize;
-        model.visit_sites(&mut |site| {
-            let meta = site.meta();
-            if let Some(act) = site.take_activation() {
-                let true_grad = site.weight_param().grad.clone();
-                update_norm_ema(&mut norm_ema[site_idx], decay, true_grad.norm());
-                let (loss, mape) = train_predictor_on_example(
-                    predictor, metrics, track, eps, site_idx, &meta, &act, &true_grad,
-                );
-                if let Some(m) = mape {
-                    mapes.push(m);
-                }
-                losses.push(loss);
-            }
-            site_idx += 1;
-        });
-        let mean_loss = if losses.is_empty() {
-            0.0
-        } else {
-            losses.iter().sum::<f32>() / losses.len() as f32
-        };
-        let mean_mape = if mapes.is_empty() {
-            None
-        } else {
-            Some(mapes.iter().sum::<f32>() / mapes.len() as f32)
-        };
-        (mean_loss, mean_mape)
+        let examples = harvest_sites(model, &mut self.grad_norm_ema);
+        train_on_examples(
+            &mut self.predictor,
+            &mut self.metrics,
+            self.cfg.track_metrics,
+            examples,
+        )
     }
 
     /// Phase GP hook: writes predicted gradients into every site's weight
     /// parameter. Call after a recording forward pass, then run the
     /// optimizer step; no backward pass is needed.
     pub fn apply_predicted_gradients(&mut self, model: &mut dyn Module) {
-        apply_predicted_gradients_with(
+        install_predicted_gradients(
             &mut self.predictor,
             &self.grad_norm_ema,
             self.cfg.norm_calibration,
@@ -273,75 +245,27 @@ impl AdaGp {
     }
 }
 
-/// Folds one observed true-gradient norm into a site's EMA.
-fn update_norm_ema(ema: &mut Option<f32>, decay: f32, norm: f32) {
-    *ema = Some(match *ema {
-        Some(prev) => decay * prev + (1.0 - decay) * norm,
-        None => norm,
-    });
+/// A `train`-category span with a fixed name.
+fn train_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    obs::span("train", || name.to_string(), f)
 }
 
-/// One site's Phase-BP predictor work: optional metrics pass, then a
-/// training step. Shared by the serial loop and the pipelined predictor
-/// stage so both touch the predictor in exactly the same order.
-#[allow(clippy::too_many_arguments)]
-fn train_predictor_on_example(
-    predictor: &mut Predictor,
-    metrics: &mut PredictorMetrics,
-    track: bool,
-    eps: f32,
-    site_idx: usize,
-    meta: &SiteMeta,
-    act: &Tensor,
-    true_grad: &Tensor,
-) -> (f32, Option<f32>) {
-    let mut mape = None;
-    if track {
-        let predicted = predictor.predict_gradient(meta, act);
-        let e: GradientErrors = gradient_errors(&predicted, true_grad, eps);
-        metrics.record(site_idx, e);
-        mape = Some(e.mape);
+/// The classification task of [`AdaGp::train_batch`] and the pipelined
+/// epoch: recording forward, cross-entropy and, when asked, backward.
+fn classify(model: &mut dyn Module, x: &Tensor, targets: &[usize], backprop: bool) -> f32 {
+    let logits = train_span("forward", || {
+        model.forward(x, &mut ForwardCtx::train_recording())
+    });
+    // In Phase GP the loss is computed for reporting only.
+    let (loss, dlogits) = cross_entropy(&logits, targets);
+    if backprop {
+        train_span("backward", || model.backward(&dlogits));
     }
-    (predictor.train_step(meta, act, true_grad), mape)
+    loss
 }
 
-/// Phase-GP core: predicts, (optionally) norm-calibrates and installs a
-/// gradient for every recorded site.
-fn apply_predicted_gradients_with(
-    predictor: &mut Predictor,
-    norm_ema: &[Option<f32>],
-    calibrate: bool,
-    model: &mut dyn Module,
-) {
-    let mut site_idx = 0usize;
-    model.visit_sites(&mut |site| {
-        let meta = site.meta();
-        if let Some(act) = site.take_activation() {
-            let mut grad = predictor.predict_gradient(&meta, &act);
-            if calibrate {
-                if let Some(target_norm) = norm_ema[site_idx] {
-                    let norm = grad.norm();
-                    if norm > 1e-12 {
-                        // Shrink freely toward the observed true-norm
-                        // scale, but amplify by at most 2x: an
-                        // undertrained predictor (near-zero head) must
-                        // not have its noise inflated to full gradient
-                        // magnitude.
-                        let factor = (target_norm / norm).min(2.0);
-                        grad.scale_in_place(factor);
-                    }
-                }
-            }
-            let w = site.weight_param();
-            w.zero_grad();
-            w.accumulate_grad(&grad);
-        }
-        site_idx += 1;
-    });
-}
-
-/// One site's `(activation, true gradient)` pair queued for the pipelined
-/// predictor stage.
+/// One site's `(activation, true gradient)` pair: what a BP batch teaches
+/// the predictor.
 struct PredictorExample {
     site_idx: usize,
     meta: SiteMeta,
@@ -349,10 +273,116 @@ struct PredictorExample {
     true_grad: Tensor,
 }
 
+/// The site harvest of a BP batch: takes every recorded activation with
+/// its site's true weight gradient, in forward order, folding the
+/// gradient's norm into the site's EMA on the way.
+fn harvest_sites(model: &mut dyn Module, norm_ema: &mut [Option<f32>]) -> Vec<PredictorExample> {
+    let mut examples = Vec::with_capacity(norm_ema.len());
+    let mut site_idx = 0usize;
+    model.visit_sites(&mut |site| {
+        let meta = site.meta();
+        if let Some(act) = site.take_activation() {
+            let true_grad = site.weight_param().grad.clone();
+            let ema = &mut norm_ema[site_idx];
+            let norm = true_grad.norm();
+            *ema = Some(match *ema {
+                Some(prev) => NORM_EMA_DECAY * prev + (1.0 - NORM_EMA_DECAY) * norm,
+                None => norm,
+            });
+            examples.push(PredictorExample {
+                site_idx,
+                meta,
+                act,
+                true_grad,
+            });
+        }
+        site_idx += 1;
+    });
+    examples
+}
+
+/// The predictor's share of a BP batch: per site, in forward order, an
+/// optional metrics pass and then a training step. Returns `(mean
+/// predictor loss, mean MAPE if tracked)`. The serial step runs this
+/// inline and the pipelined epoch on its predictor stage, so both touch
+/// the predictor in exactly the same order.
+fn train_on_examples(
+    predictor: &mut Predictor,
+    metrics: &mut PredictorMetrics,
+    track: bool,
+    examples: Vec<PredictorExample>,
+) -> (f32, Option<f32>) {
+    train_span("train predictor", || {
+        let mut losses = Vec::with_capacity(examples.len());
+        let mut mapes = Vec::new();
+        // By value: each site's tensors are freed as soon as it is done.
+        for ex in examples {
+            if track {
+                let predicted = predictor.predict_gradient(&ex.meta, &ex.act);
+                let e = gradient_errors(&predicted, &ex.true_grad, MAPE_EPS);
+                metrics.record(ex.site_idx, e);
+                mapes.push(e.mape);
+            }
+            losses.push(predictor.train_step(&ex.meta, &ex.act, &ex.true_grad));
+        }
+        let mean = |v: &[f32]| (!v.is_empty()).then(|| v.iter().sum::<f32>() / v.len() as f32);
+        (mean(&losses).unwrap_or(0.0), mean(&mapes))
+    })
+}
+
+/// Phase-GP core: predicts, (optionally) norm-calibrates and installs a
+/// gradient for every recorded site.
+fn install_predicted_gradients(
+    predictor: &mut Predictor,
+    norm_ema: &[Option<f32>],
+    calibrate: bool,
+    model: &mut dyn Module,
+) {
+    train_span("apply predicted gradients", || {
+        let mut site_idx = 0usize;
+        model.visit_sites(&mut |site| {
+            let meta = site.meta();
+            if let Some(act) = site.take_activation() {
+                let mut grad = predictor.predict_gradient(&meta, &act);
+                if calibrate {
+                    if let Some(target_norm) = norm_ema[site_idx] {
+                        let norm = grad.norm();
+                        if norm > 1e-12 {
+                            // Shrink freely toward the observed true-norm
+                            // scale, but amplify by at most 2x: an
+                            // undertrained predictor (near-zero head) must
+                            // not have its noise inflated to full gradient
+                            // magnitude.
+                            let factor = (target_norm / norm).min(2.0);
+                            grad.scale_in_place(factor);
+                        }
+                    }
+                }
+                let w = site.weight_param();
+                w.zero_grad();
+                w.accumulate_grad(&grad);
+            }
+            site_idx += 1;
+        });
+    })
+}
+
 /// All predictor work produced by one Phase-BP batch.
 struct PredictorJob {
     batch: usize,
     examples: Vec<PredictorExample>,
+}
+
+/// Runs its closure when dropped — on the normal path and while unwinding
+/// alike. The pipelined epoch's stages use it to release whoever is
+/// blocked on them when they panic, so the panic surfaces instead of
+/// hanging the epoch.
+struct Defer<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for Defer<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
 }
 
 /// Outcome of [`AdaGp::train_epoch_pipelined`]: per-batch stats plus
@@ -403,7 +433,9 @@ impl AdaGp {
     ///
     /// # Panics
     ///
-    /// Panics if `queue_depth == 0`.
+    /// Panics if `queue_depth == 0`. A panic on any stage — `gen`, the
+    /// model, the predictor — stops the other two and is re-raised here,
+    /// as the serial loop would raise it.
     pub fn train_epoch_pipelined<G>(
         &mut self,
         model: &mut dyn Module,
@@ -425,8 +457,6 @@ impl AdaGp {
             grad_norm_ema,
         } = self;
         let track = cfg.track_metrics;
-        let eps = cfg.mape_eps;
-        let decay = cfg.norm_ema_decay;
         let calibrate = cfg.norm_calibration;
         // With the reactive guard on, phase decisions depend on the
         // predictor stage's MAPEs, so parity with the serial loop requires
@@ -434,189 +464,139 @@ impl AdaGp {
         let flush_every_batch = cfg.schedule.mape_guard.is_some() && track;
 
         let stats = PipelineStats::new(&["datagen", "train", "predictor"]);
-        let batch_queue: BoundedQueue<(usize, Tensor, Vec<usize>)> = BoundedQueue::new(queue_depth);
+        let batch_queue: BoundedQueue<(Tensor, Vec<usize>)> = BoundedQueue::new(queue_depth);
         let pred_queue: BoundedQueue<PredictorJob> = BoundedQueue::new(queue_depth);
         let pending = WaitGroup::new();
         let predictor_cell = Mutex::new(predictor);
-        let metrics_cell = Mutex::new(metrics);
         // (batch, mean predictor loss, mean MAPE) per BP batch, pushed by
-        // the predictor stage as jobs complete.
+        // the predictor stage as jobs complete — in batch order.
         let bp_outcomes: Mutex<Vec<(usize, f32, Option<f32>)>> = Mutex::new(Vec::new());
-        let mut out: Vec<(usize, BatchStats)> = Vec::with_capacity(batches);
+        let mut out: Vec<BatchStats> = Vec::with_capacity(batches);
 
         std::thread::scope(|s| {
             // Stage 0: batch generation. The stage threads are named so
             // their trace lanes are recognizable in a Perfetto dump.
-            std::thread::Builder::new()
+            let datagen = std::thread::Builder::new()
                 .name("adagp-datagen".into())
                 .spawn_scoped(s, || {
+                    let _close = Defer(|| batch_queue.close());
                     for b in 0..batches {
-                        let (x, y) = stats.stage(0).busy(|| gen(b));
-                        if stats.stage(0).idle(|| batch_queue.push((b, x, y))).is_err() {
+                        let batch = stats.stage(0).busy(|| gen(b));
+                        if stats.stage(0).idle(|| batch_queue.push(batch)).is_err() {
                             break;
                         }
                     }
-                    batch_queue.close();
                 })
                 .expect("spawn datagen stage");
 
             // Stage 2: predictor training (single worker => batch order).
-            std::thread::Builder::new()
+            let predictor_stage = std::thread::Builder::new()
                 .name("adagp-predictor".into())
                 .spawn_scoped(s, || {
+                    // However this stage ends, nobody may stay blocked on
+                    // it: refuse further jobs and release the queued ones.
+                    let _release = Defer(|| {
+                        pred_queue.close();
+                        while pred_queue.pop().is_some() {
+                            pending.done();
+                        }
+                    });
                     while let Some(job) = stats.stage(2).idle(|| pred_queue.pop()) {
+                        let _done = Defer(|| pending.done());
                         stats.stage(2).busy(|| {
                             let mut predictor = predictor_cell.lock().unwrap();
-                            let mut metrics = metrics_cell.lock().unwrap();
-                            let mut losses = Vec::with_capacity(job.examples.len());
-                            let mut mapes = Vec::new();
-                            for ex in &job.examples {
-                                let (loss, mape) = train_predictor_on_example(
-                                    &mut predictor,
-                                    &mut metrics,
-                                    track,
-                                    eps,
-                                    ex.site_idx,
-                                    &ex.meta,
-                                    &ex.act,
-                                    &ex.true_grad,
-                                );
-                                if let Some(m) = mape {
-                                    mapes.push(m);
-                                }
-                                losses.push(loss);
-                            }
-                            let mean_loss = if losses.is_empty() {
-                                0.0
-                            } else {
-                                losses.iter().sum::<f32>() / losses.len() as f32
-                            };
-                            let mean_mape = if mapes.is_empty() {
-                                None
-                            } else {
-                                Some(mapes.iter().sum::<f32>() / mapes.len() as f32)
-                            };
-                            bp_outcomes
-                                .lock()
-                                .unwrap()
-                                .push((job.batch, mean_loss, mean_mape));
+                            let (loss, mape) =
+                                train_on_examples(&mut predictor, metrics, track, job.examples);
+                            bp_outcomes.lock().unwrap().push((job.batch, loss, mape));
                         });
-                        pending.done();
                     }
                 })
                 .expect("spawn predictor stage");
 
-            // Stage 1: the training loop (this thread).
-            for _ in 0..batches {
-                let Some((b, x, y)) = stats.stage(1).idle(|| batch_queue.pop()) else {
-                    break;
-                };
-                if flush_every_batch {
-                    stats.stage(1).idle(|| pending.wait());
-                    report_latest_mape(controller, &bp_outcomes);
-                }
-                let phase = controller.next_phase();
-                let batch_stats = match phase {
-                    Phase::WarmUp | Phase::BP => {
-                        let (batch_stats, examples) = stats.stage(1).busy(|| {
-                            let logits = model.forward(&x, &mut ForwardCtx::train_recording());
-                            let (loss, dlogits) = cross_entropy(&logits, &y);
-                            model.backward(&dlogits);
-                            // Harvest (activation, true gradient) pairs and
-                            // EMAs on this thread (batch order); the job is
-                            // handed to stage 2 below.
-                            let mut examples = Vec::new();
-                            let mut site_idx = 0usize;
-                            model.visit_sites(&mut |site| {
-                                let meta = site.meta();
-                                if let Some(act) = site.take_activation() {
-                                    let true_grad = site.weight_param().grad.clone();
-                                    update_norm_ema(
-                                        &mut grad_norm_ema[site_idx],
-                                        decay,
-                                        true_grad.norm(),
-                                    );
-                                    examples.push(PredictorExample {
-                                        site_idx,
-                                        meta,
-                                        act,
-                                        true_grad,
-                                    });
-                                }
-                                site_idx += 1;
-                            });
-                            let batch_stats = BatchStats {
-                                phase,
-                                loss,
-                                predictor_loss: None, // merged from stage 2 below
-                                mape: None,
-                            };
-                            (batch_stats, examples)
-                        });
+            // Stage 1: the training loop (this thread) — the serial step
+            // with the predictor's training handed to stage 2.
+            {
+                // Leaving the loop — done, stopped early or unwinding —
+                // closes both queues, so neither neighbour blocks on one.
+                let _close = Defer(|| {
+                    batch_queue.close();
+                    pred_queue.close();
+                });
+                let stage = stats.stage(1);
+                for b in 0..batches {
+                    // `None`: the datagen stage panicked.
+                    let Some((x, y)) = stage.idle(|| batch_queue.pop()) else {
+                        break;
+                    };
+                    if flush_every_batch {
+                        stage.idle(|| pending.wait());
+                        report_latest_mape(controller, &bp_outcomes);
+                    }
+                    let phase = controller.next_phase();
+                    let backprop = phase != Phase::GP;
+                    let (loss, examples) = stage.busy(|| {
+                        let loss = classify(model, &x, &y, backprop);
+                        // Harvested on this thread, so the norm EMAs advance
+                        // in batch order.
+                        (loss, backprop.then(|| harvest_sites(model, grad_norm_ema)))
+                    });
+                    if let Some(examples) = examples {
                         pending.add(1);
                         // Blocking on a full predictor queue is waiting on
                         // stage 2, so it books as idle time — the measured
                         // stage occupancies must stay comparable to the
                         // sim's predicted utilizations.
-                        let pushed = stats
-                            .stage(1)
-                            .idle(|| pred_queue.push(PredictorJob { batch: b, examples }));
-                        if pushed.is_err() {
+                        let job = PredictorJob { batch: b, examples };
+                        if stage.idle(|| pred_queue.push(job)).is_err() {
+                            // Closed under us: the predictor stage panicked.
                             pending.done();
+                            break;
                         }
-                        stats.stage(1).busy_more(|| opt.step(model));
-                        batch_stats
-                    }
-                    Phase::GP => {
-                        let loss = stats.stage(1).busy(|| {
-                            let logits = model.forward(&x, &mut ForwardCtx::train_recording());
-                            // Loss is computed for reporting only — no
-                            // backward.
-                            cross_entropy(&logits, &y).0
-                        });
+                        stage.busy_more(|| opt.step(model));
+                    } else {
                         // Flush barrier: every queued predictor update must
                         // land before the predictor is read. This is
                         // waiting on stage 2, so it books as idle time.
-                        stats.stage(1).idle(|| pending.wait());
-                        stats.stage(1).busy_more(|| {
-                            let mut predictor = predictor_cell.lock().unwrap();
-                            apply_predicted_gradients_with(
+                        stage.idle(|| pending.wait());
+                        // Poisoned: the predictor stage panicked mid-update.
+                        let Ok(mut predictor) = predictor_cell.lock() else {
+                            break;
+                        };
+                        stage.busy_more(|| {
+                            install_predicted_gradients(
                                 &mut predictor,
                                 grad_norm_ema,
                                 calibrate,
                                 model,
                             );
-                            drop(predictor);
                             opt.step(model);
                         });
-                        BatchStats {
-                            phase,
-                            loss,
-                            predictor_loss: None,
-                            mape: None,
-                        }
                     }
-                };
-                out.push((b, batch_stats));
+                    // BP batches get their predictor loss/MAPE from stage 2
+                    // below.
+                    out.push(BatchStats {
+                        phase,
+                        loss,
+                        predictor_loss: None,
+                        mape: None,
+                    });
+                }
             }
-            pred_queue.close();
             pending.wait();
+            for stage in [datagen, predictor_stage] {
+                if let Err(panic) = stage.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
 
         report_latest_mape(controller, &bp_outcomes);
-
-        // Merge the predictor stage's outcomes into the BP batches' stats.
-        let outcomes = bp_outcomes.into_inner().unwrap();
-        let mut report_batches = Vec::with_capacity(out.len());
-        for (b, mut st) in out {
-            if let Some(&(_, loss, mape)) = outcomes.iter().find(|&&(ob, _, _)| ob == b) {
-                st.predictor_loss = Some(loss);
-                st.mape = mape;
-            }
-            report_batches.push(st);
+        for (b, loss, mape) in bp_outcomes.into_inner().unwrap() {
+            out[b].predictor_loss = Some(loss);
+            out[b].mape = mape;
         }
         PipelinedEpochReport {
-            batches: report_batches,
+            batches: out,
             stages: stats.reports(),
         }
     }
@@ -628,12 +608,8 @@ fn report_latest_mape(
     controller: &mut PhaseController,
     outcomes: &Mutex<Vec<(usize, f32, Option<f32>)>>,
 ) {
-    let guard = outcomes.lock().unwrap();
-    if let Some(&(_, _, Some(mape))) = guard
-        .iter()
-        .filter(|&&(_, _, m)| m.is_some())
-        .max_by_key(|&&(b, _, _)| b)
-    {
+    let latest = outcomes.lock().unwrap().iter().rev().find_map(|o| o.2);
+    if let Some(mape) = latest {
         controller.report_mape(mape);
     }
 }
@@ -704,8 +680,11 @@ pub fn evaluate_accuracy(
 mod tests {
     use super::*;
     use adagp_nn::containers::Sequential;
-    use adagp_nn::layers::{Conv2d, Flatten, Linear, Relu};
+    use adagp_nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
+    use adagp_nn::module::PredictionSite;
     use adagp_nn::optim::Sgd;
+    use adagp_nn::Param;
+    use std::time::Duration;
 
     fn tiny_model(rng: &mut Prng) -> Sequential {
         let mut m = Sequential::new();
@@ -806,64 +785,124 @@ mod tests {
         assert!(adagp.metrics().layer_mean(1).is_some());
     }
 
-    /// Runs `batches` batches serially and pipelined from identical seeds
-    /// and asserts the resulting model weights are bit-identical.
-    fn assert_pipeline_matches_serial(cfg: AdaGpConfig, batches: usize, depth: usize) {
-        let ds = |b: usize| {
-            // Deterministic synthetic batches: pure function of b.
-            let mut rng = Prng::seed_from_u64(1000 + b as u64);
-            let x = adagp_tensor::init::gaussian(&[2, 1, 4, 4], 0.0, 1.0, &mut rng);
-            (x, vec![b % 3, (b + 1) % 3])
-        };
+    /// A model with a batch-norm, a depthwise conv and a `Linear` site
+    /// behind the first conv: more site kinds and cached state than
+    /// [`tiny_model`].
+    fn mixed_model(rng: &mut Prng) -> Sequential {
+        let mut m = Sequential::new();
+        m.push(Conv2d::new(1, 4, 3, 1, 1, true, rng));
+        m.push(BatchNorm2d::new(4));
+        m.push(Relu::new());
+        m.push(DepthwiseConv2d::new(4, 3, 1, 1, rng));
+        m.push(Relu::new());
+        m.push(Flatten::new());
+        m.push(Linear::new(4 * 4 * 4, 3, true, rng));
+        m
+    }
 
-        // Serial arm.
+    /// Deterministic synthetic batches: a pure function of `b`.
+    fn synthetic_batch(b: usize) -> (Tensor, Vec<usize>) {
+        let mut rng = Prng::seed_from_u64(1000 + b as u64);
+        let x = adagp_tensor::init::gaussian(&[2, 1, 4, 4], 0.0, 1.0, &mut rng);
+        (x, vec![b % 3, (b + 1) % 3])
+    }
+
+    fn weights(model: &mut Sequential) -> Vec<Tensor> {
+        let mut w = Vec::new();
+        model.visit_params(&mut |p| w.push(p.value.clone()));
+        w
+    }
+
+    /// Asserts two arms that must have done the same math did: model
+    /// weights, norm EMAs, per-layer metrics and the predictor's state,
+    /// bit for bit.
+    fn assert_same_state(
+        (a, model_a): (&mut AdaGp, &mut Sequential),
+        (b, model_b): (&mut AdaGp, &mut Sequential),
+    ) {
+        assert_eq!(weights(model_a), weights(model_b), "model weights diverged");
+        assert_eq!(a.grad_norm_ema, b.grad_norm_ema, "norm EMAs diverged");
+        for l in 0..a.sites().len() {
+            assert_eq!(
+                a.metrics().layer_mean(l),
+                b.metrics().layer_mean(l),
+                "layer {l} metrics diverged"
+            );
+        }
+        let meta = a.sites()[0].clone();
+        let act = Tensor::ones(&[2, meta.out_channels(), 4, 4]);
+        assert_eq!(
+            a.predictor_mut().predict_gradient(&meta, &act),
+            b.predictor_mut().predict_gradient(&meta, &act),
+            "predictor state diverged"
+        );
+    }
+
+    /// Runs `epochs` epochs of `batches` batches serially and pipelined
+    /// from identical seeds and asserts the two arms end bit-identical.
+    fn assert_pipeline_matches_serial_on(
+        build: fn(&mut Prng) -> Sequential,
+        cfg: AdaGpConfig,
+        epochs: usize,
+        batches: usize,
+        depth: usize,
+    ) {
         let mut rng = Prng::seed_from_u64(42);
-        let mut m_serial = tiny_model(&mut rng);
+        let mut m_serial = build(&mut rng);
         let mut adagp_serial = AdaGp::new(cfg, &mut m_serial, &mut rng);
         let mut opt_serial = Sgd::new(0.05, 0.9);
-        let mut serial_stats = Vec::new();
-        for b in 0..batches {
-            let (x, y) = ds(b);
-            serial_stats.push(adagp_serial.train_batch(&mut m_serial, &mut opt_serial, &x, &y));
-        }
 
         // Pipelined arm (same seeds).
         let mut rng = Prng::seed_from_u64(42);
-        let mut m_pipe = tiny_model(&mut rng);
+        let mut m_pipe = build(&mut rng);
         let mut adagp_pipe = AdaGp::new(cfg, &mut m_pipe, &mut rng);
         let mut opt_pipe = Sgd::new(0.05, 0.9);
-        let report =
-            adagp_pipe.train_epoch_pipelined(&mut m_pipe, &mut opt_pipe, batches, depth, ds);
 
-        // Model weights must match bit for bit.
-        let mut ws = Vec::new();
-        m_serial.visit_params(&mut |p| ws.push(p.value.clone()));
-        let mut wp = Vec::new();
-        m_pipe.visit_params(&mut |p| wp.push(p.value.clone()));
-        assert_eq!(ws, wp, "pipelined weights diverged from serial");
-
-        // Phases, losses, predictor losses and MAPEs must match too.
-        assert_eq!(report.batches.len(), serial_stats.len());
-        for (b, (s, p)) in serial_stats.iter().zip(report.batches.iter()).enumerate() {
-            assert_eq!(s.phase, p.phase, "batch {b} phase");
-            assert_eq!(s.loss, p.loss, "batch {b} loss");
-            assert_eq!(
-                s.predictor_loss, p.predictor_loss,
-                "batch {b} predictor loss"
+        for epoch in 0..epochs {
+            let serial_stats: Vec<BatchStats> = (0..batches)
+                .map(|b| {
+                    let (x, y) = synthetic_batch(b);
+                    adagp_serial.train_batch(&mut m_serial, &mut opt_serial, &x, &y)
+                })
+                .collect();
+            adagp_serial.controller_mut().end_epoch();
+            let report = adagp_pipe.train_epoch_pipelined(
+                &mut m_pipe,
+                &mut opt_pipe,
+                batches,
+                depth,
+                synthetic_batch,
             );
-            assert_eq!(s.mape, p.mape, "batch {b} mape");
+            adagp_pipe.controller_mut().end_epoch();
+
+            // Phases, losses, predictor losses and MAPEs must match.
+            assert_eq!(
+                report.batches, serial_stats,
+                "epoch {epoch} batch stats diverged"
+            );
+            // Stage accounting saw every batch.
+            assert_eq!(report.stages[0].items as usize, batches);
+            assert_eq!(report.stages[1].items as usize, batches);
         }
+        assert_same_state(
+            (&mut adagp_serial, &mut m_serial),
+            (&mut adagp_pipe, &mut m_pipe),
+        );
+    }
 
-        // And the predictor state: both arms must predict identically.
-        let meta = adagp_serial.sites()[0].clone();
-        let act = Tensor::ones(&[2, 4, 4, 4]);
-        let gs = adagp_serial.predictor_mut().predict_gradient(&meta, &act);
-        let gp = adagp_pipe.predictor_mut().predict_gradient(&meta, &act);
-        assert_eq!(gs, gp, "predictor state diverged");
-
-        // Stage accounting saw every batch.
-        assert_eq!(report.stages[0].items as usize, batches);
-        assert_eq!(report.stages[1].items as usize, batches);
+    fn assert_pipeline_matches_serial(cfg: AdaGpConfig, batches: usize, depth: usize) {
+        assert_pipeline_matches_serial_on(tiny_model, cfg, 1, batches, depth);
+        // Two epochs, at most the first of them warm-up, on the
+        // mixed-site model with metrics tracked.
+        let cfg = AdaGpConfig {
+            schedule: ScheduleConfig {
+                warmup_epochs: cfg.schedule.warmup_epochs.min(1),
+                ..cfg.schedule
+            },
+            track_metrics: true,
+            ..cfg
+        };
+        assert_pipeline_matches_serial_on(mixed_model, cfg, 2, batches, depth);
     }
 
     #[test]
@@ -916,6 +955,176 @@ mod tests {
         assert_eq!(report.stages[2].items, 4);
         assert!(report.mean_loss().is_finite());
         assert!(report.stages[1].utilization() > 0.0);
+    }
+
+    /// `train_step` over the cross-entropy closure must equal, bit for
+    /// bit, the batch re-issued from the public hooks in the order the
+    /// benchmark's traced run issues them.
+    #[test]
+    fn train_step_matches_the_public_hook_sequence() {
+        let cfg = AdaGpConfig {
+            schedule: ScheduleConfig {
+                warmup_epochs: 1,
+                // Mid-range for this model, so the guard both vetoes and
+                // allows GP batches and a missed `report_mape` shows.
+                mape_guard: Some(300.0),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut rng = Prng::seed_from_u64(9);
+        let mut m_step = mixed_model(&mut rng);
+        let mut step = AdaGp::new(cfg, &mut m_step, &mut rng);
+        let mut opt_step = Sgd::new(0.05, 0.9);
+        let mut rng = Prng::seed_from_u64(9);
+        let mut m_hooks = mixed_model(&mut rng);
+        let mut hooks = AdaGp::new(cfg, &mut m_hooks, &mut rng);
+        let mut opt_hooks = Sgd::new(0.05, 0.9);
+
+        let mut phases = Vec::new();
+        for epoch in 0..3 {
+            for b in 0..6 {
+                let (x, y) = synthetic_batch(b);
+                let got = step.train_step(&mut m_step, &mut opt_step, |model, backprop| {
+                    let logits = model.forward(&x, &mut ForwardCtx::train_recording());
+                    let (loss, dlogits) = cross_entropy(&logits, &y);
+                    if backprop {
+                        model.backward(&dlogits);
+                    }
+                    loss
+                });
+
+                let peeked = hooks.controller_mut().peek();
+                let phase = hooks.controller_mut().next_phase();
+                assert_eq!(peeked, phase);
+                let logits = m_hooks.forward(&x, &mut ForwardCtx::train_recording());
+                let (loss, dlogits) = cross_entropy(&logits, &y);
+                let (predictor_loss, mape) = if phase == Phase::GP {
+                    hooks.apply_predicted_gradients(&mut m_hooks);
+                    (None, None)
+                } else {
+                    m_hooks.backward(&dlogits);
+                    let (pred_loss, mape) = hooks.train_predictor_from_sites(&mut m_hooks);
+                    if let Some(m) = mape {
+                        hooks.controller_mut().report_mape(m);
+                    }
+                    (Some(pred_loss), mape)
+                };
+                opt_hooks.step(&mut m_hooks);
+                let want = BatchStats {
+                    phase,
+                    loss,
+                    predictor_loss,
+                    mape,
+                };
+                assert_eq!(got, want, "epoch {epoch} batch {b}");
+                phases.push(phase);
+            }
+            step.controller_mut().end_epoch();
+            hooks.controller_mut().end_epoch();
+        }
+        for phase in [Phase::WarmUp, Phase::BP, Phase::GP] {
+            assert!(phases.contains(&phase), "mix never ran {phase:?}");
+        }
+        assert_same_state((&mut step, &mut m_step), (&mut hooks, &mut m_hooks));
+    }
+
+    /// Runs `f` on its own thread and returns the message it panicked
+    /// with. A pipelined epoch that hangs on a stage panic (the behaviour
+    /// before the unwind guards) trips the 10 s watchdog instead.
+    fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the epoch hung instead of panicking")
+            .expect_err("the epoch returned instead of panicking");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |s| s.to_string()),
+        }
+    }
+
+    #[test]
+    fn pipelined_epoch_propagates_a_datagen_panic() {
+        let message = panic_message(|| {
+            let mut rng = Prng::seed_from_u64(7);
+            let mut model = tiny_model(&mut rng);
+            let mut adagp = AdaGp::new(AdaGpConfig::default(), &mut model, &mut rng);
+            let mut opt = Sgd::new(0.01, 0.0);
+            adagp.train_epoch_pipelined(&mut model, &mut opt, 4, 2, |b| {
+                assert_ne!(b, 1, "datagen failed at batch 1");
+                synthetic_batch(b)
+            });
+        });
+        assert!(message.contains("datagen failed at batch 1"), "{message}");
+    }
+
+    /// A conv whose recorded activation disagrees with its weight shape.
+    struct BadSite(Conv2d);
+
+    impl Module for BadSite {
+        fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
+            self.0.forward(x, ctx)
+        }
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            self.0.backward(dy)
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.0.visit_params(f)
+        }
+        fn visit_sites(&mut self, f: &mut dyn FnMut(&mut dyn PredictionSite)) {
+            f(self)
+        }
+    }
+
+    impl PredictionSite for BadSite {
+        fn meta(&self) -> SiteMeta {
+            self.0.meta()
+        }
+        fn weight_param(&mut self) -> &mut Param {
+            self.0.weight_param()
+        }
+        fn activation(&self) -> Option<&Tensor> {
+            self.0.activation()
+        }
+        fn take_activation(&mut self) -> Option<Tensor> {
+            let act = self.0.take_activation()?;
+            let (b, c, h, w) = (act.dim(0), act.dim(1), act.dim(2), act.dim(3));
+            Some(act.reshape(&[b, c / 2, 2 * h, w]))
+        }
+    }
+
+    #[test]
+    fn pipelined_epoch_propagates_a_predictor_stage_panic() {
+        fn setup() -> (Sequential, AdaGp, Sgd) {
+            let mut rng = Prng::seed_from_u64(7);
+            let mut model = Sequential::new();
+            model.push(BadSite(Conv2d::new(1, 4, 3, 1, 1, true, &mut rng)));
+            model.push(Flatten::new());
+            model.push(Linear::new(4 * 4 * 4, 3, true, &mut rng));
+            let adagp = AdaGp::new(AdaGpConfig::default(), &mut model, &mut rng);
+            (model, adagp, Sgd::new(0.01, 0.0))
+        }
+        let expected = "activation channels disagree with weight shape";
+        // The serial step panics cleanly on the bad site ...
+        let serial = panic_message(|| {
+            let (mut model, mut adagp, mut opt) = setup();
+            let (x, y) = synthetic_batch(0);
+            adagp.train_batch(&mut model, &mut opt, &x, &y);
+        });
+        assert!(serial.contains(expected), "{serial}");
+        // ... and so must the epoch whose predictor stage hits it, with
+        // more batches queued behind the failing one than the queues hold.
+        let piped = panic_message(|| {
+            let (mut model, mut adagp, mut opt) = setup();
+            adagp.train_epoch_pipelined(&mut model, &mut opt, 8, 2, synthetic_batch);
+        });
+        assert!(piped.contains(expected), "{piped}");
     }
 
     #[test]

@@ -136,6 +136,26 @@ pub trait Module {
     fn visit_sites(&mut self, _f: &mut dyn FnMut(&mut dyn PredictionSite)) {}
 }
 
+/// A mutable reference to a module is a module, so code generic over
+/// `M: Module + ?Sized` can still hand `&mut dyn Module` to an optimizer.
+impl<M: Module + ?Sized> Module for &mut M {
+    fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
+        (**self).forward(x, ctx)
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        (**self).backward(dy)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        (**self).visit_params(f)
+    }
+
+    fn visit_sites(&mut self, f: &mut dyn FnMut(&mut dyn PredictionSite)) {
+        (**self).visit_sites(f)
+    }
+}
+
 /// Total scalar parameter count of a module.
 pub fn count_params(m: &mut dyn Module) -> usize {
     let mut n = 0;

@@ -72,12 +72,6 @@ pub struct SimConfig {
     /// bypass the prefetch stream (each port moves
     /// `dram_words_per_cycle`, so this scales aggregate bandwidth too).
     pub dram_ports: u32,
-    /// Main PE-array ports. The paper's schedules serialize through
-    /// dependency chains, so >1 changes nothing today; the knob exists
-    /// for hypothetical split-array studies.
-    pub pe_ports: u32,
-    /// ADA-GP-MAX predictor-array ports (same caveat as `pe_ports`).
-    pub pred_ports: u32,
 }
 
 impl Default for SimConfig {
@@ -92,8 +86,6 @@ impl Default for SimConfig {
             batch: MODEL_BATCH,
             buffer_words: Some(BufferConfig::default().capacity_words),
             dram_ports: 1,
-            pe_ports: 1,
-            pred_ports: 1,
         }
     }
 }
@@ -107,8 +99,6 @@ impl SimConfig {
             batch: MODEL_BATCH,
             buffer_words: None,
             dram_ports: 1,
-            pe_ports: 1,
-            pred_ports: 1,
         }
     }
 
@@ -253,8 +243,6 @@ pub struct BatchStats {
     pub buffer_peak: i64,
     /// Busy cycles of the main PE array.
     pub pe_busy: u64,
-    /// Ports (engine capacity) of the main PE array.
-    pub pe_ports: u32,
     /// Σ durations of model tasks (FW, BW-data, BW-weight).
     pub model_cycles: u64,
     /// Σ durations of predictor tasks (fill, update, reload).
@@ -271,7 +259,7 @@ impl BatchStats {
         if self.makespan == 0 {
             return 0.0;
         }
-        self.pe_busy as f64 / (self.makespan as f64 * self.pe_ports as f64)
+        self.pe_busy as f64 / self.makespan as f64
     }
 
     /// How much of the predictor's work the schedule hid: `1 −
@@ -490,10 +478,12 @@ impl BatchGraph {
             assert!(design.is_some(), "ADA-GP phases need a design");
         }
         let mut b = SimBuilder::with_layer_labels(labels);
-        let pe = b.add_resource("pe-array", cfg.pe_ports);
+        // Both arrays are single-ported: the paper's schedules serialize
+        // through dependency chains, so a second port would change nothing.
+        let pe = b.add_resource("pe-array", 1);
         let pred = match design {
             Some(AdaGpDesign::Max) if phase != Phase::Baseline => {
-                Some(b.add_resource("predictor-array", cfg.pred_ports))
+                Some(b.add_resource("predictor-array", 1))
             }
             _ => None,
         };
@@ -520,7 +510,6 @@ impl BatchGraph {
             makespan: 0,
             buffer_peak: 0,
             pe_busy: graph.busy()[pe],
-            pe_ports: cfg.pe_ports,
             model_cycles: 0,
             predictor_cycles: 0,
             spill_cycles: 0,

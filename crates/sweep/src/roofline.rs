@@ -180,10 +180,6 @@ pub struct KneeMemoKey {
     pub batch: usize,
     /// DRAM channel port multiplicity.
     pub dram_ports: u32,
-    /// PE-array port multiplicity.
-    pub pe_ports: u32,
-    /// Predictor-unit port multiplicity.
-    pub pred_ports: u32,
     /// Knee tolerance as raw bits (`f64::to_bits`), keeping the key `Eq`
     /// + `Hash` without float-comparison pitfalls.
     pub tolerance_bits: u64,
@@ -202,8 +198,6 @@ impl KneeMemoKey {
             buffer_words: cfg.buffer_words,
             batch: cfg.batch,
             dram_ports: cfg.dram_ports,
-            pe_ports: cfg.pe_ports,
-            pred_ports: cfg.pred_ports,
             tolerance_bits: tolerance.to_bits(),
         }
     }

@@ -6,8 +6,8 @@
 //! cargo run --release --example train_vgg_cifar
 //! ```
 
-use ada_gp::adagp::trainer::evaluate_accuracy;
-use ada_gp::adagp::{AdaGp, AdaGpConfig, BaselineTrainer, ScheduleConfig};
+use ada_gp::adagp::fit::{fit_adagp_pipelined, fit_baseline, FitOptions};
+use ada_gp::adagp::{AdaGpConfig, ScheduleConfig};
 use ada_gp::nn::data::{DatasetSpec, VisionDataset};
 use ada_gp::nn::models::{build_cnn, CnnModel, ModelConfig};
 use ada_gp::nn::optim::Sgd;
@@ -27,27 +27,23 @@ fn main() {
         depth_div: 4,
         classes: spec.classes,
     };
-    let (epochs, batches, batch) = (6, 16, 8);
+    let options = FitOptions {
+        epochs: 6,
+        batches_per_epoch: 16,
+        batch_size: 8,
+        eval_batches: 4,
+        plateau: None,
+    };
 
     // Arm 1: plain backprop.
     let mut rng = Prng::seed_from_u64(1);
     let mut bp_model = build_cnn(CnnModel::Vgg13, &model_cfg, 3, spec.size, &mut rng);
-    let mut bp = BaselineTrainer::new();
-    let mut opt = Sgd::new(0.01, 0.9);
-    for epoch in 0..epochs {
-        let mut loss = 0.0;
-        for b in 0..batches {
-            let (x, y) = dataset.train_batch(b, batch);
-            loss += bp.train_batch(&mut bp_model, &mut opt, &x, &y).loss;
-        }
-        println!(
-            "BP     epoch {epoch}: mean loss {:.3}",
-            loss / batches as f32
-        );
+    let bp = fit_baseline(&mut bp_model, &dataset, &mut Sgd::new(0.01, 0.9), &options);
+    for (epoch, loss) in bp.epoch_losses.iter().enumerate() {
+        println!("BP     epoch {epoch}: mean loss {loss:.3}");
     }
-    let bp_acc = evaluate_accuracy(&mut bp_model, (0..4).map(|b| dataset.test_batch(b, batch)));
 
-    // Arm 2: ADA-GP (same init seed).
+    // Arm 2: ADA-GP (same init seed), batches pipelined three deep.
     let mut rng = Prng::seed_from_u64(1);
     let mut gp_model = build_cnn(CnnModel::Vgg13, &model_cfg, 3, spec.size, &mut rng);
     let mut cfg = AdaGpConfig {
@@ -59,26 +55,23 @@ fn main() {
         ..Default::default()
     };
     cfg.predictor.lr = 1e-3;
-    let mut adagp = AdaGp::new(cfg, &mut gp_model, &mut rng);
-    let mut opt = Sgd::new(0.01, 0.9);
-    for epoch in 0..epochs {
-        let mut loss = 0.0;
-        for b in 0..batches {
-            let (x, y) = dataset.train_batch(b, batch);
-            loss += adagp.train_batch(&mut gp_model, &mut opt, &x, &y).loss;
-        }
-        println!(
-            "ADA-GP epoch {epoch}: mean loss {:.3}",
-            loss / batches as f32
-        );
-        adagp.controller_mut().end_epoch();
+    let adagp = fit_adagp_pipelined(
+        &mut gp_model,
+        &dataset,
+        cfg,
+        &mut Sgd::new(0.01, 0.9),
+        &options,
+        3,
+        &mut rng,
+    );
+    for (epoch, loss) in adagp.epoch_losses.iter().enumerate() {
+        println!("ADA-GP epoch {epoch}: mean loss {loss:.3}");
     }
-    let gp_acc = evaluate_accuracy(&mut gp_model, (0..4).map(|b| dataset.test_batch(b, batch)));
 
-    let (_, bp_batches, gp_batches) = adagp.controller_mut().phase_counts();
+    let (_, bp_batches, gp_batches) = adagp.phase_counts;
     println!();
-    println!("BP baseline accuracy:  {bp_acc:.2}%");
-    println!("ADA-GP accuracy:       {gp_acc:.2}%");
+    println!("BP baseline accuracy:  {:.2}%", bp.accuracy);
+    println!("ADA-GP accuracy:       {:.2}%", adagp.accuracy);
     println!(
         "ADA-GP skipped the backward pass on {gp_batches} of {} batches",
         bp_batches + gp_batches

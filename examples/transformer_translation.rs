@@ -11,7 +11,7 @@ use ada_gp::nn::data::{TranslationDataset, BOS};
 use ada_gp::nn::metrics::bleu;
 use ada_gp::nn::models::{Transformer, TransformerConfig};
 use ada_gp::nn::module::ForwardCtx;
-use ada_gp::nn::optim::{Adam, Optimizer};
+use ada_gp::nn::optim::Adam;
 use ada_gp::tensor::softmax::cross_entropy;
 use ada_gp::tensor::Prng;
 
@@ -47,25 +47,19 @@ fn main() {
                 })
                 .collect();
             let targets: Vec<usize> = tgt.iter().flatten().copied().collect();
-            match adagp.controller_mut().next_phase() {
-                Phase::WarmUp | Phase::BP => {
-                    let logits =
-                        model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
-                    let (loss, dl) = cross_entropy(&logits, &targets);
-                    loss_sum += loss;
+            // The step decides the phase; the closure is the task: forward,
+            // loss and, outside Phase GP, the transformer's own backward.
+            let stats = adagp.train_step(&mut model, &mut opt, |model, backprop| {
+                let logits =
+                    model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
+                let (loss, dl) = cross_entropy(&logits, &targets);
+                if backprop {
                     model.backward(&dl);
-                    adagp.train_predictor_from_sites(&mut model);
-                    opt.step(&mut model);
                 }
-                Phase::GP => {
-                    let logits =
-                        model.forward_with_ctx(&src, &tgt_in, &mut ForwardCtx::train_recording());
-                    loss_sum += cross_entropy(&logits, &targets).0;
-                    adagp.apply_predicted_gradients(&mut model);
-                    opt.step(&mut model);
-                    gp_count += 1;
-                }
-            }
+                loss
+            });
+            loss_sum += stats.loss;
+            gp_count += usize::from(stats.phase == Phase::GP);
         }
         adagp.controller_mut().end_epoch();
         println!(
