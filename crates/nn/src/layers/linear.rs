@@ -2,7 +2,6 @@
 
 use crate::module::{ForwardCtx, Module, PredictionSite, SiteKind, SiteMeta};
 use crate::param::Param;
-use adagp_tensor::matmul::matmul_backward;
 use adagp_tensor::{init, Prng, Tensor};
 
 /// A fully connected layer `y = x W^T + b`.
@@ -94,9 +93,8 @@ impl Module for Linear {
             .as_ref()
             .expect("Linear::backward called before forward");
         // y = x @ W^T  =>  dx = dy @ W, dW = dy^T @ x.
-        let (dx, dw_t) = matmul_backward(x, &self.weight.value.transpose2(), dy);
-        let dw = dw_t.transpose2();
-        self.weight.accumulate_grad(&dw);
+        let dx = dy.matmul(&self.weight.value);
+        self.weight.accumulate_grad(&dy.matmul_tn(x));
         if let Some(b) = &mut self.bias {
             let (n, f) = (dy.dim(0), dy.dim(1));
             let mut db = vec![0.0f32; f];

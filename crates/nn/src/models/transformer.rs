@@ -11,6 +11,7 @@
 use crate::layers::{LayerNorm, Linear};
 use crate::module::{ForwardCtx, Module, PredictionSite};
 use crate::param::Param;
+use adagp_tensor::gemm::{gemm, Mat};
 use adagp_tensor::softmax::{gelu, gelu_backward};
 use adagp_tensor::{init, Prng, Tensor};
 
@@ -115,6 +116,14 @@ fn positional_encoding(max_len: usize, d_model: usize) -> Tensor {
     Tensor::from_vec(data, &[max_len, d_model])
 }
 
+/// Writes the `(rows, dh)` matrix `src` over the head band of the
+/// `(_, d)` matrix `dst` that starts at element `offset`.
+fn put_head(dst: &mut [f32], offset: usize, d: usize, dh: usize, src: &[f32]) {
+    for (r, row) in src.chunks(dh).enumerate() {
+        dst[offset + r * d..][..dh].copy_from_slice(row);
+    }
+}
+
 /// Multi-head attention with cached intermediates for backward.
 #[derive(Debug)]
 struct MultiHeadAttention {
@@ -173,46 +182,28 @@ impl MultiHeadAttention {
         let v = self.wv.forward(key_value, ctx);
 
         let mut out = vec![0.0f32; batch * lq * d];
+        let mut head = vec![0.0f32; lq * dh];
         let mut probs = Vec::with_capacity(batch * self.n_heads);
         for b in 0..batch {
             for h in 0..self.n_heads {
-                // Score matrix (lq, lk).
+                let (qo, ko) = (b * lq * d + h * dh, b * lk * d + h * dh);
+                let qh = Mat::rows(&q.data()[qo..], d);
+                let kh = Mat::rows(&k.data()[ko..], d);
+                let vh = Mat::rows(&v.data()[ko..], d);
+                // Score matrix (lq, lk): Q_h K_h^T, scaled, future masked.
                 let mut scores = vec![0.0f32; lq * lk];
-                for i in 0..lq {
-                    let qrow =
-                        &q.data()[((b * lq + i) * d + h * dh)..((b * lq + i) * d + (h + 1) * dh)];
-                    for j in 0..lk {
-                        if self.causal && j > i {
-                            scores[i * lk + j] = f32::NEG_INFINITY;
-                            continue;
-                        }
-                        let krow = &k.data()
-                            [((b * lk + j) * d + h * dh)..((b * lk + j) * d + (h + 1) * dh)];
-                        let mut acc = 0.0f32;
-                        for (&qa, &ka) in qrow.iter().zip(krow.iter()) {
-                            acc += qa * ka;
-                        }
-                        scores[i * lk + j] = acc * scale;
+                gemm(lq, lk, dh, qh, kh.t(), &mut scores, false);
+                scores.iter_mut().for_each(|s| *s *= scale);
+                if self.causal {
+                    for (i, row) in scores.chunks_mut(lk).enumerate() {
+                        row[(i + 1).min(lk)..].fill(f32::NEG_INFINITY);
                     }
                 }
                 // Row-wise softmax.
                 let p = adagp_tensor::softmax::softmax(&Tensor::from_vec(scores, &[lq, lk]));
                 // Output rows: o_i = sum_j p_ij * v_j.
-                for i in 0..lq {
-                    let orow =
-                        &mut out[((b * lq + i) * d + h * dh)..((b * lq + i) * d + (h + 1) * dh)];
-                    for j in 0..lk {
-                        let pij = p.data()[i * lk + j];
-                        if pij == 0.0 {
-                            continue;
-                        }
-                        let vrow = &v.data()
-                            [((b * lk + j) * d + h * dh)..((b * lk + j) * d + (h + 1) * dh)];
-                        for (o, &vv) in orow.iter_mut().zip(vrow.iter()) {
-                            *o += pij * vv;
-                        }
-                    }
-                }
+                gemm(lq, dh, lk, Mat::rows(p.data(), lk), vh, &mut head, false);
+                put_head(&mut out, qo, d, dh, &head);
                 probs.push(p);
             }
         }
@@ -246,56 +237,34 @@ impl MultiHeadAttention {
         let mut dk = vec![0.0f32; k.len()];
         let mut dv = vec![0.0f32; v.len()];
 
+        let mut dp = vec![0.0f32; lq * lk];
+        let mut head = vec![0.0f32; lq.max(lk) * dh];
         for b in 0..batch {
             for h in 0..self.n_heads {
-                let p = &probs[b * self.n_heads + h];
-                // dP and dV.
-                let mut dp = vec![0.0f32; lq * lk];
-                for i in 0..lq {
-                    let dorow = &dconcat.data()
-                        [((b * lq + i) * d + h * dh)..((b * lq + i) * d + (h + 1) * dh)];
-                    for j in 0..lk {
-                        let vrow = &v.data()
-                            [((b * lk + j) * d + h * dh)..((b * lk + j) * d + (h + 1) * dh)];
-                        let mut acc = 0.0f32;
-                        for (&go, &vv) in dorow.iter().zip(vrow.iter()) {
-                            acc += go * vv;
-                        }
-                        dp[i * lk + j] = acc;
-                        let pij = p.data()[i * lk + j];
-                        if pij != 0.0 {
-                            let dvrow = &mut dv
-                                [((b * lk + j) * d + h * dh)..((b * lk + j) * d + (h + 1) * dh)];
-                            for (g, &go) in dvrow.iter_mut().zip(dorow.iter()) {
-                                *g += pij * go;
-                            }
-                        }
-                    }
-                }
-                // Softmax backward: ds_ij = p_ij * (dp_ij - sum_j dp_ij p_ij).
-                for i in 0..lq {
-                    let prow = &p.data()[i * lk..(i + 1) * lk];
-                    let dprow = &mut dp[i * lk..(i + 1) * lk];
+                let p = probs[b * self.n_heads + h].data();
+                let (qo, ko) = (b * lq * d + h * dh, b * lk * d + h * dh);
+                let qh = Mat::rows(&q.data()[qo..], d);
+                let kh = Mat::rows(&k.data()[ko..], d);
+                let vh = Mat::rows(&v.data()[ko..], d);
+                let doh = Mat::rows(&dconcat.data()[qo..], d);
+                // dP = dO_h V_h^T and dV_h = P^T dO_h.
+                gemm(lq, lk, dh, doh, vh.t(), &mut dp, false);
+                let pt = Mat::rows(p, lk).t();
+                gemm(lk, dh, lq, pt, doh, &mut head[..lk * dh], false);
+                put_head(&mut dv, ko, d, dh, &head[..lk * dh]);
+                // Softmax backward: ds_ij = p_ij * (dp_ij - sum_j dp_ij p_ij) * scale.
+                for (prow, dprow) in p.chunks(lk).zip(dp.chunks_mut(lk)) {
                     let dot: f32 = prow.iter().zip(dprow.iter()).map(|(&a, &b)| a * b).sum();
                     for (dpv, &pv) in dprow.iter_mut().zip(prow.iter()) {
-                        *dpv = pv * (*dpv - dot);
+                        *dpv = pv * (*dpv - dot) * scale;
                     }
                 }
-                // dQ, dK.
-                for i in 0..lq {
-                    for j in 0..lk {
-                        let ds = dp[i * lk + j] * scale;
-                        if ds == 0.0 {
-                            continue;
-                        }
-                        let qbase = (b * lq + i) * d + h * dh;
-                        let kbase = (b * lk + j) * d + h * dh;
-                        for t in 0..dh {
-                            dq[qbase + t] += ds * k.data()[kbase + t];
-                            dk[kbase + t] += ds * q.data()[qbase + t];
-                        }
-                    }
-                }
+                // dQ_h = dS K_h and dK_h = dS^T Q_h.
+                let ds = Mat::rows(&dp, lk);
+                gemm(lq, dh, lk, ds, kh, &mut head[..lq * dh], false);
+                put_head(&mut dq, qo, d, dh, &head[..lq * dh]);
+                gemm(lk, dh, lq, ds.t(), qh, &mut head[..lk * dh], false);
+                put_head(&mut dk, ko, d, dh, &head[..lk * dh]);
             }
         }
         let dquery = self.wq.backward(&Tensor::from_vec(dq, &[batch * lq, d]));

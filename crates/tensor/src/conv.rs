@@ -6,12 +6,13 @@
 //! predict, so both `conv2d_backward_weight` and `conv2d_backward_data` are
 //! first-class kernels here.
 //!
-//! All three kernels run on the `adagp_runtime` pool, parallelized over
-//! batch × out-channel row blocks (forward / weight-backward) or samples
-//! (data-backward). Each output row keeps the scalar reference's
-//! floating-point accumulation order, so results are bit-identical for
-//! every `ADAGP_THREADS` — see `tests/kernel_properties.rs`.
+//! Each kernel is a lowering (`im2col` / `col2im`) around one
+//! [`gemm`](crate::gemm) call per sample, whose contract fixes the order of
+//! every sum for every `ADAGP_THREADS`. Forward and data-backward run one
+//! block of samples per task with a task-local lowering buffer;
+//! weight-backward sums into `dw` across samples, so it walks them in order.
 
+use crate::gemm::{gemm, Mat};
 use crate::par;
 use crate::Tensor;
 
@@ -163,71 +164,24 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
     let owh = ho * wo;
 
     let mut out = vec![0.0f32; n * cout * owh];
-    let wmat = weight.data(); // (cout, patch) row-major
+    let wmat = Mat::rows(weight.data(), patch); // (cout, patch)
 
-    let pool = adagp_runtime::pool();
     let work = n * cout * patch * owh;
-    let cols_len = n * patch * owh;
-    if pool.size() == 1 || n * cout < 2 || work < par::PAR_MIN_WORK || cols_len > par::SCRATCH_CAP {
-        // Memory-lean serial path: one cols buffer reused across samples.
+    par::row_blocks(&mut out, n, cout * owh, work, |first, chunk| {
         let mut cols = vec![0.0f32; patch * owh];
-        for ni in 0..n {
-            let sample = &input.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
+        let samples = input.data().chunks(cin * h * w).skip(first);
+        for (y, sample) in chunk.chunks_mut(cout * owh).zip(samples) {
             im2col(sample, cin, h, w, kh, kw, p, &mut cols);
-            let obase = ni * cout * owh;
-            for co in 0..cout {
-                let orow = &mut out[obase + co * owh..obase + (co + 1) * owh];
-                conv_out_row(wmat, &cols, bias, co, patch, owh, orow);
+            gemm(cout, owh, patch, wmat, Mat::rows(&cols, owh), y, false);
+            if let Some(b) = bias {
+                // After the sum, so the bias is the last term of every element.
+                for (yrow, &bv) in y.chunks_mut(owh).zip(b.data()) {
+                    yrow.iter_mut().for_each(|v| *v += bv);
+                }
             }
         }
-    } else {
-        // Stage 1: lower every sample in parallel (one chunk per sample).
-        let mut cols_all = vec![0.0f32; cols_len];
-        pool.parallel_chunks(&mut cols_all, patch * owh, |ni, cols| {
-            let sample = &input.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-            im2col(sample, cin, h, w, kh, kw, p, cols);
-        });
-        // Stage 2: each (sample, out-channel) output row is one work item.
-        par::row_blocks(&mut out, n * cout, owh, work, |first, chunk| {
-            for (r, orow) in chunk.chunks_mut(owh).enumerate() {
-                let row = first + r;
-                let (ni, co) = (row / cout, row % cout);
-                let cols = &cols_all[ni * patch * owh..(ni + 1) * patch * owh];
-                conv_out_row(wmat, cols, bias, co, patch, owh, orow);
-            }
-        });
-    }
+    });
     Tensor::from_vec(out, &[n, cout, ho, wo])
-}
-
-/// Computes one `(sample, out-channel)` output row: `orow += wmat[co] .
-/// cols`, plus the channel bias. Shared by the serial and parallel paths so
-/// both accumulate in the same order.
-fn conv_out_row(
-    wmat: &[f32],
-    cols: &[f32],
-    bias: Option<&Tensor>,
-    co: usize,
-    patch: usize,
-    owh: usize,
-    orow: &mut [f32],
-) {
-    let wrow = &wmat[co * patch..(co + 1) * patch];
-    for (pi, &wv) in wrow.iter().enumerate() {
-        if wv == 0.0 {
-            continue;
-        }
-        let crow = &cols[pi * owh..(pi + 1) * owh];
-        for (ov, &cv) in orow.iter_mut().zip(crow.iter()) {
-            *ov += wv * cv;
-        }
-    }
-    if let Some(b) = bias {
-        let bv = b.data()[co];
-        for ov in orow.iter_mut() {
-            *ov += bv;
-        }
-    }
 }
 
 /// Gradient of the convolution with respect to its input.
@@ -261,32 +215,15 @@ pub fn conv2d_backward_data(
     let owh = ho * wo;
 
     let mut dx = vec![0.0f32; n * cin * h * w];
-    let wmat = weight.data();
+    let wmat_t = Mat::rows(weight.data(), patch).t(); // (patch, cout)
 
-    // Each sample's dx is independent: one chunk per sample, with a
-    // task-local dcols scratch buffer. Per-sample math is untouched, so the
-    // result matches the serial path bit for bit.
     let work = n * cout * patch * owh;
     par::row_blocks(&mut dx, n, cin * h * w, work, |first, chunk| {
         let mut dcols = vec![0.0f32; patch * owh];
-        for (r, dx_sample) in chunk.chunks_mut(cin * h * w).enumerate() {
-            let ni = first + r;
-            // dcols = W^T @ dy_sample, dy_sample is (cout, owh)
-            dcols.iter_mut().for_each(|v| *v = 0.0);
-            let dybase = ni * cout * owh;
-            for co in 0..cout {
-                let wrow = &wmat[co * patch..(co + 1) * patch];
-                let dyrow = &dy.data()[dybase + co * owh..dybase + (co + 1) * owh];
-                for (pi, &wv) in wrow.iter().enumerate() {
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    let drow = &mut dcols[pi * owh..(pi + 1) * owh];
-                    for (dv, &gy) in drow.iter_mut().zip(dyrow.iter()) {
-                        *dv += wv * gy;
-                    }
-                }
-            }
+        let dy_samples = dy.data().chunks(cout * owh).skip(first);
+        for (dx_sample, dy_sample) in chunk.chunks_mut(cin * h * w).zip(dy_samples) {
+            let dy_mat = Mat::rows(dy_sample, owh);
+            gemm(patch, owh, cout, wmat_t, dy_mat, &mut dcols, false);
             col2im(&dcols, cin, h, w, kh, kw, p, dx_sample);
         }
     });
@@ -326,65 +263,22 @@ pub fn conv2d_backward_weight(
     let mut dw = vec![0.0f32; cout * patch];
     let mut db = vec![0.0f32; cout];
 
-    let pool = adagp_runtime::pool();
-    let work = n * cout * patch * owh;
-    let cols_len = n * patch * owh;
-    if pool.size() == 1 || cout < 2 || work < par::PAR_MIN_WORK || cols_len > par::SCRATCH_CAP {
-        // Memory-lean serial path. The ni-outer loop order means every
-        // dw element accumulates its per-sample contribution in ascending
-        // sample order — the same order the parallel path reproduces.
-        let mut cols = vec![0.0f32; patch * owh];
-        for ni in 0..n {
-            let sample = &input.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-            im2col(sample, cin, h, w, kh, kw, p, &mut cols);
-            let dybase = ni * cout * owh;
-            for co in 0..cout {
-                let dyrow = &dy.data()[dybase + co * owh..dybase + (co + 1) * owh];
-                let dwrow = &mut dw[co * patch..(co + 1) * patch];
-                dw_accumulate_row(&cols, dyrow, owh, dwrow, &mut db[co]);
-            }
+    // dw += dy_sample (cout, owh) . cols^T (owh, patch): each sample's
+    // product is summed from zero, then added in ascending sample order.
+    let mut cols = vec![0.0f32; patch * owh];
+    let samples = input.data().chunks(cin * h * w);
+    for (sample, dy_sample) in samples.zip(dy.data().chunks(cout * owh)) {
+        im2col(sample, cin, h, w, kh, kw, p, &mut cols);
+        let (dy_mat, cols_t) = (Mat::rows(dy_sample, owh), Mat::rows(&cols, owh).t());
+        gemm(cout, patch, owh, dy_mat, cols_t, &mut dw, true);
+        for (dbv, dyrow) in db.iter_mut().zip(dy_sample.chunks(owh)) {
+            *dbv += dyrow.iter().sum::<f32>();
         }
-    } else {
-        // Stage 1: lower every sample in parallel.
-        let mut cols_all = vec![0.0f32; cols_len];
-        pool.parallel_chunks(&mut cols_all, patch * owh, |ni, cols| {
-            let sample = &input.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-            im2col(sample, cin, h, w, kh, kw, p, cols);
-        });
-        // Stage 2: each out-channel owns its dw row and db cell; samples
-        // are consumed in ascending order inside the task, matching the
-        // serial accumulation order exactly.
-        par::row_blocks_pair(&mut dw, &mut db, cout, patch, 1, work, |first, dwc, dbc| {
-            for (r, (dwrow, dbv)) in dwc.chunks_mut(patch).zip(dbc.iter_mut()).enumerate() {
-                let co = first + r;
-                for ni in 0..n {
-                    let cols = &cols_all[ni * patch * owh..(ni + 1) * patch * owh];
-                    let dybase = ni * cout * owh;
-                    let dyrow = &dy.data()[dybase + co * owh..dybase + (co + 1) * owh];
-                    dw_accumulate_row(cols, dyrow, owh, dwrow, dbv);
-                }
-            }
-        });
     }
     (
         Tensor::from_vec(dw, &[cout, cin, kh, kw]),
         Tensor::from_vec(db, &[cout]),
     )
-}
-
-/// Accumulates one sample's contribution to one out-channel's weight
-/// gradient row and bias gradient. Shared by the serial and parallel paths
-/// so both sum in the same order.
-fn dw_accumulate_row(cols: &[f32], dyrow: &[f32], owh: usize, dwrow: &mut [f32], dbv: &mut f32) {
-    for (pi, dwv) in dwrow.iter_mut().enumerate() {
-        let crow = &cols[pi * owh..(pi + 1) * owh];
-        let mut acc = 0.0f32;
-        for (&cv, &gy) in crow.iter().zip(dyrow.iter()) {
-            acc += cv * gy;
-        }
-        *dwv += acc;
-    }
-    *dbv += dyrow.iter().sum::<f32>();
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 
 pub mod conv;
 pub mod error;
+pub mod gemm;
 pub mod init;
 pub mod matmul;
 pub mod norm;

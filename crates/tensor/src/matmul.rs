@@ -1,14 +1,18 @@
-//! Matrix multiplication kernels (forward and backward).
+//! Matrix products (forward and backward).
 //!
-//! Linear layers, im2col convolution and attention all reduce to the GEMM
-//! kernels in this module. Each kernel is written row-block-wise: a block
-//! of output rows is a self-contained unit of work with a fixed
-//! floating-point accumulation order, so the same code runs serially or
-//! sharded across the `adagp_runtime` thread pool with **bit-identical**
-//! results for every `ADAGP_THREADS` (see `tests/kernel_properties.rs`).
+//! `matmul`, `matmul_tn` and `matmul_nt` are three choices of operand view
+//! over the one kernel in [`crate::gemm`] — a transposed operand is a stride
+//! swap, not a copy — and inherit its order contract bit for bit.
 
-use crate::par;
+use crate::gemm::{gemm, Mat};
 use crate::Tensor;
+
+/// `a (m, k) · b (k, n)` into a fresh `(m, n)` tensor.
+fn product(m: usize, n: usize, k: usize, a: Mat, b: Mat) -> Tensor {
+    let mut out = vec![0.0f32; m * n];
+    gemm(m, n, k, a, b, &mut out, false);
+    Tensor::from_vec(out, &[m, n])
+}
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `(m, k) x (k, n) -> (m, n)`.
@@ -36,9 +40,8 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut out = vec![0.0f32; m * n];
-        gemm(self.data(), other.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
+        let (a, b) = (Mat::rows(self.data(), k), Mat::rows(other.data(), n));
+        product(m, n, k, a, b)
     }
 
     /// `self^T @ other` without materializing the transpose:
@@ -53,26 +56,8 @@ impl Tensor {
         let (k, m) = (self.dim(0), self.dim(1));
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul_tn: leading dimensions disagree");
-        let mut out = vec![0.0f32; m * n];
-        let (a, b) = (self.data(), other.data());
-        // out[i][j] = sum_p self[p][i] * other[p][j], p ascending per element.
-        let rows = |first: usize, chunk: &mut [f32]| {
-            for (r, orow) in chunk.chunks_mut(n).enumerate() {
-                let i = first + r;
-                for p in 0..k {
-                    let av = a[p * m + i];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        };
-        par::row_blocks(&mut out, m, n, m * k * n, rows);
-        Tensor::from_vec(out, &[m, n])
+        let (a, b) = (Mat::rows(self.data(), m).t(), Mat::rows(other.data(), n));
+        product(m, n, k, a, b)
     }
 
     /// `self @ other^T` without materializing the transpose:
@@ -87,46 +72,9 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (n, k2) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul_nt: trailing dimensions disagree");
-        let mut out = vec![0.0f32; m * n];
-        let (a, b) = (self.data(), other.data());
-        let rows = |first: usize, chunk: &mut [f32]| {
-            for (r, orow) in chunk.chunks_mut(n).enumerate() {
-                let i = first + r;
-                let arow = &a[i * k..(i + 1) * k];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let brow = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                        acc += av * bv;
-                    }
-                    *o = acc;
-                }
-            }
-        };
-        par::row_blocks(&mut out, m, n, m * k * n, rows);
-        Tensor::from_vec(out, &[m, n])
+        let (a, b) = (Mat::rows(self.data(), k), Mat::rows(other.data(), k).t());
+        product(m, n, k, a, b)
     }
-}
-
-/// Raw GEMM: `c += a(m,k) * b(k,n)` with `c` pre-zeroed by the caller.
-/// Cache-friendly ikj loop, sharded over blocks of output rows.
-fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let rows = |first: usize, chunk: &mut [f32]| {
-        for (r, crow) in chunk.chunks_mut(n).enumerate() {
-            let i = first + r;
-            let arow = &a[i * k..(i + 1) * k];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                    *cv += av * bv;
-                }
-            }
-        }
-    };
-    par::row_blocks(c, m, n, m * k * n, rows);
 }
 
 /// Gradients of `y = x @ w` with respect to both operands.

@@ -1,4 +1,4 @@
-//! Serial/parallel dispatch for the kernels in this crate.
+//! The one serial/parallel decision for the kernels in this crate.
 //!
 //! Every parallel kernel is expressed as a *row-block* function: given a
 //! first row index and a mutable block of whole output rows, it computes
@@ -9,33 +9,38 @@
 //! each row is written by exactly one task.
 
 use adagp_runtime::det_chunk_len;
+use std::cell::Cell;
 
 /// Estimated scalar-op count below which parallel dispatch is not worth
 /// the queueing overhead and the kernel runs inline.
 pub(crate) const PAR_MIN_WORK: usize = 16 * 1024;
 
-/// Cap (in `f32` elements) on scratch buffers materialized to enable
-/// parallelism (e.g. batched im2col); above it kernels fall back to the
-/// memory-lean serial path.
-pub(crate) const SCRATCH_CAP: usize = 1 << 24;
+thread_local! {
+    /// Set while this thread runs a block. Blocks do not nest: a kernel called
+    /// from one (a convolution's per-sample `gemm`) runs inline, as does any
+    /// kernel on a thread where a block panicked and left this set.
+    static IN_BLOCK: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Splits `out` — viewed as `rows` rows of `row_len` elements — into fixed
-/// row blocks and runs `f(first_row, block)` for each, in parallel when
-/// `work` (a rough op-count estimate, used *only* for the serial/parallel
-/// decision) says it pays off.
+/// Splits `out` — `rows` rows of `row_len` elements, the last possibly
+/// short — into fixed row blocks and runs `f(first_row, block)` for each, in
+/// parallel when `work` (a rough op-count estimate, used *only* for the
+/// serial/parallel decision) says it pays off.
 pub(crate) fn row_blocks<F>(out: &mut [f32], rows: usize, row_len: usize, work: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    debug_assert_eq!(out.len(), rows * row_len);
+    debug_assert!(row_len == 0 || out.len().div_ceil(row_len) == rows);
     let pool = adagp_runtime::pool();
-    if pool.size() == 1 || rows < 2 || work < PAR_MIN_WORK {
+    if IN_BLOCK.get() || rows < 2 || work < PAR_MIN_WORK || pool.size() == 1 {
         f(0, out);
         return;
     }
     let chunk_rows = det_chunk_len(rows);
     pool.parallel_chunks(out, chunk_rows * row_len.max(1), |ci, chunk| {
-        f(ci * chunk_rows, chunk)
+        IN_BLOCK.set(true);
+        f(ci * chunk_rows, chunk);
+        IN_BLOCK.set(false);
     });
 }
 

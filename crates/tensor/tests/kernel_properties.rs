@@ -8,6 +8,7 @@
 
 use adagp_runtime::with_threads;
 use adagp_tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weight, Conv2dParams};
+use adagp_tensor::gemm::{gemm, Mat, MR, NR};
 use adagp_tensor::norm::batchnorm2d_forward;
 use adagp_tensor::pool::{avgpool2d, avgpool2d_backward, global_avgpool, maxpool2d};
 use adagp_tensor::softmax::{cross_entropy, log_softmax, relu, relu_backward};
@@ -298,3 +299,401 @@ fn large_shapes_thread_invariant() {
         vec![y, dx, dw, db, a.matmul(&b)]
     });
 }
+
+// ---------------------------------------------------------------------------
+// The GEMM core under every product kernel: its order contract, a
+// differential check against f64, IEEE propagation, and a cross-commit pin
+// of the output bytes.
+// ---------------------------------------------------------------------------
+
+/// Sizes around the register tile for `m` and `n` with short `k`, sizes on
+/// both sides of the parallel-dispatch threshold (16 Ki multiply-adds), and
+/// a seeded draw.
+fn gemm_shapes() -> Vec<(usize, usize, usize)> {
+    let edges = [1, 2, 3, MR - 1, MR + 1, NR - 1, NR + 1];
+    let mut shapes = Vec::new();
+    for m in edges {
+        for n in edges {
+            for k in [0, 1, 2, 5] {
+                shapes.push((m, n, k));
+            }
+        }
+    }
+    shapes.extend([(33, 17, 29), (33, 17, 30), (64, 40, 48), (130, 24, 19)]);
+    let mut rng = Prng::seed_from_u64(0x6e44);
+    for _ in 0..24 {
+        shapes.push((
+            draw(&mut rng, 1, 70),
+            draw(&mut rng, 1, 48),
+            draw(&mut rng, 0, 48),
+        ));
+    }
+    shapes
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// `gemm` equals its documented contract — `p` ascending through one `f32`
+/// accumulator — bit for bit: all four operand views × {assign, accumulate},
+/// at 1, 2, 4 and 7 threads.
+#[test]
+fn gemm_matches_scalar_reference_bit_for_bit() {
+    let mut rng = Prng::seed_from_u64(0x9e33);
+    let cases: Vec<_> = gemm_shapes()
+        .into_iter()
+        .map(|(m, n, k)| {
+            let a = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+            let b = init::gaussian(&[k, n], 0.0, 1.0, &mut rng);
+            let c0 = init::gaussian(&[m, n], 0.0, 1.0, &mut rng);
+            (a, b, c0)
+        })
+        .collect();
+    let reference = |a: &Tensor, b: &Tensor, c: &mut [f32], accumulate: bool| {
+        let (m, k, n) = (a.dim(0), a.dim(1), b.dim(1));
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a.data()[i * k + p] * b.data()[p * n + j];
+                }
+                if accumulate {
+                    c[i * n + j] += acc;
+                } else {
+                    c[i * n + j] = acc;
+                }
+            }
+        }
+    };
+    assert_thread_invariant("gemm", || {
+        let mut outputs = Vec::new();
+        for (a, b, c0) in &cases {
+            let (m, k, n) = (a.dim(0), a.dim(1), b.dim(1));
+            let (at, bt) = (a.transpose2(), b.transpose2());
+            for accumulate in [false, true] {
+                let mut expected = c0.data().to_vec();
+                reference(a, b, &mut expected, accumulate);
+                for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let av = if ta {
+                        Mat::rows(at.data(), m).t()
+                    } else {
+                        Mat::rows(a.data(), k)
+                    };
+                    let bv = if tb {
+                        Mat::rows(bt.data(), k).t()
+                    } else {
+                        Mat::rows(b.data(), n)
+                    };
+                    let mut c = c0.data().to_vec();
+                    gemm(m, n, k, av, bv, &mut c, accumulate);
+                    assert!(
+                        same_bits(&c, &expected),
+                        "gemm {m}x{n}x{k} ta={ta} tb={tb} accumulate={accumulate}"
+                    );
+                    outputs.push(Tensor::from_vec(c, &[m, n]));
+                }
+            }
+        }
+        outputs
+    });
+}
+
+/// Exact (f64) sums next to their `Σ|aᵢbᵢ|`, one pair per output element.
+struct ExactSums {
+    sum: Vec<f64>,
+    abs: Vec<f64>,
+}
+
+impl ExactSums {
+    fn new(len: usize) -> Self {
+        ExactSums {
+            sum: vec![0.0; len],
+            abs: vec![0.0; len],
+        }
+    }
+
+    fn add(&mut self, i: usize, a: f32, b: f32) {
+        let term = f64::from(a) * f64::from(b);
+        self.sum[i] += term;
+        self.abs[i] += term.abs();
+    }
+
+    /// The stated bound: an `f32` sum of `terms` products, in any order,
+    /// is within `terms · ε · Σ|aᵢbᵢ|` of the exact value (ε = 2⁻²³, twice
+    /// the unit roundoff, which covers the product roundings too).
+    fn assert_bounds(&self, label: &str, got: &Tensor, terms: usize) {
+        assert_eq!(got.len(), self.sum.len(), "{label}: length");
+        for (i, &g) in got.data().iter().enumerate() {
+            let bound = terms as f64 * f64::from(f32::EPSILON) * self.abs[i];
+            let err = (f64::from(g) - self.sum[i]).abs();
+            assert!(
+                err <= bound,
+                "{label}[{i}]: {g} vs exact {} (error {err:e}, bound {bound:e})",
+                self.sum[i]
+            );
+        }
+    }
+}
+
+/// The three matrix products against a naive f64 reference, over the
+/// `gemm` shape sweep.
+#[test]
+fn matmul_family_within_bound_of_f64_reference() {
+    let mut rng = Prng::seed_from_u64(0xd1ff);
+    for (m, n, k) in gemm_shapes() {
+        let a = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+        let b = init::gaussian(&[k, n], 0.0, 1.0, &mut rng);
+        let mut exact = ExactSums::new(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    exact.add(i * n + j, a.data()[i * k + p], b.data()[p * n + j]);
+                }
+            }
+        }
+        let label = format!("{m}x{n}x{k}");
+        exact.assert_bounds(&format!("matmul {label}"), &a.matmul(&b), k);
+        exact.assert_bounds(
+            &format!("matmul_tn {label}"),
+            &a.transpose2().matmul_tn(&b),
+            k,
+        );
+        exact.assert_bounds(
+            &format!("matmul_nt {label}"),
+            &a.matmul_nt(&b.transpose2()),
+            k,
+        );
+    }
+}
+
+/// The three convolution kernels against a direct (no im2col) f64
+/// convolution: one walk over the index relation `y[n, co, oy, ox] ∋
+/// x[n, ci, iy, ix] · w[co, ci, ki, kj]` yields all three references.
+#[test]
+fn conv_kernels_within_bound_of_f64_reference() {
+    cases(|rng| {
+        let (n, cin, cout) = (draw(rng, 1, 4), draw(rng, 1, 5), draw(rng, 1, 7));
+        let (h, w) = (draw(rng, 4, 10), draw(rng, 4, 10));
+        let (kh, kw) = (draw(rng, 1, 4), draw(rng, 1, 4));
+        let p = Conv2dParams::new(draw(rng, 1, 3), draw(rng, 0, 2));
+        let (ho, wo) = (p.out_size(h, kh), p.out_size(w, kw));
+        let x = init::gaussian(&[n, cin, h, w], 0.0, 1.0, rng);
+        let wt = init::gaussian(&[cout, cin, kh, kw], 0.0, 0.5, rng);
+        let bias = init::gaussian(&[cout], 0.0, 0.5, rng);
+        let dy = init::gaussian(&[n, cout, ho, wo], 0.0, 1.0, rng);
+
+        let mut y = ExactSums::new(dy.len());
+        let mut dx = ExactSums::new(x.len());
+        let mut dw = ExactSums::new(wt.len());
+        let mut db = ExactSums::new(cout);
+        for ni in 0..n {
+            for co in 0..cout {
+                for oy in 0..ho {
+                    for ox in 0..wo {
+                        let yi = ((ni * cout + co) * ho + oy) * wo + ox;
+                        y.add(yi, bias.data()[co], 1.0);
+                        db.add(co, dy.data()[yi], 1.0);
+                        for ci in 0..cin {
+                            for ki in 0..kh {
+                                for kj in 0..kw {
+                                    let iy = (oy * p.stride + ki).wrapping_sub(p.padding);
+                                    let ix = (ox * p.stride + kj).wrapping_sub(p.padding);
+                                    if iy >= h || ix >= w {
+                                        continue;
+                                    }
+                                    let xi = ((ni * cin + ci) * h + iy) * w + ix;
+                                    let wi = ((co * cin + ci) * kh + ki) * kw + kj;
+                                    y.add(yi, x.data()[xi], wt.data()[wi]);
+                                    dx.add(xi, wt.data()[wi], dy.data()[yi]);
+                                    dw.add(wi, x.data()[xi], dy.data()[yi]);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let label = format!("n{n} {cin}->{cout} {h}x{w} k{kh}x{kw} {p:?}");
+        let got = conv2d(&x, &wt, Some(&bias), &p);
+        y.assert_bounds(&format!("conv2d {label}"), &got, cin * kh * kw + 1);
+        let got = conv2d_backward_data(&dy, &wt, h, w, &p);
+        dx.assert_bounds(&format!("bw_data {label}"), &got, cout * kh * kw);
+        let (got_dw, got_db) = conv2d_backward_weight(&x, &dy, kh, kw, &p);
+        dw.assert_bounds(&format!("bw_weight {label}"), &got_dw, n * ho * wo);
+        db.assert_bounds(&format!("bw_bias {label}"), &got_db, n * ho * wo);
+    });
+}
+
+/// IEEE says `0 × NaN = NaN` and `0 × ∞ = NaN`: a non-finite operand
+/// reaches the output of every product kernel even when it sits opposite
+/// a zero (the four entry points here used to skip zero left operands).
+#[test]
+fn zero_times_non_finite_reaches_the_output() {
+    for bad in [f32::NAN, f32::INFINITY] {
+        let zero_one = |shape: &[usize]| Tensor::from_vec(vec![0.0, 1.0], shape);
+        let b = Tensor::from_vec(vec![bad, 1.0], &[2, 1]);
+        assert!(zero_one(&[1, 2]).matmul(&b).data()[0].is_nan(), "matmul");
+        assert!(
+            zero_one(&[2, 1]).matmul_tn(&b).data()[0].is_nan(),
+            "matmul_tn"
+        );
+        let bad_pixel = Tensor::from_vec(vec![bad], &[1, 1, 1, 1]);
+        let zero_weight = Tensor::zeros(&[1, 1, 1, 1]);
+        let p = Conv2dParams::default();
+        assert!(
+            conv2d(&bad_pixel, &zero_weight, None, &p).data()[0].is_nan(),
+            "conv2d"
+        );
+        assert!(
+            conv2d_backward_data(&bad_pixel, &zero_weight, 1, 1, &p).data()[0].is_nan(),
+            "conv2d_backward_data"
+        );
+    }
+}
+
+/// FNV-1a over the little-endian bytes of every tensor, in order.
+fn fnv1a(tensors: &[&Tensor]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for t in tensors {
+        for v in t.data() {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Hash of forward (with bias), data-backward and weight-backward on one
+/// seeded convolution site.
+fn conv_site_hash(seed: u64, x: [usize; 4], w: [usize; 4], p: Conv2dParams) -> u64 {
+    let mut rng = Prng::seed_from_u64(seed);
+    let [n, _, h, wd] = x;
+    let [cout, _, kh, kw] = w;
+    let xs = init::gaussian(&x, 0.0, 1.0, &mut rng);
+    let ws = init::gaussian(&w, 0.0, 0.5, &mut rng);
+    let bias = init::gaussian(&[cout], 0.0, 0.5, &mut rng);
+    let dy = init::gaussian(
+        &[n, cout, p.out_size(h, kh), p.out_size(wd, kw)],
+        0.0,
+        1.0,
+        &mut rng,
+    );
+    let y = conv2d(&xs, &ws, Some(&bias), &p);
+    let dx = conv2d_backward_data(&dy, &ws, h, wd, &p);
+    let (dw, db) = conv2d_backward_weight(&xs, &dy, kh, kw, &p);
+    fnv1a(&[&y, &dx, &dw, &db])
+}
+
+/// Cross-commit pin: the output bytes of the six public product kernels on
+/// the shapes training runs on. The constants were captured from a build of
+/// the commit *before* the kernels moved onto `gemm` and are identical in
+/// the dev and release profiles; a kernel change that moves one must say so
+/// and re-baseline the training goldens with it (see `gemm`'s module doc).
+#[test]
+fn product_kernel_bytes_are_pinned() {
+    let s1p1 = Conv2dParams::new(1, 1);
+    let mut rng = Prng::seed_from_u64(0x51fe);
+    let mut gauss = |shape: &[usize]| init::gaussian(shape, 0.0, 1.0, &mut rng);
+    // Linear::backward on a post-ReLU input at batch 8: dx and dW.
+    let (sparse, w, dy) = (
+        relu(&gauss(&[8, 512])),
+        gauss(&[512, 256]),
+        gauss(&[8, 256]),
+    );
+    let (a, b, bt) = (gauss(&[37, 29]), gauss(&[29, 53]), gauss(&[53, 29]));
+    // The predictor head at 1024 rows.
+    let (rows, head) = (gauss(&[1024, 1152]), gauss(&[128, 1152]));
+    let pins: [(&str, u64, u64); 12] = [
+        // VGG13 w0.25 on 3x32x32 at batch 8.
+        (
+            "vgg 3->16 @32",
+            conv_site_hash(1, [8, 3, 32, 32], [16, 3, 3, 3], s1p1),
+            PINS[0],
+        ),
+        (
+            "vgg 16->32 @16",
+            conv_site_hash(2, [8, 16, 16, 16], [32, 16, 3, 3], s1p1),
+            PINS[1],
+        ),
+        (
+            "vgg 64->128 @4",
+            conv_site_hash(3, [8, 64, 4, 4], [128, 64, 3, 3], s1p1),
+            PINS[2],
+        ),
+        (
+            "vgg 128->128 @2",
+            conv_site_hash(4, [8, 128, 2, 2], [128, 128, 3, 3], s1p1),
+            PINS[3],
+        ),
+        // MobileNetV2 w0.25 on 3x16x16 at batch 8: 1x1 expand, one
+        // channel of a stride-2 depthwise, 1x1 project.
+        (
+            "mbv2 expand 8->48",
+            conv_site_hash(5, [8, 8, 8, 8], [48, 8, 1, 1], Conv2dParams::new(1, 0)),
+            PINS[4],
+        ),
+        (
+            "mbv2 depthwise s2",
+            conv_site_hash(6, [8, 1, 16, 16], [1, 1, 3, 3], Conv2dParams::new(2, 1)),
+            PINS[5],
+        ),
+        (
+            "mbv2 project 48->8",
+            conv_site_hash(7, [8, 48, 8, 8], [8, 48, 1, 1], Conv2dParams::new(1, 0)),
+            PINS[6],
+        ),
+        // Strided without padding; non-square input and kernel, padded.
+        (
+            "strided 4->6 @9",
+            conv_site_hash(8, [2, 4, 9, 9], [6, 4, 3, 3], Conv2dParams::new(2, 0)),
+            PINS[7],
+        ),
+        (
+            "non-square 2->3",
+            conv_site_hash(9, [3, 2, 7, 5], [3, 2, 3, 2], Conv2dParams::new(2, 1)),
+            PINS[8],
+        ),
+        (
+            "relu-sparse nn+tn",
+            fnv1a(&[&sparse.matmul(&w), &sparse.matmul_tn(&dy)]),
+            PINS[9],
+        ),
+        (
+            "odd nn+tn+nt",
+            fnv1a(&[
+                &a.matmul(&b),
+                &a.transpose2().matmul_tn(&b),
+                &a.matmul_nt(&bt),
+            ]),
+            PINS[10],
+        ),
+        (
+            "predictor head nt",
+            fnv1a(&[&rows.matmul_nt(&head)]),
+            PINS[11],
+        ),
+    ];
+    let moved: Vec<String> = pins
+        .iter()
+        .filter(|(_, got, pinned)| got != pinned)
+        .map(|(label, got, _)| format!("{label}: {got:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "output bytes moved: {moved:#?}");
+}
+
+const PINS: [u64; 12] = [
+    0x844e_9e73_d3f1_351b,
+    0x3173_600d_e824_856a,
+    0xf98a_e0e0_29eb_6d32,
+    0x7d5a_4651_56d8_1071,
+    0x49c5_583a_d1d2_6e33,
+    0x6490_d2d6_2960_4f2d,
+    0x97dd_cec8_7872_5de9,
+    0x216b_73cf_3b83_0965,
+    0x6bd9_abda_17f7_dda2,
+    0x1b4d_2d0a_4d9f_3b9a,
+    0x4812_873b_f031_b813,
+    0x0edd_325e_cb72_470c,
+];
