@@ -680,7 +680,7 @@ pub fn evaluate_accuracy(
 mod tests {
     use super::*;
     use adagp_nn::containers::Sequential;
-    use adagp_nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
+    use adagp_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, Relu};
     use adagp_nn::module::PredictionSite;
     use adagp_nn::optim::Sgd;
     use adagp_nn::Param;
@@ -793,7 +793,7 @@ mod tests {
         m.push(Conv2d::new(1, 4, 3, 1, 1, true, rng));
         m.push(BatchNorm2d::new(4));
         m.push(Relu::new());
-        m.push(DepthwiseConv2d::new(4, 3, 1, 1, rng));
+        m.push(Conv2d::depthwise(4, 3, 1, 1, rng));
         m.push(Relu::new());
         m.push(Flatten::new());
         m.push(Linear::new(4 * 4 * 4, 3, true, rng));

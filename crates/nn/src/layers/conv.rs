@@ -5,11 +5,14 @@ use crate::param::Param;
 use adagp_tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weight, Conv2dParams};
 use adagp_tensor::{init, Prng, Tensor};
 
-/// A 2-D convolution with optional bias.
+/// A 2-D convolution with optional bias, dense or over channel groups.
 ///
-/// Weight layout `(out_ch, in_ch, kh, kw)`, Kaiming-normal initialized.
-/// When the forward context requests activation recording, the layer keeps
-/// its output tensor so ADA-GP's predictor can consume it (Figure 1b).
+/// Weight layout `(out_ch, in_ch / groups, kh, kw)`, Kaiming-normal
+/// initialized. When the forward context requests activation recording, the
+/// layer keeps its output tensor so ADA-GP's predictor can consume it
+/// (Figure 1b). A depthwise layer ([`Conv2d::depthwise`]) is the same
+/// prediction site with weight `(C, 1, k, k)`: one predictor row per output
+/// channel (§3.6).
 ///
 /// ```
 /// use adagp_nn::{layers::Conv2d, module::{Module, ForwardCtx}};
@@ -32,7 +35,7 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// Creates a convolution `in_ch -> out_ch` with square kernel `k`,
+    /// Creates a dense convolution `in_ch -> out_ch` with square kernel `k`,
     /// given stride and padding.
     ///
     /// # Panics
@@ -47,17 +50,61 @@ impl Conv2d {
         bias: bool,
         rng: &mut Prng,
     ) -> Self {
+        let params = Conv2dParams::new(stride, padding);
+        Self::with_params(in_ch, out_ch, k, params, bias, rng)
+    }
+
+    /// Creates a depthwise convolution — one `k×k` filter per channel, no
+    /// bias — the workhorse of MobileNet-V2's inverted residual blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels` or `k` is zero.
+    pub fn depthwise(
+        channels: usize,
+        k: usize,
+        stride: usize,
+        padding: usize,
+        rng: &mut Prng,
+    ) -> Self {
+        let params = Conv2dParams::new(stride, padding).grouped(channels);
+        Self::with_params(channels, channels, k, params, false, rng)
+            .with_label(format!("dwconv{channels}k{k}"))
+    }
+
+    /// Creates a convolution `in_ch -> out_ch` with square kernel `k` over
+    /// `params.groups` channel groups: each band of `out_ch / groups` filters
+    /// reads its own band of `in_ch / groups` input channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension is zero or `params.groups` does not divide
+    /// both channel counts.
+    pub fn with_params(
+        in_ch: usize,
+        out_ch: usize,
+        k: usize,
+        params: Conv2dParams,
+        bias: bool,
+        rng: &mut Prng,
+    ) -> Self {
         assert!(
             in_ch > 0 && out_ch > 0 && k > 0,
             "conv dims must be positive"
         );
-        let fan_in = in_ch * k * k;
-        let weight = Param::new(init::kaiming_normal(&[out_ch, in_ch, k, k], fan_in, rng));
+        let groups = params.groups;
+        assert!(
+            groups > 0 && in_ch.is_multiple_of(groups) && out_ch.is_multiple_of(groups),
+            "conv groups must divide both channel counts"
+        );
+        let in_g = in_ch / groups;
+        let fan_in = in_g * k * k;
+        let weight = Param::new(init::kaiming_normal(&[out_ch, in_g, k, k], fan_in, rng));
         let bias = bias.then(|| Param::new(Tensor::zeros(&[out_ch])));
         Conv2d {
             weight,
             bias,
-            params: Conv2dParams::new(stride, padding),
+            params,
             kh: k,
             kw: k,
             label: format!("conv{in_ch}x{out_ch}k{k}"),
@@ -72,7 +119,8 @@ impl Conv2d {
         self
     }
 
-    /// Input channel count.
+    /// Input channels each filter reads: the layer's input channel count
+    /// divided by its groups (1 for a depthwise layer).
     pub fn in_channels(&self) -> usize {
         self.weight.value.dim(1)
     }
@@ -211,6 +259,57 @@ mod tests {
         assert_eq!(m.weight_shape, vec![16, 8, 3, 3]);
         assert_eq!(m.label, "stage1");
         assert_eq!(m.grads_per_out_channel(), 72);
+    }
+
+    #[test]
+    fn depthwise_forward_preserves_channels() {
+        let mut rng = Prng::seed_from_u64(0);
+        let mut dw = Conv2d::depthwise(4, 3, 1, 1, &mut rng);
+        let x = Tensor::ones(&[2, 4, 6, 6]);
+        let y = dw.forward(&x, &mut ForwardCtx::train());
+        assert_eq!(y.shape(), &[2, 4, 6, 6]);
+    }
+
+    #[test]
+    fn depthwise_channels_are_independent() {
+        let mut rng = Prng::seed_from_u64(1);
+        let mut dw = Conv2d::depthwise(2, 1, 1, 0, &mut rng);
+        // 1x1 depthwise = per-channel scaling.
+        dw.weight.value = Tensor::from_vec(vec![2.0, 3.0], &[2, 1, 1, 1]);
+        let x = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 2, 1, 2]);
+        let y = dw.forward(&x, &mut ForwardCtx::train());
+        assert_eq!(y.data(), &[2.0, 2.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn depthwise_stride_halves_spatial() {
+        let mut rng = Prng::seed_from_u64(3);
+        let mut dw = Conv2d::depthwise(3, 3, 2, 1, &mut rng);
+        let x = Tensor::ones(&[1, 3, 8, 8]);
+        let y = dw.forward(&x, &mut ForwardCtx::train());
+        assert_eq!(y.shape(), &[1, 3, 4, 4]);
+    }
+
+    /// A depthwise site: weight `(C, 1, k, k)`, no bias, `dwconv` label —
+    /// what the predictor and MobileNet-V2's site table see.
+    #[test]
+    fn depthwise_site_shape_and_label() {
+        let mut rng = Prng::seed_from_u64(4);
+        let mut dw = Conv2d::depthwise(6, 3, 1, 1, &mut rng);
+        assert_eq!((dw.in_channels(), dw.out_channels()), (1, 6));
+        assert_eq!(count_params(&mut dw), 6 * 9);
+        let m = dw.meta();
+        assert_eq!(m.weight_shape, vec![6, 1, 3, 3]);
+        assert_eq!(m.label, "dwconv6k3");
+        assert_eq!(m.grads_per_out_channel(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "groups must divide both channel counts")]
+    fn groups_must_divide_channels() {
+        let mut rng = Prng::seed_from_u64(5);
+        let params = Conv2dParams::new(1, 1).grouped(2);
+        Conv2d::with_params(4, 3, 3, params, false, &mut rng);
     }
 
     #[test]

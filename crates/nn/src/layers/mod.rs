@@ -3,7 +3,6 @@
 
 mod act;
 mod conv;
-mod depthwise;
 mod linear;
 mod misc;
 mod norm;
@@ -11,7 +10,6 @@ mod pool;
 
 pub use act::{LeakyRelu, Relu, Sigmoid, Tanh};
 pub use conv::Conv2d;
-pub use depthwise::DepthwiseConv2d;
 pub use linear::Linear;
 pub use misc::{Dropout, Flatten};
 pub use norm::{BatchNorm2d, LayerNorm};

@@ -3,7 +3,7 @@
 
 use super::ModelConfig;
 use crate::containers::{Residual, Sequential};
-use crate::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, Relu};
+use crate::layers::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, Relu};
 use adagp_tensor::Prng;
 
 /// MobileNet-V2 inverted residual settings: `(expansion, out_ch, repeats,
@@ -35,7 +35,7 @@ fn inverted_residual(
         body.push(BatchNorm2d::new(hidden));
         body.push(Relu::new());
     }
-    body.push(DepthwiseConv2d::new(hidden, 3, stride, 1, rng).with_label(format!("{label}.d")));
+    body.push(Conv2d::depthwise(hidden, 3, stride, 1, rng).with_label(format!("{label}.d")));
     body.push(BatchNorm2d::new(hidden));
     body.push(Relu::new());
     body.push(Conv2d::new(hidden, out_ch, 1, 1, 0, false, rng).with_label(format!("{label}.p")));

@@ -7,9 +7,10 @@
 //! same ranges the original proptest strategies used.
 
 use adagp_nn::containers::{Residual, Sequential};
-use adagp_nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Linear, Relu};
+use adagp_nn::layers::{BatchNorm2d, Conv2d, Linear, Relu};
 use adagp_nn::module::{count_params, count_sites, zero_grads, ForwardCtx, Module};
 use adagp_nn::optim::{Optimizer, Sgd};
+use adagp_tensor::conv::Conv2dParams;
 use adagp_tensor::{init, Prng, Tensor};
 
 const CASES: u64 = 32;
@@ -50,6 +51,95 @@ fn conv_backward_shapes() {
         conv.visit_params(&mut |p| grads_nonzero |= p.grad.norm() > 0.0);
         assert!(grads_nonzero);
     });
+}
+
+/// `L = <forward(x), r>` for a fixed `r`, summed in f64.
+fn probe_loss(conv: &mut Conv2d, x: &Tensor, r: &Tensor) -> f64 {
+    let y = conv.forward(x, &mut ForwardCtx::eval());
+    let terms = y.data().iter().zip(r.data());
+    terms.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
+}
+
+/// Central difference of a loss along one element, which `loss_after` moves
+/// by the step it is given.
+fn central_difference(mut loss_after: impl FnMut(f32) -> f64) -> f64 {
+    const EPS: f32 = 1e-2;
+    (loss_after(EPS) - loss_after(-EPS)) / (2.0 * f64::from(EPS))
+}
+
+/// Adds `by` to element `i` of the `pi`-th parameter `visit_params` yields.
+fn nudge_param(conv: &mut Conv2d, pi: usize, i: usize, by: f32) {
+    let mut seen = 0;
+    conv.visit_params(&mut |p| {
+        if seen == pi {
+            p.value.data_mut()[i] += by;
+        }
+        seen += 1;
+    });
+}
+
+fn assert_close(label: &str, analytic: f32, numeric: f64) {
+    // A convolution is linear in x and in every parameter, so the central
+    // difference is exact but for f32 rounding of the two forward passes.
+    let tol = 1e-2 * numeric.abs().max(1.0);
+    assert!(
+        (f64::from(analytic) - numeric).abs() < tol,
+        "{label}: analytic {analytic} vs numeric {numeric}"
+    );
+}
+
+/// `Conv2d::backward` against central differences, every element of `dx`,
+/// `dw` and `db`: dense, strided, two groups, and depthwise at both strides.
+#[test]
+fn conv_gradients_match_central_differences() {
+    type Build = fn(&mut Prng) -> Conv2d;
+    let configs: [(&str, usize, usize, Build); 5] = [
+        ("dense", 2, 5, |rng| Conv2d::new(2, 3, 3, 1, 1, true, rng)),
+        ("strided", 3, 7, |rng| {
+            Conv2d::new(3, 2, 3, 2, 0, false, rng)
+        }),
+        ("groups=2", 4, 5, |rng| {
+            Conv2d::with_params(4, 6, 3, Conv2dParams::new(1, 1).grouped(2), true, rng)
+        }),
+        ("depthwise", 3, 5, |rng| Conv2d::depthwise(3, 3, 1, 1, rng)),
+        ("depthwise s2", 3, 6, |rng| {
+            Conv2d::depthwise(3, 3, 2, 1, rng)
+        }),
+    ];
+    for (case, (label, in_ch, hw, build)) in configs.into_iter().enumerate() {
+        let mut rng = Prng::seed_from_u64(0x6c4d_0000 + case as u64);
+        let mut conv = build(&mut rng);
+        let x = init::gaussian(&[2, in_ch, hw, hw], 0.0, 1.0, &mut rng);
+        let y = conv.forward(&x, &mut ForwardCtx::train());
+        let r = init::gaussian(y.shape(), 0.0, 1.0, &mut rng);
+        let dx = conv.backward(&r);
+        let mut grads = Vec::new();
+        conv.visit_params(&mut |p| grads.push(p.grad.clone()));
+
+        for i in 0..x.len() {
+            let numeric = central_difference(|step| {
+                let mut moved = x.clone();
+                moved.data_mut()[i] += step;
+                probe_loss(&mut conv, &moved, &r)
+            });
+            assert_close(&format!("{label} dx[{i}]"), dx.data()[i], numeric);
+        }
+        for (pi, grad) in grads.iter().enumerate() {
+            for i in 0..grad.len() {
+                let numeric = central_difference(|step| {
+                    nudge_param(&mut conv, pi, i, step);
+                    let loss = probe_loss(&mut conv, &x, &r);
+                    nudge_param(&mut conv, pi, i, -step);
+                    loss
+                });
+                assert_close(
+                    &format!("{label} param {pi} [{i}]"),
+                    grad.data()[i],
+                    numeric,
+                );
+            }
+        }
+    }
 }
 
 /// Linear layers: parameter count is exactly `in·out (+ out)`.
@@ -107,7 +197,7 @@ fn depthwise_preserves_channels() {
     cases(|rng| {
         let ch = draw(rng, 1, 6);
         let hw = draw(rng, 4, 9);
-        let mut dw = DepthwiseConv2d::new(ch, 3, 1, 1, rng);
+        let mut dw = Conv2d::depthwise(ch, 3, 1, 1, rng);
         let x = init::gaussian(&[1, ch, hw, hw], 0.0, 1.0, rng);
         let y = dw.forward(&x, &mut ForwardCtx::train());
         assert_eq!(y.shape(), x.shape());

@@ -7,10 +7,43 @@
 //! first-class kernels here.
 //!
 //! Each kernel is a lowering (`im2col` / `col2im`) around one
-//! [`gemm`](crate::gemm) call per sample, whose contract fixes the order of
-//! every sum for every `ADAGP_THREADS`. Forward and data-backward run one
-//! block of samples per task with a task-local lowering buffer;
-//! weight-backward sums into `dw` across samples, so it walks them in order.
+//! [`gemm`](crate::gemm) call per sample and channel group, whose contract
+//! fixes the order of every sum for every `ADAGP_THREADS`. Forward and
+//! data-backward run one block of samples per task with a task-local lowering
+//! buffer; weight-backward sums into `dw` across samples, so it walks them in
+//! order.
+//!
+//! # Channel groups
+//!
+//! [`Conv2dParams::groups`] splits the channels into `groups` bands: output
+//! band `g` (`Cout / groups` filters, a contiguous slice of the weight
+//! `(Cout, Cin / groups, kh, kw)`) reads input band `g` only. `groups = 1` is
+//! the dense convolution; `groups = Cin = Cout` is the depthwise convolution
+//! of MobileNet-V2, one `k×k` filter per channel. The group loop sits inside
+//! the per-sample body, so a dense call is the same code with one iteration,
+//! and a grouped call is bit for bit a dense call on each band (gather the
+//! band, convolve, scatter — `tests/kernel_properties.rs` keeps that lowering
+//! as its reference).
+//!
+//! The lowering buffer holds **one group's** patches and is reused from
+//! group to group: lowering every band of a depthwise site at once made a
+//! 550 KB matrix that fell out of cache and ran slower than the per-band
+//! buffer it replaced.
+//!
+//! A call with `groups > 1` runs its samples inline on the calling thread
+//! (see `dispatch_work`); each group's `gemm` still decides on its own size,
+//! which keeps every depthwise product (one or `k²` output rows) inline too.
+//! That is a measurement, not a principle: handing the grouped MobileNet-V2
+//! sites to the pool on their true op count was no faster under the
+//! pipelined trainer on a 2-vCPU host and raised its peak RSS by 15 %,
+//! against 7 % inline.
+//!
+//! What is left for a depthwise site is the lowering itself: with one input
+//! channel per group the product is a `1 × owh × k²` `gemm` over a `cols`
+//! matrix that is nine shifted copies of the band. A direct stencil at that
+//! one `Cin / groups == 1` case would replace `im2col` + `gemm` (and
+//! `gemm` + `col2im`) with a walk over the band; it reorders no sum only if
+//! it keeps the `ki, kj` ascending order of `im2col`'s rows.
 
 use crate::gemm::{gemm, Mat};
 use crate::par;
@@ -23,28 +56,73 @@ pub struct Conv2dParams {
     pub stride: usize,
     /// Zero padding applied on all four sides.
     pub padding: usize,
+    /// Channel groups: 1 is a dense convolution, the channel count a
+    /// depthwise one. Must divide both channel counts.
+    pub groups: usize,
 }
 
 impl Default for Conv2dParams {
-    /// Stride 1, no padding.
+    /// Stride 1, no padding, one group.
     fn default() -> Self {
-        Conv2dParams {
-            stride: 1,
-            padding: 0,
-        }
+        Conv2dParams::new(1, 0)
     }
 }
 
 impl Conv2dParams {
-    /// Creates parameters with the given stride and padding.
+    /// Creates dense (one group) parameters with the given stride and padding.
     pub fn new(stride: usize, padding: usize) -> Self {
         assert!(stride > 0, "stride must be positive");
-        Conv2dParams { stride, padding }
+        Conv2dParams {
+            stride,
+            padding,
+            groups: 1,
+        }
+    }
+
+    /// The same parameters over `groups` channel groups.
+    pub fn grouped(self, groups: usize) -> Self {
+        Conv2dParams { groups, ..self }
     }
 
     /// Output spatial size for an input of size `in_size` and kernel `k`.
+    /// The kernels reject a `k` wider than the padded input.
     pub fn out_size(&self, in_size: usize, k: usize) -> usize {
         (in_size + 2 * self.padding).saturating_sub(k) / self.stride + 1
+    }
+
+    /// Output size `(Ho, Wo)` of `op` on an `h × w` input.
+    ///
+    /// Panics if the window does not fit: `out_size` would call the missing
+    /// taps one output and `im2col` would zero-fill them into a partial sum.
+    fn out_hw(&self, op: &str, h: usize, w: usize, kh: usize, kw: usize) -> (usize, usize) {
+        let pad = self.padding;
+        assert!(
+            h + 2 * pad >= kh && w + 2 * pad >= kw,
+            "{op}: a {kh}x{kw} kernel does not fit a {h}x{w} input padded by {pad}"
+        );
+        (self.out_size(h, kh), self.out_size(w, kw))
+    }
+
+    /// Channels per group `(Cin / groups, Cout / groups)` of `op`.
+    fn group_channels(&self, op: &str, cin: usize, cout: usize) -> (usize, usize) {
+        let groups = self.groups;
+        assert!(groups > 0, "{op}: groups must be positive");
+        assert!(
+            cin.is_multiple_of(groups) && cout.is_multiple_of(groups),
+            "{op}: {cin} input and {cout} output channels do not split into {groups} groups"
+        );
+        (cin / groups, cout / groups)
+    }
+
+    /// The op-count estimate `par::row_blocks` decides on: the dense MAC
+    /// count for a dense call, zero — run inline — for a grouped one (the
+    /// module documentation has the measurement behind that).
+    fn dispatch_work(&self, macs: usize) -> usize {
+        if self.groups == 1 {
+            macs
+        } else {
+            0
+        }
     }
 }
 
@@ -128,14 +206,15 @@ fn col2im(
 /// 2-D convolution forward pass.
 ///
 /// * `input`  — `(N, Cin, H, W)`
-/// * `weight` — `(Cout, Cin, kh, kw)`
+/// * `weight` — `(Cout, Cin / groups, kh, kw)`
 /// * `bias`   — optional `(Cout,)`
 ///
 /// Returns `(N, Cout, Ho, Wo)`.
 ///
 /// # Panics
 ///
-/// Panics if ranks or channel counts disagree.
+/// Panics if ranks or channel counts disagree, if `groups` is zero or does
+/// not divide `Cout`, or if the kernel does not fit the padded input.
 ///
 /// ```
 /// use adagp_tensor::{Tensor, conv::{conv2d, Conv2dParams}};
@@ -154,25 +233,29 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
     );
     let (n, cin, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (cout, cin_w, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    assert_eq!(cin, cin_w, "conv2d: channel mismatch");
+    let (cin_g, cout_g) = p.group_channels("conv2d", cin, cout);
+    assert_eq!(cin_g, cin_w, "conv2d: channel mismatch");
     if let Some(b) = bias {
         assert_eq!(b.len(), cout, "conv2d: bias length must equal Cout");
     }
-    let ho = p.out_size(h, kh);
-    let wo = p.out_size(w, kw);
-    let patch = cin * kh * kw;
+    let (ho, wo) = p.out_hw("conv2d", h, w, kh, kw);
+    let patch = cin_g * kh * kw;
     let owh = ho * wo;
 
     let mut out = vec![0.0f32; n * cout * owh];
-    let wmat = Mat::rows(weight.data(), patch); // (cout, patch)
 
-    let work = n * cout * patch * owh;
+    let work = p.dispatch_work(n * cout * patch * owh);
     par::row_blocks(&mut out, n, cout * owh, work, |first, chunk| {
         let mut cols = vec![0.0f32; patch * owh];
         let samples = input.data().chunks(cin * h * w).skip(first);
         for (y, sample) in chunk.chunks_mut(cout * owh).zip(samples) {
-            im2col(sample, cin, h, w, kh, kw, p, &mut cols);
-            gemm(cout, owh, patch, wmat, Mat::rows(&cols, owh), y, false);
+            let bands = sample.chunks(cin_g * h * w);
+            let filters = weight.data().chunks(cout_g * patch);
+            for ((y_band, band), filter) in y.chunks_mut(cout_g * owh).zip(bands).zip(filters) {
+                im2col(band, cin_g, h, w, kh, kw, p, &mut cols);
+                let (wmat, cols_mat) = (Mat::rows(filter, patch), Mat::rows(&cols, owh));
+                gemm(cout_g, owh, patch, wmat, cols_mat, y_band, false);
+            }
             if let Some(b) = bias {
                 // After the sum, so the bias is the last term of every element.
                 for (yrow, &bv) in y.chunks_mut(owh).zip(b.data()) {
@@ -186,13 +269,13 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
 
 /// Gradient of the convolution with respect to its input.
 ///
-/// Given `dy (N, Cout, Ho, Wo)` and `weight (Cout, Cin, kh, kw)`, returns
-/// `dx (N, Cin, H, W)` for the original input spatial size `(h, w)`.
+/// Given `dy (N, Cout, Ho, Wo)` and `weight (Cout, Cin / groups, kh, kw)`,
+/// returns `dx (N, Cin, H, W)` for the original input spatial size `(h, w)`.
 ///
 /// # Panics
 ///
-/// Panics on rank mismatch or if `dy`'s spatial size disagrees with the
-/// parameters.
+/// Panics on rank mismatch, if `groups` is zero or does not divide `Cout`,
+/// or if `dy`'s spatial size disagrees with the parameters.
 pub fn conv2d_backward_data(
     dy: &Tensor,
     weight: &Tensor,
@@ -207,24 +290,31 @@ pub fn conv2d_backward_data(
         "conv2d_backward_data: weight must be rank-4"
     );
     let (n, cout, ho, wo) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
-    let (cout_w, cin, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
+    let (cout_w, cin_w, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
     assert_eq!(cout, cout_w, "conv2d_backward_data: channel mismatch");
-    assert_eq!(ho, p.out_size(h, kh), "conv2d_backward_data: Ho mismatch");
-    assert_eq!(wo, p.out_size(w, kw), "conv2d_backward_data: Wo mismatch");
-    let patch = cin * kh * kw;
+    let cin = cin_w * p.groups;
+    let (cin_g, cout_g) = p.group_channels("conv2d_backward_data", cin, cout);
+    let out_hw = p.out_hw("conv2d_backward_data", h, w, kh, kw);
+    assert_eq!((ho, wo), out_hw, "conv2d_backward_data: Ho x Wo mismatch");
+    let patch = cin_g * kh * kw;
     let owh = ho * wo;
 
     let mut dx = vec![0.0f32; n * cin * h * w];
-    let wmat_t = Mat::rows(weight.data(), patch).t(); // (patch, cout)
 
-    let work = n * cout * patch * owh;
+    let work = p.dispatch_work(n * cout * patch * owh);
     par::row_blocks(&mut dx, n, cin * h * w, work, |first, chunk| {
         let mut dcols = vec![0.0f32; patch * owh];
         let dy_samples = dy.data().chunks(cout * owh).skip(first);
         for (dx_sample, dy_sample) in chunk.chunks_mut(cin * h * w).zip(dy_samples) {
-            let dy_mat = Mat::rows(dy_sample, owh);
-            gemm(patch, owh, cout, wmat_t, dy_mat, &mut dcols, false);
-            col2im(&dcols, cin, h, w, kh, kw, p, dx_sample);
+            let dy_bands = dy_sample.chunks(cout_g * owh);
+            let filters = weight.data().chunks(cout_g * patch);
+            let dx_bands = dx_sample.chunks_mut(cin_g * h * w);
+            for ((dx_band, dy_band), filter) in dx_bands.zip(dy_bands).zip(filters) {
+                let wmat_t = Mat::rows(filter, patch).t(); // (patch, cout_g)
+                let dy_mat = Mat::rows(dy_band, owh);
+                gemm(patch, owh, cout_g, wmat_t, dy_mat, &mut dcols, false);
+                col2im(&dcols, cin_g, h, w, kh, kw, p, dx_band);
+            }
         }
     });
     Tensor::from_vec(dx, &[n, cin, h, w])
@@ -232,13 +322,14 @@ pub fn conv2d_backward_data(
 
 /// Gradient of the convolution with respect to its weights (and bias).
 ///
-/// Returns `(dw, db)` with `dw (Cout, Cin, kh, kw)` and `db (Cout,)`.
-/// These are the *true gradients* that ADA-GP's predictor is trained to
-/// imitate.
+/// Returns `(dw, db)` with `dw (Cout, Cin / groups, kh, kw)` and
+/// `db (Cout,)`. These are the *true gradients* that ADA-GP's predictor is
+/// trained to imitate.
 ///
 /// # Panics
 ///
-/// Panics on rank mismatch or inconsistent spatial sizes.
+/// Panics on rank mismatch, inconsistent spatial sizes, or if `groups` is
+/// zero or does not divide both channel counts.
 pub fn conv2d_backward_weight(
     input: &Tensor,
     dy: &Tensor,
@@ -255,28 +346,33 @@ pub fn conv2d_backward_weight(
     let (n, cin, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (n2, cout, ho, wo) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
     assert_eq!(n, n2, "conv2d_backward_weight: batch mismatch");
-    assert_eq!(ho, p.out_size(h, kh), "conv2d_backward_weight: Ho mismatch");
-    assert_eq!(wo, p.out_size(w, kw), "conv2d_backward_weight: Wo mismatch");
-    let patch = cin * kh * kw;
+    let (cin_g, cout_g) = p.group_channels("conv2d_backward_weight", cin, cout);
+    let out_hw = p.out_hw("conv2d_backward_weight", h, w, kh, kw);
+    assert_eq!((ho, wo), out_hw, "conv2d_backward_weight: Ho x Wo mismatch");
+    let patch = cin_g * kh * kw;
     let owh = ho * wo;
 
     let mut dw = vec![0.0f32; cout * patch];
     let mut db = vec![0.0f32; cout];
 
-    // dw += dy_sample (cout, owh) . cols^T (owh, patch): each sample's
+    // dw += dy_band (cout_g, owh) . cols^T (owh, patch): each sample's
     // product is summed from zero, then added in ascending sample order.
     let mut cols = vec![0.0f32; patch * owh];
     let samples = input.data().chunks(cin * h * w);
     for (sample, dy_sample) in samples.zip(dy.data().chunks(cout * owh)) {
-        im2col(sample, cin, h, w, kh, kw, p, &mut cols);
-        let (dy_mat, cols_t) = (Mat::rows(dy_sample, owh), Mat::rows(&cols, owh).t());
-        gemm(cout, patch, owh, dy_mat, cols_t, &mut dw, true);
+        let bands = sample.chunks(cin_g * h * w);
+        let dy_bands = dy_sample.chunks(cout_g * owh);
+        for ((band, dy_band), dw_band) in bands.zip(dy_bands).zip(dw.chunks_mut(cout_g * patch)) {
+            im2col(band, cin_g, h, w, kh, kw, p, &mut cols);
+            let (dy_mat, cols_t) = (Mat::rows(dy_band, owh), Mat::rows(&cols, owh).t());
+            gemm(cout_g, patch, owh, dy_mat, cols_t, dw_band, true);
+        }
         for (dbv, dyrow) in db.iter_mut().zip(dy_sample.chunks(owh)) {
             *dbv += dyrow.iter().sum::<f32>();
         }
     }
     (
-        Tensor::from_vec(dw, &[cout, cin, kh, kw]),
+        Tensor::from_vec(dw, &[cout, cin_g, kh, kw]),
         Tensor::from_vec(db, &[cout]),
     )
 }
@@ -384,6 +480,88 @@ mod tests {
         }
         // Bias gradient for sum-loss is simply the output element count per channel.
         assert!(db.data().iter().all(|&v| (v - 16.0).abs() < 1e-4));
+    }
+
+    /// `out_size` saturates: unchecked, a 3x3 kernel on an unpadded 2x2 input
+    /// "has" a 1x1 output that `im2col` zero-fills into a partial sum.
+    #[test]
+    #[should_panic(expected = "conv2d: a 3x3 kernel does not fit a 2x2 input padded by 0")]
+    fn forward_rejects_a_kernel_larger_than_the_input() {
+        let (x, w) = (Tensor::ones(&[1, 1, 2, 2]), Tensor::ones(&[1, 1, 3, 3]));
+        conv2d(&x, &w, None, &Conv2dParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_data: a 3x3 kernel does not fit a 2x2 input")]
+    fn backward_data_rejects_a_kernel_larger_than_the_input() {
+        let (dy, w) = (Tensor::ones(&[1, 1, 1, 1]), Tensor::ones(&[1, 1, 3, 3]));
+        conv2d_backward_data(&dy, &w, 2, 2, &Conv2dParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_weight: a 3x3 kernel does not fit a 2x2 input")]
+    fn backward_weight_rejects_a_kernel_larger_than_the_input() {
+        let (x, dy) = (Tensor::ones(&[1, 1, 2, 2]), Tensor::ones(&[1, 1, 1, 1]));
+        conv2d_backward_weight(&x, &dy, 3, 3, &Conv2dParams::default());
+    }
+
+    #[test]
+    fn padding_makes_the_kernel_fit() {
+        let (x, w) = (Tensor::ones(&[1, 1, 2, 2]), Tensor::ones(&[1, 1, 3, 3]));
+        let y = conv2d(&x, &w, None, &Conv2dParams::new(1, 1));
+        assert_eq!(y.data(), &[4.0; 4]);
+    }
+
+    #[test]
+    fn two_groups_are_two_convolutions() {
+        // Group 0 doubles channel 0, group 1 sums channels 2 and 3.
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4, 1, 1]);
+        let w = Tensor::from_vec(vec![2.0, 0.0, 1.0, 1.0], &[2, 2, 1, 1]);
+        let p = Conv2dParams::default().grouped(2);
+        assert_eq!(conv2d(&x, &w, None, &p).data(), &[2.0, 7.0]);
+        let dy = Tensor::from_vec(vec![1.0, 10.0], &[1, 2, 1, 1]);
+        let dx = conv2d_backward_data(&dy, &w, 1, 1, &p);
+        assert_eq!(dx.data(), &[2.0, 0.0, 10.0, 10.0]);
+        let (dw, db) = conv2d_backward_weight(&x, &dy, 1, 1, &p);
+        assert_eq!(dw.shape(), &[2, 2, 1, 1]);
+        assert_eq!(dw.data(), &[1.0, 2.0, 30.0, 40.0]);
+        assert_eq!(db.data(), &[1.0, 10.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: groups must be positive")]
+    fn zero_groups_panics() {
+        let (x, w) = (Tensor::ones(&[1, 2, 3, 3]), Tensor::ones(&[2, 2, 3, 3]));
+        conv2d(&x, &w, None, &Conv2dParams::new(1, 1).grouped(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: channel mismatch")]
+    fn grouped_weight_must_hold_one_band_of_input_channels() {
+        // Two groups over four channels read two each; the weight offers four.
+        let (x, w) = (Tensor::ones(&[1, 4, 3, 3]), Tensor::ones(&[2, 4, 3, 3]));
+        conv2d(&x, &w, None, &Conv2dParams::new(1, 1).grouped(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: 4 input and 3 output channels do not split into 2 groups")]
+    fn groups_must_divide_the_output_channels() {
+        let (x, w) = (Tensor::ones(&[1, 4, 3, 3]), Tensor::ones(&[3, 2, 3, 3]));
+        conv2d(&x, &w, None, &Conv2dParams::new(1, 1).grouped(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_data: 4 input and 3 output channels do not split")]
+    fn backward_data_groups_must_divide_the_output_channels() {
+        let (dy, w) = (Tensor::ones(&[1, 3, 3, 3]), Tensor::ones(&[3, 2, 3, 3]));
+        conv2d_backward_data(&dy, &w, 3, 3, &Conv2dParams::new(1, 1).grouped(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_weight: 3 input and 2 output channels do not split")]
+    fn backward_weight_groups_must_divide_the_input_channels() {
+        let (x, dy) = (Tensor::ones(&[1, 3, 3, 3]), Tensor::ones(&[1, 2, 3, 3]));
+        conv2d_backward_weight(&x, &dy, 3, 3, &Conv2dParams::new(1, 1).grouped(2));
     }
 
     #[test]

@@ -21,7 +21,8 @@ pub struct MaxPoolOutput {
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank-4 or `k`/`s` are zero.
+/// Panics if `input` is not rank-4, `k`/`s` are zero, or the window is
+/// larger than the input.
 ///
 /// ```
 /// use adagp_tensor::{Tensor, pool::maxpool2d};
@@ -36,8 +37,12 @@ pub fn maxpool2d(input: &Tensor, k: usize, s: usize) -> MaxPoolOutput {
         "maxpool2d: kernel and stride must be positive"
     );
     let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
-    let ho = (h.saturating_sub(k)) / s + 1;
-    let wo = (w.saturating_sub(k)) / s + 1;
+    assert!(
+        h >= k && w >= k,
+        "maxpool2d: a {k}x{k} window does not fit a {h}x{w} input"
+    );
+    let ho = (h - k) / s + 1;
+    let wo = (w - k) / s + 1;
     let mut out = vec![f32::NEG_INFINITY; n * c * ho * wo];
     let mut idx = vec![0usize; n * c * ho * wo];
     for ni in 0..n {
@@ -95,7 +100,8 @@ pub fn maxpool2d_backward(fwd: &MaxPoolOutput, dy: &Tensor, input_shape: &[usize
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank-4 or `k`/`s` are zero.
+/// Panics if `input` is not rank-4, `k`/`s` are zero, or the window is
+/// larger than the input.
 pub fn avgpool2d(input: &Tensor, k: usize, s: usize) -> Tensor {
     assert_eq!(input.ndim(), 4, "avgpool2d: input must be (N, C, H, W)");
     assert!(
@@ -103,8 +109,12 @@ pub fn avgpool2d(input: &Tensor, k: usize, s: usize) -> Tensor {
         "avgpool2d: kernel and stride must be positive"
     );
     let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
-    let ho = (h.saturating_sub(k)) / s + 1;
-    let wo = (w.saturating_sub(k)) / s + 1;
+    assert!(
+        h >= k && w >= k,
+        "avgpool2d: a {k}x{k} window does not fit a {h}x{w} input"
+    );
+    let ho = (h - k) / s + 1;
+    let wo = (w - k) / s + 1;
     let inv = 1.0 / (k * k) as f32;
     let mut out = vec![0.0f32; n * c * ho * wo];
     for ni in 0..n {
@@ -279,6 +289,20 @@ mod tests {
         let dy = Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]);
         let dx = maxpool2d_backward(&fwd, &dy, &[1, 1, 2, 2]);
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 10.0]);
+    }
+
+    /// Unchecked, a saturating `ho = 1` lets the window loop read the next
+    /// channel's values, or past the end on the last channel.
+    #[test]
+    #[should_panic(expected = "maxpool2d: a 3x3 window does not fit a 2x2 input")]
+    fn maxpool_rejects_a_window_larger_than_the_input() {
+        maxpool2d(&Tensor::ones(&[1, 2, 2, 2]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "avgpool2d: a 3x3 window does not fit a 2x2 input")]
+    fn avgpool_rejects_a_window_larger_than_the_input() {
+        avgpool2d(&Tensor::ones(&[1, 2, 2, 2]), 3, 1);
     }
 
     #[test]

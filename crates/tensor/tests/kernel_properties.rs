@@ -300,6 +300,119 @@ fn large_shapes_thread_invariant() {
     });
 }
 
+/// Channel band `g` of `groups` of an `(N, C, H, W)` tensor, as its own
+/// `(N, C / groups, H, W)` tensor.
+fn gather_band(t: &Tensor, g: usize, groups: usize) -> Tensor {
+    let (n, c) = (t.dim(0), t.dim(1) / groups);
+    let len = c * t.dim(2) * t.dim(3);
+    let mut band = Vec::with_capacity(n * len);
+    for sample in t.data().chunks(groups * len) {
+        band.extend_from_slice(&sample[g * len..(g + 1) * len]);
+    }
+    Tensor::from_vec(band, &[n, c, t.dim(2), t.dim(3)])
+}
+
+/// Writes `band` back as channel band `g` of `groups` of `dst`.
+fn scatter_band(dst: &mut Tensor, band: &Tensor, g: usize, groups: usize) {
+    let len = band.len() / band.dim(0);
+    let samples = dst.data_mut().chunks_mut(groups * len);
+    for (sample, src) in samples.zip(band.data().chunks(len)) {
+        sample[g * len..(g + 1) * len].copy_from_slice(src);
+    }
+}
+
+/// Rows `g` of `groups` of a tensor whose first dimension splits evenly.
+fn row_band(t: &Tensor, g: usize, groups: usize) -> Tensor {
+    let len = t.len() / groups;
+    let mut shape = t.shape().to_vec();
+    shape[0] /= groups;
+    Tensor::from_vec(t.data()[g * len..(g + 1) * len].to_vec(), &shape)
+}
+
+/// What `groups` means, spelled with the dense kernels alone (and how a
+/// depthwise layer was lowered before the kernels took `groups`): per group,
+/// gather the band of every operand into fresh tensors, call the *dense*
+/// kernels on it, scatter the results back. Returns `[y, dx, dw, db]`.
+fn conv_by_bands(
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    dense: &Conv2dParams,
+    groups: usize,
+) -> Vec<Tensor> {
+    let (h, wd, kh, kw) = (x.dim(2), x.dim(3), w.dim(2), w.dim(3));
+    let mut y = Tensor::zeros(dy.shape());
+    let mut dx = Tensor::zeros(x.shape());
+    let (mut dw, mut db) = (Vec::new(), Vec::new());
+    for g in 0..groups {
+        let (x_g, dy_g) = (gather_band(x, g, groups), gather_band(dy, g, groups));
+        let (w_g, bias_g) = (row_band(w, g, groups), row_band(bias, g, groups));
+        scatter_band(&mut y, &conv2d(&x_g, &w_g, Some(&bias_g), dense), g, groups);
+        let dx_g = conv2d_backward_data(&dy_g, &w_g, h, wd, dense);
+        scatter_band(&mut dx, &dx_g, g, groups);
+        let (dw_g, db_g) = conv2d_backward_weight(&x_g, &dy_g, kh, kw, dense);
+        dw.extend_from_slice(dw_g.data());
+        db.extend_from_slice(db_g.data());
+    }
+    vec![
+        y,
+        dx,
+        Tensor::from_vec(dw, w.shape()),
+        Tensor::from_vec(db, bias.shape()),
+    ]
+}
+
+/// A grouped convolution is, bit for bit, the dense kernels run band by
+/// band — forward, data-backward and weight-backward, at 1, 2, 4 and 7
+/// threads. `groups = C` rows are MobileNet-V2's depthwise sites (the
+/// lowering this replaced); the `groups = 1` rows sit on both sides of the
+/// parallel-dispatch threshold, the `groups = 2` rows would clear it if
+/// grouped calls were dispatched.
+#[test]
+fn grouped_conv_matches_dense_kernels_on_each_band() {
+    // (n, cin, cout, size, stride, groups)
+    let sites = [
+        (8, 8, 8, 16, 2, 8),
+        (8, 48, 48, 8, 1, 48),
+        (3, 5, 5, 7, 2, 5),
+        (2, 4, 8, 6, 1, 4),
+        (4, 6, 8, 9, 1, 2),
+        (4, 6, 4, 9, 2, 2),
+        (4, 16, 16, 12, 1, 2),
+        (2, 2, 3, 5, 1, 1),
+        (2, 2, 3, 5, 2, 1),
+        (4, 8, 16, 12, 1, 1),
+        (4, 8, 16, 12, 2, 1),
+    ];
+    let mut rng = Prng::seed_from_u64(0x96a0);
+    for (n, cin, cout, size, stride, groups) in sites {
+        let dense = Conv2dParams::new(stride, 1);
+        let out = dense.out_size(size, 3);
+        let x = init::gaussian(&[n, cin, size, size], 0.0, 1.0, &mut rng);
+        let w = init::gaussian(&[cout, cin / groups, 3, 3], 0.0, 0.5, &mut rng);
+        let bias = init::gaussian(&[cout], 0.0, 0.5, &mut rng);
+        let dy = init::gaussian(&[n, cout, out, out], 0.0, 1.0, &mut rng);
+        let label = format!("n{n} {cin}->{cout} @{size} s{stride} g{groups}");
+        assert_thread_invariant(&label, || {
+            let p = dense.grouped(groups);
+            let y = conv2d(&x, &w, Some(&bias), &p);
+            let dx = conv2d_backward_data(&dy, &w, size, size, &p);
+            let (dw, db) = conv2d_backward_weight(&x, &dy, 3, 3, &p);
+            let grouped = vec![y, dx, dw, db];
+            let banded = conv_by_bands(&x, &w, &bias, &dy, &dense, groups);
+            for (i, (a, b)) in grouped.iter().zip(&banded).enumerate() {
+                assert_eq!(a.shape(), b.shape(), "{label}[{i}] shape");
+                assert!(
+                    same_bits(a.data(), b.data()),
+                    "{label}[{i}]: grouped kernel differs from the per-band lowering"
+                );
+            }
+            grouped
+        });
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The GEMM core under every product kernel: its order contract, a
 // differential check against f64, IEEE propagation, and a cross-commit pin
@@ -469,59 +582,66 @@ fn matmul_family_within_bound_of_f64_reference() {
 
 /// The three convolution kernels against a direct (no im2col) f64
 /// convolution: one walk over the index relation `y[n, co, oy, ox] ∋
-/// x[n, ci, iy, ix] · w[co, ci, ki, kj]` yields all three references.
+/// x[n, ci, iy, ix] · w[co, ci, ki, kj]` yields all three references. Each
+/// drawn site runs dense and then at every other group count that divides
+/// both of its channel counts.
 #[test]
 fn conv_kernels_within_bound_of_f64_reference() {
     cases(|rng| {
         let (n, cin, cout) = (draw(rng, 1, 4), draw(rng, 1, 5), draw(rng, 1, 7));
         let (h, w) = (draw(rng, 4, 10), draw(rng, 4, 10));
         let (kh, kw) = (draw(rng, 1, 4), draw(rng, 1, 4));
-        let p = Conv2dParams::new(draw(rng, 1, 3), draw(rng, 0, 2));
-        let (ho, wo) = (p.out_size(h, kh), p.out_size(w, kw));
-        let x = init::gaussian(&[n, cin, h, w], 0.0, 1.0, rng);
-        let wt = init::gaussian(&[cout, cin, kh, kw], 0.0, 0.5, rng);
-        let bias = init::gaussian(&[cout], 0.0, 0.5, rng);
-        let dy = init::gaussian(&[n, cout, ho, wo], 0.0, 1.0, rng);
+        let dense = Conv2dParams::new(draw(rng, 1, 3), draw(rng, 0, 2));
+        let (ho, wo) = (dense.out_size(h, kh), dense.out_size(w, kw));
+        for groups in (1..=cin).filter(|g| cin % g == 0 && cout % g == 0) {
+            let p = dense.grouped(groups);
+            let (cin_g, cout_g) = (cin / groups, cout / groups);
+            let x = init::gaussian(&[n, cin, h, w], 0.0, 1.0, rng);
+            let wt = init::gaussian(&[cout, cin_g, kh, kw], 0.0, 0.5, rng);
+            let bias = init::gaussian(&[cout], 0.0, 0.5, rng);
+            let dy = init::gaussian(&[n, cout, ho, wo], 0.0, 1.0, rng);
 
-        let mut y = ExactSums::new(dy.len());
-        let mut dx = ExactSums::new(x.len());
-        let mut dw = ExactSums::new(wt.len());
-        let mut db = ExactSums::new(cout);
-        for ni in 0..n {
-            for co in 0..cout {
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let yi = ((ni * cout + co) * ho + oy) * wo + ox;
-                        y.add(yi, bias.data()[co], 1.0);
-                        db.add(co, dy.data()[yi], 1.0);
-                        for ci in 0..cin {
-                            for ki in 0..kh {
-                                for kj in 0..kw {
-                                    let iy = (oy * p.stride + ki).wrapping_sub(p.padding);
-                                    let ix = (ox * p.stride + kj).wrapping_sub(p.padding);
-                                    if iy >= h || ix >= w {
-                                        continue;
+            let mut y = ExactSums::new(dy.len());
+            let mut dx = ExactSums::new(x.len());
+            let mut dw = ExactSums::new(wt.len());
+            let mut db = ExactSums::new(cout);
+            for ni in 0..n {
+                for co in 0..cout {
+                    for oy in 0..ho {
+                        for ox in 0..wo {
+                            let yi = ((ni * cout + co) * ho + oy) * wo + ox;
+                            y.add(yi, bias.data()[co], 1.0);
+                            db.add(co, dy.data()[yi], 1.0);
+                            for cg in 0..cin_g {
+                                let ci = co / cout_g * cin_g + cg;
+                                for ki in 0..kh {
+                                    for kj in 0..kw {
+                                        let iy = (oy * p.stride + ki).wrapping_sub(p.padding);
+                                        let ix = (ox * p.stride + kj).wrapping_sub(p.padding);
+                                        if iy >= h || ix >= w {
+                                            continue;
+                                        }
+                                        let xi = ((ni * cin + ci) * h + iy) * w + ix;
+                                        let wi = ((co * cin_g + cg) * kh + ki) * kw + kj;
+                                        y.add(yi, x.data()[xi], wt.data()[wi]);
+                                        dx.add(xi, wt.data()[wi], dy.data()[yi]);
+                                        dw.add(wi, x.data()[xi], dy.data()[yi]);
                                     }
-                                    let xi = ((ni * cin + ci) * h + iy) * w + ix;
-                                    let wi = ((co * cin + ci) * kh + ki) * kw + kj;
-                                    y.add(yi, x.data()[xi], wt.data()[wi]);
-                                    dx.add(xi, wt.data()[wi], dy.data()[yi]);
-                                    dw.add(wi, x.data()[xi], dy.data()[yi]);
                                 }
                             }
                         }
                     }
                 }
             }
+            let label = format!("n{n} {cin}->{cout} {h}x{w} k{kh}x{kw} {p:?}");
+            let got = conv2d(&x, &wt, Some(&bias), &p);
+            y.assert_bounds(&format!("conv2d {label}"), &got, cin_g * kh * kw + 1);
+            let got = conv2d_backward_data(&dy, &wt, h, w, &p);
+            dx.assert_bounds(&format!("bw_data {label}"), &got, cout_g * kh * kw);
+            let (got_dw, got_db) = conv2d_backward_weight(&x, &dy, kh, kw, &p);
+            dw.assert_bounds(&format!("bw_weight {label}"), &got_dw, n * ho * wo);
+            db.assert_bounds(&format!("bw_bias {label}"), &got_db, n * ho * wo);
         }
-        let label = format!("n{n} {cin}->{cout} {h}x{w} k{kh}x{kw} {p:?}");
-        let got = conv2d(&x, &wt, Some(&bias), &p);
-        y.assert_bounds(&format!("conv2d {label}"), &got, cin * kh * kw + 1);
-        let got = conv2d_backward_data(&dy, &wt, h, w, &p);
-        dx.assert_bounds(&format!("bw_data {label}"), &got, cout * kh * kw);
-        let (got_dw, got_db) = conv2d_backward_weight(&x, &dy, kh, kw, &p);
-        dw.assert_bounds(&format!("bw_weight {label}"), &got_dw, n * ho * wo);
-        db.assert_bounds(&format!("bw_bias {label}"), &got_db, n * ho * wo);
     });
 }
 

@@ -6,6 +6,7 @@ use ada_gp::adagp::{AdaGp, AdaGpConfig, BaselineTrainer, Phase, ScheduleConfig};
 use ada_gp::nn::containers::Sequential;
 use ada_gp::nn::data::{DatasetSpec, VisionDataset};
 use ada_gp::nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu};
+use ada_gp::nn::models::{build_cnn, CnnModel, ModelConfig};
 use ada_gp::nn::module::Module;
 use ada_gp::nn::optim::Sgd;
 use ada_gp::tensor::Prng;
@@ -140,4 +141,58 @@ fn training_is_deterministic() {
         sum
     };
     assert_eq!(run().to_bits(), run().to_bits());
+}
+
+/// FNV-1a over the little-endian bytes of every parameter after two warm-up
+/// batches and two GP/BP pairs of `AdaGp::train_batch`.
+fn trained_weights_hash(seed: u64, in_size: usize, build: impl Fn(&mut Prng) -> Sequential) -> u64 {
+    let ds = VisionDataset::new(DatasetSpec::tiny(4, in_size), seed);
+    let mut rng = Prng::seed_from_u64(seed);
+    let mut model = build(&mut rng);
+    let cfg = AdaGpConfig {
+        schedule: ScheduleConfig {
+            warmup_epochs: 1,
+            ratios: [(1, 1); 4],
+            ..Default::default()
+        },
+        track_metrics: false,
+        ..Default::default()
+    };
+    let mut adagp = AdaGp::new(cfg, &mut model, &mut rng);
+    let mut opt = Sgd::new(0.02, 0.9);
+    for (epoch, batches) in [2, 4].into_iter().enumerate() {
+        for b in 0..batches {
+            let (x, y) = ds.train_batch(b + 2 * epoch, 4);
+            adagp.train_batch(&mut model, &mut opt, &x, &y);
+        }
+        adagp.controller_mut().end_epoch();
+    }
+    assert_eq!(adagp.controller_mut().phase_counts(), (2, 2, 2));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    model.visit_params(&mut |p| {
+        for byte in p.value.data().iter().flat_map(|v| v.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    });
+    h
+}
+
+/// Cross-commit pin of training itself: the bytes of every weight after
+/// warm-up, BP and GP batches on a dense CNN and on MobileNet-V2 (dense,
+/// 1x1 and depthwise sites, batch-norm, residuals). The constants were
+/// captured from a build of the commit *before* the convolution kernels
+/// took channel groups, in the dev and release profiles and at
+/// `ADAGP_THREADS` 1 and 3; a change that moves one moves every training
+/// output compared byte for byte across commits, and has to say so.
+#[test]
+fn trained_weight_bytes_are_pinned() {
+    let small = trained_weights_hash(21, 12, |rng| small_cnn(4, rng));
+    let mobilenet = trained_weights_hash(22, 16, |rng| {
+        build_cnn(CnnModel::MobileNetV2, &ModelConfig::tiny(4), 3, 16, rng)
+    });
+    assert_eq!(
+        (small, mobilenet),
+        (0x7830_1303_d64d_2855, 0x486d_3fcf_f199_b4d3),
+        "trained weights moved: small_cnn {small:#018x}, MobileNet-V2 {mobilenet:#018x}"
+    );
 }
