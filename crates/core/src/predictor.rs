@@ -5,7 +5,17 @@
 //! follows the paper: pooling layers normalize any activation map to a
 //! fixed spatial size, a small `Conv2d` extracts features, and a single
 //! fully connected layer emits gradient rows. The FC output is sized for
-//! the *largest* layer; smaller layers mask and skip the surplus outputs.
+//! the *largest* layer; smaller layers mask and skip the surplus outputs:
+//! for a site with gradient rows of `row_len`, the FC computes only its
+//! first `row_len` output columns ([`Linear::forward_cols`]), forward and
+//! backward, in Phase GP and Phase BP alike. The skipped weight rows and
+//! bias entries are neither read nor given a gradient.
+//!
+//! Adam still steps the *whole* head after every site: the skipped rows
+//! carry a `+0.0` gradient, so they move only by the moments left from
+//! sites that did use them. That is exactly what the earlier full-width
+//! head did (it computed every column and zeroed the surplus gradient),
+//! so skipping changes the arithmetic, not one float of training.
 
 use crate::reorg::{self, ReorganizedActivation};
 use adagp_nn::layers::{Conv2d, Flatten, Linear, Relu};
@@ -44,8 +54,8 @@ impl Default for PredictorConfig {
 /// The shared gradient predictor.
 ///
 /// Input (per site, after [`reorg::reorganize`]): `(out_ch, 1, W, H)`.
-/// Output: `(out_ch, max_row_len)`, of which the first `row_len` columns
-/// are meaningful for a given site.
+/// Output: `(out_ch, row_len)`, the first `row_len` of the FC's
+/// `max_row_len` outputs.
 #[derive(Debug)]
 pub struct Predictor {
     cfg: PredictorConfig,
@@ -63,14 +73,23 @@ struct PredictorNet {
     fc: Linear,
 }
 
-impl Module for PredictorNet {
-    fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
+impl PredictorNet {
+    /// The feature stage, then the FC's first `cols` outputs: `(n, cols)`.
+    fn forward_cols(&mut self, x: &Tensor, ctx: &mut ForwardCtx, cols: usize) -> Tensor {
         let h = self.conv.forward(x, ctx);
         let h = self.relu.forward(&h, ctx);
         let h = self.flatten.forward(&h, ctx);
-        self.fc.forward(&h, ctx)
+        self.fc.forward_cols(&h, ctx, cols)
+    }
+}
+
+impl Module for PredictorNet {
+    fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
+        let cols = self.fc.out_features();
+        self.forward_cols(x, ctx, cols)
     }
 
+    /// `dy` is `(n, cols)` for the `cols` of the forward pass.
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let g = self.fc.backward(dy);
         let g = self.flatten.backward(&g);
@@ -147,37 +166,78 @@ impl Predictor {
         adaptive_avgpool(&r.input, self.cfg.pooled_size, self.cfg.pooled_size)
     }
 
+    /// The site's `row_len`, checked against the FC's width before any work.
+    fn checked_row_len(&self, meta: &SiteMeta) -> usize {
+        let row_len = meta.grads_per_out_channel();
+        assert!(
+            row_len <= self.max_row_len,
+            "row_len {row_len} exceeds predictor capacity {}",
+            self.max_row_len
+        );
+        row_len
+    }
+
     /// Predicts gradient rows for one site: returns `(out_ch, row_len)`.
     ///
-    /// Masks the FC output down to the site's `row_len` ("for smaller
+    /// The FC computes only the site's `row_len` outputs ("for smaller
     /// layers, we simply mask and skip output operations").
+    ///
+    /// # Panics
+    ///
+    /// Panics if the site's `row_len` exceeds [`Predictor::max_row_len`] or
+    /// the activation disagrees with the site metadata.
     pub fn predict_rows(&mut self, meta: &SiteMeta, activation: &Tensor) -> Tensor {
+        let row_len = self.checked_row_len(meta);
         let r = reorg::reorganize(meta, activation);
         let pooled = self.pool_input(&r);
-        let full = self.net.forward(&pooled, &mut ForwardCtx::eval());
-        mask_rows(&full, r.row_len)
+        self.net
+            .forward_cols(&pooled, &mut ForwardCtx::eval(), row_len)
     }
 
     /// Predicts the full weight-gradient tensor for a site.
+    ///
+    /// # Panics
+    ///
+    /// As [`Predictor::predict_rows`].
     pub fn predict_gradient(&mut self, meta: &SiteMeta, activation: &Tensor) -> Tensor {
         let rows = self.predict_rows(meta, activation);
         reorg::rows_to_gradient(meta, &rows)
     }
 
     /// One predictor training step against a true gradient (Phase BP /
-    /// warm-up). Returns the masked-row MSE loss.
+    /// warm-up): the MSE over the site's `row_len` columns, backpropagated
+    /// through those columns only, then an Adam step. Returns the loss.
     ///
     /// # Panics
     ///
-    /// Panics if shapes disagree with the site metadata.
+    /// Panics if the site's `row_len` exceeds [`Predictor::max_row_len`] or
+    /// shapes disagree with the site metadata.
     pub fn train_step(&mut self, meta: &SiteMeta, activation: &Tensor, true_grad: &Tensor) -> f32 {
+        let (pooled, target_rows) = self.training_rows(meta, activation, true_grad);
+        let pred = self
+            .net
+            .forward_cols(&pooled, &mut ForwardCtx::train(), target_rows.dim(1));
+        let (loss, dpred) = mse(&pred, &target_rows);
+        self.net.backward(&dpred);
+        self.opt.step(&mut self.net);
+        loss
+    }
+
+    /// A training step's pooled inputs and `(rows, row_len)` targets, every
+    /// `stride`-th row of a site wider than `max_rows_per_batch` (bounds the
+    /// cost of very wide layers).
+    fn training_rows(
+        &self,
+        meta: &SiteMeta,
+        activation: &Tensor,
+        true_grad: &Tensor,
+    ) -> (Tensor, Tensor) {
+        self.checked_row_len(meta);
         let r = reorg::reorganize(meta, activation);
         let target_rows = reorg::gradient_rows(meta, true_grad);
         let pooled = self.pool_input(&r);
-
-        // Sub-sample rows for very wide layers to bound the cost.
         let rows = pooled.dim(0);
-        let (pooled, target_rows) = if rows > self.cfg.max_rows_per_batch {
+        if rows > self.cfg.max_rows_per_batch {
             let stride = rows.div_ceil(self.cfg.max_rows_per_batch);
             (
                 subsample_rows(&pooled, stride),
@@ -185,30 +245,8 @@ impl Predictor {
             )
         } else {
             (pooled, target_rows)
-        };
-
-        let pred = self.net.forward(&pooled, &mut ForwardCtx::train());
-        // Loss on the masked region only; surplus outputs receive zero grad.
-        let (loss, dpred) = masked_mse(&pred, &target_rows, r.row_len);
-        self.net.backward(&dpred);
-        self.opt.step(&mut self.net);
-        loss
+        }
     }
-}
-
-/// Copies the first `row_len` columns of `(n, max_row)` into `(n, row_len)`.
-fn mask_rows(full: &Tensor, row_len: usize) -> Tensor {
-    let (n, max_row) = (full.dim(0), full.dim(1));
-    assert!(row_len <= max_row, "row_len exceeds predictor capacity");
-    if row_len == max_row {
-        return full.clone();
-    }
-    let mut out = vec![0.0f32; n * row_len];
-    for i in 0..n {
-        out[i * row_len..(i + 1) * row_len]
-            .copy_from_slice(&full.data()[i * max_row..i * max_row + row_len]);
-    }
-    Tensor::from_vec(out, &[n, row_len])
 }
 
 /// Every `stride`-th row of a rank-2/4 tensor along axis 0.
@@ -225,20 +263,16 @@ fn subsample_rows(t: &Tensor, stride: usize) -> Tensor {
     Tensor::from_vec(out, &shape)
 }
 
-/// MSE over the first `row_len` columns; gradient is zero elsewhere.
-fn masked_mse(pred: &Tensor, target: &Tensor, row_len: usize) -> (f32, Tensor) {
-    let (n, max_row) = (pred.dim(0), pred.dim(1));
-    assert_eq!(target.dim(0), n, "target row count mismatch");
-    assert_eq!(target.dim(1), row_len, "target row length mismatch");
-    let count = (n * row_len).max(1) as f32;
-    let mut grad = Tensor::zeros(pred.shape());
+/// Mean squared error and its gradient `2 (pred - target) / len`, rounded
+/// as `(2 d) / len` (`softmax::mse_loss` scales by a rounded `2 / len`,
+/// which moves the predictor's training floats).
+fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
+    let mut grad = pred.sub(target);
+    let count = grad.len().max(1) as f32;
     let mut loss = 0.0f32;
-    for i in 0..n {
-        for j in 0..row_len {
-            let d = pred.data()[i * max_row + j] - target.data()[i * row_len + j];
-            loss += d * d;
-            grad.data_mut()[i * max_row + j] = 2.0 * d / count;
-        }
+    for d in grad.data_mut() {
+        loss += *d * *d;
+        *d = 2.0 * *d / count;
     }
     (loss / count, grad)
 }
@@ -362,5 +396,180 @@ mod tests {
         assert_eq!(loss, 0.0);
         // Surplus columns (99, -99) contribute nothing.
         assert_eq!(grad.data(), &[0.0, 0.0, 0.0, 0.0]);
+    }
+
+    // The full-width head the predictor ran before it skipped: the FC at
+    // `max_row_len`, then the live columns copied out (prediction) or a
+    // zero gradient on the surplus ones (training). The reference the
+    // `row_len` head is held to, bit for bit.
+
+    /// The first `row_len` columns of `(n, max_row)`.
+    fn live_columns(full: &Tensor, row_len: usize) -> Tensor {
+        let n = full.dim(0);
+        let rows = full.data().chunks(full.dim(1));
+        let out = rows.flat_map(|row| &row[..row_len]).copied().collect();
+        Tensor::from_vec(out, &[n, row_len])
+    }
+
+    /// MSE over the first `row_len` columns; gradient is zero elsewhere.
+    fn masked_mse(pred: &Tensor, target: &Tensor, row_len: usize) -> (f32, Tensor) {
+        let (n, max_row) = (pred.dim(0), pred.dim(1));
+        assert_eq!(target.shape(), &[n, row_len], "target shape mismatch");
+        let count = (n * row_len).max(1) as f32;
+        let mut grad = Tensor::zeros(pred.shape());
+        let mut loss = 0.0f32;
+        for i in 0..n {
+            for j in 0..row_len {
+                let d = pred.data()[i * max_row + j] - target.data()[i * row_len + j];
+                loss += d * d;
+                grad.data_mut()[i * max_row + j] = 2.0 * d / count;
+            }
+        }
+        (loss / count, grad)
+    }
+
+    fn full_width_predict_rows(p: &mut Predictor, meta: &SiteMeta, act: &Tensor) -> Tensor {
+        let r = reorg::reorganize(meta, act);
+        let pooled = p.pool_input(&r);
+        let full = p.net.forward(&pooled, &mut ForwardCtx::eval());
+        live_columns(&full, r.row_len)
+    }
+
+    fn full_width_train_step(p: &mut Predictor, meta: &SiteMeta, act: &Tensor, g: &Tensor) -> f32 {
+        let (pooled, target_rows) = p.training_rows(meta, act, g);
+        let pred = p.net.forward(&pooled, &mut ForwardCtx::train());
+        let (loss, dpred) = masked_mse(&pred, &target_rows, target_rows.dim(1));
+        p.net.backward(&dpred);
+        p.opt.step(&mut p.net);
+        loss
+    }
+
+    /// Every parameter's value and gradient and every Adam moment, as bits
+    /// (any NaN as one pattern).
+    fn state_bits(p: &mut Predictor) -> Vec<u32> {
+        let bits = |t: &Tensor| -> Vec<u32> {
+            let canonical = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+            t.data().iter().map(canonical).collect()
+        };
+        let mut out = Vec::new();
+        p.net.visit_params(&mut |q| {
+            out.extend(bits(&q.value));
+            out.extend(bits(&q.grad));
+        });
+        let (m, v) = p.opt.moments();
+        out.extend(m.iter().chain(v).flat_map(bits));
+        out
+    }
+
+    fn tensor_bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Overwrites the FC's weight rows and bias entries past `row_len`.
+    fn fill_surplus(p: &mut Predictor, row_len: usize, value: f32) {
+        let max_row = p.max_row_len;
+        p.net.fc.visit_params(&mut |q| {
+            let per_row = q.len() / max_row;
+            q.value.data_mut()[row_len * per_row..].fill(value);
+        });
+    }
+
+    /// Three sites for one predictor: the widest (`row_len == max_row_len`),
+    /// a `Linear` site, and 40 rows against `max_rows_per_batch` 16.
+    fn mixed_sites(rng: &mut Prng) -> (PredictorConfig, Vec<(SiteMeta, Tensor, Tensor)>) {
+        let cfg = PredictorConfig {
+            lr: 3e-3,
+            max_rows_per_batch: 16,
+            ..Default::default()
+        };
+        let linear = SiteMeta {
+            kind: SiteKind::Linear,
+            weight_shape: vec![6, 12],
+            label: "l".into(),
+        };
+        let sites = [
+            (conv_meta(8, 16, 3), vec![2, 8, 6, 6]),
+            (linear, vec![2, 6]),
+            (conv_meta(40, 3, 1), vec![2, 40, 5, 5]),
+        ];
+        let sites = sites
+            .into_iter()
+            .map(|(meta, act_shape)| {
+                let act = init::gaussian(&act_shape, 0.0, 1.0, rng);
+                let grad = init::gaussian(&meta.weight_shape, 0.0, 0.05, rng);
+                (meta, act, grad)
+            })
+            .collect();
+        (cfg, sites)
+    }
+
+    #[test]
+    fn row_len_head_matches_the_full_width_reference_bit_for_bit() {
+        let mut rng = Prng::seed_from_u64(6);
+        let (cfg, sites) = mixed_sites(&mut rng);
+        let metas: Vec<SiteMeta> = sites.iter().map(|s| s.0.clone()).collect();
+        let mut fast = Predictor::for_sites(cfg, &metas, &mut Prng::seed_from_u64(7));
+        let mut reference = Predictor::for_sites(cfg, &metas, &mut Prng::seed_from_u64(7));
+        assert_eq!(fast.max_row_len(), 144);
+        for round in 0..3 {
+            for (meta, act, grad) in &sites {
+                let rows = fast.predict_rows(meta, act);
+                let want = full_width_predict_rows(&mut reference, meta, act);
+                assert_eq!(tensor_bits(&rows), tensor_bits(&want), "{round}: rows");
+                let loss = fast.train_step(meta, act, grad);
+                let want = full_width_train_step(&mut reference, meta, act, grad);
+                assert_eq!(loss.to_bits(), want.to_bits(), "{round}: loss");
+            }
+        }
+        // Including the rows only the widest site uses, and their moments.
+        assert_eq!(state_bits(&mut fast), state_bits(&mut reference));
+    }
+
+    #[test]
+    fn skipped_head_rows_are_never_read() {
+        let mut rng = Prng::seed_from_u64(8);
+        let (cfg, sites) = mixed_sites(&mut rng);
+        let metas: Vec<SiteMeta> = sites.iter().map(|s| s.0.clone()).collect();
+        let (meta, act, grad) = &sites[2];
+        let row_len = meta.grads_per_out_channel();
+        let run = |poison: bool| {
+            let mut p = Predictor::for_sites(cfg, &metas, &mut Prng::seed_from_u64(9));
+            if poison {
+                fill_surplus(&mut p, row_len, f32::NAN);
+            }
+            let mut out = tensor_bits(&p.predict_rows(meta, act));
+            for _ in 0..3 {
+                out.push(p.train_step(meta, act, grad).to_bits());
+            }
+            out.extend(tensor_bits(&p.predict_gradient(meta, act)));
+            // The conv's gradient lives on in its Adam moments; the
+            // surplus rows are masked out of the state comparison.
+            fill_surplus(&mut p, row_len, f32::NAN);
+            (out, state_bits(&mut p))
+        };
+        let (clean, clean_state) = run(false);
+        let (poisoned, poisoned_state) = run(true);
+        assert!(clean.iter().all(|b| f32::from_bits(*b).is_finite()));
+        assert_eq!(clean, poisoned);
+        assert_eq!(clean_state, poisoned_state);
+    }
+
+    #[test]
+    #[should_panic(expected = "row_len 18 exceeds predictor capacity 8")]
+    fn predict_gradient_rejects_a_site_wider_than_the_head() {
+        let mut rng = Prng::seed_from_u64(10);
+        let mut p = Predictor::new(PredictorConfig::default(), 8, &mut rng);
+        let act = init::gaussian(&[2, 4, 5, 5], 0.0, 1.0, &mut rng);
+        p.predict_gradient(&conv_meta(4, 2, 3), &act);
+    }
+
+    #[test]
+    #[should_panic(expected = "row_len 18 exceeds predictor capacity 8")]
+    fn train_step_rejects_a_site_wider_than_the_head() {
+        let mut rng = Prng::seed_from_u64(11);
+        let mut p = Predictor::new(PredictorConfig::default(), 8, &mut rng);
+        let act = init::gaussian(&[2, 4, 5, 5], 0.0, 1.0, &mut rng);
+        let grad = init::gaussian(&[4, 2, 3, 3], 0.0, 0.05, &mut rng);
+        p.train_step(&conv_meta(4, 2, 3), &act, &grad);
     }
 }

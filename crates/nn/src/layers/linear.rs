@@ -2,6 +2,7 @@
 
 use crate::module::{ForwardCtx, Module, PredictionSite, SiteKind, SiteMeta};
 use crate::param::Param;
+use adagp_tensor::gemm::{gemm, Mat};
 use adagp_tensor::{init, Prng, Tensor};
 
 /// A fully connected layer `y = x W^T + b`.
@@ -64,20 +65,34 @@ impl Linear {
     pub fn weight(&self) -> &Param {
         &self.weight
     }
-}
 
-impl Module for Linear {
-    fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
+    /// The first `cols` output features only: `(batch, cols)`, bit for bit
+    /// the first `cols` columns of [`Module::forward`] (`gemm` sums each
+    /// output on its own, so a column does not depend on how many others
+    /// are computed). [`Module::backward`] then takes `cols` from `dy` and
+    /// leaves the gradient of the other outputs' weight rows and bias
+    /// entries untouched — this is the ADA-GP predictor's "mask and skip"
+    /// (§3.6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `(batch, in_features)` or `cols` exceeds
+    /// `out_features`.
+    pub fn forward_cols(&mut self, x: &Tensor, ctx: &mut ForwardCtx, cols: usize) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects (batch, features) input");
-        let mut y = x.matmul_nt(&self.weight.value);
+        let (n, feat) = (x.dim(0), self.in_features());
+        assert_eq!(x.dim(1), feat, "Linear input has the wrong feature count");
+        let (xv, w) = (Mat::rows(x.data(), feat), self.weight_rows(cols));
+        let mut y = vec![0.0f32; n * cols];
+        gemm(n, cols, feat, xv, w.t(), &mut y, false);
         if let Some(b) = &self.bias {
-            let (n, f) = (y.dim(0), y.dim(1));
-            for i in 0..n {
-                for j in 0..f {
-                    y.data_mut()[i * f + j] += b.value.data()[j];
+            for row in y.chunks_mut(cols.max(1)) {
+                for (v, bj) in row.iter_mut().zip(b.value.data()) {
+                    *v += bj;
                 }
             }
         }
+        let y = Tensor::from_vec(y, &[n, cols]);
         if ctx.train {
             self.input_cache = Some(x.clone());
         }
@@ -87,25 +102,50 @@ impl Module for Linear {
         y
     }
 
+    /// The weight's first `cols` rows as a `(cols, in_features)` view.
+    fn weight_rows(&self, cols: usize) -> Mat<'_> {
+        assert!(
+            cols <= self.out_features(),
+            "{cols} outputs requested of a {}-output Linear",
+            self.out_features()
+        );
+        let feat = self.in_features();
+        Mat::rows(&self.weight.value.data()[..cols * feat], feat)
+    }
+}
+
+impl Module for Linear {
+    fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
+        let cols = self.out_features();
+        self.forward_cols(x, ctx, cols)
+    }
+
+    /// `dy` is `(batch, cols)` for the `cols` of the forward pass.
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let x = self
             .input_cache
             .as_ref()
             .expect("Linear::backward called before forward");
-        // y = x @ W^T  =>  dx = dy @ W, dW = dy^T @ x.
-        let dx = dy.matmul(&self.weight.value);
-        self.weight.accumulate_grad(&dy.matmul_tn(x));
+        let (n, cols, feat) = (dy.dim(0), dy.dim(1), self.in_features());
+        assert_eq!(x.dim(0), n, "Linear::backward batch disagrees with forward");
+        let dyv = Mat::rows(dy.data(), cols);
+        // y = x @ W^T  =>  dx = dy @ W, dW = dy^T @ x, over the first `cols` rows of W.
+        let mut dx = vec![0.0f32; n * feat];
+        gemm(n, feat, cols, dyv, self.weight_rows(cols), &mut dx, false);
+        let dw = &mut self.weight.grad.data_mut()[..cols * feat];
+        gemm(cols, feat, n, dyv.t(), Mat::rows(x.data(), feat), dw, true);
         if let Some(b) = &mut self.bias {
-            let (n, f) = (dy.dim(0), dy.dim(1));
-            let mut db = vec![0.0f32; f];
-            for i in 0..n {
-                for j in 0..f {
-                    db[j] += dy.data()[i * f + j];
+            let mut db = vec![0.0f32; cols];
+            for row in dy.data().chunks(cols.max(1)) {
+                for (s, v) in db.iter_mut().zip(row) {
+                    *s += v;
                 }
             }
-            b.accumulate_grad(&Tensor::from_vec(db, &[f]));
+            for (g, s) in b.grad.data_mut().iter_mut().zip(db) {
+                *g += s;
+            }
         }
-        dx
+        Tensor::from_vec(dx, &[n, feat])
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -216,5 +256,51 @@ mod tests {
         assert!(lin.activation().is_none());
         lin.forward(&Tensor::ones(&[1, 2]), &mut ForwardCtx::train_recording());
         assert!(lin.activation().is_some());
+    }
+
+    #[test]
+    fn output_prefix_is_the_full_layer_bit_for_bit() {
+        // Random weights, bias and an already accumulated gradient, so that
+        // "untouched" and "+= 0" are told apart from "zeroed".
+        let build = || {
+            let mut rng = Prng::seed_from_u64(5);
+            let mut lin = Linear::new(7, 13, true, &mut rng);
+            lin.visit_params(&mut |p| {
+                p.value = init::gaussian(p.value.shape(), 0.0, 1.0, &mut rng);
+                p.grad = init::gaussian(p.value.shape(), 0.0, 1.0, &mut rng);
+            });
+            lin
+        };
+        let grads = |lin: &mut Linear| {
+            let mut g = Vec::new();
+            lin.visit_params(&mut |p| g.push(p.grad.data().to_vec()));
+            g
+        };
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (cols, mut full, mut prefix) = (5, build(), build());
+        let mut rng = Prng::seed_from_u64(6);
+        let x = init::gaussian(&[6, 7], 0.0, 1.0, &mut rng);
+        let dy = init::gaussian(&[6, cols], 0.0, 1.0, &mut rng);
+        // What the full layer was handed: `dy` padded with +0.0 columns.
+        let padded = dy
+            .data()
+            .chunks(cols)
+            .flat_map(|r| r.iter().copied().chain([0.0; 8]));
+        let dy_full = Tensor::from_vec(padded.collect(), &[6, 13]);
+
+        let y = full.forward(&x, &mut ForwardCtx::train());
+        let y_cols = prefix.forward_cols(&x, &mut ForwardCtx::train(), cols);
+        let y_first: Vec<u32> = y.data().chunks(13).flat_map(|r| bits(&r[..cols])).collect();
+        assert_eq!(bits(y_cols.data()), y_first);
+
+        let dx_full = full.backward(&dy_full);
+        let dx = prefix.backward(&dy);
+        assert_eq!(bits(dx.data()), bits(dx_full.data()));
+        let (before, after) = (grads(&mut build()), grads(&mut prefix));
+        for ((g, want), untouched) in after.iter().zip(grads(&mut full)).zip(before) {
+            assert_eq!(bits(g), bits(&want), "dW / db rows");
+            let live = cols * g.len() / 13;
+            assert_eq!(bits(&g[live..]), bits(&untouched[live..]), "skipped rows");
+        }
     }
 }

@@ -157,6 +157,12 @@ impl Adam {
         self.beta2 = beta2;
         self
     }
+
+    /// The first and second moment estimates, one tensor per parameter in
+    /// `visit_params` order (empty before the first step).
+    pub fn moments(&self) -> (&[Tensor], &[Tensor]) {
+        (&self.m, &self.v)
+    }
 }
 
 impl Optimizer for Adam {

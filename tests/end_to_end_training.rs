@@ -7,7 +7,7 @@ use ada_gp::nn::containers::Sequential;
 use ada_gp::nn::data::{DatasetSpec, VisionDataset};
 use ada_gp::nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use ada_gp::nn::models::{build_cnn, CnnModel, ModelConfig};
-use ada_gp::nn::module::Module;
+use ada_gp::nn::module::{ForwardCtx, Module};
 use ada_gp::nn::optim::Sgd;
 use ada_gp::tensor::Prng;
 
@@ -145,20 +145,37 @@ fn training_is_deterministic() {
 
 /// FNV-1a over the little-endian bytes of every parameter after two warm-up
 /// batches and two GP/BP pairs of `AdaGp::train_batch`.
-fn trained_weights_hash(seed: u64, in_size: usize, build: impl Fn(&mut Prng) -> Sequential) -> u64 {
+///
+/// With `max_rows: Some(r)` the BP batches also run the metrics pass
+/// (`track_metrics`), sites with more than `r` output channels train on
+/// sub-sampled rows, and every site's `predict_gradient` on one fixed
+/// activation after training joins the hash: a wrong update to a predictor
+/// row that only some sites use surfaces there.
+fn trained_weights_hash(
+    seed: u64,
+    in_size: usize,
+    max_rows: Option<usize>,
+    build: impl Fn(&mut Prng) -> Sequential,
+) -> u64 {
     let ds = VisionDataset::new(DatasetSpec::tiny(4, in_size), seed);
     let mut rng = Prng::seed_from_u64(seed);
     let mut model = build(&mut rng);
-    let cfg = AdaGpConfig {
+    let mut cfg = AdaGpConfig {
         schedule: ScheduleConfig {
             warmup_epochs: 1,
             ratios: [(1, 1); 4],
             ..Default::default()
         },
-        track_metrics: false,
+        track_metrics: max_rows.is_some(),
         ..Default::default()
     };
+    if let Some(rows) = max_rows {
+        cfg.predictor.max_rows_per_batch = rows;
+    }
     let mut adagp = AdaGp::new(cfg, &mut model, &mut rng);
+    if let Some(rows) = max_rows {
+        assert!(adagp.sites().iter().any(|m| m.out_channels() > rows));
+    }
     let mut opt = Sgd::new(0.02, 0.9);
     for (epoch, batches) in [2, 4].into_iter().enumerate() {
         for b in 0..batches {
@@ -169,11 +186,24 @@ fn trained_weights_hash(seed: u64, in_size: usize, build: impl Fn(&mut Prng) -> 
     }
     assert_eq!(adagp.controller_mut().phase_counts(), (2, 2, 2));
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    model.visit_params(&mut |p| {
-        for byte in p.value.data().iter().flat_map(|v| v.to_le_bytes()) {
+    let mut hash = |t: &ada_gp::tensor::Tensor| {
+        for byte in t.data().iter().flat_map(|v| v.to_le_bytes()) {
             h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
-    });
+    };
+    model.visit_params(&mut |p| hash(&p.value));
+    if max_rows.is_some() {
+        let mut record = ForwardCtx {
+            train: false,
+            record_activations: true,
+        };
+        model.forward(&ds.test_batch(0, 4).0, &mut record);
+        let mut sites = Vec::new();
+        model.visit_sites(&mut |s| sites.push((s.meta(), s.take_activation().expect("recorded"))));
+        for (meta, act) in sites {
+            hash(&adagp.predictor_mut().predict_gradient(&meta, &act));
+        }
+    }
     h
 }
 
@@ -184,15 +214,28 @@ fn trained_weights_hash(seed: u64, in_size: usize, build: impl Fn(&mut Prng) -> 
 /// took channel groups, in the dev and release profiles and at
 /// `ADAGP_THREADS` 1 and 3; a change that moves one moves every training
 /// output compared byte for byte across commits, and has to say so.
+///
+/// The third case (MobileNet-V2 with the metrics pass, rows sub-sampled at
+/// 24 and the trained predictor's output hashed) pins the predictor head
+/// that computes only each site's own `row_len` columns; its constant was
+/// captured from a build of the commit before that head, which ran every
+/// site at the full `max_row_len` width, with the same profiles and
+/// thread counts.
 #[test]
 fn trained_weight_bytes_are_pinned() {
-    let small = trained_weights_hash(21, 12, |rng| small_cnn(4, rng));
-    let mobilenet = trained_weights_hash(22, 16, |rng| {
-        build_cnn(CnnModel::MobileNetV2, &ModelConfig::tiny(4), 3, 16, rng)
-    });
+    let mobilenet =
+        |rng: &mut Prng| build_cnn(CnnModel::MobileNetV2, &ModelConfig::tiny(4), 3, 16, rng);
+    let small = trained_weights_hash(21, 12, None, |rng| small_cnn(4, rng));
+    let mobile = trained_weights_hash(22, 16, None, mobilenet);
+    let predicted = trained_weights_hash(23, 16, Some(24), mobilenet);
     assert_eq!(
-        (small, mobilenet),
-        (0x7830_1303_d64d_2855, 0x486d_3fcf_f199_b4d3),
-        "trained weights moved: small_cnn {small:#018x}, MobileNet-V2 {mobilenet:#018x}"
+        (small, mobile, predicted),
+        (
+            0x7830_1303_d64d_2855,
+            0x486d_3fcf_f199_b4d3,
+            0x7687_1725_b4fa_55e7
+        ),
+        "trained weights moved: small_cnn {small:#018x}, MobileNet-V2 {mobile:#018x}, \
+         MobileNet-V2 + predictor {predicted:#018x}"
     );
 }
