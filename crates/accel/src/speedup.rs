@@ -18,7 +18,9 @@ use serde::{Deserialize, Serialize};
 pub const MODEL_BATCH: usize = 128;
 
 /// How many epochs the run spends in each schedule stage — mirrors
-/// `adagp_core::ScheduleConfig` without depending on that crate.
+/// `adagp_core::ScheduleConfig` without using that crate. (The manifest
+/// still lists `adagp-core`, an unused edge recorded in
+/// `benchmark/Cargo.lock`; ROADMAP's benchmark PR drops it.)
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochMix {
     /// Warm-up epochs (pure backprop).

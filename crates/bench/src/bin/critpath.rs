@@ -25,21 +25,20 @@
 //!   on disagreement unless `--report-only`.
 
 use adagp_accel::layer_cost::PredictorCostModel;
-use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
+use adagp_accel::AcceleratorConfig;
+use adagp_bench::cli::{number, value, SimFlags};
 use adagp_core::{AdaGp, AdaGpConfig};
 use adagp_nn::containers::Sequential;
 use adagp_nn::layers::{Conv2d, Flatten, Linear, Relu};
-use adagp_nn::models::CnnModel;
 use adagp_nn::optim::Sgd;
 use adagp_obs as obs;
 use adagp_obs::crit::CritReport;
 use adagp_runtime::StageReport;
 use adagp_sim::{
-    critical_path, model_sim_layers, simulate_batch, Phase, SimBuilder, SimConfig, TaskKind,
-    TaskSpec,
+    critical_path, model_sim_layers, simulate_batch, Phase, SimBuilder, TaskKind, TaskSpec,
 };
+use adagp_sweep::presets;
 use adagp_sweep::shapes::cached_shapes;
-use adagp_sweep::{presets, DatasetScale};
 use adagp_tensor::{init, Prng};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,12 +55,7 @@ Usage: critpath sim      [--preset NAME] [--model VGG13] [--dataset cifar10|cifa
 
 struct SimOptions {
     preset: Option<String>,
-    model: CnnModel,
-    dataset: DatasetScale,
-    design: AdaGpDesign,
-    dataflow: Dataflow,
-    phase: Phase,
-    cfg: SimConfig,
+    sim: SimFlags,
     json: Option<PathBuf>,
     top: usize,
 }
@@ -81,107 +75,26 @@ struct DiffOptions {
     sim_json: Option<PathBuf>,
 }
 
-fn parse_model(raw: &str) -> Result<CnnModel, String> {
-    CnnModel::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(raw))
-        .ok_or_else(|| {
-            let known: Vec<&str> = CnnModel::all().into_iter().map(|m| m.name()).collect();
-            format!("unknown model `{raw}` (known: {})", known.join(", "))
-        })
-}
-
 fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut opt = SimOptions {
         preset: None,
-        model: CnnModel::Vgg13,
-        dataset: DatasetScale::Cifar10,
-        design: AdaGpDesign::Max,
-        dataflow: Dataflow::WeightStationary,
-        phase: Phase::Gp,
-        cfg: SimConfig::default(),
+        sim: SimFlags::default(),
         json: None,
         top: 10,
     };
-    let mut no_contention = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
         match a.as_str() {
-            "--preset" => opt.preset = Some(value("--preset")?),
-            "--model" => opt.model = parse_model(&value("--model")?)?,
-            "--dataset" => {
-                opt.dataset = match value("--dataset")?.to_ascii_lowercase().as_str() {
-                    "cifar10" => DatasetScale::Cifar10,
-                    "cifar100" => DatasetScale::Cifar100,
-                    "imagenet" => DatasetScale::ImageNet,
-                    other => return Err(format!("unknown dataset `{other}`")),
-                }
-            }
-            "--design" => {
-                opt.design = match value("--design")?.to_ascii_lowercase().as_str() {
-                    "low" => AdaGpDesign::Low,
-                    "efficient" => AdaGpDesign::Efficient,
-                    "max" => AdaGpDesign::Max,
-                    other => return Err(format!("unknown design `{other}`")),
-                }
-            }
-            "--dataflow" => {
-                opt.dataflow = match value("--dataflow")?.to_ascii_lowercase().as_str() {
-                    "ws" => Dataflow::WeightStationary,
-                    "os" => Dataflow::OutputStationary,
-                    "is" => Dataflow::InputStationary,
-                    "rs" => Dataflow::RowStationary,
-                    other => return Err(format!("unknown dataflow `{other}`")),
-                }
-            }
-            "--phase" => {
-                opt.phase = match value("--phase")?.to_ascii_lowercase().as_str() {
-                    "baseline" => Phase::Baseline,
-                    "bp" => Phase::Bp,
-                    "gp" => Phase::Gp,
-                    other => return Err(format!("unknown phase `{other}`")),
-                }
-            }
-            "--no-contention" => no_contention = true,
-            "--bandwidth" => {
-                let raw = value("--bandwidth")?;
-                opt.cfg.dram_words_per_cycle = Some(
-                    raw.parse()
-                        .map_err(|_| format!("--bandwidth: bad value `{raw}`"))?,
-                );
-            }
-            "--buffer-words" => {
-                let raw = value("--buffer-words")?;
-                opt.cfg.buffer_words = Some(
-                    raw.parse()
-                        .map_err(|_| format!("--buffer-words: bad value `{raw}`"))?,
-                );
-            }
-            "--dram-ports" => {
-                let raw = value("--dram-ports")?;
-                opt.cfg.dram_ports = raw
-                    .parse()
-                    .map_err(|_| format!("--dram-ports: bad value `{raw}`"))?;
-            }
-            "--json" => opt.json = Some(PathBuf::from(value("--json")?)),
-            "--top" => {
-                let raw = value("--top")?;
-                opt.top = raw
-                    .parse()
-                    .map_err(|_| format!("--top: bad value `{raw}`"))?;
-            }
+            "--preset" => opt.preset = Some(value("--preset", &mut it)?),
+            "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
+            "--top" => opt.top = number("--top", &mut it)?,
             "--help" | "-h" => return Err("help".to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => {
+                if !opt.sim.flag(other, &mut it)? {
+                    return Err(format!("unexpected argument `{other}`"));
+                }
+            }
         }
-    }
-    if no_contention {
-        opt.cfg.dram_words_per_cycle = None;
-        opt.cfg.buffer_words = None;
     }
     Ok(opt)
 }
@@ -195,32 +108,11 @@ fn parse_measured_args(args: &[String]) -> Result<MeasuredOptions, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
         match a.as_str() {
-            "--threshold-us" => {
-                let raw = value("--threshold-us")?;
-                opt.threshold_us = Some(
-                    raw.parse()
-                        .map_err(|_| format!("--threshold-us: bad value `{raw}`"))?,
-                );
-            }
-            "--batches" => {
-                let raw = value("--batches")?;
-                opt.batches = raw
-                    .parse()
-                    .map_err(|_| format!("--batches: bad value `{raw}`"))?;
-            }
-            "--json" => opt.json = Some(PathBuf::from(value("--json")?)),
-            "--top" => {
-                let raw = value("--top")?;
-                opt.top = raw
-                    .parse()
-                    .map_err(|_| format!("--top: bad value `{raw}`"))?;
-            }
+            "--threshold-us" => opt.threshold_us = Some(number("--threshold-us", &mut it)?),
+            "--batches" => opt.batches = number("--batches", &mut it)?,
+            "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
+            "--top" => opt.top = number("--top", &mut it)?,
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -241,27 +133,12 @@ fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
         match a.as_str() {
-            "--tolerance" => {
-                let raw = value("--tolerance")?;
-                opt.tolerance = raw
-                    .parse()
-                    .map_err(|_| format!("--tolerance: bad value `{raw}`"))?;
-            }
+            "--tolerance" => opt.tolerance = number("--tolerance", &mut it)?,
             "--report-only" => opt.report_only = true,
-            "--batches" => {
-                let raw = value("--batches")?;
-                opt.batches = raw
-                    .parse()
-                    .map_err(|_| format!("--batches: bad value `{raw}`"))?;
-            }
-            "--json" => opt.json = Some(PathBuf::from(value("--json")?)),
-            "--sim-json" => opt.sim_json = Some(PathBuf::from(value("--sim-json")?)),
+            "--batches" => opt.batches = number("--batches", &mut it)?,
+            "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
+            "--sim-json" => opt.sim_json = Some(PathBuf::from(value("--sim-json", &mut it)?)),
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -303,7 +180,7 @@ fn run_sim(opt: &SimOptions) -> Result<(), String> {
         let cells = grid.expand();
         let mut last: Option<CritReport> = None;
         for spec in &cells {
-            let cfg = adagp_sweep::cell_sim_config(spec, &opt.cfg);
+            let cfg = adagp_sweep::cell_sim_config(spec, &opt.sim.config());
             let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
             let layers = model_sim_layers(
                 &AcceleratorConfig::default(),
@@ -343,26 +220,14 @@ fn run_sim(opt: &SimOptions) -> Result<(), String> {
             write_report(path, &last.ok_or("preset expanded to no cells")?)?;
         }
     } else {
-        let shapes = cached_shapes(opt.model, opt.dataset.input_scale());
-        let layers = model_sim_layers(
-            &AcceleratorConfig::default(),
-            opt.dataflow,
-            &PredictorCostModel::default(),
-            &shapes,
-            &opt.cfg,
+        let flags = &opt.sim;
+        let sim = simulate_batch(
+            flags.phase,
+            flags.design(),
+            &flags.layers(),
+            &flags.config(),
         );
-        let design = match opt.phase {
-            Phase::Baseline => None,
-            _ => Some(opt.design),
-        };
-        let sim = simulate_batch(opt.phase, design, &layers, &opt.cfg);
-        let title = format!(
-            "{} {} {} {}",
-            opt.model.name(),
-            opt.dataset.name(),
-            design.map_or("baseline", |d| d.name()),
-            opt.phase.name()
-        );
+        let title = flags.title();
         let report = sim_report(&sim, &title)?;
         print!("{}", report.render(opt.top));
         if let Some(path) = &opt.json {

@@ -7,10 +7,11 @@
 
 use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment, vgg13_quick_setup};
 use adagp_bench::report::render_table;
-use adagp_core::dni::{dni_vs_adagp_steps, DniTrainer};
+use adagp_core::dni::DniTrainer;
 use adagp_core::trainer::evaluate_accuracy;
 use adagp_core::PredictorConfig;
 use adagp_nn::optim::Sgd;
+use adagp_sim::step_timeline;
 
 pub fn run() {
     let (epochs, batches, batch) = (8, 16, 8);
@@ -36,7 +37,11 @@ pub fn run() {
     let gp_acc = adagp.accuracy;
     let (_, _, gp_batches) = adagp.phase_counts;
 
-    let (dni_steps, adagp_gp_steps, baseline_steps) = dni_vs_adagp_steps(13, 0.1);
+    // DNI's batch is the Phase-BP schedule: nothing skipped, predictor
+    // work after every forward and backward.
+    let steps = step_timeline(13, 0.1);
+    let (dni_steps, adagp_gp_steps, baseline_steps) =
+        (steps.phase_bp, steps.phase_gp, steps.baseline);
     let rows = vec![
         vec![
             "DNI-style".to_string(),

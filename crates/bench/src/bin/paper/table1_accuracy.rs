@@ -5,6 +5,7 @@
 //! to restrict the model set (a name that matches no model is exit 2).
 
 use adagp_bench::accuracy::{run_accuracy_experiment, TrainBudget};
+use adagp_bench::cli::find_model;
 use adagp_bench::report::render_table;
 use adagp_nn::data::DatasetSpec;
 use adagp_nn::models::CnnModel;
@@ -13,15 +14,11 @@ fn selected_models() -> Vec<CnnModel> {
     let Ok(spec) = std::env::var("ADAGP_MODELS") else {
         return CnnModel::all().to_vec();
     };
-    let canonical = |s: &str| s.trim().to_lowercase().replace('-', "");
     let mut wanted = Vec::new();
     // A name that selects nothing is a typo, not an empty table.
     let mut unknown = Vec::new();
     for name in spec.split(',') {
-        match CnnModel::all()
-            .into_iter()
-            .find(|m| canonical(m.name()) == canonical(name))
-        {
+        match find_model(name) {
             Some(model) => wanted.push(model),
             None => unknown.push(name.trim()),
         }

@@ -18,129 +18,37 @@
 //! with it all spill traffic). Time stamps in the exported trace are
 //! cycles (1 cycle = 1 µs in the viewer's axis).
 
-use adagp_accel::layer_cost::PredictorCostModel;
-use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
-use adagp_nn::models::CnnModel;
-use adagp_sim::{model_sim_layers, report, simulate_batch, write_chrome_trace, Phase, SimConfig};
-use adagp_sweep::shapes::cached_shapes;
-use adagp_sweep::DatasetScale;
+use adagp_bench::cli::{number, value, SimFlags};
+use adagp_sim::{report, simulate_batch, write_chrome_trace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
-    model: CnnModel,
-    dataset: DatasetScale,
-    design: AdaGpDesign,
-    dataflow: Dataflow,
-    phase: Phase,
-    cfg: SimConfig,
+    sim: SimFlags,
     limit: usize,
     trace: Option<PathBuf>,
 }
 
-fn parse_model(raw: &str) -> Result<CnnModel, String> {
-    CnnModel::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(raw))
-        .ok_or_else(|| {
-            let known: Vec<&str> = CnnModel::all().into_iter().map(|m| m.name()).collect();
-            format!("unknown model `{raw}` (known: {})", known.join(", "))
-        })
-}
-
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opt = Options {
-        model: CnnModel::Vgg13,
-        dataset: DatasetScale::Cifar10,
-        design: AdaGpDesign::Max,
-        dataflow: Dataflow::WeightStationary,
-        phase: Phase::Gp,
-        cfg: SimConfig::default(),
+        sim: SimFlags::default(),
         limit: 40,
         trace: None,
     };
-    let mut no_contention = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
         match a.as_str() {
-            "--model" => opt.model = parse_model(&value("--model")?)?,
-            "--dataset" => {
-                opt.dataset = match value("--dataset")?.to_ascii_lowercase().as_str() {
-                    "cifar10" => DatasetScale::Cifar10,
-                    "cifar100" => DatasetScale::Cifar100,
-                    "imagenet" => DatasetScale::ImageNet,
-                    other => return Err(format!("unknown dataset `{other}`")),
-                }
-            }
-            "--design" => {
-                opt.design = match value("--design")?.to_ascii_lowercase().as_str() {
-                    "low" => AdaGpDesign::Low,
-                    "efficient" => AdaGpDesign::Efficient,
-                    "max" => AdaGpDesign::Max,
-                    other => return Err(format!("unknown design `{other}`")),
-                }
-            }
-            "--dataflow" => {
-                opt.dataflow = match value("--dataflow")?.to_ascii_lowercase().as_str() {
-                    "ws" => Dataflow::WeightStationary,
-                    "os" => Dataflow::OutputStationary,
-                    "is" => Dataflow::InputStationary,
-                    "rs" => Dataflow::RowStationary,
-                    other => return Err(format!("unknown dataflow `{other}`")),
-                }
-            }
-            "--phase" => {
-                opt.phase = match value("--phase")?.to_ascii_lowercase().as_str() {
-                    "baseline" => Phase::Baseline,
-                    "bp" => Phase::Bp,
-                    "gp" => Phase::Gp,
-                    other => return Err(format!("unknown phase `{other}`")),
-                }
-            }
-            "--no-contention" => no_contention = true,
-            "--bandwidth" => {
-                let raw = value("--bandwidth")?;
-                let bw: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--bandwidth: bad value `{raw}`"))?;
-                opt.cfg.dram_words_per_cycle = Some(bw);
-            }
-            "--buffer-words" => {
-                let raw = value("--buffer-words")?;
-                let words: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--buffer-words: bad value `{raw}`"))?;
-                opt.cfg.buffer_words = Some(words);
-            }
-            "--dram-ports" => {
-                let raw = value("--dram-ports")?;
-                opt.cfg.dram_ports = raw
-                    .parse()
-                    .map_err(|_| format!("--dram-ports: bad value `{raw}`"))?;
-            }
-            "--limit" => {
-                let raw = value("--limit")?;
-                opt.limit = raw
-                    .parse()
-                    .map_err(|_| format!("--limit: bad value `{raw}`"))?;
-            }
-            "--trace" => opt.trace = Some(PathBuf::from(value("--trace")?)),
+            "--limit" => opt.limit = number("--limit", &mut it)?,
+            "--trace" => opt.trace = Some(PathBuf::from(value("--trace", &mut it)?)),
             "--help" | "-h" => {
                 return Err("help".to_string());
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => {
+                if !opt.sim.flag(other, &mut it)? {
+                    return Err(format!("unexpected argument `{other}`"));
+                }
+            }
         }
-    }
-    if no_contention {
-        // Applied last so it wins regardless of flag order — the same
-        // precedence contract `sweep sim` documents and tests.
-        opt.cfg.dram_words_per_cycle = None;
-        opt.cfg.buffer_words = None;
     }
     Ok(opt)
 }
@@ -168,27 +76,18 @@ fn main() -> ExitCode {
         }
     };
 
-    let shapes = cached_shapes(opt.model, opt.dataset.input_scale());
-    let layers = model_sim_layers(
-        &AcceleratorConfig::default(),
-        opt.dataflow,
-        &PredictorCostModel::default(),
-        &shapes,
-        &opt.cfg,
-    );
-    let design = match opt.phase {
-        Phase::Baseline => None,
-        _ => Some(opt.design),
-    };
-    let sim = simulate_batch(opt.phase, design, &layers, &opt.cfg);
+    let flags = &opt.sim;
+    let cfg = flags.config();
+    let layers = flags.layers();
+    let sim = simulate_batch(flags.phase, flags.design(), &layers, &cfg);
 
     println!(
         "sim_timeline: {} on {} ({} dataflow), one {} batch of {} samples, {} layers",
-        opt.model.name(),
-        opt.dataset.name(),
-        opt.dataflow.name(),
-        opt.phase.name(),
-        opt.cfg.batch,
+        flags.model.name(),
+        flags.dataset.name(),
+        flags.dataflow.name(),
+        flags.phase.name(),
+        cfg.batch,
         layers.len()
     );
     print!("{}", report::utilization_report(&sim));
@@ -196,13 +95,7 @@ fn main() -> ExitCode {
     print!("{}", report::span_table(&sim.result, opt.limit));
 
     if let Some(path) = &opt.trace {
-        let title = format!(
-            "{} {} {} {}",
-            opt.model.name(),
-            opt.dataset.name(),
-            design.map_or("baseline", |d| d.name()),
-            opt.phase.name()
-        );
+        let title = flags.title();
         if let Err(e) = write_chrome_trace(path, &sim.result, &title) {
             eprintln!("sim_timeline: write {}: {e}", path.display());
             return ExitCode::from(2);

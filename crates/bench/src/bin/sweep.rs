@@ -42,6 +42,7 @@
 //! prints the exact command that regenerates the golden (pass `--preset`
 //! so the hint can name it).
 
+use adagp_bench::cli::SimFlags;
 use adagp_bench::report::render_table;
 use adagp_sim::SimConfig;
 use adagp_sweep::{
@@ -389,42 +390,23 @@ fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
     let grid = preset(name)?;
     let mut csv_path: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut cfg = SimConfig::default();
-    let mut no_contention = false;
+    let mut flags = SimFlags::default();
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--csv" => csv_path = Some(path_arg(&mut it, "--csv")?),
-            "--no-contention" => no_contention = true,
-            "--bandwidth" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--bandwidth requires a value".to_string())?;
-                let bw: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--bandwidth: bad value `{raw}`"))?;
-                cfg.dram_words_per_cycle = Some(bw);
-            }
-            "--buffer-words" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--buffer-words requires a value".to_string())?;
-                let words: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--buffer-words: bad value `{raw}`"))?;
-                cfg.buffer_words = Some(words);
-            }
             "--quiet" => quiet = true,
-            other => return Err(format!("sim: unexpected argument `{other}`")),
+            other => {
+                if !flags.contention_flag(other, &mut it)? {
+                    return Err(format!("sim: unexpected argument `{other}`"));
+                }
+            }
         }
     }
-    if no_contention {
-        // Applied last: contention off silences every bandwidth/buffer
-        // knob, including the per-cell axis overrides (simeval composes
-        // overrides only while the DRAM channel exists).
-        cfg.dram_words_per_cycle = None;
-        cfg.buffer_words = None;
-    }
+    // --no-contention is applied last: contention off silences every
+    // bandwidth/buffer knob, including the per-cell axis overrides
+    // (simeval composes overrides only while the DRAM channel exists).
+    let cfg = flags.config();
 
     let details = simeval::run_sim_grid(&grid, &cfg);
     if !quiet {

@@ -6,13 +6,15 @@
 //! library holds the shared experiment logic so integration tests can
 //! exercise the same code with reduced budgets. The crate's other
 //! binaries are the `sweep`, `serve`, `serve_loadtest`, `critpath`,
-//! `sim_timeline` and `obs_check` CLIs.
+//! `sim_timeline` and `obs_check` CLIs; [`cli`] holds the simulator
+//! flags three of them share.
 //!
 //! Run e.g. `cargo run -p adagp-bench --release --bin paper --
 //! fig17_ws_speedup` (`paper list` names every artifact). Set
 //! `ADAGP_FULL=1` for the slower, higher-fidelity training budgets.
 
 pub mod accuracy;
+pub mod cli;
 pub mod detection;
 pub mod model_grid;
 pub mod report;

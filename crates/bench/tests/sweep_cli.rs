@@ -7,6 +7,7 @@
 //! * The same grid with contention on reports nonzero spills — the flag
 //!   is doing the silencing, not the grid.
 //! * `sweep roofline` exits cleanly and reports a knee per cell.
+//! * A zero `--bandwidth` / `--buffer-words` on `sweep sim` is exit 2.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -85,6 +86,24 @@ fn no_contention_composes_with_explicit_bandwidth_and_buffer_flags() {
     );
     assert!(spills.iter().all(|s| s == "0.000000"), "{spills:?}");
     std::fs::remove_file(&csv).ok();
+}
+
+/// A zero bandwidth or buffer is a usage error naming the flag (it was a
+/// panic, exit 101, inside the batch builder or the tiling model).
+#[test]
+fn sim_rejects_zero_contention_values_as_usage_errors() {
+    for flag in ["--bandwidth", "--buffer-words"] {
+        let out = sweep()
+            .args(["sim", "smoke", "--quiet", flag, "0"])
+            .output()
+            .expect("sweep sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: must be positive")),
+            "{stderr}"
+        );
+    }
 }
 
 /// `sweep diff`'s documented exit-code contract, end to end: 0 for a

@@ -8,7 +8,9 @@
 //! increases computations of the backpropagation step." This module lets
 //! the repository demonstrate that comparison directly: `DniTrainer` never
 //! skips a backward pass (so the accelerator model gives it ≤1× speed-up),
-//! whereas `AdaGp` skips it on every GP batch.
+//! whereas `AdaGp` skips it on every GP batch. Its per-batch step cost is
+//! the Phase-BP schedule — predictor work after every forward and every
+//! backward, nothing skipped — which `adagp_sim::step_timeline` simulates.
 
 use crate::metrics::{gradient_errors, GradientErrors, MAPE_EPS};
 use crate::predictor::{Predictor, PredictorConfig};
@@ -115,20 +117,6 @@ impl DniTrainer {
     }
 }
 
-/// Relative training cost of DNI vs ADA-GP per the §3.7 step model: DNI
-/// pays the full baseline (3 steps/layer) plus predictor FW+BW (3α) on
-/// *every* batch, while ADA-GP's GP batches cost only `1 + α`.
-///
-/// Returns `(dni_steps_per_batch, adagp_gp_steps_per_batch,
-/// baseline_steps_per_batch)` for an `n_layers` model.
-pub fn dni_vs_adagp_steps(n_layers: usize, alpha: f64) -> (f64, f64, f64) {
-    let n = n_layers as f64;
-    let baseline = 3.0 * n;
-    let dni = 3.0 * n + 3.0 * n * alpha;
-    let adagp_gp = n + n * alpha;
-    (dni, adagp_gp, baseline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,15 +163,6 @@ mod tests {
             .iter()
             .zip(after.iter())
             .any(|(b, a)| b.sub(a).norm() > 0.0));
-    }
-
-    #[test]
-    fn dni_never_skips_backward_in_step_model() {
-        // The paper's §2 point: DNI >= baseline cost; ADA-GP GP << both.
-        let (dni, adagp_gp, baseline) = dni_vs_adagp_steps(10, 0.1);
-        assert!(dni >= baseline);
-        assert!(adagp_gp < baseline / 2.0);
-        assert!(adagp_gp < dni / 2.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # adagp-pipeline
 //!
-//! Multi-device pipeline schedule models (§3.8, §6.5 of the ADA-GP paper):
-//! GPipe, DAPPLE and Chimera baselines plus the ADA-GP overlays that fill
-//! their pipeline bubbles during Phase GP.
+//! Closed-form step counts of the multi-device pipeline schemes (§3.8,
+//! §6.5 of the ADA-GP paper): GPipe, DAPPLE and Chimera baselines plus the
+//! ADA-GP overlays that fill their pipeline bubbles during Phase GP.
 //!
 //! The paper's setting: four devices, each mini-batch split into four
 //! micro-batches, one *step* = the forward time of one micro-batch on one
@@ -13,13 +13,12 @@
 //! * Chimera: 16 steps per batch; ADA-GP pairs take 20 steps (§6.5.3) →
 //!   up to 32/20 = 1.6×.
 //!
-//! [`schedule::simulate_gpipe`] builds the actual device×time grid and the
-//! closed-form step counts are validated against it.
+//! The schedules themselves run on the event engine
+//! (`adagp_sim::schedule`); the GPipe and DAPPLE closed forms here are
+//! pinned to those makespans (`tests/properties.rs`), the way
+//! `adagp_accel::designs` is pinned to `adagp_sim::workload`. Chimera is
+//! still a closed form only.
 
-pub mod data_parallel;
-pub mod schedule;
 pub mod schemes;
 
-pub use data_parallel::DataParallelConfig;
-pub use schedule::{simulate_gpipe, ScheduleGrid, SlotKind};
 pub use schemes::{PipelineConfig, PipelineScheme};

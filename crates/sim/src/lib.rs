@@ -43,7 +43,11 @@
 //!   speed-up, utilization and overlap-efficiency metrics; [`StepGraphs`]
 //!   holds the three compiled schedules of one design point.
 //! * [`steps`] — the §3.7 step timeline (Figures 7–9), now *simulated*
-//!   instead of closed-form.
+//!   instead of closed-form; it also prices the DNI comparison.
+//! * [`schedule`] — multi-device pipeline schedules (GPipe, DAPPLE's 1F1B
+//!   and ADA-GP's GP→BP pairs, §3.8/§6.5) as task graphs over one
+//!   resource per device; `adagp-pipeline`'s closed forms are pinned to
+//!   their makespans.
 //! * [`trace`] — Chrome-trace JSON export.
 //! * [`report`] — plain-text timeline and utilization reports, and the
 //!   bridge into `adagp-obs`'s critical-path analyzer
@@ -75,6 +79,7 @@
 
 pub mod engine;
 pub mod report;
+pub mod schedule;
 pub mod step;
 pub mod steps;
 pub mod trace;
@@ -85,6 +90,7 @@ pub use engine::{
     TaskKind, TaskSpec,
 };
 pub use report::{crit_tasks, critical_path};
+pub use schedule::{pipeline_graph, PipelineOrder};
 pub use step::{epoch_total, StepGraphs, StepSim};
 pub use steps::{step_timeline, StepTimeline};
 pub use trace::{chrome_trace, write_chrome_trace};

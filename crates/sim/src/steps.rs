@@ -8,6 +8,11 @@
 //! place that computes overlap windows — the event engine — and the
 //! paper's `12 / 12 + 12α / 4 + 4α` step counts fall out of it.
 //!
+//! The same three numbers price §2's DNI comparison (`paper
+//! comparison_dni`): DNI's batch is the Phase-BP schedule — α after every
+//! forward, 2α after every backward, no backward skipped — against
+//! ADA-GP's Phase-GP batch and the baseline.
+//!
 //! Steps are simulated in a `2^20`-cycles-per-step fixed point, so every
 //! α representable in 20 fractional bits (0.25, 0.5, …) is exact.
 
@@ -102,6 +107,16 @@ mod tests {
         let t = step_timeline(4, alpha);
         assert_eq!(t.phase_bp + t.phase_gp, 16.0);
         assert_eq!(2.0 * t.baseline, 24.0);
+    }
+
+    #[test]
+    fn dni_never_skips_backward_in_step_model() {
+        // The paper's §2 point: DNI (the Phase-BP schedule) >= baseline
+        // cost; ADA-GP GP << both.
+        let t = step_timeline(10, 0.1);
+        assert!(t.phase_bp >= t.baseline);
+        assert!(t.phase_gp < t.baseline / 2.0);
+        assert!(t.phase_gp < t.phase_bp / 2.0);
     }
 
     #[test]

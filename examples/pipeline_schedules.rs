@@ -5,28 +5,51 @@
 //! cargo run --release --example pipeline_schedules
 //! ```
 
-use ada_gp::pipeline::{simulate_gpipe, PipelineConfig, PipelineScheme, SlotKind};
+use ada_gp::pipeline::{PipelineConfig, PipelineScheme};
+use ada_gp::sim::{pipeline_graph, Phase, PipelineOrder, TaskKind};
 
 fn main() {
     let cfg = PipelineConfig::default();
-    let grid = simulate_gpipe(cfg.devices, cfg.microbatches, cfg.fw, cfg.bw);
+    let run = pipeline_graph(
+        PipelineOrder::GPipe,
+        cfg.devices,
+        cfg.microbatches,
+        cfg.fw as u64,
+        cfg.bw as u64,
+        &[Phase::Bp],
+    )
+    .simulate();
 
-    println!("GPipe schedule, 4 devices x 4 micro-batches (F=forward, B=backward, .=bubble):");
-    for (d, row) in grid.grid.iter().enumerate() {
-        print!("device {d}: ");
-        for slot in row {
-            match slot {
-                SlotKind::Idle => print!(" ."),
-                SlotKind::Forward(m) => print!("F{m}"),
-                SlotKind::Backward(m) => print!("B{m}"),
-            }
+    // One row per device, one slot per step, filled from the engine's spans.
+    let mut grid = vec![vec![" .".to_string(); run.makespan as usize]; cfg.devices];
+    for span in &run.spans {
+        let device = run
+            .tasks
+            .resource(span.task)
+            .expect("every task runs on a device");
+        let m = run
+            .tasks
+            .layer(span.task)
+            .expect("every task is a micro-batch");
+        let kind = if run.tasks.kind(span.task) == TaskKind::Forward {
+            'F'
+        } else {
+            'B'
+        };
+        for slot in &mut grid[device][span.start as usize..span.end as usize] {
+            *slot = format!("{kind}{m}");
         }
-        println!();
     }
+    println!("GPipe schedule, 4 devices x 4 micro-batches (F=forward, B=backward, .=bubble):");
+    for (d, row) in grid.iter().enumerate() {
+        println!("device {d}: {}", row.concat());
+    }
+    let busy: u64 = run.busy.iter().sum();
+    let bubbles = 1.0 - busy as f64 / (cfg.devices as u64 * run.makespan) as f64;
     println!(
         "makespan {} steps, {:.0}% bubbles",
-        grid.makespan(),
-        100.0 * grid.bubble_fraction()
+        run.makespan,
+        100.0 * bubbles
     );
     println!();
 

@@ -9,8 +9,9 @@
 //! * [`nn`] — layers, models, optimizers, schedulers, datasets, metrics.
 //! * [`adagp`] — the ADA-GP algorithm: predictor, reorganization, phases.
 //! * [`accel`] — accelerator cycle/energy/area models.
-//! * [`sim`] — discrete-event, layer-granular accelerator simulator.
-//! * [`pipeline`] — GPipe/DAPPLE/Chimera schedule models.
+//! * [`sim`] — discrete-event, layer-granular accelerator simulator; also
+//!   runs the GPipe/DAPPLE pipeline schedules.
+//! * [`pipeline`] — closed-form GPipe/DAPPLE/Chimera step counts.
 //! * [`obs`] — spans, counters/histograms, Chrome-trace export.
 //!
 //! ```

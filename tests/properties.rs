@@ -16,7 +16,8 @@ use ada_gp::adagp::controller::{PhaseController, ScheduleConfig};
 use ada_gp::adagp::reorg;
 use ada_gp::nn::models::shapes::LayerShape;
 use ada_gp::nn::{SiteKind, SiteMeta};
-use ada_gp::pipeline::{simulate_gpipe, PipelineConfig, PipelineScheme};
+use ada_gp::pipeline::{PipelineConfig, PipelineScheme};
+use ada_gp::sim::{pipeline_graph, Phase, PipelineOrder};
 use ada_gp::tensor::{init, Prng, Tensor};
 
 const CASES: u64 = 64;
@@ -173,25 +174,72 @@ fn design_cycle_ordering() {
     });
 }
 
-/// GPipe simulation: makespan matches the closed form and all work is
-/// scheduled, for arbitrary device/micro-batch counts.
+/// Pipeline simulation on the event engine, GPipe and 1F1B alike:
+/// makespan matches the closed form and all work is scheduled, for
+/// arbitrary device/micro-batch counts.
 #[test]
 fn gpipe_simulation_consistent() {
     cases(|rng| {
         let d = draw(rng, 1, 8);
         let m = draw(rng, 1, 8);
-        let fw = draw(rng, 1, 3);
-        let bw = draw(rng, 1, 4);
-        let g = simulate_gpipe(d, m, fw, bw);
-        assert_eq!(g.makespan(), (d + m - 1) * fw + (d + m - 1) * bw);
-        let busy: usize = g
-            .grid
-            .iter()
-            .flat_map(|r| r.iter())
-            .filter(|s| **s != ada_gp::pipeline::SlotKind::Idle)
-            .count();
-        assert_eq!(busy, d * m * (fw + bw));
+        let fw = draw(rng, 1, 3) as u64;
+        let bw = draw(rng, 1, 4) as u64;
+        for order in [PipelineOrder::GPipe, PipelineOrder::OneFOneB] {
+            let g = pipeline_graph(order, d, m, fw, bw, &[Phase::Bp]);
+            assert_eq!(
+                g.run().makespan,
+                (d + m - 1) as u64 * (fw + bw),
+                "{order:?}"
+            );
+            let busy: u64 = g.busy().iter().sum();
+            assert_eq!(busy, (d * m) as u64 * (fw + bw), "{order:?}");
+        }
     });
+}
+
+/// The GPipe/DAPPLE closed forms of `adagp-pipeline` are the engine's
+/// makespans — one batch, one GP→BP pair and k alternating pairs — over
+/// every (D, M, fw, bw) in 1..=8 × 1..=8 × 1..=3 × 1..=4.
+#[test]
+fn pipeline_closed_forms_match_the_engine() {
+    let pairs = [Phase::Gp, Phase::Bp].repeat(4);
+    for (scheme, order) in [
+        (PipelineScheme::GPipe, PipelineOrder::GPipe),
+        (PipelineScheme::Dapple, PipelineOrder::OneFOneB),
+    ] {
+        for devices in 1..=8 {
+            for microbatches in 1..=8 {
+                for fw in 1..=3 {
+                    for bw in 1..=4 {
+                        let cfg = PipelineConfig {
+                            devices,
+                            microbatches,
+                            fw,
+                            bw,
+                        };
+                        let steps = |batches: &[Phase]| {
+                            pipeline_graph(
+                                order,
+                                devices,
+                                microbatches,
+                                fw as u64,
+                                bw as u64,
+                                batches,
+                            )
+                            .run()
+                            .makespan as usize
+                        };
+                        let at = format!("{} {cfg:?}", scheme.name());
+                        assert_eq!(steps(&[Phase::Bp]), scheme.batch_steps(&cfg), "{at}");
+                        let pair = scheme.adagp_pair_steps(&cfg);
+                        for k in 1..=4 {
+                            assert_eq!(steps(&pairs[..2 * k]), k * pair, "{at} k={k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// ADA-GP pipeline speed-up is bounded by (2·batch)/(batch + M·fw) and
