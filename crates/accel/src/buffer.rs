@@ -115,22 +115,6 @@ pub fn model_fw_traffic(
         .sum()
 }
 
-/// Ratio of tiled traffic to ideal (infinite-buffer) traffic — 1.0 means
-/// the buffer is large enough for perfect reuse.
-pub fn reuse_efficiency(
-    cfg: &BufferConfig,
-    df: Dataflow,
-    layers: &[LayerShape],
-    batch: usize,
-) -> f64 {
-    let infinite = BufferConfig {
-        capacity_words: u64::MAX,
-    };
-    let ideal = model_fw_traffic(&infinite, df, layers, batch) as f64;
-    let tiled = model_fw_traffic(cfg, df, layers, batch) as f64;
-    ideal / tiled
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,14 +164,6 @@ mod tests {
             let t_big = model_fw_traffic(&big, df, &layers, 16);
             assert!(t_big <= t_small, "{df:?}");
         }
-    }
-
-    #[test]
-    fn reuse_efficiency_bounded() {
-        let cfg = BufferConfig::default();
-        let layers = model_shapes(CnnModel::ResNet50, InputScale::ImageNet);
-        let e = reuse_efficiency(&cfg, Dataflow::WeightStationary, &layers, 16);
-        assert!(e > 0.0 && e <= 1.0, "efficiency {e}");
     }
 
     #[test]

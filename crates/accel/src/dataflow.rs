@@ -34,16 +34,6 @@ impl Dataflow {
         ]
     }
 
-    /// The three dataflows evaluated in Figures 17–19 (OS is exercised in
-    /// tests/ablations).
-    pub fn figure_set() -> [Dataflow; 3] {
-        [
-            Dataflow::WeightStationary,
-            Dataflow::RowStationary,
-            Dataflow::InputStationary,
-        ]
-    }
-
     /// Short display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -170,18 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn figure_set_is_ws_rs_is() {
-        let names: Vec<_> = Dataflow::figure_set().iter().map(|d| d.name()).collect();
-        assert_eq!(names, vec!["WS", "RS", "IS"]);
-    }
-
-    #[test]
     fn all_covers_every_dataflow_once() {
         let all = Dataflow::all();
         assert_eq!(all.len(), 4);
-        for df in Dataflow::figure_set() {
-            assert!(all.contains(&df));
-        }
         let names: std::collections::HashSet<_> = all.iter().map(|d| d.name()).collect();
         assert_eq!(names.len(), 4, "duplicate dataflow names");
     }

@@ -11,6 +11,9 @@
 //! model (Figures 7–9: forward = 1 step per layer, backward = 2 steps,
 //! predictor latency α); this crate implements that model quantitatively
 //! over the *paper-scale* layer shapes from `adagp_nn::models::shapes`.
+//! The array itself is modelled only through these closed forms
+//! ([`layer_cost`]); there is no cycle-stepped PE simulation, and
+//! `adagp-sim` schedules the same per-layer costs as events.
 //!
 //! ## Example
 //!
@@ -33,7 +36,6 @@ pub mod energy;
 pub mod layer_cost;
 pub mod speedup;
 pub mod synthesis;
-pub mod systolic;
 pub mod timeline;
 
 pub use dataflow::{AcceleratorConfig, Dataflow};

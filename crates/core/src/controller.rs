@@ -163,16 +163,6 @@ impl PhaseController {
             Phase::BP
         }
     }
-
-    /// Fraction of batches that skip backprop at `epoch` under this
-    /// schedule — feeds the analytic speed-up model.
-    pub fn gp_fraction_at(&self, epoch: usize) -> f64 {
-        if epoch < self.cfg.warmup_epochs {
-            return 0.0;
-        }
-        let (k, m) = self.cfg.ratio_at(epoch);
-        k as f64 / (k + m) as f64
-    }
 }
 
 #[cfg(test)]
@@ -216,15 +206,6 @@ mod tests {
     fn warmup_ratio_is_all_bp() {
         let cfg = ScheduleConfig::default();
         assert_eq!(cfg.ratio_at(0), (0, 1));
-    }
-
-    #[test]
-    fn gp_fraction_anneals() {
-        let c = PhaseController::new(ScheduleConfig::default());
-        let w = c.config().warmup_epochs;
-        assert_eq!(c.gp_fraction_at(0), 0.0);
-        assert!((c.gp_fraction_at(w) - 0.8).abs() < 1e-9);
-        assert!((c.gp_fraction_at(w + 12) - 0.5).abs() < 1e-9);
     }
 
     #[test]

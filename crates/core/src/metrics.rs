@@ -89,22 +89,6 @@ impl PredictorMetrics {
         })
     }
 
-    /// Mean MAPE across all layers with observations.
-    pub fn mean_mape(&self) -> f32 {
-        let (sum, n) = self
-            .acc
-            .iter()
-            .filter(|(_, _, c)| *c > 0)
-            .fold((0.0f64, 0u64), |(s, n), (m, _, c)| {
-                (s + m / *c as f64, n + 1)
-            });
-        if n == 0 {
-            0.0
-        } else {
-            (sum / n as f64) as f32
-        }
-    }
-
     /// Clears all accumulators (call at epoch boundaries).
     pub fn reset(&mut self) {
         for slot in &mut self.acc {
@@ -166,7 +150,6 @@ mod tests {
         assert!((m.mape - 3.0).abs() < 1e-6);
         assert!((m.mse - 1.0).abs() < 1e-6);
         assert!(t.layer_mean(1).is_none());
-        assert!((t.mean_mape() - 3.0).abs() < 1e-6);
     }
 
     #[test]

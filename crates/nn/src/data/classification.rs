@@ -9,6 +9,9 @@
 
 use adagp_tensor::{Prng, Tensor};
 
+/// Standard deviation of the per-sample Gaussian noise.
+const NOISE_STD: f32 = 0.8;
+
 /// Shape/cardinality spec of a synthetic vision dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetSpec {
@@ -88,7 +91,6 @@ pub struct VisionDataset {
     spec: DatasetSpec,
     seed: u64,
     prototypes: Vec<Tensor>,
-    noise_std: f32,
 }
 
 impl VisionDataset {
@@ -128,24 +130,12 @@ impl VisionDataset {
             spec,
             seed,
             prototypes,
-            noise_std: 0.8,
         }
     }
 
     /// Dataset spec.
     pub fn spec(&self) -> &DatasetSpec {
         &self.spec
-    }
-
-    /// Overrides the per-sample noise level (default 0.8).
-    pub fn with_noise(mut self, std: f32) -> Self {
-        self.noise_std = std;
-        self
-    }
-
-    /// Number of training batches for a batch size.
-    pub fn train_batches(&self, batch_size: usize) -> usize {
-        self.spec.train_len / batch_size
     }
 
     fn sample(&self, split: u64, index: usize) -> (Vec<f32>, usize) {
@@ -159,7 +149,7 @@ impl VisionDataset {
         let data: Vec<f32> = proto
             .data()
             .iter()
-            .map(|&p| p + rng.normal(0.0, self.noise_std))
+            .map(|&p| p + rng.normal(0.0, NOISE_STD))
             .collect();
         (data, class)
     }
@@ -197,60 +187,6 @@ impl VisionDataset {
             data.extend_from_slice(&sample);
             labels.push(class);
         }
-        (
-            Tensor::from_vec(
-                data,
-                &[
-                    batch_size,
-                    self.spec.channels,
-                    self.spec.size,
-                    self.spec.size,
-                ],
-            ),
-            labels,
-        )
-    }
-
-    /// Generates training batch `batch_idx` with samples produced in
-    /// parallel on the shared [`adagp_runtime`] pool (sized by
-    /// `ADAGP_THREADS`). Because every sample is a pure function of
-    /// `(seed, split, index)` and each sample owns its output slice, the
-    /// result is bit-identical to [`VisionDataset::train_batch`] for every
-    /// pool size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn train_batch_parallel(
-        &self,
-        batch_idx: usize,
-        batch_size: usize,
-    ) -> (Tensor, Vec<usize>) {
-        assert!(batch_size > 0, "batch_size must be positive");
-        let plen = self.spec.channels * self.spec.size * self.spec.size;
-        let split_len = self.spec.train_len.max(1);
-        let mut data = vec![0.0f32; batch_size * plen];
-        let mut labels = vec![0usize; batch_size];
-        let chunk = adagp_runtime::det_chunk_len(batch_size);
-        adagp_runtime::pool().parallel_chunks_pair(
-            &mut data,
-            &mut labels,
-            chunk * plen,
-            chunk,
-            |ci, chunk_data, chunk_labels| {
-                for (j, (sample_out, label_out)) in chunk_data
-                    .chunks_mut(plen)
-                    .zip(chunk_labels.iter_mut())
-                    .enumerate()
-                {
-                    let i = ci * chunk + j;
-                    let index = (batch_idx * batch_size + i) % split_len;
-                    let (sample, class) = self.sample(0, index);
-                    sample_out.copy_from_slice(&sample);
-                    *label_out = class;
-                }
-            },
-        );
         (
             Tensor::from_vec(
                 data,
@@ -309,17 +245,6 @@ mod tests {
         assert_eq!(DatasetSpec::cifar10().classes, 10);
         assert_eq!(DatasetSpec::cifar100().classes, 100);
         assert_eq!(DatasetSpec::imagenet().classes, 1000);
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial() {
-        let ds = VisionDataset::new(DatasetSpec::tiny(5, 8), 21);
-        let (xs, ys) = ds.train_batch(3, 17);
-        for threads in [1, 2, 4, 7] {
-            let (xp, yp) = adagp_runtime::with_threads(threads, || ds.train_batch_parallel(3, 17));
-            assert_eq!(xs, xp, "threads={threads}");
-            assert_eq!(ys, yp, "threads={threads}");
-        }
     }
 
     #[test]

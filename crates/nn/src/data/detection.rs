@@ -78,11 +78,6 @@ impl DetectionDataset {
         }
     }
 
-    /// PascalVOC-like default: 20 classes, 3×32×32 images.
-    pub fn voc_like(seed: u64) -> Self {
-        Self::new(20, 32, 256, 128, seed)
-    }
-
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes
@@ -232,7 +227,7 @@ mod tests {
 
     #[test]
     fn batches_deterministic_and_valid() {
-        let ds = DetectionDataset::voc_like(1);
+        let ds = DetectionDataset::new(20, 32, 256, 128, 1);
         let (xa, la) = ds.train_batch(0, 4);
         let (xb, lb) = ds.train_batch(0, 4);
         assert_eq!(xa, xb);

@@ -130,11 +130,6 @@ impl Conv2d {
         self.weight.value.dim(0)
     }
 
-    /// Kernel size (square).
-    pub fn kernel_size(&self) -> usize {
-        self.kh
-    }
-
     /// Immutable access to the weight parameter.
     pub fn weight(&self) -> &Param {
         &self.weight

@@ -3,10 +3,10 @@
 //! Neural-network building blocks for the ADA-GP reproduction (MICRO 2023):
 //! a [`Module`] trait with explicit forward/backward, the layer set used by
 //! the paper's fifteen evaluated models, containers for residual / densely
-//! connected / branched topologies, optimizers and learning-rate schedulers
+//! connected / branched topologies, optimizers and the learning-rate scheduler
 //! matching the paper's training setup (§5.2), synthetic datasets standing
 //! in for CIFAR/ImageNet/Multi30k/PascalVOC, and evaluation metrics
-//! (top-1 accuracy, BLEU, mAP).
+//! (BLEU, mAP).
 //!
 //! The crate deliberately exposes **prediction sites** ([`PredictionSite`]):
 //! every parameterized layer can cache its output activation during the
@@ -26,7 +26,6 @@
 //! assert_eq!(y.shape(), &[3, 2]);
 //! ```
 
-pub mod checkpoint;
 pub mod containers;
 pub mod data;
 pub mod layers;

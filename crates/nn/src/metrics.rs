@@ -1,47 +1,8 @@
-//! Evaluation metrics: top-1 accuracy, BLEU score and mean average
-//! precision — the three metrics the paper's Tables 1–3 report.
+//! Evaluation metrics: BLEU score and mean average precision, which the
+//! paper's Tables 2 and 3 report (Table 1's top-1 accuracy is
+//! `adagp_core::trainer::evaluate_accuracy`).
 
 use crate::data::BoxLabel;
-use adagp_tensor::Tensor;
-
-/// Top-1 classification accuracy in percent.
-///
-/// # Panics
-///
-/// Panics if `logits` is not `(n, classes)` or the batch sizes differ.
-///
-/// ```
-/// use adagp_nn::metrics::top1_accuracy;
-/// use adagp_tensor::Tensor;
-/// let logits = Tensor::from_vec(vec![0.1, 0.9, 0.8, 0.2], &[2, 2]);
-/// assert_eq!(top1_accuracy(&logits, &[1, 0]), 100.0);
-/// ```
-pub fn top1_accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
-    assert_eq!(
-        logits.ndim(),
-        2,
-        "top1_accuracy: logits must be (n, classes)"
-    );
-    let (n, c) = (logits.dim(0), logits.dim(1));
-    assert_eq!(n, targets.len(), "top1_accuracy: batch mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let mut correct = 0;
-    for (i, &t) in targets.iter().enumerate() {
-        let row = &logits.data()[i * c..(i + 1) * c];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(j, _)| j)
-            .unwrap_or(0);
-        if pred == t {
-            correct += 1;
-        }
-    }
-    100.0 * correct as f32 / n as f32
-}
 
 /// Corpus-level BLEU-4 with uniform n-gram weights and brevity penalty —
 /// the metric reported for the Transformer (Table 2).
@@ -106,37 +67,6 @@ fn ngram_counts(seq: &[usize], n: usize) -> std::collections::HashMap<&[usize], 
         *map.entry(window).or_insert(0) += 1;
     }
     map
-}
-
-/// Top-k classification accuracy in percent (the paper reports top-1; the
-/// ImageNet literature also uses top-5).
-///
-/// # Panics
-///
-/// Panics if `logits` is not rank-2, batch sizes differ, or `k == 0`.
-pub fn topk_accuracy(logits: &Tensor, targets: &[usize], k: usize) -> f32 {
-    assert_eq!(
-        logits.ndim(),
-        2,
-        "topk_accuracy: logits must be (n, classes)"
-    );
-    assert!(k > 0, "topk_accuracy: k must be positive");
-    let (n, c) = (logits.dim(0), logits.dim(1));
-    assert_eq!(n, targets.len(), "topk_accuracy: batch mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let mut correct = 0;
-    for (i, &t) in targets.iter().enumerate() {
-        let row = &logits.data()[i * c..(i + 1) * c];
-        let target_score = row[t];
-        // Rank = number of classes strictly above the target's score.
-        let above = row.iter().filter(|&&v| v > target_score).count();
-        if above < k {
-            correct += 1;
-        }
-    }
-    100.0 * correct as f32 / n as f32
 }
 
 /// A scored detection for mAP computation.
@@ -226,38 +156,6 @@ pub fn mean_average_precision(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accuracy_all_correct_and_all_wrong() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        assert_eq!(top1_accuracy(&logits, &[0, 1]), 100.0);
-        assert_eq!(top1_accuracy(&logits, &[1, 0]), 0.0);
-    }
-
-    #[test]
-    fn accuracy_partial() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[2, 2]);
-        assert_eq!(top1_accuracy(&logits, &[0, 1]), 50.0);
-    }
-
-    #[test]
-    fn topk_contains_top1() {
-        let logits = Tensor::from_vec(vec![0.5, 0.9, 0.1, 0.3], &[1, 4]);
-        // Target class 0 ranks 2nd.
-        assert_eq!(topk_accuracy(&logits, &[0], 1), 0.0);
-        assert_eq!(topk_accuracy(&logits, &[0], 2), 100.0);
-        // Top-k is monotone in k.
-        assert_eq!(topk_accuracy(&logits, &[2], 4), 100.0);
-    }
-
-    #[test]
-    fn topk_matches_top1_at_k1() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        assert_eq!(
-            topk_accuracy(&logits, &[0, 1], 1),
-            top1_accuracy(&logits, &[0, 1])
-        );
-    }
 
     #[test]
     fn bleu_perfect_match_is_100() {

@@ -338,15 +338,6 @@ fn mobilenet_shapes(input: usize) -> Vec<LayerShape> {
     shapes
 }
 
-/// Shapes for the trainable VGG13 CIFAR variant's ten conv layers — the
-/// per-layer characterization of Figure 16 uses these.
-pub fn vgg13_conv_shapes_cifar() -> Vec<LayerShape> {
-    vgg_shapes(&[2, 2, 2, 2, 2], 32)
-        .into_iter()
-        .filter(|s| s.kind == LayerKind::Conv)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::CnnModel;
@@ -440,12 +431,5 @@ mod tests {
             assert!(!shapes.is_empty(), "{} empty", model.name());
             assert!(shapes.iter().all(|s| s.macs() > 0));
         }
-    }
-
-    #[test]
-    fn fig16_shapes_are_the_ten_vgg13_convs() {
-        let shapes = vgg13_conv_shapes_cifar();
-        assert_eq!(shapes.len(), 10);
-        assert_eq!(shapes[0].label, "conv1_1");
     }
 }

@@ -74,11 +74,6 @@ pub struct SiteMeta {
 }
 
 impl SiteMeta {
-    /// Number of gradients the predictor must produce for this site.
-    pub fn grad_count(&self) -> usize {
-        self.weight_shape.iter().product()
-    }
-
     /// For conv sites: `in_ch * kh * kw`, the per-output-channel gradient
     /// row predicted after tensor reorganization (§3.6). For linear sites:
     /// `in_features`.
@@ -201,7 +196,6 @@ mod tests {
             weight_shape: vec![256, 128, 3, 3],
             label: "conv4".into(),
         };
-        assert_eq!(conv.grad_count(), 256 * 128 * 9);
         assert_eq!(conv.grads_per_out_channel(), 128 * 9);
         assert_eq!(conv.out_channels(), 256);
 
@@ -210,7 +204,6 @@ mod tests {
             weight_shape: vec![10, 512],
             label: "fc".into(),
         };
-        assert_eq!(lin.grad_count(), 5120);
         assert_eq!(lin.grads_per_out_channel(), 512);
         assert_eq!(lin.out_channels(), 10);
     }

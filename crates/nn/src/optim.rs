@@ -8,32 +8,6 @@
 use crate::module::Module;
 use adagp_tensor::Tensor;
 
-/// Clips the global gradient norm of a model to `max_norm`, returning the
-/// pre-clip norm. Standard stabilization for the transformer/YOLO training
-/// loops.
-///
-/// # Panics
-///
-/// Panics if `max_norm <= 0`.
-pub fn clip_grad_norm(model: &mut dyn Module, max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut sq = 0.0f64;
-    model.visit_params(&mut |p| {
-        sq += p
-            .grad
-            .data()
-            .iter()
-            .map(|g| (*g as f64) * (*g as f64))
-            .sum::<f64>();
-    });
-    let norm = (sq as f32).sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        model.visit_params(&mut |p| p.grad.scale_in_place(scale));
-    }
-    norm
-}
-
 /// Optimizer interface: one `step` consumes the accumulated gradients and
 /// zeroes them.
 pub trait Optimizer {
@@ -48,15 +22,13 @@ pub trait Optimizer {
     fn set_lr(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with classical momentum and optional weight
-/// decay.
+/// Stochastic gradient descent with classical momentum.
 ///
-/// `v = mu * v + g + wd * w;  w -= lr * v`
+/// `v = mu * v + g;  w -= lr * v`
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 
@@ -71,15 +43,8 @@ impl Sgd {
         Sgd {
             lr,
             momentum,
-            weight_decay: 0.0,
             velocity: Vec::new(),
         }
-    }
-
-    /// Adds decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 }
 
@@ -88,7 +53,6 @@ impl Optimizer for Sgd {
         let mut idx = 0;
         let lr = self.lr;
         let mu = self.momentum;
-        let wd = self.weight_decay;
         let velocity = &mut self.velocity;
         model.visit_params(&mut |p| {
             if velocity.len() <= idx {
@@ -96,13 +60,8 @@ impl Optimizer for Sgd {
             }
             let v = &mut velocity[idx];
             debug_assert_eq!(v.shape(), p.value.shape(), "optimizer state shape drift");
-            for ((vv, &g), &w) in v
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data().iter())
-                .zip(p.value.data().iter())
-            {
-                *vv = mu * *vv + g + wd * w;
+            for (vv, &g) in v.data_mut().iter_mut().zip(p.grad.data().iter()) {
+                *vv = mu * *vv + g;
             }
             p.value.axpy(-lr, v);
             p.zero_grad();
@@ -119,12 +78,15 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) with bias correction.
+/// Adam's exponential decay rates for the first and second moments.
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+
+/// Adam optimizer (Kingma & Ba) with bias correction and betas
+/// `(0.9, 0.999)`.
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
     eps: f32,
     t: u64,
     m: Vec<Tensor>,
@@ -132,8 +94,7 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates Adam with the given learning rate and default betas
-    /// `(0.9, 0.999)`.
+    /// Creates Adam with the given learning rate.
     ///
     /// # Panics
     ///
@@ -142,20 +103,11 @@ impl Adam {
         assert!(lr > 0.0, "learning rate must be positive");
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
             eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// The first and second moment estimates, one tensor per parameter in
@@ -168,9 +120,9 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, model: &mut dyn Module) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
+        let (lr, b1, b2, eps) = (self.lr, BETA1, BETA2, self.eps);
         let mut idx = 0;
         let (ms, vs) = (&mut self.m, &mut self.v);
         model.visit_params(&mut |p| {
@@ -263,45 +215,5 @@ mod tests {
         assert_eq!(opt.lr(), 0.001);
         opt.set_lr(0.01);
         assert_eq!(opt.lr(), 0.01);
-    }
-
-    #[test]
-    fn clip_grad_norm_caps_large_gradients() {
-        let mut rng = Prng::seed_from_u64(3);
-        let mut model = Linear::new(4, 4, false, &mut rng);
-        model.visit_params(&mut |p| {
-            p.grad = Tensor::full(p.value.shape(), 10.0);
-        });
-        let pre = clip_grad_norm(&mut model, 1.0);
-        assert!(pre > 1.0);
-        let mut post_sq = 0.0f32;
-        model.visit_params(&mut |p| post_sq += p.grad.data().iter().map(|g| g * g).sum::<f32>());
-        assert!((post_sq.sqrt() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn clip_grad_norm_leaves_small_gradients() {
-        let mut rng = Prng::seed_from_u64(4);
-        let mut model = Linear::new(2, 2, false, &mut rng);
-        model.visit_params(&mut |p| {
-            p.grad = Tensor::full(p.value.shape(), 0.01);
-        });
-        clip_grad_norm(&mut model, 100.0);
-        model.visit_params(&mut |p| {
-            assert!(p.grad.data().iter().all(|&g| (g - 0.01).abs() < 1e-7));
-        });
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut rng = Prng::seed_from_u64(2);
-        let mut model = Linear::new(4, 4, false, &mut rng);
-        let before = model.weight().value.norm();
-        // No gradient signal: decay alone should shrink the weights.
-        let mut opt = Sgd::new(0.1, 0.0).with_weight_decay(0.1);
-        for _ in 0..10 {
-            opt.step(&mut model);
-        }
-        assert!(model.weight().value.norm() < before);
     }
 }

@@ -1,5 +1,5 @@
-//! Learning-rate schedulers: `ReduceLROnPlateau` (used by the paper for the
-//! original models) and `MultiStepLR` (used for the predictor model), §5.2.
+//! Learning-rate scheduler: `ReduceLROnPlateau`, which the paper uses for the
+//! original models (§5.2).
 
 /// Reduces the learning rate by `factor` when a monitored metric stops
 /// improving for `patience` epochs — mirrors PyTorch's
@@ -62,27 +62,6 @@ impl ReduceLrOnPlateau {
     }
 }
 
-/// Multiplies the learning rate by `gamma` at each milestone epoch —
-/// PyTorch's `MultiStepLR`.
-#[derive(Debug, Clone)]
-pub struct MultiStepLr {
-    milestones: Vec<usize>,
-    gamma: f32,
-}
-
-impl MultiStepLr {
-    /// Creates a scheduler decaying at the given (sorted) milestone epochs.
-    pub fn new(milestones: Vec<usize>, gamma: f32) -> Self {
-        MultiStepLr { milestones, gamma }
-    }
-
-    /// Learning rate for `epoch` given the base rate.
-    pub fn lr_at(&self, base_lr: f32, epoch: usize) -> f32 {
-        let decays = self.milestones.iter().filter(|&&m| epoch >= m).count();
-        base_lr * self.gamma.powi(decays as i32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,14 +107,5 @@ mod tests {
             lr = s.step(9.0, lr);
         }
         assert!(lr >= 1e-8);
-    }
-
-    #[test]
-    fn multistep_decays_at_milestones() {
-        let s = MultiStepLr::new(vec![10, 20], 0.1);
-        assert_eq!(s.lr_at(1.0, 0), 1.0);
-        assert_eq!(s.lr_at(1.0, 9), 1.0);
-        assert!((s.lr_at(1.0, 10) - 0.1).abs() < 1e-7);
-        assert!((s.lr_at(1.0, 25) - 0.01).abs() < 1e-8);
     }
 }

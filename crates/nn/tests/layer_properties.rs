@@ -7,7 +7,7 @@
 //! same ranges the original proptest strategies used.
 
 use adagp_nn::containers::{Residual, Sequential};
-use adagp_nn::layers::{BatchNorm2d, Conv2d, Linear, Relu};
+use adagp_nn::layers::{AvgPool2d, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
 use adagp_nn::module::{count_params, count_sites, zero_grads, ForwardCtx, Module};
 use adagp_nn::optim::{Optimizer, Sgd};
 use adagp_tensor::conv::Conv2dParams;
@@ -53,9 +53,11 @@ fn conv_backward_shapes() {
     });
 }
 
-/// `L = <forward(x), r>` for a fixed `r`, summed in f64.
-fn probe_loss(conv: &mut Conv2d, x: &Tensor, r: &Tensor) -> f64 {
-    let y = conv.forward(x, &mut ForwardCtx::eval());
+/// `L = <forward(x), r>` for a fixed `r`, summed in f64. The training
+/// forward, so batch norm uses batch statistics; no checked layer is
+/// stochastic.
+fn probe_loss(module: &mut dyn Module, x: &Tensor, r: &Tensor) -> f64 {
+    let y = module.forward(x, &mut ForwardCtx::train());
     let terms = y.data().iter().zip(r.data());
     terms.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
 }
@@ -68,9 +70,9 @@ fn central_difference(mut loss_after: impl FnMut(f32) -> f64) -> f64 {
 }
 
 /// Adds `by` to element `i` of the `pi`-th parameter `visit_params` yields.
-fn nudge_param(conv: &mut Conv2d, pi: usize, i: usize, by: f32) {
+fn nudge_param(module: &mut dyn Module, pi: usize, i: usize, by: f32) {
     let mut seen = 0;
-    conv.visit_params(&mut |p| {
+    module.visit_params(&mut |p| {
         if seen == pi {
             p.value.data_mut()[i] += by;
         }
@@ -78,68 +80,138 @@ fn nudge_param(conv: &mut Conv2d, pi: usize, i: usize, by: f32) {
     });
 }
 
-fn assert_close(label: &str, analytic: f32, numeric: f64) {
-    // A convolution is linear in x and in every parameter, so the central
-    // difference is exact but for f32 rounding of the two forward passes.
-    let tol = 1e-2 * numeric.abs().max(1.0);
+/// `analytic` within `tol` of `numeric`, relative to `max(|numeric|, 1)`.
+fn assert_close(label: &str, analytic: f32, numeric: f64, tol: f64) {
+    let tol = tol * numeric.abs().max(1.0);
     assert!(
         (f64::from(analytic) - numeric).abs() < tol,
         "{label}: analytic {analytic} vs numeric {numeric}"
     );
 }
 
+/// `module.backward` against central differences of [`probe_loss`] at a
+/// random `x` of `x_shape`, every element of `dx` and of each parameter
+/// gradient.
+fn check_gradients(label: &str, module: &mut dyn Module, x_shape: &[usize], tol: f64, seed: u64) {
+    let mut rng = Prng::seed_from_u64(seed);
+    let x = init::gaussian(x_shape, 0.0, 1.0, &mut rng);
+    let y = module.forward(&x, &mut ForwardCtx::train());
+    let r = init::gaussian(y.shape(), 0.0, 1.0, &mut rng);
+    let dx = module.backward(&r);
+    let mut grads = Vec::new();
+    module.visit_params(&mut |p| grads.push(p.grad.clone()));
+
+    for i in 0..x.len() {
+        let numeric = central_difference(|step| {
+            let mut moved = x.clone();
+            moved.data_mut()[i] += step;
+            probe_loss(module, &moved, &r)
+        });
+        assert_close(&format!("{label} dx[{i}]"), dx.data()[i], numeric, tol);
+    }
+    for (pi, grad) in grads.iter().enumerate() {
+        for i in 0..grad.len() {
+            let numeric = central_difference(|step| {
+                nudge_param(module, pi, i, step);
+                let loss = probe_loss(module, &x, &r);
+                nudge_param(module, pi, i, -step);
+                loss
+            });
+            let at = format!("{label} param {pi} [{i}]");
+            assert_close(&at, grad.data()[i], numeric, tol);
+        }
+    }
+}
+
+/// A row of a central-difference table: label, input shape, relative
+/// tolerance and a builder seeded from the row's index.
+type GradRow = (
+    &'static str,
+    &'static [usize],
+    f64,
+    fn(&mut Prng) -> Box<dyn Module>,
+);
+
+fn check_rows(rows: &[GradRow], seed: u64) {
+    for (case, &(label, x_shape, tol, build)) in rows.iter().enumerate() {
+        let seed = seed + case as u64;
+        let mut module = build(&mut Prng::seed_from_u64(seed));
+        check_gradients(label, module.as_mut(), x_shape, tol, seed);
+    }
+}
+
+// Convolutions, linear layers and average pools are linear in x and in
+// every parameter, so their central difference is exact but for f32
+// rounding of the two forward passes (about 5e-5 relative at worst).
+const LINEAR_TOL: f64 = 1e-3;
+// Batch statistics make the output nonlinear in x, gamma and beta, which
+// adds the step's O(eps²) truncation error.
+const BATCH_STATS_TOL: f64 = 2e-3;
+
 /// `Conv2d::backward` against central differences, every element of `dx`,
 /// `dw` and `db`: dense, strided, two groups, and depthwise at both strides.
 #[test]
 fn conv_gradients_match_central_differences() {
-    type Build = fn(&mut Prng) -> Conv2d;
-    let configs: [(&str, usize, usize, Build); 5] = [
-        ("dense", 2, 5, |rng| Conv2d::new(2, 3, 3, 1, 1, true, rng)),
-        ("strided", 3, 7, |rng| {
-            Conv2d::new(3, 2, 3, 2, 0, false, rng)
-        }),
-        ("groups=2", 4, 5, |rng| {
-            Conv2d::with_params(4, 6, 3, Conv2dParams::new(1, 1).grouped(2), true, rng)
-        }),
-        ("depthwise", 3, 5, |rng| Conv2d::depthwise(3, 3, 1, 1, rng)),
-        ("depthwise s2", 3, 6, |rng| {
-            Conv2d::depthwise(3, 3, 2, 1, rng)
-        }),
-    ];
-    for (case, (label, in_ch, hw, build)) in configs.into_iter().enumerate() {
-        let mut rng = Prng::seed_from_u64(0x6c4d_0000 + case as u64);
-        let mut conv = build(&mut rng);
-        let x = init::gaussian(&[2, in_ch, hw, hw], 0.0, 1.0, &mut rng);
-        let y = conv.forward(&x, &mut ForwardCtx::train());
-        let r = init::gaussian(y.shape(), 0.0, 1.0, &mut rng);
-        let dx = conv.backward(&r);
-        let mut grads = Vec::new();
-        conv.visit_params(&mut |p| grads.push(p.grad.clone()));
+    check_rows(
+        &[
+            ("dense", &[2, 2, 5, 5], LINEAR_TOL, |rng| {
+                Box::new(Conv2d::new(2, 3, 3, 1, 1, true, rng))
+            }),
+            ("strided", &[2, 3, 7, 7], LINEAR_TOL, |rng| {
+                Box::new(Conv2d::new(3, 2, 3, 2, 0, false, rng))
+            }),
+            ("groups=2", &[2, 4, 5, 5], LINEAR_TOL, |rng| {
+                let params = Conv2dParams::new(1, 1).grouped(2);
+                Box::new(Conv2d::with_params(4, 6, 3, params, true, rng))
+            }),
+            ("depthwise", &[2, 3, 5, 5], LINEAR_TOL, |rng| {
+                Box::new(Conv2d::depthwise(3, 3, 1, 1, rng))
+            }),
+            ("depthwise s2", &[2, 3, 6, 6], LINEAR_TOL, |rng| {
+                Box::new(Conv2d::depthwise(3, 3, 2, 1, rng))
+            }),
+        ],
+        0x6c4d_0000,
+    );
+}
 
-        for i in 0..x.len() {
-            let numeric = central_difference(|step| {
-                let mut moved = x.clone();
-                moved.data_mut()[i] += step;
-                probe_loss(&mut conv, &moved, &r)
-            });
-            assert_close(&format!("{label} dx[{i}]"), dx.data()[i], numeric);
-        }
-        for (pi, grad) in grads.iter().enumerate() {
-            for i in 0..grad.len() {
-                let numeric = central_difference(|step| {
-                    nudge_param(&mut conv, pi, i, step);
-                    let loss = probe_loss(&mut conv, &x, &r);
-                    nudge_param(&mut conv, pi, i, -step);
-                    loss
-                });
-                assert_close(
-                    &format!("{label} param {pi} [{i}]"),
-                    grad.data()[i],
-                    numeric,
-                );
-            }
-        }
-    }
+/// The same check for the other differentiable layers and for containers
+/// of them. ReLU and max-pool are left out: their kinks make a central
+/// difference that straddles one wrong.
+#[test]
+fn layer_gradients_match_central_differences() {
+    check_rows(
+        &[
+            ("linear", &[3, 5], LINEAR_TOL, |rng| {
+                Box::new(Linear::new(5, 4, true, rng))
+            }),
+            ("batchnorm", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
+                Box::new(BatchNorm2d::new(3))
+            }),
+            ("avgpool", &[2, 2, 4, 4], LINEAR_TOL, |_| {
+                Box::new(AvgPool2d::new(2, 2))
+            }),
+            ("global avgpool", &[2, 3, 3, 3], LINEAR_TOL, |_| {
+                Box::new(GlobalAvgPool::new())
+            }),
+            ("residual", &[2, 2, 4, 4], BATCH_STATS_TOL, |rng| {
+                let mut body = Sequential::new();
+                body.push(Conv2d::new(2, 2, 3, 1, 1, false, rng));
+                body.push(BatchNorm2d::new(2));
+                Box::new(Residual::new(body))
+            }),
+            ("sequential", &[2, 2, 4, 4], BATCH_STATS_TOL, |rng| {
+                let mut net = Sequential::new();
+                net.push(Conv2d::new(2, 3, 3, 1, 1, true, rng));
+                net.push(BatchNorm2d::new(3));
+                net.push(AvgPool2d::new(2, 2));
+                net.push(GlobalAvgPool::new());
+                net.push(Linear::new(3, 2, true, rng));
+                Box::new(net)
+            }),
+        ],
+        0x6c4d_1000,
+    );
 }
 
 /// Linear layers: parameter count is exactly `in·out (+ out)`.

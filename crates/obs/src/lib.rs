@@ -9,14 +9,14 @@
 //!
 //! * the flat `name value` text form the serve crate's `/metrics`
 //!   endpoint has always spoken, extended with `_bucket`/`_sum`/`_count`
-//!   histogram lines ([`metric`], [`registry`]);
+//!   histogram lines ([`metric`], [`mod@registry`]);
 //! * a wall-clock Chrome-trace JSON writer ([`trace`]) shape-compatible
 //!   with `adagp-sim`'s cycle-domain exporter, so a **measured** training
 //!   run and its **simulated** timeline load side-by-side in Perfetto;
 //! * a span-tree profiler ([`profile`]) folding the same buffers into
-//!   caller→callee trees with self/total micros — rendered as a flat
-//!   profile, collapsed stacks (flamegraph-compatible, `ADAGP_PROFILE`)
-//!   and the JSON tree `adagp-serve`'s `GET /profile` serves;
+//!   caller→callee trees with self/total micros — rendered as collapsed
+//!   stacks (flamegraph-compatible, `ADAGP_PROFILE`) and the JSON tree
+//!   `adagp-serve`'s `GET /profile` serves;
 //! * the revision label ([`bench::snapshot_label`]) the benchmark
 //!   (`benchmark/`, `BENCHMARK.json`) stamps its results files with;
 //! * a critical-path and stall-attribution analyzer ([`crit`]) that
@@ -49,8 +49,8 @@ pub use crit::{
 };
 pub use metric::{bucket_index, bucket_upper, Counter, Gauge, Histogram};
 pub use profile::{
-    build_profile, profile_guard_from_env, validate_profile, FlatLine, LaneProfile, Profile,
-    ProfileGuard, ProfileNode, ProfileStats, PROFILE_ENV, PROFILE_SCHEMA,
+    build_profile, profile_guard_from_env, validate_profile, LaneProfile, Profile, ProfileGuard,
+    ProfileNode, ProfileStats, PROFILE_ENV, PROFILE_SCHEMA,
 };
 pub use recorder::{
     enabled, now_ns, record_span, reset, set_enabled, snapshot, span, test_guard, LaneSnapshot,

@@ -10,10 +10,8 @@
 //! call count, **total** time (span extent) and **self** time (extent
 //! minus children).
 //!
-//! Three renderers get the tree out:
+//! Two renderers get the tree out:
 //!
-//! * [`Profile::render_flat`] — the sorted flat profile (per span name:
-//!   calls, total µs, self µs; self-descending, the gprof ordering);
 //! * [`Profile::collapsed`] — the collapsed-stack text form
 //!   (`lane;frame;frame value` lines, one per node, value = self µs) that
 //!   `flamegraph.pl`, speedscope and Perfetto's "import collapsed" all
@@ -128,21 +126,6 @@ impl LaneProfile {
 pub struct Profile {
     /// Per-lane trees, in lane-registration order (empty lanes omitted).
     pub lanes: Vec<LaneProfile>,
-}
-
-/// One row of the flat (name-aggregated) profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatLine {
-    /// Span name (aggregated across lanes and caller paths).
-    pub name: String,
-    /// Calls across every position the name appears in.
-    pub calls: u64,
-    /// Summed totals, nanoseconds. A name nested under itself counts
-    /// its extent once per level — the standard cumulative-time caveat
-    /// for recursive frames.
-    pub total_ns: u64,
-    /// Summed self times, nanoseconds (never double-counted).
-    pub self_ns: u64,
 }
 
 // Sweep bookkeeping: one open tree position while scanning a lane.
@@ -281,79 +264,6 @@ impl Profile {
     /// Dropped spans across every lane.
     pub fn dropped(&self) -> u64 {
         self.lanes.iter().map(|l| l.dropped).sum()
-    }
-
-    /// The flat profile: per span name (aggregated across lanes and
-    /// caller paths), calls / total / self, sorted self-descending with
-    /// total then name as tiebreaks.
-    pub fn flat(&self) -> Vec<FlatLine> {
-        let mut rows: Vec<FlatLine> = Vec::new();
-        fn add(rows: &mut Vec<FlatLine>, node: &ProfileNode) {
-            match rows.iter_mut().find(|r| r.name == node.name) {
-                Some(row) => {
-                    row.calls += node.calls;
-                    row.total_ns += node.total_ns;
-                    row.self_ns += node.self_ns();
-                }
-                None => rows.push(FlatLine {
-                    name: node.name.clone(),
-                    calls: node.calls,
-                    total_ns: node.total_ns,
-                    self_ns: node.self_ns(),
-                }),
-            }
-            for c in &node.children {
-                add(rows, c);
-            }
-        }
-        for lane in &self.lanes {
-            for root in &lane.roots {
-                add(&mut rows, root);
-            }
-        }
-        rows.sort_by(|a, b| {
-            b.self_ns
-                .cmp(&a.self_ns)
-                .then(b.total_ns.cmp(&a.total_ns))
-                .then(a.name.cmp(&b.name))
-        });
-        rows
-    }
-
-    /// Renders the flat profile as an aligned text table.
-    pub fn render_flat(&self) -> String {
-        let rows = self.flat();
-        let name_w = rows
-            .iter()
-            .map(|r| r.name.len())
-            .chain(["name".len()])
-            .max()
-            .unwrap_or(4);
-        let mut out = format!(
-            "flat profile: {} spans, {} nodes, {} lanes{}\n{:<name_w$}  {:>8}  {:>12}  {:>12}\n",
-            self.span_count(),
-            self.node_count(),
-            self.lanes.len(),
-            if self.dropped() > 0 {
-                format!(" ({} dropped)", self.dropped())
-            } else {
-                String::new()
-            },
-            "name",
-            "calls",
-            "total_us",
-            "self_us",
-        );
-        for r in &rows {
-            out.push_str(&format!(
-                "{:<name_w$}  {:>8}  {:>12}  {:>12}\n",
-                r.name,
-                r.calls,
-                r.total_ns / 1_000,
-                r.self_ns / 1_000,
-            ));
-        }
-        out
     }
 
     /// The collapsed-stack text form: one `lane;frame;…;frame value`
@@ -690,28 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_profile_is_self_sorted_and_complete() {
-        let p = build_profile(&sample());
-        let flat = p.flat();
-        assert_eq!(flat.len(), 4);
-        // epoch self 14, step self 14, tail 10, inner 2 — ties break by
-        // total descending (epoch's 30 beats step's 16).
-        assert_eq!(flat[0].name, "epoch");
-        assert_eq!(flat[1].name, "step");
-        assert_eq!(flat[2].name, "tail");
-        assert_eq!(flat[3].name, "inner");
-        let total_self: u64 = flat.iter().map(|r| r.self_ns).sum();
-        assert_eq!(
-            total_self,
-            p.lanes[0].total_ns(),
-            "self times partition busy time"
-        );
-        let text = p.render_flat();
-        assert!(text.contains("5 spans"), "{text}");
-        assert!(text.lines().count() >= 6);
-    }
-
-    #[test]
     fn collapsed_form_validates_and_sums_to_busy_time() {
         let p = build_profile(&sample());
         let collapsed = p.collapsed();
@@ -764,9 +652,6 @@ mod tests {
             ("idle", vec![]),
         ]));
         assert_eq!(p.lanes.len(), 2, "empty lanes are omitted");
-        let flat = p.flat();
-        assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].calls, 2, "same name aggregates across lanes");
         let stats = validate_profile(&p.to_json("t")).unwrap();
         assert_eq!(stats.lanes, 2);
     }

@@ -3,7 +3,7 @@
 //!
 //! ## Design
 //!
-//! Each recording thread owns one [`LaneBuf`] — a fixed-capacity append
+//! Each recording thread owns one `LaneBuf` — a fixed-capacity append
 //! buffer it alone writes. A slot is published by writing the record and
 //! then storing the new length with `Release`; the snapshotting reader
 //! loads the length with `Acquire` and only touches slots below it, so
@@ -127,17 +127,6 @@ pub struct LaneSnapshot {
     pub spans: Vec<SpanRecord>,
     /// Spans dropped because the lane was full.
     pub dropped: u64,
-}
-
-impl LaneSnapshot {
-    /// `(earliest start, latest end)` across the lane's spans, or `None`
-    /// for an empty lane. Spans complete out of record order, so this
-    /// scans rather than trusting the first/last record.
-    pub fn extent_ns(&self) -> Option<(u64, u64)> {
-        let first = self.spans.iter().map(|s| s.start_ns).min()?;
-        let last = self.spans.iter().map(|s| s.end_ns.max(s.start_ns)).max()?;
-        Some((first, last))
-    }
 }
 
 /// A point-in-time copy of every lane.

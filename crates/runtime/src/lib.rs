@@ -21,7 +21,7 @@
 //!
 //! ## Pool sizing
 //!
-//! The global pool ([`pool`]) is created on first use with
+//! The global pool ([`fn@pool`]) is created on first use with
 //! `ADAGP_THREADS` total threads (default: available parallelism). The
 //! calling thread participates in every parallel region, so a pool of size
 //! `k` spawns `k - 1` workers and `ADAGP_THREADS=1` is exactly the serial

@@ -46,7 +46,7 @@ pub const THREADS_ENV: &str = "ADAGP_THREADS";
 const MAX_CHUNKS: usize = 32;
 
 /// Deterministic chunk length for `items` work items: depends only on
-/// `items`, targeting at most [`MAX_CHUNKS`] chunks.
+/// `items`, targeting at most `MAX_CHUNKS` chunks.
 ///
 /// ```
 /// use adagp_runtime::det_chunk_len;

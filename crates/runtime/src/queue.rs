@@ -113,17 +113,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Non-blocking pop: `None` if currently empty (closed or not).
-    pub fn try_pop(&self) -> Option<T> {
-        let mut s = self.state.lock().unwrap();
-        let item = s.items.pop_front();
-        drop(s);
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
     /// Closes the queue: pending pushes fail, pending items remain
     /// poppable, and blocked waiters wake up.
     pub fn close(&self) {
@@ -132,11 +121,6 @@ impl<T> BoundedQueue<T> {
         drop(s);
         self.not_full.notify_all();
         self.not_empty.notify_all();
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
     }
 
     /// Current number of queued items.
@@ -255,7 +239,6 @@ mod tests {
         assert_eq!(q.push("b"), Err("b"));
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), None);
-        assert!(q.is_closed());
     }
 
     #[test]
@@ -284,14 +267,6 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(4));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn try_pop_never_blocks() {
-        let q = BoundedQueue::new(1);
-        assert_eq!(q.try_pop(), None::<u8>);
-        q.push(9).unwrap();
-        assert_eq!(q.try_pop(), Some(9));
     }
 
     #[test]

@@ -139,24 +139,6 @@ impl PipelineStats {
     pub fn reports(&self) -> Vec<StageReport> {
         self.stages.iter().map(Stage::report).collect()
     }
-
-    /// One-line-per-stage human-readable utilization summary.
-    pub fn summary(&self) -> String {
-        self.reports()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:<12} busy {:>8.1?}  idle {:>8.1?}  items {:>5}  util {:>5.1}%",
-                    r.name,
-                    r.busy,
-                    r.idle,
-                    r.items,
-                    100.0 * r.utilization()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 #[cfg(test)]
@@ -191,13 +173,6 @@ mod tests {
             items: 0,
         };
         assert_eq!(r.utilization(), 0.0);
-    }
-
-    #[test]
-    fn summary_mentions_every_stage() {
-        let stats = PipelineStats::new(&["datagen", "train", "predictor"]);
-        let s = stats.summary();
-        assert!(s.contains("datagen") && s.contains("train") && s.contains("predictor"));
     }
 
     #[test]

@@ -29,6 +29,11 @@ use adagp_sweep::store::METRICS;
 use adagp_sweep::{presets, CellMetrics};
 use serde::Value;
 
+/// Most cells an explicit-axes submission may expand into. Axis entries
+/// may repeat, so without a cap a 1 MiB body could ask for billions of
+/// cells; every preset is far below it (the largest has 234).
+const MAX_GRID_CELLS: usize = 1 << 16;
+
 /// Looks up one axis value by its stable display name.
 fn lookup<T: Copy>(
     axis: &str,
@@ -143,7 +148,7 @@ pub fn grid_from_value(v: &Value) -> Result<GridSpec, String> {
             .ok_or_else(|| format!("grid name must be a string, found {}", n.kind()))?
             .to_string(),
     };
-    Ok(GridSpec {
+    let grid = GridSpec {
         name,
         models: parse_axis(v, "models", &CnnModel::all(), |m| m.name())?,
         datasets: parse_axis(v, "datasets", &DatasetScale::all(), |d| d.name())?,
@@ -152,7 +157,13 @@ pub fn grid_from_value(v: &Value) -> Result<GridSpec, String> {
         schedules: parse_axis(v, "schedules", &PhaseSchedule::all(), |s| s.name())?,
         bandwidths: parse_knob_axis(v, "bandwidths")?,
         buffers: parse_knob_axis(v, "buffers")?,
-    })
+    };
+    if grid.cell_count() > MAX_GRID_CELLS {
+        return Err(format!(
+            "grid expands to more than {MAX_GRID_CELLS} cells; split it into smaller grids"
+        ));
+    }
+    Ok(grid)
 }
 
 /// Parses a `/grid` request body.
@@ -423,6 +434,48 @@ mod tests {
         .unwrap_err();
         assert!(unknown.contains("unknown models `VGG99`"), "{unknown}");
         assert!(unknown.contains("VGG13"), "lists known values: {unknown}");
+    }
+
+    #[test]
+    fn oversized_grids_are_rejected_before_expansion() {
+        // One axis repeating a value: the cap itself passes, one more fails.
+        let models = |n: usize| {
+            format!(
+                r#"{{"models":[{}],"datasets":["Cifar10"],"designs":["ADA-GP-MAX"],
+                    "dataflows":["WS"],"schedules":["paper"]}}"#,
+                vec![r#""VGG13""#; n].join(",")
+            )
+        };
+        let at_cap = parse_grid_request(models(MAX_GRID_CELLS).as_bytes()).unwrap();
+        assert_eq!(at_cap.cell_count(), MAX_GRID_CELLS);
+        let err = parse_grid_request(models(MAX_GRID_CELLS + 1).as_bytes()).unwrap_err();
+        assert!(err.contains("more than"), "{err}");
+        // Seven 600-entry axes: 600^7 ≈ 2.8e19 cells overflows a 64-bit
+        // product, which must not wrap to a small count.
+        let axes = [
+            ("models", r#""VGG13""#),
+            ("datasets", r#""Cifar10""#),
+            ("designs", r#""ADA-GP-MAX""#),
+            ("dataflows", r#""WS""#),
+            ("schedules", r#""paper""#),
+            ("bandwidths", "64"),
+            ("buffers", "null"),
+        ];
+        let body: Vec<String> = axes
+            .iter()
+            .map(|(k, entry)| format!("\"{k}\":[{}]", vec![*entry; 600].join(",")))
+            .collect();
+        let overflowing = format!("{{{}}}", body.join(","));
+        assert!(overflowing.len() < crate::MAX_BODY_BYTES);
+        let err = parse_grid_request(overflowing.as_bytes()).unwrap_err();
+        assert!(err.contains("more than"), "{err}");
+    }
+
+    #[test]
+    fn every_preset_is_under_the_cell_cap() {
+        for grid in presets::all() {
+            assert!(grid.cell_count() <= MAX_GRID_CELLS / 100, "{}", grid.name);
+        }
     }
 
     #[test]

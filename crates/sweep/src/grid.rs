@@ -1,8 +1,8 @@
 //! Declarative grid axes and deterministic expansion into identified
 //! cells.
 //!
-//! A [`GridSpec`] lists the values of each experiment axis; [`expand`]
-//! (`GridSpec::expand`) takes their cartesian product in a fixed nesting
+//! A [`GridSpec`] lists the values of each experiment axis;
+//! [`GridSpec::expand`] takes their cartesian product in a fixed nesting
 //! order (dataflow → dataset → model → design → schedule — the grouping
 //! order of the paper's figure panels). Each cell's identity is derived
 //! from its *content* (the canonical axis-value key), never from its
@@ -294,15 +294,21 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// Number of cells the grid expands into.
+    /// Number of cells the grid expands into, saturating at `usize::MAX`
+    /// when the axes' product overflows.
     pub fn cell_count(&self) -> usize {
-        self.models.len()
-            * self.datasets.len()
-            * self.designs.len()
-            * self.dataflows.len()
-            * self.schedules.len()
-            * self.bandwidths.len()
-            * self.buffers.len()
+        [
+            self.models.len(),
+            self.datasets.len(),
+            self.designs.len(),
+            self.dataflows.len(),
+            self.schedules.len(),
+            self.bandwidths.len(),
+            self.buffers.len(),
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+        .unwrap_or(usize::MAX)
     }
 
     /// Expands the axes into cells, in the deterministic nesting order

@@ -6,8 +6,8 @@
 //! dataflow × phase schedule} — and this crate makes that grid a value
 //! instead of a convention scattered across `adagp-bench` binaries:
 //!
-//! * [`grid`] — a [`GridSpec`](grid::GridSpec) declares axes; expansion
-//!   yields [`CellSpec`](grid::CellSpec)s with **stable, content-derived
+//! * [`grid`] — a [`GridSpec`] declares axes; expansion
+//!   yields [`CellSpec`]s with **stable, content-derived
 //!   IDs** (FNV-1a over the cell's canonical key), so the same cell keeps
 //!   the same identity across runs, machines and PRs.
 //! * [`shapes`] — the single, memoized source of paper-scale layer shapes
@@ -21,7 +21,7 @@
 //!   `sim_cycles` / `pe_utilization` / `overlap_efficiency` metrics and
 //!   the batch-level detail view behind the `sweep sim` subcommand.
 //! * [`store`] — the one stored form of a cell
-//!   ([`StoredCell`](store::StoredCell)) with one encoder and one
+//!   ([`StoredCell`]) with one encoder and one
 //!   decoder per format: byte-stable CSV (fixed-precision floats, no
 //!   timing columns) and JSON (full precision + timing), rendered to a
 //!   string or streamed to a file in bounded memory — the same bytes

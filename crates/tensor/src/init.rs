@@ -3,7 +3,7 @@
 //! The paper trains all models from random initialization ("the weights of
 //! the DNN model are initialized randomly", §3.2); convergence behaviour of
 //! ADA-GP depends on sensible fan-in scaled init, so we provide the standard
-//! Kaiming/Xavier family used by PyTorch defaults.
+//! Kaiming family used by PyTorch defaults.
 
 use crate::{Prng, Tensor};
 
@@ -29,12 +29,6 @@ pub fn kaiming_uniform(shape: &[usize], fan_in: usize, rng: &mut Prng) -> Tensor
     uniform(shape, -bound, bound, rng)
 }
 
-/// Xavier (Glorot) uniform initialization over fan-in + fan-out.
-pub fn xavier_uniform(shape: &[usize], fan_in: usize, fan_out: usize, rng: &mut Prng) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    uniform(shape, -bound, bound, rng)
-}
-
 /// I.i.d. Gaussian tensor.
 pub fn gaussian(shape: &[usize], mean: f32, std: f32, rng: &mut Prng) -> Tensor {
     let len: usize = shape.iter().product();
@@ -51,20 +45,6 @@ pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Prng) -> Tensor {
     let len: usize = shape.iter().product();
     let data = (0..len).map(|_| rng.uniform_range(lo, hi)).collect();
     Tensor::from_vec(data, shape)
-}
-
-/// Fan-in of a conv weight `(out_ch, in_ch, kh, kw)` or linear weight
-/// `(out, in)`.
-///
-/// # Panics
-///
-/// Panics for tensors of rank other than 2 or 4.
-pub fn fan_in_of(shape: &[usize]) -> usize {
-    match shape.len() {
-        2 => shape[1],
-        4 => shape[1] * shape[2] * shape[3],
-        r => panic!("fan_in_of supports rank 2 or 4 weights, got rank {r}"),
-    }
 }
 
 #[cfg(test)]
@@ -97,26 +77,6 @@ mod tests {
         let w = kaiming_uniform(&[10_000], 24, &mut rng);
         let bound = (6.0f32 / 24.0).sqrt();
         assert!(w.max() <= bound && w.min() >= -bound);
-    }
-
-    #[test]
-    fn xavier_uses_both_fans() {
-        let mut rng = Prng::seed_from_u64(3);
-        let w = xavier_uniform(&[1000], 10, 30, &mut rng);
-        let bound = (6.0f32 / 40.0).sqrt();
-        assert!(w.max() <= bound && w.min() >= -bound);
-    }
-
-    #[test]
-    fn fan_in_shapes() {
-        assert_eq!(fan_in_of(&[128, 64]), 64);
-        assert_eq!(fan_in_of(&[32, 16, 3, 3]), 16 * 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank 2 or 4")]
-    fn fan_in_bad_rank_panics() {
-        fan_in_of(&[1, 2, 3]);
     }
 
     #[test]

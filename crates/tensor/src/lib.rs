@@ -24,7 +24,6 @@
 //! ```
 
 pub mod conv;
-pub mod error;
 pub mod gemm;
 pub mod init;
 pub mod matmul;
@@ -34,7 +33,6 @@ pub mod pool;
 pub mod rng;
 pub mod softmax;
 
-pub use error::{ShapeError, TensorError};
 pub use rng::Prng;
 
 use std::fmt;
@@ -127,30 +125,6 @@ impl Tensor {
         }
     }
 
-    /// Fallible variant of [`Tensor::from_vec`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the buffer length does not match the shape.
-    pub fn try_from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, ShapeError> {
-        let expected: usize = shape.iter().product();
-        if data.len() != expected {
-            return Err(ShapeError::new(shape, data.len()));
-        }
-        Ok(Tensor {
-            shape: shape.to_vec(),
-            data,
-        })
-    }
-
-    /// A tensor holding `0.0, 1.0, ..., len-1` — handy in tests.
-    pub fn arange(len: usize) -> Self {
-        Tensor {
-            shape: vec![len],
-            data: (0..len).map(|i| i as f32).collect(),
-        }
-    }
-
     /// The shape as a slice.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -217,17 +191,6 @@ impl Tensor {
         }
     }
 
-    /// In-place reshape (no data movement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let expected: usize = shape.iter().product();
-        assert_eq!(self.data.len(), expected, "reshape size mismatch");
-        self.shape = shape.to_vec();
-    }
-
     /// Linear index for a multi-dimensional index (row-major).
     ///
     /// # Panics
@@ -255,12 +218,6 @@ impl Tensor {
         self.data[self.offset(idx)]
     }
 
-    /// Mutable element accessor by multi-dimensional index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        let off = self.offset(idx);
-        &mut self.data[off]
-    }
-
     // ---------------------------------------------------------------------
     // Elementwise arithmetic
     // ---------------------------------------------------------------------
@@ -282,11 +239,6 @@ impl Tensor {
     /// Elementwise (Hadamard) product; shapes must match exactly.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a * b)
-    }
-
-    /// Elementwise quotient; shapes must match exactly.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a / b)
     }
 
     /// Adds `other` into `self` in place.
@@ -330,13 +282,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -388,15 +333,6 @@ impl Tensor {
     /// Minimum element (+∞ for an empty tensor).
     pub fn min(&self) -> f32 {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Index of the maximum element (first occurrence); `None` when empty.
-    pub fn argmax(&self) -> Option<usize> {
-        self.data
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
     }
 
     /// The L2 norm of the tensor viewed as a flat vector.
@@ -475,32 +411,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Splits along axis 0 at `at`, returning `(first, second)` copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > self.dim(0)` or the tensor is rank-0.
-    pub fn split0(&self, at: usize) -> (Tensor, Tensor) {
-        assert!(!self.shape.is_empty());
-        let d0 = self.shape[0];
-        assert!(at <= d0, "split index {} out of bounds ({})", at, d0);
-        let rest: usize = self.shape[1..].iter().product();
-        let mut s1 = vec![at];
-        s1.extend_from_slice(&self.shape[1..]);
-        let mut s2 = vec![d0 - at];
-        s2.extend_from_slice(&self.shape[1..]);
-        (
-            Tensor {
-                shape: s1,
-                data: self.data[..at * rest].to_vec(),
-            },
-            Tensor {
-                shape: s2,
-                data: self.data[at * rest..].to_vec(),
-            },
-        )
-    }
-
     /// Extracts row `i` of axis 0 as a tensor of shape `shape[1..]`.
     ///
     /// # Panics
@@ -576,19 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn try_from_vec_rejects_mismatch() {
-        assert!(Tensor::try_from_vec(vec![1.0; 5], &[2, 3]).is_err());
-        assert!(Tensor::try_from_vec(vec![1.0; 6], &[2, 3]).is_ok());
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]);
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
     }
 
     #[test]
@@ -606,13 +509,6 @@ mod tests {
         assert_eq!(t.mean(), 0.625);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.argmax(), Some(2));
-    }
-
-    #[test]
-    fn argmax_empty_is_none() {
-        let t = Tensor::default();
-        assert_eq!(t.argmax(), None);
     }
 
     #[test]
@@ -632,14 +528,12 @@ mod tests {
     }
 
     #[test]
-    fn cat0_and_split0_roundtrip() {
+    fn cat0_stacks_along_axis0() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
         let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]);
         let c = Tensor::cat0(&[&a, &b]);
         assert_eq!(c.shape(), &[3, 2]);
-        let (x, y) = c.split0(1);
-        assert_eq!(x, a);
-        assert_eq!(y, b);
+        assert_eq!(c.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -650,7 +544,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6);
+        let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[6]);
         let r = t.reshape(&[2, 3]);
         assert_eq!(r.shape(), &[2, 3]);
         assert_eq!(r.data(), t.data());
