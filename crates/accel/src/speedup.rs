@@ -64,6 +64,18 @@ impl EpochMix {
     }
 }
 
+/// The ADA-GP run's blend of a per-batch value: per stage,
+/// `epochs × (g × gp + (1 − g) × bp)`, summed. The analytic training
+/// cycles and every epoch-weighted statistic of the simulator go through
+/// this one expression, so a simulated makespan equal to the closed form
+/// yields a bit-identical total.
+pub fn epoch_total(mix: &EpochMix, bp: f64, gp: f64) -> f64 {
+    mix.stages()
+        .iter()
+        .map(|&(g, epochs)| epochs as f64 * (g * gp + (1.0 - g) * bp))
+        .sum()
+}
+
 /// Total ADA-GP training cycles per "epoch-batch unit" (one batch per
 /// epoch; batch counts cancel in the speed-up ratio).
 pub fn adagp_training_cycles(
@@ -76,10 +88,7 @@ pub fn adagp_training_cycles(
     let costs = model_costs(cfg, df, &PredictorCostModel::default(), layers, MODEL_BATCH);
     let bp = designs::bp_batch_cycles(design, &costs) as f64;
     let gp = designs::gp_batch_cycles(design, &costs) as f64;
-    mix.stages()
-        .iter()
-        .map(|&(g, epochs)| epochs as f64 * (g * gp + (1.0 - g) * bp))
-        .sum()
+    epoch_total(mix, bp, gp)
 }
 
 /// Total baseline training cycles for the same run length.

@@ -1,14 +1,14 @@
 //! Per-layer characterization of Figure 16.
 //!
-//! The §3.7 step timeline (Figures 7–9) used to live here as a closed
-//! form (`StepTimeline`/`step_timeline`); it is now *simulated* by
-//! `adagp_sim::steps::step_timeline` so that exactly one place — the
-//! discrete-event engine — computes overlap windows. This module keeps
-//! only the epoch-mix cost characterization, which is a weighting of
-//! per-batch cycle totals, not an overlap computation.
+//! The §3.7 step timeline (Figures 7–9) is *simulated* by
+//! `adagp_sim::steps::step_timeline`, so that exactly one place — the
+//! discrete-event engine — computes overlap windows. This module only
+//! weights each layer's per-batch cycles by the epoch mix; the cycles
+//! themselves are [`crate::designs`]' per-batch costs of that one layer.
 
-use crate::designs::AdaGpDesign;
+use crate::designs::{self, AdaGpDesign};
 use crate::layer_cost::LayerCost;
+use std::slice;
 
 /// Per-layer cycle characterization for Figure 16: how a layer's training
 /// cycles split across Warm-up, Phase BP and Phase GP under a given
@@ -34,7 +34,8 @@ impl LayerCharacterization {
     }
 }
 
-/// Figure 16 characterization: per-layer costs under ADA-GP-Efficient.
+/// Figure 16 characterization: per-layer costs under `design` (the
+/// figure uses ADA-GP-Efficient).
 ///
 /// `gp_fraction_post_warmup` is the average GP share after warm-up;
 /// `warmup_share` is the fraction of epochs spent warming up.
@@ -52,10 +53,10 @@ pub fn characterize_layers(
         .iter()
         .zip(costs.iter())
         .map(|(label, c)| {
-            let baseline_batch = c.baseline() as f64;
-            let reload = design.reload_cycles() as f64;
-            let bp_batch = baseline_batch + 3.0 * c.alpha as f64 + 2.0 * reload;
-            let gp_batch = c.fw as f64 + c.alpha as f64 + reload;
+            let layer = slice::from_ref(c);
+            let baseline_batch = designs::baseline_batch_cycles(layer) as f64;
+            let bp_batch = designs::bp_batch_cycles(design, layer) as f64;
+            let gp_batch = designs::gp_batch_cycles(design, layer) as f64;
             LayerCharacterization {
                 label: label.clone(),
                 baseline: baseline_batch,

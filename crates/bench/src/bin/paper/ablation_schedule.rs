@@ -7,8 +7,9 @@
 //! the extremes.
 
 use adagp_accel::dataflow::{AcceleratorConfig, Dataflow};
-use adagp_accel::designs::AdaGpDesign;
-use adagp_accel::speedup::{adagp_training_cycles, baseline_training_cycles, EpochMix};
+use adagp_accel::designs::{self, AdaGpDesign};
+use adagp_accel::layer_cost::{model_costs, PredictorCostModel};
+use adagp_accel::speedup::MODEL_BATCH;
 use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment};
 use adagp_bench::report::render_table;
 use adagp_core::{AdaGpConfig, ScheduleConfig};
@@ -28,34 +29,23 @@ fn accuracy_with_ratio(ratio: (usize, usize), warmup: usize) -> f32 {
     vgg13_quick_experiment(cfg, 6).accuracy
 }
 
-/// Analytic speed-up of a run whose post-warm-up epochs all use one ratio.
+/// Analytic ADA-GP-MAX speed-up of a 90-epoch run: 10 warm-up epochs,
+/// then 80 that all spend `gp_fraction` of their batches in Phase GP.
 fn speedup_with_ratio(gp_fraction: f64) -> f64 {
-    let cfg = AcceleratorConfig::default();
     let layers = model_shapes(CnnModel::Vgg13, InputScale::Cifar);
-    // Build an epoch mix that spends everything at roughly this fraction.
-    let mix = EpochMix {
-        warmup: 10,
-        stage_4_1: 0,
-        stage_3_1: 0,
-        stage_2_1: 0,
-        stage_1_1: 80,
-    };
-    // stage_1_1 models 0.5; rescale the GP/BP blend manually instead:
-    let base = baseline_training_cycles(&cfg, Dataflow::WeightStationary, &layers, &mix);
-    let half = adagp_training_cycles(
-        &cfg,
+    let costs = model_costs(
+        &AcceleratorConfig::default(),
         Dataflow::WeightStationary,
-        AdaGpDesign::Max,
+        &PredictorCostModel::default(),
         &layers,
-        &mix,
+        MODEL_BATCH,
     );
-    // From the 0.5-mix totals, recover per-batch bp/gp costs and re-blend.
-    let total_epochs = mix.total() as f64;
-    let b_batch = base / total_epochs;
-    // half = warmup * bp + 80 * (0.5 gp + 0.5 bp); bp ≈ b_batch (MAX).
-    let gp_batch = ((half - 10.0 * b_batch) / 80.0 - 0.5 * b_batch) / 0.5;
-    let blended = 10.0 * b_batch + 80.0 * (gp_fraction * gp_batch + (1.0 - gp_fraction) * b_batch);
-    base / blended
+    let baseline = designs::baseline_batch_cycles(&costs) as f64;
+    let bp = designs::bp_batch_cycles(AdaGpDesign::Max, &costs) as f64;
+    let gp = designs::gp_batch_cycles(AdaGpDesign::Max, &costs) as f64;
+    let (warmup, rest) = (10.0, 80.0);
+    let adagp = warmup * bp + rest * (gp_fraction * gp + (1.0 - gp_fraction) * bp);
+    (warmup + rest) * baseline / adagp
 }
 
 pub fn run() {

@@ -477,18 +477,7 @@ fn cmd_roofline(args: &[String]) -> Result<ExitCode, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--csv" => csv_path = Some(path_arg(&mut it, "--csv")?),
-            "--tol" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--tol requires a value".to_string())?;
-                tolerance = raw
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| {
-                        format!("--tol: bad value `{raw}` (need a finite non-negative number)")
-                    })?;
-            }
+            "--tol" => tolerance = tol_arg(&mut it)?,
             "--quiet" => quiet = true,
             other => return Err(format!("roofline: unexpected argument `{other}`")),
         }
@@ -548,14 +537,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tol" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--tol requires a value".to_string())?;
-                cfg.rel_tol = raw
-                    .parse::<f64>()
-                    .map_err(|_| format!("--tol: bad value `{raw}`"))?;
-            }
+            "--tol" => cfg.rel_tol = tol_arg(&mut it)?,
             "--preset" => {
                 let raw = it
                     .next()
@@ -598,4 +580,17 @@ fn path_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<PathBuf
     it.next()
         .map(PathBuf::from)
         .ok_or_else(|| format!("{flag} requires a path argument"))
+}
+
+/// The value of `--tol`: a relative tolerance, finite and non-negative
+/// (NaN, a negative or an infinite tolerance would turn every comparison
+/// into a regression, or none).
+fn tol_arg(it: &mut std::slice::Iter<'_, String>) -> Result<f64, String> {
+    let raw = it
+        .next()
+        .ok_or_else(|| "--tol requires a value".to_string())?;
+    raw.parse::<f64>()
+        .ok()
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .ok_or_else(|| format!("--tol: bad value `{raw}` (need a finite non-negative number)"))
 }

@@ -8,6 +8,8 @@
 //!   is doing the silencing, not the grid.
 //! * `sweep roofline` exits cleanly and reports a knee per cell.
 //! * A zero `--bandwidth` / `--buffer-words` on `sweep sim` is exit 2.
+//! * A NaN, negative or infinite `--tol` on `sweep diff` or `sweep
+//!   roofline` is exit 2.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -154,6 +156,34 @@ fn diff_exit_codes_cover_clean_regressed_and_usage() {
     );
     std::fs::remove_file(&before).ok();
     std::fs::remove_file(&after).ok();
+}
+
+/// `--tol` takes the same finite non-negative number on `diff` and
+/// `roofline`. A NaN or negative tolerance used to make `diff` call every
+/// changed-or-not metric of a run compared with itself a regression
+/// (exit 1), and an infinite one turned the gate off.
+#[test]
+fn diff_and_roofline_reject_bad_tolerances_as_usage_errors() {
+    let run = concat!(env!("CARGO_MANIFEST_DIR"), "/../../runs/fig17-ws.csv");
+    for tol in ["nan", "-1", "inf", "-0.5", "x"] {
+        for args in [
+            vec!["diff", run, run, "--tol", tol],
+            vec!["roofline", "bandwidth-smoke", "--quiet", "--tol", tol],
+        ] {
+            let out = sweep().args(&args).output().expect("sweep runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("need a finite non-negative number"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    let out = sweep()
+        .args(["diff", run, run, "--tol", "0"])
+        .output()
+        .expect("sweep diff runs");
+    assert_eq!(out.status.code(), Some(0), "a run matches itself exactly");
 }
 
 #[test]

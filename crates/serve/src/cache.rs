@@ -299,6 +299,41 @@ mod tests {
         assert_eq!(*cache.get_or_evaluate(&s).unwrap().0, stale);
     }
 
+    #[test]
+    fn a_panicking_evaluation_is_an_error_that_leaves_nothing_behind() {
+        use adagp_sweep::{shard_file_name, Shard};
+        let dir = std::env::temp_dir().join(format!("adagp-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = CellCache::new();
+        cache.attach_log(ShardWriter::open(&dir, Shard::default()).unwrap());
+        let log = dir.join(shard_file_name(Shard::default()));
+        let logged = || std::fs::metadata(&log).map_or(0, |m| m.len());
+        // A zero DRAM bandwidth trips the batch builder's assert.
+        let bad = CellSpec::with_contention(
+            adagp_accel::Dataflow::WeightStationary,
+            DatasetScale::Cifar10,
+            adagp_nn::models::CnnModel::Vgg13,
+            adagp_accel::AdaGpDesign::Efficient,
+            PhaseSchedule::Paper,
+            Some(0),
+            None,
+        );
+        for attempt in 0..2 {
+            let err = cache.get_or_evaluate(&bad).unwrap_err();
+            assert!(
+                err.starts_with("evaluation panicked: DRAM bandwidth must be positive"),
+                "attempt {attempt}: {err}"
+            );
+            assert_eq!(cache.len(), 0, "attempt {attempt}");
+            assert_eq!(logged(), 0, "attempt {attempt}: nothing is appended");
+        }
+        assert_eq!(cache.get_or_evaluate(&spec()).unwrap().1, Served::Evaluated);
+        assert_eq!(cache.len(), 1);
+        assert!(logged() > 0, "the valid cell is appended");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn failed_log_append_is_counted_and_the_cell_is_still_served() {

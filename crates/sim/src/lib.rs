@@ -34,14 +34,19 @@
 //!   ([`TaskGraph::simulate`]: spans, ready cycles, admission causes,
 //!   busy/occupancy accounting) over per-thread reusable scratch.
 //! * [`workload`] — batch task graphs per phase × design, mirroring the
-//!   paper's §3.7 overlap semantics layer by layer. A [`BatchGraph`] is
-//!   built once per (phase, design, layers, ports, buffer); its DRAM
-//!   tasks carry their words and are re-timed per bandwidth
-//!   ([`BatchGraph::set_bandwidth`]), so [`simulate_batch`] is one build
-//!   plus one traced run and a bandwidth probe is one untraced replay.
-//! * [`step`] — training-run aggregation (epoch-mix weighting) to cycles,
-//!   speed-up, utilization and overlap-efficiency metrics; [`StepGraphs`]
-//!   holds the three compiled schedules of one design point.
+//!   paper's §3.7 overlap semantics layer by layer. One builder emits all
+//!   of them: the design only decides where the predictor runs (nowhere,
+//!   on the PE array with or without LOW's reload, or on MAX's own
+//!   array), which picks one of two shapes — one chain on the PE array or
+//!   one window per layer. A [`BatchGraph`] is built once per (phase,
+//!   design, layers, ports, buffer); its DRAM tasks carry their words and
+//!   are re-timed per bandwidth ([`BatchGraph::set_bandwidth`]), so
+//!   [`simulate_batch`] is one build plus one traced run and a bandwidth
+//!   probe is one untraced replay.
+//! * [`step`] — training-run aggregation to cycles, speed-up, utilization
+//!   and overlap-efficiency metrics, each weighted by the analytic
+//!   model's own epoch blend ([`epoch_total`]); [`StepGraphs`] holds the
+//!   three compiled schedules of one design point.
 //! * [`steps`] — the §3.7 step timeline (Figures 7–9), now *simulated*
 //!   instead of closed-form; it also prices the DNI comparison.
 //! * [`schedule`] — multi-device pipeline schedules (GPipe, DAPPLE's 1F1B
@@ -85,13 +90,14 @@ pub mod steps;
 pub mod trace;
 pub mod workload;
 
+pub use adagp_accel::speedup::epoch_total;
 pub use engine::{
     LayerTask, ResourceId, ResourceSpec, RunStats, SimBuilder, SimResult, Span, TaskGraph, TaskId,
     TaskKind, TaskSpec,
 };
 pub use report::{crit_tasks, critical_path};
 pub use schedule::{pipeline_graph, PipelineOrder};
-pub use step::{epoch_total, StepGraphs, StepSim};
+pub use step::{StepGraphs, StepSim};
 pub use steps::{step_timeline, StepTimeline};
 pub use trace::{chrome_trace, write_chrome_trace};
 pub use workload::{

@@ -1,29 +1,17 @@
 //! Training-run aggregation: from simulated batch makespans to the
 //! paper's end-to-end cycle totals and speed-ups.
 //!
-//! The epoch weighting deliberately mirrors
-//! [`adagp_accel::speedup::adagp_training_cycles`] *expression for
-//! expression* — same stage order, same `f64` operations — so that when
-//! the simulated per-batch makespans equal the analytic per-batch cycle
-//! counts (the no-contention configuration), the resulting training
-//! totals and speed-up ratios are bit-identical to the closed forms, not
-//! merely close. The fig17-grid golden test relies on this.
+//! Every epoch-weighted number here is
+//! [`adagp_accel::speedup::epoch_total`] of the simulated per-batch
+//! values — the blend the analytic training cycles use — so with the
+//! per-batch makespans equal to the analytic cycle counts (the
+//! no-contention configuration) the training totals and speed-up ratios
+//! are bit-identical to the closed forms. The fig17-grid golden test
+//! relies on this.
 
 use crate::workload::{layer_labels, BatchGraph, BatchStats, Phase, SimConfig, SimLayer};
-use adagp_accel::speedup::EpochMix;
+use adagp_accel::speedup::{epoch_total, EpochMix};
 use adagp_accel::AdaGpDesign;
-
-/// The analytic [`adagp_accel::speedup::adagp_training_cycles`] shape,
-/// applied to any per-batch statistic: per stage,
-/// `epochs × (g × GP value + (1 − g) × BP value)`, summed. Every
-/// epoch-weighted number of the simulator goes through this one
-/// expression so the bit-exactness contract cannot drift between metrics.
-pub fn epoch_total(mix: &EpochMix, bp: f64, gp: f64) -> f64 {
-    mix.stages()
-        .iter()
-        .map(|&(g, epochs)| epochs as f64 * (g * gp + (1.0 - g) * bp))
-        .sum()
-}
 
 /// The three batch schedules of one (design, layers, ports, buffer)
 /// point, compiled once: replayable at any DRAM bandwidth.

@@ -23,6 +23,10 @@
 //!   model's FW+BW runs against the predictor's fill+update:
 //!   `Σ max(FW + BW, 3α)`.
 //!
+//! One builder emits all seven (phase, design) graphs: the design only
+//! decides where the predictor runs, and that picks one of two shapes —
+//! one chain on the PE array, or one window per layer (MAX).
+//!
 //! Contention is opt-in through [`SimConfig::dram_words_per_cycle`]: each
 //! layer's weights then stream over a DRAM channel before its
 //! FW may start (double-buffered prefetch — loads run ahead of compute
@@ -223,13 +227,34 @@ pub fn model_sim_layers(
         .collect()
 }
 
-/// Resource ids of one built batch graph.
+/// Where one batch schedule runs the predictor — all that separates the
+/// baseline, Efficient, LOW and MAX schedules of a phase.
 #[derive(Debug, Clone, Copy)]
-struct Lanes {
-    pe: ResourceId,
-    pred: Option<ResourceId>,
-    /// The DRAM channel and the words per cycle its tasks are timed at.
-    dram: Option<(ResourceId, u64)>,
+enum Predictor {
+    /// No predictor: the baseline.
+    None,
+    /// On the PE array, each use after a weight reload of `reload`
+    /// cycles, if non-zero ([`AdaGpDesign::reload_cycles`]).
+    Shared { reload: u64 },
+    /// On its own array (MAX).
+    Own(ResourceId),
+}
+
+/// One task of a chain: its kind and its cycles.
+type Step = (TaskKind, u64);
+
+impl Predictor {
+    /// The PE-array steps of one predictor use: the reload, if any, then
+    /// the use. None when the predictor is absent or on its own array.
+    fn on_pe(self, kind: TaskKind, cycles: u64) -> [Option<Step>; 2] {
+        match self {
+            Predictor::Shared { reload } => [
+                (reload > 0).then_some((TaskKind::PredictorReload, reload)),
+                Some((kind, cycles)),
+            ],
+            Predictor::None | Predictor::Own(_) => [None, None],
+        }
+    }
 }
 
 /// The numbers one batch run yields: the makespan and buffer peak of the
@@ -346,7 +371,9 @@ pub struct BatchGraph {
 /// share.
 struct Emitter<'a> {
     b: SimBuilder,
-    lanes: Lanes,
+    pe: ResourceId,
+    /// The DRAM channel and the words per cycle its tasks are timed at.
+    dram: Option<(ResourceId, u64)>,
     layers: &'a [SimLayer],
     dram_words: Vec<(TaskId, u64)>,
 }
@@ -386,7 +413,7 @@ impl Emitter<'_> {
         words: u64,
         deps: Option<TaskId>,
     ) -> Option<TaskId> {
-        let (dram, bw) = self.lanes.dram?;
+        let (dram, bw) = self.dram?;
         if words == 0 {
             return None;
         }
@@ -418,11 +445,38 @@ impl Emitter<'_> {
         self.compute(
             TaskKind::Forward,
             i,
-            self.lanes.pe,
+            self.pe,
             l.cost.fw,
             l.activation_words as i64,
             [ready, load, spill].into_iter().flatten(),
         )
+    }
+
+    /// Layer `i`'s `steps` in order on `resource`, the first after
+    /// `prev`; the last frees the layer's activation when `free`. Returns
+    /// the chain's last task (`prev` when `steps` is empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if both `prev` and `steps` are empty.
+    fn chain(
+        &mut self,
+        resource: ResourceId,
+        i: usize,
+        mut prev: Option<TaskId>,
+        steps: impl IntoIterator<Item = Option<Step>>,
+        free: bool,
+    ) -> TaskId {
+        let mut steps = steps.into_iter().flatten().peekable();
+        while let Some((kind, cycles)) = steps.next() {
+            let delta = if free && steps.peek().is_none() {
+                -(self.layers[i].activation_words as i64)
+            } else {
+                0
+            };
+            prev = Some(self.compute(kind, i, resource, cycles, delta, prev));
+        }
+        prev.expect("a chain of at least one task")
     }
 
     /// A resourceless barrier closing layer `i`'s window, freeing the
@@ -440,6 +494,72 @@ impl Emitter<'_> {
             },
             deps,
         )
+    }
+
+    /// Emits one batch of `phase` with the predictor at `predictor`, in
+    /// one of two shapes; each layer's last task frees its activation.
+    ///
+    /// * **Shared array** (baseline, Efficient, LOW) — one chain on the PE
+    ///   array: each layer's FW and the predictor's fill, then, unless the
+    ///   phase is GP, a reversed sweep of BW-data, BW-weight and the
+    ///   predictor's update.
+    /// * **Own array** (MAX) — one window per layer, opened by the
+    ///   previous window's join: FW (then BW-data and BW-weight) on the PE
+    ///   array against the fill (then the update) on the predictor array,
+    ///   which reads the layer's *input* activation, already on chip, so
+    ///   it needs no FW dependency. GP ends with the output layer's fill,
+    ///   which no next layer hides.
+    fn batch(&mut self, phase: Phase, predictor: Predictor) {
+        let (pe, layers) = (self.pe, self.layers);
+        let gp = phase == Phase::Gp;
+        // Layer `l`'s BW-data and BW-weight, skipped in Phase GP.
+        let backward = |l: &SimLayer| {
+            let (data, weight) = split_bw(l.cost.bw);
+            [
+                (TaskKind::BackwardData, data),
+                (TaskKind::BackwardWeight, weight),
+            ]
+            .map(|step| (!gp).then_some(step))
+        };
+        let Predictor::Own(pred) = predictor else {
+            let mut prev = None;
+            for (i, l) in layers.iter().enumerate() {
+                let fwd = self.forward(i, prev);
+                let fill = predictor.on_pe(TaskKind::PredictorFill, l.cost.alpha);
+                prev = Some(self.chain(pe, i, Some(fwd), fill, gp));
+            }
+            for (i, l) in layers.iter().enumerate().rev().filter(|_| !gp) {
+                let [data, weight] = backward(l);
+                let [reload, update] = predictor.on_pe(TaskKind::PredictorUpdate, 2 * l.cost.alpha);
+                prev = Some(self.chain(pe, i, prev, [data, weight, reload, update], true));
+            }
+            return;
+        };
+        let mut barrier = None;
+        for (i, l) in layers.iter().enumerate() {
+            let fwd = self.forward(i, barrier);
+            let model = self.chain(pe, i, Some(fwd), backward(l), false);
+            let fill = Some((TaskKind::PredictorFill, l.cost.alpha));
+            let update = (!gp).then_some((TaskKind::PredictorUpdate, 2 * l.cost.alpha));
+            let predicted = self.chain(pred, i, barrier, [fill, update], false);
+            let window = if gp { "slot" } else { "window" };
+            barrier = Some(self.join(window, i, [model, predicted]));
+        }
+        if gp {
+            let last = layers.len() - 1;
+            self.b.add_layer_task(
+                LayerTask {
+                    kind: TaskKind::PredictorFill,
+                    layer: last,
+                    prefix: TaskKind::PredictorFill.name(),
+                    suffix: " (out)",
+                    resource: Some(pred),
+                    duration: layers[last].cost.alpha,
+                    buffer_delta: 0,
+                },
+                barrier,
+            );
+        }
     }
 }
 
@@ -474,36 +594,29 @@ impl BatchGraph {
             cfg.dram_words_per_cycle != Some(0),
             "DRAM bandwidth must be positive (use None to disable contention)"
         );
-        if phase != Phase::Baseline {
-            assert!(design.is_some(), "ADA-GP phases need a design");
-        }
         let mut b = SimBuilder::with_layer_labels(labels);
         // Both arrays are single-ported: the paper's schedules serialize
         // through dependency chains, so a second port would change nothing.
         let pe = b.add_resource("pe-array", 1);
-        let pred = match design {
-            Some(AdaGpDesign::Max) if phase != Phase::Baseline => {
-                Some(b.add_resource("predictor-array", 1))
-            }
-            _ => None,
+        let predictor = match (phase, design) {
+            (Phase::Baseline, _) => Predictor::None,
+            (_, Some(AdaGpDesign::Max)) => Predictor::Own(b.add_resource("predictor-array", 1)),
+            (_, Some(d)) => Predictor::Shared {
+                reload: d.reload_cycles(),
+            },
+            (_, None) => panic!("ADA-GP phases need a design"),
         };
         let dram = cfg
             .dram_words_per_cycle
             .map(|bw| (b.add_resource("dram", cfg.dram_ports), bw));
         let mut e = Emitter {
             b,
-            lanes: Lanes { pe, pred, dram },
+            pe,
+            dram,
             layers,
             dram_words: Vec::new(),
         };
-        match (phase, design) {
-            (Phase::Baseline, _) => build_baseline(&mut e),
-            (Phase::Bp, Some(AdaGpDesign::Max)) => build_bp_max(&mut e),
-            (Phase::Bp, Some(d)) => build_bp_shared(&mut e, d),
-            (Phase::Gp, Some(AdaGpDesign::Max)) => build_gp_max(&mut e),
-            (Phase::Gp, Some(d)) => build_gp_shared(&mut e, d),
-            _ => unreachable!("design checked above"),
-        }
+        e.batch(phase, predictor);
 
         let graph = e.b.compile();
         let mut totals = BatchStats {
@@ -611,126 +724,6 @@ pub fn simulate_batch(
     cfg: &SimConfig,
 ) -> BatchSim {
     BatchGraph::build(phase, design, layers, cfg).simulate()
-}
-
-/// Baseline: FW sweep then BW sweep (data + weight), all on the PE array.
-fn build_baseline(e: &mut Emitter) {
-    let (pe, layers) = (e.lanes.pe, e.layers);
-    let mut prev: Option<TaskId> = None;
-    for i in 0..layers.len() {
-        prev = Some(e.forward(i, prev));
-    }
-    for (i, l) in layers.iter().enumerate().rev() {
-        let (data, weight) = split_bw(l.cost.bw);
-        let bd = e.compute(TaskKind::BackwardData, i, pe, data, 0, prev);
-        let freed = -(l.activation_words as i64);
-        prev = Some(e.compute(TaskKind::BackwardWeight, i, pe, weight, freed, [bd]));
-    }
-}
-
-/// Phase BP on a shared array (Efficient / LOW): the predictor's fill
-/// follows each FW and its update follows each layer's BW, with LOW
-/// paying a weight reload before every predictor use.
-fn build_bp_shared(e: &mut Emitter, design: AdaGpDesign) {
-    let (pe, layers) = (e.lanes.pe, e.layers);
-    let reload = design.reload_cycles();
-    let mut prev: Option<TaskId> = None;
-    for (i, l) in layers.iter().enumerate() {
-        prev = Some(e.forward(i, prev));
-        if reload > 0 {
-            prev = Some(e.compute(TaskKind::PredictorReload, i, pe, reload, 0, prev));
-        }
-        prev = Some(e.compute(TaskKind::PredictorFill, i, pe, l.cost.alpha, 0, prev));
-    }
-    for (i, l) in layers.iter().enumerate().rev() {
-        let (data, weight) = split_bw(l.cost.bw);
-        prev = Some(e.compute(TaskKind::BackwardData, i, pe, data, 0, prev));
-        prev = Some(e.compute(TaskKind::BackwardWeight, i, pe, weight, 0, prev));
-        if reload > 0 {
-            prev = Some(e.compute(TaskKind::PredictorReload, i, pe, reload, 0, prev));
-        }
-        let freed = -(l.activation_words as i64);
-        prev = Some(e.compute(
-            TaskKind::PredictorUpdate,
-            i,
-            pe,
-            2 * l.cost.alpha,
-            freed,
-            prev,
-        ));
-    }
-}
-
-/// Phase BP on ADA-GP-MAX: per-layer windows. The model's FW→BW chain
-/// and the predictor's fill→update chain start together at the window
-/// barrier and the next window opens when both finish — the per-layer
-/// `max(FW + BW, 3α)` of the analytic model.
-fn build_bp_max(e: &mut Emitter) {
-    let (pe, layers) = (e.lanes.pe, e.layers);
-    let pred = e.lanes.pred.expect("MAX has a predictor array");
-    let mut barrier: Option<TaskId> = None;
-    for (i, l) in layers.iter().enumerate() {
-        let fwd = e.forward(i, barrier);
-        let (data, weight) = split_bw(l.cost.bw);
-        let bd = e.compute(TaskKind::BackwardData, i, pe, data, 0, [fwd]);
-        let bw = e.compute(TaskKind::BackwardWeight, i, pe, weight, 0, [bd]);
-        // The predictor consumes the layer's *input* activation (already
-        // on chip at the window barrier), so its chain needs no FW dep.
-        let fill = e.compute(TaskKind::PredictorFill, i, pred, l.cost.alpha, 0, barrier);
-        let upd = e.compute(
-            TaskKind::PredictorUpdate,
-            i,
-            pred,
-            2 * l.cost.alpha,
-            0,
-            [fill],
-        );
-        barrier = Some(e.join("window", i, [bw, upd]));
-    }
-}
-
-/// Phase GP on a shared array (Efficient / LOW): FW then predictor fill
-/// per layer, serial, with LOW's reload in between.
-fn build_gp_shared(e: &mut Emitter, design: AdaGpDesign) {
-    let (pe, layers) = (e.lanes.pe, e.layers);
-    let reload = design.reload_cycles();
-    let mut prev: Option<TaskId> = None;
-    for (i, l) in layers.iter().enumerate() {
-        prev = Some(e.forward(i, prev));
-        if reload > 0 {
-            prev = Some(e.compute(TaskKind::PredictorReload, i, pe, reload, 0, prev));
-        }
-        let freed = -(l.activation_words as i64);
-        prev = Some(e.compute(TaskKind::PredictorFill, i, pe, l.cost.alpha, freed, prev));
-    }
-}
-
-/// Phase GP on ADA-GP-MAX: per-layer slots — FW on the PE array runs
-/// concurrently with the layer's predictor fill on the predictor array
-/// (`max(FW, α)` per slot), plus the trailing output-layer fill.
-fn build_gp_max(e: &mut Emitter) {
-    let layers = e.layers;
-    let pred = e.lanes.pred.expect("MAX has a predictor array");
-    let mut barrier: Option<TaskId> = None;
-    for (i, l) in layers.iter().enumerate() {
-        let fwd = e.forward(i, barrier);
-        let fill = e.compute(TaskKind::PredictorFill, i, pred, l.cost.alpha, 0, barrier);
-        barrier = Some(e.join("slot", i, [fwd, fill]));
-    }
-    // The last layer's own prediction cannot hide behind a next layer.
-    let last = layers.len() - 1;
-    e.b.add_layer_task(
-        LayerTask {
-            kind: TaskKind::PredictorFill,
-            layer: last,
-            prefix: TaskKind::PredictorFill.name(),
-            suffix: " (out)",
-            resource: Some(pred),
-            duration: layers[last].cost.alpha,
-            buffer_delta: 0,
-        },
-        barrier,
-    );
 }
 
 #[cfg(test)]
