@@ -267,10 +267,21 @@ fn reject_overload(mut stream: TcpStream) {
     let _ = stream.write_all(body.as_bytes());
 }
 
+/// How long a served connection may stall a read or a write: a peer that
+/// stops sending mid-request, or stops reading a reply larger than the
+/// socket buffers, frees its worker after this.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bounds both directions of a served stream by [`IO_TIMEOUT`].
+fn set_io_timeouts(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+}
+
 /// Reads, parses and serves one request on `stream` (one request per
 /// connection; every response closes).
 fn handle_connection(state: &ServeState, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    set_io_timeouts(&stream);
     let mut parser = RequestParser::new();
     let mut buf = [0u8; 4096];
     let req = loop {
@@ -572,5 +583,18 @@ mod tests {
             Routed::Error(e) => assert_eq!(e.status, 404),
             other => panic!("expected 404, got {other:?}"),
         }
+    }
+
+    /// A client that stops reading must not hold a worker in `write_all`
+    /// forever: a served stream times out writes as well as reads.
+    #[test]
+    fn served_streams_time_out_in_both_directions() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        assert_eq!(served.write_timeout().unwrap(), None);
+        set_io_timeouts(&served);
+        assert_eq!(served.read_timeout().unwrap(), Some(IO_TIMEOUT));
+        assert_eq!(served.write_timeout().unwrap(), Some(IO_TIMEOUT));
     }
 }

@@ -1,4 +1,4 @@
-//! 2-D convolution kernels (im2col based), forward and backward.
+//! 2-D convolution kernels, forward and backward.
 //!
 //! Convolutions are the dominant op in every CNN the paper evaluates
 //! (VGG/ResNet/DenseNet/Inception/MobileNet/YOLO). The gradients of the
@@ -11,7 +11,8 @@
 //! fixes the order of every sum for every `ADAGP_THREADS`. Forward and
 //! data-backward run one block of samples per task with a task-local lowering
 //! buffer; weight-backward sums into `dw` across samples, so it walks them in
-//! order.
+//! order. Two cases need no lowering copy (below): a 1×1, stride-1,
+//! unpadded window, and a grouped call with one input channel per group.
 //!
 //! # Channel groups
 //!
@@ -30,24 +31,70 @@
 //! 550 KB matrix that fell out of cache and ran slower than the per-band
 //! buffer it replaced.
 //!
-//! A call with `groups > 1` runs its samples inline on the calling thread
-//! (see `dispatch_work`); each group's `gemm` still decides on its own size,
-//! which keeps every depthwise product (one or `k²` output rows) inline too.
-//! That is a measurement, not a principle: handing the grouped MobileNet-V2
-//! sites to the pool on their true op count was no faster under the
-//! pipelined trainer on a 2-vCPU host and raised its peak RSS by 15 %,
-//! against 7 % inline.
+//! # Without a lowering copy
 //!
-//! What is left for a depthwise site is the lowering itself: with one input
-//! channel per group the product is a `1 × owh × k²` `gemm` over a `cols`
-//! matrix that is nine shifted copies of the band. A direct stencil at that
-//! one `Cin / groups == 1` case would replace `im2col` + `gemm` (and
-//! `gemm` + `col2im`) with a walk over the band; it reorders no sum only if
-//! it keeps the `ki, kj` ascending order of `im2col`'s rows.
+//! A 1×1 window at stride 1 without padding lowers a band to itself, so
+//! forward and weight-backward hand the band to `gemm` as `cols`, and
+//! data-backward lets `gemm` accumulate straight into the zeroed `dx` band —
+//! the `0 + v` that `col2im` did. MobileNet-V2's expand, project and head
+//! sites are such calls.
+//!
+//! A grouped call with one input channel per group (`groups > 1`,
+//! `Cin / groups == 1`: MobileNet-V2's depthwise sites, channel multipliers
+//! included) runs a direct stencil over a zero-padded copy of each input
+//! plane instead of `im2col` + a `1 × owh × k²` `gemm` per channel and
+//! sample. It is the second multiply-accumulate loop of this crate, and it
+//! keeps, per element, the order the lowering had:
+//!
+//! * **forward** — taps `ki, kj` ascending from `0.0`, then the bias;
+//! * **data-backward** — each tap's `Σ_f w·dy` from `0.0` (filters
+//!   ascending, `gemm`'s `wᵀ · dy`), scattered in `col2im`'s
+//!   `(ki, kj, oy, ox)` order; what lands on the padding is dropped;
+//! * **weight-backward** — each sample's `Σ dy·x` from `0.0`, outputs
+//!   ascending, then the samples added in ascending order.
+//!
+//! The padding zeros are multiplied, not skipped, so `0 × ∞` stays `NaN`.
+//! Forward and data-backward split the samples, weight-backward the output
+//! channels (each walks the samples in order), into `STENCIL_BLOCKS` pool
+//! tasks, and a thread reuses one plane buffer from call to call, as `gemm`
+//! does its transposed copy.
+//!
+//! # Dispatch
+//!
+//! Every call goes to the pool on its MAC count. Until the stencil, grouped
+//! calls ran inline: handing the lowered depthwise sites to the pool was no
+//! faster and raised `train_mobilenet`'s peak RSS by 15 % (each task
+//! lowered into its own `cols`). Re-measured with the stencil on a 2-vCPU
+//! host: dispatched, `train_mobilenet`'s `peak_rss_mb` stays within 2 % of
+//! the lowering's and `cold_ops_per_s` is ≈ 10 % above an inline stencil,
+//! so the rule is gone. Allocation sets the block count: each pool task
+//! costs two allocations (its boxes). At `det_chunk_len`'s blocks (up to 32)
+//! the 33 stencil calls of a MobileNet-V2 BP batch allocated 571 more times
+//! than the lowering did (17 929 against 17 358); at two blocks they
+//! allocate 209 fewer (17 149) and run within noise of 32.
 
 use crate::gemm::{gemm, Mat};
 use crate::par;
 use crate::Tensor;
+use adagp_runtime::det_chunk_len;
+use std::cell::Cell;
+
+/// Pool tasks a stencil call is split into (module documentation).
+const STENCIL_BLOCKS: usize = 2;
+
+thread_local! {
+    /// This thread's buffer for the depthwise stencil's padded plane, kept
+    /// between calls. Taken, not borrowed, like `gemm`'s transposed copy.
+    static PLANE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's stencil buffer, `len` long, stale contents and all.
+fn with_plane(len: usize, f: impl FnOnce(&mut [f32])) {
+    let mut buf = PLANE.take();
+    buf.resize(len, 0.0);
+    f(&mut buf);
+    PLANE.set(buf);
+}
 
 /// Hyper-parameters of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,15 +161,26 @@ impl Conv2dParams {
         (cin / groups, cout / groups)
     }
 
-    /// The op-count estimate `par::row_blocks` decides on: the dense MAC
-    /// count for a dense call, zero — run inline — for a grouped one (the
-    /// module documentation has the measurement behind that).
-    fn dispatch_work(&self, macs: usize) -> usize {
-        if self.groups == 1 {
-            macs
+    /// Whether a call with `cin_g` input channels per group takes the
+    /// depthwise stencil.
+    fn depthwise(&self, cin_g: usize) -> bool {
+        self.groups > 1 && cin_g == 1
+    }
+
+    /// Rows (samples or output channels) per pool task of a call over
+    /// `rows` rows: `det_chunk_len`'s for the lowering, `STENCIL_BLOCKS`
+    /// blocks for the stencil.
+    fn block_rows(&self, cin_g: usize, rows: usize) -> usize {
+        if self.depthwise(cin_g) {
+            rows.div_ceil(STENCIL_BLOCKS)
         } else {
-            0
+            det_chunk_len(rows)
         }
+    }
+
+    /// Whether a `kh × kw` window lowers a band to the band itself.
+    fn pointwise(&self, kh: usize, kw: usize) -> bool {
+        (kh, kw, self.stride, self.padding) == (1, 1, 1, 0)
     }
 }
 
@@ -165,6 +223,31 @@ fn im2col(
     }
 }
 
+/// The `(C*kh*kw, Ho*Wo)` lowering of `band`: the band itself for a
+/// pointwise window, else `im2col` into `cols`.
+fn lower<'a>(
+    band: &'a [f32],
+    cols: &'a mut [f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    p: &Conv2dParams,
+) -> &'a [f32] {
+    if p.pointwise(kh, kw) {
+        return band;
+    }
+    im2col(band, c, h, w, kh, kw, p, cols);
+    cols
+}
+
+/// A buffer for one group's lowering: empty for a pointwise window, which
+/// needs none.
+fn cols_buffer(p: &Conv2dParams, kh: usize, kw: usize, len: usize) -> Vec<f32> {
+    vec![0.0; if p.pointwise(kh, kw) { 0 } else { len }]
+}
+
 /// Scatters a column matrix back to an image, accumulating overlaps.
 fn col2im(
     cols: &[f32],
@@ -197,6 +280,177 @@ fn col2im(
                         out[(ci * h + iy as usize) * w + ix as usize] +=
                             cols[in_base + oy * wo + ox];
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The depthwise stencil of one call (module documentation): `channels`
+/// input planes of `h × w`, each zero-padded by `pad` on all four sides and
+/// read by `m` filters of `kh × kw` at `stride` into `ho × wo` outputs.
+#[derive(Debug, Clone, Copy)]
+struct Stencil {
+    channels: usize,
+    m: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+    ho: usize,
+    wo: usize,
+}
+
+impl Stencil {
+    fn new(
+        channels: usize,
+        m: usize,
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+        p: &Conv2dParams,
+    ) -> Self {
+        Stencil {
+            channels,
+            m,
+            h,
+            w,
+            kh,
+            kw,
+            stride: p.stride,
+            pad: p.padding,
+            ho: p.out_size(h, kh),
+            wo: p.out_size(w, kw),
+        }
+    }
+
+    /// Width of a padded plane.
+    fn pw(&self) -> usize {
+        self.w + 2 * self.pad
+    }
+
+    /// Length of a padded plane.
+    fn padded_len(&self) -> usize {
+        (self.h + 2 * self.pad) * self.pw()
+    }
+
+    /// Where, in a padded plane, output row `oy`'s tap `(ki, kj)` starts
+    /// (for `ox = 0`; output `ox` reads `stride · ox` further on).
+    fn at(&self, oy: usize, ki: usize, kj: usize) -> usize {
+        (oy * self.stride + ki) * self.pw() + kj
+    }
+
+    /// Copies an `h × w` plane into the middle of `padded`, zeros around it.
+    fn pad(&self, plane: &[f32], padded: &mut [f32]) {
+        padded.fill(0.0);
+        let rows = padded[self.pad * self.pw()..].chunks_mut(self.pw());
+        for (row, src) in rows.zip(plane.chunks(self.w)) {
+            row[self.pad..][..self.w].copy_from_slice(src);
+        }
+    }
+
+    /// One sample's forward: `y (channels · m, ho · wo)`, zeroed, gets every
+    /// filter's taps in ascending order.
+    fn forward(&self, x: &[f32], weight: &[f32], y: &mut [f32], padded: &mut [f32]) {
+        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
+        let planes = x.chunks(self.h * self.w).zip(weight.chunks(self.m * patch));
+        for (y_c, (plane, w_c)) in y.chunks_mut(self.m * owh).zip(planes) {
+            self.pad(plane, padded);
+            for (y_f, w_f) in y_c.chunks_mut(owh).zip(w_c.chunks(patch)) {
+                for (tap, &wv) in w_f.iter().enumerate() {
+                    let (ki, kj) = (tap / self.kw, tap % self.kw);
+                    for (oy, y_row) in y_f.chunks_mut(self.wo).enumerate() {
+                        let xs = &padded[self.at(oy, ki, kj)..];
+                        // Stride 1 as a plain zip, which vectorises (`step_by` does not).
+                        if self.stride == 1 {
+                            for (yv, &xv) in y_row.iter_mut().zip(xs) {
+                                *yv += wv * xv;
+                            }
+                        } else {
+                            for (yv, &xv) in y_row.iter_mut().zip(xs.iter().step_by(self.stride)) {
+                                *yv += wv * xv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One sample's data-backward: `dx (channels, h · w)` from
+    /// `dy (channels · m, ho · wo)`. `buf` holds a padded plane and one
+    /// output plane of tap sums.
+    fn backward_data(&self, dy: &[f32], weight: &[f32], dx: &mut [f32], buf: &mut [f32]) {
+        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
+        let (padded, sums) = buf.split_at_mut(self.padded_len());
+        let planes = dy.chunks(self.m * owh).zip(weight.chunks(self.m * patch));
+        for (dx_c, (dy_c, w_c)) in dx.chunks_mut(self.h * self.w).zip(planes) {
+            padded.fill(0.0);
+            for tap in 0..patch {
+                let (ki, kj) = (tap / self.kw, tap % self.kw);
+                sums.fill(0.0);
+                for (w_f, dy_f) in w_c.chunks(patch).zip(dy_c.chunks(owh)) {
+                    let wv = w_f[tap];
+                    for (s, &d) in sums.iter_mut().zip(dy_f) {
+                        *s += wv * d;
+                    }
+                }
+                for (oy, s_row) in sums.chunks(self.wo).enumerate() {
+                    let dst = &mut padded[self.at(oy, ki, kj)..];
+                    if self.stride == 1 {
+                        for (v, &s) in dst.iter_mut().zip(s_row) {
+                            *v += s;
+                        }
+                    } else {
+                        for (v, &s) in dst.iter_mut().step_by(self.stride).zip(s_row) {
+                            *v += s;
+                        }
+                    }
+                }
+            }
+            let rows = padded[self.pad * self.pw()..].chunks(self.pw());
+            for (dst, row) in dx_c.chunks_mut(self.w).zip(rows) {
+                dst.copy_from_slice(&row[self.pad..][..self.w]);
+            }
+        }
+    }
+
+    /// Weight-backward rows `first..` of `dw (channels · m, kh · kw)` over
+    /// the whole batch of `x` and `dy`. `buf` holds a padded plane and one
+    /// row of per-sample sums.
+    fn backward_weight(
+        &self,
+        x: &[f32],
+        dy: &[f32],
+        first: usize,
+        dw: &mut [f32],
+        buf: &mut [f32],
+    ) {
+        let (patch, owh, plane) = (self.kh * self.kw, self.ho * self.wo, self.h * self.w);
+        let (padded, sums) = buf.split_at_mut(self.padded_len());
+        let samples = || {
+            x.chunks(self.channels * plane)
+                .zip(dy.chunks(self.channels * self.m * owh))
+        };
+        for (f, dw_f) in (first..).zip(dw.chunks_mut(patch)) {
+            for (sample, dy_sample) in samples() {
+                self.pad(&sample[f / self.m * plane..][..plane], padded);
+                sums.fill(0.0);
+                let dy_rows = dy_sample[f * owh..][..owh].chunks(self.wo);
+                for (oy, dy_row) in dy_rows.enumerate() {
+                    for (ox, &d) in dy_row.iter().enumerate() {
+                        let origin = self.at(oy, 0, 0) + ox * self.stride;
+                        for (ki, s_row) in sums.chunks_mut(self.kw).enumerate() {
+                            let xs = &padded[origin + ki * self.pw()..][..self.kw];
+                            for (s, &xv) in s_row.iter_mut().zip(xs) {
+                                *s += d * xv;
+                            }
+                        }
+                    }
+                }
+                for (v, &s) in dw_f.iter_mut().zip(sums.iter()) {
+                    *v += s;
                 }
             }
         }
@@ -244,26 +498,44 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
 
     let mut out = vec![0.0f32; n * cout * owh];
 
-    let work = p.dispatch_work(n * cout * patch * owh);
-    par::row_blocks(&mut out, n, cout * owh, work, |first, chunk| {
-        let mut cols = vec![0.0f32; patch * owh];
-        let samples = input.data().chunks(cin * h * w).skip(first);
-        for (y, sample) in chunk.chunks_mut(cout * owh).zip(samples) {
-            let bands = sample.chunks(cin_g * h * w);
-            let filters = weight.data().chunks(cout_g * patch);
-            for ((y_band, band), filter) in y.chunks_mut(cout_g * owh).zip(bands).zip(filters) {
-                im2col(band, cin_g, h, w, kh, kw, p, &mut cols);
-                let (wmat, cols_mat) = (Mat::rows(filter, patch), Mat::rows(&cols, owh));
-                gemm(cout_g, owh, patch, wmat, cols_mat, y_band, false);
+    par::row_blocks_by(
+        p.block_rows(cin_g, n),
+        &mut out,
+        n,
+        cout * owh,
+        n * cout * patch * owh,
+        |first, chunk| {
+            let samples = input.data().chunks(cin * h * w).skip(first);
+            let ys = chunk.chunks_mut(cout * owh);
+            if p.depthwise(cin_g) {
+                let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
+                with_plane(st.padded_len(), |padded| {
+                    for (y, sample) in ys.zip(samples) {
+                        st.forward(sample, weight.data(), y, padded);
+                    }
+                });
+            } else {
+                let mut cols = cols_buffer(p, kh, kw, patch * owh);
+                for (y, sample) in ys.zip(samples) {
+                    let bands = sample.chunks(cin_g * h * w);
+                    let filters = weight.data().chunks(cout_g * patch);
+                    for ((y_band, band), filter) in
+                        y.chunks_mut(cout_g * owh).zip(bands).zip(filters)
+                    {
+                        let cols = lower(band, &mut cols, cin_g, h, w, kh, kw, p);
+                        let (wmat, cols_mat) = (Mat::rows(filter, patch), Mat::rows(cols, owh));
+                        gemm(cout_g, owh, patch, wmat, cols_mat, y_band, false);
+                    }
+                }
             }
             if let Some(b) = bias {
                 // After the sum, so the bias is the last term of every element.
-                for (yrow, &bv) in y.chunks_mut(owh).zip(b.data()) {
+                for (yrow, &bv) in chunk.chunks_mut(owh).zip(b.data().iter().cycle()) {
                     yrow.iter_mut().for_each(|v| *v += bv);
                 }
             }
-        }
-    });
+        },
+    );
     Tensor::from_vec(out, &[n, cout, ho, wo])
 }
 
@@ -301,22 +573,43 @@ pub fn conv2d_backward_data(
 
     let mut dx = vec![0.0f32; n * cin * h * w];
 
-    let work = p.dispatch_work(n * cout * patch * owh);
-    par::row_blocks(&mut dx, n, cin * h * w, work, |first, chunk| {
-        let mut dcols = vec![0.0f32; patch * owh];
-        let dy_samples = dy.data().chunks(cout * owh).skip(first);
-        for (dx_sample, dy_sample) in chunk.chunks_mut(cin * h * w).zip(dy_samples) {
-            let dy_bands = dy_sample.chunks(cout_g * owh);
-            let filters = weight.data().chunks(cout_g * patch);
-            let dx_bands = dx_sample.chunks_mut(cin_g * h * w);
-            for ((dx_band, dy_band), filter) in dx_bands.zip(dy_bands).zip(filters) {
-                let wmat_t = Mat::rows(filter, patch).t(); // (patch, cout_g)
-                let dy_mat = Mat::rows(dy_band, owh);
-                gemm(patch, owh, cout_g, wmat_t, dy_mat, &mut dcols, false);
-                col2im(&dcols, cin_g, h, w, kh, kw, p, dx_band);
+    par::row_blocks_by(
+        p.block_rows(cin_g, n),
+        &mut dx,
+        n,
+        cin * h * w,
+        n * cout * patch * owh,
+        |first, chunk| {
+            let dy_samples = dy.data().chunks(cout * owh).skip(first);
+            let dxs = chunk.chunks_mut(cin * h * w);
+            if p.depthwise(cin_g) {
+                let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
+                with_plane(st.padded_len() + owh, |buf| {
+                    for (dx_sample, dy_sample) in dxs.zip(dy_samples) {
+                        st.backward_data(dy_sample, weight.data(), dx_sample, buf);
+                    }
+                });
+                return;
             }
-        }
-    });
+            let mut dcols = cols_buffer(p, kh, kw, patch * owh);
+            for (dx_sample, dy_sample) in dxs.zip(dy_samples) {
+                let dy_bands = dy_sample.chunks(cout_g * owh);
+                let filters = weight.data().chunks(cout_g * patch);
+                let dx_bands = dx_sample.chunks_mut(cin_g * h * w);
+                for ((dx_band, dy_band), filter) in dx_bands.zip(dy_bands).zip(filters) {
+                    let wmat_t = Mat::rows(filter, patch).t(); // (patch, cout_g)
+                    let dy_mat = Mat::rows(dy_band, owh);
+                    if p.pointwise(kh, kw) {
+                        // `dx_band` is zero: `0 + v` is what `col2im` wrote.
+                        gemm(patch, owh, cout_g, wmat_t, dy_mat, dx_band, true);
+                    } else {
+                        gemm(patch, owh, cout_g, wmat_t, dy_mat, &mut dcols, false);
+                        col2im(&dcols, cin_g, h, w, kh, kw, p, dx_band);
+                    }
+                }
+            }
+        },
+    );
     Tensor::from_vec(dx, &[n, cin, h, w])
 }
 
@@ -357,16 +650,35 @@ pub fn conv2d_backward_weight(
 
     // dw += dy_band (cout_g, owh) . cols^T (owh, patch): each sample's
     // product is summed from zero, then added in ascending sample order.
-    let mut cols = vec![0.0f32; patch * owh];
-    let samples = input.data().chunks(cin * h * w);
-    for (sample, dy_sample) in samples.zip(dy.data().chunks(cout * owh)) {
-        let bands = sample.chunks(cin_g * h * w);
-        let dy_bands = dy_sample.chunks(cout_g * owh);
-        for ((band, dy_band), dw_band) in bands.zip(dy_bands).zip(dw.chunks_mut(cout_g * patch)) {
-            im2col(band, cin_g, h, w, kh, kw, p, &mut cols);
-            let (dy_mat, cols_t) = (Mat::rows(dy_band, owh), Mat::rows(&cols, owh).t());
-            gemm(cout_g, patch, owh, dy_mat, cols_t, dw_band, true);
+    if p.depthwise(cin_g) {
+        let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
+        par::row_blocks_by(
+            p.block_rows(cin_g, cout),
+            &mut dw,
+            cout,
+            patch,
+            n * cout * patch * owh,
+            |first, block| {
+                with_plane(st.padded_len() + patch, |buf| {
+                    st.backward_weight(input.data(), dy.data(), first, block, buf);
+                });
+            },
+        );
+    } else {
+        let mut cols = cols_buffer(p, kh, kw, patch * owh);
+        let samples = input.data().chunks(cin * h * w);
+        for (sample, dy_sample) in samples.zip(dy.data().chunks(cout * owh)) {
+            let bands = sample
+                .chunks(cin_g * h * w)
+                .zip(dy_sample.chunks(cout_g * owh));
+            for ((band, dy_band), dw_band) in bands.zip(dw.chunks_mut(cout_g * patch)) {
+                let cols = lower(band, &mut cols, cin_g, h, w, kh, kw, p);
+                let (dy_mat, cols_t) = (Mat::rows(dy_band, owh), Mat::rows(cols, owh).t());
+                gemm(cout_g, patch, owh, dy_mat, cols_t, dw_band, true);
+            }
         }
+    }
+    for dy_sample in dy.data().chunks(cout * owh) {
         for (dbv, dyrow) in db.iter_mut().zip(dy_sample.chunks(owh)) {
             *dbv += dyrow.iter().sum::<f32>();
         }

@@ -1,9 +1,16 @@
-//! The one multiply-accumulate loop of this crate.
+//! The multiply-accumulate loop of this crate's products.
 //!
 //! [`Tensor::matmul`](crate::Tensor::matmul) and its `_tn` / `_nt` forms,
-//! the three im2col convolution kernels and the attention products in
-//! `adagp-nn` are all a lowering to [`gemm`] over read-only strided views
-//! ([`Mat`]), so a transpose is a view, not a copy.
+//! the three convolution kernels and the attention products in `adagp-nn`
+//! are all a lowering to [`gemm`] over read-only strided views ([`Mat`]), so
+//! a transpose is a view, not a copy. The one other loop is the convolution
+//! kernels' depthwise stencil (a grouped call with one input channel per
+//! group), which keeps, per element, the order its `im2col` + `gemm`
+//! lowering had — taps ascending from `0.0` in forward, each tap's filter
+//! sum from `0.0` scattered in `col2im`'s order in data-backward, each
+//! sample's sum from `0.0` over outputs ascending and then the samples in
+//! order in weight-backward (the [`conv`](crate::conv) module documentation
+//! has the details).
 //!
 //! # The order contract
 //!

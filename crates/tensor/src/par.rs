@@ -30,13 +30,28 @@ pub(crate) fn row_blocks<F>(out: &mut [f32], rows: usize, row_len: usize, work: 
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    row_blocks_by(det_chunk_len(rows), out, rows, row_len, work, f);
+}
+
+/// [`row_blocks`] with blocks of `chunk_rows` rows — a function of the
+/// shape, never of the thread count — for a kernel that wants fewer pool
+/// tasks than `det_chunk_len` makes (each task allocates its boxes).
+pub(crate) fn row_blocks_by<F>(
+    chunk_rows: usize,
+    out: &mut [f32],
+    rows: usize,
+    row_len: usize,
+    work: usize,
+    f: F,
+) where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
     debug_assert!(row_len == 0 || out.len().div_ceil(row_len) == rows);
     let pool = adagp_runtime::pool();
     if IN_BLOCK.get() || rows < 2 || work < PAR_MIN_WORK || pool.size() == 1 {
         f(0, out);
         return;
     }
-    let chunk_rows = det_chunk_len(rows);
     pool.parallel_chunks(out, chunk_rows * row_len.max(1), |ci, chunk| {
         IN_BLOCK.set(true);
         f(ci * chunk_rows, chunk);

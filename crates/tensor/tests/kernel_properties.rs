@@ -365,40 +365,55 @@ fn conv_by_bands(
 
 /// A grouped convolution is, bit for bit, the dense kernels run band by
 /// band — forward, data-backward and weight-backward, at 1, 2, 4 and 7
-/// threads. `groups = C` rows are MobileNet-V2's depthwise sites (the
-/// lowering this replaced); the `groups = 1` rows sit on both sides of the
-/// parallel-dispatch threshold, the `groups = 2` rows would clear it if
-/// grouped calls were dispatched.
+/// threads. Rows with `Cin / groups == 1` take the depthwise stencil while
+/// their per-band reference (`groups = 1`, one input channel) takes the
+/// lowering, so every stencil branch is checked against `im2col` + `gemm`:
+/// padding 0, 1 and 2, `k` 1, 3 and 5, a `kh != kw` kernel, a 2×2 plane
+/// under a padded 3×3, odd sizes at stride 2, channel multipliers 2 and 3,
+/// and sites large enough for the stencil to run on the pool. The
+/// `groups = 1` rows sit on both sides of the parallel-dispatch threshold.
 #[test]
 fn grouped_conv_matches_dense_kernels_on_each_band() {
-    // (n, cin, cout, size, stride, groups)
+    // (n, cin, cout, size, [kh, kw], stride, padding, groups)
     let sites = [
-        (8, 8, 8, 16, 2, 8),
-        (8, 48, 48, 8, 1, 48),
-        (3, 5, 5, 7, 2, 5),
-        (2, 4, 8, 6, 1, 4),
-        (4, 6, 8, 9, 1, 2),
-        (4, 6, 4, 9, 2, 2),
-        (4, 16, 16, 12, 1, 2),
-        (2, 2, 3, 5, 1, 1),
-        (2, 2, 3, 5, 2, 1),
-        (4, 8, 16, 12, 1, 1),
-        (4, 8, 16, 12, 2, 1),
+        (8, 8, 8, 16, [3, 3], 2, 1, 8),
+        (8, 48, 48, 8, [3, 3], 1, 1, 48),
+        (8, 32, 32, 16, [3, 3], 1, 1, 32),
+        (8, 16, 48, 12, [3, 3], 2, 1, 16),
+        (3, 5, 5, 7, [3, 3], 2, 1, 5),
+        (3, 5, 5, 11, [3, 3], 2, 0, 5),
+        (2, 4, 4, 7, [3, 3], 1, 0, 4),
+        (2, 4, 4, 7, [3, 3], 2, 2, 4),
+        (3, 6, 6, 5, [1, 1], 1, 0, 6),
+        (2, 3, 3, 6, [1, 1], 2, 1, 3),
+        (2, 4, 4, 11, [5, 5], 1, 2, 4),
+        (2, 4, 8, 9, [3, 2], 2, 1, 4),
+        (2, 3, 3, 2, [3, 3], 1, 1, 3),
+        (4, 6, 12, 9, [3, 3], 1, 1, 6),
+        (2, 4, 12, 8, [3, 3], 2, 1, 4),
+        (2, 4, 8, 6, [3, 3], 1, 1, 4),
+        (4, 6, 8, 9, [3, 3], 1, 1, 2),
+        (4, 6, 4, 9, [3, 3], 2, 1, 2),
+        (4, 16, 16, 12, [3, 3], 1, 1, 2),
+        (2, 2, 3, 5, [3, 3], 1, 1, 1),
+        (2, 2, 3, 5, [3, 3], 2, 1, 1),
+        (4, 8, 16, 12, [3, 3], 1, 1, 1),
+        (4, 8, 16, 12, [3, 3], 2, 1, 1),
     ];
     let mut rng = Prng::seed_from_u64(0x96a0);
-    for (n, cin, cout, size, stride, groups) in sites {
-        let dense = Conv2dParams::new(stride, 1);
-        let out = dense.out_size(size, 3);
+    for (n, cin, cout, size, [kh, kw], stride, padding, groups) in sites {
+        let dense = Conv2dParams::new(stride, padding);
+        let (ho, wo) = (dense.out_size(size, kh), dense.out_size(size, kw));
         let x = init::gaussian(&[n, cin, size, size], 0.0, 1.0, &mut rng);
-        let w = init::gaussian(&[cout, cin / groups, 3, 3], 0.0, 0.5, &mut rng);
+        let w = init::gaussian(&[cout, cin / groups, kh, kw], 0.0, 0.5, &mut rng);
         let bias = init::gaussian(&[cout], 0.0, 0.5, &mut rng);
-        let dy = init::gaussian(&[n, cout, out, out], 0.0, 1.0, &mut rng);
-        let label = format!("n{n} {cin}->{cout} @{size} s{stride} g{groups}");
+        let dy = init::gaussian(&[n, cout, ho, wo], 0.0, 1.0, &mut rng);
+        let label = format!("n{n} {cin}->{cout} @{size} k{kh}x{kw} s{stride} p{padding} g{groups}");
         assert_thread_invariant(&label, || {
             let p = dense.grouped(groups);
             let y = conv2d(&x, &w, Some(&bias), &p);
             let dx = conv2d_backward_data(&dy, &w, size, size, &p);
-            let (dw, db) = conv2d_backward_weight(&x, &dy, 3, 3, &p);
+            let (dw, db) = conv2d_backward_weight(&x, &dy, kh, kw, &p);
             let grouped = vec![y, dx, dw, db];
             let banded = conv_by_bands(&x, &w, &bias, &dy, &dense, groups);
             for (i, (a, b)) in grouped.iter().zip(&banded).enumerate() {
@@ -669,6 +684,19 @@ fn zero_times_non_finite_reaches_the_output() {
             conv2d_backward_data(&bad_pixel, &zero_weight, 1, 1, &p).data()[0].is_nan(),
             "conv2d_backward_data"
         );
+        // Depthwise: the top-left tap of the first output reads the zero
+        // padding, so a non-finite weight there gives NaN, not a skipped term.
+        let depthwise = Conv2dParams::new(1, 1).grouped(2);
+        let mut w = Tensor::ones(&[2, 1, 3, 3]);
+        w.data_mut()[0] = bad;
+        let y = conv2d(&Tensor::ones(&[1, 2, 3, 3]), &w, None, &depthwise);
+        assert!(y.data()[0].is_nan(), "depthwise conv2d padding");
+        // ... and a non-finite `dy` reaches `dw` through a zero input.
+        let mut dy = Tensor::zeros(&[1, 2, 3, 3]);
+        dy.data_mut()[4] = bad;
+        let x = Tensor::zeros(&[1, 2, 3, 3]);
+        let (dw, _) = conv2d_backward_weight(&x, &dy, 3, 3, &depthwise);
+        assert!(dw.data()[0].is_nan(), "depthwise conv2d_backward_weight");
     }
 }
 
@@ -708,8 +736,9 @@ fn conv_site_hash(seed: u64, x: [usize; 4], w: [usize; 4], p: Conv2dParams) -> u
 
 /// Cross-commit pin: the output bytes of the six public product kernels on
 /// the shapes training runs on. The constants were captured from a build of
-/// the commit *before* the kernels moved onto `gemm` and are identical in
-/// the dev and release profiles; a kernel change that moves one must say so
+/// the commit *before* the kernels moved onto `gemm` (the grouped rows: before
+/// the depthwise stencil replaced the lowering) and are identical in the dev
+/// and release profiles; a kernel change that moves one must say so
 /// and re-baseline the training goldens with it (see `gemm`'s module doc).
 #[test]
 fn product_kernel_bytes_are_pinned() {
@@ -725,7 +754,7 @@ fn product_kernel_bytes_are_pinned() {
     let (a, b, bt) = (gauss(&[37, 29]), gauss(&[29, 53]), gauss(&[53, 29]));
     // The predictor head at 1024 rows.
     let (rows, head) = (gauss(&[1024, 1152]), gauss(&[128, 1152]));
-    let pins: [(&str, u64, u64); 12] = [
+    let pins: [(&str, u64, u64); 17] = [
         // VGG13 w0.25 on 3x32x32 at batch 8.
         (
             "vgg 3->16 @32",
@@ -748,7 +777,9 @@ fn product_kernel_bytes_are_pinned() {
             PINS[3],
         ),
         // MobileNetV2 w0.25 on 3x16x16 at batch 8: 1x1 expand, one
-        // channel of a stride-2 depthwise, 1x1 project.
+        // channel of a stride-2 depthwise as a dense single-channel call
+        // (groups 1, so it takes the lowering, not the depthwise stencil),
+        // 1x1 project.
         (
             "mbv2 expand 8->48",
             conv_site_hash(5, [8, 8, 8, 8], [48, 8, 1, 1], Conv2dParams::new(1, 0)),
@@ -794,6 +825,49 @@ fn product_kernel_bytes_are_pinned() {
             fnv1a(&[&rows.matmul_nt(&head)]),
             PINS[11],
         ),
+        // Grouped calls with one input channel per group (the depthwise
+        // stencil): MobileNetV2's depthwise sites at both strides, a channel
+        // multiplier, a 5x5 kernel and a kh != kw kernel.
+        (
+            "mbv2 grouped depthwise s1",
+            conv_site_hash(10, [8, 48, 16, 16], [48, 1, 3, 3], s1p1.grouped(48)),
+            PINS[12],
+        ),
+        (
+            "mbv2 grouped depthwise s2",
+            conv_site_hash(
+                11,
+                [8, 48, 16, 16],
+                [48, 1, 3, 3],
+                Conv2dParams::new(2, 1).grouped(48),
+            ),
+            PINS[13],
+        ),
+        (
+            "depthwise multiplier 2",
+            conv_site_hash(12, [4, 6, 9, 9], [12, 1, 3, 3], s1p1.grouped(6)),
+            PINS[14],
+        ),
+        (
+            "depthwise 5x5 pad 2",
+            conv_site_hash(
+                13,
+                [2, 8, 11, 11],
+                [8, 1, 5, 5],
+                Conv2dParams::new(1, 2).grouped(8),
+            ),
+            PINS[15],
+        ),
+        (
+            "depthwise 3x2 s2",
+            conv_site_hash(
+                14,
+                [3, 4, 7, 6],
+                [8, 1, 3, 2],
+                Conv2dParams::new(2, 1).grouped(4),
+            ),
+            PINS[16],
+        ),
     ];
     let moved: Vec<String> = pins
         .iter()
@@ -803,7 +877,7 @@ fn product_kernel_bytes_are_pinned() {
     assert!(moved.is_empty(), "output bytes moved: {moved:#?}");
 }
 
-const PINS: [u64; 12] = [
+const PINS: [u64; 17] = [
     0x844e_9e73_d3f1_351b,
     0x3173_600d_e824_856a,
     0xf98a_e0e0_29eb_6d32,
@@ -816,4 +890,9 @@ const PINS: [u64; 12] = [
     0x1b4d_2d0a_4d9f_3b9a,
     0x4812_873b_f031_b813,
     0x0edd_325e_cb72_470c,
+    0x4564_f1b4_5864_be39,
+    0xfed7_a31c_a50a_dd57,
+    0xd358_4008_5d69_a533,
+    0x2f9b_2522_a9a5_87bd,
+    0xd4ad_c9a5_130c_58a2,
 ];
