@@ -7,7 +7,9 @@
 //! same ranges the original proptest strategies used.
 
 use adagp_nn::containers::{Residual, Sequential};
-use adagp_nn::layers::{AvgPool2d, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
+use adagp_nn::layers::{
+    AvgPool2d, BatchNorm2d, Conv2d, GlobalAvgPool, LayerNorm, Linear, Relu, Sigmoid, Tanh,
+};
 use adagp_nn::module::{count_params, count_sites, zero_grads, ForwardCtx, Module};
 use adagp_nn::optim::{Optimizer, Sgd};
 use adagp_tensor::conv::Conv2dParams;
@@ -144,8 +146,9 @@ fn check_rows(rows: &[GradRow], seed: u64) {
 // every parameter, so their central difference is exact but for f32
 // rounding of the two forward passes (about 5e-5 relative at worst).
 const LINEAR_TOL: f64 = 1e-3;
-// Batch statistics make the output nonlinear in x, gamma and beta, which
-// adds the step's O(eps²) truncation error.
+// Batch and row statistics and the smooth activations make the output
+// nonlinear in x (and gamma, beta), which adds the step's O(eps²)
+// truncation error.
 const BATCH_STATS_TOL: f64 = 2e-3;
 
 /// `Conv2d::backward` against central differences, every element of `dx`,
@@ -176,8 +179,8 @@ fn conv_gradients_match_central_differences() {
 }
 
 /// The same check for the other differentiable layers and for containers
-/// of them. ReLU and max-pool are left out: their kinks make a central
-/// difference that straddles one wrong.
+/// of them. ReLU, LeakyReLU and max-pool are left out: their kinks make a
+/// central difference that straddles one wrong.
 #[test]
 fn layer_gradients_match_central_differences() {
     check_rows(
@@ -187,6 +190,15 @@ fn layer_gradients_match_central_differences() {
             }),
             ("batchnorm", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
                 Box::new(BatchNorm2d::new(3))
+            }),
+            ("layernorm", &[3, 5], BATCH_STATS_TOL, |_| {
+                Box::new(LayerNorm::new(5))
+            }),
+            ("sigmoid", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
+                Box::new(Sigmoid::new())
+            }),
+            ("tanh", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
+                Box::new(Tanh::new())
             }),
             ("avgpool", &[2, 2, 4, 4], LINEAR_TOL, |_| {
                 Box::new(AvgPool2d::new(2, 2))

@@ -45,8 +45,9 @@
 //!   probe is one untraced replay.
 //! * [`step`] — training-run aggregation to cycles, speed-up, utilization
 //!   and overlap-efficiency metrics, each weighted by the analytic
-//!   model's own epoch blend ([`epoch_total`]); [`StepGraphs`] holds the
-//!   three compiled schedules of one design point.
+//!   model's own epoch blend ([`epoch_total`]); [`AdaGpGraphs`] holds the
+//!   two compiled ADA-GP schedules (BP, GP) of one design point and
+//!   [`StepSim::run`] sets the baseline batch beside them.
 //! * [`steps`] — the §3.7 step timeline (Figures 7–9), now *simulated*
 //!   instead of closed-form; it also prices the DNI comparison.
 //! * [`schedule`] — multi-device pipeline schedules (GPipe, DAPPLE's 1F1B
@@ -79,7 +80,7 @@
 //! );
 //! let sim = StepSim::run(AdaGpDesign::Max, &layers, &EpochMix::paper(), &cfg);
 //! assert!(sim.training_speedup() > 1.0);
-//! assert!(sim.overlap_efficiency() > 0.9); // MAX hides the predictor
+//! assert!(sim.adagp.overlap_efficiency() > 0.9); // MAX hides the predictor
 //! ```
 
 pub mod engine;
@@ -97,7 +98,7 @@ pub use engine::{
 };
 pub use report::{crit_tasks, critical_path};
 pub use schedule::{pipeline_graph, PipelineOrder};
-pub use step::{StepGraphs, StepSim};
+pub use step::{AdaGpGraphs, AdaGpSim, StepSim};
 pub use steps::{step_timeline, StepTimeline};
 pub use trace::{chrome_trace, write_chrome_trace};
 pub use workload::{

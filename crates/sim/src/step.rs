@@ -12,54 +12,52 @@
 use crate::workload::{layer_labels, BatchGraph, BatchStats, Phase, SimConfig, SimLayer};
 use adagp_accel::speedup::{epoch_total, EpochMix};
 use adagp_accel::AdaGpDesign;
+use std::sync::Arc;
 
-/// The three batch schedules of one (design, layers, ports, buffer)
-/// point, compiled once: replayable at any DRAM bandwidth.
+/// ADA-GP's two batch schedules (warm-up / Phase BP and Phase GP) of one
+/// (design, layers, ports, buffer) point, compiled once: replayable at
+/// any DRAM bandwidth. The baseline batch is not among them — every
+/// ADA-GP training statistic and every roofline probe reads these two
+/// only; [`StepSim::run`] builds the baseline beside them.
 #[derive(Debug, Clone)]
-pub struct StepGraphs {
-    /// Baseline batch (no predictor).
-    pub baseline: BatchGraph,
+pub struct AdaGpGraphs {
     /// Warm-up / Phase BP batch.
     pub bp: BatchGraph,
     /// Phase GP batch.
     pub gp: BatchGraph,
 }
 
-impl StepGraphs {
-    /// Compiles the three batch schedules of `design` over `layers`.
+impl AdaGpGraphs {
+    /// Compiles the BP and GP batch schedules of `design` over `layers`.
     pub fn build(design: AdaGpDesign, layers: &[SimLayer], cfg: &SimConfig) -> Self {
-        let labels = layer_labels(layers);
+        Self::build_labeled(design, layers, cfg, layer_labels(layers))
+    }
+
+    /// [`AdaGpGraphs::build`] with the label table of `layers` passed in.
+    fn build_labeled(
+        design: AdaGpDesign,
+        layers: &[SimLayer],
+        cfg: &SimConfig,
+        labels: Arc<[String]>,
+    ) -> Self {
         let build =
-            |phase, design| BatchGraph::build_labeled(phase, design, layers, cfg, labels.clone());
-        StepGraphs {
-            baseline: build(Phase::Baseline, None),
-            bp: build(Phase::Bp, Some(design)),
-            gp: build(Phase::Gp, Some(design)),
+            |phase| BatchGraph::build_labeled(phase, Some(design), layers, cfg, labels.clone());
+        AdaGpGraphs {
+            bp: build(Phase::Bp),
+            gp: build(Phase::Gp),
         }
     }
 
-    /// Re-times all three batches to `words_per_cycle`
+    /// Re-times both batches to `words_per_cycle`
     /// ([`BatchGraph::set_bandwidth`]).
     pub fn set_bandwidth(&mut self, words_per_cycle: u64) {
-        self.baseline.set_bandwidth(words_per_cycle);
         self.bp.set_bandwidth(words_per_cycle);
         self.gp.set_bandwidth(words_per_cycle);
     }
 
-    /// Simulated ADA-GP training cycles at the current bandwidth, from
-    /// just the two batches they need (the baseline batch is skipped).
-    pub fn adagp_training_cycles(&self, mix: &EpochMix) -> f64 {
-        epoch_total(
-            mix,
-            self.bp.run().makespan as f64,
-            self.gp.run().makespan as f64,
-        )
-    }
-
-    /// Replays all three batches at the current bandwidth.
-    pub fn run(&self, mix: &EpochMix) -> StepSim {
-        StepSim {
-            baseline: self.baseline.run(),
+    /// Replays both batches at the current bandwidth.
+    pub fn run(&self, mix: &EpochMix) -> AdaGpSim {
+        AdaGpSim {
             bp: self.bp.run(),
             gp: self.gp.run(),
             mix: *mix,
@@ -67,12 +65,10 @@ impl StepGraphs {
     }
 }
 
-/// The three simulated batches of one (design, schedule) training run
-/// plus the derived training-level statistics.
+/// The two simulated batches of one ADA-GP training run plus its
+/// epoch-weighted statistics.
 #[derive(Debug, Clone)]
-pub struct StepSim {
-    /// Baseline batch (no predictor).
-    pub baseline: BatchStats,
+pub struct AdaGpSim {
     /// Warm-up / Phase BP batch.
     pub bp: BatchStats,
     /// Phase GP batch.
@@ -81,65 +77,83 @@ pub struct StepSim {
     pub mix: EpochMix,
 }
 
-impl StepSim {
-    /// Simulates the three batch schedules of `design` over `layers`.
-    pub fn run(design: AdaGpDesign, layers: &[SimLayer], mix: &EpochMix, cfg: &SimConfig) -> Self {
-        StepGraphs::build(design, layers, cfg).run(mix)
-    }
-
-    /// Simulated baseline training cycles — the analytic
-    /// [`adagp_accel::speedup::baseline_training_cycles`] shape:
-    /// `total epochs × baseline batch`.
-    pub fn baseline_training_cycles(&self) -> f64 {
-        self.mix.total() as f64 * self.baseline.makespan as f64
-    }
-
+impl AdaGpSim {
     /// Simulated ADA-GP training cycles — the analytic
     /// [`adagp_accel::speedup::adagp_training_cycles`] shape: per stage,
     /// `epochs × (g × GP batch + (1 − g) × BP batch)`.
-    pub fn adagp_training_cycles(&self) -> f64 {
+    pub fn training_cycles(&self) -> f64 {
         epoch_total(&self.mix, self.bp.makespan as f64, self.gp.makespan as f64)
     }
 
-    /// Simulated end-to-end training speed-up.
-    pub fn training_speedup(&self) -> f64 {
-        self.baseline_training_cycles() / self.adagp_training_cycles()
-    }
-
-    /// Epoch-weighted mean of a per-batch statistic over the ADA-GP run
+    /// Epoch-weighted mean of a per-batch statistic over the training run
     /// (warm-up and BP stages weigh the BP batch, GP shares the GP batch).
     fn epoch_weighted(&self, bp: f64, gp: f64) -> f64 {
         epoch_total(&self.mix, bp, gp) / self.mix.total() as f64
     }
 
-    /// Epoch-weighted main-array utilization of the ADA-GP run.
+    /// Epoch-weighted main-array utilization.
     pub fn pe_utilization(&self) -> f64 {
         self.epoch_weighted(self.bp.pe_utilization(), self.gp.pe_utilization())
     }
 
-    /// Epoch-weighted predictor-overlap efficiency of the ADA-GP run.
+    /// Epoch-weighted predictor-overlap efficiency.
     pub fn overlap_efficiency(&self) -> f64 {
         self.epoch_weighted(self.bp.overlap_efficiency(), self.gp.overlap_efficiency())
     }
 
-    /// Simulated ADA-GP spill cycles over the training run — the same
-    /// epoch weighting as [`StepSim::adagp_training_cycles`], applied to
-    /// each batch's [`BatchStats::spill_cycles`]. Exactly
-    /// zero with an unbounded buffer or with the DRAM channel disabled.
-    pub fn adagp_spill_cycles(&self) -> f64 {
+    /// Simulated spill cycles over the training run — the same epoch
+    /// weighting as [`AdaGpSim::training_cycles`], applied to each
+    /// batch's [`BatchStats::spill_cycles`]. Exactly zero with an
+    /// unbounded buffer or with the DRAM channel disabled.
+    pub fn spill_cycles(&self) -> f64 {
         epoch_total(
             &self.mix,
             self.bp.spill_cycles as f64,
             self.gp.spill_cycles as f64,
         )
     }
+}
+
+/// One (design, schedule) training run against its baseline: the
+/// simulated baseline batch beside ADA-GP's two.
+#[derive(Debug, Clone)]
+pub struct StepSim {
+    /// Baseline batch (no predictor).
+    pub baseline: BatchStats,
+    /// The ADA-GP run's BP and GP batches and their epoch statistics.
+    pub adagp: AdaGpSim,
+}
+
+impl StepSim {
+    /// Simulates the baseline batch and the two ADA-GP batch schedules of
+    /// `design` over `layers`.
+    pub fn run(design: AdaGpDesign, layers: &[SimLayer], mix: &EpochMix, cfg: &SimConfig) -> Self {
+        let labels = layer_labels(layers);
+        StepSim {
+            baseline: BatchGraph::build_labeled(Phase::Baseline, None, layers, cfg, labels.clone())
+                .run(),
+            adagp: AdaGpGraphs::build_labeled(design, layers, cfg, labels).run(mix),
+        }
+    }
+
+    /// Simulated baseline training cycles — the analytic
+    /// [`adagp_accel::speedup::baseline_training_cycles`] shape:
+    /// `total epochs × baseline batch`.
+    pub fn baseline_training_cycles(&self) -> f64 {
+        self.adagp.mix.total() as f64 * self.baseline.makespan as f64
+    }
+
+    /// Simulated end-to-end training speed-up.
+    pub fn training_speedup(&self) -> f64 {
+        self.baseline_training_cycles() / self.adagp.training_cycles()
+    }
 
     /// Largest buffer occupancy any of the three batches reached (words).
     pub fn peak_buffer_words(&self) -> i64 {
         self.baseline
             .buffer_peak
-            .max(self.bp.buffer_peak)
-            .max(self.gp.buffer_peak)
+            .max(self.adagp.bp.buffer_peak)
+            .max(self.adagp.gp.buffer_peak)
     }
 }
 
@@ -179,7 +193,7 @@ mod tests {
                 baseline_training_cycles(&cfg, Dataflow::WeightStationary, &shapes, &mix).to_bits()
             );
             assert_eq!(
-                sim.adagp_training_cycles().to_bits(),
+                sim.adagp.training_cycles().to_bits(),
                 adagp_training_cycles(&cfg, Dataflow::WeightStationary, design, &shapes, &mix)
                     .to_bits()
             );
@@ -206,11 +220,12 @@ mod tests {
             &EpochMix::paper(),
             &SimConfig::no_contention(),
         );
+        let (bp, gp) = (&sim.adagp.bp, &sim.adagp.gp);
         let (lo, hi) = (
-            sim.bp.pe_utilization().min(sim.gp.pe_utilization()),
-            sim.bp.pe_utilization().max(sim.gp.pe_utilization()),
+            bp.pe_utilization().min(gp.pe_utilization()),
+            bp.pe_utilization().max(gp.pe_utilization()),
         );
-        let u = sim.pe_utilization();
+        let u = sim.adagp.pe_utilization();
         assert!(u >= lo && u <= hi, "{lo} <= {u} <= {hi}");
         assert!(sim.training_speedup() > 1.0);
     }

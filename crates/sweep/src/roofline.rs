@@ -7,17 +7,29 @@
 //! The search leans on a property the simulator guarantees (and
 //! `crates/sim/tests/contention_properties.rs` sweeps): the simulated
 //! makespan is monotone non-increasing in `dram_words_per_cycle`, so the
-//! knee is well-defined and binary search over `[1, KNEE_MAX_BW]` finds
-//! it exactly.
+//! knee is well-defined and a search over `[1, KNEE_MAX_BW]` finds it
+//! exactly.
+//!
+//! **Gallop, then bisect.** Real knees are small (every knee in the
+//! committed `runs/*.csv` is between 1 and 174 w/c) while the range runs
+//! to 2²⁰, so the search does not bisect the whole range: it probes 1, 2,
+//! 4, … until a power of two `hi` is within tolerance — the last power
+//! is [`KNEE_MAX_BW`] itself — and then bisects `(hi/2, hi]`. A knee `k`
+//! costs at most `2⌈log₂ k⌉ + 1` probes (9 at most for `k ≤ 16`), against
+//! the 21 a bisection of the whole range pays for every knee. A capped
+//! cell — not within tolerance even at the cap — now costs the full 21
+//! gallop probes instead of 1; no preset has one. Under monotonicity
+//! both searches return the same knee; `tests` pins that on every knee
+//! the `roofline`, `bandwidth` and `schedules` presets ask for.
 //!
 //! **Build once, replay per probe.** The bandwidth being probed only
 //! changes the durations of the DRAM tasks, never the topology of the
 //! batch graphs, so the search compiles nothing: it re-times the cell's
 //! already-built Phase-BP and Phase-GP graphs
-//! ([`adagp_sim::StepGraphs::set_bandwidth`]) and replays them untraced,
-//! two makespans per probe. The graphs are the same set the cell's
-//! `simulate_cell` numbers came from ([`crate::simeval`]'s `CellGraphs`);
-//! they live for one cell evaluation. The contention-free reference is
+//! ([`adagp_sim::AdaGpGraphs::set_bandwidth`]) and replays them untraced,
+//! two makespans per probe. The graphs are the same set the cell's sim
+//! metrics came from ([`crate::simeval`]'s `CellGraphs`); they live for
+//! one cell evaluation. The contention-free reference is
 //! the closed form of [`adagp_accel::designs`] on the cell's layer costs,
 //! which the `no_contention` simulation equals bit-for-bit (the sim
 //! crate's contract, golden-tested) — the knee is anchored to the same
@@ -34,8 +46,7 @@ use crate::simeval::{cell_sim_config, CellGraphs};
 use crate::store::csv_float;
 use adagp_accel::designs::{bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::LayerCost;
-use adagp_accel::speedup::EpochMix;
-use adagp_sim::{epoch_total, SimConfig, StepGraphs};
+use adagp_sim::{epoch_total, AdaGpGraphs, SimConfig};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -49,21 +60,22 @@ pub const KNEE_TOLERANCE: f64 = 0.01;
 /// dominates, which no paper-scale model exhibits.
 pub const KNEE_MAX_BW: u64 = 1 << 20;
 
-/// Smallest bandwidth in `[1, KNEE_MAX_BW]` whose simulated training
-/// cycles are within `tolerance` of `free_cycles`, by binary search on
-/// the monotone bandwidth→cycles curve. Each probe re-times `graphs`
-/// (which must have a DRAM channel) and replays BP and GP; the graphs
-/// are left at the last probed bandwidth.
-fn knee_search(graphs: &mut StepGraphs, mix: &EpochMix, free_cycles: f64, tolerance: f64) -> u64 {
+/// Smallest bandwidth in `[1, KNEE_MAX_BW]` at which the training cycles
+/// `at(bandwidth)` are within `tolerance` of `free_cycles`, on a monotone
+/// non-increasing curve: gallop over the powers of two up to the cap,
+/// then bisect the last doubling (module doc). [`KNEE_MAX_BW`] when even
+/// the cap is not within tolerance.
+fn knee_search(mut at: impl FnMut(u64) -> f64, free_cycles: f64, tolerance: f64) -> u64 {
     let target = free_cycles * (1.0 + tolerance);
-    let mut at = |bw: u64| {
-        graphs.set_bandwidth(bw);
-        graphs.adagp_training_cycles(mix)
-    };
-    if at(KNEE_MAX_BW) > target {
-        return KNEE_MAX_BW; // capped: even the top of the range stalls
+    let mut hi = 1u64;
+    while at(hi) > target {
+        if hi == KNEE_MAX_BW {
+            return KNEE_MAX_BW; // capped: even the top of the range stalls
+        }
+        hi *= 2;
     }
-    let (mut lo, mut hi) = (1u64, KNEE_MAX_BW); // invariant: at(hi) ≤ target
+    // at(hi) ≤ target, and at(hi / 2) > target unless hi == 1.
+    let mut lo = hi / 2 + 1;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if at(mid) <= target {
@@ -92,38 +104,40 @@ impl CellGraphs {
     /// contention-off base has no DRAM tasks to re-time, so it compiles a
     /// channel-enabled set through the same path.
     fn cycles_at(&mut self, spec: &CellSpec, words_per_cycle: u64) -> f64 {
-        self.with_channel(spec, |graphs, mix| {
-            graphs.set_bandwidth(words_per_cycle);
-            graphs.adagp_training_cycles(mix)
-        })
+        self.with_channel(spec, |at| at(words_per_cycle))
     }
 
     /// The cell's knee by [`knee_search`] (not memoized).
     fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
         let free = self.free_cycles(spec);
-        self.with_channel(spec, |graphs, mix| {
-            knee_search(graphs, mix, free, tolerance)
-        })
+        self.with_channel(spec, |at| knee_search(at, free, tolerance))
     }
 
-    /// Runs `f` on graphs that have a DRAM channel: the cell's own
-    /// (restored to the configured bandwidth afterwards), or — under a
-    /// contention-off base — a set compiled `with_bandwidth`.
+    /// Runs `f` on the probe of graphs that have a DRAM channel — the
+    /// cell's own (restored to the configured bandwidth afterwards), or,
+    /// under a contention-off base, a set compiled `with_bandwidth`. The
+    /// probe re-times both graphs and replays them.
     fn with_channel<T>(
         &mut self,
         spec: &CellSpec,
-        f: impl FnOnce(&mut StepGraphs, &EpochMix) -> T,
+        f: impl FnOnce(&mut dyn FnMut(u64) -> f64) -> T,
     ) -> T {
+        let mix = self.mix;
+        let probe = |graphs: &mut AdaGpGraphs| {
+            f(&mut |bw| {
+                graphs.set_bandwidth(bw);
+                graphs.run(&mix).training_cycles()
+            })
+        };
         match self.cfg.dram_words_per_cycle {
             Some(configured) => {
-                let out = f(&mut self.graphs, &self.mix);
+                let out = probe(&mut self.graphs);
                 self.graphs.set_bandwidth(configured);
                 out
             }
             None => {
                 let cfg = self.cfg.with_bandwidth(KNEE_MAX_BW);
-                let mut graphs = StepGraphs::build(spec.design, &self.layers, &cfg);
-                f(&mut graphs, &self.mix)
+                probe(&mut AdaGpGraphs::build(spec.design, &self.layers, &cfg))
             }
         }
     }
@@ -251,14 +265,14 @@ pub fn cell_roofline(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> Roofl
     let knee_cycles = cell.cycles_at(spec, knee);
     let free_cycles = cell.free_cycles(spec);
     let step = cell.graphs.run(&cell.mix);
-    let sim_cycles = step.adagp_training_cycles();
+    let sim_cycles = step.training_cycles();
     RooflinePoint {
         spec: spec.clone(),
         free_cycles,
         knee_words_per_cycle: knee,
         knee_cycles,
         sim_cycles,
-        spill_cycles: step.adagp_spill_cycles(),
+        spill_cycles: step.spill_cycles(),
         dram_stall_frac: ((sim_cycles - free_cycles) / sim_cycles).max(0.0),
     }
 }
@@ -319,9 +333,11 @@ pub fn roofline_csv(points: &[RooflinePoint]) -> String {
 mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
+    use crate::presets;
     use adagp_accel::{AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
     use adagp_sim::StepSim;
+    use std::collections::HashSet;
 
     fn cell(buffer: Option<u64>) -> CellSpec {
         CellSpec::with_contention(
@@ -333,6 +349,114 @@ mod tests {
             None,
             buffer,
         )
+    }
+
+    /// The search [`knee_search`] replaced, kept as its reference: probe
+    /// the cap, then bisect all of `[1, KNEE_MAX_BW]` (21 probes).
+    fn bisect_reference(mut at: impl FnMut(u64) -> f64, free_cycles: f64, tolerance: f64) -> u64 {
+        let target = free_cycles * (1.0 + tolerance);
+        if at(KNEE_MAX_BW) > target {
+            return KNEE_MAX_BW;
+        }
+        let (mut lo, mut hi) = (1u64, KNEE_MAX_BW);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if at(mid) <= target {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        hi
+    }
+
+    /// The gallop's probe bound for a knee `k`: `2⌈log₂ k⌉ + 1`.
+    fn probe_bound(k: u64) -> u32 {
+        2 * (64 - (k - 1).leading_zeros()) + 1
+    }
+
+    /// [`knee_search`] on `at`, and how many probes it made.
+    fn counted_search(mut at: impl FnMut(u64) -> f64, free_cycles: f64) -> (u64, u32) {
+        let mut probes = 0;
+        let knee = knee_search(
+            |bw| {
+                probes += 1;
+                at(bw)
+            },
+            free_cycles,
+            KNEE_TOLERANCE,
+        );
+        (knee, probes)
+    }
+
+    #[test]
+    fn gallop_finds_every_synthetic_knee_within_its_probe_bound() {
+        let mut knees: Vec<u64> = (1..=1100).collect();
+        for j in 0..=20 {
+            knees.extend([(1u64 << j) - 1, 1 << j, (1 << j) + 1]);
+        }
+        knees.retain(|k| (1..=KNEE_MAX_BW).contains(k));
+        knees.sort_unstable();
+        knees.dedup();
+        for k in knees {
+            // A step curve: twice the free cycles below the knee, free from it on.
+            let step = |bw: u64| if bw >= k { 100.0 } else { 200.0 };
+            let (knee, probes) = counted_search(step, 100.0);
+            assert_eq!(knee, k);
+            assert!(probes <= probe_bound(k), "knee {k}: {probes} probes");
+            assert_eq!(bisect_reference(step, 100.0, KNEE_TOLERANCE), k);
+        }
+        // Capped: no bandwidth is within tolerance, so the gallop probes all
+        // 21 powers of two and reports the cap.
+        assert_eq!(counted_search(|_| 200.0, 100.0), (KNEE_MAX_BW, 21));
+    }
+
+    #[test]
+    fn gallop_equals_the_bisection_on_every_preset_knee() {
+        let base = SimConfig::default();
+        let mut seen = HashSet::new();
+        for grid in [
+            presets::roofline(),
+            presets::bandwidth(),
+            presets::schedules(),
+        ] {
+            for spec in grid.expand() {
+                let key = KneeMemoKey::new(&spec, &cell_sim_config(&spec, &base), KNEE_TOLERANCE);
+                if !seen.insert(key) {
+                    continue;
+                }
+                let mut cell = CellGraphs::build(&spec, &base);
+                let free = cell.free_cycles(&spec);
+                // Every (bandwidth, cycles) either search probed.
+                let mut curve = Vec::new();
+                let (gallop, bisect) = cell.with_channel(&spec, |at| {
+                    let mut probe = |bw| {
+                        let cycles = at(bw);
+                        curve.push((bw, cycles));
+                        cycles
+                    };
+                    let gallop = counted_search(&mut probe, free);
+                    (gallop, bisect_reference(&mut probe, free, KNEE_TOLERANCE))
+                });
+                let (knee, probes) = gallop;
+                assert_eq!(knee, bisect, "{}", spec.key());
+                assert!(
+                    probes <= probe_bound(knee),
+                    "{}: {probes} probes",
+                    spec.key()
+                );
+                // What makes the two agree: the curve is monotone
+                // non-increasing on the graphs the figures come from.
+                curve.sort_by_key(|&(bw, _)| bw);
+                for w in curve.windows(2) {
+                    assert!(w[1].1 <= w[0].1, "{}: {w:?}", spec.key());
+                }
+            }
+        }
+        // 13 roofline + 39 bandwidth + 27 schedules knees, less the three
+        // paper-schedule MAX cells of `schedules`, whose default buffer
+        // shares a key with a `bandwidth` row.
+        assert_eq!(seen.len(), 13 + 39 + 27 - 3);
     }
 
     #[test]
@@ -352,7 +476,8 @@ mod tests {
                 &cell.mix,
                 &cell.cfg.with_bandwidth(p.knee_words_per_cycle - 1),
             )
-            .adagp_training_cycles();
+            .adagp
+            .training_cycles();
             assert!(below > p.free_cycles * (1.0 + KNEE_TOLERANCE));
         }
     }

@@ -111,10 +111,12 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
     let adagp_cycles = adagp_training_cycles(&cfg, spec.dataflow, spec.design, &layers, &mix);
     let ecfg = EnergyConfig::default();
     let sim_base = SimConfig::default();
-    // One set of compiled batch graphs serves the sim metrics and, on a
-    // knee-memo miss, every probe of the knee search.
+    // One set of compiled BP / GP graphs serves the sim metrics and, on a
+    // knee-memo miss, every probe of the knee search; no metric reads the
+    // baseline batch, so none is built.
     let mut cell = CellGraphs::build(spec, &sim_base);
-    let sim = cell.detail(spec);
+    let sim = cell.graphs.run(&cell.mix);
+    let sim_cycles = sim.training_cycles();
     let knee = roofline::knee_of_cell(spec, &mut cell, roofline::KNEE_TOLERANCE);
     CellMetrics {
         speedup: baseline_cycles / adagp_cycles,
@@ -122,13 +124,13 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
         adagp_cycles,
         baseline_energy_j: baseline_energy_joules(&ecfg, &layers, &mix),
         adagp_energy_j: adagp_energy_joules(&ecfg, &layers, &mix, spec.design),
-        sim_cycles: sim.sim_cycles,
-        pe_utilization: sim.pe_utilization,
-        overlap_efficiency: sim.overlap_efficiency,
-        spill_cycles: sim.spill_cycles,
+        sim_cycles,
+        pe_utilization: sim.pe_utilization(),
+        overlap_efficiency: sim.overlap_efficiency(),
+        spill_cycles: sim.spill_cycles(),
         // The no-contention sim equals the analytic cycles bit-for-bit,
         // so the analytic value is the contention-free reference here.
-        dram_stall_frac: ((sim.sim_cycles - adagp_cycles) / sim.sim_cycles).max(0.0),
+        dram_stall_frac: ((sim_cycles - adagp_cycles) / sim_cycles).max(0.0),
         knee_words_per_cycle: knee as f64,
     }
 }

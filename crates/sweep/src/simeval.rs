@@ -14,10 +14,13 @@
 //!   byte-stable CSV ([`sim_detail_csv`]) that CI byte-compares against a
 //!   committed golden, exactly like the analytic smoke grid.
 //!
-//! Both go through `CellGraphs`: a cell's layer list and its three batch
-//! graphs (baseline, BP, GP) compiled once per evaluation and replayed —
-//! untraced — for the metrics above and for every bandwidth probe of
-//! [`crate::roofline`]'s knee search.
+//! The first goes through `CellGraphs`: a cell's layer list and its two
+//! ADA-GP batch graphs (BP, GP) compiled once per evaluation and replayed
+//! — untraced — for the metrics above and for every bandwidth probe of
+//! [`crate::roofline`]'s knee search. None of those reads the baseline
+//! batch, so `CellGraphs` does not build it; [`simulate_cell`], whose
+//! detail view reports it, builds all three through
+//! [`adagp_sim::StepSim::run`].
 //!
 //! With [`SimConfig::no_contention`] the simulated speed-up is
 //! bit-identical to the analytic `training_speedup` (the sim crate's
@@ -29,7 +32,7 @@ use crate::shapes::cached_shapes;
 use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::speedup::EpochMix;
 use adagp_accel::AcceleratorConfig;
-use adagp_sim::{model_sim_layers, SimConfig, SimLayer, StepGraphs};
+use adagp_sim::{model_sim_layers, AdaGpGraphs, SimConfig, SimLayer, StepSim};
 
 /// One simulated cell: batch-level makespans plus derived training-level
 /// statistics.
@@ -78,37 +81,43 @@ pub fn cell_sim_config(spec: &CellSpec, base: &SimConfig) -> SimConfig {
     cfg
 }
 
+/// The model's layers under `cfg`: the same shapes, accelerator config
+/// and predictor cost model as the analytic evaluator.
+fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
+    model_sim_layers(
+        &AcceleratorConfig::default(),
+        spec.dataflow,
+        &PredictorCostModel::default(),
+        &cached_shapes(spec.model, spec.dataset.input_scale()),
+        cfg,
+    )
+}
+
 /// Everything one cell evaluation simulates on, built once: the resolved
-/// config, the layer list and the three compiled batch graphs
-/// (baseline, BP, GP). One set serves [`simulate_cell`]'s numbers, every
-/// probe of the roofline knee search and [`crate::roofline`]'s
+/// config, the layer list and the two compiled ADA-GP batch graphs (BP,
+/// GP). One set serves [`crate::runner::evaluate_cell`]'s sim metrics,
+/// every probe of the roofline knee search and [`crate::roofline`]'s
 /// knee-cycles; it lives for one cell evaluation and is never cached.
+/// Nothing on that path reads the baseline batch: only
+/// [`simulate_cell`] builds it.
 pub(crate) struct CellGraphs {
     /// [`cell_sim_config`]`(spec, base)`.
     pub cfg: SimConfig,
-    /// The model's layers under `cfg` (same shapes, accelerator config and
-    /// predictor cost model as the analytic evaluator).
+    /// `cell_layers(spec, cfg)`.
     pub layers: Vec<SimLayer>,
     /// The cell's epoch mix.
     pub mix: EpochMix,
-    /// The compiled schedules, timed at `cfg`'s bandwidth.
-    pub graphs: StepGraphs,
+    /// The compiled BP and GP schedules, timed at `cfg`'s bandwidth.
+    pub graphs: AdaGpGraphs,
 }
 
 impl CellGraphs {
-    /// Compiles `spec`'s three batch schedules under
+    /// Compiles `spec`'s two ADA-GP batch schedules under
     /// [`cell_sim_config`]`(spec, base)`.
     pub fn build(spec: &CellSpec, base: &SimConfig) -> Self {
         let cfg = cell_sim_config(spec, base);
-        let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
-        let layers = model_sim_layers(
-            &AcceleratorConfig::default(),
-            spec.dataflow,
-            &PredictorCostModel::default(),
-            &shapes,
-            &cfg,
-        );
-        let graphs = StepGraphs::build(spec.design, &layers, &cfg);
+        let layers = cell_layers(spec, &cfg);
+        let graphs = AdaGpGraphs::build(spec.design, &layers, &cfg);
         CellGraphs {
             cfg,
             layers,
@@ -116,31 +125,33 @@ impl CellGraphs {
             graphs,
         }
     }
-
-    /// The batch-level detail of the cell: one untraced replay of each
-    /// graph at the current bandwidth.
-    pub fn detail(&self, spec: &CellSpec) -> SimCellDetail {
-        let step = self.graphs.run(&self.mix);
-        SimCellDetail {
-            spec: spec.clone(),
-            baseline_batch_cycles: step.baseline.makespan,
-            bp_batch_cycles: step.bp.makespan,
-            gp_batch_cycles: step.gp.makespan,
-            sim_speedup: step.training_speedup(),
-            sim_cycles: step.adagp_training_cycles(),
-            pe_utilization: step.pe_utilization(),
-            overlap_efficiency: step.overlap_efficiency(),
-            spill_cycles: step.adagp_spill_cycles(),
-            peak_buffer_words: step.peak_buffer_words(),
-        }
-    }
 }
 
 /// Simulates one cell under [`cell_sim_config`]`(spec, base)`: the same
 /// shapes, accelerator config and epoch mix the analytic evaluator uses,
-/// executed on the event engine.
+/// executed on the event engine — the baseline batch and both ADA-GP
+/// batches, one untraced replay each.
 pub fn simulate_cell(spec: &CellSpec, base: &SimConfig) -> SimCellDetail {
-    CellGraphs::build(spec, base).detail(spec)
+    let cfg = cell_sim_config(spec, base);
+    let step = StepSim::run(
+        spec.design,
+        &cell_layers(spec, &cfg),
+        &spec.schedule.mix(),
+        &cfg,
+    );
+    let adagp = &step.adagp;
+    SimCellDetail {
+        spec: spec.clone(),
+        baseline_batch_cycles: step.baseline.makespan,
+        bp_batch_cycles: adagp.bp.makespan,
+        gp_batch_cycles: adagp.gp.makespan,
+        sim_speedup: step.training_speedup(),
+        sim_cycles: adagp.training_cycles(),
+        pe_utilization: adagp.pe_utilization(),
+        overlap_efficiency: adagp.overlap_efficiency(),
+        spill_cycles: adagp.spill_cycles(),
+        peak_buffer_words: step.peak_buffer_words(),
+    }
 }
 
 /// Simulates every cell of `grid` in parallel on the shared runtime pool
