@@ -213,12 +213,21 @@ impl ThreadPool {
     /// # Panics
     ///
     /// If a task panics, the first payload is re-raised on the caller after
-    /// all remaining tasks have completed (no task is abandoned mid-borrow).
+    /// all remaining tasks have completed (no task is abandoned mid-borrow),
+    /// at every pool size: run inline, the tasks after a panicking one still
+    /// run, as they would on workers.
     pub fn scope_run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.len() <= 1 || self.size == 1 {
+            let mut first_panic = None;
             for (i, t) in tasks.into_iter().enumerate() {
                 tasks_counter().inc();
-                obs::span("pool", || format!("task {i} (inline)"), t);
+                let span = || obs::span("pool", || format!("task {i} (inline)"), t);
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(span)) {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = first_panic {
+                resume_unwind(payload);
             }
             return;
         }

@@ -8,11 +8,35 @@
 //!
 //! Each kernel is a lowering (`im2col` / `col2im`) around one
 //! [`gemm`](crate::gemm) call per sample and channel group, whose contract
-//! fixes the order of every sum for every `ADAGP_THREADS`. Forward and
-//! data-backward run one block of samples per task with a task-local lowering
-//! buffer; weight-backward sums into `dw` across samples, so it walks them in
-//! order. Two cases need no lowering copy (below): a 1×1, stride-1,
-//! unpadded window, and a grouped call with one input channel per group.
+//! fixes the order of every sum for every `ADAGP_THREADS`. All three run one
+//! block of samples per pool task with a task-local lowering buffer;
+//! weight-backward, whose samples all sum into one `dw`, then adds their
+//! products in sample order (below). Two cases need no lowering copy: a 1×1,
+//! stride-1, unpadded window, and a grouped call with one input channel per
+//! group.
+//!
+//! # Weight-backward
+//!
+//! `dw` is a sum over the samples, and its order is fixed: each sample's
+//! product `s_i = dy_i · colsᵢᵀ` summed from `0.0`, outputs ascending (the
+//! `gemm` contract), then `dw = 0.0 + s₀ + s₁ + …`, samples ascending. The
+//! samples' products are independent, so the tasks compute them in
+//! parallel, each into its own slot of a per-call buffer (`gemm` with
+//! `accumulate = false`), and the slots are added into `dw` in sample order
+//! afterwards — the same sequence of `f32` additions, per element, as
+//! walking the samples one after the other. The samples go in waves of
+//! `WAVE` = 4 (one pool region each), so the buffer holds `(4, Cout ·
+//! patch)`, not the whole batch's products: a whole batch (4.5 MiB at
+//! VGG13 w0.25's 128→128 site, batch 8) raised `train_mobilenet`'s median
+//! `peak_rss_mb` by 4.5–6 % — freeing a large buffer raises glibc's
+//! dynamic mmap threshold, so later frees stay resident (with the threshold
+//! fixed by `MALLOC_MMAP_THRESHOLD_` the rise was gone). A task lowers
+//! its sample straight into `colsᵀ`, `(Ho·Wo, Cin/groups · kh · kw)`
+//! row-major (`im2col` writes either layout through destination strides),
+//! so `gemm`'s `b` has contiguous rows and no transposed copy is made. A
+//! 1×1 window lowers the same way: its `colsᵀ` is the band's transpose,
+//! the copy `gemm` would otherwise have made. The task's `colsᵀ` buffer is
+//! its thread's, kept from call to call.
 //!
 //! # Channel groups
 //!
@@ -34,10 +58,9 @@
 //! # Without a lowering copy
 //!
 //! A 1×1 window at stride 1 without padding lowers a band to itself, so
-//! forward and weight-backward hand the band to `gemm` as `cols`, and
-//! data-backward lets `gemm` accumulate straight into the zeroed `dx` band —
-//! the `0 + v` that `col2im` did. MobileNet-V2's expand, project and head
-//! sites are such calls.
+//! forward hands the band to `gemm` as `cols`, and data-backward lets `gemm`
+//! accumulate straight into the zeroed `dx` band — the `0 + v` that `col2im`
+//! did. MobileNet-V2's expand, project and head sites are such calls.
 //!
 //! A grouped call with one input channel per group (`groups > 1`,
 //! `Cin / groups == 1`: MobileNet-V2's depthwise sites, channel multipliers
@@ -56,8 +79,9 @@
 //! The padding zeros are multiplied, not skipped, so `0 × ∞` stays `NaN`.
 //! Forward and data-backward split the samples, weight-backward the output
 //! channels (each walks the samples in order), into `STENCIL_BLOCKS` pool
-//! tasks, and a thread reuses one plane buffer from call to call, as `gemm`
-//! does its transposed copy.
+//! tasks, and a thread reuses one plane buffer from call to call (the buffer
+//! weight-backward's lowering uses for `colsᵀ`), as `gemm` does its
+//! transposed copy.
 //!
 //! # Dispatch
 //!
@@ -82,18 +106,23 @@ use std::cell::Cell;
 /// Pool tasks a stencil call is split into (module documentation).
 const STENCIL_BLOCKS: usize = 2;
 
+/// Samples whose products a dense weight-backward holds at once (module
+/// documentation).
+const WAVE: usize = 4;
+
 thread_local! {
-    /// This thread's buffer for the depthwise stencil's padded plane, kept
-    /// between calls. Taken, not borrowed, like `gemm`'s transposed copy.
-    static PLANE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// This thread's buffer for the depthwise stencil's padded plane or
+    /// weight-backward's `colsᵀ`, kept between calls. Taken, not borrowed,
+    /// like `gemm`'s transposed copy.
+    static SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's stencil buffer, `len` long, stale contents and all.
-fn with_plane(len: usize, f: impl FnOnce(&mut [f32])) {
-    let mut buf = PLANE.take();
+/// Runs `f` on this thread's scratch buffer, `len` long, stale contents and all.
+fn with_scratch(len: usize, f: impl FnOnce(&mut [f32])) {
+    let mut buf = SCRATCH.take();
     buf.resize(len, 0.0);
     f(&mut buf);
-    PLANE.set(buf);
+    SCRATCH.set(buf);
 }
 
 /// Hyper-parameters of a 2-D convolution.
@@ -184,9 +213,10 @@ impl Conv2dParams {
     }
 }
 
-/// Lowers input patches to a matrix: `(C*kh*kw, Ho*Wo)` for one sample.
-///
-/// `input` must be `(C, H, W)` flattened row-major within `data`.
+/// Lowers one sample's input patches, `(C, H, W)` row-major in `data`:
+/// patch row `r = (ci, ki, kj)` at output `o = (oy, ox)` goes to
+/// `cols[r * rs + o * os]`. `(rs, os) = (Ho*Wo, 1)` writes `cols`, the
+/// `(C*kh*kw, Ho*Wo)` matrix; `(1, C*kh*kw)` writes its transpose.
 fn im2col(
     data: &[f32],
     c: usize,
@@ -196,16 +226,15 @@ fn im2col(
     kw: usize,
     p: &Conv2dParams,
     cols: &mut [f32],
+    (rs, os): (usize, usize),
 ) {
     let ho = p.out_size(h, kh);
     let wo = p.out_size(w, kw);
-    let owh = ho * wo;
-    debug_assert_eq!(cols.len(), c * kh * kw * owh);
+    debug_assert_eq!(cols.len(), c * kh * kw * ho * wo);
     for ci in 0..c {
         for ki in 0..kh {
             for kj in 0..kw {
                 let row = (ci * kh + ki) * kw + kj;
-                let out_base = row * owh;
                 for oy in 0..ho {
                     let iy = (oy * p.stride + ki) as isize - p.padding as isize;
                     for ox in 0..wo {
@@ -215,7 +244,7 @@ fn im2col(
                         } else {
                             0.0
                         };
-                        cols[out_base + oy * wo + ox] = v;
+                        cols[row * rs + (oy * wo + ox) * os] = v;
                     }
                 }
             }
@@ -238,7 +267,8 @@ fn lower<'a>(
     if p.pointwise(kh, kw) {
         return band;
     }
-    im2col(band, c, h, w, kh, kw, p, cols);
+    let owh = p.out_size(h, kh) * p.out_size(w, kw);
+    im2col(band, c, h, w, kh, kw, p, cols, (owh, 1));
     cols
 }
 
@@ -509,7 +539,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
             let ys = chunk.chunks_mut(cout * owh);
             if p.depthwise(cin_g) {
                 let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
-                with_plane(st.padded_len(), |padded| {
+                with_scratch(st.padded_len(), |padded| {
                     for (y, sample) in ys.zip(samples) {
                         st.forward(sample, weight.data(), y, padded);
                     }
@@ -584,7 +614,7 @@ pub fn conv2d_backward_data(
             let dxs = chunk.chunks_mut(cin * h * w);
             if p.depthwise(cin_g) {
                 let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
-                with_plane(st.padded_len() + owh, |buf| {
+                with_scratch(st.padded_len() + owh, |buf| {
                     for (dx_sample, dy_sample) in dxs.zip(dy_samples) {
                         st.backward_data(dy_sample, weight.data(), dx_sample, buf);
                     }
@@ -648,8 +678,8 @@ pub fn conv2d_backward_weight(
     let mut dw = vec![0.0f32; cout * patch];
     let mut db = vec![0.0f32; cout];
 
-    // dw += dy_band (cout_g, owh) . cols^T (owh, patch): each sample's
-    // product is summed from zero, then added in ascending sample order.
+    // dw = 0 + s_0 + s_1 + ..., samples ascending, where s_i is sample i's
+    // dy_band (cout_g, owh) . cols^T (owh, patch) summed from zero.
     if p.depthwise(cin_g) {
         let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
         par::row_blocks_by(
@@ -659,22 +689,40 @@ pub fn conv2d_backward_weight(
             patch,
             n * cout * patch * owh,
             |first, block| {
-                with_plane(st.padded_len() + patch, |buf| {
+                with_scratch(st.padded_len() + patch, |buf| {
                     st.backward_weight(input.data(), dy.data(), first, block, buf);
                 });
             },
         );
     } else {
-        let mut cols = cols_buffer(p, kh, kw, patch * owh);
-        let samples = input.data().chunks(cin * h * w);
-        for (sample, dy_sample) in samples.zip(dy.data().chunks(cout * owh)) {
+        // One sample's products `s (Cout, patch)`, lowering into `cols_t`.
+        let products = |sample: &[f32], dy_sample: &[f32], s: &mut [f32], cols_t: &mut [f32]| {
             let bands = sample
                 .chunks(cin_g * h * w)
                 .zip(dy_sample.chunks(cout_g * owh));
-            for ((band, dy_band), dw_band) in bands.zip(dw.chunks_mut(cout_g * patch)) {
-                let cols = lower(band, &mut cols, cin_g, h, w, kh, kw, p);
-                let (dy_mat, cols_t) = (Mat::rows(dy_band, owh), Mat::rows(cols, owh).t());
-                gemm(cout_g, patch, owh, dy_mat, cols_t, dw_band, true);
+            for ((band, dy_band), s_band) in bands.zip(s.chunks_mut(cout_g * patch)) {
+                im2col(band, cin_g, h, w, kh, kw, p, cols_t, (1, patch));
+                let (dy_mat, b) = (Mat::rows(dy_band, owh), Mat::rows(cols_t, patch));
+                gemm(cout_g, patch, owh, dy_mat, b, s_band, false);
+            }
+        };
+        let mut sums = vec![0.0f32; n.min(WAVE) * cout * patch];
+        let (x_len, dy_len) = (cin * h * w, cout * owh);
+        let waves = input.data().chunks(WAVE * x_len);
+        for (x_wave, dy_wave) in waves.zip(dy.data().chunks(WAVE * dy_len)) {
+            let wave = x_wave.len() / x_len;
+            let sums = &mut sums[..wave * cout * patch];
+            let work = wave * cout * patch * owh;
+            par::row_blocks(sums, wave, cout * patch, work, |first, block| {
+                let samples = x_wave.chunks(x_len).zip(dy_wave.chunks(dy_len)).skip(first);
+                with_scratch(owh * patch, |cols_t| {
+                    for (s, (sample, dy_sample)) in block.chunks_mut(cout * patch).zip(samples) {
+                        products(sample, dy_sample, s, cols_t);
+                    }
+                });
+            });
+            for s in sums.chunks(cout * patch) {
+                dw.iter_mut().zip(s).for_each(|(v, &x)| *v += x);
             }
         }
     }

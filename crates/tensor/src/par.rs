@@ -17,9 +17,26 @@ pub(crate) const PAR_MIN_WORK: usize = 16 * 1024;
 
 thread_local! {
     /// Set while this thread runs a block. Blocks do not nest: a kernel called
-    /// from one (a convolution's per-sample `gemm`) runs inline, as does any
-    /// kernel on a thread where a block panicked and left this set.
+    /// from one (a convolution's per-sample `gemm`) runs inline.
     static IN_BLOCK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether a region of `rows` rows and `work` ops runs inline on this thread.
+fn inline(rows: usize, work: usize, pool: &adagp_runtime::ThreadPool) -> bool {
+    IN_BLOCK.get() || rows < 2 || work < PAR_MIN_WORK || pool.size() == 1
+}
+
+/// Runs `f` as a pool block: with [`IN_BLOCK`] set, and restored even when
+/// `f` panics, so a caught panic does not leave this thread inline.
+fn as_block(f: impl FnOnce()) {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_BLOCK.set(self.0);
+        }
+    }
+    let _restore = Restore(IN_BLOCK.replace(true));
+    f();
 }
 
 /// Splits `out` — `rows` rows of `row_len` elements, the last possibly
@@ -48,14 +65,12 @@ pub(crate) fn row_blocks_by<F>(
 {
     debug_assert!(row_len == 0 || out.len().div_ceil(row_len) == rows);
     let pool = adagp_runtime::pool();
-    if IN_BLOCK.get() || rows < 2 || work < PAR_MIN_WORK || pool.size() == 1 {
+    if inline(rows, work, &pool) {
         f(0, out);
         return;
     }
     pool.parallel_chunks(out, chunk_rows * row_len.max(1), |ci, chunk| {
-        IN_BLOCK.set(true);
-        f(ci * chunk_rows, chunk);
-        IN_BLOCK.set(false);
+        as_block(|| f(ci * chunk_rows, chunk));
     });
 }
 
@@ -75,7 +90,7 @@ pub(crate) fn row_blocks_pair<F>(
     debug_assert_eq!(a.len(), rows * a_row_len);
     debug_assert_eq!(b.len(), rows * b_row_len);
     let pool = adagp_runtime::pool();
-    if pool.size() == 1 || rows < 2 || work < PAR_MIN_WORK {
+    if inline(rows, work, &pool) {
         f(0, a, b);
         return;
     }
@@ -85,6 +100,75 @@ pub(crate) fn row_blocks_pair<F>(
         b,
         chunk_rows * a_row_len.max(1),
         chunk_rows * b_row_len.max(1),
-        |ci, ca, cb| f(ci * chunk_rows, ca, cb),
+        |ci, ca, cb| as_block(|| f(ci * chunk_rows, ca, cb)),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adagp_runtime::with_threads;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    const ROWS: usize = 64;
+
+    /// Blocks a region of `ROWS` one-element rows runs in.
+    fn blocks_of_a_region() -> usize {
+        let calls = AtomicUsize::new(0);
+        row_blocks(&mut [0.0; ROWS], ROWS, 1, PAR_MIN_WORK, |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        calls.into_inner()
+    }
+
+    /// A region whose block panicked on this thread, with the panic caught
+    /// above it, leaves the next region dispatched, not inline for good.
+    #[test]
+    fn a_caught_block_panic_leaves_the_thread_dispatching() {
+        with_threads(2, || {
+            let dispatched = blocks_of_a_region();
+            assert_eq!(dispatched, ROWS.div_ceil(det_chunk_len(ROWS)));
+            let caller = std::thread::current().id();
+            let panicked_here = AtomicBool::new(false);
+            for _ in 0..100 {
+                let region = catch_unwind(AssertUnwindSafe(|| {
+                    row_blocks(&mut [0.0; ROWS], ROWS, 1, PAR_MIN_WORK, |_, _| {
+                        if std::thread::current().id() == caller {
+                            panicked_here.store(true, Ordering::Relaxed);
+                            panic!("a block panics");
+                        }
+                    });
+                }));
+                assert!(region.is_err() || !panicked_here.load(Ordering::Relaxed));
+                if panicked_here.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+            assert!(panicked_here.into_inner(), "no block ran on the caller");
+            assert_eq!(blocks_of_a_region(), dispatched);
+        });
+    }
+
+    /// Batch-norm's paired region obeys the same rule: dispatched at the top
+    /// level, inline inside a block.
+    #[test]
+    fn a_paired_region_runs_inline_inside_a_block() {
+        with_threads(2, || {
+            let pair_blocks = || {
+                let calls = AtomicUsize::new(0);
+                let (mut a, mut b) = ([0.0; ROWS], [0.0; ROWS]);
+                row_blocks_pair(&mut a, &mut b, ROWS, 1, 1, PAR_MIN_WORK, |_, _, _| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                });
+                calls.into_inner()
+            };
+            assert_eq!(pair_blocks(), ROWS.div_ceil(det_chunk_len(ROWS)));
+            let nested = AtomicUsize::new(0);
+            row_blocks(&mut [0.0; ROWS], ROWS, 1, PAR_MIN_WORK, |_, _| {
+                nested.fetch_max(pair_blocks(), Ordering::Relaxed);
+            });
+            assert_eq!(nested.into_inner(), 1);
+        });
+    }
 }

@@ -697,6 +697,20 @@ fn zero_times_non_finite_reaches_the_output() {
         let x = Tensor::zeros(&[1, 2, 3, 3]);
         let (dw, _) = conv2d_backward_weight(&x, &dy, 3, 3, &depthwise);
         assert!(dw.data()[0].is_nan(), "depthwise conv2d_backward_weight");
+        // Dense and padded at batch 2: the second sample's non-finite `dy`
+        // reaches every tap of its filter through the zero input.
+        let mut dy = Tensor::zeros(&[2, 3, 3, 3]);
+        dy.data_mut()[27 + 4] = bad;
+        let x = Tensor::zeros(&[2, 2, 3, 3]);
+        let (dw, _) = conv2d_backward_weight(&x, &dy, 3, 3, &Conv2dParams::new(1, 1));
+        assert!(
+            dw.data()[..18].iter().all(|v| v.is_nan()),
+            "dense conv2d_backward_weight"
+        );
+        assert!(
+            dw.data()[18..].iter().all(|&v| v == 0.0),
+            "dense conv2d_backward_weight"
+        );
     }
 }
 
@@ -737,9 +751,11 @@ fn conv_site_hash(seed: u64, x: [usize; 4], w: [usize; 4], p: Conv2dParams) -> u
 /// Cross-commit pin: the output bytes of the six public product kernels on
 /// the shapes training runs on. The constants were captured from a build of
 /// the commit *before* the kernels moved onto `gemm` (the grouped rows: before
-/// the depthwise stencil replaced the lowering) and are identical in the dev
-/// and release profiles; a kernel change that moves one must say so
-/// and re-baseline the training goldens with it (see `gemm`'s module doc).
+/// the depthwise stencil replaced the lowering; the last seven rows: before
+/// `gemm` gained its AVX2 build and weight-backward split its samples over
+/// the pool) and are identical in the dev and release profiles at 1 and 3
+/// threads; a kernel change that moves one must say so and re-baseline the
+/// training goldens with it (see `gemm`'s module doc).
 #[test]
 fn product_kernel_bytes_are_pinned() {
     let s1p1 = Conv2dParams::new(1, 1);
@@ -754,7 +770,7 @@ fn product_kernel_bytes_are_pinned() {
     let (a, b, bt) = (gauss(&[37, 29]), gauss(&[29, 53]), gauss(&[53, 29]));
     // The predictor head at 1024 rows.
     let (rows, head) = (gauss(&[1024, 1152]), gauss(&[128, 1152]));
-    let pins: [(&str, u64, u64); 17] = [
+    let pins: [(&str, u64, u64); 24] = [
         // VGG13 w0.25 on 3x32x32 at batch 8.
         (
             "vgg 3->16 @32",
@@ -868,6 +884,42 @@ fn product_kernel_bytes_are_pinned() {
             ),
             PINS[16],
         ),
+        // The lowering at batch 1 and at batch 33, above `MAX_CHUNKS`, so
+        // a pool block holds several samples.
+        (
+            "vgg 16->32 @16 batch 1",
+            conv_site_hash(15, [1, 16, 16, 16], [32, 16, 3, 3], s1p1),
+            PINS[17],
+        ),
+        (
+            "vgg 16->32 @8 batch 33",
+            conv_site_hash(16, [33, 16, 8, 8], [32, 16, 3, 3], s1p1),
+            PINS[18],
+        ),
+        (
+            "mbv2 expand 8->48 batch 33",
+            conv_site_hash(17, [33, 8, 4, 4], [48, 8, 1, 1], Conv2dParams::new(1, 0)),
+            PINS[19],
+        ),
+        // A dense grouped call: four input channels per group.
+        (
+            "grouped 8->6 in 2 groups",
+            conv_site_hash(18, [3, 8, 7, 7], [6, 4, 3, 3], s1p1.grouped(2)),
+            PINS[20],
+        ),
+        (
+            "1x1 s2 8->12",
+            conv_site_hash(19, [4, 8, 9, 9], [12, 8, 1, 1], Conv2dParams::new(2, 0)),
+            PINS[21],
+        ),
+        // The predictor's conv stage: 256 pooled rows of 1x4x4 -> 8.
+        (
+            "predictor conv 256 rows",
+            conv_site_hash(20, [256, 1, 4, 4], [8, 1, 3, 3], s1p1),
+            PINS[22],
+        ),
+        // `gemm` at widths that take the 16-wide tile and each tail.
+        ("gemm n 16, 24, 37", gemm_widths_hash(), PINS[23]),
     ];
     let moved: Vec<String> = pins
         .iter()
@@ -877,7 +929,32 @@ fn product_kernel_bytes_are_pinned() {
     assert!(moved.is_empty(), "output bytes moved: {moved:#?}");
 }
 
-const PINS: [u64; 17] = [
+/// Hash of `gemm` at `n` = 16, 24 and 37: plain and transposed views of
+/// both operands, assigned and accumulated.
+fn gemm_widths_hash() -> u64 {
+    let mut rng = Prng::seed_from_u64(0x16_24_37);
+    let (m, k) = (11, 29);
+    let mut outputs = Vec::new();
+    for n in [16, 24, 37] {
+        let a = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+        let b = init::gaussian(&[k, n], 0.0, 1.0, &mut rng);
+        let (at, bt) = (a.transpose2(), b.transpose2());
+        let mut c = init::gaussian(&[m, n], 0.0, 1.0, &mut rng);
+        for accumulate in [false, true] {
+            let views = [
+                (Mat::rows(a.data(), k), Mat::rows(b.data(), n)),
+                (Mat::rows(at.data(), m).t(), Mat::rows(bt.data(), k).t()),
+            ];
+            for (av, bv) in views {
+                gemm(m, n, k, av, bv, c.data_mut(), accumulate);
+                outputs.push(c.clone());
+            }
+        }
+    }
+    fnv1a(&outputs.iter().collect::<Vec<_>>())
+}
+
+const PINS: [u64; 24] = [
     0x844e_9e73_d3f1_351b,
     0x3173_600d_e824_856a,
     0xf98a_e0e0_29eb_6d32,
@@ -895,4 +972,11 @@ const PINS: [u64; 17] = [
     0xd358_4008_5d69_a533,
     0x2f9b_2522_a9a5_87bd,
     0xd4ad_c9a5_130c_58a2,
+    0x3b40_a74c_257e_aff8,
+    0x7ead_2632_b919_a799,
+    0xbcf1_98ec_1cb5_75f2,
+    0xa754_ea02_2422_c07e,
+    0xd474_a5b0_77e1_f926,
+    0x43c9_a9f6_623b_7e06,
+    0xad2e_952f_6f9f_7751,
 ];
