@@ -81,6 +81,15 @@ impl PredictorNet {
         let h = self.flatten.forward(&h, ctx);
         self.fc.forward_cols(&h, ctx, cols)
     }
+
+    /// Every parameter's gradient for `dy (n, cols)`, the `cols` of the
+    /// forward pass; no gradient for the input.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let g = self.fc.backward(dy);
+        let g = self.flatten.backward(&g);
+        let g = self.relu.backward(&g);
+        self.conv.backward_params(&g);
+    }
 }
 
 impl Module for PredictorNet {
@@ -89,12 +98,10 @@ impl Module for PredictorNet {
         self.forward_cols(x, ctx, cols)
     }
 
-    /// `dy` is `(n, cols)` for the `cols` of the forward pass.
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let g = self.fc.backward(dy);
-        let g = self.flatten.backward(&g);
-        let g = self.relu.backward(&g);
-        self.conv.backward(&g)
+    /// The predictor's input is pooled activations, which take no gradient:
+    /// training calls [`PredictorNet::backward_params`].
+    fn backward(&mut self, _dy: &Tensor) -> Tensor {
+        unreachable!("the predictor's input takes no gradient: use backward_params")
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -218,7 +225,7 @@ impl Predictor {
             .net
             .forward_cols(&pooled, &mut ForwardCtx::train(), target_rows.dim(1));
         let (loss, dpred) = mse(&pred, &target_rows);
-        self.net.backward(&dpred);
+        self.net.backward_params(&dpred);
         self.opt.step(&mut self.net);
         loss
     }
@@ -439,7 +446,7 @@ mod tests {
         let (pooled, target_rows) = p.training_rows(meta, act, g);
         let pred = p.net.forward(&pooled, &mut ForwardCtx::train());
         let (loss, dpred) = masked_mse(&pred, &target_rows, target_rows.dim(1));
-        p.net.backward(&dpred);
+        p.net.backward_params(&dpred);
         p.opt.step(&mut p.net);
         loss
     }

@@ -66,16 +66,24 @@ impl Sequential {
 
 impl Module for Sequential {
     fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return x.clone();
+        };
+        let mut h = first.forward(x, ctx);
+        for layer in layers {
             h = layer.forward(&h, ctx);
         }
         h
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut g = dy.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return dy.clone();
+        };
+        let mut g = last.backward(dy);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g
@@ -134,12 +142,12 @@ impl Residual {
 
 impl Module for Residual {
     fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
-        let main = self.body.forward(x, ctx);
-        let skip = match &mut self.shortcut {
-            Some(proj) => proj.forward(x, ctx),
-            None => x.clone(),
-        };
-        main.add(&skip)
+        let mut y = self.body.forward(x, ctx);
+        match &mut self.shortcut {
+            Some(proj) => y.add_assign(&proj.forward(x, ctx)),
+            None => y.add_assign(x),
+        }
+        y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {

@@ -134,6 +134,28 @@ impl Conv2d {
     pub fn weight(&self) -> &Param {
         &self.weight
     }
+
+    /// The parameter half of [`Module::backward`]: accumulates the weight
+    /// and bias gradients and computes no input gradient, for a layer whose
+    /// input is data (ADA-GP's predictor reads pooled activations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no training forward pass preceded it.
+    pub fn backward_params(&mut self, dy: &Tensor) {
+        let x = self.cached_input();
+        let (dw, db) = conv2d_backward_weight(x, dy, self.kh, self.kw, &self.params);
+        self.weight.accumulate_grad(&dw);
+        if let Some(b) = &mut self.bias {
+            b.accumulate_grad(&db);
+        }
+    }
+
+    fn cached_input(&self) -> &Tensor {
+        self.input_cache
+            .as_ref()
+            .expect("Conv2d::backward called before forward")
+    }
 }
 
 impl Module for Conv2d {
@@ -154,15 +176,8 @@ impl Module for Conv2d {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .input_cache
-            .as_ref()
-            .expect("Conv2d::backward called before forward");
-        let (dw, db) = conv2d_backward_weight(x, dy, self.kh, self.kw, &self.params);
-        self.weight.accumulate_grad(&dw);
-        if let Some(b) = &mut self.bias {
-            b.accumulate_grad(&db);
-        }
+        self.backward_params(dy);
+        let x = self.cached_input();
         conv2d_backward_data(dy, &self.weight.value, x.dim(2), x.dim(3), &self.params)
     }
 

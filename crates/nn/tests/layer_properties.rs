@@ -152,7 +152,8 @@ const LINEAR_TOL: f64 = 1e-3;
 const BATCH_STATS_TOL: f64 = 2e-3;
 
 /// `Conv2d::backward` against central differences, every element of `dx`,
-/// `dw` and `db`: dense, strided, two groups, and depthwise at both strides.
+/// `dw` and `db`: dense, strided, two groups, and depthwise at both strides
+/// and over a lane group's tail.
 #[test]
 fn conv_gradients_match_central_differences() {
     check_rows(
@@ -172,6 +173,10 @@ fn conv_gradients_match_central_differences() {
             }),
             ("depthwise s2", &[2, 3, 6, 6], LINEAR_TOL, |rng| {
                 Box::new(Conv2d::depthwise(3, 3, 2, 1, rng))
+            }),
+            // Nine channels: a full lane group of eight and a tail of one.
+            ("depthwise C=9", &[2, 9, 5, 5], LINEAR_TOL, |rng| {
+                Box::new(Conv2d::depthwise(9, 3, 1, 1, rng))
             }),
         ],
         0x6c4d_0000,
@@ -220,6 +225,9 @@ fn layer_gradients_match_central_differences() {
                 net.push(GlobalAvgPool::new());
                 net.push(Linear::new(3, 2, true, rng));
                 Box::new(net)
+            }),
+            ("batchnorm C=9", &[2, 9, 3, 3], BATCH_STATS_TOL, |_| {
+                Box::new(BatchNorm2d::new(9))
             }),
         ],
         0x6c4d_1000,

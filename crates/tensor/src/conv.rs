@@ -77,10 +77,30 @@
 //!   ascending, then the samples added in ascending order.
 //!
 //! The padding zeros are multiplied, not skipped, so `0 × ∞` stays `NaN`.
-//! Forward and data-backward split the samples, weight-backward the output
-//! channels (each walks the samples in order), into `STENCIL_BLOCKS` pool
-//! tasks, and a thread reuses one plane buffer from call to call (the buffer
-//! weight-backward's lowering uses for `colsᵀ`), as `gemm` does its
+//!
+//! Each of those sums is a chain of dependent adds, and a chain per output
+//! ran at one add's latency per tap (a 2×2 or 4×4 plane gives the output
+//! rows nothing to vectorise). So the stencil runs eight channels at a
+//! time, a channel per vector lane, under `gemm`'s rule: **a lane is an
+//! independent output, never a piece of a sum** (the crate's `lanes`
+//! module). A pass packs a lane group's zero-padded input planes — and, for
+//! the backward passes, its `dy` — channel-minor into its thread's scratch
+//! buffer (element `(py, px)` of lane `l` at `(py · pw + px) · 8 + l`), runs
+//! the taps on `[f32; 8]` accumulators in the order above and writes NCHW
+//! back. Lanes are filters in forward and weight-backward (a multiplier
+//! above 1 packs an input plane once per filter that reads it) and input
+//! channels in data-backward; a group past the channel count fills its
+//! spare lanes with copies of the last channel and discards them, so a
+//! tail, a multiplier and stride 2 take the same loop. Forward and
+//! data-backward work on four outputs of a row at once, weight-backward on
+//! nine taps (a 3×3 window whole), each with its own accumulator, and on
+//! one at a time past a multiple of four outputs or nine taps. Nothing
+//! crosses lanes, so a NaN in one channel reaches no other.
+//!
+//! Forward and data-backward split the samples, weight-backward the lane
+//! groups (each walks the samples in order), into `STENCIL_BLOCKS` pool
+//! tasks, and a thread reuses one scratch buffer from call to call (the
+//! buffer weight-backward's lowering uses for `colsᵀ`), as `gemm` does its
 //! transposed copy.
 //!
 //! # Dispatch
@@ -98,6 +118,7 @@
 //! allocate 209 fewer (17 149) and run within noise of 32.
 
 use crate::gemm::{gemm, Mat};
+use crate::lanes::{self, LANES};
 use crate::par;
 use crate::Tensor;
 use adagp_runtime::det_chunk_len;
@@ -111,7 +132,7 @@ const STENCIL_BLOCKS: usize = 2;
 const WAVE: usize = 4;
 
 thread_local! {
-    /// This thread's buffer for the depthwise stencil's padded plane or
+    /// This thread's buffer for the depthwise stencil's packed planes or
     /// weight-backward's `colsᵀ`, kept between calls. Taken, not borrowed,
     /// like `gemm`'s transposed copy.
     static SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
@@ -196,9 +217,9 @@ impl Conv2dParams {
         self.groups > 1 && cin_g == 1
     }
 
-    /// Rows (samples or output channels) per pool task of a call over
-    /// `rows` rows: `det_chunk_len`'s for the lowering, `STENCIL_BLOCKS`
-    /// blocks for the stencil.
+    /// Rows (samples, or the stencil weight-backward's lane groups) per pool
+    /// task of a call over `rows` rows: `det_chunk_len`'s for the lowering,
+    /// `STENCIL_BLOCKS` blocks for the stencil.
     fn block_rows(&self, cin_g: usize, rows: usize) -> usize {
         if self.depthwise(cin_g) {
             rows.div_ceil(STENCIL_BLOCKS)
@@ -319,6 +340,7 @@ fn col2im(
 /// The depthwise stencil of one call (module documentation): `channels`
 /// input planes of `h × w`, each zero-padded by `pad` on all four sides and
 /// read by `m` filters of `kh × kw` at `stride` into `ho × wo` outputs.
+/// Every pass runs a lane group of [`LANES`] channels at a time.
 #[derive(Debug, Clone, Copy)]
 struct Stencil {
     channels: usize,
@@ -331,6 +353,11 @@ struct Stencil {
     pad: usize,
     ho: usize,
     wo: usize,
+}
+
+/// Element `at`'s lanes in a channel-minor buffer.
+fn lane(buf: &[f32], at: usize) -> &[f32; LANES] {
+    buf[at * LANES..][..LANES].try_into().expect("LANES wide")
 }
 
 impl Stencil {
@@ -355,6 +382,11 @@ impl Stencil {
         }
     }
 
+    /// Output channels (filters).
+    fn filters(&self) -> usize {
+        self.channels * self.m
+    }
+
     /// Width of a padded plane.
     fn pw(&self) -> usize {
         self.w + 2 * self.pad
@@ -371,84 +403,190 @@ impl Stencil {
         (oy * self.stride + ki) * self.pw() + kj
     }
 
-    /// Copies an `h × w` plane into the middle of `padded`, zeros around it.
-    fn pad(&self, plane: &[f32], padded: &mut [f32]) {
-        padded.fill(0.0);
-        let rows = padded[self.pad * self.pw()..].chunks_mut(self.pw());
-        for (row, src) in rows.zip(plane.chunks(self.w)) {
-            row[self.pad..][..self.w].copy_from_slice(src);
+    /// Scratch a pass needs: forward and weight-backward a packed plane and
+    /// a packed weight or `dy` plane, data-backward a packed plane, `dy`
+    /// and weights for every multiplier.
+    fn scratch_len(&self) -> usize {
+        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
+        LANES * (self.padded_len() + self.m * (owh + patch))
+    }
+
+    /// Packs the input planes that lane group `group`'s filters read into
+    /// the middle of `packed`; its border is left as it is (zero). Lane `l`
+    /// holds the plane filter `lanes::index(group, l, filters)` reads.
+    fn pack_planes(&self, sample: &[f32], group: usize, packed: &mut [f32]) {
+        let (plane, filters) = (self.h * self.w, self.filters());
+        let src: [&[f32]; LANES] = std::array::from_fn(|l| {
+            &sample[lanes::index(group, l, filters) / self.m * plane..][..plane]
+        });
+        for iy in 0..self.h {
+            let at = (iy + self.pad) * self.pw() + self.pad;
+            let row = &mut packed[at * LANES..][..self.w * LANES];
+            for (ix, px) in row.chunks_exact_mut(LANES).enumerate() {
+                for l in 0..LANES {
+                    px[l] = src[l][iy * self.w + ix];
+                }
+            }
         }
     }
 
-    /// One sample's forward: `y (channels · m, ho · wo)`, zeroed, gets every
-    /// filter's taps in ascending order.
-    fn forward(&self, x: &[f32], weight: &[f32], y: &mut [f32], padded: &mut [f32]) {
-        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
-        let planes = x.chunks(self.h * self.w).zip(weight.chunks(self.m * patch));
-        for (y_c, (plane, w_c)) in y.chunks_mut(self.m * owh).zip(planes) {
-            self.pad(plane, padded);
-            for (y_f, w_f) in y_c.chunks_mut(owh).zip(w_c.chunks(patch)) {
-                for (tap, &wv) in w_f.iter().enumerate() {
-                    let (ki, kj) = (tap / self.kw, tap % self.kw);
-                    for (oy, y_row) in y_f.chunks_mut(self.wo).enumerate() {
-                        let xs = &padded[self.at(oy, ki, kj)..];
-                        // Stride 1 as a plain zip, which vectorises (`step_by` does not).
-                        if self.stride == 1 {
-                            for (yv, &xv) in y_row.iter_mut().zip(xs) {
-                                *yv += wv * xv;
-                            }
-                        } else {
-                            for (yv, &xv) in y_row.iter_mut().zip(xs.iter().step_by(self.stride)) {
-                                *yv += wv * xv;
-                            }
-                        }
+    /// Packs lane group `group` of `count` rows of `len` elements (rows
+    /// `index(group, l, count) · per + j`, `j < per`) channel-minor:
+    /// `(j, i)` of lane `l` lands at `(j · len + i) · LANES + l`.
+    fn pack_rows(
+        src: &[f32],
+        (count, per, len): (usize, usize, usize),
+        group: usize,
+        dst: &mut [f32],
+    ) {
+        for j in 0..per {
+            let rows: [&[f32]; LANES] = std::array::from_fn(|l| {
+                &src[(lanes::index(group, l, count) * per + j) * len..][..len]
+            });
+            let dst = &mut dst[j * len * LANES..][..len * LANES];
+            for (i, px) in dst.chunks_exact_mut(LANES).enumerate() {
+                for l in 0..LANES {
+                    px[l] = rows[l][i];
+                }
+            }
+        }
+    }
+
+    /// Forward over a block of samples: `y (filters, ho · wo)` per sample
+    /// gets every filter's taps in ascending order, from `0.0`.
+    fn forward(&self, x: &[f32], weight: &[f32], y: &mut [f32], buf: &mut [f32]) {
+        let (patch, owh, filters) = (self.kh * self.kw, self.ho * self.wo, self.filters());
+        let (packed, taps) = buf.split_at_mut(self.padded_len() * LANES);
+        packed.fill(0.0);
+        for group in 0..filters.div_ceil(LANES) {
+            Self::pack_rows(weight, (filters, 1, patch), group, taps);
+            let live = (filters - group * LANES).min(LANES);
+            let samples = x.chunks(self.channels * self.h * self.w);
+            for (sample, y) in samples.zip(y.chunks_mut(filters * owh)) {
+                self.pack_planes(sample, group, packed);
+                let y = &mut y[group * LANES * owh..][..live * owh];
+                for oy in 0..self.ho {
+                    let mut ox = 0;
+                    while ox + 4 <= self.wo {
+                        self.forward_tile::<4>(packed, taps, (oy, ox), y);
+                        ox += 4;
+                    }
+                    while ox < self.wo {
+                        self.forward_tile::<1>(packed, taps, (oy, ox), y);
+                        ox += 1;
                     }
                 }
             }
         }
     }
 
-    /// One sample's data-backward: `dx (channels, h · w)` from
-    /// `dy (channels · m, ho · wo)`. `buf` holds a padded plane and one
-    /// output plane of tap sums.
+    /// `T` outputs of row `oy` from `ox` on: one accumulator per output and
+    /// lane, the taps ascending.
+    fn forward_tile<const T: usize>(
+        &self,
+        packed: &[f32],
+        taps: &[f32],
+        (oy, ox): (usize, usize),
+        y: &mut [f32],
+    ) {
+        let mut acc = [[0.0f32; LANES]; T];
+        for ki in 0..self.kh {
+            for kj in 0..self.kw {
+                let wv = lane(taps, ki * self.kw + kj);
+                for (t, acc) in acc.iter_mut().enumerate() {
+                    let xv = lane(packed, self.at(oy, ki, kj) + (ox + t) * self.stride);
+                    for l in 0..LANES {
+                        acc[l] += wv[l] * xv[l];
+                    }
+                }
+            }
+        }
+        let owh = self.ho * self.wo;
+        for (l, y_f) in y.chunks_mut(owh).enumerate() {
+            for (t, acc) in acc.iter().enumerate() {
+                y_f[oy * self.wo + ox + t] = acc[l];
+            }
+        }
+    }
+
+    /// Data-backward over a block of samples: `dx (channels, h · w)` per
+    /// sample from `dy (filters, ho · wo)`. Each tap's `Σ_j w·dy` over the
+    /// channel's filters is summed from `0.0` and scattered into a packed,
+    /// zeroed padded plane in `(tap, oy, ox)` order.
     fn backward_data(&self, dy: &[f32], weight: &[f32], dx: &mut [f32], buf: &mut [f32]) {
-        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
-        let (padded, sums) = buf.split_at_mut(self.padded_len());
-        let planes = dy.chunks(self.m * owh).zip(weight.chunks(self.m * patch));
-        for (dx_c, (dy_c, w_c)) in dx.chunks_mut(self.h * self.w).zip(planes) {
-            padded.fill(0.0);
-            for tap in 0..patch {
-                let (ki, kj) = (tap / self.kw, tap % self.kw);
+        let (patch, owh, plane) = (self.kh * self.kw, self.ho * self.wo, self.h * self.w);
+        let (sums, rest) = buf.split_at_mut(self.padded_len() * LANES);
+        let (dys, taps) = rest.split_at_mut(self.m * owh * LANES);
+        for group in 0..self.channels.div_ceil(LANES) {
+            Self::pack_rows(weight, (self.channels, self.m, patch), group, taps);
+            let live = (self.channels - group * LANES).min(LANES);
+            let samples = dy.chunks(self.filters() * owh);
+            for (dy, dx) in samples.zip(dx.chunks_mut(self.channels * plane)) {
+                Self::pack_rows(dy, (self.channels, self.m, owh), group, dys);
                 sums.fill(0.0);
-                for (w_f, dy_f) in w_c.chunks(patch).zip(dy_c.chunks(owh)) {
-                    let wv = w_f[tap];
-                    for (s, &d) in sums.iter_mut().zip(dy_f) {
-                        *s += wv * d;
-                    }
-                }
-                for (oy, s_row) in sums.chunks(self.wo).enumerate() {
-                    let dst = &mut padded[self.at(oy, ki, kj)..];
-                    if self.stride == 1 {
-                        for (v, &s) in dst.iter_mut().zip(s_row) {
-                            *v += s;
-                        }
-                    } else {
-                        for (v, &s) in dst.iter_mut().step_by(self.stride).zip(s_row) {
-                            *v += s;
+                for ki in 0..self.kh {
+                    for kj in 0..self.kw {
+                        let tap = ki * self.kw + kj;
+                        for oy in 0..self.ho {
+                            let mut ox = 0;
+                            while ox + 4 <= self.wo {
+                                self.data_tile::<4>(dys, taps, (tap, oy, ox), (ki, kj), sums);
+                                ox += 4;
+                            }
+                            while ox < self.wo {
+                                self.data_tile::<1>(dys, taps, (tap, oy, ox), (ki, kj), sums);
+                                ox += 1;
+                            }
                         }
                     }
                 }
-            }
-            let rows = padded[self.pad * self.pw()..].chunks(self.pw());
-            for (dst, row) in dx_c.chunks_mut(self.w).zip(rows) {
-                dst.copy_from_slice(&row[self.pad..][..self.w]);
+                let dx = &mut dx[group * LANES * plane..][..live * plane];
+                for (l, dx_c) in dx.chunks_mut(plane).enumerate() {
+                    for (iy, row) in dx_c.chunks_mut(self.w).enumerate() {
+                        let at = (iy + self.pad) * self.pw() + self.pad;
+                        for (ix, v) in row.iter_mut().enumerate() {
+                            *v = sums[(at + ix) * LANES + l];
+                        }
+                    }
+                }
             }
         }
     }
 
-    /// Weight-backward rows `first..` of `dw (channels · m, kh · kw)` over
-    /// the whole batch of `x` and `dy`. `buf` holds a padded plane and one
-    /// row of per-sample sums.
+    /// Tap `tap` of `T` outputs of row `oy` from `ox` on: each output's
+    /// `Σ_j w·dy` from `0.0`, then added to where the tap read it.
+    fn data_tile<const T: usize>(
+        &self,
+        dys: &[f32],
+        taps: &[f32],
+        (tap, oy, ox): (usize, usize, usize),
+        (ki, kj): (usize, usize),
+        sums: &mut [f32],
+    ) {
+        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
+        let mut s = [[0.0f32; LANES]; T];
+        for j in 0..self.m {
+            let wv = lane(taps, j * patch + tap);
+            for (t, s) in s.iter_mut().enumerate() {
+                let d = lane(dys, j * owh + oy * self.wo + ox + t);
+                for l in 0..LANES {
+                    s[l] += wv[l] * d[l];
+                }
+            }
+        }
+        for (t, s) in s.iter().enumerate() {
+            let at = self.at(oy, ki, kj) + (ox + t) * self.stride;
+            let dst = &mut sums[at * LANES..][..LANES];
+            for l in 0..LANES {
+                dst[l] += s[l];
+            }
+        }
+    }
+
+    /// Weight-backward of lane groups `first..` of `dw (filters, kh · kw)`
+    /// (rows of `LANES · kh · kw`) over the whole batch of `x` and `dy`: per
+    /// sample each tap's `Σ dy·x` from `0.0`, outputs ascending, added to
+    /// `dw` in sample order.
     fn backward_weight(
         &self,
         x: &[f32],
@@ -457,31 +595,59 @@ impl Stencil {
         dw: &mut [f32],
         buf: &mut [f32],
     ) {
-        let (patch, owh, plane) = (self.kh * self.kw, self.ho * self.wo, self.h * self.w);
-        let (padded, sums) = buf.split_at_mut(self.padded_len());
-        let samples = || {
-            x.chunks(self.channels * plane)
-                .zip(dy.chunks(self.channels * self.m * owh))
-        };
-        for (f, dw_f) in (first..).zip(dw.chunks_mut(patch)) {
-            for (sample, dy_sample) in samples() {
-                self.pad(&sample[f / self.m * plane..][..plane], padded);
-                sums.fill(0.0);
-                let dy_rows = dy_sample[f * owh..][..owh].chunks(self.wo);
-                for (oy, dy_row) in dy_rows.enumerate() {
-                    for (ox, &d) in dy_row.iter().enumerate() {
-                        let origin = self.at(oy, 0, 0) + ox * self.stride;
-                        for (ki, s_row) in sums.chunks_mut(self.kw).enumerate() {
-                            let xs = &padded[origin + ki * self.pw()..][..self.kw];
-                            for (s, &xv) in s_row.iter_mut().zip(xs) {
-                                *s += d * xv;
-                            }
-                        }
+        let (patch, owh, filters) = (self.kh * self.kw, self.ho * self.wo, self.filters());
+        let (packed, dys) = buf.split_at_mut(self.padded_len() * LANES);
+        packed.fill(0.0);
+        for (group, dw) in (first..).zip(dw.chunks_mut(LANES * patch)) {
+            let samples = x
+                .chunks(self.channels * self.h * self.w)
+                .zip(dy.chunks(filters * owh));
+            for (sample, dy) in samples {
+                self.pack_planes(sample, group, packed);
+                Self::pack_rows(dy, (filters, 1, owh), group, dys);
+                let mut tap = 0;
+                while tap + 9 <= patch {
+                    self.weight_tile::<9>(packed, dys, tap, dw);
+                    tap += 9;
+                }
+                while tap < patch {
+                    self.weight_tile::<1>(packed, dys, tap, dw);
+                    tap += 1;
+                }
+            }
+        }
+    }
+
+    /// Taps `tap0..tap0 + T` of one sample: one accumulator per tap and
+    /// lane, the outputs ascending, then added to the live lanes' `dw` rows.
+    fn weight_tile<const T: usize>(
+        &self,
+        packed: &[f32],
+        dys: &[f32],
+        tap0: usize,
+        dw: &mut [f32],
+    ) {
+        let offsets: [usize; T] = std::array::from_fn(|t| {
+            let tap = tap0 + t;
+            (tap / self.kw) * self.pw() + tap % self.kw
+        });
+        let mut acc = [[0.0f32; LANES]; T];
+        for oy in 0..self.ho {
+            for ox in 0..self.wo {
+                let origin = self.at(oy, 0, 0) + ox * self.stride;
+                let d = lane(dys, oy * self.wo + ox);
+                for (acc, &off) in acc.iter_mut().zip(&offsets) {
+                    let xv = lane(packed, origin + off);
+                    for l in 0..LANES {
+                        acc[l] += d[l] * xv[l];
                     }
                 }
-                for (v, &s) in dw_f.iter_mut().zip(sums.iter()) {
-                    *v += s;
-                }
+            }
+        }
+        let patch = self.kh * self.kw;
+        for (l, dw_f) in dw.chunks_mut(patch).enumerate() {
+            for (t, acc) in acc.iter().enumerate() {
+                dw_f[tap0 + t] += acc[l];
             }
         }
     }
@@ -536,15 +702,13 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
         n * cout * patch * owh,
         |first, chunk| {
             let samples = input.data().chunks(cin * h * w).skip(first);
-            let ys = chunk.chunks_mut(cout * owh);
             if p.depthwise(cin_g) {
                 let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
-                with_scratch(st.padded_len(), |padded| {
-                    for (y, sample) in ys.zip(samples) {
-                        st.forward(sample, weight.data(), y, padded);
-                    }
-                });
+                let x = &input.data()[first * cin * h * w..];
+                let (weight, y) = (weight.data(), &mut *chunk);
+                with_scratch(st.scratch_len(), |buf| st.forward(x, weight, y, buf));
             } else {
+                let ys = chunk.chunks_mut(cout * owh);
                 let mut cols = cols_buffer(p, kh, kw, patch * owh);
                 for (y, sample) in ys.zip(samples) {
                     let bands = sample.chunks(cin_g * h * w);
@@ -610,17 +774,16 @@ pub fn conv2d_backward_data(
         cin * h * w,
         n * cout * patch * owh,
         |first, chunk| {
-            let dy_samples = dy.data().chunks(cout * owh).skip(first);
-            let dxs = chunk.chunks_mut(cin * h * w);
             if p.depthwise(cin_g) {
                 let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
-                with_scratch(st.padded_len() + owh, |buf| {
-                    for (dx_sample, dy_sample) in dxs.zip(dy_samples) {
-                        st.backward_data(dy_sample, weight.data(), dx_sample, buf);
-                    }
+                let (dy, weight) = (&dy.data()[first * cout * owh..], weight.data());
+                with_scratch(st.scratch_len(), |buf| {
+                    st.backward_data(dy, weight, chunk, buf)
                 });
                 return;
             }
+            let dy_samples = dy.data().chunks(cout * owh).skip(first);
+            let dxs = chunk.chunks_mut(cin * h * w);
             let mut dcols = cols_buffer(p, kh, kw, patch * owh);
             for (dx_sample, dy_sample) in dxs.zip(dy_samples) {
                 let dy_bands = dy_sample.chunks(cout_g * owh);
@@ -682,15 +845,17 @@ pub fn conv2d_backward_weight(
     // dy_band (cout_g, owh) . cols^T (owh, patch) summed from zero.
     if p.depthwise(cin_g) {
         let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
+        let groups = cout.div_ceil(LANES);
         par::row_blocks_by(
-            p.block_rows(cin_g, cout),
+            p.block_rows(cin_g, groups),
             &mut dw,
-            cout,
-            patch,
+            groups,
+            LANES * patch,
             n * cout * patch * owh,
-            |first, block| {
-                with_scratch(st.padded_len() + patch, |buf| {
-                    st.backward_weight(input.data(), dy.data(), first, block, buf);
+            |first, dw| {
+                let (x, dy) = (input.data(), dy.data());
+                with_scratch(st.scratch_len(), |buf| {
+                    st.backward_weight(x, dy, first, dw, buf)
                 });
             },
         );

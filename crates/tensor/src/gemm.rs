@@ -10,7 +10,10 @@
 //! sum from `0.0` scattered in `col2im`'s order in data-backward, each
 //! sample's sum from `0.0` over outputs ascending and then the samples in
 //! order in weight-backward (the [`conv`](crate::conv) module documentation
-//! has the details).
+//! has the details). The stencil, like batch-norm's per-channel sums
+//! ([`norm`](crate::norm)), runs eight channels per instruction under the
+//! rule the AVX2 build below follows: a vector lane is an independent
+//! output, never a piece of a sum.
 //!
 //! # The order contract
 //!

@@ -26,6 +26,7 @@
 pub mod conv;
 pub mod gemm;
 pub mod init;
+pub(crate) mod lanes;
 pub mod matmul;
 pub mod norm;
 pub(crate) mod par;

@@ -4,12 +4,38 @@
 //! ResNet/DenseNet/Inception/MobileNet all rely on BatchNorm; the
 //! transformer model uses LayerNorm.
 //!
-//! `batchnorm2d_forward` runs on the `adagp_runtime` pool: the per-channel
-//! statistics parallelize over channels and the normalization over
-//! `(sample, channel)` row blocks, both with the scalar path's
-//! floating-point order, so results are bit-identical for every
-//! `ADAGP_THREADS`.
+//! # Batch-norm's order
+//!
+//! For each channel `c` of an `(N, C, H, W)` batch, every sum runs from
+//! `0.0` over the samples ascending and, within a sample, the plane's
+//! `H·W` elements ascending, one `f32` accumulator per channel:
+//!
+//! ```text
+//! mean = (Σ x) · r                  var = (Σ (x − mean) · (x − mean)) · r
+//! dγ   =  Σ dy · x̂                  dβ  =  Σ dy
+//! ```
+//!
+//! with `r = 1 / NHW` rounded once. Everything else — `x̂`, the output,
+//! `dx` — is elementwise from those per-channel values.
+//!
+//! # Eight channels to an instruction
+//!
+//! Each of those sums is a chain of dependent adds, so one channel at a
+//! time ran at one add's latency per element, whatever the plane size. The
+//! chains run eight channels at a time instead, a channel per
+//! vector lane (the crate's `lanes` module): lane `l` of a group reads
+//! channel `8g + l` plane by plane and adds its own terms in the order
+//! above, so no bit moves; a lane is never a piece of a sum, so nothing
+//! crosses channels (a NaN stays in its own). The forward's statistics run
+//! on the `adagp_runtime` pool in blocks of whole lane groups and its
+//! normalization in `(sample, channel)` row blocks; no block boundary
+//! changes an element's order, so the bytes are the same for every
+//! `ADAGP_THREADS`. The backward runs on the calling thread: dispatching
+//! `dγ`/`dβ` and `dx` at MobileNet-V2's sizes (8 samples, planes of 2×2 to
+//! 16×16) saved no time on two threads and cost two allocations per pool
+//! task.
 
+use crate::lanes::{self, LANES};
 use crate::par;
 use crate::Tensor;
 
@@ -46,34 +72,24 @@ pub fn batchnorm2d_forward(
     let hw = h * w;
     let xd = x.data();
 
-    // Per-channel mean and variance. Each channel's sums run over samples
-    // in ascending order — the same order as the scalar two-pass loops —
-    // so sharding channels across the pool changes nothing.
-    let mut mean = vec![0.0f32; c];
-    let mut var = vec![0.0f32; c];
+    // Per-channel mean and variance, a lane group of channels per row.
+    let groups = c.div_ceil(LANES);
+    let mut mean = vec![0.0f32; groups * LANES];
+    let mut var = vec![0.0f32; groups * LANES];
     let work = 2 * n * c * hw;
-    par::row_blocks_pair(&mut mean, &mut var, c, 1, 1, work, |first, mc, vc| {
-        for (r, (m_out, v_out)) in mc.iter_mut().zip(vc.iter_mut()).enumerate() {
-            let ci = first + r;
-            let mut m = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * hw;
-                for &v in &xd[base..base + hw] {
-                    m += v;
-                }
-            }
-            m *= inv;
-            let mut vv = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * hw;
-                for &v in &xd[base..base + hw] {
-                    vv += (v - m) * (v - m);
-                }
-            }
-            *m_out = m;
-            *v_out = vv * inv;
-        }
-    });
+    par::row_blocks_pair(
+        &mut mean,
+        &mut var,
+        groups,
+        LANES,
+        LANES,
+        work,
+        |first, mc, vc| {
+            moments(xd, (n, c, hw), inv, first, mc, vc);
+        },
+    );
+    mean.truncate(c);
+    var.truncate(c);
 
     let std: Vec<f32> = var.iter().map(|&v| (v + eps).sqrt()).collect();
     let mut x_hat = vec![0.0f32; x.len()];
@@ -87,16 +103,16 @@ pub fn batchnorm2d_forward(
         hw,
         x.len(),
         |first, xhc, oc| {
-            for (r, (xh_row, out_row)) in xhc.chunks_mut(hw).zip(oc.chunks_mut(hw)).enumerate() {
-                let row = first + r;
+            let rows = xhc.chunks_mut(hw).zip(oc.chunks_mut(hw));
+            for (row, (xh_row, out_row)) in (first..).zip(rows) {
                 let ci = row % c;
-                let base = row * hw;
                 let m = mean[ci];
                 let s = 1.0 / std[ci];
                 let g = gamma.data()[ci];
                 let b = beta.data()[ci];
-                for (i, (xh, o)) in xh_row.iter_mut().zip(out_row.iter_mut()).enumerate() {
-                    let v = (xd[base + i] - m) * s;
+                let x_row = &xd[row * hw..][..hw];
+                for ((xh, o), &xv) in xh_row.iter_mut().zip(out_row.iter_mut()).zip(x_row) {
+                    let v = (xv - m) * s;
                     *xh = v;
                     *o = g * v + b;
                 }
@@ -112,6 +128,73 @@ pub fn batchnorm2d_forward(
         mean,
         var,
     )
+}
+
+/// Batch-norm forward's statistics of lane groups `first..` of `x (n, c,
+/// hw)`: per channel the mean, then the variance about it, each summed from
+/// `0.0` over the samples ascending and each plane's elements ascending,
+/// then scaled by `inv`.
+fn moments(
+    x: &[f32],
+    (n, c, hw): (usize, usize, usize),
+    inv: f32,
+    first: usize,
+    mean: &mut [f32],
+    var: &mut [f32],
+) {
+    let outs = mean.chunks_mut(LANES).zip(var.chunks_mut(LANES));
+    for (group, (mean, var)) in (first..).zip(outs) {
+        let planes = |ni| lanes::planes(&x[ni * c * hw..], c, hw, group);
+        let mut m = [0.0f32; LANES];
+        for ni in 0..n {
+            let p = planes(ni);
+            for i in 0..hw {
+                for l in 0..LANES {
+                    m[l] += p[l][i];
+                }
+            }
+        }
+        m.iter_mut().for_each(|m| *m *= inv);
+        let mut v = [0.0f32; LANES];
+        for ni in 0..n {
+            let p = planes(ni);
+            for i in 0..hw {
+                for l in 0..LANES {
+                    v[l] += (p[l][i] - m[l]) * (p[l][i] - m[l]);
+                }
+            }
+        }
+        mean.copy_from_slice(&m);
+        var.iter_mut().zip(v).for_each(|(out, v)| *out = v * inv);
+    }
+}
+
+/// Batch-norm backward's `dγ = Σ dy · x̂` and `dβ = Σ dy`, per channel from
+/// `0.0` over the samples ascending and each plane's elements ascending;
+/// `dgamma` and `dbeta` hold whole lane groups.
+fn affine_grads(
+    dy: &[f32],
+    x_hat: &[f32],
+    (n, c, hw): (usize, usize, usize),
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let outs = dgamma.chunks_mut(LANES).zip(dbeta.chunks_mut(LANES));
+    for (group, (dgamma, dbeta)) in outs.enumerate() {
+        let (mut dg, mut db) = ([0.0f32; LANES], [0.0f32; LANES]);
+        for ni in 0..n {
+            let dy = lanes::planes(&dy[ni * c * hw..], c, hw, group);
+            let xh = lanes::planes(&x_hat[ni * c * hw..], c, hw, group);
+            for i in 0..hw {
+                for l in 0..LANES {
+                    dg[l] += dy[l][i] * xh[l][i];
+                    db[l] += dy[l][i];
+                }
+            }
+        }
+        dgamma.copy_from_slice(&dg);
+        dbeta.copy_from_slice(&db);
+    }
 }
 
 /// Batch-norm inference pass using running statistics.
@@ -166,32 +249,27 @@ pub fn batchnorm2d_backward(
         "batchnorm2d_backward: shape mismatch"
     );
     let (n, c, h, w) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
-    let per_c = (n * h * w) as f32;
+    let (per_c, hw) = ((n * h * w) as f32, h * w);
+    let (dyd, xhd) = (dy.data(), cache.x_hat.data());
 
-    let mut dgamma = vec![0.0f32; c];
-    let mut dbeta = vec![0.0f32; c];
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for i in base..base + h * w {
-                dgamma[ci] += dy.data()[i] * cache.x_hat.data()[i];
-                dbeta[ci] += dy.data()[i];
-            }
-        }
-    }
+    // dγ and dβ, a lane group of channels at a time.
+    let groups = c.div_ceil(LANES);
+    let mut dgamma = vec![0.0f32; groups * LANES];
+    let mut dbeta = vec![0.0f32; groups * LANES];
+    affine_grads(dyd, xhd, (n, c, hw), &mut dgamma, &mut dbeta);
+    dgamma.truncate(c);
+    dbeta.truncate(c);
 
+    // Elementwise, one `(sample, channel)` plane per row.
     let mut dx = vec![0.0f32; dy.len()];
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            let g = gamma.data()[ci];
-            let inv_std = 1.0 / cache.std[ci];
-            let dg = dgamma[ci];
-            let db = dbeta[ci];
-            for i in base..base + h * w {
-                let xh = cache.x_hat.data()[i];
-                dx[i] = g * inv_std / per_c * (per_c * dy.data()[i] - db - xh * dg);
-            }
+    for (row, dx_row) in dx.chunks_mut(hw).enumerate() {
+        let ci = row % c;
+        let inv_std = 1.0 / cache.std[ci];
+        let k = gamma.data()[ci] * inv_std / per_c;
+        let (dg, db) = (dgamma[ci], dbeta[ci]);
+        let (dy_row, xh_row) = (&dyd[row * hw..][..hw], &xhd[row * hw..][..hw]);
+        for ((v, &d), &xh) in dx_row.iter_mut().zip(dy_row).zip(xh_row) {
+            *v = k * (per_c * d - db - xh * dg);
         }
     }
     (

@@ -9,10 +9,11 @@
 use adagp_runtime::with_threads;
 use adagp_tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weight, Conv2dParams};
 use adagp_tensor::gemm::{gemm, Mat, MR, NR};
-use adagp_tensor::norm::batchnorm2d_forward;
+use adagp_tensor::norm::{batchnorm2d_backward, batchnorm2d_forward};
 use adagp_tensor::pool::{avgpool2d, avgpool2d_backward, global_avgpool, maxpool2d};
 use adagp_tensor::softmax::{cross_entropy, log_softmax, relu, relu_backward};
 use adagp_tensor::{init, Prng, Tensor};
+use std::ops::Range;
 
 const CASES: u64 = 48;
 
@@ -278,6 +279,24 @@ fn batchnorm_forward_thread_invariant() {
                 Tensor::from_vec(mean, &[c]),
                 Tensor::from_vec(var, &[c]),
             ]
+        });
+    });
+}
+
+#[test]
+fn batchnorm_backward_thread_invariant() {
+    cases(|rng| {
+        let n = draw(rng, 2, 7);
+        let c = draw(rng, 2, 19);
+        let size = draw(rng, 4, 13);
+        let x = init::gaussian(&[n, c, size, size], 1.0, 2.0, rng);
+        let gamma = init::uniform(&[c], 0.5, 1.5, rng);
+        let beta = init::uniform(&[c], -0.5, 0.5, rng);
+        let dy = init::gaussian(&[n, c, size, size], 0.0, 1.0, rng);
+        let (_, cache, _, _) = batchnorm2d_forward(&x, &gamma, &beta, 1e-5);
+        assert_thread_invariant("batchnorm2d_backward", || {
+            let (dx, dgamma, dbeta) = batchnorm2d_backward(&dy, &cache, &gamma);
+            vec![dx, dgamma, dbeta]
         });
     });
 }
@@ -714,6 +733,104 @@ fn zero_times_non_finite_reaches_the_output() {
     }
 }
 
+/// Asserts that the non-finite elements of `t` lie in the channels of `hit`
+/// (indices along dimension `axis`) and that each of those has one.
+fn assert_only_channels_non_finite(label: &str, t: &Tensor, axis: usize, hit: Range<usize>) {
+    let channels = t.dim(axis);
+    let inner: usize = t.shape()[axis + 1..].iter().product();
+    let mut non_finite = vec![false; channels];
+    for (i, v) in t.data().iter().enumerate() {
+        non_finite[(i / inner) % channels] |= !v.is_finite();
+    }
+    for (ch, &bad) in non_finite.iter().enumerate() {
+        assert_eq!(bad, hit.contains(&ch), "{label}: channel {ch}");
+    }
+}
+
+/// A NaN or an infinity planted in one channel of an input, `dy` or weight
+/// reaches that channel's outputs and no other's. Batch-norm and the
+/// depthwise stencil run eight channels per instruction; the planted
+/// channels sit in a full lane group and in the tail of one.
+#[test]
+fn a_non_finite_channel_stays_in_its_lane() {
+    // In channel `ch` of the last sample of an `(n, c, h, w)` tensor.
+    let plant = |t: &Tensor, ch: usize, bad: f32| {
+        let mut t = t.clone();
+        let plane = t.dim(2) * t.dim(3);
+        let at = ((t.dim(0) - 1) * t.dim(1) + ch) * plane + plane / 3;
+        t.data_mut()[at] = bad;
+        t
+    };
+    // In the centre tap of filter `f` of a `(f, 1, 3, 3)` weight.
+    let plant_filter = |w: &Tensor, f: usize, bad: f32| {
+        let mut w = w.clone();
+        w.data_mut()[f * 9 + 4] = bad;
+        w
+    };
+    let mut rng = Prng::seed_from_u64(0x1a_7e5);
+    for bad in [f32::NAN, f32::INFINITY] {
+        for (c, ch) in [(7, 6), (9, 3), (9, 8), (17, 16)] {
+            let shape = [2, c, 4, 4];
+            let x = init::gaussian(&shape, 0.0, 1.0, &mut rng);
+            let gamma = init::uniform(&[c], 0.5, 1.5, &mut rng);
+            let beta = init::uniform(&[c], -0.5, 0.5, &mut rng);
+            let dy = init::gaussian(&shape, 0.0, 1.0, &mut rng);
+            let at = format!("batch-norm C={c} channel {ch} {bad}");
+            let (y, cache, mean, var) =
+                batchnorm2d_forward(&plant(&x, ch, bad), &gamma, &beta, 1e-5);
+            let stats = [y, cache.x_hat, Tensor::from_vec(cache.std, &[c])];
+            let stats = stats
+                .into_iter()
+                .chain([mean, var].map(|v| Tensor::from_vec(v, &[c])));
+            for t in stats {
+                assert_only_channels_non_finite(
+                    &format!("{at} forward"),
+                    &t,
+                    usize::from(t.ndim() == 4),
+                    ch..ch + 1,
+                );
+            }
+            let (_, cache, _, _) = batchnorm2d_forward(&x, &gamma, &beta, 1e-5);
+            let (dx, dgamma, dbeta) = batchnorm2d_backward(&plant(&dy, ch, bad), &cache, &gamma);
+            for t in [dx, dgamma, dbeta] {
+                assert_only_channels_non_finite(
+                    &format!("{at} backward"),
+                    &t,
+                    usize::from(t.ndim() == 4),
+                    ch..ch + 1,
+                );
+            }
+
+            for (m, stride) in [(1, 1), (1, 2), (2, 1)] {
+                let p = Conv2dParams::new(stride, 1).grouped(c);
+                let (o, f) = (p.out_size(4, 3), c * m);
+                let w = init::gaussian(&[f, 1, 3, 3], 0.0, 0.5, &mut rng);
+                let dy = init::gaussian(&[2, f, o, o], 0.0, 1.0, &mut rng);
+                let at = format!("depthwise C={c} x{m} s{stride} channel {ch} {bad}");
+                let filters = ch * m..(ch + 1) * m;
+                let y = conv2d(&plant(&x, ch, bad), &w, None, &p);
+                assert_only_channels_non_finite(
+                    &format!("{at} forward, x"),
+                    &y,
+                    1,
+                    filters.clone(),
+                );
+                let y = conv2d(&x, &plant_filter(&w, ch * m, bad), None, &p);
+                let first = ch * m..ch * m + 1;
+                assert_only_channels_non_finite(&format!("{at} forward, w"), &y, 1, first.clone());
+                let dx = conv2d_backward_data(&plant(&dy, ch * m, bad), &w, 4, 4, &p);
+                assert_only_channels_non_finite(&format!("{at} data, dy"), &dx, 1, ch..ch + 1);
+                let dx = conv2d_backward_data(&dy, &plant_filter(&w, ch * m, bad), 4, 4, &p);
+                assert_only_channels_non_finite(&format!("{at} data, w"), &dx, 1, ch..ch + 1);
+                let (dw, _) = conv2d_backward_weight(&plant(&x, ch, bad), &dy, 3, 3, &p);
+                assert_only_channels_non_finite(&format!("{at} weight, x"), &dw, 0, filters);
+                let (dw, _) = conv2d_backward_weight(&x, &plant(&dy, ch * m, bad), 3, 3, &p);
+                assert_only_channels_non_finite(&format!("{at} weight, dy"), &dw, 0, first);
+            }
+        }
+    }
+}
+
 /// FNV-1a over the little-endian bytes of every tensor, in order.
 fn fnv1a(tensors: &[&Tensor]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -753,12 +870,13 @@ fn conv_site_hash(seed: u64, x: [usize; 4], w: [usize; 4], p: Conv2dParams) -> u
 /// the commit *before* the kernels moved onto `gemm` (the grouped rows: before
 /// the depthwise stencil replaced the lowering; the last seven rows: before
 /// `gemm` gained its AVX2 build and weight-backward split its samples over
-/// the pool) and are identical in the dev and release profiles at 1 and 3
+/// the pool; the depthwise rows at C = 7, 9 and 17: before the stencil ran
+/// eight channels per instruction) and are identical in the dev and release profiles at 1 and 3
 /// threads; a kernel change that moves one must say so and re-baseline the
 /// training goldens with it (see `gemm`'s module doc).
 #[test]
 fn product_kernel_bytes_are_pinned() {
-    let s1p1 = Conv2dParams::new(1, 1);
+    let (s1p1, s2p1) = (Conv2dParams::new(1, 1), Conv2dParams::new(2, 1));
     let mut rng = Prng::seed_from_u64(0x51fe);
     let mut gauss = |shape: &[usize]| init::gaussian(shape, 0.0, 1.0, &mut rng);
     // Linear::backward on a post-ReLU input at batch 8: dx and dW.
@@ -770,7 +888,7 @@ fn product_kernel_bytes_are_pinned() {
     let (a, b, bt) = (gauss(&[37, 29]), gauss(&[29, 53]), gauss(&[53, 29]));
     // The predictor head at 1024 rows.
     let (rows, head) = (gauss(&[1024, 1152]), gauss(&[128, 1152]));
-    let pins: [(&str, u64, u64); 24] = [
+    let pins: [(&str, u64, u64); 31] = [
         // VGG13 w0.25 on 3x32x32 at batch 8.
         (
             "vgg 3->16 @32",
@@ -920,6 +1038,43 @@ fn product_kernel_bytes_are_pinned() {
         ),
         // `gemm` at widths that take the 16-wide tile and each tail.
         ("gemm n 16, 24, 37", gemm_widths_hash(), PINS[23]),
+        // The depthwise stencil at channel counts around a lane group of
+        // eight, at both strides, and a channel multiplier over a tail.
+        (
+            "depthwise C=7 s1",
+            conv_site_hash(21, [4, 7, 9, 9], [7, 1, 3, 3], s1p1.grouped(7)),
+            PINS[24],
+        ),
+        (
+            "depthwise C=7 s2",
+            conv_site_hash(22, [4, 7, 9, 9], [7, 1, 3, 3], s2p1.grouped(7)),
+            PINS[25],
+        ),
+        (
+            "depthwise C=9 s1",
+            conv_site_hash(23, [4, 9, 9, 9], [9, 1, 3, 3], s1p1.grouped(9)),
+            PINS[26],
+        ),
+        (
+            "depthwise C=9 s2",
+            conv_site_hash(24, [4, 9, 9, 9], [9, 1, 3, 3], s2p1.grouped(9)),
+            PINS[27],
+        ),
+        (
+            "depthwise C=17 s1",
+            conv_site_hash(25, [4, 17, 9, 9], [17, 1, 3, 3], s1p1.grouped(17)),
+            PINS[28],
+        ),
+        (
+            "depthwise C=17 s2",
+            conv_site_hash(26, [4, 17, 9, 9], [17, 1, 3, 3], s2p1.grouped(17)),
+            PINS[29],
+        ),
+        (
+            "depthwise C=9 multiplier 2",
+            conv_site_hash(27, [3, 9, 8, 8], [18, 1, 3, 3], s1p1.grouped(9)),
+            PINS[30],
+        ),
     ];
     let moved: Vec<String> = pins
         .iter()
@@ -954,7 +1109,7 @@ fn gemm_widths_hash() -> u64 {
     fnv1a(&outputs.iter().collect::<Vec<_>>())
 }
 
-const PINS: [u64; 24] = [
+const PINS: [u64; 31] = [
     0x844e_9e73_d3f1_351b,
     0x3173_600d_e824_856a,
     0xf98a_e0e0_29eb_6d32,
@@ -979,4 +1134,59 @@ const PINS: [u64; 24] = [
     0xd474_a5b0_77e1_f926,
     0x43c9_a9f6_623b_7e06,
     0xad2e_952f_6f9f_7751,
+    0x9b8b_076c_5c00_c8f2,
+    0xa9ce_23a5_66f0_0b95,
+    0xa1b4_aff7_dc1d_2ce2,
+    0xb353_2bad_1d1c_bc1d,
+    0x80da_bbb7_3e78_79ed,
+    0x1cc2_c118_e409_7b2e,
+    0x1492_b1a9_b458_b011,
+];
+
+/// Hash of batch-norm forward (output, `x_hat`, `std`, mean, var) and
+/// backward (`dx`, `dγ`, `dβ`) at `c` channels, batch 1 and 8, planes of
+/// 1, 4, 16 and 256 elements.
+fn batchnorm_hash(c: usize) -> u64 {
+    let mut rng = Prng::seed_from_u64(0xb7_0000 + c as u64);
+    let mut outputs = Vec::new();
+    for n in [1, 8] {
+        for side in [1, 2, 4, 16] {
+            let shape = [n, c, side, side];
+            let x = init::gaussian(&shape, 1.0, 2.0, &mut rng);
+            let gamma = init::uniform(&[c], 0.5, 1.5, &mut rng);
+            let beta = init::uniform(&[c], -0.5, 0.5, &mut rng);
+            let dy = init::gaussian(&shape, 0.0, 1.0, &mut rng);
+            let (y, cache, mean, var) = batchnorm2d_forward(&x, &gamma, &beta, 1e-5);
+            let (dx, dgamma, dbeta) = batchnorm2d_backward(&dy, &cache, &gamma);
+            let std = Tensor::from_vec(cache.std, &[c]);
+            let (mean, var) = (Tensor::from_vec(mean, &[c]), Tensor::from_vec(var, &[c]));
+            outputs.extend([y, cache.x_hat, std, mean, var, dx, dgamma, dbeta]);
+        }
+    }
+    fnv1a(&outputs.iter().collect::<Vec<_>>())
+}
+
+/// Cross-commit pin of batch-norm's output bytes at channel counts around a
+/// lane group of eight and MobileNet-V2's widest site (320). Captured before
+/// batch-norm ran eight channels per instruction, identical in the dev and
+/// release profiles at 1, 2 and 3 threads.
+#[test]
+fn batchnorm_kernel_bytes_are_pinned() {
+    let pins = [1, 7, 8, 9, 17, 320].map(|c| (c, batchnorm_hash(c)));
+    let moved: Vec<String> = pins
+        .iter()
+        .zip(BATCHNORM_PINS)
+        .filter(|((_, got), pinned)| got != pinned)
+        .map(|((c, got), _)| format!("C={c}: {got:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "output bytes moved: {moved:#?}");
+}
+
+const BATCHNORM_PINS: [u64; 6] = [
+    0x9733_7c9b_76de_0ce7,
+    0x33c3_0203_4bb2_54f0,
+    0xe2f2_3d5d_3c46_3ef7,
+    0x2ba3_2590_b4bb_77de,
+    0x1e09_b3ff_335a_95cb,
+    0xc355_4938_5210_6054,
 ];
