@@ -256,9 +256,11 @@ pub fn snapshot() -> TraceSnapshot {
 /// (or otherwise quiesce) every thread that was recording — which is
 /// exactly what [`test_guard`] does; obs-touching tests should hold one
 /// instead of rolling their own mutex. A call during concurrent
-/// recording is memory-safe (slots are overwritten before being
-/// re-published) but scrambles the trace: the recorder restarts its lane
-/// from slot zero mid-run. Labels already in the cleared slots are
+/// recording is memory-safe only while no [`snapshot`] runs (slots are
+/// overwritten before being re-published, but a snapshot that loaded the
+/// old length would read a slot the rewound recorder is rewriting), and it
+/// scrambles the trace: the recorder restarts its lane from slot zero
+/// mid-run. Labels already in the cleared slots are
 /// leaked rather than dropped (dropping them from a foreign thread could
 /// race a misbehaving recorder); `reset` is a test/bench helper, not a
 /// hot-path API.

@@ -546,6 +546,74 @@ fn gemm_matches_scalar_reference_bit_for_bit() {
     });
 }
 
+/// NaNs with distinct payloads, planted in `a` and `b`, reach exactly the
+/// outputs whose sums read them, and each such output carries the payload of
+/// a NaN its sum read (quieted), never another: the direct and the
+/// transposed product, every view, assigned and accumulated. Which of two
+/// NaNs meeting in one `*` or `+` wins is not fixed: Rust leaves the payload
+/// unspecified and LLVM commutes both operations, so the parent's direct
+/// product already disagreed with the scalar loop here, and writing an
+/// operand order in the source changes no byte of the compiled tile.
+#[test]
+fn nan_payloads_come_from_the_nans_each_sum_read() {
+    let payloads = [0x7fc0_0a0a, 0x7fc0_0b0b, 0x7fc0_0c0c, 0x7fc0_0d0d].map(f32::from_bits);
+    let mut rng = Prng::seed_from_u64(0x4a4e);
+    for (m, n, k) in [
+        (8, 40, 5),
+        (4, 17, 3),
+        (16, 9, 4),
+        (12, 33, 2),
+        (3, 20, 6),
+        (20, 16, 3),
+    ] {
+        let mut a = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+        let mut b = init::gaussian(&[k, n], 0.0, 1.0, &mut rng);
+        // A column of `a` and a row of `b` at the same `p`, a lone NaN in
+        // each, and rows and columns left clean.
+        for i in (0..m).step_by(2) {
+            a.data_mut()[i * k + 1] = payloads[0];
+        }
+        for j in (0..n).step_by(3) {
+            b.data_mut()[n + j] = payloads[1];
+        }
+        b.data_mut()[2] = payloads[2];
+        a.data_mut()[(m - 1) * k] = payloads[3];
+        let c0 = init::gaussian(&[m, n], 0.0, 1.0, &mut rng);
+        let (at, bt) = (a.transpose2(), b.transpose2());
+        for accumulate in [false, true] {
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let av = if ta {
+                    Mat::rows(at.data(), m).t()
+                } else {
+                    Mat::rows(a.data(), k)
+                };
+                let bv = if tb {
+                    Mat::rows(bt.data(), k).t()
+                } else {
+                    Mat::rows(b.data(), n)
+                };
+                let mut c = c0.data().to_vec();
+                gemm(m, n, k, av, bv, &mut c, accumulate);
+                for (i, row) in c.chunks(n).enumerate() {
+                    for (j, v) in row.iter().enumerate() {
+                        let read: Vec<u32> = (0..k)
+                            .flat_map(|p| [a.data()[i * k + p], b.data()[p * n + j]])
+                            .filter(|x| x.is_nan())
+                            .map(f32::to_bits)
+                            .collect();
+                        let at = format!("{m}x{n}x{k} ta={ta} tb={tb} acc={accumulate} ({i}, {j})");
+                        if read.is_empty() {
+                            assert!(!v.is_nan(), "{at}: a NaN from nowhere");
+                        } else {
+                            assert!(read.contains(&v.to_bits()), "{at}: {:#x}", v.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Exact (f64) sums next to their `Σ|aᵢbᵢ|`, one pair per output element.
 struct ExactSums {
     sum: Vec<f64>,
@@ -868,12 +936,15 @@ fn conv_site_hash(seed: u64, x: [usize; 4], w: [usize; 4], p: Conv2dParams) -> u
 /// Cross-commit pin: the output bytes of the six public product kernels on
 /// the shapes training runs on. The constants were captured from a build of
 /// the commit *before* the kernels moved onto `gemm` (the grouped rows: before
-/// the depthwise stencil replaced the lowering; the last seven rows: before
-/// `gemm` gained its AVX2 build and weight-backward split its samples over
-/// the pool; the depthwise rows at C = 7, 9 and 17: before the stencil ran
-/// eight channels per instruction) and are identical in the dev and release profiles at 1 and 3
-/// threads; a kernel change that moves one must say so and re-baseline the
-/// training goldens with it (see `gemm`'s module doc).
+/// the depthwise stencil replaced the lowering; the rows from "batch 1" to
+/// "gemm n 16, 24, 37": before `gemm` gained its AVX2 build and
+/// weight-backward split its samples over the pool; the depthwise rows at
+/// C = 7, 9 and 17: before the stencil ran eight channels per instruction;
+/// the rows from "linear" on: before `gemm` packed its operand panels and the
+/// lowering moved whole rows) and are identical in the dev and release
+/// profiles at 1 and 3 threads (the rows from "linear" on at 2 as well); a
+/// kernel change that moves one must say so and re-baseline the training
+/// goldens with it (see `gemm`'s module doc).
 #[test]
 fn product_kernel_bytes_are_pinned() {
     let (s1p1, s2p1) = (Conv2dParams::new(1, 1), Conv2dParams::new(2, 1));
@@ -888,7 +959,7 @@ fn product_kernel_bytes_are_pinned() {
     let (a, b, bt) = (gauss(&[37, 29]), gauss(&[29, 53]), gauss(&[53, 29]));
     // The predictor head at 1024 rows.
     let (rows, head) = (gauss(&[1024, 1152]), gauss(&[128, 1152]));
-    let pins: [(&str, u64, u64); 31] = [
+    let pins: [(&str, u64, u64); 38] = [
         // VGG13 w0.25 on 3x32x32 at batch 8.
         (
             "vgg 3->16 @32",
@@ -1075,6 +1146,31 @@ fn product_kernel_bytes_are_pinned() {
             conv_site_hash(27, [3, 9, 8, 8], [18, 1, 3, 3], s1p1.grouped(9)),
             PINS[30],
         ),
+        // `Linear` at batch 8 (VGG13 w0.25's fc1 and fc2) and the predictor's
+        // FC at its few-row, per-site and 1024-row calls: forward `x · Wᵀ`,
+        // data-backward `dy · W` and weight-backward `dyᵀ · x` accumulated.
+        ("linear 8x1024x512", linear_hash(31, 8, 1024, 512), PINS[31]),
+        ("linear 8x10x1024", linear_hash(32, 8, 10, 1024), PINS[32]),
+        (
+            "predictor fc 128x1152x128",
+            linear_hash(33, 128, 1152, 128),
+            PINS[33],
+        ),
+        (
+            "predictor fc 10x1024x128",
+            linear_hash(34, 10, 1024, 128),
+            PINS[34],
+        ),
+        (
+            "predictor fc 1024x512x128",
+            linear_hash(35, 1024, 512, 128),
+            PINS[35],
+        ),
+        // Strips of 1-5 rows, `k` = 0 and 1, column bands and a row stride
+        // below `n`.
+        ("gemm strips, short k, bands", gemm_edges_hash(), PINS[36]),
+        // The lowering: strides 1 and 2, padding 0-2, planes 1x1 to 32x32.
+        ("conv planes", conv_planes_hash(), PINS[37]),
     ];
     let moved: Vec<String> = pins
         .iter()
@@ -1109,7 +1205,100 @@ fn gemm_widths_hash() -> u64 {
     fnv1a(&outputs.iter().collect::<Vec<_>>())
 }
 
-const PINS: [u64; 31] = [
+/// Hash of a `Linear` layer's three products at batch `m`, `n` outputs
+/// and `k` inputs: `y = x · Wᵀ`, `dx = dy · W` and `dW += dyᵀ · x`.
+fn linear_hash(seed: u64, m: usize, n: usize, k: usize) -> u64 {
+    let mut rng = Prng::seed_from_u64(seed);
+    let x = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+    let w = init::gaussian(&[n, k], 0.0, 0.5, &mut rng);
+    let dy = init::gaussian(&[m, n], 0.0, 1.0, &mut rng);
+    let mut dw = init::gaussian(&[n, k], 0.0, 0.1, &mut rng);
+    let y = x.matmul_nt(&w);
+    let dx = dy.matmul(&w);
+    gemm(
+        n,
+        k,
+        m,
+        Mat::rows(dy.data(), n).t(),
+        Mat::rows(x.data(), k),
+        dw.data_mut(),
+        true,
+    );
+    fnv1a(&[&y, &dx, &dw])
+}
+
+/// Hash of `gemm` on strips of 1-5 rows at `k` from 0 up, over every view
+/// of both operands, assigned and accumulated; then the same on column
+/// bands (row strides above the width) and on a `b` whose row stride, 1,
+/// is below `n` (`k` = 1 reads one row only).
+fn gemm_edges_hash() -> u64 {
+    let mut rng = Prng::seed_from_u64(0xed9e);
+    let mut outputs = Vec::new();
+    for m in 1..=5 {
+        for n in [1, 3, 4, 8, 9, 16, 17, 33] {
+            for k in [0, 1, 2, 7, 40] {
+                let a = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+                let b = init::gaussian(&[k, n], 0.0, 1.0, &mut rng);
+                let (at, bt) = (a.transpose2(), b.transpose2());
+                // Bands: `a` rows `k + 3` apart, `b` rows `n + 5` apart,
+                // `bᵀ` rows `k + 2` apart.
+                let (ra, rb, rbt) = (k + 3, n + 5, k + 2);
+                let a_band = init::gaussian(&[m * ra], 0.0, 1.0, &mut rng);
+                let b_band = init::gaussian(&[k * rb], 0.0, 1.0, &mut rng);
+                let bt_band = init::gaussian(&[n * rbt], 0.0, 1.0, &mut rng);
+                let mut c = init::gaussian(&[m, n], 0.0, 1.0, &mut rng);
+                let views = [
+                    (Mat::rows(a.data(), k), Mat::rows(b.data(), n)),
+                    (Mat::rows(a.data(), k), Mat::rows(bt.data(), k).t()),
+                    (Mat::rows(at.data(), m).t(), Mat::rows(b.data(), n)),
+                    (Mat::rows(at.data(), m).t(), Mat::rows(bt.data(), k).t()),
+                    (Mat::rows(a_band.data(), ra), Mat::rows(b_band.data(), rb)),
+                    (
+                        Mat::rows(a_band.data(), ra),
+                        Mat::rows(bt_band.data(), rbt).t(),
+                    ),
+                ];
+                for accumulate in [false, true] {
+                    for (av, bv) in views {
+                        gemm(m, n, k, av, bv, c.data_mut(), accumulate);
+                        outputs.push(c.clone());
+                    }
+                }
+                if k == 1 {
+                    let row = init::gaussian(&[n], 0.0, 1.0, &mut rng);
+                    let bv = Mat::rows(row.data(), 1).t();
+                    gemm(m, n, k, Mat::rows(a.data(), k), bv, c.data_mut(), false);
+                    outputs.push(c.clone());
+                }
+            }
+        }
+    }
+    fnv1a(&outputs.iter().collect::<Vec<_>>())
+}
+
+/// Hash of [`conv_site_hash`] over strides 1 and 2, padding 0-2, square
+/// planes of 1 to 32 and windows 1, 2, 3 and 5 that fit the padded plane.
+fn conv_planes_hash() -> u64 {
+    let (mut seed, mut hash) = (0xc0_0000, 0u64);
+    for stride in [1, 2] {
+        for pad in [0, 1, 2] {
+            for side in [1, 2, 3, 4, 5, 8, 16, 32] {
+                for k in [1, 2, 3, 5] {
+                    if side + 2 * pad < k {
+                        continue;
+                    }
+                    seed += 1;
+                    let p = Conv2dParams::new(stride, pad);
+                    let site = conv_site_hash(seed, [2, 3, side, side], [4, 3, k, k], p);
+                    hash = hash.rotate_left(7) ^ site;
+                }
+            }
+        }
+    }
+    hash
+}
+
+const PINS: [u64; 38] = [
     0x844e_9e73_d3f1_351b,
     0x3173_600d_e824_856a,
     0xf98a_e0e0_29eb_6d32,
@@ -1141,6 +1330,13 @@ const PINS: [u64; 31] = [
     0x80da_bbb7_3e78_79ed,
     0x1cc2_c118_e409_7b2e,
     0x1492_b1a9_b458_b011,
+    0x45d5_9e7f_a0d4_109f,
+    0x432a_f271_7d65_e766,
+    0xb04d_3b7e_c895_5fc3,
+    0x59f7_fc6e_d3cd_9b34,
+    0x58ef_2254_211e_b1f5,
+    0x0c63_a893_e630_61b8,
+    0xd6a7_8c62_8051_1ba8,
 ];
 
 /// Hash of batch-norm forward (output, `x_hat`, `std`, mean, var) and
