@@ -6,9 +6,10 @@
 //! property runs across `CASES` pseudo-random configurations drawn from the
 //! same ranges the original proptest strategies used.
 
-use adagp_nn::containers::{Residual, Sequential};
+use adagp_nn::containers::{Branches, DenseCat, Residual, Sequential};
 use adagp_nn::layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, GlobalAvgPool, LayerNorm, Linear, Relu, Sigmoid, Tanh,
+    AvgPool2d, BatchNorm2d, Conv2d, GlobalAvgPool, LayerNorm, LeakyRelu, Linear, MaxPool2d, Relu,
+    Sigmoid, Tanh,
 };
 use adagp_nn::module::{count_params, count_sites, zero_grads, ForwardCtx, Module};
 use adagp_nn::optim::{Optimizer, Sgd};
@@ -64,11 +65,41 @@ fn probe_loss(module: &mut dyn Module, x: &Tensor, r: &Tensor) -> f64 {
     terms.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
 }
 
+/// The step of every central difference.
+const STEP: f32 = 1e-2;
+
 /// Central difference of a loss along one element, which `loss_after` moves
 /// by the step it is given.
 fn central_difference(mut loss_after: impl FnMut(f32) -> f64) -> f64 {
-    const EPS: f32 = 1e-2;
-    (loss_after(EPS) - loss_after(-EPS)) / (2.0 * f64::from(EPS))
+    (loss_after(STEP) - loss_after(-STEP)) / (2.0 * f64::from(STEP))
+}
+
+/// Whether an input draw keeps every step off the layer's kinks, where a
+/// central difference that straddles one is wrong.
+type OffKinks = fn(&Tensor) -> bool;
+
+/// A layer without kinks takes any draw.
+fn any(_: &Tensor) -> bool {
+    true
+}
+
+/// ReLU and LeakyReLU bend at zero: no input within two steps of it.
+fn off_zero(x: &Tensor) -> bool {
+    x.data().iter().all(|v| v.abs() >= 2.0 * STEP)
+}
+
+/// A 2×2, stride-2 max-pool switches its pick where the top two of a window
+/// tie: each window's top two at least two steps apart.
+fn top_two_apart(x: &Tensor) -> bool {
+    let (h, w) = (x.dim(2), x.dim(3));
+    x.data().chunks(h * w).all(|plane| {
+        (0..h / 2 * (w / 2)).all(|at| {
+            let (wy, wx) = (at / (w / 2) * 2, at % (w / 2) * 2);
+            let mut window = [0, 1, w, w + 1].map(|d| plane[wy * w + wx + d]);
+            window.sort_by(|a, b| b.total_cmp(a));
+            window[0] - window[1] >= 2.0 * STEP
+        })
+    })
 }
 
 /// Adds `by` to element `i` of the `pi`-th parameter `visit_params` yields.
@@ -92,11 +123,22 @@ fn assert_close(label: &str, analytic: f32, numeric: f64, tol: f64) {
 }
 
 /// `module.backward` against central differences of [`probe_loss`] at a
-/// random `x` of `x_shape`, every element of `dx` and of each parameter
-/// gradient.
-fn check_gradients(label: &str, module: &mut dyn Module, x_shape: &[usize], tol: f64, seed: u64) {
+/// random `x` of `x_shape` (redrawn until `off_kinks` takes it), every
+/// element of `dx` and of each parameter gradient.
+fn check_gradients(
+    label: &str,
+    module: &mut dyn Module,
+    (x_shape, off_kinks): (&[usize], OffKinks),
+    tol: f64,
+    seed: u64,
+) {
     let mut rng = Prng::seed_from_u64(seed);
-    let x = init::gaussian(x_shape, 0.0, 1.0, &mut rng);
+    let x = loop {
+        let x = init::gaussian(x_shape, 0.0, 1.0, &mut rng);
+        if off_kinks(&x) {
+            break x;
+        }
+    };
     let y = module.forward(&x, &mut ForwardCtx::train());
     let r = init::gaussian(y.shape(), 0.0, 1.0, &mut rng);
     let dx = module.backward(&r);
@@ -125,20 +167,21 @@ fn check_gradients(label: &str, module: &mut dyn Module, x_shape: &[usize], tol:
     }
 }
 
-/// A row of a central-difference table: label, input shape, relative
-/// tolerance and a builder seeded from the row's index.
+/// A row of a central-difference table: label, input shape and the draws
+/// of it that keep off the layer's kinks, relative tolerance, and a builder
+/// seeded from the row's index.
 type GradRow = (
     &'static str,
-    &'static [usize],
+    (&'static [usize], OffKinks),
     f64,
     fn(&mut Prng) -> Box<dyn Module>,
 );
 
 fn check_rows(rows: &[GradRow], seed: u64) {
-    for (case, &(label, x_shape, tol, build)) in rows.iter().enumerate() {
+    for (case, &(label, x, tol, build)) in rows.iter().enumerate() {
         let seed = seed + case as u64;
         let mut module = build(&mut Prng::seed_from_u64(seed));
-        check_gradients(label, module.as_mut(), x_shape, tol, seed);
+        check_gradients(label, module.as_mut(), x, tol, seed);
     }
 }
 
@@ -158,24 +201,24 @@ const BATCH_STATS_TOL: f64 = 2e-3;
 fn conv_gradients_match_central_differences() {
     check_rows(
         &[
-            ("dense", &[2, 2, 5, 5], LINEAR_TOL, |rng| {
+            ("dense", (&[2, 2, 5, 5], any), LINEAR_TOL, |rng| {
                 Box::new(Conv2d::new(2, 3, 3, 1, 1, true, rng))
             }),
-            ("strided", &[2, 3, 7, 7], LINEAR_TOL, |rng| {
+            ("strided", (&[2, 3, 7, 7], any), LINEAR_TOL, |rng| {
                 Box::new(Conv2d::new(3, 2, 3, 2, 0, false, rng))
             }),
-            ("groups=2", &[2, 4, 5, 5], LINEAR_TOL, |rng| {
+            ("groups=2", (&[2, 4, 5, 5], any), LINEAR_TOL, |rng| {
                 let params = Conv2dParams::new(1, 1).grouped(2);
                 Box::new(Conv2d::with_params(4, 6, 3, params, true, rng))
             }),
-            ("depthwise", &[2, 3, 5, 5], LINEAR_TOL, |rng| {
+            ("depthwise", (&[2, 3, 5, 5], any), LINEAR_TOL, |rng| {
                 Box::new(Conv2d::depthwise(3, 3, 1, 1, rng))
             }),
-            ("depthwise s2", &[2, 3, 6, 6], LINEAR_TOL, |rng| {
+            ("depthwise s2", (&[2, 3, 6, 6], any), LINEAR_TOL, |rng| {
                 Box::new(Conv2d::depthwise(3, 3, 2, 1, rng))
             }),
             // Nine channels: a full lane group of eight and a tail of one.
-            ("depthwise C=9", &[2, 9, 5, 5], LINEAR_TOL, |rng| {
+            ("depthwise C=9", (&[2, 9, 5, 5], any), LINEAR_TOL, |rng| {
                 Box::new(Conv2d::depthwise(9, 3, 1, 1, rng))
             }),
         ],
@@ -183,41 +226,42 @@ fn conv_gradients_match_central_differences() {
     );
 }
 
-/// The same check for the other differentiable layers and for containers
-/// of them. ReLU, LeakyReLU and max-pool are left out: their kinks make a
-/// central difference that straddles one wrong.
+/// The same check for the other layers and for containers of them. ReLU,
+/// LeakyReLU and max-pool have kinks, where a central difference that
+/// straddles one is wrong, so their inputs are drawn to keep every step off
+/// them.
 #[test]
 fn layer_gradients_match_central_differences() {
     check_rows(
         &[
-            ("linear", &[3, 5], LINEAR_TOL, |rng| {
+            ("linear", (&[3, 5], any), LINEAR_TOL, |rng| {
                 Box::new(Linear::new(5, 4, true, rng))
             }),
-            ("batchnorm", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
+            ("batchnorm", (&[2, 3, 3, 3], any), BATCH_STATS_TOL, |_| {
                 Box::new(BatchNorm2d::new(3))
             }),
-            ("layernorm", &[3, 5], BATCH_STATS_TOL, |_| {
+            ("layernorm", (&[3, 5], any), BATCH_STATS_TOL, |_| {
                 Box::new(LayerNorm::new(5))
             }),
-            ("sigmoid", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
+            ("sigmoid", (&[2, 3, 3, 3], any), BATCH_STATS_TOL, |_| {
                 Box::new(Sigmoid::new())
             }),
-            ("tanh", &[2, 3, 3, 3], BATCH_STATS_TOL, |_| {
+            ("tanh", (&[2, 3, 3, 3], any), BATCH_STATS_TOL, |_| {
                 Box::new(Tanh::new())
             }),
-            ("avgpool", &[2, 2, 4, 4], LINEAR_TOL, |_| {
+            ("avgpool", (&[2, 2, 4, 4], any), LINEAR_TOL, |_| {
                 Box::new(AvgPool2d::new(2, 2))
             }),
-            ("global avgpool", &[2, 3, 3, 3], LINEAR_TOL, |_| {
+            ("global avgpool", (&[2, 3, 3, 3], any), LINEAR_TOL, |_| {
                 Box::new(GlobalAvgPool::new())
             }),
-            ("residual", &[2, 2, 4, 4], BATCH_STATS_TOL, |rng| {
+            ("residual", (&[2, 2, 4, 4], any), BATCH_STATS_TOL, |rng| {
                 let mut body = Sequential::new();
                 body.push(Conv2d::new(2, 2, 3, 1, 1, false, rng));
                 body.push(BatchNorm2d::new(2));
                 Box::new(Residual::new(body))
             }),
-            ("sequential", &[2, 2, 4, 4], BATCH_STATS_TOL, |rng| {
+            ("sequential", (&[2, 2, 4, 4], any), BATCH_STATS_TOL, |rng| {
                 let mut net = Sequential::new();
                 net.push(Conv2d::new(2, 3, 3, 1, 1, true, rng));
                 net.push(BatchNorm2d::new(3));
@@ -226,8 +270,36 @@ fn layer_gradients_match_central_differences() {
                 net.push(Linear::new(3, 2, true, rng));
                 Box::new(net)
             }),
-            ("batchnorm C=9", &[2, 9, 3, 3], BATCH_STATS_TOL, |_| {
-                Box::new(BatchNorm2d::new(9))
+            (
+                "batchnorm C=9",
+                (&[2, 9, 3, 3], any),
+                BATCH_STATS_TOL,
+                |_| Box::new(BatchNorm2d::new(9)),
+            ),
+            ("relu", (&[2, 3, 3, 3], off_zero), LINEAR_TOL, |_| {
+                Box::new(Relu::new())
+            }),
+            ("leaky relu", (&[2, 3, 3, 3], off_zero), LINEAR_TOL, |_| {
+                Box::new(LeakyRelu::new(0.1))
+            }),
+            (
+                "maxpool",
+                (&[2, 2, 4, 4], top_two_apart),
+                LINEAR_TOL,
+                |_| Box::new(MaxPool2d::new(2, 2)),
+            ),
+            ("branches", (&[2, 2, 4, 4], any), BATCH_STATS_TOL, |rng| {
+                let mut conv = Sequential::new();
+                conv.push(Conv2d::new(2, 2, 3, 1, 1, true, rng));
+                let mut conv_bn = Sequential::new();
+                conv_bn.push(Conv2d::new(2, 3, 1, 1, 0, false, rng));
+                conv_bn.push(BatchNorm2d::new(3));
+                Box::new(Branches::new(vec![conv, conv_bn]))
+            }),
+            ("dense cat", (&[2, 2, 4, 4], any), LINEAR_TOL, |rng| {
+                let mut body = Sequential::new();
+                body.push(Conv2d::new(2, 3, 3, 1, 1, true, rng));
+                Box::new(DenseCat::new(body, 2, 3))
             }),
         ],
         0x6c4d_1000,

@@ -9,17 +9,25 @@
 //! Each kernel is a lowering (`im2col` / `col2im`) around one
 //! [`gemm`](crate::gemm) call per sample and channel group, whose contract
 //! fixes the order of every sum for every `ADAGP_THREADS`. All three run one
-//! block of samples per pool task with a task-local lowering buffer;
-//! weight-backward, whose samples all sum into one `dw`, then adds their
-//! products in sample order (below). Two cases need no lowering copy: a 1×1,
-//! stride-1, unpadded window, and a grouped call with one input channel per
-//! group.
+//! block of samples per pool task, with a lowering buffer the task borrows
+//! from its thread's `scratch` stack; weight-backward, whose samples all sum
+//! into one `dw`, then adds their products in sample order (below). Two
+//! cases need no lowering copy: a 1×1, stride-1, unpadded window, and a
+//! grouped call with one input channel per group.
+//!
+//! # The geometry
+//!
+//! A call's shape is one `Geometry`, built from its tensors and
+//! [`Conv2dParams`] and checked there once: a positive stride and group
+//! count, groups that split both channel counts, a window that fits the
+//! padded input. The kernels, the lowering and the depthwise stencil all
+//! read their sizes, offsets and paths from it.
 //!
 //! # The lowering
 //!
 //! At stride 1 the outputs `ox` of one patch row `(ci, ki, kj)` and output
 //! row `oy` read one run of input row `iy`: those whose tap lands in the
-//! padding sit at the two ends (`Conv2dParams::inside` gives the run), and
+//! padding sit at the two ends (`Geometry::inside` gives the run), and
 //! the rest are consecutive. So `im2col` writes each `(row, oy)` of `cols`
 //! as zeros, one `copy_from_slice` and zeros, and `col2im` adds it back
 //! with one slice add into `iy`. Within one `(row, oy)` every output pixel
@@ -42,22 +50,24 @@
 //! product `s_i = dy_i · colsᵢᵀ` summed from `0.0`, outputs ascending (the
 //! `gemm` contract), then `dw = 0.0 + s₀ + s₁ + …`, samples ascending. The
 //! samples' products are independent, so the tasks compute them in
-//! parallel, each into its own slot of a per-call buffer (`gemm` with
-//! `accumulate = false`), and the slots are added into `dw` in sample order
-//! afterwards — the same sequence of `f32` additions, per element, as
-//! walking the samples one after the other. The samples go in waves of
-//! `WAVE` = 4 (one pool region each), so the buffer holds `(4, Cout ·
-//! patch)`, not the whole batch's products: a whole batch (4.5 MiB at
-//! VGG13 w0.25's 128→128 site, batch 8) raised `train_mobilenet`'s median
-//! `peak_rss_mb` by 4.5–6 % — freeing a large buffer raises glibc's
-//! dynamic mmap threshold, so later frees stay resident (with the threshold
-//! fixed by `MALLOC_MMAP_THRESHOLD_` the rise was gone). A task lowers
-//! its sample straight into `colsᵀ`, `(Ho·Wo, Cin/groups · kh · kw)`
-//! row-major (`im2col` writes either layout through destination strides),
-//! so `gemm`'s `b` has contiguous rows and no transposed copy is made. A
-//! 1×1 window lowers the same way: its `colsᵀ` is the band's transpose,
-//! the copy `gemm` would otherwise have made. The task's `colsᵀ` buffer is
-//! its thread's, kept from call to call.
+//! parallel, each into its own slot of a buffer the call borrows from its
+//! thread's `scratch` stack (`gemm` with `accumulate = false`), and the
+//! slots are added into `dw` in sample order afterwards — the same sequence
+//! of `f32` additions, per element, as walking the samples one after the
+//! other. The samples go in waves of `WAVE` = 4 (one pool region each), so
+//! the buffer holds `(4, Cout · patch)`, not the whole batch's products: a
+//! whole batch (4.5 MiB at VGG13 w0.25's 128→128 site, batch 8), allocated
+//! per call, raised `train_mobilenet`'s median `peak_rss_mb` by 4.5–6 % —
+//! freeing a large buffer raises glibc's dynamic mmap threshold, so later
+//! frees stay resident (with the threshold fixed by
+//! `MALLOC_MMAP_THRESHOLD_` the rise was gone). A task lowers its sample
+//! straight into `colsᵀ`, `(Ho·Wo, Cin/groups · kh · kw)` row-major
+//! (`im2col` writes either layout through destination strides), so
+//! `gemm`'s `b` has contiguous rows and no transposed copy is made. A 1×1
+//! window lowers the same way: its `colsᵀ` is the band's transpose, the
+//! copy `gemm` would otherwise have made. The task borrows its `colsᵀ`
+//! buffer from its thread's `scratch` stack too, the next one down when
+//! that thread also holds the wave's slots.
 //!
 //! # Channel groups
 //!
@@ -105,31 +115,31 @@
 //! time, a channel per vector lane, under `gemm`'s rule: **a lane is an
 //! independent output, never a piece of a sum** (the crate's `lanes`
 //! module). A pass packs a lane group's zero-padded input planes — and, for
-//! the backward passes, its `dy` — channel-minor into its thread's scratch
-//! buffer (element `(py, px)` of lane `l` at `(py · pw + px) · 8 + l`), runs
-//! the taps on `[f32; 8]` accumulators in the order above and writes NCHW
-//! back. Lanes are filters in forward and weight-backward (a multiplier
-//! above 1 packs an input plane once per filter that reads it) and input
-//! channels in data-backward; a group past the channel count fills its
-//! spare lanes with copies of the last channel and discards them, so a
-//! tail, a multiplier and stride 2 take the same loop. Forward and
-//! data-backward work on four outputs of a row at once, weight-backward on
-//! nine taps (a 3×3 window whole), each with its own accumulator, and on
-//! one at a time past a multiple of four outputs or nine taps. Nothing
-//! crosses lanes, so a NaN in one channel reaches no other.
+//! the backward passes, its `dy` — channel-minor into a buffer from its
+//! thread's `scratch` stack (element `(py, px)` of lane `l` at
+//! `(py · pw + px) · 8 + l`), runs the taps on `[f32; 8]` accumulators in
+//! the order above and writes NCHW back. Lanes are filters in forward and
+//! weight-backward (a multiplier above 1 packs an input plane once per
+//! filter that reads it) and input channels in data-backward; a group past
+//! the channel count fills its spare lanes with copies of the last channel
+//! and discards them, so a tail, a multiplier and stride 2 take the same
+//! loop. Forward and data-backward work on four outputs of a row at once,
+//! weight-backward on nine taps (a 3×3 window whole), each with its own
+//! accumulator, and on one at a time past a multiple of four outputs or
+//! nine taps. Nothing crosses lanes, so a NaN in one channel reaches no
+//! other.
 //!
 //! Forward and data-backward split the samples, weight-backward the lane
 //! groups (each walks the samples in order), into `STENCIL_BLOCKS` pool
-//! tasks, and a thread reuses one scratch buffer from call to call (the
-//! buffer weight-backward's lowering uses for `colsᵀ`), as `gemm` does its
-//! transposed copy.
+//! tasks.
 //!
 //! # Dispatch
 //!
 //! Every call goes to the pool on its MAC count. Until the stencil, grouped
 //! calls ran inline: handing the lowered depthwise sites to the pool was no
-//! faster and raised `train_mobilenet`'s peak RSS by 15 % (each task
-//! lowered into its own `cols`). Re-measured with the stencil on a 2-vCPU
+//! faster and raised `train_mobilenet`'s peak RSS by 15 % (each task then
+//! allocated its own `cols`; tasks now borrow theirs from their thread's
+//! `scratch` stack). Re-measured with the stencil on a 2-vCPU
 //! host: dispatched, `train_mobilenet`'s `peak_rss_mb` stays within 2 % of
 //! the lowering's and `cold_ops_per_s` is ≈ 10 % above an inline stencil,
 //! so the rule is gone. Allocation sets the block count: each pool task
@@ -140,10 +150,8 @@
 
 use crate::gemm::{gemm, Mat};
 use crate::lanes::{self, LANES};
-use crate::par;
-use crate::Tensor;
+use crate::{par, scratch, Tensor};
 use adagp_runtime::det_chunk_len;
-use std::cell::Cell;
 
 /// Pool tasks a stencil call is split into (module documentation).
 const STENCIL_BLOCKS: usize = 2;
@@ -155,21 +163,6 @@ const WHOLE_ROW_MIN: usize = 8;
 /// Samples whose products a dense weight-backward holds at once (module
 /// documentation).
 const WAVE: usize = 4;
-
-thread_local! {
-    /// This thread's buffer for the depthwise stencil's packed planes or
-    /// weight-backward's `colsᵀ`, kept between calls. Taken, not borrowed,
-    /// like `gemm`'s transposed copy.
-    static SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-}
-
-/// Runs `f` on this thread's scratch buffer, `len` long, stale contents and all.
-fn with_scratch(len: usize, f: impl FnOnce(&mut [f32])) {
-    let mut buf = SCRATCH.take();
-    buf.resize(len, 0.0);
-    f(&mut buf);
-    SCRATCH.set(buf);
-}
 
 /// Hyper-parameters of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,212 +204,17 @@ impl Conv2dParams {
     pub fn out_size(&self, in_size: usize, k: usize) -> usize {
         (in_size + 2 * self.padding).saturating_sub(k) / self.stride + 1
     }
-
-    /// Output size `(Ho, Wo)` of `op` on an `h × w` input.
-    ///
-    /// Panics if the window does not fit: `out_size` would call the missing
-    /// taps one output and `im2col` would zero-fill them into a partial sum.
-    fn out_hw(&self, op: &str, h: usize, w: usize, kh: usize, kw: usize) -> (usize, usize) {
-        let pad = self.padding;
-        assert!(
-            h + 2 * pad >= kh && w + 2 * pad >= kw,
-            "{op}: a {kh}x{kw} kernel does not fit a {h}x{w} input padded by {pad}"
-        );
-        (self.out_size(h, kh), self.out_size(w, kw))
-    }
-
-    /// Channels per group `(Cin / groups, Cout / groups)` of `op`.
-    fn group_channels(&self, op: &str, cin: usize, cout: usize) -> (usize, usize) {
-        let groups = self.groups;
-        assert!(groups > 0, "{op}: groups must be positive");
-        assert!(
-            cin.is_multiple_of(groups) && cout.is_multiple_of(groups),
-            "{op}: {cin} input and {cout} output channels do not split into {groups} groups"
-        );
-        (cin / groups, cout / groups)
-    }
-
-    /// Whether a call with `cin_g` input channels per group takes the
-    /// depthwise stencil.
-    fn depthwise(&self, cin_g: usize) -> bool {
-        self.groups > 1 && cin_g == 1
-    }
-
-    /// Rows (samples, or the stencil weight-backward's lane groups) per pool
-    /// task of a call over `rows` rows: `det_chunk_len`'s for the lowering,
-    /// `STENCIL_BLOCKS` blocks for the stencil.
-    fn block_rows(&self, cin_g: usize, rows: usize) -> usize {
-        if self.depthwise(cin_g) {
-            rows.div_ceil(STENCIL_BLOCKS)
-        } else {
-            det_chunk_len(rows)
-        }
-    }
-
-    /// Whether the lowering moves a row of `wo` outputs whole (module
-    /// documentation): at stride 1, `WHOLE_ROW_MIN` outputs or more.
-    fn whole_rows(&self, wo: usize) -> bool {
-        self.stride == 1 && wo >= WHOLE_ROW_MIN
-    }
-
-    /// At stride 1, the outputs `lo..hi` of a row of `wo` whose tap `kj`
-    /// falls inside an input row of `w` (`lo == hi` when none does).
-    fn inside(&self, w: usize, wo: usize, kj: usize) -> (usize, usize) {
-        let pad = self.padding;
-        let lo = pad.saturating_sub(kj).min(wo);
-        let hi = (w + pad).saturating_sub(kj).min(wo);
-        (lo, hi.max(lo))
-    }
-
-    /// Whether a `kh × kw` window lowers a band to the band itself.
-    fn pointwise(&self, kh: usize, kw: usize) -> bool {
-        (kh, kw, self.stride, self.padding) == (1, 1, 1, 0)
-    }
 }
 
-/// Lowers one sample's input patches, `(C, H, W)` row-major in `data`:
-/// patch row `r = (ci, ki, kj)` at output `o = (oy, ox)` goes to
-/// `cols[r * rs + o * os]`. `(rs, os) = (Ho*Wo, 1)` writes `cols`, the
-/// `(C*kh*kw, Ho*Wo)` matrix; `(1, C*kh*kw)` writes its transpose.
-///
-/// Into `cols`, at stride 1, a row of `WHOLE_ROW_MIN` outputs or more is
-/// written as zeros, one copy of a run of its input row, zeros; anything
-/// else element by element (module documentation).
-fn im2col(
-    data: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    p: &Conv2dParams,
-    cols: &mut [f32],
-    (rs, os): (usize, usize),
-) {
-    let ho = p.out_size(h, kh);
-    let wo = p.out_size(w, kw);
-    debug_assert_eq!(cols.len(), c * kh * kw * ho * wo);
-    let (s, pad) = (p.stride, p.padding);
-    let whole_rows = os == 1 && p.whole_rows(wo);
-    for ci in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ci * kh + ki) * kw + kj;
-                let (lo, hi) = p.inside(w, wo, kj);
-                for oy in 0..ho {
-                    let at = row * rs + oy * wo * os;
-                    let iy = (oy * s + ki) as isize - pad as isize;
-                    if !whole_rows {
-                        for ox in 0..wo {
-                            let ix = (ox * s + kj) as isize - pad as isize;
-                            let inside =
-                                iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w;
-                            cols[at + ox * os] = if inside {
-                                data[(ci * h + iy as usize) * w + ix as usize]
-                            } else {
-                                0.0
-                            };
-                        }
-                        continue;
-                    }
-                    let out = &mut cols[at..][..wo];
-                    if iy < 0 || iy as usize >= h {
-                        out.fill(0.0);
-                        continue;
-                    }
-                    let src = &data[(ci * h + iy as usize) * w..][..w];
-                    // The input row from the tap of output `lo` on.
-                    let run = &src[(lo + kj).saturating_sub(pad).min(w)..];
-                    out[..lo].fill(0.0);
-                    out[lo..hi].copy_from_slice(&run[..hi - lo]);
-                    out[hi..].fill(0.0);
-                }
-            }
-        }
-    }
-}
-
-/// The `(C*kh*kw, Ho*Wo)` lowering of `band`: the band itself for a
-/// pointwise window, else `im2col` into `cols`.
-fn lower<'a>(
-    band: &'a [f32],
-    cols: &'a mut [f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    p: &Conv2dParams,
-) -> &'a [f32] {
-    if p.pointwise(kh, kw) {
-        return band;
-    }
-    let owh = p.out_size(h, kh) * p.out_size(w, kw);
-    im2col(band, c, h, w, kh, kw, p, cols, (owh, 1));
-    cols
-}
-
-/// A buffer for one group's lowering: empty for a pointwise window, which
-/// needs none.
-fn cols_buffer(p: &Conv2dParams, kh: usize, kw: usize, len: usize) -> Vec<f32> {
-    vec![0.0; if p.pointwise(kh, kw) { 0 } else { len }]
-}
-
-/// Scatters a column matrix back to an image, accumulating overlaps: each
-/// `(r, oy)` adds its outputs into one input row, as one slice add when the
-/// lowering moves whole rows, else element by element (module
-/// documentation).
-fn col2im(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    p: &Conv2dParams,
-    out: &mut [f32],
-) {
-    let ho = p.out_size(h, kh);
-    let wo = p.out_size(w, kw);
-    let (s, pad) = (p.stride, p.padding);
-    let whole_rows = p.whole_rows(wo);
-    for ci in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ci * kh + ki) * kw + kj;
-                let (lo, hi) = p.inside(w, wo, kj);
-                for oy in 0..ho {
-                    let iy = (oy * s + ki) as isize - pad as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    let src = &cols[(row * ho + oy) * wo..][..wo];
-                    let dst = &mut out[(ci * h + iy as usize) * w..][..w];
-                    if whole_rows {
-                        let dst = &mut dst[(lo + kj).saturating_sub(pad).min(w)..];
-                        dst.iter_mut().zip(&src[lo..hi]).for_each(|(o, &v)| *o += v);
-                        continue;
-                    }
-                    for (ox, &v) in src.iter().enumerate() {
-                        let ix = (ox * s + kj) as isize - pad as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            dst[ix as usize] += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The depthwise stencil of one call (module documentation): `channels`
-/// input planes of `h × w`, each zero-padded by `pad` on all four sides and
-/// read by `m` filters of `kh × kw` at `stride` into `ho × wo` outputs.
-/// Every pass runs a lane group of [`LANES`] channels at a time.
+/// One kernel call's shape (module documentation): samples of `cin` input
+/// planes of `h × w`, zero-padded by `pad` on all four sides and read by
+/// `cout` filters of `kh × kw` over `groups` channel groups at `stride`,
+/// into `ho × wo` outputs.
 #[derive(Debug, Clone, Copy)]
-struct Stencil {
-    channels: usize,
-    m: usize,
+struct Geometry {
+    cin: usize,
+    cout: usize,
+    groups: usize,
     h: usize,
     w: usize,
     kh: usize,
@@ -427,38 +225,220 @@ struct Stencil {
     wo: usize,
 }
 
+impl Geometry {
+    /// The geometry of `op` over `(cin, h, w)` inputs and `(cout, kh, kw)`
+    /// filters.
+    ///
+    /// Panics on a zero stride or group count, on groups that do not split
+    /// both channel counts, and on a window that does not fit the padded
+    /// input: `out_size` would call the missing taps one output and
+    /// `im2col` would zero-fill them into a partial sum.
+    fn new(
+        op: &str,
+        p: &Conv2dParams,
+        (cin, h, w): (usize, usize, usize),
+        (cout, kh, kw): (usize, usize, usize),
+    ) -> Self {
+        let (stride, pad, groups) = (p.stride, p.padding, p.groups);
+        assert!(stride > 0, "{op}: stride must be positive");
+        assert!(groups > 0, "{op}: groups must be positive");
+        assert!(
+            cin.is_multiple_of(groups) && cout.is_multiple_of(groups),
+            "{op}: {cin} input and {cout} output channels do not split into {groups} groups"
+        );
+        assert!(
+            h + 2 * pad >= kh && w + 2 * pad >= kw,
+            "{op}: a {kh}x{kw} kernel does not fit a {h}x{w} input padded by {pad}"
+        );
+        let (ho, wo) = (p.out_size(h, kh), p.out_size(w, kw));
+        Geometry {
+            cin,
+            cout,
+            groups,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            ho,
+            wo,
+        }
+    }
+
+    /// Input channels per group.
+    fn cin_g(&self) -> usize {
+        self.cin / self.groups
+    }
+
+    /// Output channels (filters) per group: the stencil's multiplier.
+    fn cout_g(&self) -> usize {
+        self.cout / self.groups
+    }
+
+    /// Rows of one group's lowering: `Cin / groups · kh · kw`.
+    fn patch(&self) -> usize {
+        self.cin_g() * self.kh * self.kw
+    }
+
+    /// Outputs per plane.
+    fn owh(&self) -> usize {
+        self.ho * self.wo
+    }
+
+    /// Whether the call takes the depthwise stencil.
+    fn depthwise(&self) -> bool {
+        self.groups > 1 && self.cin_g() == 1
+    }
+
+    /// Rows (samples, or the stencil weight-backward's lane groups) per pool
+    /// task of a call over `rows` rows: `det_chunk_len`'s for the lowering,
+    /// `STENCIL_BLOCKS` blocks for the stencil.
+    fn block_rows(&self, rows: usize) -> usize {
+        if self.depthwise() {
+            rows.div_ceil(STENCIL_BLOCKS)
+        } else {
+            det_chunk_len(rows)
+        }
+    }
+
+    /// Whether the lowering moves an output row whole (module
+    /// documentation): at stride 1, `WHOLE_ROW_MIN` outputs or more.
+    fn whole_rows(&self) -> bool {
+        self.stride == 1 && self.wo >= WHOLE_ROW_MIN
+    }
+
+    /// At stride 1, the outputs `lo..hi` of a row whose tap `kj` falls
+    /// inside an input row (`lo == hi` when none does).
+    fn inside(&self, kj: usize) -> (usize, usize) {
+        let pad = self.pad;
+        let lo = pad.saturating_sub(kj).min(self.wo);
+        let hi = (self.w + pad).saturating_sub(kj).min(self.wo);
+        (lo, hi.max(lo))
+    }
+
+    /// Whether the window lowers a band to the band itself.
+    fn pointwise(&self) -> bool {
+        (self.kh, self.kw, self.stride, self.pad) == (1, 1, 1, 0)
+    }
+
+    /// Length of one group's lowering buffer: none for a pointwise window.
+    fn cols_len(&self) -> usize {
+        if self.pointwise() {
+            0
+        } else {
+            self.patch() * self.owh()
+        }
+    }
+
+    /// Lowers one group's input patches, `(Cin / groups, h, w)` row-major
+    /// in `band`: patch row `r = (ci, ki, kj)` at output `o = (oy, ox)` goes
+    /// to `cols[r * rs + o * os]`. `(rs, os) = (Ho*Wo, 1)` writes `cols`,
+    /// the `(patch, Ho*Wo)` matrix; `(1, patch)` writes its transpose.
+    ///
+    /// Into `cols`, at stride 1, a row of `WHOLE_ROW_MIN` outputs or more is
+    /// written as zeros, one copy of a run of its input row, zeros; anything
+    /// else element by element (module documentation).
+    fn im2col(&self, band: &[f32], cols: &mut [f32], (rs, os): (usize, usize)) {
+        let (c, h, w, kh, kw) = (self.cin_g(), self.h, self.w, self.kh, self.kw);
+        let (ho, wo, s, pad) = (self.ho, self.wo, self.stride, self.pad);
+        debug_assert_eq!(cols.len(), c * kh * kw * ho * wo);
+        let whole_rows = os == 1 && self.whole_rows();
+        for ci in 0..c {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row = (ci * kh + ki) * kw + kj;
+                    let (lo, hi) = self.inside(kj);
+                    for oy in 0..ho {
+                        let at = row * rs + oy * wo * os;
+                        let iy = (oy * s + ki) as isize - pad as isize;
+                        if !whole_rows {
+                            for ox in 0..wo {
+                                let ix = (ox * s + kj) as isize - pad as isize;
+                                let inside =
+                                    iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w;
+                                cols[at + ox * os] = if inside {
+                                    band[(ci * h + iy as usize) * w + ix as usize]
+                                } else {
+                                    0.0
+                                };
+                            }
+                            continue;
+                        }
+                        let out = &mut cols[at..][..wo];
+                        if iy < 0 || iy as usize >= h {
+                            out.fill(0.0);
+                            continue;
+                        }
+                        let src = &band[(ci * h + iy as usize) * w..][..w];
+                        // The input row from the tap of output `lo` on.
+                        let run = &src[(lo + kj).saturating_sub(pad).min(w)..];
+                        out[..lo].fill(0.0);
+                        out[lo..hi].copy_from_slice(&run[..hi - lo]);
+                        out[hi..].fill(0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `(patch, Ho*Wo)` lowering of `band`: the band itself for a
+    /// pointwise window, else `im2col` into `cols` (`cols_len` long).
+    fn lower<'a>(&self, band: &'a [f32], cols: &'a mut [f32]) -> &'a [f32] {
+        if self.pointwise() {
+            return band;
+        }
+        self.im2col(band, cols, (self.owh(), 1));
+        cols
+    }
+
+    /// Scatters one group's column matrix back to its image band,
+    /// accumulating overlaps: each `(r, oy)` adds its outputs into one input
+    /// row, as one slice add when the lowering moves whole rows, else
+    /// element by element (module documentation).
+    fn col2im(&self, cols: &[f32], out: &mut [f32]) {
+        let (c, h, w, kh, kw) = (self.cin_g(), self.h, self.w, self.kh, self.kw);
+        let (ho, wo, s, pad) = (self.ho, self.wo, self.stride, self.pad);
+        let whole_rows = self.whole_rows();
+        for ci in 0..c {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row = (ci * kh + ki) * kw + kj;
+                    let (lo, hi) = self.inside(kj);
+                    for oy in 0..ho {
+                        let iy = (oy * s + ki) as isize - pad as isize;
+                        if iy < 0 || iy as usize >= h {
+                            continue;
+                        }
+                        let src = &cols[(row * ho + oy) * wo..][..wo];
+                        let dst = &mut out[(ci * h + iy as usize) * w..][..w];
+                        if whole_rows {
+                            let dst = &mut dst[(lo + kj).saturating_sub(pad).min(w)..];
+                            dst.iter_mut().zip(&src[lo..hi]).for_each(|(o, &v)| *o += v);
+                            continue;
+                        }
+                        for (ox, &v) in src.iter().enumerate() {
+                            let ix = (ox * s + kj) as isize - pad as isize;
+                            if ix >= 0 && (ix as usize) < w {
+                                dst[ix as usize] += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Element `at`'s lanes in a channel-minor buffer.
 fn lane(buf: &[f32], at: usize) -> &[f32; LANES] {
     buf[at * LANES..][..LANES].try_into().expect("LANES wide")
 }
 
-impl Stencil {
-    fn new(
-        channels: usize,
-        m: usize,
-        (h, w): (usize, usize),
-        (kh, kw): (usize, usize),
-        p: &Conv2dParams,
-    ) -> Self {
-        Stencil {
-            channels,
-            m,
-            h,
-            w,
-            kh,
-            kw,
-            stride: p.stride,
-            pad: p.padding,
-            ho: p.out_size(h, kh),
-            wo: p.out_size(w, kw),
-        }
-    }
-
-    /// Output channels (filters).
-    fn filters(&self) -> usize {
-        self.channels * self.m
-    }
-
+/// The depthwise stencil (module documentation): `cin` planes, each read by
+/// `m = cout_g()` filters. Every pass runs a lane group of [`LANES`]
+/// channels at a time.
+impl Geometry {
     /// Width of a padded plane.
     fn pw(&self) -> usize {
         self.w + 2 * self.pad
@@ -478,18 +458,18 @@ impl Stencil {
     /// Scratch a pass needs: forward and weight-backward a packed plane and
     /// a packed weight or `dy` plane, data-backward a packed plane, `dy`
     /// and weights for every multiplier.
-    fn scratch_len(&self) -> usize {
-        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
-        LANES * (self.padded_len() + self.m * (owh + patch))
+    fn stencil_len(&self) -> usize {
+        let (patch, owh) = (self.kh * self.kw, self.owh());
+        LANES * (self.padded_len() + self.cout_g() * (owh + patch))
     }
 
     /// Packs the input planes that lane group `group`'s filters read into
     /// the middle of `packed`; its border is left as it is (zero). Lane `l`
-    /// holds the plane filter `lanes::index(group, l, filters)` reads.
+    /// holds the plane filter `lanes::index(group, l, cout)` reads.
     fn pack_planes(&self, sample: &[f32], group: usize, packed: &mut [f32]) {
-        let (plane, filters) = (self.h * self.w, self.filters());
+        let (plane, m) = (self.h * self.w, self.cout_g());
         let src: [&[f32]; LANES] = std::array::from_fn(|l| {
-            &sample[lanes::index(group, l, filters) / self.m * plane..][..plane]
+            &sample[lanes::index(group, l, self.cout) / m * plane..][..plane]
         });
         for iy in 0..self.h {
             let at = (iy + self.pad) * self.pw() + self.pad;
@@ -524,16 +504,16 @@ impl Stencil {
         }
     }
 
-    /// Forward over a block of samples: `y (filters, ho · wo)` per sample
+    /// Forward over a block of samples: `y (cout, ho · wo)` per sample
     /// gets every filter's taps in ascending order, from `0.0`.
-    fn forward(&self, x: &[f32], weight: &[f32], y: &mut [f32], buf: &mut [f32]) {
-        let (patch, owh, filters) = (self.kh * self.kw, self.ho * self.wo, self.filters());
+    fn stencil_forward(&self, x: &[f32], weight: &[f32], y: &mut [f32], buf: &mut [f32]) {
+        let (patch, owh, filters) = (self.kh * self.kw, self.owh(), self.cout);
         let (packed, taps) = buf.split_at_mut(self.padded_len() * LANES);
         packed.fill(0.0);
         for group in 0..filters.div_ceil(LANES) {
             Self::pack_rows(weight, (filters, 1, patch), group, taps);
             let live = (filters - group * LANES).min(LANES);
-            let samples = x.chunks(self.channels * self.h * self.w);
+            let samples = x.chunks(self.cin * self.h * self.w);
             for (sample, y) in samples.zip(y.chunks_mut(filters * owh)) {
                 self.pack_planes(sample, group, packed);
                 let y = &mut y[group * LANES * owh..][..live * owh];
@@ -573,28 +553,28 @@ impl Stencil {
                 }
             }
         }
-        let owh = self.ho * self.wo;
-        for (l, y_f) in y.chunks_mut(owh).enumerate() {
+        for (l, y_f) in y.chunks_mut(self.owh()).enumerate() {
             for (t, acc) in acc.iter().enumerate() {
                 y_f[oy * self.wo + ox + t] = acc[l];
             }
         }
     }
 
-    /// Data-backward over a block of samples: `dx (channels, h · w)` per
-    /// sample from `dy (filters, ho · wo)`. Each tap's `Σ_j w·dy` over the
-    /// channel's filters is summed from `0.0` and scattered into a packed,
-    /// zeroed padded plane in `(tap, oy, ox)` order.
-    fn backward_data(&self, dy: &[f32], weight: &[f32], dx: &mut [f32], buf: &mut [f32]) {
-        let (patch, owh, plane) = (self.kh * self.kw, self.ho * self.wo, self.h * self.w);
+    /// Data-backward over a block of samples: `dx (cin, h · w)` per sample
+    /// from `dy (cout, ho · wo)`. Each tap's `Σ_j w·dy` over the channel's
+    /// filters is summed from `0.0` and scattered into a packed, zeroed
+    /// padded plane in `(tap, oy, ox)` order.
+    fn stencil_backward_data(&self, dy: &[f32], weight: &[f32], dx: &mut [f32], buf: &mut [f32]) {
+        let (patch, owh, plane) = (self.kh * self.kw, self.owh(), self.h * self.w);
+        let (channels, m) = (self.cin, self.cout_g());
         let (sums, rest) = buf.split_at_mut(self.padded_len() * LANES);
-        let (dys, taps) = rest.split_at_mut(self.m * owh * LANES);
-        for group in 0..self.channels.div_ceil(LANES) {
-            Self::pack_rows(weight, (self.channels, self.m, patch), group, taps);
-            let live = (self.channels - group * LANES).min(LANES);
-            let samples = dy.chunks(self.filters() * owh);
-            for (dy, dx) in samples.zip(dx.chunks_mut(self.channels * plane)) {
-                Self::pack_rows(dy, (self.channels, self.m, owh), group, dys);
+        let (dys, taps) = rest.split_at_mut(m * owh * LANES);
+        for group in 0..channels.div_ceil(LANES) {
+            Self::pack_rows(weight, (channels, m, patch), group, taps);
+            let live = (channels - group * LANES).min(LANES);
+            let samples = dy.chunks(self.cout * owh);
+            for (dy, dx) in samples.zip(dx.chunks_mut(channels * plane)) {
+                Self::pack_rows(dy, (channels, m, owh), group, dys);
                 sums.fill(0.0);
                 for ki in 0..self.kh {
                     for kj in 0..self.kw {
@@ -635,9 +615,9 @@ impl Stencil {
         (ki, kj): (usize, usize),
         sums: &mut [f32],
     ) {
-        let (patch, owh) = (self.kh * self.kw, self.ho * self.wo);
+        let (patch, owh) = (self.kh * self.kw, self.owh());
         let mut s = [[0.0f32; LANES]; T];
-        for j in 0..self.m {
+        for j in 0..self.cout_g() {
             let wv = lane(taps, j * patch + tap);
             for (t, s) in s.iter_mut().enumerate() {
                 let d = lane(dys, j * owh + oy * self.wo + ox + t);
@@ -655,11 +635,11 @@ impl Stencil {
         }
     }
 
-    /// Weight-backward of lane groups `first..` of `dw (filters, kh · kw)`
+    /// Weight-backward of lane groups `first..` of `dw (cout, kh · kw)`
     /// (rows of `LANES · kh · kw`) over the whole batch of `x` and `dy`: per
     /// sample each tap's `Σ dy·x` from `0.0`, outputs ascending, added to
     /// `dw` in sample order.
-    fn backward_weight(
+    fn stencil_backward_weight(
         &self,
         x: &[f32],
         dy: &[f32],
@@ -667,12 +647,12 @@ impl Stencil {
         dw: &mut [f32],
         buf: &mut [f32],
     ) {
-        let (patch, owh, filters) = (self.kh * self.kw, self.ho * self.wo, self.filters());
+        let (patch, owh, filters) = (self.kh * self.kw, self.owh(), self.cout);
         let (packed, dys) = buf.split_at_mut(self.padded_len() * LANES);
         packed.fill(0.0);
         for (group, dw) in (first..).zip(dw.chunks_mut(LANES * patch)) {
             let samples = x
-                .chunks(self.channels * self.h * self.w)
+                .chunks(self.cin * self.h * self.w)
                 .zip(dy.chunks(filters * owh));
             for (sample, dy) in samples {
                 self.pack_planes(sample, group, packed);
@@ -735,8 +715,9 @@ impl Stencil {
 ///
 /// # Panics
 ///
-/// Panics if ranks or channel counts disagree, if `groups` is zero or does
-/// not divide `Cout`, or if the kernel does not fit the padded input.
+/// Panics if ranks or channel counts disagree, if the stride is zero, if
+/// `groups` is zero or does not divide `Cout`, or if the kernel does not fit
+/// the padded input.
 ///
 /// ```
 /// use adagp_tensor::{Tensor, conv::{conv2d, Conv2dParams}};
@@ -755,44 +736,42 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
     );
     let (n, cin, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (cout, cin_w, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    let (cin_g, cout_g) = p.group_channels("conv2d", cin, cout);
-    assert_eq!(cin_g, cin_w, "conv2d: channel mismatch");
+    let g = Geometry::new("conv2d", p, (cin, h, w), (cout, kh, kw));
+    assert_eq!(g.cin_g(), cin_w, "conv2d: channel mismatch");
     if let Some(b) = bias {
         assert_eq!(b.len(), cout, "conv2d: bias length must equal Cout");
     }
-    let (ho, wo) = p.out_hw("conv2d", h, w, kh, kw);
-    let patch = cin_g * kh * kw;
-    let owh = ho * wo;
+    let (cin_g, cout_g, patch, owh) = (g.cin_g(), g.cout_g(), g.patch(), g.owh());
 
     let mut out = vec![0.0f32; n * cout * owh];
 
     par::row_blocks_by(
-        p.block_rows(cin_g, n),
+        g.block_rows(n),
         &mut out,
         n,
         cout * owh,
         n * cout * patch * owh,
         |first, chunk| {
-            let samples = input.data().chunks(cin * h * w).skip(first);
-            if p.depthwise(cin_g) {
-                let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
-                let x = &input.data()[first * cin * h * w..];
-                let (weight, y) = (weight.data(), &mut *chunk);
-                with_scratch(st.scratch_len(), |buf| st.forward(x, weight, y, buf));
+            if g.depthwise() {
+                let (x, weight) = (&input.data()[first * cin * h * w..], weight.data());
+                scratch::with(g.stencil_len(), |buf| {
+                    g.stencil_forward(x, weight, chunk, buf)
+                });
             } else {
-                let ys = chunk.chunks_mut(cout * owh);
-                let mut cols = cols_buffer(p, kh, kw, patch * owh);
-                for (y, sample) in ys.zip(samples) {
-                    let bands = sample.chunks(cin_g * h * w);
-                    let filters = weight.data().chunks(cout_g * patch);
-                    for ((y_band, band), filter) in
-                        y.chunks_mut(cout_g * owh).zip(bands).zip(filters)
-                    {
-                        let cols = lower(band, &mut cols, cin_g, h, w, kh, kw, p);
-                        let (wmat, cols_mat) = (Mat::rows(filter, patch), Mat::rows(cols, owh));
-                        gemm(cout_g, owh, patch, wmat, cols_mat, y_band, false);
+                let samples = input.data().chunks(cin * h * w).skip(first);
+                scratch::with(g.cols_len(), |cols| {
+                    for (y, sample) in chunk.chunks_mut(cout * owh).zip(samples) {
+                        let bands = sample.chunks(cin_g * h * w);
+                        let filters = weight.data().chunks(cout_g * patch);
+                        for ((y_band, band), filter) in
+                            y.chunks_mut(cout_g * owh).zip(bands).zip(filters)
+                        {
+                            let cols = g.lower(band, cols);
+                            let (wmat, cols_mat) = (Mat::rows(filter, patch), Mat::rows(cols, owh));
+                            gemm(cout_g, owh, patch, wmat, cols_mat, y_band, false);
+                        }
                     }
-                }
+                });
             }
             if let Some(b) = bias {
                 // After the sum, so the bias is the last term of every element.
@@ -802,7 +781,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
             }
         },
     );
-    Tensor::from_vec(out, &[n, cout, ho, wo])
+    Tensor::from_vec(out, &[n, cout, g.ho, g.wo])
 }
 
 /// Gradient of the convolution with respect to its input.
@@ -812,8 +791,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: &Conv2d
 ///
 /// # Panics
 ///
-/// Panics on rank mismatch, if `groups` is zero or does not divide `Cout`,
-/// or if `dy`'s spatial size disagrees with the parameters.
+/// Panics on rank mismatch, if the stride is zero, if `groups` is zero or
+/// does not divide `Cout`, or if `dy`'s spatial size disagrees with the
+/// parameters.
 pub fn conv2d_backward_data(
     dy: &Tensor,
     weight: &Tensor,
@@ -831,48 +811,49 @@ pub fn conv2d_backward_data(
     let (cout_w, cin_w, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
     assert_eq!(cout, cout_w, "conv2d_backward_data: channel mismatch");
     let cin = cin_w * p.groups;
-    let (cin_g, cout_g) = p.group_channels("conv2d_backward_data", cin, cout);
-    let out_hw = p.out_hw("conv2d_backward_data", h, w, kh, kw);
-    assert_eq!((ho, wo), out_hw, "conv2d_backward_data: Ho x Wo mismatch");
-    let patch = cin_g * kh * kw;
-    let owh = ho * wo;
+    let g = Geometry::new("conv2d_backward_data", p, (cin, h, w), (cout, kh, kw));
+    assert_eq!(
+        (ho, wo),
+        (g.ho, g.wo),
+        "conv2d_backward_data: Ho x Wo mismatch"
+    );
+    let (cin_g, cout_g, patch, owh) = (g.cin_g(), g.cout_g(), g.patch(), g.owh());
 
     let mut dx = vec![0.0f32; n * cin * h * w];
 
     par::row_blocks_by(
-        p.block_rows(cin_g, n),
+        g.block_rows(n),
         &mut dx,
         n,
         cin * h * w,
         n * cout * patch * owh,
         |first, chunk| {
-            if p.depthwise(cin_g) {
-                let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
+            if g.depthwise() {
                 let (dy, weight) = (&dy.data()[first * cout * owh..], weight.data());
-                with_scratch(st.scratch_len(), |buf| {
-                    st.backward_data(dy, weight, chunk, buf)
+                scratch::with(g.stencil_len(), |buf| {
+                    g.stencil_backward_data(dy, weight, chunk, buf)
                 });
                 return;
             }
             let dy_samples = dy.data().chunks(cout * owh).skip(first);
-            let dxs = chunk.chunks_mut(cin * h * w);
-            let mut dcols = cols_buffer(p, kh, kw, patch * owh);
-            for (dx_sample, dy_sample) in dxs.zip(dy_samples) {
-                let dy_bands = dy_sample.chunks(cout_g * owh);
-                let filters = weight.data().chunks(cout_g * patch);
-                let dx_bands = dx_sample.chunks_mut(cin_g * h * w);
-                for ((dx_band, dy_band), filter) in dx_bands.zip(dy_bands).zip(filters) {
-                    let wmat_t = Mat::rows(filter, patch).t(); // (patch, cout_g)
-                    let dy_mat = Mat::rows(dy_band, owh);
-                    if p.pointwise(kh, kw) {
-                        // `dx_band` is zero: `0 + v` is what `col2im` wrote.
-                        gemm(patch, owh, cout_g, wmat_t, dy_mat, dx_band, true);
-                    } else {
-                        gemm(patch, owh, cout_g, wmat_t, dy_mat, &mut dcols, false);
-                        col2im(&dcols, cin_g, h, w, kh, kw, p, dx_band);
+            scratch::with(g.cols_len(), |dcols| {
+                for (dx_sample, dy_sample) in chunk.chunks_mut(cin * h * w).zip(dy_samples) {
+                    let dy_bands = dy_sample.chunks(cout_g * owh);
+                    let filters = weight.data().chunks(cout_g * patch);
+                    let dx_bands = dx_sample.chunks_mut(cin_g * h * w);
+                    for ((dx_band, dy_band), filter) in dx_bands.zip(dy_bands).zip(filters) {
+                        let wmat_t = Mat::rows(filter, patch).t(); // (patch, cout_g)
+                        let dy_mat = Mat::rows(dy_band, owh);
+                        if g.pointwise() {
+                            // `dx_band` is zero: `0 + v` is what `col2im` wrote.
+                            gemm(patch, owh, cout_g, wmat_t, dy_mat, dx_band, true);
+                        } else {
+                            gemm(patch, owh, cout_g, wmat_t, dy_mat, dcols, false);
+                            g.col2im(dcols, dx_band);
+                        }
                     }
                 }
-            }
+            });
         },
     );
     Tensor::from_vec(dx, &[n, cin, h, w])
@@ -886,8 +867,8 @@ pub fn conv2d_backward_data(
 ///
 /// # Panics
 ///
-/// Panics on rank mismatch, inconsistent spatial sizes, or if `groups` is
-/// zero or does not divide both channel counts.
+/// Panics on rank mismatch, inconsistent spatial sizes, a zero stride, or
+/// if `groups` is zero or does not divide both channel counts.
 pub fn conv2d_backward_weight(
     input: &Tensor,
     dy: &Tensor,
@@ -904,64 +885,63 @@ pub fn conv2d_backward_weight(
     let (n, cin, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (n2, cout, ho, wo) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
     assert_eq!(n, n2, "conv2d_backward_weight: batch mismatch");
-    let (cin_g, cout_g) = p.group_channels("conv2d_backward_weight", cin, cout);
-    let out_hw = p.out_hw("conv2d_backward_weight", h, w, kh, kw);
-    assert_eq!((ho, wo), out_hw, "conv2d_backward_weight: Ho x Wo mismatch");
-    let patch = cin_g * kh * kw;
-    let owh = ho * wo;
+    let g = Geometry::new("conv2d_backward_weight", p, (cin, h, w), (cout, kh, kw));
+    assert_eq!(
+        (ho, wo),
+        (g.ho, g.wo),
+        "conv2d_backward_weight: Ho x Wo mismatch"
+    );
+    let (cin_g, cout_g, patch, owh) = (g.cin_g(), g.cout_g(), g.patch(), g.owh());
 
     let mut dw = vec![0.0f32; cout * patch];
     let mut db = vec![0.0f32; cout];
 
     // dw = 0 + s_0 + s_1 + ..., samples ascending, where s_i is sample i's
     // dy_band (cout_g, owh) . cols^T (owh, patch) summed from zero.
-    if p.depthwise(cin_g) {
-        let st = Stencil::new(cin, cout_g, (h, w), (kh, kw), p);
+    if g.depthwise() {
         let groups = cout.div_ceil(LANES);
         par::row_blocks_by(
-            p.block_rows(cin_g, groups),
+            g.block_rows(groups),
             &mut dw,
             groups,
             LANES * patch,
             n * cout * patch * owh,
             |first, dw| {
                 let (x, dy) = (input.data(), dy.data());
-                with_scratch(st.scratch_len(), |buf| {
-                    st.backward_weight(x, dy, first, dw, buf)
+                scratch::with(g.stencil_len(), |buf| {
+                    g.stencil_backward_weight(x, dy, first, dw, buf)
                 });
             },
         );
     } else {
-        // One sample's products `s (Cout, patch)`, lowering into `cols_t`.
-        let products = |sample: &[f32], dy_sample: &[f32], s: &mut [f32], cols_t: &mut [f32]| {
-            let bands = sample
-                .chunks(cin_g * h * w)
-                .zip(dy_sample.chunks(cout_g * owh));
-            for ((band, dy_band), s_band) in bands.zip(s.chunks_mut(cout_g * patch)) {
-                im2col(band, cin_g, h, w, kh, kw, p, cols_t, (1, patch));
-                let (dy_mat, b) = (Mat::rows(dy_band, owh), Mat::rows(cols_t, patch));
-                gemm(cout_g, patch, owh, dy_mat, b, s_band, false);
-            }
-        };
-        let mut sums = vec![0.0f32; n.min(WAVE) * cout * patch];
-        let (x_len, dy_len) = (cin * h * w, cout * owh);
-        let waves = input.data().chunks(WAVE * x_len);
-        for (x_wave, dy_wave) in waves.zip(dy.data().chunks(WAVE * dy_len)) {
-            let wave = x_wave.len() / x_len;
-            let sums = &mut sums[..wave * cout * patch];
-            let work = wave * cout * patch * owh;
-            par::row_blocks(sums, wave, cout * patch, work, |first, block| {
-                let samples = x_wave.chunks(x_len).zip(dy_wave.chunks(dy_len)).skip(first);
-                with_scratch(owh * patch, |cols_t| {
-                    for (s, (sample, dy_sample)) in block.chunks_mut(cout * patch).zip(samples) {
-                        products(sample, dy_sample, s, cols_t);
-                    }
+        let (x_len, dy_len, s_len) = (cin * h * w, cout * owh, cout * patch);
+        scratch::with(n.min(WAVE) * s_len, |sums| {
+            let waves = input.data().chunks(WAVE * x_len);
+            for (x_wave, dy_wave) in waves.zip(dy.data().chunks(WAVE * dy_len)) {
+                let wave = x_wave.len() / x_len;
+                let sums = &mut sums[..wave * s_len];
+                par::row_blocks(sums, wave, s_len, wave * s_len * owh, |first, block| {
+                    let samples = x_wave.chunks(x_len).zip(dy_wave.chunks(dy_len)).skip(first);
+                    scratch::with(owh * patch, |cols_t| {
+                        // Each sample's products `s (Cout, patch)`, a band at a time.
+                        for (s, (sample, dy_sample)) in block.chunks_mut(s_len).zip(samples) {
+                            let bands = sample.chunks(cin_g * h * w);
+                            let dy_bands = dy_sample.chunks(cout_g * owh);
+                            let s_bands = s.chunks_mut(cout_g * patch);
+                            for ((band, dy_band), s_band) in bands.zip(dy_bands).zip(s_bands) {
+                                g.im2col(band, cols_t, (1, patch));
+                                let (dy_mat, b) =
+                                    (Mat::rows(dy_band, owh), Mat::rows(cols_t, patch));
+                                gemm(cout_g, patch, owh, dy_mat, b, s_band, false);
+                            }
+                        }
+                    });
                 });
-            });
-            for s in sums.chunks(cout * patch) {
-                dw.iter_mut().zip(s).for_each(|(v, &x)| *v += x);
+                for s in sums.chunks(s_len) {
+                    dw.iter_mut().zip(s).for_each(|(v, &x)| *v += x);
+                }
             }
-        }
+        });
     }
     for dy_sample in dy.data().chunks(cout * owh) {
         for (dbv, dyrow) in db.iter_mut().zip(dy_sample.chunks(owh)) {
@@ -1065,6 +1045,7 @@ mod tests {
                                 continue;
                             }
                             let c = 2;
+                            let g = Geometry::new("lowering", &p, (c, h, w), (c, kh, kw));
                             let mut x = init::gaussian(&[c * h * w], 0.0, 1.0, &mut rng);
                             x.data_mut()[0] = f32::NAN;
                             let len = c * kh * kw * p.out_size(h, kh) * p.out_size(w, kw);
@@ -1073,7 +1054,7 @@ mod tests {
                                 let stale = init::gaussian(&[len], 0.0, 1.0, &mut rng);
                                 let (mut got, mut want) = (stale.clone(), stale);
                                 let (x, dims) = (x.data(), (c, h, w));
-                                im2col(x, c, h, w, kh, kw, &p, got.data_mut(), layout);
+                                g.im2col(x, got.data_mut(), layout);
                                 im2col_reference(x, dims, (kh, kw), &p, want.data_mut(), layout);
                                 let label = format!("im2col {h}x{w} k{kh}x{kw} {p:?} {layout:?}");
                                 assert_eq!(bits(got.data()), bits(want.data()), "{label}");
@@ -1081,7 +1062,7 @@ mod tests {
                             let cols = init::gaussian(&[len], 0.0, 1.0, &mut rng);
                             let image = init::gaussian(&[c * h * w], 0.0, 1.0, &mut rng);
                             let (mut got, mut want) = (image.clone(), image);
-                            col2im(cols.data(), c, h, w, kh, kw, &p, got.data_mut());
+                            g.col2im(cols.data(), got.data_mut());
                             col2im_reference(cols.data(), (c, h, w), (kh, kw), &p, want.data_mut());
                             let label = format!("col2im {h}x{w} k{kh}x{kw} {p:?}");
                             assert_eq!(bits(got.data()), bits(want.data()), "{label}");
@@ -1215,6 +1196,49 @@ mod tests {
     fn backward_weight_rejects_a_kernel_larger_than_the_input() {
         let (x, dy) = (Tensor::ones(&[1, 1, 2, 2]), Tensor::ones(&[1, 1, 1, 1]));
         conv2d_backward_weight(&x, &dy, 3, 3, &Conv2dParams::default());
+    }
+
+    /// `Conv2dParams`'s fields are public, so a zero stride can skip
+    /// `Conv2dParams::new`; unchecked, `out_size` divides by it.
+    const STRIDE_0: Conv2dParams = Conv2dParams {
+        stride: 0,
+        padding: 0,
+        groups: 1,
+    };
+
+    #[test]
+    #[should_panic(expected = "conv2d: stride must be positive")]
+    fn forward_rejects_a_zero_stride() {
+        conv2d(
+            &Tensor::ones(&[1, 1, 3, 3]),
+            &Tensor::ones(&[1, 1, 3, 3]),
+            None,
+            &STRIDE_0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_data: stride must be positive")]
+    fn backward_data_rejects_a_zero_stride() {
+        conv2d_backward_data(
+            &Tensor::ones(&[1, 1, 1, 1]),
+            &Tensor::ones(&[1, 1, 3, 3]),
+            3,
+            3,
+            &STRIDE_0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_weight: stride must be positive")]
+    fn backward_weight_rejects_a_zero_stride() {
+        conv2d_backward_weight(
+            &Tensor::ones(&[1, 1, 3, 3]),
+            &Tensor::ones(&[1, 1, 1, 1]),
+            3,
+            3,
+            &STRIDE_0,
+        );
     }
 
     #[test]

@@ -47,14 +47,15 @@
 //! ## The operand panel
 //!
 //! A strip of `R ≤ MR` rows of `a` is copied once, before its tiles, into a
-//! `p`-major panel from the thread's scratch (`PANEL`): element `(i0 + r, p)`
-//! at `p · R + r` (Goto and van de Geijn's packing). A tile then reads one
-//! contiguous `R`-vector per step instead of `R` strided scalars, and slices
-//! the rows of `b` it reads once, so a step is left with one length check
-//! where it had an index computation and a check per operand. A transposed
-//! `a` is `p`-major already and is read in place. A row-major `a` under a `c` at
-//! most `PACK_MIN_N` = 16 wide is not packed either: there one tile reads
-//! the strip, so the copy is pure cost (packing measured 1.5–1.8× slower on
+//! `p`-major panel: element `(i0 + r, p)` at `p · R + r` (Goto and van de
+//! Geijn's packing), in a buffer the block borrows from its thread's
+//! `scratch` stack. A tile then reads one contiguous `R`-vector per step
+//! instead of `R` strided scalars, and slices the rows of `b` it reads once,
+//! so a step is left with one length check where it had an index
+//! computation and a check per operand. A transposed `a` is `p`-major
+//! already and is read in place. A row-major `a` under a `c` at most
+//! `PACK_MIN_N` = 16 wide is not packed either: there one tile reads the
+//! strip, so the copy is pure cost (packing measured 1.5–1.8× slower on
 //! MobileNet-V2's `24×4×128`, `24×16×144` and `96×16×16`, one thread,
 //! AVX2). The panel is a copy, so every product and sum is the same.
 //!
@@ -66,8 +67,10 @@
 //! batch of 8, the predictor FC's few-row sites), `gemm` computes
 //! `cᵀ (n, m) = bᵀ · aᵀ` instead: `bᵀ`'s rows are the weight's, contiguous,
 //! so only `aᵀ` (`k × m`) is copied, and `cᵀ` is added or written into `c`
-//! afterwards from the thread's scratch (`TRANSPOSED`). Element `(i, j)` is
-//! the same sum `Σ_p a[i, p] · b[p, j]`, `p` ascending from `0.0`, and IEEE
+//! afterwards. Both live in a buffer borrowed from the thread's `scratch`
+//! stack, as does `b` copied row by row when its rows are not contiguous
+//! and the transposed product does not run. Element `(i, j)` is the same
+//! sum `Σ_p a[i, p] · b[p, j]`, `p` ascending from `0.0`, and IEEE
 //! multiplication is commutative, so no finite bit moves (which NaN payload
 //! survives a NaN × NaN is unspecified in Rust and already followed LLVM's
 //! operand order, not the source's). VGG13 w0.25's `fc1` (`8×1024×512`)
@@ -92,9 +95,8 @@
 //! every sum is rounded as in the portable build. A unit test runs both
 //! builds on the same operands and compares the bytes.
 
-use crate::par;
+use crate::{par, scratch};
 use adagp_runtime::det_chunk_len;
-use std::cell::Cell;
 
 /// Output rows per register tile; `gemm` instantiates the tile for 1..=4.
 pub const MR: usize = 4;
@@ -102,18 +104,6 @@ pub const MR: usize = 4;
 /// instantiates widths 8, 4 and 1, and 16 in the AVX2 build.
 pub const NR: usize = 8;
 const _: () = assert!(MR == 4 && NR == 8);
-
-thread_local! {
-    /// This thread's buffer for a transposed copy: `aᵀ` and `cᵀ` of the
-    /// transposed product, or `b` row by row when `b`'s rows are not
-    /// contiguous and the transposed product does not run. Kept between
-    /// calls; taken, not borrowed: a `gemm` this thread runs meanwhile, from
-    /// a queued block, allocates its own.
-    static TRANSPOSED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// This thread's operand panel: a strip's rows of `a`, `p`-major. Kept
-    /// between calls, taken for the length of one block.
-    static PANEL: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-}
 
 /// Output rows at or below which (and a multiple of 4) a `b` with
 /// non-contiguous rows takes the transposed product (module documentation).
@@ -171,16 +161,14 @@ impl<'a> Mat<'a> {
 /// assert_eq!(c, [5.0, 11.0, 11.0, 25.0]); // a · aᵀ
 /// ```
 pub fn gemm(m: usize, n: usize, k: usize, a: Mat, b: Mat, c: &mut [f32], accumulate: bool) {
-    gemm_built(true, m, n, k, a, b, c, accumulate);
+    gemm_built(true, (m, n, k), a, b, c, accumulate);
 }
 
 /// [`gemm`], run by the AVX2 build when `allow_avx2` and the CPU has AVX2,
 /// else by the portable one.
 fn gemm_built(
     allow_avx2: bool,
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
     a: Mat,
     b: Mat,
     c: &mut [f32],
@@ -196,7 +184,7 @@ fn gemm_built(
     } else if b.cs != 1 && m <= TRANSPOSE_MAX_M && m.is_multiple_of(4) {
         // cᵀ (n, m) = bᵀ (n, k) · aᵀ (k, m): bᵀ's rows are contiguous, so
         // only aᵀ is copied; each output is the same sum, `p` ascending.
-        with_transposed(k * m + n * m, |buf| {
+        scratch::with(k * m + n * m, |buf| {
             let (a_t, c_t) = buf.split_at_mut(k * m);
             a.t().copy_to(k, m, a_t);
             // As many pool tasks as the direct product over `m` rows would
@@ -213,20 +201,12 @@ fn gemm_built(
         });
     } else {
         // `b` row by row into contiguous rows `n` apart.
-        with_transposed(k * n, |b_rows| {
+        scratch::with(k * n, |b_rows| {
             b.copy_to(k, n, b_rows);
             let product = Product::new(n, k, a, Mat::rows(b_rows, n), accumulate);
             product.run(avx2, m, c, det_chunk_len(m.div_ceil(MR)));
         });
     }
-}
-
-/// Runs `f` on this thread's [`TRANSPOSED`] buffer, `len` long.
-fn with_transposed(len: usize, f: impl FnOnce(&mut [f32])) {
-    let mut buf = TRANSPOSED.take();
-    buf.resize(len, 0.0);
-    f(&mut buf);
-    TRANSPOSED.set(buf);
 }
 
 /// Whether this CPU runs the AVX2 build (always false off x86).
@@ -288,39 +268,41 @@ impl<'a> Product<'a> {
             MR * n,
             m * n * k,
             |first, block| {
-                if avx2 {
-                    // SAFETY: `avx2` is true only where `is_x86_feature_detected!`
-                    // found AVX2 on this CPU (`avx2_detected`), which is all that
-                    // `block_avx2`'s `target_feature` requires.
-                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                    return unsafe { self.block_avx2(first, block) };
-                }
-                self.block::<NR>(first, block);
+                // The panel is borrowed here, not inside `block`: a closure
+                // there would be compiled once, without `block_avx2`'s
+                // `target_feature`.
+                let panel_len = if self.source == Source::Panel {
+                    MR * self.k
+                } else {
+                    0
+                };
+                scratch::with(panel_len, |panel| {
+                    if avx2 {
+                        // SAFETY: `avx2` is true only where `is_x86_feature_detected!`
+                        // found AVX2 on this CPU (`avx2_detected`), which is all that
+                        // `block_avx2`'s `target_feature` requires.
+                        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                        return unsafe { self.block_avx2(first, block, panel) };
+                    }
+                    self.block::<NR>(first, block, panel);
+                });
             },
         );
     }
 
     /// The rows of `block`, from row `first`: one strip of tiles at most
-    /// `WIDE` columns wide per `MR` rows, and `PANEL` taken for the block
-    /// when the strips pack.
+    /// `WIDE` columns wide per `MR` rows, packing into `panel` when the
+    /// strips pack.
     #[inline(always)]
-    fn block<const WIDE: usize>(&self, first: usize, block: &mut [f32]) {
-        let mut panel = Vec::new();
-        if self.source == Source::Panel {
-            panel = PANEL.take();
-            panel.resize(MR * self.k, 0.0);
-        }
+    fn block<const WIDE: usize>(&self, first: usize, block: &mut [f32], panel: &mut [f32]) {
         for (g, rows) in block.chunks_mut(MR * self.n).enumerate() {
             let i0 = (first + g) * MR;
             match rows.len() / self.n {
-                MR => self.strip::<MR, WIDE>(i0, rows, &mut panel),
-                3 => self.strip::<3, WIDE>(i0, rows, &mut panel),
-                2 => self.strip::<2, WIDE>(i0, rows, &mut panel),
-                _ => self.strip::<1, WIDE>(i0, rows, &mut panel),
+                MR => self.strip::<MR, WIDE>(i0, rows, panel),
+                3 => self.strip::<3, WIDE>(i0, rows, panel),
+                2 => self.strip::<2, WIDE>(i0, rows, panel),
+                _ => self.strip::<1, WIDE>(i0, rows, panel),
             }
-        }
-        if self.source == Source::Panel {
-            PANEL.set(panel);
         }
     }
 
@@ -328,8 +310,8 @@ impl<'a> Product<'a> {
     /// source, so the same operations in the same order.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     #[target_feature(enable = "avx2")]
-    fn block_avx2(&self, first: usize, block: &mut [f32]) {
-        self.block::<{ 2 * NR }>(first, block);
+    fn block_avx2(&self, first: usize, block: &mut [f32], panel: &mut [f32]) {
+        self.block::<{ 2 * NR }>(first, block, panel);
     }
 
     /// `R ≤ MR` rows from `i0`: the steps their tiles read `a` from — in
@@ -512,7 +494,7 @@ mod tests {
                     };
                     let run = |allow_avx2| {
                         let mut c = c0.data().to_vec();
-                        gemm_built(allow_avx2, m, n, k, av, bv, &mut c, accumulate);
+                        gemm_built(allow_avx2, (m, n, k), av, bv, &mut c, accumulate);
                         c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
                     };
                     assert_eq!(
@@ -529,7 +511,7 @@ mod tests {
             let run = |allow_avx2| {
                 let mut c = vec![0.0; m * n];
                 let (av, bv) = (Mat::rows(a.data(), 1), Mat::rows(x.data(), 1).t());
-                gemm_built(allow_avx2, m, n, 1, av, bv, &mut c, false);
+                gemm_built(allow_avx2, (m, n, 1), av, bv, &mut c, false);
                 c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             assert_eq!(run(false), run(true), "{m}x{n}x1, b rows 1 apart");

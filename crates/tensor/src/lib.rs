@@ -32,6 +32,7 @@ pub mod norm;
 pub(crate) mod par;
 pub mod pool;
 pub mod rng;
+pub(crate) mod scratch;
 pub mod softmax;
 
 pub use rng::Prng;

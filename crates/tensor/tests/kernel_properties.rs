@@ -1386,3 +1386,95 @@ const BATCHNORM_PINS: [u64; 6] = [
     0x1e09_b3ff_335a_95cb,
     0xc355_4938_5210_6054,
 ];
+
+/// A convolution site: input and weight shapes and parameters.
+type Site = ([usize; 4], [usize; 4], Conv2dParams);
+
+/// A kernel call that hashes its output bytes.
+type Call = Box<dyn Fn() -> u64 + Sync>;
+
+/// One call of each kernel that borrows its thread's scratch buffers:
+/// forward, data-backward and weight-backward on each of `sites` (the
+/// lowering element by element or in whole rows, and `gemm`'s operand
+/// panel, on a dense one; the depthwise stencil on a grouped one), then `x · Wᵀ` at batch 8 and 5 (`gemm`'s transposed
+/// product and its row-by-row copy of `b`) with `n` outputs and `k` inputs.
+fn scratch_calls(sites: &[Site], (n, k): (usize, usize)) -> Vec<Call> {
+    let mut calls: Vec<Call> = Vec::new();
+    for &(x, w, p) in sites {
+        let mut rng = Prng::seed_from_u64(0x57a1e);
+        let xs = init::gaussian(&x, 0.0, 1.0, &mut rng);
+        let ws = init::gaussian(&w, 0.0, 0.5, &mut rng);
+        let (ho, wo) = (p.out_size(x[2], w[2]), p.out_size(x[3], w[3]));
+        let dy = init::gaussian(&[x[0], w[0], ho, wo], 0.0, 1.0, &mut rng);
+        let (xf, wf, wd, dyd) = (xs.clone(), ws.clone(), ws, dy.clone());
+        calls.push(Box::new(move || fnv1a(&[&conv2d(&xf, &wf, None, &p)])));
+        calls.push(Box::new(move || {
+            fnv1a(&[&conv2d_backward_data(&dyd, &wd, x[2], x[3], &p)])
+        }));
+        calls.push(Box::new(move || {
+            let (dw, db) = conv2d_backward_weight(&xs, &dy, w[2], w[3], &p);
+            fnv1a(&[&dw, &db])
+        }));
+    }
+    for m in [8, 5] {
+        let mut rng = Prng::seed_from_u64(0x57a1e);
+        let x = init::gaussian(&[m, k], 0.0, 1.0, &mut rng);
+        let w = init::gaussian(&[n, k], 0.0, 0.5, &mut rng);
+        calls.push(Box::new(move || fnv1a(&[&x.matmul_nt(&w)])));
+    }
+    calls
+}
+
+/// Kernels borrow their buffers from their thread's scratch stack with
+/// whatever the last borrower left in them. Each small call runs on a fresh
+/// thread; then, on one thread, each runs again after every large call has
+/// left the buffers longer and full of other values. The bytes are equal,
+/// so no kernel reads a buffer before writing it. The same holds on the
+/// pool, whose workers' stacks earlier tests left dirty too.
+#[test]
+fn kernels_do_not_read_a_stale_scratch_buffer() {
+    let small = scratch_calls(
+        &[
+            ([2, 3, 6, 6], [4, 3, 3, 3], Conv2dParams::new(1, 1)),
+            ([2, 3, 9, 9], [4, 3, 3, 3], Conv2dParams::new(1, 1)),
+            (
+                [2, 8, 5, 5],
+                [8, 1, 3, 3],
+                Conv2dParams::new(1, 1).grouped(8),
+            ),
+        ],
+        (9, 7),
+    );
+    let large = scratch_calls(
+        &[
+            ([4, 16, 12, 12], [16, 16, 3, 3], Conv2dParams::new(1, 2)),
+            (
+                [3, 24, 9, 9],
+                [48, 1, 3, 3],
+                Conv2dParams::new(2, 1).grouped(24),
+            ),
+        ],
+        (30, 40),
+    );
+    let after_large = || -> Vec<u64> {
+        let each = small.iter().map(|call| {
+            large.iter().for_each(|dirty| _ = dirty());
+            call()
+        });
+        each.collect()
+    };
+    let (fresh, reused) = std::thread::scope(|s| {
+        let fresh = small
+            .iter()
+            .map(|call| s.spawn(move || with_threads(1, call)));
+        let fresh: Vec<_> = fresh.collect();
+        let fresh = fresh.into_iter().map(|t| t.join().expect("fresh thread"));
+        let reused = s.spawn(|| with_threads(1, after_large));
+        (
+            fresh.collect::<Vec<_>>(),
+            reused.join().expect("reused thread"),
+        )
+    });
+    assert_eq!(reused, fresh, "on one thread");
+    assert_eq!(after_large(), fresh, "on the pool");
+}
