@@ -101,7 +101,7 @@ impl DniTrainer {
                 let synthetic = predictor.predict_gradient(&meta, &act);
                 let e: GradientErrors = gradient_errors(&synthetic, &true_grad, MAPE_EPS);
                 mapes.push(e.mape);
-                pred_losses.push(predictor.train_step(&meta, &act, &true_grad));
+                pred_losses.push(predictor.train_step_owned(&meta, &act, true_grad));
                 let w = site.weight_param();
                 w.zero_grad();
                 w.accumulate_grad(&synthetic);

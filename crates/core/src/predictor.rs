@@ -16,9 +16,18 @@
 //! sites that did use them. That is exactly what the earlier full-width
 //! head did (it computed every column and zeroed the surplus gradient),
 //! so skipping changes the arithmetic, not one float of training.
+//!
+//! Prediction has one path, and it takes `&self`: conv
+//! ([`Conv2d::infer`]), ReLU, a flatten that keeps the buffer, then the
+//! FC's first `row_len` columns ([`Linear::infer_cols`]). Training's
+//! forward runs the same kernels through the layers' `forward`s, which
+//! call those inference methods and then cache what backward reads. So
+//! Phase GP can predict every site at once from one predictor
+//! ([`Predictor::predict_gradient`] from many threads), bit for bit what
+//! one site after another gives.
 
 use crate::reorg::{self, ReorganizedActivation};
-use adagp_nn::layers::{Conv2d, Flatten, Linear, Relu};
+use adagp_nn::layers::{Conv2d, Linear, Relu};
 use adagp_nn::module::{count_params, ForwardCtx, Module};
 use adagp_nn::optim::{Adam, Optimizer};
 use adagp_nn::{Param, PredictionSite, SiteMeta};
@@ -69,24 +78,43 @@ pub struct Predictor {
 struct PredictorNet {
     conv: Conv2d,
     relu: Relu,
-    flatten: Flatten,
     fc: Linear,
+    /// The conv stage's output shape per sample, `(channels, p, p)`.
+    features: [usize; 3],
 }
 
 impl PredictorNet {
-    /// The feature stage, then the FC's first `cols` outputs: `(n, cols)`.
+    /// The one inference path, from `&self`: conv, ReLU, flatten, then the
+    /// FC's first `cols` outputs: `(n, cols)`. Training's forward runs the
+    /// same kernels through the layers' caching `forward`s.
+    fn infer(&self, x: &Tensor, cols: usize) -> Tensor {
+        let mut h = self.conv.infer(x);
+        // `softmax::relu`'s `max(0.0)`, in place.
+        h.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
+        self.fc.infer_cols(&self.flatten(h), cols)
+    }
+
+    /// [`PredictorNet::infer`] with every layer caching what
+    /// [`PredictorNet::backward_params`] reads.
     fn forward_cols(&mut self, x: &Tensor, ctx: &mut ForwardCtx, cols: usize) -> Tensor {
         let h = self.conv.forward(x, ctx);
         let h = self.relu.forward(&h, ctx);
-        let h = self.flatten.forward(&h, ctx);
+        let h = self.flatten(h);
         self.fc.forward_cols(&h, ctx, cols)
+    }
+
+    /// `(n, c, p, p)` features as the FC's `(n, c·p·p)` input, in place.
+    fn flatten(&self, h: Tensor) -> Tensor {
+        let n = h.dim(0);
+        h.into_shape(&[n, self.features.iter().product()])
     }
 
     /// Every parameter's gradient for `dy (n, cols)`, the `cols` of the
     /// forward pass; no gradient for the input.
     fn backward_params(&mut self, dy: &Tensor) {
         let g = self.fc.backward(dy);
-        let g = self.flatten.backward(&g);
+        let [c, h, w] = self.features;
+        let g = g.into_shape(&[dy.dim(0), c, h, w]);
         let g = self.relu.backward(&g);
         self.conv.backward_params(&g);
     }
@@ -128,8 +156,8 @@ impl Predictor {
         let net = PredictorNet {
             conv: Conv2d::new(1, cfg.conv_channels, 3, 1, 1, true, rng).with_label("pred_conv"),
             relu: Relu::new(),
-            flatten: Flatten::new(),
             fc,
+            features: [cfg.conv_channels, cfg.pooled_size, cfg.pooled_size],
         };
         let opt = Adam::new(cfg.lr);
         Predictor {
@@ -187,18 +215,17 @@ impl Predictor {
     /// Predicts gradient rows for one site: returns `(out_ch, row_len)`.
     ///
     /// The FC computes only the site's `row_len` outputs ("for smaller
-    /// layers, we simply mask and skip output operations").
+    /// layers, we simply mask and skip output operations"). Takes `&self`:
+    /// Phase GP predicts every site at once from one predictor.
     ///
     /// # Panics
     ///
     /// Panics if the site's `row_len` exceeds [`Predictor::max_row_len`] or
     /// the activation disagrees with the site metadata.
-    pub fn predict_rows(&mut self, meta: &SiteMeta, activation: &Tensor) -> Tensor {
+    pub fn predict_rows(&self, meta: &SiteMeta, activation: &Tensor) -> Tensor {
         let row_len = self.checked_row_len(meta);
         let r = reorg::reorganize(meta, activation);
-        let pooled = self.pool_input(&r);
-        self.net
-            .forward_cols(&pooled, &mut ForwardCtx::eval(), row_len)
+        self.net.infer(&self.pool_input(&r), row_len)
     }
 
     /// Predicts the full weight-gradient tensor for a site.
@@ -206,9 +233,8 @@ impl Predictor {
     /// # Panics
     ///
     /// As [`Predictor::predict_rows`].
-    pub fn predict_gradient(&mut self, meta: &SiteMeta, activation: &Tensor) -> Tensor {
-        let rows = self.predict_rows(meta, activation);
-        reorg::rows_to_gradient(meta, &rows)
+    pub fn predict_gradient(&self, meta: &SiteMeta, activation: &Tensor) -> Tensor {
+        reorg::rows_to_gradient(meta, self.predict_rows(meta, activation))
     }
 
     /// One predictor training step against a true gradient (Phase BP /
@@ -220,6 +246,17 @@ impl Predictor {
     /// Panics if the site's `row_len` exceeds [`Predictor::max_row_len`] or
     /// shapes disagree with the site metadata.
     pub fn train_step(&mut self, meta: &SiteMeta, activation: &Tensor, true_grad: &Tensor) -> f32 {
+        self.train_step_owned(meta, activation, true_grad.clone())
+    }
+
+    /// [`Predictor::train_step`] on a gradient the caller no longer needs:
+    /// its buffer becomes the target rows, uncopied.
+    pub(crate) fn train_step_owned(
+        &mut self,
+        meta: &SiteMeta,
+        activation: &Tensor,
+        true_grad: Tensor,
+    ) -> f32 {
         let (pooled, target_rows) = self.training_rows(meta, activation, true_grad);
         let pred = self
             .net
@@ -237,7 +274,7 @@ impl Predictor {
         &self,
         meta: &SiteMeta,
         activation: &Tensor,
-        true_grad: &Tensor,
+        true_grad: Tensor,
     ) -> (Tensor, Tensor) {
         self.checked_row_len(meta);
         let r = reorg::reorganize(meta, activation);
@@ -302,7 +339,7 @@ mod tests {
     fn predict_shapes_match_weights() {
         let mut rng = Prng::seed_from_u64(0);
         let meta = conv_meta(8, 4, 3);
-        let mut p = Predictor::for_sites(
+        let p = Predictor::for_sites(
             PredictorConfig::default(),
             std::slice::from_ref(&meta),
             &mut rng,
@@ -317,8 +354,7 @@ mod tests {
         let mut rng = Prng::seed_from_u64(1);
         let big = conv_meta(8, 16, 3); // row 144
         let small = conv_meta(4, 2, 3); // row 18
-        let mut p =
-            Predictor::for_sites(PredictorConfig::default(), &[big, small.clone()], &mut rng);
+        let p = Predictor::for_sites(PredictorConfig::default(), &[big, small.clone()], &mut rng);
         assert_eq!(p.max_row_len(), 144);
         let act = init::gaussian(&[2, 4, 5, 5], 0.0, 1.0, &mut rng);
         let g = p.predict_gradient(&small, &act);
@@ -357,7 +393,7 @@ mod tests {
             weight_shape: vec![6, 12],
             label: "l".into(),
         };
-        let mut p = Predictor::for_sites(
+        let p = Predictor::for_sites(
             PredictorConfig::default(),
             &[m1.clone(), m2.clone()],
             &mut rng,
@@ -443,7 +479,7 @@ mod tests {
     }
 
     fn full_width_train_step(p: &mut Predictor, meta: &SiteMeta, act: &Tensor, g: &Tensor) -> f32 {
-        let (pooled, target_rows) = p.training_rows(meta, act, g);
+        let (pooled, target_rows) = p.training_rows(meta, act, g.clone());
         let pred = p.net.forward(&pooled, &mut ForwardCtx::train());
         let (loss, dpred) = masked_mse(&pred, &target_rows, target_rows.dim(1));
         p.net.backward_params(&dpred);
@@ -565,7 +601,7 @@ mod tests {
     #[should_panic(expected = "row_len 18 exceeds predictor capacity 8")]
     fn predict_gradient_rejects_a_site_wider_than_the_head() {
         let mut rng = Prng::seed_from_u64(10);
-        let mut p = Predictor::new(PredictorConfig::default(), 8, &mut rng);
+        let p = Predictor::new(PredictorConfig::default(), 8, &mut rng);
         let act = init::gaussian(&[2, 4, 5, 5], 0.0, 1.0, &mut rng);
         p.predict_gradient(&conv_meta(4, 2, 3), &act);
     }

@@ -56,7 +56,7 @@ pub fn reorganize(meta: &SiteMeta, activation: &Tensor) -> ReorganizedActivation
             // Step 1: batch mean -> (out_ch, H, W).
             let mean = activation.mean_axis0();
             // Step 2: out_ch as batch -> (out_ch, 1, H, W).
-            let input = mean.reshape(&[out_ch, 1, h, w]);
+            let input = mean.into_shape(&[out_ch, 1, h, w]);
             ReorganizedActivation {
                 input,
                 row_len: meta.grads_per_out_channel(),
@@ -75,7 +75,7 @@ pub fn reorganize(meta: &SiteMeta, activation: &Tensor) -> ReorganizedActivation
                 "activation features disagree with weight shape"
             );
             let mean = activation.mean_axis0(); // (out_f,)
-            let input = mean.reshape(&[out_f, 1, 1, 1]);
+            let input = mean.into_shape(&[out_f, 1, 1, 1]);
             ReorganizedActivation {
                 input,
                 row_len: meta.grads_per_out_channel(),
@@ -85,12 +85,12 @@ pub fn reorganize(meta: &SiteMeta, activation: &Tensor) -> ReorganizedActivation
 }
 
 /// Reshapes a true weight gradient into predictor-target rows
-/// `(out_ch, row_len)`.
+/// `(out_ch, row_len)`, keeping its buffer.
 ///
 /// # Panics
 ///
 /// Panics if the gradient shape disagrees with the site metadata.
-pub fn gradient_rows(meta: &SiteMeta, grad: &Tensor) -> Tensor {
+pub fn gradient_rows(meta: &SiteMeta, grad: Tensor) -> Tensor {
     assert_eq!(
         grad.shape(),
         &meta.weight_shape[..],
@@ -98,16 +98,16 @@ pub fn gradient_rows(meta: &SiteMeta, grad: &Tensor) -> Tensor {
     );
     let out_ch = meta.out_channels();
     let row = meta.grads_per_out_channel();
-    grad.reshape(&[out_ch, row])
+    grad.into_shape(&[out_ch, row])
 }
 
 /// Inverse of [`gradient_rows`]: reshapes predicted rows back into the
-/// weight-gradient shape.
+/// weight-gradient shape, keeping their buffer.
 ///
 /// # Panics
 ///
 /// Panics if `rows` is not `(out_ch, row_len)` for this site.
-pub fn rows_to_gradient(meta: &SiteMeta, rows: &Tensor) -> Tensor {
+pub fn rows_to_gradient(meta: &SiteMeta, rows: Tensor) -> Tensor {
     assert_eq!(rows.ndim(), 2, "rows must be rank-2");
     assert_eq!(rows.dim(0), meta.out_channels(), "row count mismatch");
     assert_eq!(
@@ -115,7 +115,7 @@ pub fn rows_to_gradient(meta: &SiteMeta, rows: &Tensor) -> Tensor {
         meta.grads_per_out_channel(),
         "row length mismatch"
     );
-    rows.reshape(&meta.weight_shape)
+    rows.into_shape(&meta.weight_shape)
 }
 
 #[cfg(test)]
@@ -185,9 +185,9 @@ mod tests {
         let mut rng = Prng::seed_from_u64(2);
         let meta = conv_meta();
         let grad = init::gaussian(&[8, 4, 3, 3], 0.0, 0.01, &mut rng);
-        let rows = gradient_rows(&meta, &grad);
+        let rows = gradient_rows(&meta, grad.clone());
         assert_eq!(rows.shape(), &[8, 36]);
-        let back = rows_to_gradient(&meta, &rows);
+        let back = rows_to_gradient(&meta, rows);
         assert_eq!(back, grad);
     }
 

@@ -12,7 +12,12 @@
 //! * Phase GP (§3.4): the closure stops after the loss → the predictor
 //!   writes predicted gradients into each site's weight parameter →
 //!   optimizer step. **No backward pass runs** — this is where the
-//!   hardware speed-up comes from.
+//!   hardware speed-up comes from. The sites' predictions are independent
+//!   reads of the one predictor, so they run as one pool region, one task
+//!   per site with its kernels inline ([`adagp_tensor::par::tasks`]); only
+//!   the install into the model is serial, in site order. Phase BP's
+//!   predictor training stays one site after another: Adam steps the
+//!   shared head after every site.
 //!
 //! [`AdaGp::train_batch`] is that step with the classification closure
 //! (`Module::forward` + cross-entropy). [`AdaGp::train_epoch_pipelined`]
@@ -33,7 +38,7 @@ use adagp_nn::SiteMeta;
 use adagp_obs as obs;
 use adagp_runtime::{BoundedQueue, PipelineStats, StageReport, WaitGroup};
 use adagp_tensor::softmax::cross_entropy;
-use adagp_tensor::{Prng, Tensor};
+use adagp_tensor::{par, Prng, Tensor};
 use std::sync::Mutex;
 
 /// EMA decay of the per-site true-gradient norm estimate.
@@ -233,11 +238,12 @@ impl AdaGp {
     }
 
     /// Phase GP hook: writes predicted gradients into every site's weight
-    /// parameter. Call after a recording forward pass, then run the
-    /// optimizer step; no backward pass is needed.
+    /// parameter — all sites at once on the pool, bit for bit what one
+    /// site after another gives. Call after a recording forward pass, then
+    /// run the optimizer step; no backward pass is needed.
     pub fn apply_predicted_gradients(&mut self, model: &mut dyn Module) {
         install_predicted_gradients(
-            &mut self.predictor,
+            &self.predictor,
             &self.grad_norm_ema,
             self.cfg.norm_calibration,
             model,
@@ -323,7 +329,7 @@ fn train_on_examples(
                 metrics.record(ex.site_idx, e);
                 mapes.push(e.mape);
             }
-            losses.push(predictor.train_step(&ex.meta, &ex.act, &ex.true_grad));
+            losses.push(predictor.train_step_owned(&ex.meta, &ex.act, ex.true_grad));
         }
         let mean = |v: &[f32]| (!v.is_empty()).then(|| v.iter().sum::<f32>() / v.len() as f32);
         (mean(&losses).unwrap_or(0.0), mean(&mapes))
@@ -331,36 +337,72 @@ fn train_on_examples(
 }
 
 /// Phase-GP core: predicts, (optionally) norm-calibrates and installs a
-/// gradient for every recorded site.
+/// gradient for every recorded site, in three steps:
+///
+/// 1. take each site's activation and its weight's gradient buffer, in
+///    [`Module::visit_sites`] order;
+/// 2. predict and calibrate every site as one pool task
+///    ([`par::tasks`]), largest first; each task writes `0.0 + g` into
+///    its buffer, which is exactly `zero_grad` then `accumulate_grad`;
+/// 3. put every buffer back, in site order.
+///
+/// Bit for bit the serial install: a site's kernels, operands and
+/// per-element order do not change, every kernel is thread-count
+/// invariant, and no site reads another's result. A site without an
+/// activation keeps its gradient.
 fn install_predicted_gradients(
-    predictor: &mut Predictor,
+    predictor: &Predictor,
     norm_ema: &[Option<f32>],
     calibrate: bool,
     model: &mut dyn Module,
 ) {
     train_span("apply predicted gradients", || {
+        let mut jobs = Vec::with_capacity(norm_ema.len());
         let mut site_idx = 0usize;
         model.visit_sites(&mut |site| {
-            let meta = site.meta();
             if let Some(act) = site.take_activation() {
-                let mut grad = predictor.predict_gradient(&meta, &act);
-                if calibrate {
-                    if let Some(target_norm) = norm_ema[site_idx] {
-                        let norm = grad.norm();
-                        if norm > 1e-12 {
-                            // Shrink freely toward the observed true-norm
-                            // scale, but amplify by at most 2x: an
-                            // undertrained predictor (near-zero head) must
-                            // not have its noise inflated to full gradient
-                            // magnitude.
-                            let factor = (target_norm / norm).min(2.0);
-                            grad.scale_in_place(factor);
-                        }
+                let meta = site.meta();
+                let grad = std::mem::replace(&mut site.weight_param().grad, Tensor::zeros(&[0]));
+                jobs.push((site_idx, meta, act, grad));
+            }
+            site_idx += 1;
+        });
+        // Scheduling only: the widest FC and activation start first.
+        jobs.sort_by_key(|(_, meta, act, _)| {
+            std::cmp::Reverse(meta.weight_shape.iter().product::<usize>() + act.len())
+        });
+        let installed = par::tasks(jobs, |(site_idx, meta, act, mut buf)| {
+            let mut grad = predictor.predict_gradient(&meta, &act);
+            if calibrate {
+                if let Some(target_norm) = norm_ema[site_idx] {
+                    let norm = grad.norm();
+                    if norm > 1e-12 {
+                        // Shrink freely toward the observed true-norm
+                        // scale, but amplify by at most 2x: an
+                        // undertrained predictor (near-zero head) must
+                        // not have its noise inflated to full gradient
+                        // magnitude.
+                        let factor = (target_norm / norm).min(2.0);
+                        grad.scale_in_place(factor);
                     }
                 }
-                let w = site.weight_param();
-                w.zero_grad();
-                w.accumulate_grad(&grad);
+            }
+            assert_eq!(buf.shape(), grad.shape(), "predicted gradient shape");
+            // `zero_grad` then `accumulate_grad`, to the bit: a `-0.0`
+            // prediction installs as `+0.0`.
+            for (b, g) in buf.data_mut().iter_mut().zip(grad.data()) {
+                *b = 0.0 + g;
+            }
+            (site_idx, buf)
+        });
+        let mut by_site: Vec<Option<Tensor>> = vec![None; site_idx];
+        for (i, buf) in installed {
+            by_site[i] = Some(buf);
+        }
+        let mut site_idx = 0usize;
+        model.visit_sites(&mut |site| {
+            if let Some(buf) = by_site[site_idx].take() {
+                site.weight_param().grad = buf;
             }
             site_idx += 1;
         });
@@ -559,12 +601,12 @@ impl AdaGp {
                         // waiting on stage 2, so it books as idle time.
                         stage.idle(|| pending.wait());
                         // Poisoned: the predictor stage panicked mid-update.
-                        let Ok(mut predictor) = predictor_cell.lock() else {
+                        let Ok(predictor) = predictor_cell.lock() else {
                             break;
                         };
                         stage.busy_more(|| {
                             install_predicted_gradients(
-                                &mut predictor,
+                                &predictor,
                                 grad_norm_ema,
                                 calibrate,
                                 model,
@@ -684,6 +726,7 @@ mod tests {
     use adagp_nn::module::PredictionSite;
     use adagp_nn::optim::Sgd;
     use adagp_nn::Param;
+    use adagp_runtime::with_threads;
     use std::time::Duration;
 
     fn tiny_model(rng: &mut Prng) -> Sequential {
@@ -1125,6 +1168,111 @@ mod tests {
             adagp.train_epoch_pipelined(&mut model, &mut opt, 8, 2, synthetic_batch);
         });
         assert!(piped.contains(expected), "{piped}");
+    }
+
+    /// Six sites of uneven width — convs of 9, `9·c`, 9 (depthwise) and 16
+    /// weights a row, then `Linear`s of 64 and 24 — on `(2, 1, 4, 4)` input.
+    fn uneven_model(c: usize, rng: &mut Prng) -> Sequential {
+        let mut m = Sequential::new();
+        m.push(Conv2d::new(1, c, 3, 1, 1, true, rng));
+        m.push(Relu::new());
+        m.push(Conv2d::new(c, 16, 3, 1, 1, false, rng));
+        m.push(Relu::new());
+        m.push(Conv2d::depthwise(16, 3, 1, 1, rng));
+        m.push(Conv2d::new(16, 4, 1, 1, 0, true, rng));
+        m.push(Relu::new());
+        m.push(Flatten::new());
+        m.push(Linear::new(4 * 4 * 4, 24, true, rng));
+        m.push(Relu::new());
+        m.push(Linear::new(24, 3, true, rng));
+        m
+    }
+
+    /// Every site's weight gradient, as bits.
+    fn site_grad_bits(model: &mut Sequential) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        model.visit_sites(&mut |s| {
+            out.push(
+                s.weight_param()
+                    .grad
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect(),
+            );
+        });
+        out
+    }
+
+    /// One warm-up batch (so every norm EMA is set), then a recording
+    /// forward whose site `skip` loses its activation, then the install
+    /// under `threads` pool threads; every weight gradient starts as noise.
+    /// Returns the site gradients before and after the install.
+    fn install_on(threads: usize, skip: usize) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        with_threads(threads, || {
+            let mut rng = Prng::seed_from_u64(21);
+            let mut model = uneven_model(6, &mut rng);
+            let mut adagp = AdaGp::new(AdaGpConfig::default(), &mut model, &mut rng);
+            let (x, y) = synthetic_batch(0);
+            let stats = adagp.train_batch(&mut model, &mut Sgd::new(0.05, 0.9), &x, &y);
+            assert_eq!(stats.phase, Phase::WarmUp);
+            assert!(adagp.grad_norm_ema.iter().all(Option::is_some));
+            let (x, _) = synthetic_batch(1);
+            model.forward(&x, &mut ForwardCtx::train_recording());
+            let mut site = 0;
+            model.visit_sites(&mut |s| {
+                if site == skip {
+                    s.take_activation().expect("recorded");
+                }
+                let shape = s.weight_param().grad.shape().to_vec();
+                s.weight_param().grad = adagp_tensor::init::gaussian(&shape, 0.0, 1.0, &mut rng);
+                site += 1;
+            });
+            let before = site_grad_bits(&mut model);
+            adagp.apply_predicted_gradients(&mut model);
+            (before, site_grad_bits(&mut model))
+        })
+    }
+
+    #[test]
+    fn predicted_gradients_are_thread_count_invariant() {
+        let skip = 2;
+        let (before, serial) = install_on(1, skip);
+        assert_eq!(serial.len(), 6);
+        for threads in [2, 3] {
+            let (_, pooled) = install_on(threads, skip);
+            assert!(serial == pooled, "{threads} threads moved a gradient bit");
+        }
+        for (site, (b, a)) in before.iter().zip(&serial).enumerate() {
+            if site == skip {
+                assert_eq!(a, b, "the site without an activation was touched");
+            } else {
+                assert_ne!(a, b, "site {site} got no prediction");
+            }
+        }
+    }
+
+    #[test]
+    fn a_site_wider_than_the_head_fails_through_the_pool() {
+        for threads in [1, 2, 3] {
+            let message = panic_message(move || {
+                with_threads(threads, || {
+                    let mut rng = Prng::seed_from_u64(22);
+                    // Head sized for rows of 64; the second conv of the
+                    // wider model has rows of 9 · 8 = 72.
+                    let mut narrow = uneven_model(6, &mut rng);
+                    let mut adagp = AdaGp::new(AdaGpConfig::default(), &mut narrow, &mut rng);
+                    let mut wide = uneven_model(8, &mut rng);
+                    let (x, _) = synthetic_batch(0);
+                    wide.forward(&x, &mut ForwardCtx::train_recording());
+                    adagp.apply_predicted_gradients(&mut wide);
+                });
+            });
+            assert!(
+                message.contains("row_len 72 exceeds predictor capacity 64"),
+                "{threads} threads: {message}"
+            );
+        }
     }
 
     #[test]

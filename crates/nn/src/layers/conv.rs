@@ -135,6 +135,18 @@ impl Conv2d {
         &self.weight
     }
 
+    /// The layer's output for `x`, from `&self`: what [`Module::forward`]
+    /// returns, without caching anything. Many threads can run it on one
+    /// layer at once (ADA-GP's shared predictor in Phase GP).
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        conv2d(
+            x,
+            &self.weight.value,
+            self.bias.as_ref().map(|b| &b.value),
+            &self.params,
+        )
+    }
+
     /// The parameter half of [`Module::backward`]: accumulates the weight
     /// and bias gradients and computes no input gradient, for a layer whose
     /// input is data (ADA-GP's predictor reads pooled activations).
@@ -160,12 +172,7 @@ impl Conv2d {
 
 impl Module for Conv2d {
     fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
-        let y = conv2d(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            &self.params,
-        );
+        let y = self.infer(x);
         if ctx.train {
             self.input_cache = Some(x.clone());
         }

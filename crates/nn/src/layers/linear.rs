@@ -76,9 +76,27 @@ impl Linear {
     ///
     /// # Panics
     ///
+    /// As [`Linear::infer_cols`].
+    pub fn forward_cols(&mut self, x: &Tensor, ctx: &mut ForwardCtx, cols: usize) -> Tensor {
+        let y = self.infer_cols(x, cols);
+        if ctx.train {
+            self.input_cache = Some(x.clone());
+        }
+        if ctx.record_activations {
+            self.activation_cache = Some(y.clone());
+        }
+        y
+    }
+
+    /// [`Linear::forward_cols`]'s output from `&self`, without caching
+    /// anything. Many threads can run it on one layer at once (ADA-GP's
+    /// shared predictor in Phase GP).
+    ///
+    /// # Panics
+    ///
     /// Panics if `x` is not `(batch, in_features)` or `cols` exceeds
     /// `out_features`.
-    pub fn forward_cols(&mut self, x: &Tensor, ctx: &mut ForwardCtx, cols: usize) -> Tensor {
+    pub fn infer_cols(&self, x: &Tensor, cols: usize) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects (batch, features) input");
         let (n, feat) = (x.dim(0), self.in_features());
         assert_eq!(x.dim(1), feat, "Linear input has the wrong feature count");
@@ -92,14 +110,7 @@ impl Linear {
                 }
             }
         }
-        let y = Tensor::from_vec(y, &[n, cols]);
-        if ctx.train {
-            self.input_cache = Some(x.clone());
-        }
-        if ctx.record_activations {
-            self.activation_cache = Some(y.clone());
-        }
-        y
+        Tensor::from_vec(y, &[n, cols])
     }
 
     /// The weight's first `cols` rows as a `(cols, in_features)` view.

@@ -744,6 +744,96 @@ mod tests {
         assert!(out[0].iter().all(|&t| t < 16));
     }
 
+    /// `L = <attention(query, key_value), r>`, summed in f64.
+    fn attention_loss(
+        mha: &mut MultiHeadAttention,
+        (query, key_value): (&Tensor, &Tensor),
+        (batch, lq, lk): (usize, usize, usize),
+        r: &Tensor,
+    ) -> f64 {
+        let y = mha.forward(query, key_value, batch, lq, lk, &mut ForwardCtx::train());
+        let terms = y.data().iter().zip(r.data());
+        terms.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
+    }
+
+    /// `MultiHeadAttention::backward` against central differences of
+    /// [`attention_loss`]: every element of `dquery`, `dkey_value` and each
+    /// parameter gradient of `wq`, `wk`, `wv`, `wo`, for self-attention
+    /// (`lq == lk`, one tensor as both inputs) and cross-attention, causal
+    /// and not. Step and tolerance are `tests/layer_properties.rs`'s (its
+    /// tolerance for layers nonlinear in their input, here the softmax).
+    #[test]
+    fn attention_matches_central_differences() {
+        const STEP: f32 = 1e-2;
+        const TOL: f64 = 2e-3;
+        let cases = [(3, 3, false), (3, 3, true), (2, 4, false), (4, 3, true)];
+        for (case, (lq, lk, causal)) in cases.into_iter().enumerate() {
+            let (batch, d, heads) = (2, 4, 2);
+            let dims = (batch, lq, lk);
+            let mut rng = Prng::seed_from_u64(40 + case as u64);
+            let mut mha = MultiHeadAttention::new(d, heads, causal, "a", &mut rng);
+            let query = init::gaussian(&[batch * lq, d], 0.0, 1.0, &mut rng);
+            let key_value = if lq == lk {
+                query.clone()
+            } else {
+                init::gaussian(&[batch * lk, d], 0.0, 1.0, &mut rng)
+            };
+            let y = mha.forward(&query, &key_value, batch, lq, lk, &mut ForwardCtx::train());
+            let r = init::gaussian(y.shape(), 0.0, 1.0, &mut rng);
+            let (dquery, dkey_value) = mha.backward(&r);
+            let mut grads = Vec::new();
+            mha.visit_params(&mut |p| grads.push(p.grad.clone()));
+            assert_eq!(grads.len(), 8, "four projections, weight and bias each");
+
+            let label = format!("lq {lq} lk {lk} causal {causal}");
+            let check = |at: String, analytic: f32, loss_after: &mut dyn FnMut(f32) -> f64| {
+                let numeric = (loss_after(STEP) - loss_after(-STEP)) / (2.0 * f64::from(STEP));
+                let tol = TOL * numeric.abs().max(1.0);
+                assert!(
+                    (f64::from(analytic) - numeric).abs() < tol,
+                    "{label} {at}: analytic {analytic} vs numeric {numeric}"
+                );
+            };
+            for i in 0..query.len() {
+                check(format!("dquery[{i}]"), dquery.data()[i], &mut |step| {
+                    let mut moved = query.clone();
+                    moved.data_mut()[i] += step;
+                    attention_loss(&mut mha, (&moved, &key_value), dims, &r)
+                });
+            }
+            for i in 0..key_value.len() {
+                check(
+                    format!("dkey_value[{i}]"),
+                    dkey_value.data()[i],
+                    &mut |step| {
+                        let mut moved = key_value.clone();
+                        moved.data_mut()[i] += step;
+                        attention_loss(&mut mha, (&query, &moved), dims, &r)
+                    },
+                );
+            }
+            for (pi, grad) in grads.iter().enumerate() {
+                for i in 0..grad.len() {
+                    let nudge = |mha: &mut MultiHeadAttention, by: f32| {
+                        let mut seen = 0;
+                        mha.visit_params(&mut |p| {
+                            if seen == pi {
+                                p.value.data_mut()[i] += by;
+                            }
+                            seen += 1;
+                        });
+                    };
+                    check(format!("param {pi} [{i}]"), grad.data()[i], &mut |step| {
+                        nudge(&mut mha, step);
+                        let loss = attention_loss(&mut mha, (&query, &key_value), dims, &r);
+                        nudge(&mut mha, -step);
+                        loss
+                    });
+                }
+            }
+        }
+    }
+
     #[test]
     fn causal_mask_blocks_future() {
         // With a causal mask, position 0's output must not depend on later

@@ -29,7 +29,7 @@ pub mod init;
 pub(crate) mod lanes;
 pub mod matmul;
 pub mod norm;
-pub(crate) mod par;
+pub mod par;
 pub mod pool;
 pub mod rng;
 pub(crate) mod scratch;
@@ -177,6 +177,27 @@ impl Tensor {
     ///
     /// Panics if the element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
+        self.check_reshape(shape);
+        Tensor {
+            shape: shape.to_vec(),
+            data: self.data.clone(),
+        }
+    }
+
+    /// [`Tensor::reshape`] without the copy: consumes the tensor and keeps
+    /// its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts differ.
+    pub fn into_shape(mut self, shape: &[usize]) -> Tensor {
+        self.check_reshape(shape);
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self
+    }
+
+    fn check_reshape(&self, shape: &[usize]) {
         let expected: usize = shape.iter().product();
         assert_eq!(
             self.data.len(),
@@ -187,10 +208,6 @@ impl Tensor {
             shape,
             expected
         );
-        Tensor {
-            shape: shape.to_vec(),
-            data: self.data.clone(),
-        }
     }
 
     /// Linear index for a multi-dimensional index (row-major).
@@ -550,6 +567,17 @@ mod tests {
         let r = t.reshape(&[2, 3]);
         assert_eq!(r.shape(), &[2, 3]);
         assert_eq!(r.data(), t.data());
+        let ptr = t.data().as_ptr();
+        let moved = t.into_shape(&[3, 2]);
+        assert_eq!(moved.shape(), &[3, 2]);
+        assert_eq!(moved.data(), r.data());
+        assert_eq!(moved.data().as_ptr(), ptr, "into_shape keeps the buffer");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot reshape")]
+    fn into_shape_rejects_another_element_count() {
+        Tensor::zeros(&[6]).into_shape(&[4]);
     }
 
     #[test]

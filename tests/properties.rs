@@ -49,8 +49,8 @@ fn reorg_gradient_roundtrip() {
             label: "p".into(),
         };
         let grad = init::gaussian(&[out_ch, in_ch, k, k], 0.0, 0.1, rng);
-        let rows = reorg::gradient_rows(&meta, &grad);
-        let back = reorg::rows_to_gradient(&meta, &rows);
+        let rows = reorg::gradient_rows(&meta, grad.clone());
+        let back = reorg::rows_to_gradient(&meta, rows);
         assert_eq!(back, grad);
     });
 }
