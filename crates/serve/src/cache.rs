@@ -31,15 +31,25 @@
 //! restart ([`CellCache::warm`]) and re-evaluates nothing that reached
 //! the disk. Its records are full precision, so replayed cells are
 //! bit-identical to the evaluation that produced them.
+//!
+//! ## The hit line
+//!
+//! A ready entry also holds the line a hit on it streams: the exact
+//! bytes of `wire::cell_line(id, key, true, metrics)`, rendered on the
+//! cell's first hit and copied on every later one. Log replay and
+//! warm-load render nothing. The server looks a window's cells up with
+//! `CellCache::memoized` and sends only the rest to the pool, through
+//! `CellCache::answer`.
 
-use adagp_sweep::evaluate_cell;
+use crate::wire::cell_line;
 use adagp_sweep::grid::CellSpec;
 use adagp_sweep::shardlog::ShardWriter;
 use adagp_sweep::store::{StoredCell, StoredRun};
+use adagp_sweep::{evaluate_cell, CellMetrics};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// How a cell was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,17 +105,49 @@ impl Flight {
     }
 }
 
+/// A memoized cell and the line a hit on it streams.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    cell: Arc<StoredCell>,
+    hit_line: OnceLock<String>,
+}
+
+impl Memo {
+    fn new(cell: Arc<StoredCell>) -> Arc<Memo> {
+        Arc::new(Memo {
+            cell,
+            hit_line: OnceLock::new(),
+        })
+    }
+
+    /// `cell_line(&spec.id, &spec.key(), true, ..)` for this cell,
+    /// rendered on the first call. `spec` is the cell's spec: its ID keys
+    /// the entry, and the ID is derived from its content.
+    pub(crate) fn hit_line(&self, spec: &CellSpec) -> &str {
+        self.hit_line
+            .get_or_init(|| cell_line(&spec.id, &spec.key(), true, &self.cell.metrics()))
+    }
+}
+
 #[derive(Debug)]
 enum Entry {
-    Ready(Arc<StoredCell>),
+    Ready(Arc<Memo>),
     InFlight(Arc<Flight>),
 }
 
-/// What the map lookup decided this caller should do.
+/// What the map lookup decided a caller that missed should do.
 enum Claim {
-    Hit(Arc<StoredCell>),
     Wait(Arc<Flight>),
     Evaluate(Arc<Flight>),
+}
+
+/// How a cell was answered.
+pub(crate) enum Answer {
+    /// Already memoized: the entry, with its hit line.
+    Hit(Arc<Memo>),
+    /// Evaluated by this call ([`Served::Evaluated`]) or by a concurrent
+    /// one ([`Served::Joined`]).
+    Fresh(Arc<StoredCell>, Served),
 }
 
 /// The concurrent memo store. See the module docs for the contract.
@@ -164,6 +206,15 @@ impl CellCache {
         self.len() == 0
     }
 
+    /// The memoized entry of `spec`, if it is ready; an absent or
+    /// in-flight cell is `None`.
+    pub(crate) fn memoized(&self, spec: &CellSpec) -> Option<Arc<Memo>> {
+        match self.map.lock().unwrap().get(&spec.id) {
+            Some(Entry::Ready(memo)) => Some(Arc::clone(memo)),
+            _ => None,
+        }
+    }
+
     /// Serves `spec` from the memo store, evaluating it (exactly once
     /// across all concurrent callers) on a miss.
     ///
@@ -172,10 +223,19 @@ impl CellCache {
     /// Returns the panic message if the evaluation itself panicked (the
     /// entry is removed so a later request can retry).
     pub fn get_or_evaluate(&self, spec: &CellSpec) -> Result<(Arc<StoredCell>, Served), String> {
+        Ok(match self.answer(spec)? {
+            Answer::Hit(memo) => (Arc::clone(&memo.cell), Served::Hit),
+            Answer::Fresh(cell, served) => (cell, served),
+        })
+    }
+
+    /// [`get_or_evaluate`](CellCache::get_or_evaluate), with a hit
+    /// answered by its entry.
+    pub(crate) fn answer(&self, spec: &CellSpec) -> Result<Answer, String> {
         let claim = {
             let mut map = self.map.lock().unwrap();
             match map.get(&spec.id) {
-                Some(Entry::Ready(cell)) => Claim::Hit(Arc::clone(cell)),
+                Some(Entry::Ready(memo)) => return Ok(Answer::Hit(Arc::clone(memo))),
                 Some(Entry::InFlight(flight)) => Claim::Wait(Arc::clone(flight)),
                 None => {
                     let flight = Arc::new(Flight::new());
@@ -185,28 +245,41 @@ impl CellCache {
             }
         };
         match claim {
-            Claim::Hit(cell) => Ok((cell, Served::Hit)),
-            Claim::Wait(flight) => flight.wait().map(|cell| (cell, Served::Joined)),
+            Claim::Wait(flight) => flight
+                .wait()
+                .map(|cell| Answer::Fresh(cell, Served::Joined)),
             Claim::Evaluate(flight) => {
                 let result = catch_unwind(AssertUnwindSafe(|| evaluate_cell(spec)));
-                let mut map = self.map.lock().unwrap();
-                match result {
-                    Ok(metrics) => {
-                        let cell = Arc::new(StoredCell::from_evaluation(spec, &metrics));
-                        map.insert(spec.id.clone(), Entry::Ready(Arc::clone(&cell)));
-                        drop(map);
-                        flight.complete(Ok(Arc::clone(&cell)));
-                        self.log_append(&cell);
-                        Ok((cell, Served::Evaluated))
-                    }
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        map.remove(&spec.id);
-                        drop(map);
-                        flight.complete(Err(msg.clone()));
-                        Err(msg)
-                    }
-                }
+                self.publish(spec, &flight, result.map_err(|p| panic_message(p.as_ref())))
+                    .map(|cell| Answer::Fresh(cell, Served::Evaluated))
+            }
+        }
+    }
+
+    /// Ends `spec`'s flight with its evaluation's outcome: a cell is
+    /// memoized, handed to the flight's waiters and appended to the log;
+    /// a failure removes the entry so a later request can retry.
+    fn publish(
+        &self,
+        spec: &CellSpec,
+        flight: &Flight,
+        result: Result<CellMetrics, String>,
+    ) -> Result<Arc<StoredCell>, String> {
+        let mut map = self.map.lock().unwrap();
+        match result {
+            Ok(metrics) => {
+                let cell = Arc::new(StoredCell::from_evaluation(spec, &metrics));
+                map.insert(spec.id.clone(), Entry::Ready(Memo::new(Arc::clone(&cell))));
+                drop(map);
+                flight.complete(Ok(Arc::clone(&cell)));
+                self.log_append(&cell);
+                Ok(cell)
+            }
+            Err(msg) => {
+                map.remove(&spec.id);
+                drop(map);
+                flight.complete(Err(msg.clone()));
+                Err(msg)
             }
         }
     }
@@ -219,7 +292,7 @@ impl CellCache {
         let mut loaded = 0;
         for cell in cells {
             if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(cell.id.clone()) {
-                slot.insert(Entry::Ready(Arc::new(cell)));
+                slot.insert(Entry::Ready(Memo::new(Arc::new(cell))));
                 loaded += 1;
             }
         }
@@ -234,6 +307,39 @@ impl CellCache {
     /// Returns the loader's description of an I/O or parse failure.
     pub fn warm_load(&self, path: &Path) -> Result<usize, String> {
         Ok(self.warm(StoredRun::load(path)?.cells))
+    }
+}
+
+/// A flight a test holds open, as a concurrent request evaluating the
+/// cell would.
+#[cfg(test)]
+pub(crate) struct HeldFlight(Arc<Flight>);
+
+#[cfg(test)]
+impl HeldFlight {
+    /// Callers parked on the flight (the map and the holder aside).
+    pub(crate) fn waiters(&self) -> usize {
+        Arc::strong_count(&self.0).saturating_sub(2)
+    }
+
+    /// Evaluates `spec` and publishes it to the cache and the waiters.
+    pub(crate) fn finish(self, cache: &CellCache, spec: &CellSpec) {
+        cache
+            .publish(spec, &self.0, Ok(evaluate_cell(spec)))
+            .unwrap();
+    }
+}
+
+#[cfg(test)]
+impl CellCache {
+    /// Marks the absent `spec` in flight until the returned flight is
+    /// finished.
+    pub(crate) fn hold_flight(&self, spec: &CellSpec) -> HeldFlight {
+        let flight = Arc::new(Flight::new());
+        let mut map = self.map.lock().unwrap();
+        assert!(!map.contains_key(&spec.id), "{} is not absent", spec.key());
+        map.insert(spec.id.clone(), Entry::InFlight(Arc::clone(&flight)));
+        HeldFlight(flight)
     }
 }
 

@@ -3,9 +3,11 @@
 //!
 //! One request per connection, `Connection: close` framing: the client
 //! writes the request, shutting down its write half, and reads to EOF.
+//! [`submit_grid`] decodes each NDJSON line of a `/grid` reply once,
+//! through [`parse_grid_line`], and sorts it by kind.
 
 use crate::metrics::parse_metrics;
-use crate::wire::{is_error_line, parse_cell_line, parse_done_line, CellLine, DoneLine};
+use crate::wire::{parse_grid_line, CellLine, DoneLine, GridLine};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -188,28 +190,22 @@ pub fn submit_grid(addr: SocketAddr, spec_json: &str) -> Result<GridResponse, St
     }
     let mut lines = reply.body.lines().filter(|l| !l.is_empty());
     let header = lines.next().ok_or("empty /grid stream")?;
-    let header_v = serde::json::parse_value(header).map_err(|e| e.to_string())?;
-    let grid = header_v
-        .field("grid")
-        .ok()
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("malformed header line `{header}`"))?
-        .to_string();
-    let announced_cells = header_v
-        .field("cells")
-        .ok()
-        .and_then(serde::Value::as_u64)
-        .ok_or_else(|| format!("malformed header line `{header}`"))?;
+    let Ok(GridLine::Header {
+        grid,
+        cells: announced_cells,
+    }) = parse_grid_line(header)
+    else {
+        return Err(format!("malformed header line `{header}`"));
+    };
     let mut cells = Vec::new();
     let mut cell_errors = Vec::new();
     let mut done = None;
     for line in lines {
-        if let Ok(d) = parse_done_line(line) {
-            done = Some(d);
-        } else if is_error_line(line) {
-            cell_errors.push(line.to_string());
-        } else {
-            cells.push(parse_cell_line(line)?);
+        match parse_grid_line(line)? {
+            GridLine::Cell(cell) => cells.push(cell),
+            GridLine::Error { .. } => cell_errors.push(line.to_string()),
+            GridLine::Done(d) => done = Some(d),
+            GridLine::Header { .. } => return Err(format!("second header line `{line}`")),
         }
     }
     Ok(GridResponse {

@@ -5,10 +5,12 @@
 //! [`BoundedQueue`] with [`try_push`](BoundedQueue::try_push) — a full
 //! queue answers `503` immediately instead of growing without bound —
 //! and a small fixed set of worker threads pops them, parses one request
-//! per connection, and serves it. Grid evaluations run on the shared
-//! `adagp_runtime::pool()` in windows, so cell results stream back while
-//! later windows are still evaluating, and every evaluation is memoized
-//! and coalesced by the [`CellCache`].
+//! per connection, and serves it. A grid streams in windows: the worker
+//! looks each window's cells up in the [`CellCache`] and copies a
+//! memoized cell's hit line itself; only absent or in-flight cells run
+//! on the shared `adagp_runtime::pool()`, where every evaluation is
+//! memoized and coalesced. Cell results stream back while later windows
+//! are still evaluating, and a window of hits never wakes the pool.
 //!
 //! Shutdown (via [`ServerHandle::shutdown`] or `POST /shutdown`) raises
 //! a flag and pokes the listener with a wake-up connection; the accept
@@ -23,13 +25,13 @@
 //! the server's only persistence; without it the cache lives and dies
 //! with the process.
 
-use crate::cache::{CellCache, Served};
+use crate::cache::{Answer, CellCache, Served};
 use crate::http::{error_response, response, streaming_head, HttpError, Request, RequestParser};
 use crate::metrics::ServerMetrics;
 use crate::wire::{cell_line, done_line, error_line, header_line, parse_grid_request, DoneLine};
 use adagp_obs as obs;
 use adagp_runtime::{BoundedQueue, TryPushError};
-use adagp_sweep::grid::GridSpec;
+use adagp_sweep::grid::{CellSpec, GridSpec};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -399,7 +401,8 @@ fn respond(
 }
 
 /// Streams a `/grid` response: header line, cell lines in evaluation
-/// windows (flushed per window), summary line.
+/// windows (flushed per window), summary line. A hit streams its cache
+/// entry's hit line; an evaluated or joined cell is rendered here.
 fn serve_grid(
     state: &ServeState,
     spec: &GridSpec,
@@ -421,45 +424,61 @@ fn serve_grid(
         micros: 0,
     };
     for window in cells.chunks(state.grid_window) {
-        let results = adagp_runtime::pool().parallel_map(window.to_vec(), |cell| {
-            let outcome = state.cache.get_or_evaluate(&cell);
-            (cell, outcome)
-        });
+        // Memoized cells are answered on this worker; only absent or
+        // in-flight cells go to the pool, so an all-hit window opens no
+        // pool region.
+        let memoized: Vec<_> = window.iter().map(|c| state.cache.memoized(c)).collect();
+        let misses: Vec<&CellSpec> = window
+            .iter()
+            .zip(&memoized)
+            .filter_map(|(cell, memo)| memo.is_none().then_some(cell))
+            .collect();
+        let mut fresh = adagp_runtime::pool()
+            .parallel_map(misses, |cell| state.cache.answer(cell))
+            .into_iter();
         let mut chunk = String::new();
-        for (cell, outcome) in results {
-            match outcome {
-                Ok((cached, served)) => {
-                    state.metrics.cells_served.fetch_add(1, Ordering::Relaxed);
-                    done.cells += 1;
-                    match served {
-                        Served::Hit => {
-                            state.metrics.cell_hits.fetch_add(1, Ordering::Relaxed);
-                            done.hits += 1;
-                        }
-                        Served::Evaluated => {
-                            state.metrics.cell_misses.fetch_add(1, Ordering::Relaxed);
-                            state.metrics.evaluations.fetch_add(1, Ordering::Relaxed);
-                            done.evaluated += 1;
-                        }
-                        Served::Joined => {
-                            state.metrics.cell_misses.fetch_add(1, Ordering::Relaxed);
-                            state
-                                .metrics
-                                .coalesced_waits
-                                .fetch_add(1, Ordering::Relaxed);
-                            done.joined += 1;
-                        }
-                    }
-                    chunk.push_str(&cell_line(
-                        &cell.id,
-                        &cell.key(),
-                        matches!(served, Served::Hit),
-                        &cached.metrics(),
-                    ));
+        for (cell, memo) in window.iter().zip(memoized) {
+            let answer = match memo {
+                Some(memo) => Ok(Answer::Hit(memo)),
+                None => fresh.next().expect("one answer per miss"),
+            };
+            let served = match answer {
+                Ok(Answer::Hit(memo)) => {
+                    chunk.push_str(memo.hit_line(cell));
+                    Served::Hit
                 }
-                Err(msg) => chunk.push_str(&error_line(&cell.id, &msg)),
-            }
+                Ok(Answer::Fresh(stored, served)) => {
+                    chunk.push_str(&cell_line(&cell.id, &cell.key(), false, &stored.metrics()));
+                    served
+                }
+                Err(msg) => {
+                    chunk.push_str(&error_line(&cell.id, &msg));
+                    chunk.push('\n');
+                    continue;
+                }
+            };
             chunk.push('\n');
+            state.metrics.cells_served.fetch_add(1, Ordering::Relaxed);
+            done.cells += 1;
+            match served {
+                Served::Hit => {
+                    state.metrics.cell_hits.fetch_add(1, Ordering::Relaxed);
+                    done.hits += 1;
+                }
+                Served::Evaluated => {
+                    state.metrics.cell_misses.fetch_add(1, Ordering::Relaxed);
+                    state.metrics.evaluations.fetch_add(1, Ordering::Relaxed);
+                    done.evaluated += 1;
+                }
+                Served::Joined => {
+                    state.metrics.cell_misses.fetch_add(1, Ordering::Relaxed);
+                    state
+                        .metrics
+                        .coalesced_waits
+                        .fetch_add(1, Ordering::Relaxed);
+                    done.joined += 1;
+                }
+            }
         }
         stream.write_all(chunk.as_bytes())?;
         stream.flush()?;
@@ -596,5 +615,65 @@ mod tests {
         set_io_timeouts(&served);
         assert_eq!(served.read_timeout().unwrap(), Some(IO_TIMEOUT));
         assert_eq!(served.write_timeout().unwrap(), Some(IO_TIMEOUT));
+    }
+
+    /// One window holding two memoized cells, one in flight on another
+    /// request and one absent streams its lines in window order and
+    /// counts each cell once, by how it was served.
+    #[test]
+    fn a_window_of_hits_a_joined_cell_and_a_miss_streams_in_window_order() {
+        use adagp_sweep::store::StoredCell;
+        let server = start(ServerConfig::default()).expect("server starts");
+        let body = r#"{"name":"mixed","models":["VGG13"],"datasets":["Cifar10","Cifar100"],
+            "designs":["ADA-GP-Efficient","ADA-GP-MAX"],"dataflows":["WS"],"schedules":["paper"]}"#;
+        let cells = parse_grid_request(body.as_bytes()).unwrap().expand();
+        assert_eq!(cells.len(), 4);
+        assert!(
+            cells.len() <= ServerConfig::default().grid_window,
+            "one window"
+        );
+        let cache = &server.state().cache;
+        cache.warm(
+            [&cells[0], &cells[3]]
+                .map(|c| StoredCell::from_evaluation(c, &adagp_sweep::evaluate_cell(c))),
+        );
+        let held = cache.hold_flight(&cells[1]);
+        let addr = server.addr();
+        let reply = std::thread::scope(|scope| {
+            let client = scope.spawn(move || crate::submit_grid(addr, body));
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while held.waiters() == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let joined = held.waiters() == 1;
+            held.finish(cache, &cells[1]);
+            assert!(joined, "the window never joined the held flight");
+            client.join().unwrap().expect("grid reply")
+        });
+        assert_eq!(reply.cells.len(), cells.len());
+        for (got, spec) in reply.cells.iter().zip(&cells) {
+            assert_eq!(got.id, spec.id, "window order");
+            let want = adagp_sweep::metrics_to_array(&adagp_sweep::evaluate_cell(spec));
+            assert_eq!(got.metrics, want, "{}", spec.key());
+        }
+        let cached: Vec<bool> = reply.cells.iter().map(|c| c.cached).collect();
+        assert_eq!(cached, [true, false, false, true]);
+        let done = &reply.done;
+        assert_eq!(
+            (done.cells, done.hits, done.evaluated, done.joined),
+            (4, 2, 1, 1)
+        );
+        let metrics = crate::fetch_metrics(addr).expect("metrics");
+        assert_eq!(crate::check_invariants(&metrics), None);
+        for (name, want) in [
+            ("cells_served", 4),
+            ("cell_hits", 2),
+            ("cell_misses", 2),
+            ("evaluations", 1),
+            ("coalesced_waits", 1),
+        ] {
+            assert_eq!(metrics[name], want, "{name}");
+        }
+        server.shutdown().expect("clean shutdown");
     }
 }

@@ -23,6 +23,12 @@
 //! floats ride through the vendored writer's shortest-round-trip
 //! formatting, so a client parsing a cell line recovers bit-identical
 //! `f64`s — the property the load-test harness asserts.
+//!
+//! Every cell line is rendered by [`cell_line`]. The line a hit streams
+//! (`"cached":true`) is rendered once per cell, on its first hit, and
+//! kept in the cell's cache entry. The other side has one decoder,
+//! [`parse_grid_line`], which parses a line once and tells a header,
+//! cell, error and done line apart by their fields.
 
 use adagp_sweep::grid::{DatasetScale, GridSpec, PhaseSchedule};
 use adagp_sweep::store::METRICS;
@@ -302,58 +308,99 @@ fn require_str(v: &Value, name: &str) -> Result<String, String> {
         .ok_or_else(|| format!("line has no string `{name}` field"))
 }
 
-/// Parses one cell line back into its typed form (the load-test client's
-/// side of the contract).
+/// One decoded line of a `/grid` NDJSON response.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GridLine {
+    /// The first line: the grid's name and how many cells follow.
+    Header {
+        /// Grid name.
+        grid: String,
+        /// Cells the response announces.
+        cells: u64,
+    },
+    /// A served cell.
+    Cell(CellLine),
+    /// A cell whose evaluation panicked; the stream continues past it.
+    Error {
+        /// The failed cell's ID.
+        id: String,
+        /// The panic message.
+        message: String,
+    },
+    /// The terminating summary.
+    Done(DoneLine),
+}
+
+/// Decodes one line of a `/grid` response with a single JSON parse and
+/// classifies it by its fields: `done` is the summary, `error` a cell
+/// error, `grid` the header, and anything else must be a cell.
 ///
 /// # Errors
 ///
-/// Returns a description of the missing/mistyped field.
-pub fn parse_cell_line(line: &str) -> Result<CellLine, String> {
+/// Returns the JSON error, or a description of the missing/mistyped
+/// field. Metrics must be finite: the writer renders a non-finite float
+/// as `null`, so none can arrive from a server.
+pub fn parse_grid_line(line: &str) -> Result<GridLine, String> {
     let v = serde::json::parse_value(line).map_err(|e| e.to_string())?;
+    if !matches!(v, Value::Object(_)) {
+        return Err(format!("line must be an object, found {}", v.kind()));
+    }
+    if let Some(done) = get(&v, "done") {
+        if done != &Value::Bool(true) {
+            return Err("line's `done` field is not `true`".to_string());
+        }
+        return Ok(GridLine::Done(DoneLine {
+            cells: require_u64(&v, "cells")?,
+            hits: require_u64(&v, "hits")?,
+            evaluated: require_u64(&v, "evaluated")?,
+            joined: require_u64(&v, "joined")?,
+            micros: require_u64(&v, "micros")?,
+        }));
+    }
+    if get(&v, "error").is_some() {
+        return Ok(GridLine::Error {
+            id: require_str(&v, "id")?,
+            message: require_str(&v, "error")?,
+        });
+    }
+    if get(&v, "grid").is_some() {
+        return Ok(GridLine::Header {
+            grid: require_str(&v, "grid")?,
+            cells: require_u64(&v, "cells")?,
+        });
+    }
     let metrics_obj = get(&v, "metrics").ok_or("line has no `metrics` object")?;
     let mut metrics = [0.0f64; METRICS.len()];
     for (slot, m) in metrics.iter_mut().zip(METRICS.iter()) {
         *slot = get(metrics_obj, m.name)
             .and_then(Value::as_f64)
-            .ok_or_else(|| format!("metrics object has no `{}`", m.name))?;
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("metrics object has no finite `{}`", m.name))?;
     }
     let cached = match get(&v, "cached") {
         Some(Value::Bool(b)) => *b,
         _ => return Err("line has no boolean `cached` field".to_string()),
     };
-    Ok(CellLine {
+    Ok(GridLine::Cell(CellLine {
         id: require_str(&v, "id")?,
         key: require_str(&v, "key")?,
         cached,
         metrics,
-    })
+    }))
 }
 
-/// Parses the terminating summary line.
+/// Parses one cell line back into its typed form (the load-test client's
+/// side of the contract) through [`parse_grid_line`].
 ///
 /// # Errors
 ///
-/// Returns a description of the missing/mistyped field.
-pub fn parse_done_line(line: &str) -> Result<DoneLine, String> {
-    let v = serde::json::parse_value(line).map_err(|e| e.to_string())?;
-    if get(&v, "done") != Some(&Value::Bool(true)) {
-        return Err("not a done line".to_string());
+/// Returns a description of the missing/mistyped field, or says that
+/// `line` is another kind of line.
+pub fn parse_cell_line(line: &str) -> Result<CellLine, String> {
+    match parse_grid_line(line)? {
+        GridLine::Cell(cell) => Ok(cell),
+        _ => Err(format!("not a cell line: `{line}`")),
     }
-    Ok(DoneLine {
-        cells: require_u64(&v, "cells")?,
-        hits: require_u64(&v, "hits")?,
-        evaluated: require_u64(&v, "evaluated")?,
-        joined: require_u64(&v, "joined")?,
-        micros: require_u64(&v, "micros")?,
-    })
-}
-
-/// Whether an NDJSON line is a mid-stream cell error line (a cell whose
-/// evaluation panicked — the stream continues past it).
-pub fn is_error_line(line: &str) -> bool {
-    serde::json::parse_value(line)
-        .ok()
-        .is_some_and(|v| get(&v, "error").is_some())
 }
 
 /// Renders a mid-stream cell error line.
@@ -513,9 +560,28 @@ mod tests {
             joined: 1,
             micros: 1234,
         };
-        assert_eq!(parse_done_line(&done_line(&done)).unwrap(), done);
-        assert!(parse_done_line(&header_line("g", 1)).is_err());
-        assert!(is_error_line(&error_line("abc", "boom")));
-        assert!(!is_error_line(&done_line(&done)));
+        assert_eq!(
+            parse_grid_line(&done_line(&done)),
+            Ok(GridLine::Done(done.clone()))
+        );
+        assert_eq!(
+            parse_grid_line(&error_line("abc", "boom")),
+            Ok(GridLine::Error {
+                id: "abc".to_string(),
+                message: "boom".to_string()
+            })
+        );
+        assert_eq!(
+            parse_grid_line(&header_line("g", 1)),
+            Ok(GridLine::Header {
+                grid: "g".to_string(),
+                cells: 1
+            })
+        );
+        assert!(parse_grid_line(r#"{"done":false,"cells":1}"#).is_err());
+        assert!(parse_grid_line("[1]").unwrap_err().contains("object"));
+        assert!(parse_cell_line(&done_line(&done))
+            .unwrap_err()
+            .contains("not a cell line"));
     }
 }

@@ -9,9 +9,18 @@
 //! 3. **Byte-stable log** — restarting on a shard log answers from it
 //!    without touching it: the log's bytes survive any number of
 //!    shutdown → replay cycles and merge to a standard run file.
+//! 4. **Byte-identical hit lines** — a hit streams exactly the line
+//!    `wire::cell_line` renders for the memoized metrics, whether the cell
+//!    was evaluated, replayed from a shard log or warm-loaded from a CSV,
+//!    and a warm reply is its cold reply with `"cached"` flipped.
 
-use adagp_serve::{check_invariants, fetch_metrics, server, submit_grid, CellCache, ServerConfig};
+use adagp_serve::wire::{cell_line, grid_to_value};
+use adagp_serve::{
+    check_invariants, fetch_metrics, http_request, server, submit_grid, CellCache, ServerConfig,
+    ServerHandle,
+};
 use adagp_sweep::diff::{diff_runs, DiffConfig};
+use adagp_sweep::grid::GridSpec;
 use adagp_sweep::store::{to_csv_string, StoredCell, StoredRun};
 use adagp_sweep::{evaluate_cell, merge_to_run, presets, run_grid};
 use std::collections::HashMap;
@@ -204,4 +213,107 @@ fn shard_log_survives_restart_cycles_byte_stable_and_merges_to_a_run_file() {
     assert!(merged.is_complete(), "{:?}", merged.missing);
     assert_eq!(merged.to_csv_string(), to_csv_string(&run_grid(&grid)));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The NDJSON lines of a `/grid` reply to `grid`, verbatim.
+fn grid_lines(server: &ServerHandle, grid: &GridSpec) -> Vec<String> {
+    let body = serde::json::to_string(&grid_to_value(grid));
+    let reply = http_request(server.addr(), "POST", "/grid", Some(&body)).expect("grid reply");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    reply.body.lines().map(str::to_string).collect()
+}
+
+/// Asserts that `lines`, a reply to `grid` that hit every cell, streams
+/// for each cell exactly what `cell_line` renders for the metrics
+/// `server` has memoized.
+fn assert_hit_lines(server: &ServerHandle, grid: &GridSpec, lines: &[String], what: &str) {
+    let cells = grid.expand();
+    assert_eq!(lines.len(), cells.len() + 2, "{what}: header, cells, done");
+    for (spec, line) in cells.iter().zip(&lines[1..]) {
+        let (stored, _) = server.state().cache.get_or_evaluate(spec).unwrap();
+        let want = cell_line(&spec.id, &spec.key(), true, &stored.metrics());
+        assert_eq!(line, &want, "{what}: {}", spec.key());
+    }
+    let done = lines.last().unwrap();
+    let all_hits = format!(r#""hits":{0},"evaluated":0,"joined":0"#, cells.len());
+    assert!(done.contains(&all_hits), "{what}: {done}");
+}
+
+#[test]
+fn every_preset_hits_with_the_rendered_cell_line_from_every_source() {
+    let dir = tmp("hit-lines");
+    let _ = std::fs::remove_dir_all(&dir);
+    let logged = ServerConfig {
+        log_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    // A fresh evaluation: each preset cold, then its first and a repeat hit.
+    let server = server::start(logged.clone()).expect("server starts");
+    for grid in presets::all() {
+        grid_lines(&server, &grid);
+        for hit in ["first", "repeat"] {
+            let lines = grid_lines(&server, &grid);
+            assert_hit_lines(
+                &server,
+                &grid,
+                &lines,
+                &format!("evaluated {} {hit}", grid.name),
+            );
+        }
+    }
+    server.shutdown().expect("clean shutdown");
+
+    // The same cells replayed from the shard log.
+    let server = server::start(logged).expect("restarted server starts");
+    for grid in presets::all() {
+        for hit in ["first", "repeat"] {
+            let lines = grid_lines(&server, &grid);
+            assert_hit_lines(
+                &server,
+                &grid,
+                &lines,
+                &format!("replayed {} {hit}", grid.name),
+            );
+        }
+    }
+    assert_eq!(
+        fetch_metrics(server.addr()).expect("metrics")["evaluations"],
+        0
+    );
+    server.shutdown().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A CSV warm-load, whose metrics are quantized to 6 decimals.
+    let server = server::start(ServerConfig {
+        warm: vec![repo_root().join("runs/fig17-ws.csv")],
+        ..ServerConfig::default()
+    })
+    .expect("warm server starts");
+    let grid = presets::by_name("fig17-ws").expect("fig17-ws preset");
+    for hit in ["first", "repeat"] {
+        let lines = grid_lines(&server, &grid);
+        assert_hit_lines(&server, &grid, &lines, &format!("warm-loaded {hit}"));
+    }
+    assert_eq!(
+        fetch_metrics(server.addr()).expect("metrics")["evaluations"],
+        0
+    );
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_warm_reply_is_the_cold_reply_with_cached_set() {
+    let server = server::start(ServerConfig::default()).expect("server starts");
+    let grid = presets::bandwidth_smoke();
+    let cold = grid_lines(&server, &grid);
+    let warm = grid_lines(&server, &grid);
+    assert_eq!(cold.len(), grid.cell_count() + 2);
+    assert_eq!(warm.len(), cold.len());
+    assert_eq!(warm[0], cold[0], "header");
+    let cells = cold.len() - 1;
+    for (c, w) in cold[1..cells].iter().zip(&warm[1..cells]) {
+        assert!(c.contains(r#""cached":false"#), "{c}");
+        assert_eq!(*w, c.replace(r#""cached":false"#, r#""cached":true"#));
+    }
+    server.shutdown().expect("clean shutdown");
 }
