@@ -16,8 +16,10 @@
 //!    a record replay.
 //! 3. *Real process abort* — the `sweep` binary is killed by the
 //!    `ADAGP_SHARD_FAULT_AFTER` fault point at every boundary of the
-//!    smoke grid and re-invoked; the resumed CSV/JSON must equal the
-//!    uninterrupted run's.
+//!    smoke grid (all four cells commit as one group) and re-invoked.
+//!    The log each abort leaves must be byte for byte what layers 1–2
+//!    simulate, and the resumed CSV/JSON must equal the uninterrupted
+//!    run's.
 
 use adagp_sweep::grid::{DatasetScale, GridSpec, PhaseSchedule};
 use adagp_sweep::shardlog::{
@@ -187,6 +189,11 @@ fn aborted_sweep_process_resumes_to_byte_identical_outputs() {
     assert_eq!(code, Some(0));
     let reference_csv = std::fs::read_to_string(&ref_csv).unwrap();
     let reference_json = std::fs::read_to_string(&ref_json).unwrap();
+    let log_name = shard_file_name(Shard::default());
+    let records = shardlog::load_shard(&ref_dir.join("logs").join(&log_name))
+        .unwrap()
+        .cells;
+    assert_eq!(records.len(), 4, "the smoke grid's records");
 
     // Kill the binary at every record boundary of the 4-cell smoke
     // grid, then resume without the fault point.
@@ -207,6 +214,13 @@ fn aborted_sweep_process_resumes_to_byte_identical_outputs() {
             code,
             Some(0),
             "boundary {k}: the fault point must kill the run"
+        );
+        let simulated = dir.join("simulated");
+        write_crashed_log(&simulated, &records, k);
+        assert_eq!(
+            std::fs::read(logs.join(&log_name)).unwrap(),
+            std::fs::read(simulated.join(&log_name)).unwrap(),
+            "boundary {k}: the aborted run's log"
         );
         let csv = dir.join("out.csv");
         let json = dir.join("out.json");

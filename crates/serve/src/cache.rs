@@ -25,12 +25,19 @@
 //! ## Durability: the append log
 //!
 //! With a [`ShardWriter`] attached ([`CellCache::attach_log`]), every
-//! *fresh* evaluation is appended to the crash-safe shard log (fsync
-//! per record) the moment it completes. That log is the cache's only
-//! persistence: a stopped or killed server replays the merged log on
-//! restart ([`CellCache::warm`]) and re-evaluates nothing that reached
-//! the disk. Its records are full precision, so replayed cells are
-//! bit-identical to the evaluation that produced them.
+//! *fresh* evaluation is appended to the crash-safe shard log. A window
+//! commits its evaluations as one group (one write, one fsync) on the
+//! connection worker, after its pool region and before its lines
+//! stream, so no `"cached":false` line reaches its client before its
+//! record is on disk, and no pool task waits on the disk.
+//! [`CellCache::get_or_evaluate`] commits its own evaluation as a group
+//! of one. A cell is published in memory before its group commits, so
+//! another request can stream a just-published cell before it is on
+//! disk. That log is the cache's only persistence: a stopped or killed
+//! server replays the merged log on restart ([`CellCache::warm`]) and
+//! re-evaluates nothing that reached the disk. Its records are full
+//! precision, so replayed cells are bit-identical to the evaluation that
+//! produced them.
 //!
 //! ## The hit line
 //!
@@ -155,8 +162,8 @@ pub(crate) enum Answer {
 pub struct CellCache {
     map: Mutex<HashMap<String, Entry>>,
     /// The attached append log (`None`: the cache is memory-only). Its
-    /// own mutex, never held together with `map`: appends happen after
-    /// the entry is published.
+    /// own mutex, never held together with `map`: a cell's group commits
+    /// after its entry is published.
     log: Mutex<Option<ShardWriter>>,
 }
 
@@ -167,22 +174,23 @@ impl CellCache {
     }
 
     /// Attaches an append-only shard log: from now on every fresh
-    /// evaluation is durably appended (fsync per record) as soon as it
-    /// completes. Replaces any previously attached writer.
+    /// evaluation is durably appended, in the group its window commits.
+    /// Replaces any previously attached writer.
     pub fn attach_log(&self, writer: ShardWriter) {
         *self.log.lock().unwrap() = Some(writer);
     }
 
-    /// Appends a freshly evaluated cell to the attached log, if any.
-    /// An append failure does not fail the serving path — the entry is
-    /// already published in memory and the reply is correct — but the
-    /// cell is *not* durable: a restart will evaluate it again. The
-    /// writer counts each failure on `sweep_log_append_errors_total`
-    /// (`/metrics`), and it is reported on stderr here.
-    fn log_append(&self, cell: &StoredCell) {
+    /// Appends freshly evaluated cells to the attached log, if any, as
+    /// one group: one write, one fsync. An append failure does not fail
+    /// the serving path — the entries are already published in memory
+    /// and the reply is correct — but the cells are *not* durable: a
+    /// restart will evaluate them again. The writer counts each of them
+    /// on `sweep_log_append_errors_total` (`/metrics`), and the failure
+    /// is reported on stderr here.
+    pub(crate) fn commit<'a>(&self, cells: impl IntoIterator<Item = &'a StoredCell>) {
         let mut log = self.log.lock().unwrap();
         if let Some(writer) = log.as_mut() {
-            if let Err(e) = writer.append(cell) {
+            if let Err(e) = writer.append_group(cells) {
                 eprintln!(
                     "adagp-serve: warning: append to {} failed: {e}",
                     writer.path().display()
@@ -216,7 +224,8 @@ impl CellCache {
     }
 
     /// Serves `spec` from the memo store, evaluating it (exactly once
-    /// across all concurrent callers) on a miss.
+    /// across all concurrent callers) on a miss. A cell this call
+    /// evaluated is committed to the attached log before it returns.
     ///
     /// # Errors
     ///
@@ -225,12 +234,18 @@ impl CellCache {
     pub fn get_or_evaluate(&self, spec: &CellSpec) -> Result<(Arc<StoredCell>, Served), String> {
         Ok(match self.answer(spec)? {
             Answer::Hit(memo) => (Arc::clone(&memo.cell), Served::Hit),
-            Answer::Fresh(cell, served) => (cell, served),
+            Answer::Fresh(cell, served) => {
+                if served == Served::Evaluated {
+                    self.commit([&*cell]);
+                }
+                (cell, served)
+            }
         })
     }
 
     /// [`get_or_evaluate`](CellCache::get_or_evaluate), with a hit
-    /// answered by its entry.
+    /// answered by its entry and an evaluated cell left for the caller
+    /// to [`commit`](CellCache::commit).
     pub(crate) fn answer(&self, spec: &CellSpec) -> Result<Answer, String> {
         let claim = {
             let mut map = self.map.lock().unwrap();
@@ -257,8 +272,8 @@ impl CellCache {
     }
 
     /// Ends `spec`'s flight with its evaluation's outcome: a cell is
-    /// memoized, handed to the flight's waiters and appended to the log;
-    /// a failure removes the entry so a later request can retry.
+    /// memoized and handed to the flight's waiters; a failure removes the
+    /// entry so a later request can retry.
     fn publish(
         &self,
         spec: &CellSpec,
@@ -272,7 +287,6 @@ impl CellCache {
                 map.insert(spec.id.clone(), Entry::Ready(Memo::new(Arc::clone(&cell))));
                 drop(map);
                 flight.complete(Ok(Arc::clone(&cell)));
-                self.log_append(&cell);
                 Ok(cell)
             }
             Err(msg) => {

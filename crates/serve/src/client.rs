@@ -91,15 +91,22 @@ pub fn http_request(
     stream
         .read_to_end(&mut raw)
         .map_err(|e| format!("read: {e}"))?;
-    parse_reply(&raw)
+    parse_reply(raw)
 }
 
-/// Splits a raw reply into status, `Retry-After` hint, and body.
-fn parse_reply(raw: &[u8]) -> Result<HttpReply, String> {
-    let text = String::from_utf8(raw.to_vec()).map_err(|_| "reply is not UTF-8".to_string())?;
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("reply without head terminator: `{text}`"))?;
+/// Splits a raw reply into status, `Retry-After` hint, and body. The head
+/// ends at the first `\r\n\r\n`; the body is what follows, moved to the
+/// front of `raw`'s own buffer.
+fn parse_reply(mut raw: Vec<u8>) -> Result<HttpReply, String> {
+    const NOT_UTF8: &str = "reply is not UTF-8";
+    let end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or_else(|| {
+            let text = String::from_utf8_lossy(&raw);
+            format!("reply without head terminator: `{text}`")
+        })?;
+    let head = std::str::from_utf8(&raw[..end]).map_err(|_| NOT_UTF8.to_string())?;
     let status_line = head.lines().next().unwrap_or("");
     let status: u16 = status_line
         .split_whitespace()
@@ -112,9 +119,10 @@ fn parse_reply(raw: &[u8]) -> Result<HttpReply, String> {
             .then(|| value.trim().parse::<u64>().ok())
             .flatten()
     });
+    raw.drain(..end + 4);
     Ok(HttpReply {
         status,
-        body: body.to_string(),
+        body: String::from_utf8(raw).map_err(|_| NOT_UTF8.to_string())?,
         retry_after,
     })
 }
@@ -308,13 +316,30 @@ mod tests {
     #[test]
     fn retry_after_header_is_parsed_case_insensitively() {
         let reply = parse_reply(
-            b"HTTP/1.1 503 Service Unavailable\r\nretry-after: 7\r\nContent-Length: 1\r\n\r\nx",
+            b"HTTP/1.1 503 Service Unavailable\r\nretry-after: 7\r\nContent-Length: 1\r\n\r\nx"
+                .to_vec(),
         )
         .unwrap();
         assert_eq!(reply.status, 503);
         assert_eq!(reply.retry_after, Some(7));
-        let reply = parse_reply(b"HTTP/1.1 200 OK\r\n\r\nok").unwrap();
+        let reply = parse_reply(b"HTTP/1.1 200 OK\r\n\r\nok".to_vec()).unwrap();
         assert_eq!(reply.retry_after, None);
+    }
+
+    #[test]
+    fn the_head_ends_at_the_first_blank_line() {
+        let reply =
+            parse_reply(b"HTTP/1.1 200 OK\r\n\r\nRetry-After: 9\r\n\r\nbody".to_vec()).unwrap();
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.retry_after, None, "a header-like body line is body");
+        assert_eq!(reply.body, "Retry-After: 9\r\n\r\nbody");
+        assert!(parse_reply(b"HTTP/1.1 200 OK\r\n".to_vec())
+            .unwrap_err()
+            .starts_with("reply without head terminator"));
+        assert_eq!(
+            parse_reply(b"HTTP/1.1 200 OK\r\n\r\n\xff".to_vec()).unwrap_err(),
+            "reply is not UTF-8"
+        );
     }
 
     #[test]

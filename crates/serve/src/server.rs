@@ -18,12 +18,13 @@
 //! already accepted request (draining in-flight evaluations with them).
 //!
 //! Durability does not depend on a graceful shutdown: with
-//! [`ServerConfig::log_dir`] set, every fresh evaluation is appended to
-//! a crash-safe shard log (fsync per record) the moment it completes,
-//! and a restarted server replays the merged log before accepting
-//! traffic — a `kill -9` mid-grid costs zero recomputation. The log is
-//! the server's only persistence; without it the cache lives and dies
-//! with the process.
+//! [`ServerConfig::log_dir`] set, the worker appends each window's fresh
+//! evaluations to a crash-safe shard log as one group (one fsync) before
+//! it streams the window's lines, and a restarted server replays the
+//! merged log before accepting traffic — after a `kill -9` mid-grid, only
+//! the cells of windows that had not committed are evaluated again. The
+//! log is the server's only persistence; without it the cache lives and
+//! dies with the process.
 
 use crate::cache::{Answer, CellCache, Served};
 use crate::http::{error_response, response, streaming_head, HttpError, Request, RequestParser};
@@ -56,9 +57,10 @@ pub struct ServerConfig {
     pub warm: Vec<PathBuf>,
     /// Shard-log directory (`None`: nothing is persisted). When set, the
     /// cache warm-loads every record already merged from the directory's
-    /// shard logs and appends each fresh evaluation to
-    /// `shard-1-of-1.ndjson` with an fsync per record — a stopped or
-    /// killed server restarts mid-grid with zero recomputation.
+    /// shard logs, and each `/grid` window appends its fresh evaluations
+    /// to `shard-1-of-1.ndjson` as one group, one fsync, before its lines
+    /// stream — a stopped or killed server restarts mid-grid with zero
+    /// recomputation.
     pub log_dir: Option<PathBuf>,
 }
 
@@ -402,7 +404,9 @@ fn respond(
 
 /// Streams a `/grid` response: header line, cell lines in evaluation
 /// windows (flushed per window), summary line. A hit streams its cache
-/// entry's hit line; an evaluated or joined cell is rendered here.
+/// entry's hit line; an evaluated or joined cell is rendered here. The
+/// cells a window evaluated are committed to the log, as one group in
+/// window order, before any of its lines is written.
 fn serve_grid(
     state: &ServeState,
     spec: &GridSpec,
@@ -433,9 +437,14 @@ fn serve_grid(
             .zip(&memoized)
             .filter_map(|(cell, memo)| memo.is_none().then_some(cell))
             .collect();
-        let mut fresh = adagp_runtime::pool()
-            .parallel_map(misses, |cell| state.cache.answer(cell))
-            .into_iter();
+        let fresh = adagp_runtime::pool().parallel_map(misses, |cell| state.cache.answer(cell));
+        // The window's evaluations reach the disk before its lines leave.
+        let evaluated = fresh.iter().filter_map(|answer| match answer {
+            Ok(Answer::Fresh(cell, Served::Evaluated)) => Some(&**cell),
+            _ => None,
+        });
+        state.cache.commit(evaluated);
+        let mut fresh = fresh.into_iter();
         let mut chunk = String::new();
         for (cell, memo) in window.iter().zip(memoized) {
             let answer = match memo {
@@ -502,8 +511,8 @@ impl ServerHandle {
 
     /// Graceful shutdown: stop accepting, drain every accepted request
     /// (in-flight evaluations included) and join all threads. Nothing is
-    /// written here — every evaluation reached the shard log when it
-    /// completed.
+    /// written here — every evaluation reached the shard log with its
+    /// window.
     ///
     /// # Errors
     ///

@@ -2,13 +2,19 @@
 //! directory must restart mid-grid with **zero recomputation** — every
 //! cell a previous incarnation evaluated is replayed from the
 //! append-only log, bit-exactly, and `/metrics` proves no evaluator
-//! ran. Durability comes from the per-record fsync'd appends, not from
-//! a graceful shutdown flush, so the guarantee holds for a killed
-//! process too (the fault-injection CLI battery covers the real-abort
-//! variant; here the second incarnation starts from whatever the log
-//! holds).
+//! ran. Durability comes from the fsync'd appends each window of fresh
+//! evaluations makes before its lines stream, not from a graceful
+//! shutdown flush, so the guarantee holds for a killed process too (the
+//! fault-injection CLI battery covers the real-abort variant; here the
+//! second incarnation starts from whatever the log holds).
 
+use adagp_serve::wire::{parse_grid_line, GridLine};
 use adagp_serve::{check_invariants, fetch_metrics, server, submit_grid, ServerConfig};
+use adagp_sweep::shardlog::load_shard;
+use adagp_sweep::{shard_file_name, Shard};
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -123,6 +129,98 @@ fn partially_logged_grid_resumes_only_the_missing_cells() {
         "{metrics:?}"
     );
     assert_eq!(metrics["cell_hits"], sub_cells as i128, "{metrics:?}");
+    second.shutdown().expect("second shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// No `"cached":false` line reaches the client before its record is on
+/// disk: reading a cold multi-window reply line by line over a raw
+/// socket, every evaluated cell's ID is already a committed
+/// (newline-terminated) record of the shard log when its line arrives.
+#[test]
+fn every_evaluated_line_streams_after_its_record_is_committed() {
+    let dir = tmp_dir("ordering");
+    // 3 models x 3 designs x 3 dataflows = 27 cells: four windows of 8.
+    let body = r#"{
+        "name": "ordering",
+        "models": ["VGG13", "ResNet50", "MobileNet-V2"],
+        "datasets": ["Cifar10"],
+        "designs": ["ADA-GP-LOW", "ADA-GP-Efficient", "ADA-GP-MAX"],
+        "dataflows": ["WS", "RS", "IS"],
+        "schedules": ["paper"]
+    }"#;
+    let cfg = ServerConfig {
+        log_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let window = cfg.grid_window;
+    let first = server::start(cfg.clone()).expect("first server starts");
+    let log = dir.join(shard_file_name(Shard::default()));
+
+    let mut stream = TcpStream::connect(first.addr()).expect("connect");
+    write!(
+        stream,
+        "POST /grid HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send the request");
+    let mut reply = BufReader::new(stream);
+    let mut line = String::new();
+    reply.read_line(&mut line).expect("read the status line");
+    assert!(line.starts_with("HTTP/1.1 200 "), "{line}");
+    // The head ends at its blank line.
+    loop {
+        line.clear();
+        assert!(reply.read_line(&mut line).expect("read the head") > 0);
+        if line == "\r\n" {
+            break;
+        }
+    }
+    let (mut cells, mut evaluated) = (0, 0);
+    let mut done = None;
+    loop {
+        line.clear();
+        if reply.read_line(&mut line).expect("read a line") == 0 {
+            break;
+        }
+        assert!(line.ends_with('\n'), "a whole line: {line:?}");
+        match parse_grid_line(line.trim_end()).expect("a reply line") {
+            GridLine::Header { cells: n, .. } => assert!(n as usize > 2 * window, "{n} cells"),
+            GridLine::Cell(cell) => {
+                cells += 1;
+                if !cell.cached {
+                    evaluated += 1;
+                    let committed: HashSet<String> = load_shard(&log)
+                        .expect("read the log")
+                        .cells
+                        .into_iter()
+                        .map(|c| c.id)
+                        .collect();
+                    assert!(
+                        committed.contains(&cell.id),
+                        "cell {} streamed before its record was committed",
+                        cell.id
+                    );
+                }
+            }
+            GridLine::Error { .. } => panic!("cell error: {line}"),
+            GridLine::Done(d) => done = Some(d),
+        }
+    }
+    let done = done.expect("a done line");
+    assert_eq!((done.cells, done.evaluated), (27, 27));
+    assert_eq!((cells, evaluated), (27, 27));
+    first.shutdown().expect("first shutdown");
+
+    // The log alone answers the grid on restart.
+    let second = server::start(cfg).expect("second server starts");
+    let replay = submit_grid(second.addr(), body).expect("second submission");
+    assert_eq!(
+        (replay.done.cells, replay.done.evaluated, replay.done.hits),
+        (27, 0, 27)
+    );
+    let metrics = fetch_metrics(second.addr()).expect("metrics scrape");
+    assert_eq!(metrics["evaluations"], 0, "{metrics:?}");
     second.shutdown().expect("second shutdown");
     std::fs::remove_dir_all(&dir).ok();
 }

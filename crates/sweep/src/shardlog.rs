@@ -6,13 +6,15 @@
 //!
 //! A *shard log* is an NDJSON file named `shard-<k>-of-<n>.ndjson`: one
 //! compact-JSON record per line — a [`StoredCell`] under a record
-//! version, `{"v":1,"id":…,"axes":[…],"metrics":[…]}` — appended with an
-//! fsync at every record boundary. The loader dispatches on `v` (a line
-//! without one is version 1: logs written before the field existed), so
-//! a later change to the record's fields can keep reading old logs; a
-//! version this build does not know is skipped like any other
-//! undecodable line. A record is committed iff its trailing
-//! newline reached the file — the loader treats the final line of a
+//! version, `{"v":1,"id":…,"axes":[…],"metrics":[…]}` — appended in
+//! groups, one write of the group's newline-terminated records and one
+//! fsync per group ([`ShardWriter::append_group`]). The loader
+//! dispatches on `v` (a line without one is version 1: logs written
+//! before the field existed), so a later change to the record's fields
+//! can keep reading old logs; a version this build does not know is
+//! skipped like any other undecodable line. A record is committed iff
+//! its trailing newline reached the file, whatever group it was
+//! written in — the loader treats the final line of a
 //! file that does not end in `\n` as a *torn tail* (a crash mid-append)
 //! and skips it with a line-numbered warning instead of failing. Any
 //! other undecodable line (garbage bytes, truncated JSON, invalid
@@ -43,10 +45,12 @@
 //!
 //! ## Fault injection
 //!
-//! Setting `ADAGP_SHARD_FAULT_AFTER=<n>` makes the (n+1)-th append of a
-//! [`ShardWriter`] write a *torn prefix* of its record (no newline, no
-//! fsync guarantee) and then abort the process — the crash-injection
-//! batteries use it to kill real sweeps at exact record boundaries.
+//! Setting `ADAGP_SHARD_FAULT_AFTER=<n>` makes the group holding the
+//! (n+1)-th record of a [`ShardWriter`] write the records before it
+//! whole, then a *torn prefix* of that record (no newline), and abort
+//! the process — the bytes a crash between per-record appends would
+//! leave. The crash-injection batteries use it to kill real sweeps at
+//! exact record boundaries.
 
 use crate::grid::{CellSpec, GridSpec, Shard};
 use crate::runner;
@@ -59,8 +63,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 /// Environment variable for the crash-injection fault point: the value
-/// `n` aborts the process on the (n+1)-th record append, after writing
-/// a torn (newline-less) prefix of that record.
+/// `n` aborts the process at the (n+1)-th record appended, after writing
+/// the records before it and a torn (newline-less) prefix of that one.
 pub const FAULT_ENV: &str = "ADAGP_SHARD_FAULT_AFTER";
 
 /// Records appended to shard logs (process-global obs counter, rendered
@@ -75,6 +79,20 @@ fn appends_counter() -> &'static Arc<obs::Counter> {
 fn append_errors_counter() -> &'static Arc<obs::Counter> {
     static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
     C.get_or_init(|| obs::registry().counter("sweep_log_append_errors_total"))
+}
+
+/// `sync_data` calls on shard logs, the open-time torn-tail repair
+/// included (`adagp_sweep_log_syncs_total` on `/metrics`).
+fn syncs_counter() -> &'static Arc<obs::Counter> {
+    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| obs::registry().counter("sweep_log_syncs_total"))
+}
+
+/// Wall-clock microseconds per shard-log `sync_data`
+/// (`adagp_sweep_log_sync_us` on `/metrics`).
+fn sync_us() -> &'static Arc<obs::Histogram> {
+    static H: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
+    H.get_or_init(|| obs::registry().histogram("sweep_log_sync_us"))
 }
 
 /// Cells skipped because their ID was already committed to a shard log
@@ -113,8 +131,8 @@ pub fn parse_shard_file_name(name: &str) -> Option<Shard> {
 const RECORD_VERSION: u64 = 1;
 
 /// One record serialized as a compact single-line JSON object — the
-/// exact bytes [`ShardWriter::append`] commits (newline excluded): the
-/// cell's fields behind the record version.
+/// exact bytes [`ShardWriter::append_group`] commits per record (newline
+/// excluded): the cell's fields behind the record version.
 pub fn record_line(cell: &StoredCell) -> String {
     let Value::Object(mut fields) = cell.to_value() else {
         unreachable!("a derived struct serializes to an object");
@@ -142,10 +160,10 @@ fn decode_record(text: &str) -> Result<StoredCell, String> {
 }
 
 /// The append side of one shard log. Opens the file in append mode (an
-/// existing log keeps its records), writes one newline-terminated
-/// record per [`append`](ShardWriter::append), and fsyncs at every
-/// record boundary, so a committed record survives any crash of the
-/// writer or the machine.
+/// existing log keeps its records) and appends records in groups: one
+/// write of their newline-terminated lines, then one fsync
+/// ([`append_group`](ShardWriter::append_group)), so a committed record
+/// survives any crash of the writer or the machine.
 #[derive(Debug)]
 pub struct ShardWriter {
     file: std::fs::File,
@@ -182,11 +200,14 @@ impl ShardWriter {
             reader.read_exact(&mut last)?;
             if last[0] != b'\n' {
                 file.write_all(b"\n")?;
-                file.sync_data()?;
+                sync(&file)?;
             }
         }
-        // Registered here so a healthy log scrapes as an explicit 0.
+        // Registered here so a healthy log scrapes as explicit zeros.
+        appends_counter();
         append_errors_counter();
+        syncs_counter();
+        sync_us();
         Ok(ShardWriter {
             file,
             path,
@@ -206,43 +227,80 @@ impl ShardWriter {
         self.appended
     }
 
-    /// Appends one record: the compact JSON line plus `\n`, then fsync.
-    /// With the [`FAULT_ENV`] fault point armed at `n`, the `(n+1)`-th
-    /// call writes a torn prefix of the record instead and aborts the
-    /// process — simulating a crash mid-append.
+    /// Appends one record: [`append_group`](ShardWriter::append_group)
+    /// of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`append_group`](ShardWriter::append_group).
+    pub fn append(&mut self, cell: &StoredCell) -> std::io::Result<()> {
+        self.append_group([cell])
+    }
+
+    /// Appends a group of records: their compact JSON lines, each plus
+    /// `\n`, in one write, then one fsync. An empty group writes and
+    /// syncs nothing. With the [`FAULT_ENV`] fault point armed at `n`,
+    /// the group holding the writer's `(n+1)`-th record writes the
+    /// records before it, then a torn prefix of that record, and aborts
+    /// the process — simulating a crash mid-append.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the write or the fsync, after counting
-    /// it on `sweep_log_append_errors_total`: the record is not durable.
-    pub fn append(&mut self, cell: &StoredCell) -> std::io::Result<()> {
-        let mut line = record_line(cell);
-        if self.fault_after == Some(self.appended) {
-            // Crash injection: commit half the record without its
-            // newline, push it to the OS, and die like a killed worker.
-            line.truncate(line.len() / 2);
-            let _ = self.file.write_all(line.as_bytes());
-            let _ = self.file.sync_data();
-            eprintln!(
-                "shardlog: fault injected after {} records ({FAULT_ENV})",
-                self.appended
-            );
-            std::process::abort();
+    /// every record of the group on `sweep_log_append_errors_total`: none
+    /// of them is known to be durable.
+    pub fn append_group<'a>(
+        &mut self,
+        cells: impl IntoIterator<Item = &'a StoredCell>,
+    ) -> std::io::Result<()> {
+        let mut bytes = String::new();
+        let mut records = 0;
+        for cell in cells {
+            let mut line = record_line(cell);
+            if self.fault_after == Some(self.appended + records) {
+                // Crash injection: commit the records before this one and
+                // half of this one without its newline, push them to the
+                // OS, and die like a killed worker.
+                line.truncate(line.len() / 2);
+                bytes.push_str(&line);
+                let _ = self.file.write_all(bytes.as_bytes());
+                let _ = sync(&self.file);
+                eprintln!(
+                    "shardlog: fault injected after {} records ({FAULT_ENV})",
+                    self.appended + records
+                );
+                std::process::abort();
+            }
+            bytes.push_str(&line);
+            bytes.push('\n');
+            records += 1;
         }
-        line.push('\n');
+        if records == 0 {
+            return Ok(());
+        }
         let committed = self
             .file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.sync_data());
+            .write_all(bytes.as_bytes())
+            .and_then(|()| sync(&self.file));
         match committed {
             Ok(()) => {
-                self.appended += 1;
-                appends_counter().inc();
+                self.appended += records;
+                appends_counter().add(records);
             }
-            Err(_) => append_errors_counter().inc(),
+            Err(_) => append_errors_counter().add(records),
         }
         committed
     }
+}
+
+/// `file.sync_data()`, counted on `sweep_log_syncs_total` and timed into
+/// `sweep_log_sync_us`.
+fn sync(file: &std::fs::File) -> std::io::Result<()> {
+    let started = std::time::Instant::now();
+    let synced = file.sync_data();
+    syncs_counter().inc();
+    sync_us().record(started.elapsed().as_micros() as u64);
+    synced
 }
 
 /// A contiguous run of undecodable log lines, reported by the loader.
@@ -468,11 +526,10 @@ pub struct ShardRunStats {
 /// Runs `shard` of `grid` against the logs under `dir`, resumably:
 /// loads the shard's own log, skips every owned cell already committed,
 /// evaluates the rest on the shared pool in windows of `window` cells
-/// (bounded memory — results are appended and dropped per window, with
-/// an fsync at every record boundary), and returns the skip/evaluate
-/// counts. Records land in strict expansion order within the
-/// invocation, so a crash at any record boundary resumes exactly where
-/// the log ends.
+/// (bounded memory — each window's results are appended as one group,
+/// one fsync, and dropped), and returns the skip/evaluate counts.
+/// Records land in strict expansion order within the invocation, so a
+/// crash at any record boundary resumes exactly where the log ends.
 ///
 /// # Errors
 ///
@@ -508,12 +565,14 @@ pub fn run_sharded(
         ShardWriter::open(dir, shard).map_err(|e| format!("open {}: {e}", own_path.display()))?;
     let mut evaluated = 0;
     for chunk in pending.chunks(window.max(1)) {
-        for result in runner::evaluate_cells(chunk.to_vec()) {
-            writer
-                .append(&StoredCell::from_evaluation(&result.spec, &result.metrics))
-                .map_err(|e| format!("append {}: {e}", own_path.display()))?;
-            evaluated += 1;
-        }
+        let cells: Vec<StoredCell> = runner::evaluate_cells(chunk.to_vec())
+            .iter()
+            .map(|r| StoredCell::from_evaluation(&r.spec, &r.metrics))
+            .collect();
+        writer
+            .append_group(&cells)
+            .map_err(|e| format!("append {}: {e}", own_path.display()))?;
+        evaluated += cells.len();
     }
     Ok(ShardRunStats {
         shard,
@@ -619,6 +678,83 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{}", b.id);
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_group_writes_the_bytes_of_its_single_appends_and_loads_back() {
+        let cells: Vec<StoredCell> = grid()
+            .expand()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| synthetic_cell(s, i as u64))
+            .collect();
+        let singles = tmp_dir("singles");
+        let mut w = ShardWriter::open(&singles, Shard::default()).unwrap();
+        for c in &cells {
+            w.append(c).unwrap();
+        }
+        let grouped = tmp_dir("grouped");
+        let mut g = ShardWriter::open(&grouped, Shard::default()).unwrap();
+        g.append_group(&cells[..1]).unwrap();
+        g.append_group(&cells[1..]).unwrap();
+        assert_eq!(g.appended(), cells.len() as u64);
+        assert_eq!(
+            std::fs::read(g.path()).unwrap(),
+            std::fs::read(w.path()).unwrap()
+        );
+        let load = load_shard(g.path()).unwrap();
+        assert!(load.skipped.is_empty(), "{:?}", load.skipped);
+        assert_eq!(load.cells, cells);
+        for (a, b) in load.cells.iter().zip(&cells) {
+            for (x, y) in a.metrics.iter().zip(&b.metrics) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{}", b.id);
+            }
+        }
+        std::fs::remove_dir_all(&singles).ok();
+        std::fs::remove_dir_all(&grouped).ok();
+    }
+
+    /// `/dev/full` fails every write (ENOSPC) and every `fdatasync`
+    /// (EINVAL), so a writer on it shows whether a group touched the file.
+    #[cfg(target_os = "linux")]
+    fn full_disk_writer(name: &str) -> (PathBuf, ShardWriter) {
+        let dir = tmp_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join(shard_file_name(Shard::default())))
+            .unwrap();
+        let writer = ShardWriter::open(&dir, Shard::default()).unwrap();
+        (dir, writer)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_empty_group_writes_and_syncs_nothing() {
+        let (dir, mut full) = full_disk_writer("empty-group");
+        full.append_group(&[]).unwrap();
+        assert_eq!(full.appended(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = tmp_dir("empty-group-file");
+        let mut w = ShardWriter::open(&dir, Shard::default()).unwrap();
+        w.append_group(&[]).unwrap();
+        assert_eq!(std::fs::metadata(w.path()).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_group_counts_every_record_as_an_append_error() {
+        let cells: Vec<StoredCell> = grid().expand()[..5]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| synthetic_cell(s, i as u64))
+            .collect();
+        let (dir, mut full) = full_disk_writer("failed-group");
+        let before = append_errors_counter().get();
+        assert!(full.append_group(&cells).is_err());
+        assert_eq!(append_errors_counter().get() - before, cells.len() as u64);
+        assert_eq!(full.appended(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
