@@ -10,7 +10,6 @@
 //!           [--partial] [--quiet]
 //! sweep sim <preset> [--csv <path>] [--no-contention] [--bandwidth <n>]
 //!           [--buffer-words <n>] [--quiet]
-//! sweep roofline <preset> [--csv <path>] [--tol <rel>] [--quiet]
 //! sweep diff <before> <after> [--tol <rel>] [--preset <name>]
 //! ```
 //!
@@ -23,7 +22,8 @@
 //! skipped on re-invocation, `--shard k/n` runs one slice of the grid
 //! (n cooperating invocations sharing the directory cover it exactly
 //! once), and the final CSV/JSON are reconstructed from the merged logs
-//! — byte-identical no matter how often the run was interrupted. In
+//! — byte-identical no matter how often the run was interrupted;
+//! `--shard` or `--window` without `--log-dir` is a usage error. In
 //! log-dir mode the JSON record is the zero-timing snapshot form (wall
 //! clocks are meaningless across resumed fragments). `merge` rebuilds
 //! the final artifacts from an existing log directory without running
@@ -33,9 +33,9 @@
 //! cycles, buffer peak); `--bandwidth`/`--buffer-words` set the base
 //! contention config, per-cell axis overrides apply on top, and
 //! `--no-contention` wins over everything (the analytic-equality mode).
-//! `roofline` reports each cell's bandwidth knee — the smallest DRAM
-//! bandwidth whose simulated training cycles are within the tolerance
-//! (default 1%) of the contention-free run. `diff` loads two stored runs
+//! Every cell's metrics include its bandwidth-roofline knee
+//! (`knee_words_per_cycle`), so the roofline study is `run roofline
+//! --csv <path>`. `diff` loads two stored runs
 //! (CSV or JSON, by extension), compares them cell-by-cell and exits
 //! non-zero when a metric regressed beyond the tolerance — the cross-PR
 //! gate CI uses against the committed golden files; on a regression it
@@ -44,10 +44,9 @@
 
 use adagp_bench::cli::SimFlags;
 use adagp_bench::report::render_table;
-use adagp_sim::SimConfig;
 use adagp_sweep::{
-    diff, presets, roofline, runner, shardlog, simeval, store, DiffConfig, GridSpec, RunFormat,
-    Shard, StoredRun,
+    diff, presets, runner, shardlog, simeval, store, DiffConfig, GridSpec, RunFormat, Shard,
+    StoredRun,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -60,7 +59,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
         Some("sim") => cmd_sim(&args[1..]),
-        Some("roofline") => cmd_roofline(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
@@ -87,6 +85,8 @@ Usage:
                                             already on disk; --shard k/n runs
                                             one slice (cells k-1 mod n);
                                             --window bounds cells in memory
+                                            (--shard and --window need
+                                            --log-dir)
   sweep merge <preset> --log-dir d [--csv p] [--json p] [--partial] [--quiet]
                                             rebuild final CSV/JSON from shard
                                             logs without evaluating anything
@@ -98,10 +98,6 @@ Usage:
                                             (per-phase makespans, utilization,
                                             spill cycles; --no-contention wins
                                             over every bandwidth/buffer knob)
-  sweep roofline <preset> [--csv p] [--tol rel] [--quiet]
-                                            per-cell bandwidth knee: smallest
-                                            DRAM words/cycle within tol (1%)
-                                            of the contention-free cycles
   sweep diff <before> <after> [--tol rel] [--preset name]
                                             compare stored runs (.csv/.json);
                                             --preset names the grid in the
@@ -158,7 +154,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut quiet = false;
     let mut log_dir: Option<PathBuf> = None;
     let mut shard = Shard::default();
-    let mut window = DEFAULT_WINDOW;
+    let mut window: Option<usize> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -175,23 +171,28 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 let raw = it
                     .next()
                     .ok_or_else(|| "--window requires a value".to_string())?;
-                window = raw
+                let w = raw
                     .parse::<usize>()
                     .ok()
                     .filter(|w| *w > 0)
                     .ok_or_else(|| {
                         format!("--window: bad value `{raw}` (need a positive integer)")
                     })?;
+                window = Some(w);
             }
             "--quiet" => quiet = true,
             other => return Err(format!("run: unexpected argument `{other}`")),
         }
     }
     if let Some(dir) = &log_dir {
+        let window = window.unwrap_or(DEFAULT_WINDOW);
         return run_logged(name, &grid, shard, dir, window, csv_path, json_path, quiet);
     }
     if shard != Shard::default() {
         return Err("run: --shard requires --log-dir (sharded runs live in shard logs)".into());
+    }
+    if window.is_some() {
+        return Err("run: --window requires --log-dir (it sizes the log's commit groups)".into());
     }
 
     let run = runner::run_grid(&grid);
@@ -459,71 +460,6 @@ fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
     );
     if let Some(p) = &csv_path {
         std::fs::write(p, simeval::sim_detail_csv(&details))
-            .map_err(|e| format!("write {}: {e}", p.display()))?;
-        println!("wrote CSV to {}", p.display());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_roofline(args: &[String]) -> Result<ExitCode, String> {
-    let name = args
-        .first()
-        .ok_or_else(|| format!("roofline: missing preset name\n{USAGE}"))?;
-    let grid = preset(name)?;
-    let mut csv_path: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut tolerance = roofline::KNEE_TOLERANCE;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => csv_path = Some(path_arg(&mut it, "--csv")?),
-            "--tol" => tolerance = tol_arg(&mut it)?,
-            "--quiet" => quiet = true,
-            other => return Err(format!("roofline: unexpected argument `{other}`")),
-        }
-    }
-
-    let points = roofline::run_roofline_grid(&grid, &SimConfig::default(), tolerance);
-    if !quiet {
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.spec.id.clone(),
-                    p.spec.key(),
-                    p.knee_words_per_cycle.to_string(),
-                    store::csv_float(p.free_cycles),
-                    store::csv_float(p.sim_cycles),
-                    store::csv_float(p.spill_cycles),
-                    format!("{:.2}%", 100.0 * p.dram_stall_frac),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            render_table(
-                &format!("sweep roofline: {name} (tol {:.1}%)", 100.0 * tolerance),
-                &[
-                    "ID",
-                    "Cell",
-                    "Knee (w/c)",
-                    "Free cycles",
-                    "Sim cycles",
-                    "Spill cycles",
-                    "Stall"
-                ],
-                &rows
-            )
-        );
-    }
-    println!(
-        "{}: {} cells, knee = smallest bandwidth within {:.1}% of contention-free",
-        name,
-        points.len(),
-        100.0 * tolerance
-    );
-    if let Some(p) = &csv_path {
-        std::fs::write(p, roofline::roofline_csv(&points))
             .map_err(|e| format!("write {}: {e}", p.display()))?;
         println!("wrote CSV to {}", p.display());
     }

@@ -1,40 +1,16 @@
-//! The single shared source of per-model layer shapes for every bench
-//! experiment.
-//!
-//! Until this module existed, `speedup_rows`, `energy_rows`,
-//! `pipeline_speedup_rows` and fig16 each re-derived their layer-shape
-//! tables independently, and the Transformer/YOLO tables lived inside
-//! `speedup_tables`. Now every experiment pulls shapes from here: the CNN
-//! grid shapes come from `adagp_sweep::shapes` (one memoized derivation
-//! per (model, input scale), shared with the sweep runner), and the
-//! non-CNN paper-scale tables (Tables 2–3) are defined here once.
-
-pub use adagp_sweep::shapes::cached_shapes;
-pub use adagp_sweep::DatasetScale;
+//! Layer-shape tables of the bench experiments that the sweep engine's
+//! CNN grid does not cover: Figure 16's VGG13 convs and the paper-scale
+//! Transformer and YOLO tables (Tables 2–3). CNN shapes come from
+//! [`adagp_sweep::shapes::cached_shapes`], one memoized derivation per
+//! (model, input scale) shared with the sweep runner.
 
 use adagp_nn::models::shapes::{InputScale, LayerKind, LayerShape};
 use adagp_nn::models::CnnModel;
-use std::sync::Arc;
-
-/// Shapes of `model` as trained on `dataset` (memoized, shared with the
-/// sweep engine).
-pub fn dataset_shapes(model: CnnModel, dataset: DatasetScale) -> Arc<Vec<LayerShape>> {
-    cached_shapes(model, dataset.input_scale())
-}
-
-/// Shapes of `model` at ImageNet resolution (Figure 20's pipeline study).
-pub fn imagenet_shapes(model: CnnModel) -> Arc<Vec<LayerShape>> {
-    cached_shapes(model, InputScale::ImageNet)
-}
-
-/// Shapes of `model` at CIFAR resolution (Figure 21's energy study).
-pub fn cifar_shapes(model: CnnModel) -> Arc<Vec<LayerShape>> {
-    cached_shapes(model, InputScale::Cifar)
-}
+use adagp_sweep::shapes::cached_shapes;
 
 /// VGG13's ten conv layers at CIFAR scale (Figure 16's characterization).
 pub fn vgg13_conv_shapes() -> Vec<LayerShape> {
-    cifar_shapes(CnnModel::Vgg13)
+    cached_shapes(CnnModel::Vgg13, InputScale::Cifar)
         .iter()
         .filter(|l| l.kind == LayerKind::Conv)
         .cloned()
@@ -103,16 +79,6 @@ mod tests {
         assert_eq!(t.len(), 3 * 6 + 3 * 10 + 1);
         let y = yolo_shapes();
         assert_eq!(y.len(), 6);
-    }
-
-    #[test]
-    fn dataset_shapes_share_the_sweep_cache() {
-        let a = dataset_shapes(CnnModel::Vgg13, DatasetScale::Cifar10);
-        let b = cached_shapes(CnnModel::Vgg13, InputScale::Cifar);
-        assert!(Arc::ptr_eq(&a, &b), "bench and sweep must share one table");
-        // CIFAR10 and CIFAR100 share the 32² scale, hence the table.
-        let c = dataset_shapes(CnnModel::Vgg13, DatasetScale::Cifar100);
-        assert!(Arc::ptr_eq(&a, &c));
     }
 
     #[test]

@@ -6,19 +6,20 @@
 //! pivots the cells back into the paper's per-dataset panels. The numbers
 //! are identical to what the standalone per-figure loops produced — the
 //! engine calls the same `adagp_accel` model functions on the same shared
-//! shape tables (`crate::model_grid`), which the golden test in
+//! shape tables (`adagp_sweep::shapes`), which the golden test in
 //! `tests/sweep_golden.rs` pins down.
 
-use crate::model_grid::{cifar_shapes, imagenet_shapes, vgg13_conv_shapes};
+use crate::model_grid::vgg13_conv_shapes;
 use adagp_accel::dataflow::{AcceleratorConfig, Dataflow};
 use adagp_accel::designs::AdaGpDesign;
 use adagp_accel::energy::{adagp_energy_joules, baseline_energy_joules, EnergyConfig};
 use adagp_accel::layer_cost::{model_costs, PredictorCostModel};
 use adagp_accel::speedup::{geomean, EpochMix, MODEL_BATCH};
 use adagp_accel::timeline::{characterize_layers, LayerCharacterization};
-use adagp_nn::models::shapes::LayerShape;
+use adagp_nn::models::shapes::{InputScale, LayerShape};
 use adagp_nn::models::CnnModel;
 use adagp_pipeline::{PipelineConfig, PipelineScheme};
+use adagp_sweep::shapes::cached_shapes;
 use adagp_sweep::{presets, runner, GridSpec, PhaseSchedule, SweepRun};
 use serde::{Deserialize, Serialize};
 
@@ -131,7 +132,7 @@ pub fn pipeline_speedup_rows(scheme: PipelineScheme) -> Vec<(String, f64)> {
     let mut rows: Vec<(String, f64)> = CnnModel::all()
         .iter()
         .map(|&m| {
-            let layers = imagenet_shapes(m);
+            let layers = cached_shapes(m, InputScale::ImageNet);
             // Each device runs one micro-batch (mini-batch / devices) of a
             // quarter of the layers, so the predictor latency is weighed
             // against a per-device, per-micro-batch forward slice.
@@ -164,7 +165,7 @@ pub fn energy_rows() -> Vec<(String, f64, f64, f64)> {
     CnnModel::all()
         .iter()
         .map(|&m| {
-            let layers = cifar_shapes(m);
+            let layers = cached_shapes(m, InputScale::Cifar);
             (
                 m.name().to_string(),
                 baseline_energy_joules(&cfg, &layers, &mix),

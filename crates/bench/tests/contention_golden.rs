@@ -1,15 +1,14 @@
 //! Golden gates for the contention-study subsystem:
 //!
-//! 1. The roofline knee of every fig17 model (the `roofline` preset:
-//!    all 13 models at ImageNet scale under ADA-GP-MAX) is pinned
-//!    byte-for-byte in `testdata/roofline_fig17_golden.csv` — the knee
-//!    search, the tiling-driven spill model and the CSV formatting cannot
-//!    drift silently.
+//! 1. The `roofline` preset's store CSV (all 13 fig17 models at ImageNet
+//!    scale under ADA-GP-MAX, each cell's bandwidth knee among its
+//!    metrics) is byte-identical to the committed `runs/roofline.csv` —
+//!    the knee search, the tiling-driven spill model and the CSV
+//!    formatting cannot drift silently.
 //! 2. The `bandwidth-smoke` preset's store CSV is byte-identical to the
 //!    committed golden and byte-stable across shared-pool thread counts
 //!    {1, 2, 4} — the determinism contract CI re-checks process-wide.
 
-use adagp_sim::SimConfig;
 use adagp_sweep::{presets, roofline, runner, store};
 use std::path::PathBuf;
 
@@ -19,31 +18,30 @@ fn testdata(name: &str) -> PathBuf {
 
 #[test]
 fn roofline_knee_per_fig17_model_matches_committed_golden_bytes() {
-    let golden =
-        std::fs::read_to_string(testdata("roofline_fig17_golden.csv")).expect("committed golden");
-    let points = roofline::run_roofline_grid(
-        &presets::roofline(),
-        &SimConfig::default(),
-        roofline::KNEE_TOLERANCE,
-    );
-    let fresh = roofline::roofline_csv(&points);
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../runs/roofline.csv");
+    let golden = std::fs::read_to_string(committed).expect("committed run");
+    let run = runner::run_grid(&presets::roofline());
+    let fresh = store::to_csv_string(&run);
     assert_eq!(
         fresh, golden,
-        "roofline knees drifted from testdata/roofline_fig17_golden.csv; if \
-         the contention model changed intentionally, regenerate it with \
-         `cargo run --release -p adagp-bench --bin sweep -- roofline roofline \
-         --quiet --csv crates/bench/testdata/roofline_fig17_golden.csv` and \
-         explain the delta in the PR"
+        "the roofline run drifted from runs/roofline.csv; if the contention \
+         model changed intentionally, regenerate it with `cargo run --release \
+         -p adagp-bench --bin sweep -- run roofline --quiet --csv \
+         runs/roofline.csv` and explain the delta in the PR"
     );
     // The headline claim of the study: every fig17 model has a *finite*
     // knee and a nonzero spill under the default 128K-word buffer.
-    for p in &points {
+    for c in &run.cells {
         assert!(
-            p.knee_words_per_cycle < roofline::KNEE_MAX_BW,
+            c.metrics.knee_words_per_cycle < roofline::KNEE_MAX_BW as f64,
             "{}: knee hit the search cap",
-            p.spec.key()
+            c.spec.key()
         );
-        assert!(p.spill_cycles > 0.0, "{}: expected spills", p.spec.key());
+        assert!(
+            c.metrics.spill_cycles > 0.0,
+            "{}: expected spills",
+            c.spec.key()
+        );
     }
 }
 

@@ -6,10 +6,10 @@
 //!   `spill_cycles` value in the emitted CSV is exactly `0.000000`.
 //! * The same grid with contention on reports nonzero spills — the flag
 //!   is doing the silencing, not the grid.
-//! * `sweep roofline` exits cleanly and reports a knee per cell.
 //! * A zero `--bandwidth` / `--buffer-words` on `sweep sim` is exit 2.
-//! * A NaN, negative or infinite `--tol` on `sweep diff` or `sweep
-//!   roofline` is exit 2.
+//! * A NaN, negative or infinite `--tol` on `sweep diff` is exit 2.
+//! * `--shard` or `--window` on `sweep run` without `--log-dir`, and the
+//!   removed `sweep roofline`, are exit 2.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -158,26 +158,24 @@ fn diff_exit_codes_cover_clean_regressed_and_usage() {
     std::fs::remove_file(&after).ok();
 }
 
-/// `--tol` takes the same finite non-negative number on `diff` and
-/// `roofline`. A NaN or negative tolerance used to make `diff` call every
-/// changed-or-not metric of a run compared with itself a regression
-/// (exit 1), and an infinite one turned the gate off.
+/// `diff --tol` takes a finite non-negative number. A NaN or negative
+/// tolerance used to make `diff` call every changed-or-not metric of a
+/// run compared with itself a regression (exit 1), and an infinite one
+/// turned the gate off.
 #[test]
-fn diff_and_roofline_reject_bad_tolerances_as_usage_errors() {
+fn diff_rejects_bad_tolerances_as_usage_errors() {
     let run = concat!(env!("CARGO_MANIFEST_DIR"), "/../../runs/fig17-ws.csv");
     for tol in ["nan", "-1", "inf", "-0.5", "x"] {
-        for args in [
-            vec!["diff", run, run, "--tol", tol],
-            vec!["roofline", "bandwidth-smoke", "--quiet", "--tol", tol],
-        ] {
-            let out = sweep().args(&args).output().expect("sweep runs");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-            assert!(
-                stderr.contains("need a finite non-negative number"),
-                "{args:?}: {stderr}"
-            );
-        }
+        let out = sweep()
+            .args(["diff", run, run, "--tol", tol])
+            .output()
+            .expect("sweep diff runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--tol {tol}: {stderr}");
+        assert!(
+            stderr.contains("need a finite non-negative number"),
+            "--tol {tol}: {stderr}"
+        );
     }
     let out = sweep()
         .args(["diff", run, run, "--tol", "0"])
@@ -186,20 +184,26 @@ fn diff_and_roofline_reject_bad_tolerances_as_usage_errors() {
     assert_eq!(out.status.code(), Some(0), "a run matches itself exactly");
 }
 
+/// `--shard` and `--window` shape a logged run only, so without
+/// `--log-dir` either is a usage error rather than a flag silently
+/// ignored; and the roofline study is `sweep run roofline`, not a
+/// subcommand of its own.
 #[test]
-fn roofline_subcommand_reports_a_knee_per_cell() {
-    let out = sweep()
-        .args(["roofline", "bandwidth-smoke", "--quiet"])
-        .output()
-        .expect("sweep roofline runs");
-    assert!(
-        out.status.success(),
-        "sweep roofline failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("8 cells"),
-        "roofline summary missing:\n{stdout}"
-    );
+fn misplaced_flags_and_unknown_subcommands_are_usage_errors() {
+    for (args, expected) in [
+        (
+            &["run", "smoke", "--quiet", "--shard", "1/2"][..],
+            "--shard requires --log-dir",
+        ),
+        (
+            &["run", "smoke", "--quiet", "--window", "4"],
+            "--window requires --log-dir",
+        ),
+        (&["roofline", "roofline"], "unknown subcommand `roofline`"),
+    ] {
+        let out = sweep().args(args).output().expect("sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
 }

@@ -11,7 +11,7 @@
 
 use adagp_accel::speedup::{training_speedup, EpochMix};
 use adagp_accel::{AcceleratorConfig, Dataflow};
-use adagp_bench::model_grid::dataset_shapes;
+use adagp_sweep::shapes::cached_shapes;
 use adagp_sweep::{diff, presets, runner, store, DiffConfig, StoredRun};
 use std::path::PathBuf;
 
@@ -61,7 +61,7 @@ fn fig17_preset_reproduces_the_standalone_binary_numbers() {
     let cfg = AcceleratorConfig::default();
     let mix = EpochMix::paper();
     for cell in &run.cells {
-        let layers = dataset_shapes(cell.spec.model, cell.spec.dataset);
+        let layers = cached_shapes(cell.spec.model, cell.spec.dataset.input_scale());
         let expected = training_speedup(
             &cfg,
             Dataflow::WeightStationary,

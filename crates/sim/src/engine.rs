@@ -296,11 +296,6 @@ impl SimResult {
             end: start + self.tasks.duration[task],
         }
     }
-
-    /// Cycles the task sat ready in its resource's FIFO before starting.
-    pub fn queue_wait_of(&self, task: TaskId) -> u64 {
-        self.start_of[task] - self.ready_of[task]
-    }
 }
 
 impl SimBuilder {
@@ -894,7 +889,8 @@ mod tests {
         assert_eq!(r.unblocked_by[a], None);
         assert_eq!(r.unblocked_by[c], Some(a));
         assert_eq!(r.span_of(a).end, r.span_of(c).start);
-        assert_eq!(r.queue_wait_of(c), 7);
+        // c sat in pe's FIFO from ready to start.
+        assert_eq!(r.span_of(c).start - r.ready_of[c], 7);
     }
 
     #[test]
@@ -910,7 +906,6 @@ mod tests {
         assert_eq!(r.ready_of[p], 10);
         assert_eq!(r.span_of(p).start, 10);
         assert_eq!(r.unblocked_by[p], None);
-        assert_eq!(r.queue_wait_of(p), 0);
         // The resourceless join never queues, so it never blames anyone.
         assert_eq!(r.ready_of[j], 15);
         assert_eq!(r.unblocked_by[j], None);

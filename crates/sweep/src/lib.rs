@@ -34,12 +34,13 @@
 //! * [`diff`] — compares two stored runs cell-by-cell with configurable
 //!   tolerances and classifies regressions/improvements — the cross-PR
 //!   trajectory tracker ROADMAP asked for.
-//! * [`roofline`] — the bandwidth-roofline analysis: per cell, the
-//!   smallest DRAM bandwidth within 1% of the contention-free training
-//!   cycles (the *knee*), found by binary search on the simulator's
-//!   monotone bandwidth→makespan curve — every probe a replay of the
-//!   cell's already-compiled batch graphs — and memoized across
-//!   bandwidth-axis siblings.
+//! * [`roofline`] — the bandwidth-roofline knee behind every cell's
+//!   `knee_words_per_cycle` metric: the smallest DRAM bandwidth within 1%
+//!   of the contention-free training cycles, found by a gallop-then-bisect
+//!   search on the simulator's monotone bandwidth→makespan curve — every
+//!   probe a replay of the cell's already-compiled batch graphs — and
+//!   memoized across bandwidth-axis siblings. The roofline study is the
+//!   `roofline` preset's ordinary run.
 //! * [`presets`] — the named grids the `sweep` CLI exposes (`fig17-ws`,
 //!   `fig18-rs`, `fig19-is`, `energy`, `dataflows`, `schedules`,
 //!   `bandwidth`, `bandwidth-smoke`, `roofline`, `smoke`).
@@ -72,9 +73,7 @@ pub mod store;
 
 pub use diff::{diff_runs, DiffConfig, DiffReport};
 pub use grid::{CellSpec, DatasetScale, GridSpec, PhaseSchedule, Shard};
-pub use roofline::{
-    cell_knee, cell_roofline, roofline_csv, run_roofline_grid, KneeMemoKey, RooflinePoint,
-};
+pub use roofline::{cell_knee, KneeMemoKey};
 pub use runner::{evaluate_cell, evaluate_cells, run_grid, CellMetrics, CellResult, SweepRun};
 pub use shardlog::{
     load_shard, merge_dir, merge_to_run, run_sharded, shard_file_name, MergedRun, ShardLoad,

@@ -135,9 +135,10 @@ pub fn bandwidth_smoke() -> GridSpec {
 }
 
 /// The roofline grid: every fig17 model at ImageNet scale (the largest
-/// working sets) under the MAX design with default knobs — the `sweep
-/// roofline` subcommand reports each model's bandwidth knee on it and
-/// `runs/roofline.csv` pins the full metric set across PRs.
+/// working sets) under the MAX design with default knobs. Its run is the
+/// roofline study — each model's bandwidth knee is the cell's
+/// `knee_words_per_cycle` — and `runs/roofline.csv` pins the full metric
+/// set across PRs.
 pub fn roofline() -> GridSpec {
     GridSpec {
         name: "roofline".to_string(),

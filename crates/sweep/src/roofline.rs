@@ -4,6 +4,13 @@
 //! *roofline knee*. Below the knee the memory system stalls the paper's
 //! per-layer overlap windows; above it extra bandwidth buys nothing.
 //!
+//! The knee is one of every cell's metrics
+//! ([`CellMetrics::knee_words_per_cycle`](crate::runner::CellMetrics::knee_words_per_cycle),
+//! from [`crate::runner::evaluate_cell`]), so the roofline study is a
+//! plain run of the `roofline` preset (`sweep run roofline --csv …`,
+//! pinned by `runs/roofline.csv`). [`cell_knee`] is the same knee on its
+//! own, under any base config and tolerance.
+//!
 //! The search leans on a property the simulator guarantees (and
 //! `crates/sim/tests/contention_properties.rs` sweeps): the simulated
 //! makespan is monotone non-increasing in `dram_words_per_cycle`, so the
@@ -41,9 +48,8 @@
 //! once per cell. A miss costs one lookup before the search and one
 //! insert after it.
 
-use crate::grid::{CellSpec, GridSpec};
+use crate::grid::CellSpec;
 use crate::simeval::{cell_sim_config, CellGraphs};
-use crate::store::csv_float;
 use adagp_accel::designs::{bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::LayerCost;
 use adagp_sim::{epoch_total, AdaGpGraphs, SimConfig};
@@ -97,14 +103,6 @@ impl CellGraphs {
             bp_batch_cycles(spec.design, &costs) as f64,
             gp_batch_cycles(spec.design, &costs) as f64,
         )
-    }
-
-    /// Simulated ADA-GP training cycles at `words_per_cycle`, leaving the
-    /// graphs at the cell's configured bandwidth. A cell under a
-    /// contention-off base has no DRAM tasks to re-time, so it compiles a
-    /// channel-enabled set through the same path.
-    fn cycles_at(&mut self, spec: &CellSpec, words_per_cycle: u64) -> f64 {
-        self.with_channel(spec, |at| at(words_per_cycle))
     }
 
     /// The cell's knee by [`knee_search`] (not memoized).
@@ -217,11 +215,12 @@ impl KneeMemoKey {
     }
 }
 
-/// The memoized knee of a cell whose graphs are already built (the
-/// runner's and [`cell_roofline`]'s path: a miss searches on them).
-pub(crate) fn knee_of_cell(spec: &CellSpec, cell: &mut CellGraphs, tolerance: f64) -> u64 {
-    memoized_knee(KneeMemoKey::new(spec, &cell.cfg, tolerance), || {
-        cell.search_knee(spec, tolerance)
+/// The memoized knee of a cell whose graphs are already built, at
+/// [`KNEE_TOLERANCE`] ([`crate::runner::evaluate_cell`]'s path: a miss
+/// searches on them).
+pub(crate) fn knee_of_cell(spec: &CellSpec, cell: &mut CellGraphs) -> u64 {
+    memoized_knee(KneeMemoKey::new(spec, &cell.cfg, KNEE_TOLERANCE), || {
+        cell.search_knee(spec, KNEE_TOLERANCE)
     })
 }
 
@@ -235,105 +234,13 @@ pub fn cell_knee(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> u64 {
     })
 }
 
-/// One cell's roofline summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RooflinePoint {
-    /// The grid point analyzed.
-    pub spec: CellSpec,
-    /// Contention-free ADA-GP training cycles (bit-identical to the
-    /// analytic closed form).
-    pub free_cycles: f64,
-    /// The roofline knee: smallest bandwidth (words/cycle) within
-    /// tolerance of `free_cycles` ([`KNEE_MAX_BW`] caps the search).
-    pub knee_words_per_cycle: u64,
-    /// Simulated training cycles at the knee bandwidth.
-    pub knee_cycles: f64,
-    /// Simulated training cycles at the cell's configured bandwidth.
-    pub sim_cycles: f64,
-    /// Epoch-weighted spill cycles at the cell's configured bandwidth.
-    pub spill_cycles: f64,
-    /// Fraction of `sim_cycles` that is memory stall (bandwidth + spill):
-    /// `(sim_cycles − free_cycles) / sim_cycles`, 0 when contention-free.
-    pub dram_stall_frac: f64,
-}
-
-/// Analyzes one cell: knee (memoized), contention-free reference and the
-/// stall breakdown at the cell's configured bandwidth.
-pub fn cell_roofline(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> RooflinePoint {
-    let mut cell = CellGraphs::build(spec, base);
-    let knee = knee_of_cell(spec, &mut cell, tolerance);
-    let knee_cycles = cell.cycles_at(spec, knee);
-    let free_cycles = cell.free_cycles(spec);
-    let step = cell.graphs.run(&cell.mix);
-    let sim_cycles = step.training_cycles();
-    RooflinePoint {
-        spec: spec.clone(),
-        free_cycles,
-        knee_words_per_cycle: knee,
-        knee_cycles,
-        sim_cycles,
-        spill_cycles: step.spill_cycles(),
-        dram_stall_frac: ((sim_cycles - free_cycles) / sim_cycles).max(0.0),
-    }
-}
-
-/// Roofline analysis of every cell of `grid`, in expansion order, on the
-/// shared runtime pool (thread-count invariant like the other runners).
-pub fn run_roofline_grid(grid: &GridSpec, base: &SimConfig, tolerance: f64) -> Vec<RooflinePoint> {
-    adagp_runtime::pool().parallel_map(grid.expand(), |spec| cell_roofline(&spec, base, tolerance))
-}
-
-/// Column layout of the roofline CSV.
-pub const ROOFLINE_CSV_HEADER: [&str; 14] = [
-    "id",
-    "dataflow",
-    "dataset",
-    "model",
-    "design",
-    "schedule",
-    "dram_bw",
-    "buffer_words",
-    "knee_words_per_cycle",
-    "free_cycles",
-    "knee_cycles",
-    "sim_cycles",
-    "spill_cycles",
-    "dram_stall_frac",
-];
-
-/// Renders roofline points as byte-stable CSV (integers verbatim, floats
-/// at the store's fixed precision).
-pub fn roofline_csv(points: &[RooflinePoint]) -> String {
-    let mut out = String::new();
-    out.push_str(&ROOFLINE_CSV_HEADER.join(","));
-    out.push('\n');
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            p.spec.id,
-            p.spec.dataflow.name(),
-            p.spec.dataset.name(),
-            p.spec.model.name(),
-            p.spec.design.name(),
-            p.spec.schedule.name(),
-            p.spec.dram_bw_name(),
-            p.spec.buffer_words_name(),
-            p.knee_words_per_cycle,
-            csv_float(p.free_cycles),
-            csv_float(p.knee_cycles),
-            csv_float(p.sim_cycles),
-            csv_float(p.spill_cycles),
-            csv_float(p.dram_stall_frac),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
     use crate::presets;
+    use crate::runner::evaluate_cell;
+    use crate::simeval::simulate_cell;
     use adagp_accel::{AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
     use adagp_sim::StepSim;
@@ -459,34 +366,46 @@ mod tests {
         assert_eq!(seen.len(), 13 + 39 + 27 - 3);
     }
 
+    /// Every committed `roofline` knee, checked on freshly built
+    /// simulations rather than the search's replays: at the knee the run
+    /// is within tolerance of the cell's analytic cycles, one word/cycle
+    /// below it is not.
     #[test]
     fn knee_is_within_tolerance_and_minimal() {
         let base = SimConfig::default();
-        let p = cell_roofline(&cell(None), &base, KNEE_TOLERANCE);
-        assert!(p.knee_words_per_cycle >= 1);
-        assert!(p.knee_words_per_cycle < KNEE_MAX_BW, "finite knee expected");
-        assert!(p.knee_cycles <= p.free_cycles * (1.0 + KNEE_TOLERANCE));
-        // One step below the knee must violate the tolerance (minimality)
-        // — checked on freshly built graphs, not a replay.
-        if p.knee_words_per_cycle > 1 {
-            let cell = CellGraphs::build(&cell(None), &base);
-            let below = StepSim::run(
-                AdaGpDesign::Max,
-                &cell.layers,
-                &cell.mix,
-                &cell.cfg.with_bandwidth(p.knee_words_per_cycle - 1),
-            )
-            .adagp
-            .training_cycles();
-            assert!(below > p.free_cycles * (1.0 + KNEE_TOLERANCE));
+        let specs = presets::roofline().expand();
+        assert_eq!(specs.len(), 13);
+        for spec in specs {
+            let m = evaluate_cell(&spec);
+            let knee = m.knee_words_per_cycle as u64;
+            assert!(
+                (1..KNEE_MAX_BW).contains(&knee),
+                "{}: finite knee expected",
+                spec.key()
+            );
+            let target = m.adagp_cycles * (1.0 + KNEE_TOLERANCE);
+            let cell = CellGraphs::build(&spec, &base);
+            let simulated = |bw: u64| {
+                StepSim::run(
+                    spec.design,
+                    &cell.layers,
+                    &cell.mix,
+                    &cell.cfg.with_bandwidth(bw),
+                )
+                .adagp
+                .training_cycles()
+            };
+            assert!(simulated(knee) <= target, "{}: knee {knee}", spec.key());
+            if knee > 1 {
+                assert!(simulated(knee - 1) > target, "{}: knee {knee}", spec.key());
+            }
         }
     }
 
     #[test]
     fn smaller_buffer_never_lowers_the_knee() {
-        let base = SimConfig::default();
-        let big = cell_roofline(&cell(Some(1 << 22)), &base, KNEE_TOLERANCE);
-        let small = cell_roofline(&cell(Some(1 << 13)), &base, KNEE_TOLERANCE);
+        let big = evaluate_cell(&cell(Some(1 << 22)));
+        let small = evaluate_cell(&cell(Some(1 << 13)));
         assert!(small.knee_words_per_cycle >= big.knee_words_per_cycle);
         assert!(small.spill_cycles >= big.spill_cycles);
     }
@@ -547,30 +466,16 @@ mod tests {
 
     #[test]
     fn stall_fraction_is_a_proper_fraction_and_zero_without_contention() {
-        let p = cell_roofline(&cell(None), &SimConfig::default(), KNEE_TOLERANCE);
+        let m = evaluate_cell(&cell(None));
         assert!(
-            (0.0..1.0).contains(&p.dram_stall_frac),
+            (0.0..1.0).contains(&m.dram_stall_frac),
             "{}",
-            p.dram_stall_frac
+            m.dram_stall_frac
         );
-        let free = cell_roofline(&cell(None), &SimConfig::no_contention(), KNEE_TOLERANCE);
-        assert_eq!(free.dram_stall_frac, 0.0);
+        // Contention off: no spills, and the simulated cycles are the
+        // analytic ones to the bit, so the stall is exactly zero.
+        let free = simulate_cell(&cell(None), &SimConfig::no_contention());
         assert_eq!(free.spill_cycles, 0.0);
-        assert_eq!(free.sim_cycles.to_bits(), free.free_cycles.to_bits());
-    }
-
-    #[test]
-    fn csv_is_byte_stable_and_well_formed() {
-        let base = SimConfig::default();
-        let points: Vec<RooflinePoint> = [Some(1 << 14), None]
-            .iter()
-            .map(|&b| cell_roofline(&cell(b), &base, KNEE_TOLERANCE))
-            .collect();
-        let a = roofline_csv(&points);
-        let b = roofline_csv(&points);
-        assert_eq!(a, b);
-        for line in a.lines().skip(1) {
-            assert_eq!(line.split(',').count(), ROOFLINE_CSV_HEADER.len());
-        }
+        assert_eq!(free.sim_cycles.to_bits(), m.adagp_cycles.to_bits());
     }
 }

@@ -117,7 +117,7 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
     let mut cell = CellGraphs::build(spec, &sim_base);
     let sim = cell.graphs.run(&cell.mix);
     let sim_cycles = sim.training_cycles();
-    let knee = roofline::knee_of_cell(spec, &mut cell, roofline::KNEE_TOLERANCE);
+    let knee = roofline::knee_of_cell(spec, &mut cell);
     CellMetrics {
         speedup: baseline_cycles / adagp_cycles,
         baseline_cycles,

@@ -1,9 +1,4 @@
-//! The single, memoized source of paper-scale layer shapes.
-//!
-//! Before this module, every bench experiment re-derived its per-model
-//! layer-shape tables independently (`speedup_rows`, `energy_rows`,
-//! `pipeline_speedup_rows`, fig16 …) — the "re-derive per-model layer
-//! shapes independently" note in ROADMAP. Now there is exactly one
+//! The single, memoized source of paper-scale layer shapes: one
 //! derivation per (model, input scale), cached for the process lifetime
 //! and shared by the sweep runner and the whole bench harness.
 
@@ -32,6 +27,7 @@ pub fn cached_shapes(model: CnnModel, scale: InputScale) -> Arc<Vec<LayerShape>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::DatasetScale;
 
     #[test]
     fn cache_returns_the_same_allocation() {
@@ -39,6 +35,16 @@ mod tests {
         let b = cached_shapes(CnnModel::Vgg13, InputScale::Cifar);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
         assert_eq!(*a, model_shapes(CnnModel::Vgg13, InputScale::Cifar));
+    }
+
+    #[test]
+    fn datasets_of_one_scale_share_a_table() {
+        // CIFAR10 and CIFAR100 share the 32² scale, hence the table.
+        let scale = |d: DatasetScale| cached_shapes(CnnModel::Vgg13, d.input_scale());
+        assert!(Arc::ptr_eq(
+            &scale(DatasetScale::Cifar10),
+            &scale(DatasetScale::Cifar100)
+        ));
     }
 
     #[test]

@@ -95,9 +95,9 @@ fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
 
 /// Everything one cell evaluation simulates on, built once: the resolved
 /// config, the layer list and the two compiled ADA-GP batch graphs (BP,
-/// GP). One set serves [`crate::runner::evaluate_cell`]'s sim metrics,
-/// every probe of the roofline knee search and [`crate::roofline`]'s
-/// knee-cycles; it lives for one cell evaluation and is never cached.
+/// GP). One set serves [`crate::runner::evaluate_cell`]'s sim metrics
+/// and every probe of [`crate::roofline`]'s knee search; it lives for one
+/// cell evaluation and is never cached.
 /// Nothing on that path reads the baseline batch: only
 /// [`simulate_cell`] builds it.
 pub(crate) struct CellGraphs {

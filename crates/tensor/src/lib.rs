@@ -18,7 +18,7 @@
 //! use adagp_tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let b = Tensor::eye(2);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
 //! let c = a.matmul(&b);
 //! assert_eq!(c.data(), a.data());
 //! ```
@@ -95,15 +95,6 @@ impl Tensor {
             shape: shape.to_vec(),
             data: vec![value; len],
         }
-    }
-
-    /// Creates a square identity matrix of side `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Builds a tensor from an existing buffer.
@@ -478,16 +469,6 @@ mod tests {
         assert!(z.data().iter().all(|&x| x == 0.0));
         let o = Tensor::ones(&[4]);
         assert!(o.data().iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn eye_diagonal() {
-        let e = Tensor::eye(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(e.at(&[i, j]), if i == j { 1.0 } else { 0.0 });
-            }
-        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let i = Tensor::eye(3);
+        let i = t(&[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], &[3, 3]);
         assert_eq!(a.matmul(&i), a);
     }
 
