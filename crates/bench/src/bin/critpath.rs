@@ -2,44 +2,43 @@
 //! measured timelines (`obs::crit`, the `adagp-critpath-v1` schema).
 //!
 //! ```text
-//! critpath sim      [--preset NAME | sim_timeline-style flags] [--json PATH] [--top N]
-//! critpath measured [--threshold-us N] [--batches N] [--json PATH] [--top N]
-//! critpath diff     [--tolerance F] [--report-only] [--batches N]
-//!                   [--json PATH] [--sim-json PATH]
+//! critpath sim      [--preset NAME | simulator flags] [--trace PATH] [--json PATH] [--top N]
+//! critpath measured [--threshold-us N] [--json PATH] [--top N]
+//! critpath diff     [--report-only] [--json PATH] [--sim-json PATH]
 //! ```
 //!
-//! * `sim` simulates a schedule (one cell via the `sim_timeline` flags,
-//!   or every cell × phase of a sweep preset via `--preset`) and walks
-//!   the zero-slack chain; every walk asserts the chain length equals
-//!   the simulated makespan **bit-exactly** and exits 1 otherwise. With
-//!   `--json`, the (last) report is written as `adagp-critpath-v1`.
-//! * `measured` runs the pipelined training epoch in-process with span
-//!   recording on, folds the recorded lanes into busy/queue-wait/idle
-//!   segments (threshold: `--threshold-us`, defaulting to the pool's
-//!   queue-wait histogram p95) and prints the same report shape.
-//! * `diff` runs both: the measured epoch, then a 3-stage pipeline sim
+//! * `sim` simulates a schedule (one cell via the simulator flags of
+//!   `adagp_bench::cli`, or every cell × phase of a sweep preset via
+//!   `--preset`) and walks the zero-slack chain; every walk asserts the
+//!   chain length equals the simulated makespan **bit-exactly** and exits
+//!   1 otherwise. With `--json`, the (last) report is written as
+//!   `adagp-critpath-v1`. One cell also prints its per-resource
+//!   utilization report and the first 40 rows of its span table (a
+//!   textual Gantt chart), and `--trace` writes its Chrome trace for
+//!   `chrome://tracing` / Perfetto (1 cycle = 1 µs on the viewer's axis,
+//!   one lane per resource port).
+//! * `measured` runs the pipelined training epoch of
+//!   `adagp_bench::stage_pipeline` in-process with span recording on,
+//!   folds the recorded lanes into busy/queue-wait/idle segments
+//!   (threshold: `--threshold-us`, defaulting to the pool's queue-wait
+//!   histogram p95) and prints the same report shape.
+//! * `diff` runs both: the measured epoch, then the 3-stage pipeline sim
 //!   parameterized by the measured mean stage durations, and pairs each
 //!   stage's sim-predicted blame fraction with its measured busy
 //!   fraction. The bottleneck stage must agree in name and within
-//!   `--tolerance` (default 0.35, the `obs_timeline.rs` band) — exit 1
-//!   on disagreement unless `--report-only`.
+//!   `AGREEMENT_BAND` (0.35, the band `obs_timeline.rs` checks
+//!   occupancies in) — exit 1 on disagreement unless `--report-only`.
 
-use adagp_accel::layer_cost::PredictorCostModel;
-use adagp_accel::AcceleratorConfig;
 use adagp_bench::cli::{number, value, SimFlags};
-use adagp_core::{AdaGp, AdaGpConfig};
-use adagp_nn::containers::Sequential;
-use adagp_nn::layers::{Conv2d, Flatten, Linear, Relu};
-use adagp_nn::optim::Sgd;
+use adagp_bench::stage_pipeline::{
+    recorded_epoch, stage_pipeline_sim, AGREEMENT_BAND, EPOCH_BATCHES,
+};
 use adagp_obs as obs;
 use adagp_obs::crit::CritReport;
-use adagp_runtime::StageReport;
-use adagp_sim::{
-    critical_path, model_sim_layers, simulate_batch, Phase, SimBuilder, TaskKind, TaskSpec,
-};
+use adagp_sim::report::{span_table, utilization_report};
+use adagp_sim::{critical_path, simulate_batch, write_chrome_trace, Phase};
 use adagp_sweep::presets;
-use adagp_sweep::shapes::cached_shapes;
-use adagp_tensor::{init, Prng};
+use adagp_sweep::simeval::cell_layers;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -47,30 +46,28 @@ const USAGE: &str = "\
 Usage: critpath sim      [--preset NAME] [--model VGG13] [--dataset cifar10|cifar100|imagenet]
                          [--design low|efficient|max] [--dataflow ws|os|is|rs]
                          [--phase baseline|bp|gp] [--no-contention] [--bandwidth N]
-                         [--buffer-words N] [--dram-ports N] [--json PATH] [--top N]
-       critpath measured [--threshold-us N] [--batches N] [--json PATH] [--top N]
-       critpath diff     [--tolerance F] [--report-only] [--batches N]
-                         [--json PATH] [--sim-json PATH]
+                         [--buffer-words N] [--dram-ports N] [--trace PATH]
+                         [--json PATH] [--top N]
+       critpath measured [--threshold-us N] [--json PATH] [--top N]
+       critpath diff     [--report-only] [--json PATH] [--sim-json PATH]
 ";
 
 struct SimOptions {
     preset: Option<String>,
     sim: SimFlags,
+    trace: Option<PathBuf>,
     json: Option<PathBuf>,
     top: usize,
 }
 
 struct MeasuredOptions {
     threshold_us: Option<u64>,
-    batches: usize,
     json: Option<PathBuf>,
     top: usize,
 }
 
 struct DiffOptions {
-    tolerance: f64,
     report_only: bool,
-    batches: usize,
     json: Option<PathBuf>,
     sim_json: Option<PathBuf>,
 }
@@ -79,6 +76,7 @@ fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut opt = SimOptions {
         preset: None,
         sim: SimFlags::default(),
+        trace: None,
         json: None,
         top: 10,
     };
@@ -86,6 +84,7 @@ fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--preset" => opt.preset = Some(value("--preset", &mut it)?),
+            "--trace" => opt.trace = Some(PathBuf::from(value("--trace", &mut it)?)),
             "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
             "--top" => opt.top = number("--top", &mut it)?,
             "--help" | "-h" => return Err("help".to_string()),
@@ -96,13 +95,15 @@ fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
             }
         }
     }
+    if opt.preset.is_some() && opt.trace.is_some() {
+        return Err("--trace writes one cell's trace; it does not combine with --preset".into());
+    }
     Ok(opt)
 }
 
 fn parse_measured_args(args: &[String]) -> Result<MeasuredOptions, String> {
     let mut opt = MeasuredOptions {
         threshold_us: None,
-        batches: 12,
         json: None,
         top: 10,
     };
@@ -110,41 +111,30 @@ fn parse_measured_args(args: &[String]) -> Result<MeasuredOptions, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--threshold-us" => opt.threshold_us = Some(number("--threshold-us", &mut it)?),
-            "--batches" => opt.batches = number("--batches", &mut it)?,
             "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
             "--top" => opt.top = number("--top", &mut it)?,
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    if opt.batches == 0 {
-        return Err("--batches must be positive".into());
-    }
     Ok(opt)
 }
 
 fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
     let mut opt = DiffOptions {
-        tolerance: 0.35,
         report_only: false,
-        batches: 12,
         json: None,
         sim_json: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tolerance" => opt.tolerance = number("--tolerance", &mut it)?,
             "--report-only" => opt.report_only = true,
-            "--batches" => opt.batches = number("--batches", &mut it)?,
             "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
             "--sim-json" => opt.sim_json = Some(PathBuf::from(value("--sim-json", &mut it)?)),
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
-    }
-    if opt.batches == 0 {
-        return Err("--batches must be positive".into());
     }
     Ok(opt)
 }
@@ -181,14 +171,7 @@ fn run_sim(opt: &SimOptions) -> Result<(), String> {
         let mut last: Option<CritReport> = None;
         for spec in &cells {
             let cfg = adagp_sweep::cell_sim_config(spec, &opt.sim.config());
-            let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
-            let layers = model_sim_layers(
-                &AcceleratorConfig::default(),
-                spec.dataflow,
-                &PredictorCostModel::default(),
-                &shapes,
-                &cfg,
-            );
+            let layers = cell_layers(spec, &cfg);
             for (phase, design) in [
                 (Phase::Baseline, None),
                 (Phase::Bp, Some(spec.design)),
@@ -230,38 +213,23 @@ fn run_sim(opt: &SimOptions) -> Result<(), String> {
         let title = flags.title();
         let report = sim_report(&sim, &title)?;
         print!("{}", report.render(opt.top));
+        println!();
+        print!("{}", utilization_report(&sim));
+        println!();
+        print!("{}", span_table(&sim.result, 40));
+        if let Some(path) = &opt.trace {
+            write_chrome_trace(path, &sim.result, &title)
+                .map_err(|e| format!("write {}: {e}", path.display()))?;
+            println!(
+                "\nwrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
+                path.display()
+            );
+        }
         if let Some(path) = &opt.json {
             write_report(path, &report)?;
         }
     }
     Ok(())
-}
-
-/// Runs one pipelined training epoch with span recording enabled and
-/// returns the stage reports plus the recorder snapshot (the same
-/// workload `obs_timeline.rs` locks the measured-vs-sim tolerance on).
-fn recorded_epoch(batches: usize) -> (Vec<StageReport>, obs::TraceSnapshot) {
-    obs::set_enabled(true);
-    let mut rng = Prng::seed_from_u64(5);
-    let mut m = Sequential::new();
-    m.push(Conv2d::new(3, 8, 3, 1, 1, true, &mut rng));
-    m.push(Relu::new());
-    m.push(Flatten::new());
-    m.push(Linear::new(8 * 16 * 16, 10, true, &mut rng));
-    let mut adagp = AdaGp::new(AdaGpConfig::default(), &mut m, &mut rng);
-    let mut opt = Sgd::new(0.02, 0.9);
-    let mut data_rng = Prng::seed_from_u64(17);
-    let data: Vec<(adagp_tensor::Tensor, Vec<usize>)> = (0..batches)
-        .map(|b| {
-            (
-                init::uniform(&[4, 3, 16, 16], -1.0, 1.0, &mut data_rng),
-                vec![b % 10; 4],
-            )
-        })
-        .collect();
-    let report = adagp.train_epoch_pipelined(&mut m, &mut opt, batches, 3, |b| data[b].clone());
-    obs::set_enabled(false);
-    (report.stages, obs::snapshot())
 }
 
 /// Folds the recorded epoch into the measured report: lanes renamed to
@@ -283,11 +251,11 @@ fn measured_report(
 }
 
 fn run_measured(opt: &MeasuredOptions) -> Result<(), String> {
-    let (_stages, snap) = recorded_epoch(opt.batches);
+    let (_stages, snap) = recorded_epoch();
     let (report, threshold_ns) = measured_report(
         &snap,
         opt.threshold_us,
-        &format!("pipelined epoch ({} batches, measured)", opt.batches),
+        &format!("pipelined epoch ({EPOCH_BATCHES} batches, measured)"),
     );
     match threshold_ns {
         Some(t) => println!("gap classifier threshold: {t} ns"),
@@ -304,45 +272,19 @@ fn run_measured(opt: &MeasuredOptions) -> Result<(), String> {
 }
 
 fn run_diff(opt: &DiffOptions) -> Result<bool, String> {
-    let (stages, snap) = recorded_epoch(opt.batches);
+    let (stages, snap) = recorded_epoch();
     let (measured, _) = measured_report(
         &snap,
         None,
-        &format!("pipelined epoch ({} batches, measured)", opt.batches),
+        &format!("pipelined epoch ({EPOCH_BATCHES} batches, measured)"),
     );
 
     // The sim side: the same idealized 3-stage pipeline obs_timeline.rs
-    // checks occupancies against, parameterized by the measured mean
-    // stage durations (nanoseconds as cycles).
-    let mean_ns = |r: &StageReport| (r.busy.as_nanos() as u64 / r.items.max(1)).max(1);
-    let durations: Vec<u64> = stages.iter().map(mean_ns).collect();
-    let mut b = SimBuilder::new();
-    let resources: Vec<_> = stages
-        .iter()
-        .map(|r| b.add_resource(r.name.clone(), 1))
-        .collect();
-    let mut prev: Vec<Option<usize>> = vec![None; stages.len()];
-    for batch in 0..opt.batches {
-        for (stage, (&resource, &duration)) in resources.iter().zip(&durations).enumerate() {
-            let mut deps = Vec::new();
-            if stage > 0 {
-                deps.push(prev[stage - 1].expect("upstream task"));
-            }
-            prev[stage] = Some(b.add_task(TaskSpec {
-                label: format!("{} b{batch}", stages[stage].name),
-                kind: TaskKind::Forward,
-                layer: None,
-                resource: Some(resource),
-                duration,
-                deps,
-                buffer_delta: 0,
-            }));
-        }
-    }
-    let result = b.simulate();
+    // checks occupancies against.
+    let result = stage_pipeline_sim(&stages);
     let sim = critical_path(
         &result,
-        &format!("pipelined epoch ({} batches, sim)", opt.batches),
+        &format!("pipelined epoch ({EPOCH_BATCHES} batches, sim)"),
     );
     let chain_sum: u64 = sim.chain.iter().map(|c| c.end - c.start).sum();
     if chain_sum != result.makespan {
@@ -357,8 +299,7 @@ fn run_diff(opt: &DiffOptions) -> Result<bool, String> {
     // busy share of its extent. For the bottleneck stage both approach
     // its occupancy, which is where the verdict anchors.
     println!(
-        "critpath diff: {} batches; stage blame fractions (sim chain share vs measured busy share)",
-        opt.batches
+        "critpath diff: {EPOCH_BATCHES} batches; stage blame fractions (sim chain share vs measured busy share)"
     );
     println!(
         "  {:<14} {:>10} {:>10} {:>8}",
@@ -415,8 +356,8 @@ fn run_diff(opt: &DiffOptions) -> Result<bool, String> {
     } else {
         measured_bottleneck.busy as f64 / measured_bottleneck.extent as f64
     };
-    let agree =
-        sim_bottleneck.name == measured_bottleneck.name && (s_frac - m_frac).abs() <= opt.tolerance;
+    let agree = sim_bottleneck.name == measured_bottleneck.name
+        && (s_frac - m_frac).abs() <= AGREEMENT_BAND;
     println!(
         "bottleneck: sim says {} ({:.1}%), measured says {} ({:.1}%) -> {}",
         sim_bottleneck.name,

@@ -1,7 +1,7 @@
 //! The `serve` CLI: run the resident sweep server.
 //!
 //! ```text
-//! serve [--addr host:port] [--workers n] [--queue-depth n] [--window n]
+//! serve [--addr host:port] [--workers n] [--queue-depth n]
 //!       [--warm path]... [--log-dir dir]
 //! ```
 //!
@@ -10,10 +10,11 @@
 //! on stdout (`listening on <addr>` — parseable by scripts and the
 //! load-test harness), and serves until `POST /shutdown`, at which point
 //! it drains in-flight evaluations. `--log-dir` is the server's
-//! persistence: every fresh evaluation is appended to a shard log in
-//! the directory (fsync per record) as it completes, and a restarted
-//! server replays the merged log — stopping or killing the process
-//! mid-grid costs zero recomputation. Cell evaluations run on the
+//! persistence: each `/grid` window's fresh evaluations are appended to
+//! a shard log in the directory as one group (one fsync per window)
+//! before the window's lines stream, and a restarted server replays the
+//! merged log — stopping or killing the process mid-grid costs only the
+//! cells of windows that had not committed. Cell evaluations run on the
 //! shared runtime pool (`ADAGP_THREADS` sizes it).
 
 use adagp_serve::{server, ServerConfig};
@@ -25,10 +26,10 @@ Usage:
   serve [--addr host:port]   bind address (default 127.0.0.1:0, ephemeral)
         [--workers n]        connection worker threads (default 4)
         [--queue-depth n]    bounded accept queue; overflow answers 503
-        [--window n]         cells per /grid streaming window (default 8)
         [--warm path]...     warm the cache from stored runs (repeatable)
         [--log-dir dir]      crash-safe append log: replay it on start,
-                             append every fresh evaluation (fsync'd)
+                             append each /grid window's fresh
+                             evaluations (one fsync per window)
 
 Endpoints: GET /health, GET /metrics, GET /profile, GET /critical,
 POST /grid, POST /shutdown. /profile serves the live span-tree profile
@@ -67,7 +68,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--queue-depth" => {
                 cfg.queue_depth = parse_num(&value("--queue-depth")?, "--queue-depth")?;
             }
-            "--window" => cfg.grid_window = parse_num(&value("--window")?, "--window")?,
             "--warm" => cfg.warm.push(PathBuf::from(value("--warm")?)),
             "--log-dir" => cfg.log_dir = Some(PathBuf::from(value("--log-dir")?)),
             "--help" | "-h" => {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! serve_loadtest [--clients n] [--grids n] [--seed n]
-//!                [--workers n] [--queue-depth n] [--window n]
+//!                [--workers n] [--queue-depth n]
 //!                [--addr host:port]
 //! ```
 //!
@@ -50,7 +50,6 @@ Usage:
                  [--seed n]         base PRNG seed (default 7)
                  [--workers n]      server connection workers (default 8)
                  [--queue-depth n]  server accept queue (default 64)
-                 [--window n]       server /grid streaming window
                  [--addr host:port] drive an external server instead of
                                     an in-process one (skips the
                                     cold-metrics and shutdown checks)
@@ -121,7 +120,6 @@ struct Options {
     seed: u64,
     workers: usize,
     queue_depth: usize,
-    window: usize,
     addr: Option<SocketAddr>,
 }
 
@@ -133,7 +131,6 @@ impl Default for Options {
             seed: 7,
             workers: 8,
             queue_depth: 64,
-            window: 8,
             addr: None,
         }
     }
@@ -193,7 +190,6 @@ fn parse_options(args: &[String]) -> Result<Option<Options>, String> {
             "--seed" => opts.seed = count()? as u64,
             "--workers" => opts.workers = count()?.max(1),
             "--queue-depth" => opts.queue_depth = count()?.max(1),
-            "--window" => opts.window = count()?.max(1),
             "--addr" => {
                 opts.addr = Some(
                     value
@@ -242,7 +238,6 @@ fn run(opts: &Options) -> Result<(), String> {
     let config = ServerConfig {
         workers: opts.workers,
         queue_depth: opts.queue_depth,
-        grid_window: opts.window,
         log_dir: Some(log_dir.clone()),
         ..ServerConfig::default()
     };

@@ -1,5 +1,5 @@
-//! The simulator flags the `sim_timeline`, `critpath sim` and `sweep sim`
-//! CLIs share, and the one model-name rule (also `ADAGP_MODELS`'s).
+//! The simulator flags the `critpath sim` and `sweep sim` CLIs share, and
+//! the one model-name rule (also `ADAGP_MODELS`'s).
 //!
 //! `--no-contention` is applied last, so it wins regardless of flag order
 //! — the precedence contract `sweep sim` documents and tests. A zero

@@ -5,9 +5,10 @@
 //! prints the rows/series of one paper artifact per invocation; this
 //! library holds the shared experiment logic so integration tests can
 //! exercise the same code with reduced budgets. The crate's other
-//! binaries are the `sweep`, `serve`, `serve_loadtest`, `critpath`,
-//! `sim_timeline` and `obs_check` CLIs; [`cli`] holds the simulator
-//! flags three of them share.
+//! binaries are the `sweep`, `serve`, `serve_loadtest`, `critpath` and
+//! `obs_check` CLIs; [`cli`] holds the simulator flags `critpath sim` and
+//! `sweep sim` share, and [`stage_pipeline`] the measured-vs-sim harness
+//! behind `critpath measured` and `critpath diff`.
 //!
 //! Run e.g. `cargo run -p adagp-bench --release --bin paper --
 //! fig17_ws_speedup` (`paper list` names every artifact). Set
@@ -19,6 +20,7 @@ pub mod detection;
 pub mod model_grid;
 pub mod report;
 pub mod speedup_tables;
+pub mod stage_pipeline;
 pub mod translation;
 
 /// Whether the harness should use the full (slow) experiment budget.

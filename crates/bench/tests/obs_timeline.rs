@@ -10,61 +10,25 @@
 //!    measured mean stage durations. The anchor is the bottleneck stage
 //!    (whichever has the largest mean duration — it flips between
 //!    `train` and `predictor` across debug/release profiles): both
-//!    domains must agree it runs hot. The tolerance is loose (wall
-//!    clocks are noisy; the sim is idealized), but the test is
-//!    non-degenerate: both occupancies must exceed 0.5 and agree to
-//!    within 0.35.
+//!    domains must agree it runs hot. The band is loose (wall clocks
+//!    are noisy; the sim is idealized), but the test is non-degenerate:
+//!    both occupancies must exceed 0.5 and agree to within
+//!    `AGREEMENT_BAND`.
+//!
+//! The epoch, the stage graph and the band are `critpath diff`'s, from
+//! `adagp_bench::stage_pipeline`.
 
-use adagp_core::{AdaGp, AdaGpConfig};
-use adagp_nn::containers::Sequential;
-use adagp_nn::layers::{Conv2d, Flatten, Linear, Relu};
-use adagp_nn::optim::Sgd;
+use adagp_bench::stage_pipeline::{
+    pipelined_epoch, recorded_epoch, stage_pipeline_sim, AGREEMENT_BAND,
+};
 use adagp_obs as obs;
-use adagp_runtime::StageReport;
-use adagp_sim::{SimBuilder, TaskKind, TaskSpec};
-use adagp_tensor::{init, Prng};
-
-const BATCHES: usize = 12;
-
-fn model(rng: &mut Prng) -> Sequential {
-    let mut m = Sequential::new();
-    m.push(Conv2d::new(3, 8, 3, 1, 1, true, rng));
-    m.push(Relu::new());
-    m.push(Flatten::new());
-    m.push(Linear::new(8 * 16 * 16, 10, true, rng));
-    m
-}
-
-/// Runs one pipelined epoch (default config: warm-up, so every batch
-/// exercises all three stages) and returns the stage reports.
-fn pipelined_epoch() -> Vec<StageReport> {
-    let mut rng = Prng::seed_from_u64(5);
-    let mut m = model(&mut rng);
-    let mut adagp = AdaGp::new(AdaGpConfig::default(), &mut m, &mut rng);
-    let mut opt = Sgd::new(0.02, 0.9);
-    let mut data_rng = Prng::seed_from_u64(17);
-    let batches: Vec<(adagp_tensor::Tensor, Vec<usize>)> = (0..BATCHES)
-        .map(|b| {
-            (
-                init::uniform(&[4, 3, 16, 16], -1.0, 1.0, &mut data_rng),
-                vec![b % 10; 4],
-            )
-        })
-        .collect();
-    let report = adagp.train_epoch_pipelined(&mut m, &mut opt, BATCHES, 3, |b| batches[b].clone());
-    assert_eq!(report.batches.len(), BATCHES);
-    report.stages
-}
 
 #[test]
 fn measured_trace_is_parseable_and_well_nested() {
     let _g = obs::test_guard();
-    obs::set_enabled(true);
-    let stages = pipelined_epoch();
-    obs::set_enabled(false);
+    let (stages, snap) = recorded_epoch();
     assert_eq!(stages.len(), 3);
 
-    let snap = obs::snapshot();
     assert!(snap.span_count() > 0, "pipelined epoch recorded no spans");
     let text = obs::chrome_trace(&snap, "pipelined epoch (measured)");
     let stats = obs::validate_chrome_trace(&text).expect("measured trace must validate");
@@ -93,46 +57,18 @@ fn measured_bottleneck_occupancy_matches_sim_prediction() {
     let _g = obs::test_guard();
     let stages = pipelined_epoch();
 
-    // Model the 3-stage pipeline in adagp-sim with the measured mean
-    // stage durations (nanoseconds as cycles): gen b -> train b ->
-    // predict b, each stage serialized on its own unit resource.
-    let mean_ns = |r: &StageReport| (r.busy.as_nanos() as u64 / r.items.max(1)).max(1);
-    let durations: Vec<u64> = stages.iter().map(mean_ns).collect();
-    let mut b = SimBuilder::new();
-    let resources: Vec<_> = stages
-        .iter()
-        .map(|r| b.add_resource(r.name.clone(), 1))
-        .collect();
-    let mut prev: Vec<Option<usize>> = vec![None; stages.len()];
-    for batch in 0..BATCHES {
-        for (stage, (&resource, &duration)) in resources.iter().zip(&durations).enumerate() {
-            let mut deps = Vec::new();
-            if stage > 0 {
-                deps.push(prev[stage - 1].expect("upstream task"));
-            }
-            prev[stage] = Some(b.add_task(TaskSpec {
-                label: format!("{} b{batch}", stages[stage].name),
-                kind: TaskKind::Forward,
-                layer: None,
-                resource: Some(resource),
-                duration,
-                deps,
-                buffer_delta: 0,
-            }));
-        }
-    }
-    let result = b.simulate();
+    // The 3-stage pipeline in adagp-sim, each stage taking its measured
+    // mean duration; resource `i` is stage `i`.
+    let result = stage_pipeline_sim(&stages);
 
-    // Anchor on the bottleneck: everything else waits on it, so both the
-    // measurement and the prediction must put its occupancy high.
-    let bottleneck = durations
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &d)| d)
-        .expect("three stages")
-        .0;
+    // Anchor on the bottleneck (the stage with the largest mean duration,
+    // hence the most busy cycles): everything else waits on it, so both
+    // the measurement and the prediction must put its occupancy high.
+    let bottleneck = (0..stages.len())
+        .max_by_key(|&r| result.busy[r])
+        .expect("three stages");
     let measured = stages[bottleneck].utilization();
-    let predicted = result.utilization(resources[bottleneck]);
+    let predicted = result.utilization(bottleneck);
     assert!(
         measured > 0.0 && measured <= 1.0,
         "degenerate measured occupancy {measured}"
@@ -146,7 +82,7 @@ fn measured_bottleneck_occupancy_matches_sim_prediction() {
     // stalls, mean durations), the measurement is wall clock on a shared
     // machine — but they must describe the same pipeline.
     assert!(
-        (measured - predicted).abs() < 0.35,
+        (measured - predicted).abs() < AGREEMENT_BAND,
         "measured `{}` occupancy {measured:.3} vs sim prediction {predicted:.3}",
         stages[bottleneck].name
     );

@@ -27,7 +27,7 @@ pub struct HttpReply {
 
 /// Bounded-retry policy for overloaded (`503`) replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Retries after the first attempt (0 = never retry).
     pub max_retries: u32,
     /// Backoff before a retry when the server sent no `Retry-After`
@@ -137,7 +137,7 @@ fn parse_reply(mut raw: Vec<u8>) -> Result<HttpReply, String> {
 ///
 /// Returns a description of a connect/write/read failure or an
 /// unparseable reply.
-pub fn http_request_retrying(
+pub(crate) fn http_request_retrying(
     addr: SocketAddr,
     method: &str,
     path: &str,
@@ -174,8 +174,9 @@ pub struct GridResponse {
 }
 
 /// Submits a grid (JSON text) and parses the NDJSON stream. Overload
-/// (`503`) replies are retried under the default [`RetryPolicy`] before
-/// giving up.
+/// (`503`) replies are retried up to three times, after the server's
+/// `Retry-After` hint or a doubling 50 ms backoff (each sleep capped at
+/// 2 s), before giving up.
 ///
 /// # Errors
 ///

@@ -50,10 +50,7 @@ pub mod server;
 pub mod wire;
 
 pub use cache::{CellCache, Served};
-pub use client::{
-    fetch_metrics, http_request, http_request_retrying, submit_grid, GridResponse, HttpReply,
-    RetryPolicy,
-};
+pub use client::{fetch_metrics, http_request, submit_grid, GridResponse, HttpReply};
 pub use http::{HttpError, Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 pub use metrics::{check_invariants, parse_metrics, ServerMetrics};
 pub use server::{route, start, Routed, ServeState, ServerConfig, ServerHandle};

@@ -40,6 +40,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Cells per streaming window of a `/grid` response: the unit a reply
+/// flushes in and the shard log commits (one group, one fsync) in.
+pub const GRID_WINDOW: usize = 8;
+
 /// Server tunables. `Default` is suitable for tests: an ephemeral port,
 /// four workers, a 64-connection queue.
 #[derive(Debug, Clone)]
@@ -50,8 +54,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded connection-queue depth; overflow answers 503.
     pub queue_depth: usize,
-    /// Cells per streaming window of a `/grid` response.
-    pub grid_window: usize,
     /// Run artifacts to warm the cache from before accepting traffic
     /// (an in-memory preload; nothing is written back).
     pub warm: Vec<PathBuf>,
@@ -70,7 +72,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_depth: 64,
-            grid_window: 8,
             warm: Vec::new(),
             log_dir: None,
         }
@@ -86,7 +87,6 @@ pub struct ServeState {
     /// The `/metrics` counters.
     pub metrics: ServerMetrics,
     addr: SocketAddr,
-    grid_window: usize,
     stop: AtomicBool,
 }
 
@@ -175,7 +175,6 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
         cache: CellCache::new(),
         metrics: ServerMetrics::new(),
         addr,
-        grid_window: cfg.grid_window.max(1),
         stop: AtomicBool::new(false),
     });
     for path in &cfg.warm {
@@ -427,7 +426,7 @@ fn serve_grid(
         joined: 0,
         micros: 0,
     };
-    for window in cells.chunks(state.grid_window) {
+    for window in cells.chunks(GRID_WINDOW) {
         // Memoized cells are answered on this worker; only absent or
         // in-flight cells go to the pool, so an all-hit window opens no
         // pool region.
@@ -637,10 +636,7 @@ mod tests {
             "designs":["ADA-GP-Efficient","ADA-GP-MAX"],"dataflows":["WS"],"schedules":["paper"]}"#;
         let cells = parse_grid_request(body.as_bytes()).unwrap().expand();
         assert_eq!(cells.len(), 4);
-        assert!(
-            cells.len() <= ServerConfig::default().grid_window,
-            "one window"
-        );
+        assert!(cells.len() <= GRID_WINDOW, "one window");
         let cache = &server.state().cache;
         cache.warm(
             [&cells[0], &cells[3]]

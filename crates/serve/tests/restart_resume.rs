@@ -8,6 +8,7 @@
 //! fault-injection CLI battery covers the real-abort variant; here the
 //! second incarnation starts from whatever the log holds).
 
+use adagp_serve::server::GRID_WINDOW;
 use adagp_serve::wire::{parse_grid_line, GridLine};
 use adagp_serve::{check_invariants, fetch_metrics, server, submit_grid, ServerConfig};
 use adagp_sweep::shardlog::load_shard;
@@ -153,7 +154,6 @@ fn every_evaluated_line_streams_after_its_record_is_committed() {
         log_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
-    let window = cfg.grid_window;
     let first = server::start(cfg.clone()).expect("first server starts");
     let log = dir.join(shard_file_name(Shard::default()));
 
@@ -185,7 +185,7 @@ fn every_evaluated_line_streams_after_its_record_is_committed() {
         }
         assert!(line.ends_with('\n'), "a whole line: {line:?}");
         match parse_grid_line(line.trim_end()).expect("a reply line") {
-            GridLine::Header { cells: n, .. } => assert!(n as usize > 2 * window, "{n} cells"),
+            GridLine::Header { cells: n, .. } => assert!(n as usize > 2 * GRID_WINDOW, "{n} cells"),
             GridLine::Cell(cell) => {
                 cells += 1;
                 if !cell.cached {

@@ -1,6 +1,6 @@
 //! Plain-text reports of a simulated batch: the span timeline (a textual
 //! Gantt chart), per-resource utilization and the buffer-occupancy
-//! summary — what the `sim_timeline` binary prints — plus the bridge
+//! summary — what `critpath sim` prints for one cell — plus the bridge
 //! into `adagp-obs`'s critical-path analyzer ([`critical_path`]).
 
 use crate::engine::SimResult;

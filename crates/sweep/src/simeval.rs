@@ -83,7 +83,7 @@ pub fn cell_sim_config(spec: &CellSpec, base: &SimConfig) -> SimConfig {
 
 /// The model's layers under `cfg`: the same shapes, accelerator config
 /// and predictor cost model as the analytic evaluator.
-fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
+pub fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
     model_sim_layers(
         &AcceleratorConfig::default(),
         spec.dataflow,
