@@ -2,21 +2,21 @@
 //! measured timelines (`obs::crit`, the `adagp-critpath-v1` schema).
 //!
 //! ```text
-//! critpath sim      [--preset NAME | simulator flags] [--trace PATH] [--json PATH] [--top N]
+//! critpath sim      [simulator flags] [--trace PATH] [--json PATH] [--top N]
 //! critpath measured [--threshold-us N] [--json PATH] [--top N]
 //! critpath diff     [--report-only] [--json PATH] [--sim-json PATH]
 //! ```
 //!
-//! * `sim` simulates a schedule (one cell via the simulator flags of
-//!   `adagp_bench::cli`, or every cell × phase of a sweep preset via
-//!   `--preset`) and walks the zero-slack chain; every walk asserts the
-//!   chain length equals the simulated makespan **bit-exactly** and exits
-//!   1 otherwise. With `--json`, the (last) report is written as
-//!   `adagp-critpath-v1`. One cell also prints its per-resource
-//!   utilization report and the first 40 rows of its span table (a
-//!   textual Gantt chart), and `--trace` writes its Chrome trace for
+//! * `sim` simulates one cell's batch (the simulator flags of
+//!   `adagp_bench::cli`) and walks its zero-slack chain; the walk must
+//!   reproduce the simulated makespan **bit-exactly** (an error, exit 2,
+//!   otherwise). It prints the blame report, the per-resource
+//!   utilization report and the first 40 rows of the span table (a
+//!   textual Gantt chart). `--json` writes the report as
+//!   `adagp-critpath-v1`, and `--trace` the Chrome trace for
 //!   `chrome://tracing` / Perfetto (1 cycle = 1 µs on the viewer's axis,
-//!   one lane per resource port).
+//!   one lane per resource port). The same invariants over every fig17
+//!   cell and phase are `tests/critpath_invariants.rs`.
 //! * `measured` runs the pipelined training epoch of
 //!   `adagp_bench::stage_pipeline` in-process with span recording on,
 //!   folds the recorded lanes into busy/queue-wait/idle segments
@@ -28,6 +28,10 @@
 //!   fraction. The bottleneck stage must agree in name and within
 //!   `AGREEMENT_BAND` (0.35, the band `obs_timeline.rs` checks
 //!   occupancies in) — exit 1 on disagreement unless `--report-only`.
+//!
+//! A closed stdout (a reader such as `head` that quit early) is not an
+//! error: printing stops, and the run still writes every file it was
+//! asked for and exits with the status it would otherwise have had.
 
 use adagp_bench::cli::{number, value, SimFlags};
 use adagp_bench::stage_pipeline::{
@@ -36,14 +40,14 @@ use adagp_bench::stage_pipeline::{
 use adagp_obs as obs;
 use adagp_obs::crit::CritReport;
 use adagp_sim::report::{span_table, utilization_report};
-use adagp_sim::{critical_path, simulate_batch, write_chrome_trace, Phase};
-use adagp_sweep::presets;
-use adagp_sweep::simeval::cell_layers;
+use adagp_sim::{critical_path, simulate_batch, write_chrome_trace};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const USAGE: &str = "\
-Usage: critpath sim      [--preset NAME] [--model VGG13] [--dataset cifar10|cifar100|imagenet]
+Usage: critpath sim      [--model VGG13] [--dataset cifar10|cifar100|imagenet]
                          [--design low|efficient|max] [--dataflow ws|os|is|rs]
                          [--phase baseline|bp|gp] [--no-contention] [--bandwidth N]
                          [--buffer-words N] [--dram-ports N] [--trace PATH]
@@ -52,8 +56,26 @@ Usage: critpath sim      [--preset NAME] [--model VGG13] [--dataset cifar10|cifa
        critpath diff     [--report-only] [--json PATH] [--sim-json PATH]
 ";
 
+/// `print!` that stops printing, instead of panicking, once stdout is
+/// closed.
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` on `out!`.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if !CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(args).is_err() {
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
 struct SimOptions {
-    preset: Option<String>,
     sim: SimFlags,
     trace: Option<PathBuf>,
     json: Option<PathBuf>,
@@ -74,7 +96,6 @@ struct DiffOptions {
 
 fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut opt = SimOptions {
-        preset: None,
         sim: SimFlags::default(),
         trace: None,
         json: None,
@@ -83,7 +104,6 @@ fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--preset" => opt.preset = Some(value("--preset", &mut it)?),
             "--trace" => opt.trace = Some(PathBuf::from(value("--trace", &mut it)?)),
             "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
             "--top" => opt.top = number("--top", &mut it)?,
@@ -94,9 +114,6 @@ fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
                 }
             }
         }
-    }
-    if opt.preset.is_some() && opt.trace.is_some() {
-        return Err("--trace writes one cell's trace; it does not combine with --preset".into());
     }
     Ok(opt)
 }
@@ -145,7 +162,7 @@ fn write_report(path: &PathBuf, report: &CritReport) -> Result<(), String> {
     let json = report.to_json();
     obs::validate_critpath(&json).map_err(|e| format!("self-check failed: {e}"))?;
     std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {} report to {}", report.mode, path.display());
+    outln!("wrote {} report to {}", report.mode, path.display());
     Ok(())
 }
 
@@ -165,69 +182,30 @@ fn sim_report(sim: &adagp_sim::BatchSim, title: &str) -> Result<CritReport, Stri
 }
 
 fn run_sim(opt: &SimOptions) -> Result<(), String> {
-    if let Some(name) = &opt.preset {
-        let grid = presets::by_name(name).ok_or_else(|| format!("unknown preset `{name}`"))?;
-        let cells = grid.expand();
-        let mut last: Option<CritReport> = None;
-        for spec in &cells {
-            let cfg = adagp_sweep::cell_sim_config(spec, &opt.sim.config());
-            let layers = cell_layers(spec, &cfg);
-            for (phase, design) in [
-                (Phase::Baseline, None),
-                (Phase::Bp, Some(spec.design)),
-                (Phase::Gp, Some(spec.design)),
-            ] {
-                let sim = simulate_batch(phase, design, &layers, &cfg);
-                let title = format!("{} {}", spec.key(), phase.name());
-                let report = sim_report(&sim, &title)?;
-                let top = report.blame.first();
-                println!(
-                    "{} {:<8} makespan {:>12}  chain {:>4} segments  top blame {}",
-                    spec.id,
-                    phase.name(),
-                    report.makespan,
-                    report.chain.len(),
-                    top.map_or_else(
-                        || "-".to_string(),
-                        |b| format!("{}/{} {:.1}%", b.lane, b.kind, b.fraction * 100.0)
-                    ),
-                );
-                last = Some(report);
-            }
-        }
-        println!(
-            "critpath sim: {} cells x 3 phases, every chain bit-exact against its makespan",
-            cells.len()
+    let flags = &opt.sim;
+    let sim = simulate_batch(
+        flags.phase,
+        flags.design(),
+        &flags.layers(),
+        &flags.config(),
+    );
+    let title = flags.title();
+    let report = sim_report(&sim, &title)?;
+    out!("{}", report.render(opt.top));
+    outln!();
+    out!("{}", utilization_report(&sim));
+    outln!();
+    out!("{}", span_table(&sim.result, 40));
+    if let Some(path) = &opt.trace {
+        write_chrome_trace(path, &sim.result, &title)
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        outln!(
+            "\nwrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
+            path.display()
         );
-        if let Some(path) = &opt.json {
-            write_report(path, &last.ok_or("preset expanded to no cells")?)?;
-        }
-    } else {
-        let flags = &opt.sim;
-        let sim = simulate_batch(
-            flags.phase,
-            flags.design(),
-            &flags.layers(),
-            &flags.config(),
-        );
-        let title = flags.title();
-        let report = sim_report(&sim, &title)?;
-        print!("{}", report.render(opt.top));
-        println!();
-        print!("{}", utilization_report(&sim));
-        println!();
-        print!("{}", span_table(&sim.result, 40));
-        if let Some(path) = &opt.trace {
-            write_chrome_trace(path, &sim.result, &title)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            println!(
-                "\nwrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
-                path.display()
-            );
-        }
-        if let Some(path) = &opt.json {
-            write_report(path, &report)?;
-        }
+    }
+    if let Some(path) = &opt.json {
+        write_report(path, &report)?;
     }
     Ok(())
 }
@@ -258,10 +236,10 @@ fn run_measured(opt: &MeasuredOptions) -> Result<(), String> {
         &format!("pipelined epoch ({EPOCH_BATCHES} batches, measured)"),
     );
     match threshold_ns {
-        Some(t) => println!("gap classifier threshold: {t} ns"),
-        None => println!("gap classifier threshold: none (all gaps idle)"),
+        Some(t) => outln!("gap classifier threshold: {t} ns"),
+        None => outln!("gap classifier threshold: none (all gaps idle)"),
     }
-    print!("{}", report.render(opt.top));
+    out!("{}", report.render(opt.top));
     if report.lanes.is_empty() {
         return Err("no measured lanes recorded".into());
     }
@@ -298,12 +276,15 @@ fn run_diff(opt: &DiffOptions) -> Result<bool, String> {
     // simulated critical path; the measured column is the stage lane's
     // busy share of its extent. For the bottleneck stage both approach
     // its occupancy, which is where the verdict anchors.
-    println!(
+    outln!(
         "critpath diff: {EPOCH_BATCHES} batches; stage blame fractions (sim chain share vs measured busy share)"
     );
-    println!(
+    outln!(
         "  {:<14} {:>10} {:>10} {:>8}",
-        "stage", "sim", "measured", "delta"
+        "stage",
+        "sim",
+        "measured",
+        "delta"
     );
     for stage in &stages {
         let s = sim.lane_fraction(&stage.name);
@@ -318,7 +299,7 @@ fn run_diff(opt: &DiffOptions) -> Result<bool, String> {
                     l.busy as f64 / l.extent as f64
                 }
             });
-        println!(
+        outln!(
             "  {:<14} {:>9.1}% {:>9.1}% {:>+7.1}%",
             stage.name,
             s * 100.0,
@@ -358,7 +339,7 @@ fn run_diff(opt: &DiffOptions) -> Result<bool, String> {
     };
     let agree = sim_bottleneck.name == measured_bottleneck.name
         && (s_frac - m_frac).abs() <= AGREEMENT_BAND;
-    println!(
+    outln!(
         "bottleneck: sim says {} ({:.1}%), measured says {} ({:.1}%) -> {}",
         sim_bottleneck.name,
         s_frac * 100.0,
@@ -393,13 +374,13 @@ fn main() -> ExitCode {
             let report_only = opt.report_only;
             run_diff(&opt).map(|agree| {
                 if !agree && report_only {
-                    println!("report-only: disagreement not enforced");
+                    outln!("report-only: disagreement not enforced");
                 }
                 agree || report_only
             })
         }),
         "--help" | "-h" | "help" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => {
@@ -411,7 +392,7 @@ fn main() -> ExitCode {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(msg) if msg == "help" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             ExitCode::SUCCESS
         }
         Err(msg) => {

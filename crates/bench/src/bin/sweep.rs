@@ -5,7 +5,7 @@
 //! sweep list                      # every preset with its axes and cell count
 //! sweep list <preset>             # the preset's cells (id + key)
 //! sweep run <preset> [--csv <path>] [--json <path>] [--quiet]
-//!           [--log-dir <dir>] [--shard <k/n>] [--window <n>]
+//!           [--log-dir <dir>] [--shard <k/n>]
 //! sweep merge <preset> --log-dir <dir> [--csv <path>] [--json <path>]
 //!           [--partial] [--quiet]
 //! sweep sim <preset> [--csv <path>] [--no-contention] [--bandwidth <n>]
@@ -17,13 +17,14 @@
 //! (`ADAGP_THREADS` sizes it) and prints the cell table; `--csv` writes
 //! the byte-stable metrics file, `--json` the full-precision run record
 //! with timings. With `--log-dir` the run becomes crash-safe and
-//! resumable: every completed cell is appended to a per-shard NDJSON
-//! log (fsync at each record boundary), already-logged cells are
-//! skipped on re-invocation, `--shard k/n` runs one slice of the grid
+//! resumable: the grid runs in windows of 64 cells, each window's cells
+//! are appended to a per-shard NDJSON log as one group with one fsync,
+//! already-logged cells are skipped on re-invocation, `--shard k/n`
+//! runs one slice of the grid
 //! (n cooperating invocations sharing the directory cover it exactly
 //! once), and the final CSV/JSON are reconstructed from the merged logs
 //! — byte-identical no matter how often the run was interrupted;
-//! `--shard` or `--window` without `--log-dir` is a usage error. In
+//! `--shard` without `--log-dir` is a usage error. In
 //! log-dir mode the JSON record is the zero-timing snapshot form (wall
 //! clocks are meaningless across resumed fragments). `merge` rebuilds
 //! the final artifacts from an existing log directory without running
@@ -77,16 +78,14 @@ Usage:
   sweep list                                list presets (axes, cell counts)
   sweep list <preset>                       list a preset's cells (id + key)
   sweep run <preset> [--csv p] [--json p] [--quiet]
-            [--log-dir d] [--shard k/n] [--window n]
+            [--log-dir d] [--shard k/n]
                                             execute a grid on the shared pool;
-                                            --log-dir appends each finished
-                                            cell to a crash-safe per-shard
-                                            NDJSON log and resumes past cells
-                                            already on disk; --shard k/n runs
-                                            one slice (cells k-1 mod n);
-                                            --window bounds cells in memory
-                                            (--shard and --window need
-                                            --log-dir)
+                                            --log-dir appends each window of
+                                            64 finished cells to a crash-safe
+                                            per-shard NDJSON log and resumes
+                                            past cells already on disk;
+                                            --shard k/n runs one slice (cells
+                                            k-1 mod n; needs --log-dir)
   sweep merge <preset> --log-dir d [--csv p] [--json p] [--partial] [--quiet]
                                             rebuild final CSV/JSON from shard
                                             logs without evaluating anything
@@ -154,7 +153,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut quiet = false;
     let mut log_dir: Option<PathBuf> = None;
     let mut shard = Shard::default();
-    let mut window: Option<usize> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -167,32 +165,15 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or_else(|| "--shard requires a k/n value".to_string())?;
                 shard = Shard::parse(raw)?;
             }
-            "--window" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--window requires a value".to_string())?;
-                let w = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|w| *w > 0)
-                    .ok_or_else(|| {
-                        format!("--window: bad value `{raw}` (need a positive integer)")
-                    })?;
-                window = Some(w);
-            }
             "--quiet" => quiet = true,
             other => return Err(format!("run: unexpected argument `{other}`")),
         }
     }
     if let Some(dir) = &log_dir {
-        let window = window.unwrap_or(DEFAULT_WINDOW);
-        return run_logged(name, &grid, shard, dir, window, csv_path, json_path, quiet);
+        return run_logged(name, &grid, shard, dir, csv_path, json_path, quiet);
     }
     if shard != Shard::default() {
         return Err("run: --shard requires --log-dir (sharded runs live in shard logs)".into());
-    }
-    if window.is_some() {
-        return Err("run: --window requires --log-dir (it sizes the log's commit groups)".into());
     }
 
     let run = runner::run_grid(&grid);
@@ -235,24 +216,23 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Cells evaluated per append window in log-dir mode: small enough to
-/// bound memory on huge grids, large enough to amortize pool dispatch.
-const DEFAULT_WINDOW: usize = 64;
+/// Cells evaluated per window in log-dir mode, each window one commit
+/// group (one fsync): small enough to bound memory on huge grids, large
+/// enough to amortize pool dispatch.
+const WINDOW: usize = 64;
 
 /// The `run --log-dir` path: resumable sharded execution plus merged
 /// final artifacts once the grid is complete.
-#[allow(clippy::too_many_arguments)]
 fn run_logged(
     name: &str,
     grid: &GridSpec,
     shard: Shard,
     dir: &Path,
-    window: usize,
     csv_path: Option<PathBuf>,
     json_path: Option<PathBuf>,
     quiet: bool,
 ) -> Result<ExitCode, String> {
-    let stats = shardlog::run_sharded(grid, shard, dir, window)?;
+    let stats = shardlog::run_sharded(grid, shard, dir, WINDOW)?;
     println!(
         "{name} [shard {}]: {} cells owned, {} resumed from log, {} evaluated ({} thread(s))",
         stats.shard,

@@ -5,8 +5,8 @@
 //! prints the rows/series of one paper artifact per invocation; this
 //! library holds the shared experiment logic so integration tests can
 //! exercise the same code with reduced budgets. The crate's other
-//! binaries are the `sweep`, `serve`, `serve_loadtest`, `critpath` and
-//! `obs_check` CLIs; [`cli`] holds the simulator flags `critpath sim` and
+//! binaries are the `sweep`, `serve`, `critpath` and `obs_check` CLIs;
+//! [`cli`] holds the simulator flags `critpath sim` and
 //! `sweep sim` share, and [`stage_pipeline`] the measured-vs-sim harness
 //! behind `critpath measured` and `critpath diff`.
 //!

@@ -3,10 +3,12 @@
 //! parser the engine, the batch builder or the tiling model panicked
 //! (exit 101) — and one cell prints its utilization report and span
 //! table and writes a Chrome trace that validates, also with a 2-port
-//! DRAM whose concurrent transfers need a lane per port. A preset has
-//! no one trace to write.
+//! DRAM whose concurrent transfers need a lane per port. `sim` is one
+//! cell: `--preset` is an unexpected argument. A stdout closed before
+//! the run prints is not an error: the `--json` report is still written
+//! and the exit status is 0.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const CRITPATH: &str = env!("CARGO_BIN_EXE_critpath");
 
@@ -31,14 +33,33 @@ fn critpath_sim_rejects_zero_contention_values() {
 }
 
 #[test]
-fn critpath_sim_trace_is_one_cells() {
-    let out = critpath(&["sim", "--preset", "smoke", "--trace", "unused.json"]);
+fn critpath_sim_has_no_preset_mode() {
+    let out = critpath(&["sim", "--preset", "smoke"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(
-        stderr.contains("does not combine with --preset"),
+        stderr.contains("unexpected argument `--preset`"),
         "{stderr}"
     );
+}
+
+#[test]
+fn critpath_sim_survives_a_closed_stdout() {
+    let json = std::env::temp_dir().join(format!("adagp-sim-cli-pipe-{}.json", std::process::id()));
+    let mut child = Command::new(CRITPATH)
+        .args(["sim", "--json", json.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let text = std::fs::read_to_string(&json).expect("report written");
+    std::fs::remove_file(&json).ok();
+    adagp_obs::validate_critpath(&text).expect("report valid");
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //!   is doing the silencing, not the grid.
 //! * A zero `--bandwidth` / `--buffer-words` on `sweep sim` is exit 2.
 //! * A NaN, negative or infinite `--tol` on `sweep diff` is exit 2.
-//! * `--shard` or `--window` on `sweep run` without `--log-dir`, and the
-//!   removed `sweep roofline`, are exit 2.
+//! * `--shard` on `sweep run` without `--log-dir`, the removed
+//!   `--window` and the removed `sweep roofline` are exit 2.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -184,10 +184,10 @@ fn diff_rejects_bad_tolerances_as_usage_errors() {
     assert_eq!(out.status.code(), Some(0), "a run matches itself exactly");
 }
 
-/// `--shard` and `--window` shape a logged run only, so without
-/// `--log-dir` either is a usage error rather than a flag silently
-/// ignored; and the roofline study is `sweep run roofline`, not a
-/// subcommand of its own.
+/// `--shard` shapes a logged run only, so without `--log-dir` it is a
+/// usage error rather than a flag silently ignored; the log's window is
+/// fixed, so `--window` is an unexpected argument; and the roofline
+/// study is `sweep run roofline`, not a subcommand of its own.
 #[test]
 fn misplaced_flags_and_unknown_subcommands_are_usage_errors() {
     for (args, expected) in [
@@ -197,7 +197,7 @@ fn misplaced_flags_and_unknown_subcommands_are_usage_errors() {
         ),
         (
             &["run", "smoke", "--quiet", "--window", "4"],
-            "--window requires --log-dir",
+            "unexpected argument `--window`",
         ),
         (&["roofline", "roofline"], "unknown subcommand `roofline`"),
     ] {

@@ -26,8 +26,8 @@
 //!   timing columns) and JSON (full precision + timing), rendered to a
 //!   string or streamed to a file in bounded memory — the same bytes
 //!   either way — and loaded back through one validation.
-//! * [`shardlog`] — append-only, shard-per-worker NDJSON result logs
-//!   with fsync'd record boundaries: crash-safe resumable execution
+//! * [`shardlog`] — append-only, shard-per-worker NDJSON result logs,
+//!   one fsync per group of records: crash-safe resumable execution
 //!   (`--shard k/n`), a torn-tail-tolerant loader, and a deterministic
 //!   last-write-wins merge that reconstructs the byte-stable CSV/JSON
 //!   of an uninterrupted run.

@@ -11,27 +11,13 @@
 //!    a `no_contention` *simulation* where the production path now takes
 //!    the closed form.
 
-use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::speedup::EpochMix;
-use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
-use adagp_sim::{
-    epoch_total, model_sim_layers, simulate_batch, BatchGraph, Phase, SimConfig, SimLayer,
-};
+use adagp_accel::{AdaGpDesign, Dataflow};
+use adagp_sim::{epoch_total, simulate_batch, BatchGraph, Phase, SimConfig, SimLayer};
 use adagp_sweep::roofline::{KNEE_MAX_BW, KNEE_TOLERANCE};
-use adagp_sweep::shapes::cached_shapes;
+use adagp_sweep::simeval::cell_layers;
 use adagp_sweep::{cell_knee, cell_sim_config, presets, CellSpec, KneeMemoKey};
 use std::collections::HashSet;
-
-fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
-    let shapes = cached_shapes(spec.model, spec.dataset.input_scale());
-    model_sim_layers(
-        &AcceleratorConfig::default(),
-        spec.dataflow,
-        &PredictorCostModel::default(),
-        &shapes,
-        cfg,
-    )
-}
 
 #[test]
 fn fig17_replays_equal_fresh_builds_at_every_bandwidth() {
