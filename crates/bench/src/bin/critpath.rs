@@ -4,7 +4,7 @@
 //! ```text
 //! critpath sim      [simulator flags] [--trace PATH] [--json PATH] [--top N]
 //! critpath measured [--threshold-us N] [--json PATH] [--top N]
-//! critpath diff     [--report-only] [--json PATH] [--sim-json PATH]
+//! critpath diff     [--json PATH] [--sim-json PATH]
 //! ```
 //!
 //! * `sim` simulates one cell's batch (the simulator flags of
@@ -27,7 +27,8 @@
 //!   stage's sim-predicted blame fraction with its measured busy
 //!   fraction. The bottleneck stage must agree in name and within
 //!   `AGREEMENT_BAND` (0.35, the band `obs_timeline.rs` checks
-//!   occupancies in) — exit 1 on disagreement unless `--report-only`.
+//!   occupancies in) — exit 1 on disagreement. Both reports are written
+//!   before the verdict, so a disagreeing run still leaves them behind.
 //!
 //! A closed stdout (a reader such as `head` that quit early) is not an
 //! error: printing stops, and the run still writes every file it was
@@ -37,14 +38,13 @@ use adagp_bench::cli::{number, value, SimFlags};
 use adagp_bench::stage_pipeline::{
     recorded_epoch, stage_pipeline_sim, AGREEMENT_BAND, EPOCH_BATCHES,
 };
+use adagp_bench::{out, outln};
 use adagp_obs as obs;
 use adagp_obs::crit::CritReport;
 use adagp_sim::report::{span_table, utilization_report};
 use adagp_sim::{critical_path, simulate_batch, write_chrome_trace};
-use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 const USAGE: &str = "\
 Usage: critpath sim      [--model VGG13] [--dataset cifar10|cifar100|imagenet]
@@ -53,27 +53,8 @@ Usage: critpath sim      [--model VGG13] [--dataset cifar10|cifar100|imagenet]
                          [--buffer-words N] [--dram-ports N] [--trace PATH]
                          [--json PATH] [--top N]
        critpath measured [--threshold-us N] [--json PATH] [--top N]
-       critpath diff     [--report-only] [--json PATH] [--sim-json PATH]
+       critpath diff     [--json PATH] [--sim-json PATH]
 ";
-
-/// `print!` that stops printing, instead of panicking, once stdout is
-/// closed.
-macro_rules! out {
-    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
-}
-
-/// `println!` on `out!`.
-macro_rules! outln {
-    () => { out!("\n") };
-    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
-}
-
-fn write_stdout(args: std::fmt::Arguments) {
-    static CLOSED: AtomicBool = AtomicBool::new(false);
-    if !CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(args).is_err() {
-        CLOSED.store(true, Ordering::Relaxed);
-    }
-}
 
 struct SimOptions {
     sim: SimFlags,
@@ -89,7 +70,6 @@ struct MeasuredOptions {
 }
 
 struct DiffOptions {
-    report_only: bool,
     json: Option<PathBuf>,
     sim_json: Option<PathBuf>,
 }
@@ -139,14 +119,12 @@ fn parse_measured_args(args: &[String]) -> Result<MeasuredOptions, String> {
 
 fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
     let mut opt = DiffOptions {
-        report_only: false,
         json: None,
         sim_json: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--report-only" => opt.report_only = true,
             "--json" => opt.json = Some(PathBuf::from(value("--json", &mut it)?)),
             "--sim-json" => opt.sim_json = Some(PathBuf::from(value("--sim-json", &mut it)?)),
             "--help" | "-h" => return Err("help".to_string()),
@@ -370,15 +348,7 @@ fn main() -> ExitCode {
     let outcome = match cmd {
         "sim" => parse_sim_args(rest).and_then(|opt| run_sim(&opt).map(|()| true)),
         "measured" => parse_measured_args(rest).and_then(|opt| run_measured(&opt).map(|()| true)),
-        "diff" => parse_diff_args(rest).and_then(|opt| {
-            let report_only = opt.report_only;
-            run_diff(&opt).map(|agree| {
-                if !agree && report_only {
-                    outln!("report-only: disagreement not enforced");
-                }
-                agree || report_only
-            })
-        }),
+        "diff" => parse_diff_args(rest).and_then(|opt| run_diff(&opt)),
         "--help" | "-h" | "help" => {
             out!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -6,6 +6,7 @@
 //! at the CPU budget.
 
 use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment};
+use adagp_bench::outln;
 use adagp_core::AdaGpConfig;
 
 fn accuracy(calibrate: bool) -> f32 {
@@ -19,8 +20,8 @@ fn accuracy(calibrate: bool) -> f32 {
 pub fn run() {
     let with = accuracy(true);
     let without = accuracy(false);
-    println!("== Ablation: predicted-gradient norm calibration (VGG13, CIFAR10 stand-in) ==");
-    println!("with calibration:    {with:.2}%");
-    println!("without calibration: {without:.2}%");
-    println!("delta:               {:+.2} points", with - without);
+    outln!("== Ablation: predicted-gradient norm calibration (VGG13, CIFAR10 stand-in) ==");
+    outln!("with calibration:    {with:.2}%");
+    outln!("without calibration: {without:.2}%");
+    outln!("delta:               {:+.2} points", with - without);
 }

@@ -8,6 +8,7 @@
 //!    `batch·out_ch·W·H × out_ch·in_ch·k·k` weights; reorganization cuts
 //!    the FC to `feat × in_ch·k·k`.
 
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_core::{Predictor, PredictorConfig};
 use adagp_nn::models::shapes::{model_shapes, InputScale, LayerKind};
@@ -58,7 +59,7 @@ pub fn run() {
             format!("{:.1}x", per_layer as f64 / shared_params as f64),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Ablation 1: shared predictor vs per-layer predictors (storage)",
@@ -81,16 +82,16 @@ pub fn run() {
     let flat_weights = flat_in * flat_out;
     let feat = (cfg.conv_channels * cfg.pooled_size * cfg.pooled_size) as u64;
     let reorg_weights = feat * (in_ch * k * k);
-    println!("Ablation 2: flat FC vs tensor reorganization for VGG13 Conv2d(128,256,3x3) @28^2");
-    println!(
+    outln!("Ablation 2: flat FC vs tensor reorganization for VGG13 Conv2d(128,256,3x3) @28^2");
+    outln!(
         "  flat FC predictor weights:        {:.2e}",
         flat_weights as f64
     );
-    println!(
+    outln!(
         "  reorganized FC predictor weights: {:.2e}",
         reorg_weights as f64
     );
-    println!(
+    outln!(
         "  reduction: {:.1e}x",
         flat_weights as f64 / reorg_weights as f64
     );

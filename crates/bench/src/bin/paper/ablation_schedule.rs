@@ -11,6 +11,7 @@ use adagp_accel::designs::{self, AdaGpDesign};
 use adagp_accel::layer_cost::{model_costs, PredictorCostModel};
 use adagp_accel::speedup::MODEL_BATCH;
 use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment};
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_core::{AdaGpConfig, ScheduleConfig};
 use adagp_nn::models::shapes::{model_shapes, InputScale};
@@ -68,7 +69,7 @@ pub fn run() {
             format!("{:.2}x", speedup_with_ratio(frac)),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Ablation: fixed GP:BP ratios — accuracy vs speed-up (VGG13)",
@@ -76,5 +77,5 @@ pub fn run() {
             &rows,
         )
     );
-    println!("The paper's annealed 4:1→1:1 schedule trades between these extremes (§3.5).");
+    outln!("The paper's annealed 4:1→1:1 schedule trades between these extremes (§3.5).");
 }

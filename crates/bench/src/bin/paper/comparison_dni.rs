@@ -6,6 +6,7 @@
 //! costs.
 
 use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment, vgg13_quick_setup};
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_core::dni::DniTrainer;
 use adagp_core::trainer::evaluate_accuracy;
@@ -56,7 +57,7 @@ pub fn run() {
             format!("{adagp_gp_steps:.1} per GP batch"),
         ],
     ];
-    println!(
+    outln!(
         "{}",
         render_table(
             "Related work: DNI-style synthetic gradients vs ADA-GP (VGG13, C10 stand-in)",
@@ -69,6 +70,6 @@ pub fn run() {
             &rows,
         )
     );
-    println!("DNI never skips backprop (paper §2), so it cannot accelerate training;");
-    println!("ADA-GP's speed-up comes from eliminating the BW pass on GP batches.");
+    outln!("DNI never skips backprop (paper §2), so it cannot accelerate training;");
+    outln!("ADA-GP's speed-up comes from eliminating the BW pass on GP batches.");
 }

@@ -2,6 +2,7 @@
 //! epochs.
 
 use adagp_bench::accuracy::{predictor_error_series, TrainBudget};
+use adagp_bench::{out, outln};
 use adagp_nn::data::DatasetSpec;
 
 pub fn run() {
@@ -25,32 +26,32 @@ pub fn run() {
     };
     let series = predictor_error_series(spec, &budget, 42);
 
-    println!("== Figure 15a: predictor MAPE (%) per layer per epoch ==");
-    print!("epoch");
+    outln!("== Figure 15a: predictor MAPE (%) per layer per epoch ==");
+    out!("epoch");
     for l in 0..series.len() {
-        print!("  layer{:<2}", l + 1);
+        out!("  layer{:<2}", l + 1);
     }
-    println!();
+    outln!();
     for e in 0..budget.epochs {
-        print!("{e:>5}");
+        out!("{e:>5}");
         for row in &series {
-            print!("  {:>7.3}", row[e].0);
+            out!("  {:>7.3}", row[e].0);
         }
-        println!();
+        outln!();
     }
 
-    println!();
-    println!("== Figure 15b: predictor MSE per layer per epoch ==");
-    print!("epoch");
+    outln!();
+    outln!("== Figure 15b: predictor MSE per layer per epoch ==");
+    out!("epoch");
     for l in 0..series.len() {
-        print!("  layer{:<2}", l + 1);
+        out!("  layer{:<2}", l + 1);
     }
-    println!();
+    outln!();
     for e in 0..budget.epochs {
-        print!("{e:>5}");
+        out!("{e:>5}");
         for row in &series {
-            print!("  {:>9.2e}", row[e].1);
+            out!("  {:>9.2e}", row[e].1);
         }
-        println!();
+        outln!();
     }
 }

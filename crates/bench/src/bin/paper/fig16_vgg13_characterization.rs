@@ -1,6 +1,7 @@
 //! Figure 16: per-layer training-cycle characterization of VGG13 —
 //! baseline vs ADA-GP-Efficient split into Warm-up / Phase-BP / Phase-GP.
 
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_bench::speedup_tables::vgg13_characterization;
 
@@ -20,7 +21,7 @@ pub fn run() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render_table(
             "Figure 16: VGG13 per-layer cycles (baseline vs ADA-GP-Efficient phases)",

@@ -1,6 +1,7 @@
 //! Figure 21: off-chip memory energy — baseline vs ADA-GP-Efficient vs
 //! ADA-GP-MAX, plus the average saving.
 
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_bench::speedup_tables::energy_rows;
 
@@ -18,7 +19,7 @@ pub fn run() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render_table(
             "Figure 21: training memory energy (J)",
@@ -37,5 +38,5 @@ pub fn run() {
         .map(|(_, b, e, _)| 100.0 * (1.0 - e / b))
         .sum::<f64>()
         / rows.len() as f64;
-    println!("Average energy saving: {mean_saving:.1}% (paper: 34%)");
+    outln!("Average energy saving: {mean_saving:.1}% (paper: 34%)");
 }

@@ -9,6 +9,7 @@ use adagp_accel::designs::AdaGpDesign;
 use adagp_accel::speedup::{
     baseline_training_cycles, geomean, iso_resource_speedup, training_speedup, EpochMix,
 };
+use adagp_bench::outln;
 use adagp_bench::report::{f3, render_table};
 use adagp_bench::speedup_tables::DatasetScale;
 use adagp_nn::models::shapes::model_shapes;
@@ -62,7 +63,7 @@ pub fn run() {
                 f3(geomean(&adagp_residual)),
             ]);
         }
-        println!(
+        outln!(
             "{}",
             render_table(
                 &format!("Iso-resource comparison: {label}"),
@@ -76,8 +77,8 @@ pub fn run() {
             )
         );
     }
-    println!("Paper: the iso-power/iso-area baselines gain only 4.31–5.53%, so");
-    println!("ADA-GP-MAX remains the better use of the same hardware budget.");
-    println!("(Our utilization model scales near-linearly with PEs, so the");
-    println!("baseline gain here is an upper bound of ~10%.)");
+    outln!("Paper: the iso-power/iso-area baselines gain only 4.31–5.53%, so");
+    outln!("ADA-GP-MAX remains the better use of the same hardware budget.");
+    outln!("(Our utilization model scales near-linearly with PEs, so the");
+    outln!("baseline gain here is an upper bound of ~10%.)");
 }

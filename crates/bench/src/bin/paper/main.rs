@@ -28,6 +28,7 @@ mod table4_fpga;
 mod table5_asic;
 
 use adagp_accel::Dataflow;
+use adagp_bench::out;
 use adagp_bench::speedup_tables::print_speedup_figure;
 use std::process::ExitCode;
 
@@ -154,7 +155,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let problem = match args.as_slice() {
         [cmd] if cmd == "list" => {
-            print!("{}", listing());
+            out!("{}", listing());
             return ExitCode::SUCCESS;
         }
         [name] => match ARTIFACTS.iter().find(|(n, ..)| n == name) {

@@ -7,6 +7,7 @@
 //! that on the fly (same seeds, serial arm vs pipelined arm) and then
 //! prints where each stage spent its wall-clock time.
 
+use adagp_bench::outln;
 use adagp_core::fit::FitOptions;
 use adagp_core::{AdaGp, AdaGpConfig};
 use adagp_nn::containers::Sequential;
@@ -57,13 +58,13 @@ pub fn run() {
                 ds.train_batch(b, options.batch_size)
             });
         adagp.controller_mut().end_epoch();
-        println!(
+        outln!(
             "== epoch {epoch}: pipelined stage utilization ({} batches, pool size {}) ==",
             report.batches.len(),
             adagp_runtime::pool().size(),
         );
         for s in &report.stages {
-            println!(
+            outln!(
                 "{:<12} busy {:>10.2?}  idle {:>10.2?}  items {:>4}  util {:>5.1}%",
                 s.name,
                 s.busy,
@@ -80,5 +81,5 @@ pub fn run() {
     let mut wp = Vec::new();
     m_pipe.visit_params(&mut |p| wp.push(p.value.clone()));
     assert_eq!(ws, wp, "pipelined arm diverged from serial arm");
-    println!("\npipelined weights are bit-identical to the serial loop ✓");
+    outln!("\npipelined weights are bit-identical to the serial loop ✓");
 }

@@ -6,6 +6,7 @@
 
 use adagp_bench::accuracy::{run_accuracy_experiment, TrainBudget};
 use adagp_bench::cli::find_model;
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_nn::data::DatasetSpec;
 use adagp_nn::models::CnnModel;
@@ -104,7 +105,7 @@ pub fn run() {
         }
         rows.push(cells);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 1: Accuracy, BP vs ADA-GP (synthetic CIFAR10/CIFAR100/ImageNet stand-ins)",

@@ -3,6 +3,7 @@
 
 use adagp_accel::designs::AdaGpDesign;
 use adagp_bench::model_grid::transformer_shapes;
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_bench::speedup_tables::cycle_pair;
 use adagp_bench::translation::{run_transformer_experiment, TransformerBudget};
@@ -31,7 +32,7 @@ pub fn run() {
             format!("{:.2e}", adagp_cycles),
         ],
     ];
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 2: Transformer on Multi30k stand-in",
@@ -39,5 +40,5 @@ pub fn run() {
             &rows,
         )
     );
-    println!("Cycle speed-up: {:.2}x", base_cycles / adagp_cycles);
+    outln!("Cycle speed-up: {:.2}x", base_cycles / adagp_cycles);
 }

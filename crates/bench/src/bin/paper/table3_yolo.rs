@@ -5,6 +5,7 @@
 use adagp_accel::designs::AdaGpDesign;
 use adagp_bench::detection::{run_detection_experiment, DetectionBudget};
 use adagp_bench::model_grid::yolo_shapes;
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 use adagp_bench::speedup_tables::cycle_pair;
 
@@ -38,7 +39,7 @@ pub fn run() {
             format!("{:.3e}", max_cycles),
         ],
     ];
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 3: YOLO-v3-style detector on PascalVOC stand-in",
@@ -46,7 +47,7 @@ pub fn run() {
             &rows,
         )
     );
-    println!(
+    outln!(
         "Cycle speed-ups: Efficient {:.2}x, MAX {:.2}x",
         base_cycles / eff_cycles,
         base_cycles / max_cycles

@@ -4,6 +4,7 @@
 
 use adagp_accel::designs::AdaGpDesign;
 use adagp_accel::synthesis::FpgaModel;
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 
 pub fn run() {
@@ -30,7 +31,7 @@ pub fn run() {
             r.dsp48.to_string(),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 4a: FPGA resource utilization",
@@ -57,7 +58,7 @@ pub fn run() {
     for d in AdaGpDesign::all() {
         prows.push(fmt_power(d.name(), m.design_power(d)));
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 4b: FPGA on-chip power (W)",
@@ -66,7 +67,7 @@ pub fn run() {
         )
     );
     for d in AdaGpDesign::all() {
-        println!(
+        outln!(
             "{} power overhead: {:.1}%",
             d.name(),
             m.power_overhead_percent(d)

@@ -3,6 +3,7 @@
 
 use adagp_accel::designs::AdaGpDesign;
 use adagp_accel::synthesis::AsicModel;
+use adagp_bench::outln;
 use adagp_bench::report::render_table;
 
 pub fn run() {
@@ -23,7 +24,7 @@ pub fn run() {
     for d in AdaGpDesign::all() {
         rows.push(fmt_area(d.name(), m.design_area(d)));
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 5a: ASIC area (um^2)",
@@ -53,7 +54,7 @@ pub fn run() {
     for d in AdaGpDesign::all() {
         prows.push(fmt_power(d.name(), m.design_power(d)));
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             "Table 5b: ASIC power (uW)",
@@ -62,7 +63,7 @@ pub fn run() {
         )
     );
     for d in AdaGpDesign::all() {
-        println!(
+        outln!(
             "{} area overhead: {:.1}%",
             d.name(),
             m.area_overhead_percent(d)

@@ -17,6 +17,7 @@
 //! cells of windows that had not committed. Cell evaluations run on the
 //! shared runtime pool (`ADAGP_THREADS` sizes it).
 
+use adagp_bench::{out, outln};
 use adagp_serve::{server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -71,7 +72,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--warm" => cfg.warm.push(PathBuf::from(value("--warm")?)),
             "--log-dir" => cfg.log_dir = Some(PathBuf::from(value("--log-dir")?)),
             "--help" | "-h" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
             }
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
@@ -79,11 +80,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let handle = server::start(cfg)?;
     let state = handle.state().clone();
-    println!("listening on {}", handle.addr());
+    outln!("listening on {}", handle.addr());
     handle.serve_forever()?;
-    println!("drained");
+    outln!("drained");
     let m: std::collections::HashMap<&str, u64> = state.metrics.snapshot().into_iter().collect();
-    println!(
+    outln!(
         "served {} requests ({} grids, {} cells: {} hits, {} evaluated, {} joined)",
         m["requests_total"],
         m["grid_requests"],

@@ -45,6 +45,7 @@
 
 use adagp_bench::cli::SimFlags;
 use adagp_bench::report::render_table;
+use adagp_bench::{out, outln};
 use adagp_sweep::{
     diff, presets, runner, shardlog, simeval, store, DiffConfig, GridSpec, RunFormat, Shard,
     StoredRun,
@@ -62,7 +63,7 @@ fn main() -> ExitCode {
         Some("sim") => cmd_sim(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
@@ -122,7 +123,7 @@ fn cmd_list(args: &[String]) -> Result<ExitCode, String> {
                 .iter()
                 .map(|g| vec![g.name.clone(), g.axes_summary(), g.cell_count().to_string()])
                 .collect();
-            print!(
+            out!(
                 "{}",
                 render_table("sweep presets", &["Preset", "Axes", "Cells"], &rows)
             );
@@ -134,7 +135,7 @@ fn cmd_list(args: &[String]) -> Result<ExitCode, String> {
                 .into_iter()
                 .map(|c| vec![c.id.clone(), c.key()])
                 .collect();
-            print!(
+            out!(
                 "{}",
                 render_table(&format!("{name} cells"), &["ID", "Cell"], &rows)
             );
@@ -189,7 +190,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 ]
             })
             .collect();
-        print!(
+        out!(
             "{}",
             render_table(
                 &format!("sweep run: {name}"),
@@ -198,7 +199,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             )
         );
     }
-    println!(
+    outln!(
         "{}: {} cells in {:.1} ms on {} thread(s)",
         name,
         run.cells.len(),
@@ -207,11 +208,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     );
     if let Some(p) = &csv_path {
         store::write_csv(p, &run).map_err(|e| format!("write {}: {e}", p.display()))?;
-        println!("wrote CSV to {}", p.display());
+        outln!("wrote CSV to {}", p.display());
     }
     if let Some(p) = &json_path {
         store::write_json(p, &run).map_err(|e| format!("write {}: {e}", p.display()))?;
-        println!("wrote JSON to {}", p.display());
+        outln!("wrote JSON to {}", p.display());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -233,7 +234,7 @@ fn run_logged(
     quiet: bool,
 ) -> Result<ExitCode, String> {
     let stats = shardlog::run_sharded(grid, shard, dir, WINDOW)?;
-    println!(
+    outln!(
         "{name} [shard {}]: {} cells owned, {} resumed from log, {} evaluated ({} thread(s))",
         stats.shard,
         stats.owned,
@@ -249,7 +250,7 @@ fn run_logged(
             .iter()
             .map(|c| vec![c.id.clone(), c.key(), store::csv_float(c.metrics[0])])
             .collect();
-        print!(
+        out!(
             "{}",
             render_table(
                 &format!("sweep run: {name} (merged log)"),
@@ -259,14 +260,14 @@ fn run_logged(
         );
     }
     if run.is_complete() {
-        println!(
+        outln!(
             "{name}: grid complete in {} ({} cells)",
             dir.display(),
             run.cells.len()
         );
         write_merged_outputs(&run, &grid.name, csv_path.as_deref(), json_path.as_deref())?;
     } else {
-        println!(
+        outln!(
             "{name}: {}/{} cells logged, {} missing — run the remaining shards, then \
              `sweep merge {name} --log-dir {}`",
             run.cells.len(),
@@ -275,7 +276,7 @@ fn run_logged(
             dir.display()
         );
         if csv_path.is_some() || json_path.is_some() {
-            println!("final CSV/JSON not written: the merge is incomplete");
+            outln!("final CSV/JSON not written: the merge is incomplete");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -306,7 +307,7 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     let run = shardlog::merge_to_run(&dir, &grid)?;
     report_skipped(&run.skipped);
     if !quiet {
-        println!(
+        outln!(
             "{name}: merged {} of {} cells from {} ({} extra record(s) ignored)",
             run.cells.len(),
             run.cells.len() + run.missing.len(),
@@ -345,7 +346,7 @@ fn write_merged_outputs(
         if let Some(p) = path {
             store::write_run_file(p, format, run.cells.iter().map(|c| (c, 0)))
                 .map_err(|e| format!("write {}: {e}", p.display()))?;
-            println!("wrote {name} to {}", p.display());
+            outln!("wrote {name} to {}", p.display());
         }
     }
     Ok(())
@@ -405,7 +406,7 @@ fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
                 ]
             })
             .collect();
-        print!(
+        out!(
             "{}",
             render_table(
                 &format!("sweep sim: {name}"),
@@ -422,7 +423,7 @@ fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
             )
         );
     }
-    println!(
+    outln!(
         "{}: simulated {} cells ({}) on {} thread(s)",
         name,
         details.len(),
@@ -441,7 +442,7 @@ fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
     if let Some(p) = &csv_path {
         std::fs::write(p, simeval::sim_detail_csv(&details))
             .map_err(|e| format!("write {}: {e}", p.display()))?;
-        println!("wrote CSV to {}", p.display());
+        outln!("wrote CSV to {}", p.display());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -473,14 +474,14 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let before = StoredRun::load(&PathBuf::from(before_path))?;
     let after = StoredRun::load(&PathBuf::from(after_path))?;
     let report = diff::diff_runs(&before, &after, &cfg);
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(if report.has_regressions() {
         let flag = if before_path.ends_with(".json") {
             "--json"
         } else {
             "--csv"
         };
-        println!(
+        outln!(
             "if the model change is intentional, regenerate the stored run:\n  \
              cargo run --release -p adagp-bench --bin sweep -- run {} --quiet {flag} {}",
             preset_name.as_deref().unwrap_or("<preset>"),

@@ -10,6 +10,7 @@
 //! `tests/sweep_golden.rs` pins down.
 
 use crate::model_grid::vgg13_conv_shapes;
+use crate::outln;
 use adagp_accel::dataflow::{AcceleratorConfig, Dataflow};
 use adagp_accel::designs::AdaGpDesign;
 use adagp_accel::energy::{adagp_energy_joules, baseline_energy_joules, EnergyConfig};
@@ -186,7 +187,7 @@ pub fn print_speedup_figure(figure: &str, df: Dataflow) {
             .iter()
             .map(|r| vec![r.model.clone(), f2(r.low), f2(r.efficient), f2(r.max)])
             .collect();
-        println!(
+        outln!(
             "{}",
             render_table(
                 &format!(

@@ -1,7 +1,8 @@
 //! End-to-end checks of the `paper` binary, driven through the real
 //! executable (`CARGO_BIN_EXE_paper`):
 //!
-//! * `paper list` names all 18 artifacts.
+//! * `paper list` names all 18 artifacts, and survives a stdout closed
+//!   before it prints.
 //! * The nine analytic artifacts (no training, milliseconds each) print
 //!   stdout byte-identical to `testdata/paper/<name>.txt`, captured from
 //!   the standalone per-artifact binaries the `paper` table replaced —
@@ -84,6 +85,20 @@ fn list_names_all_18_artifacts() {
         .map(|l| l.split_whitespace().next().expect("name column"))
         .collect();
     assert_eq!(names, ARTIFACTS);
+}
+
+#[test]
+fn list_survives_a_closed_stdout() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("paper runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 #[test]

@@ -10,6 +10,8 @@
 //! * A NaN, negative or infinite `--tol` on `sweep diff` is exit 2.
 //! * `--shard` on `sweep run` without `--log-dir`, the removed
 //!   `--window` and the removed `sweep roofline` are exit 2.
+//! * The documented simulator entry point, `sweep sim smoke`, runs end
+//!   to end, and `sweep list` survives a stdout closed before it prints.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -88,6 +90,40 @@ fn no_contention_composes_with_explicit_bandwidth_and_buffer_flags() {
     );
     assert!(spills.iter().all(|s| s == "0.000000"), "{spills:?}");
     std::fs::remove_file(&csv).ok();
+}
+
+#[test]
+fn sweep_sim_subcommand_runs_the_smoke_grid() {
+    let output = sweep()
+        .args(["sim", "smoke"])
+        .output()
+        .expect("sweep sim runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "sweep sim exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
+        output.status
+    );
+    assert!(
+        stdout.contains("simulated 4 cells"),
+        "sweep sim did not report its cells\nstdout:\n{stdout}"
+    );
+    assert!(stdout.contains("Overlap eff"), "detail table missing");
+}
+
+#[test]
+fn sweep_list_survives_a_closed_stdout() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = sweep()
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("sweep runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 /// A zero bandwidth or buffer is a usage error naming the flag (it was a

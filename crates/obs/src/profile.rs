@@ -23,7 +23,8 @@
 //! (JSON tree or collapsed stacks) and enforces the structural
 //! invariants downstream tooling relies on: every node has `calls ≥ 1`,
 //! `self_us ≤ total_us`, and its children's totals sum to at most its
-//! own — `obs_check profile` and the CI serve scrape run exactly this.
+//! own — the quickstart smoke test and the `serve` CLI tests run
+//! exactly this on the collapsed dump and on `/profile`.
 //!
 //! ## Units and rounding
 //!

@@ -177,15 +177,14 @@ fn overlapping_clients_get_bit_identical_cells_each_evaluated_once() {
     );
     assert_eq!(metrics["cells_served"], served as i128);
 
-    // The live span-tree profile: non-empty and internally consistent
-    // (the validator `obs_check profile` runs).
+    // The live span-tree profile: non-empty and internally consistent.
     let reply = http_request(addr, "GET", "/profile", None).expect("/profile");
     assert_eq!(reply.status, 200, "/profile");
     let profile = obs::validate_profile(&reply.body).expect("/profile body valid");
     assert!(profile.nodes > 0, "/profile returned an empty span tree");
 
     // The live critical-path report: `adagp-critpath-v1` in measured mode
-    // with at least one lane (the validator `obs_check critpath` runs).
+    // with at least one lane.
     let reply = http_request(addr, "GET", "/critical", None).expect("/critical");
     assert_eq!(reply.status, 200, "/critical");
     let crit = obs::validate_critpath(&reply.body).expect("/critical body valid");

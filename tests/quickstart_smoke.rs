@@ -1,6 +1,8 @@
 //! Smoke test that the documented entry point — `cargo run --release
 //! --example quickstart` — builds and runs to completion, so the README's
-//! first command can never silently rot.
+//! first command can never silently rot. It runs with `ADAGP_TRACE` and
+//! `ADAGP_PROFILE` set, so it must also leave a valid, non-empty Chrome
+//! trace and a valid, non-empty collapsed-stack profile behind.
 //!
 //! The test shells out to the same `cargo` that is running the test suite
 //! and reuses its target directory, so after a tier-1 `cargo build
@@ -12,8 +14,14 @@ use std::process::Command;
 fn quickstart_example_runs_to_completion() {
     let cargo = env!("CARGO");
     let manifest_dir = env!("CARGO_MANIFEST_DIR");
+    let dump = |ext: &str| {
+        std::env::temp_dir().join(format!("adagp-quickstart-{}.{ext}", std::process::id()))
+    };
+    let (trace, profile) = (dump("trace.json"), dump("collapsed"));
     let output = Command::new(cargo)
         .args(["run", "--release", "--example", "quickstart"])
+        .env("ADAGP_TRACE", &trace)
+        .env("ADAGP_PROFILE", &profile)
         .current_dir(manifest_dir)
         .output()
         .expect("failed to spawn cargo");
@@ -30,39 +38,15 @@ fn quickstart_example_runs_to_completion() {
         stdout.contains("phase counts:"),
         "quickstart did not reach its final report\nstdout:\n{stdout}"
     );
-}
 
-#[test]
-fn sweep_sim_subcommand_runs_the_smoke_grid() {
-    // The documented simulator entry point — `sweep sim smoke` — must
-    // keep running end to end, just like the quickstart example.
-    let cargo = env!("CARGO");
-    let manifest_dir = env!("CARGO_MANIFEST_DIR");
-    let output = Command::new(cargo)
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "adagp-bench",
-            "--bin",
-            "sweep",
-            "--",
-            "sim",
-            "smoke",
-        ])
-        .current_dir(manifest_dir)
-        .output()
-        .expect("failed to spawn cargo");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "sweep sim exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
-        output.status
-    );
-    assert!(
-        stdout.contains("simulated 4 cells"),
-        "sweep sim did not report its cells\nstdout:\n{stdout}"
-    );
-    assert!(stdout.contains("Overlap eff"), "detail table missing");
+    let read = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        std::fs::remove_file(path).ok();
+        text
+    };
+    let stats = adagp_obs::validate_chrome_trace(&read(&trace)).expect("trace valid");
+    assert!(stats.spans > 0, "trace contains no spans");
+    let stats = adagp_obs::validate_profile(&read(&profile)).expect("profile valid");
+    assert!(stats.nodes > 0, "profile contains no spans");
 }
