@@ -2,8 +2,9 @@
 //!
 //! Trains a model twice — once with plain backpropagation, once with
 //! ADA-GP — on the same synthetic dataset and seed, and reports the final
-//! test accuracies. Budgets are CPU-scaled (see DESIGN.md §3); the
-//! comparison of interest is the BP-vs-ADA-GP *delta*, which is what
+//! test accuracies. Budgets are CPU-scaled so a harness runs in minutes
+//! ([`TrainBudget`]: narrower, shallower models and 8–16 short epochs);
+//! the comparison of interest is the BP-vs-ADA-GP *delta*, which is what
 //! Table 1 demonstrates (ADA-GP tracks or slightly beats BP).
 
 use adagp_core::fit::{fit_adagp_pipelined, fit_baseline, FitOptions, FitReport};

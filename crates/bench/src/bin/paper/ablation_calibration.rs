@@ -2,8 +2,8 @@
 //!
 //! This reproduction adds one engineering refinement over the paper's
 //! description: predicted gradients are rescaled to an EMA of the site's
-//! true-gradient norm (DESIGN.md §5). This harness quantifies its effect
-//! at the CPU budget.
+//! true-gradient norm (`AdaGpConfig::norm_calibration`). This harness
+//! quantifies its effect at the CPU budget.
 
 use adagp_bench::accuracy::{quick_adagp_config, vgg13_quick_experiment};
 use adagp_bench::outln;

@@ -46,7 +46,8 @@ pub fn run() {
         TrainBudget::quick()
     };
     // CPU-scaled dataset stand-ins; class counts are reduced in quick mode
-    // so the budgeted runs land above chance (see DESIGN.md §3).
+    // so the budgeted runs land above chance: a 160-sample training split
+    // holds too few samples per class for 100 or 1000 classes.
     let datasets: Vec<(&str, DatasetSpec)> = if adagp_bench::full_budget() {
         vec![
             ("CIFAR10", DatasetSpec::cifar10()),

@@ -10,7 +10,7 @@
 //!           [--partial] [--quiet]
 //! sweep sim <preset> [--csv <path>] [--no-contention] [--bandwidth <n>]
 //!           [--buffer-words <n>] [--quiet]
-//! sweep diff <before> <after> [--tol <rel>] [--preset <name>]
+//! sweep diff <before> <after> [--tol <rel>]
 //! ```
 //!
 //! `run` executes the grid in parallel on the shared runtime pool
@@ -38,10 +38,9 @@
 //! (`knee_words_per_cycle`), so the roofline study is `run roofline
 //! --csv <path>`. `diff` loads two stored runs
 //! (CSV or JSON, by extension), compares them cell-by-cell and exits
-//! non-zero when a metric regressed beyond the tolerance — the cross-PR
-//! gate CI uses against the committed golden files; on a regression it
-//! prints the exact command that regenerates the golden (pass `--preset`
-//! so the hint can name it).
+//! non-zero when a metric regressed beyond the tolerance; on a regression
+//! it prints the command that regenerates `<before>`, naming the grid
+//! when the file's stem is a preset (as every `runs/<grid>.*` is).
 
 use adagp_bench::cli::SimFlags;
 use adagp_bench::report::render_table;
@@ -98,10 +97,8 @@ Usage:
                                             (per-phase makespans, utilization,
                                             spill cycles; --no-contention wins
                                             over every bandwidth/buffer knob)
-  sweep diff <before> <after> [--tol rel] [--preset name]
-                                            compare stored runs (.csv/.json);
-                                            --preset names the grid in the
-                                            regenerate hint on mismatch
+  sweep diff <before> <after> [--tol rel]
+                                            compare stored runs (.csv/.json)
 
 Exit codes:
   0  success (diff: no metric regressed beyond the tolerance)
@@ -449,19 +446,11 @@ fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = DiffConfig::default();
-    let mut preset_name: Option<String> = None;
     let mut paths: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--tol" => cfg.rel_tol = tol_arg(&mut it)?,
-            "--preset" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--preset requires a name".to_string())?;
-                preset(raw)?; // validate early: a typo'd hint helps nobody
-                preset_name = Some(raw.clone());
-            }
             other if other.starts_with("--") => {
                 return Err(format!("diff: unexpected argument `{other}`"))
             }
@@ -476,16 +465,21 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let report = diff::diff_runs(&before, &after, &cfg);
     out!("{}", report.render());
     Ok(if report.has_regressions() {
-        let flag = if before_path.ends_with(".json") {
+        let before_path = Path::new(before_path);
+        let flag = if before_path.extension().is_some_and(|e| e == "json") {
             "--json"
         } else {
             "--csv"
         };
+        let grid = before_path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .filter(|stem| presets::by_name(stem).is_some())
+            .unwrap_or("<preset>");
         outln!(
             "if the model change is intentional, regenerate the stored run:\n  \
-             cargo run --release -p adagp-bench --bin sweep -- run {} --quiet {flag} {}",
-            preset_name.as_deref().unwrap_or("<preset>"),
-            before_path
+             cargo run --release -p adagp-bench --bin sweep -- run {grid} --quiet {flag} {}",
+            before_path.display()
         );
         ExitCode::FAILURE
     } else {

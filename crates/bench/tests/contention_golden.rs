@@ -1,13 +1,13 @@
 //! Golden gates for the contention-study subsystem:
 //!
-//! 1. The `roofline` preset's store CSV (all 13 fig17 models at ImageNet
-//!    scale under ADA-GP-MAX, each cell's bandwidth knee among its
-//!    metrics) is byte-identical to the committed `runs/roofline.csv` —
-//!    the knee search, the tiling-driven spill model and the CSV
-//!    formatting cannot drift silently.
+//! 1. Every fig17 model in the `roofline` preset (ImageNet scale,
+//!    ADA-GP-MAX) has a finite bandwidth knee and spills under the
+//!    default 128K-word buffer. `runs/roofline.csv` and `.json` are
+//!    pinned bit for bit with the other committed runs, by
+//!    `sweep_golden.rs::every_committed_run_regenerates_bit_for_bit`.
 //! 2. The `bandwidth-smoke` preset's store CSV is byte-identical to the
 //!    committed golden and byte-stable across shared-pool thread counts
-//!    {1, 2, 4} — the determinism contract CI re-checks process-wide.
+//!    {1, 2, 4}.
 
 use adagp_sweep::{presets, roofline, runner, store};
 use std::path::PathBuf;
@@ -17,18 +17,9 @@ fn testdata(name: &str) -> PathBuf {
 }
 
 #[test]
-fn roofline_knee_per_fig17_model_matches_committed_golden_bytes() {
-    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../runs/roofline.csv");
-    let golden = std::fs::read_to_string(committed).expect("committed run");
+fn roofline_run_has_a_finite_knee_and_spills_for_every_fig17_model() {
     let run = runner::run_grid(&presets::roofline());
-    let fresh = store::to_csv_string(&run);
-    assert_eq!(
-        fresh, golden,
-        "the roofline run drifted from runs/roofline.csv; if the contention \
-         model changed intentionally, regenerate it with `cargo run --release \
-         -p adagp-bench --bin sweep -- run roofline --quiet --csv \
-         runs/roofline.csv` and explain the delta in the PR"
-    );
+    assert_eq!(run.cells.len(), 13);
     // The headline claim of the study: every fig17 model has a *finite*
     // knee and a nonzero spill under the default 128K-word buffer.
     for c in &run.cells {

@@ -19,7 +19,7 @@
 //!    smoke grid (all four cells commit as one group) and re-invoked.
 //!    The log each abort leaves must be byte for byte what layers 1–2
 //!    simulate, and the resumed CSV/JSON must equal the uninterrupted
-//!    run's.
+//!    run's, whose CSV is the committed smoke golden.
 
 use adagp_sweep::grid::{DatasetScale, GridSpec, PhaseSchedule};
 use adagp_sweep::shardlog::{
@@ -189,6 +189,12 @@ fn aborted_sweep_process_resumes_to_byte_identical_outputs() {
     assert_eq!(code, Some(0));
     let reference_csv = std::fs::read_to_string(&ref_csv).unwrap();
     let reference_json = std::fs::read_to_string(&ref_json).unwrap();
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("testdata/sweep_smoke_golden.csv");
+    assert_eq!(
+        reference_csv,
+        std::fs::read_to_string(golden).unwrap(),
+        "the binary's --csv differs from testdata/sweep_smoke_golden.csv"
+    );
     let log_name = shard_file_name(Shard::default());
     let records = shardlog::load_shard(&ref_dir.join("logs").join(&log_name))
         .unwrap()

@@ -6,7 +6,8 @@
 //!    schedule graphs to the paper's closed forms.
 //! 2. The sim smoke-grid CSV is byte-identical to the committed golden
 //!    (`testdata/sim_smoke_golden.csv`) and byte-stable across shared-pool
-//!    thread counts — the determinism contract CI leans on.
+//!    thread counts. `sweep_cli.rs::sweep_sim_subcommand_runs_the_smoke_grid`
+//!    compares the `sweep sim smoke --csv` file with the same golden.
 
 use adagp_sim::SimConfig;
 use adagp_sweep::{presets, runner, simeval};

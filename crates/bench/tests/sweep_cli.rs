@@ -7,11 +7,14 @@
 //! * The same grid with contention on reports nonzero spills — the flag
 //!   is doing the silencing, not the grid.
 //! * A zero `--bandwidth` / `--buffer-words` on `sweep sim` is exit 2.
-//! * A NaN, negative or infinite `--tol` on `sweep diff` is exit 2.
+//! * A NaN, negative or infinite `--tol` on `sweep diff` is exit 2, and
+//!   a regression's hint names the grid of a `<before>` named after it.
 //! * `--shard` on `sweep run` without `--log-dir`, the removed
-//!   `--window` and the removed `sweep roofline` are exit 2.
+//!   `--window`, the removed `diff --preset` and the removed `sweep
+//!   roofline` are exit 2.
 //! * The documented simulator entry point, `sweep sim smoke`, runs end
-//!   to end, and `sweep list` survives a stdout closed before it prints.
+//!   to end and its `--csv` is the committed sim golden, and `sweep
+//!   list` survives a stdout closed before it prints.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -94,8 +97,10 @@ fn no_contention_composes_with_explicit_bandwidth_and_buffer_flags() {
 
 #[test]
 fn sweep_sim_subcommand_runs_the_smoke_grid() {
+    let csv = tmp("sim-smoke.csv");
     let output = sweep()
-        .args(["sim", "smoke"])
+        .args(["sim", "smoke", "--csv"])
+        .arg(&csv)
         .output()
         .expect("sweep sim runs");
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -110,6 +115,13 @@ fn sweep_sim_subcommand_runs_the_smoke_grid() {
         "sweep sim did not report its cells\nstdout:\n{stdout}"
     );
     assert!(stdout.contains("Overlap eff"), "detail table missing");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/sim_smoke_golden.csv");
+    assert_eq!(
+        std::fs::read_to_string(&csv).expect("CSV written"),
+        std::fs::read_to_string(golden).expect("committed sim golden"),
+        "the binary's --csv differs from testdata/sim_smoke_golden.csv"
+    );
+    std::fs::remove_file(&csv).ok();
 }
 
 #[test]
@@ -146,7 +158,8 @@ fn sim_rejects_zero_contention_values_as_usage_errors() {
 
 /// `sweep diff`'s documented exit-code contract, end to end: 0 for a
 /// clean comparison, 1 when a metric regressed beyond tolerance, 2 for
-/// usage errors — the codes CI branches on.
+/// usage errors. On a regression it prints the command that regenerates
+/// `<before>`, naming the grid when the file's stem is a preset.
 #[test]
 fn diff_exit_codes_cover_clean_regressed_and_usage() {
     use adagp_sweep::store::{stored_json_string, StoredCell};
@@ -157,41 +170,55 @@ fn diff_exit_codes_cover_clean_regressed_and_usage() {
         .iter()
         .map(|s| StoredCell::from_evaluation(s, &evaluate_cell(s)))
         .collect();
+    let dir = tmp("diff");
+    std::fs::create_dir_all(&dir).expect("temp dir");
     let write = |name: &str, cells: &[StoredCell]| {
-        let path = tmp(name);
+        let path = dir.join(name);
         std::fs::write(&path, stored_json_string("smoke", cells)).expect("run record written");
-        path
+        path.to_string_lossy().to_string()
     };
-    let before = write("diff-before.json", &cells);
+    let before = write("smoke.json", &cells);
+    let unnamed = write("before.json", &cells);
     let mut worse = cells.clone();
     worse[0].metrics[0] *= 0.9; // speed-up down 10%: a regression
-    let after = write("diff-after.json", &worse);
+    let after = write("after.json", &worse);
 
-    let code = |args: &[&str]| {
+    let diff = |args: &[&str]| {
         let out = sweep()
             .args(["diff"])
             .args(args)
             .output()
             .expect("sweep diff runs");
-        out.status.code().expect("exit code")
+        (
+            out.status.code().expect("exit code"),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
     };
-    let before_s = before.to_string_lossy().to_string();
-    let after_s = after.to_string_lossy().to_string();
-    assert_eq!(code(&[&before_s, &before_s]), 0, "identical runs are clean");
-    assert_eq!(code(&[&before_s, &after_s]), 1, "regression exits 1");
+    let code = |args: &[&str]| diff(args).0;
+    assert_eq!(code(&[&before, &before]), 0, "identical runs are clean");
+    let (regressed, stdout) = diff(&[&before, &after]);
+    assert_eq!(regressed, 1, "regression exits 1");
+    assert!(
+        stdout.contains(&format!("run smoke --quiet --json {before}")),
+        "the hint names the grid of smoke.json:\n{stdout}"
+    );
+    let (_, stdout) = diff(&[&unnamed, &after]);
+    assert!(
+        stdout.contains(&format!("run <preset> --quiet --json {unnamed}")),
+        "a stem that is no preset is not named:\n{stdout}"
+    );
     assert_eq!(
-        code(&[&before_s, &after_s, "--tol", "0.5"]),
+        code(&[&before, &after, "--tol", "0.5"]),
         0,
         "a loose tolerance absorbs the regression"
     );
-    assert_eq!(code(&[&before_s]), 2, "missing <after> is a usage error");
+    assert_eq!(code(&[&before]), 2, "missing <after> is a usage error");
     assert_eq!(
-        code(&[&before_s, "/nonexistent/run.json"]),
+        code(&[&before, "/nonexistent/run.json"]),
         2,
         "unreadable input is an I/O error"
     );
-    std::fs::remove_file(&before).ok();
-    std::fs::remove_file(&after).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `diff --tol` takes a finite non-negative number. A NaN or negative
@@ -222,8 +249,9 @@ fn diff_rejects_bad_tolerances_as_usage_errors() {
 
 /// `--shard` shapes a logged run only, so without `--log-dir` it is a
 /// usage error rather than a flag silently ignored; the log's window is
-/// fixed, so `--window` is an unexpected argument; and the roofline
-/// study is `sweep run roofline`, not a subcommand of its own.
+/// fixed, so `--window` is an unexpected argument, as is `diff --preset`
+/// (the regenerate hint reads the grid from `<before>`'s stem); and the
+/// roofline study is `sweep run roofline`, not a subcommand of its own.
 #[test]
 fn misplaced_flags_and_unknown_subcommands_are_usage_errors() {
     for (args, expected) in [
@@ -234,6 +262,10 @@ fn misplaced_flags_and_unknown_subcommands_are_usage_errors() {
         (
             &["run", "smoke", "--quiet", "--window", "4"],
             "unexpected argument `--window`",
+        ),
+        (
+            &["diff", "a.csv", "b.csv", "--preset", "smoke"],
+            "unexpected argument `--preset`",
         ),
         (&["roofline", "roofline"], "unknown subcommand `roofline`"),
     ] {

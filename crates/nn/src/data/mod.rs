@@ -4,7 +4,7 @@
 //! (large, licensed, network-gated). Each stand-in generates a *learnable*
 //! task deterministically from a seed, matching the original's input shape
 //! and label cardinality, so that the BP-vs-ADA-GP accuracy comparisons
-//! (Tables 1–3) exercise the identical code paths. See DESIGN.md §3.
+//! (Tables 1–3) exercise the identical code paths.
 
 mod classification;
 mod detection;

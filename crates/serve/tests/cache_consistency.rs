@@ -3,9 +3,10 @@
 //! 1. **Exactly-once evaluation** — any number of concurrent submitters
 //!    of the same cell trigger one evaluation; everyone gets bit-exact
 //!    copies and the `/metrics` counters account for every request.
-//! 2. **Warm-start fidelity** — a cache warmed from each committed
-//!    `runs/*` artifact (CSV and JSON) agrees with fresh evaluation
-//!    within the `sweep diff` tolerances.
+//! 2. **Warm start** — a cache warmed from each committed `runs/*`
+//!    artifact (CSV and JSON) loads every cell. That the artifacts are
+//!    what fresh evaluation computes, bit for bit, is `adagp-bench`'s
+//!    `sweep_golden.rs::every_committed_run_regenerates_bit_for_bit`.
 //! 3. **Byte-stable log** — restarting on a shard log answers from it
 //!    without touching it: the log's bytes survive any number of
 //!    shutdown → replay cycles and merge to a standard run file.
@@ -19,11 +20,9 @@ use adagp_serve::{
     check_invariants, fetch_metrics, http_request, server, submit_grid, CellCache, ServerConfig,
     ServerHandle,
 };
-use adagp_sweep::diff::{diff_runs, DiffConfig};
 use adagp_sweep::grid::GridSpec;
-use adagp_sweep::store::{to_csv_string, StoredCell, StoredRun};
+use adagp_sweep::store::{to_csv_string, StoredRun};
 use adagp_sweep::{evaluate_cell, merge_to_run, presets, run_grid};
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -106,7 +105,7 @@ fn smoke_preset_first_cell_is_the_one_cell_grid() {
 }
 
 #[test]
-fn warm_load_from_every_committed_artifact_matches_fresh_evaluation() {
+fn warm_load_takes_every_cell_of_every_committed_artifact() {
     let runs = repo_root().join("runs");
     let files: Vec<PathBuf> = std::fs::read_dir(&runs)
         .expect("runs/ directory")
@@ -120,49 +119,6 @@ fn warm_load_from_every_committed_artifact_matches_fresh_evaluation() {
         let cache = CellCache::new();
         let loaded = cache.warm(stored.cells.clone());
         assert_eq!(loaded, stored.cells.len(), "{file:?} loaded partially");
-
-        // Reconstruct the specs from the grid preset that generated the
-        // file (runs/README.md maps file stem → preset name) and fresh-
-        // evaluate a deterministic sample of cells.
-        let stem = file.file_stem().and_then(|s| s.to_str()).unwrap();
-        let grid = presets::by_name(stem).unwrap_or_else(|| panic!("no preset `{stem}`"));
-        let by_id: HashMap<String, StoredCell> = stored
-            .cells
-            .iter()
-            .map(|c| (c.id.clone(), c.clone()))
-            .collect();
-        let cells = grid.expand();
-        let step = (cells.len() / 4).max(1);
-        let mut compared = 0;
-        for spec in cells.iter().step_by(step) {
-            let warmed = by_id
-                .get(&spec.id)
-                .unwrap_or_else(|| panic!("{file:?} is missing cell {}", spec.key()));
-            let mut fresh = StoredCell::from_evaluation(spec, &evaluate_cell(spec));
-            if file.extension().and_then(|e| e.to_str()) == Some("csv") {
-                // The CSV artifact is 6-decimal quantized; quantize the
-                // fresh values identically (as `sweep diff`'s CSV-vs-CSV
-                // CI comparison implicitly does) so tiny metrics like
-                // dram_stall_frac compare within the relative tolerance.
-                for m in &mut fresh.metrics {
-                    *m = format!("{m:.6}").parse().unwrap();
-                }
-            }
-            let before = StoredRun {
-                cells: vec![warmed.clone()],
-            };
-            let after = StoredRun { cells: vec![fresh] };
-            let report = diff_runs(&before, &after, &DiffConfig::default());
-            assert_eq!(report.matched_cells, 1);
-            assert!(
-                report.regressions.is_empty() && report.improvements.is_empty(),
-                "{file:?} cell {} drifted from fresh evaluation:\n{}",
-                spec.key(),
-                report.render()
-            );
-            compared += 1;
-        }
-        assert!(compared >= 4, "{file:?} sampled too few cells");
     }
 }
 

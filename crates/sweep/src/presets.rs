@@ -1,5 +1,5 @@
 //! Named grids: the sweeps the paper's figures are points on, plus a tiny
-//! smoke grid for CI.
+//! smoke grid for tests.
 
 use crate::grid::{DatasetScale, GridSpec, PhaseSchedule};
 use adagp_accel::{AdaGpDesign, Dataflow};
@@ -79,8 +79,8 @@ pub fn schedules() -> GridSpec {
     }
 }
 
-/// The CI smoke grid: 2 models × 2 designs (4 cells), small enough to run
-/// in milliseconds and diff against a committed golden CSV.
+/// The smoke grid: 2 models × 2 designs (4 cells), small enough to run
+/// in milliseconds and compare with a committed golden CSV.
 pub fn smoke() -> GridSpec {
     GridSpec {
         name: "smoke".to_string(),
@@ -118,7 +118,7 @@ pub fn bandwidth() -> GridSpec {
     }
 }
 
-/// CI-sized slice of [`bandwidth`]: 2 models × 2 bandwidths × 2 buffer
+/// Test-sized slice of [`bandwidth`]: 2 models × 2 bandwidths × 2 buffer
 /// capacities (8 cells), byte-compared against a committed golden across
 /// thread counts.
 pub fn bandwidth_smoke() -> GridSpec {

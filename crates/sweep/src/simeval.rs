@@ -11,8 +11,8 @@
 //! * The `sweep sim` CLI subcommand runs [`run_sim_grid`] for the
 //!   batch-level detail view — per-phase makespans, the simulated
 //!   speed-up and the peak buffer occupancy — and writes it as a
-//!   byte-stable CSV ([`sim_detail_csv`]) that CI byte-compares against a
-//!   committed golden, exactly like the analytic smoke grid.
+//!   byte-stable CSV ([`sim_detail_csv`]) that the tests byte-compare
+//!   with a committed golden, exactly like the analytic smoke grid.
 //!
 //! The first goes through `CellGraphs`: a cell's layer list and its two
 //! ADA-GP batch graphs (BP, GP) compiled once per evaluation and replayed
