@@ -8,7 +8,9 @@
 //! * a pool-parallel tensor kernel chain (the instrumented
 //!   `scope_run` hot path), compared bit-for-bit;
 //! * the smoke sweep grid's CSV (per-cell spans plus histograms on the
-//!   instrumented runner), compared byte-for-byte.
+//!   instrumented runner), compared byte-for-byte with the committed
+//!   golden, and its unmemoized simulator detail view traced against
+//!   untraced.
 //!
 //! The recorder is process-global, so the tests serialize on
 //! `obs::test_guard()`, which also leaves recording disabled and the
@@ -16,7 +18,8 @@
 
 use adagp_obs as obs;
 use adagp_runtime::with_threads;
-use adagp_sweep::{presets, runner, store};
+use adagp_sim::SimConfig;
+use adagp_sweep::{presets, runner, simeval, store};
 use adagp_tensor::{init, Prng};
 
 /// Runs `f` with span recording forced on or off, restoring "off" after.
@@ -54,19 +57,43 @@ fn kernels_are_bit_identical_with_tracing_on() {
 #[test]
 fn sweep_csv_is_byte_identical_with_tracing_on() {
     let _g = obs::test_guard();
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/testdata/sweep_smoke_golden.csv"
+    ))
+    .expect("committed golden CSV");
     let csv = |on: bool| {
         with_tracing(on, || {
             store::to_csv_string(&runner::run_grid(&presets::smoke()))
         })
     };
+    let sim_csv = |on: bool| {
+        with_tracing(on, || {
+            simeval::sim_detail_csv(&simeval::run_sim_grid(
+                &presets::smoke(),
+                &SimConfig::default(),
+            ))
+        })
+    };
+    // No other test in this binary evaluates a cell, so the first traced
+    // run is the process's cold one: its simulations and knee searches
+    // run with recording on. Later runs read the sweep's memos, so the
+    // untraced side of the sweep CSV is the committed golden (the
+    // untraced evaluation `sweep_golden.rs` holds to it), and the
+    // simulator is compared again through `run_sim_grid`, which
+    // simulates every call.
     for threads in [1usize, 4] {
-        let plain = with_threads(threads, || csv(false));
         let traced = with_threads(threads, || csv(true));
         assert_eq!(
-            plain, traced,
+            traced, golden,
             "tracing perturbed the sweep at {threads} threads"
         );
-        assert!(!plain.is_empty());
+        assert_eq!(with_threads(threads, || csv(false)), golden);
+        assert_eq!(
+            with_threads(threads, || sim_csv(true)),
+            with_threads(threads, || sim_csv(false)),
+            "tracing perturbed the simulator at {threads} threads"
+        );
     }
     // The traced arms actually recorded something — the comparison above
     // must not pass vacuously because instrumentation was compiled out.

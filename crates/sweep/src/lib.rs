@@ -19,7 +19,10 @@
 //! * [`simeval`] — the sim-backed evaluator: each cell also runs through
 //!   the `adagp-sim` discrete-event simulator, contributing the
 //!   `sim_cycles` / `pe_utilization` / `overlap_efficiency` metrics and
-//!   the batch-level detail view behind the `sweep sim` subcommand.
+//!   the batch-level detail view behind the `sweep sim` subcommand. A
+//!   cell's two simulated batches are memoized per process by exactly
+//!   what the simulator reads, so a sweep simulates each batch
+//!   configuration once.
 //! * [`store`] — the one stored form of a cell
 //!   ([`StoredCell`]) with one encoder and one
 //!   decoder per format: byte-stable CSV (fixed-precision floats, no
@@ -39,7 +42,8 @@
 //!   of the contention-free training cycles, found by a gallop-then-bisect
 //!   search on the simulator's monotone bandwidth→makespan curve — every
 //!   probe a replay of the cell's already-compiled batch graphs — and
-//!   memoized across bandwidth-axis siblings. The roofline study is the
+//!   memoized across bandwidth-axis siblings and datasets of one input
+//!   scale. The roofline study is the
 //!   `roofline` preset's ordinary run.
 //! * [`presets`] — the named grids the `sweep` CLI exposes (`fig17-ws`,
 //!   `fig18-rs`, `fig19-is`, `energy`, `dataflows`, `schedules`,
@@ -63,6 +67,7 @@
 
 pub mod diff;
 pub mod grid;
+mod memo;
 pub mod presets;
 pub mod roofline;
 pub mod runner;

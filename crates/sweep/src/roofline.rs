@@ -35,26 +35,35 @@
 //! already-built Phase-BP and Phase-GP graphs
 //! ([`adagp_sim::AdaGpGraphs::set_bandwidth`]) and replays them untraced,
 //! two makespans per probe. The graphs are the same set the cell's sim
-//! metrics came from ([`crate::simeval`]'s `CellGraphs`); they live for
-//! one cell evaluation. The contention-free reference is
-//! the closed form of [`adagp_accel::designs`] on the cell's layer costs,
-//! which the `no_contention` simulation equals bit-for-bit (the sim
-//! crate's contract, golden-tested) — the knee is anchored to the same
-//! number the figures print, without simulating it again.
+//! metrics came from ([`crate::simeval`]'s `CellGraphs`), built at most
+//! once per cell evaluation and only on a memo miss. The contention-free
+//! reference is the closed form of [`adagp_accel::designs`] on the cell's
+//! layer costs, which the `no_contention` simulation equals bit-for-bit
+//! (the sim crate's contract, golden-tested) — the knee is anchored to
+//! the same number the figures print, without simulating it again.
 //!
-//! Knees are memoized per (cell-sans-bandwidth, buffer, batch, ports,
-//! tolerance): the `bandwidth` preset revisits the same (model, buffer)
-//! point once per bandwidth axis value, and the fig17-sized grids ask
-//! once per cell. A miss costs one lookup before the search and one
-//! insert after it.
+//! **Knees are memoized** per [`KneeMemoKey`]: (model, input scale,
+//! dataflow, design, schedule, buffer, batch, ports, tolerance). The
+//! cell's bandwidth is absent — the knee *is* the bandwidth sweep — and
+//! so is the dataset, which reaches the curve only through its input
+//! scale (a CIFAR-100 cell shares its CIFAR-10 twin's knee). The
+//! `bandwidth` preset revisits one (model, buffer) point per bandwidth
+//! value; the eight benchmark presets ask for 308 distinct knees over
+//! 771 cells. The table is the crate's one memo helper (`memo::Memo`):
+//! a hit is one lookup; a miss runs the search outside the table's lock,
+//! once per key even when threads race for it. A cell whose batches come from the batch memo but
+//! whose knee misses (a non-paper `schedules` cell) builds its graphs
+//! for the search alone.
 
-use crate::grid::CellSpec;
+use crate::grid::{CellSpec, PhaseSchedule};
+use crate::memo::CellMemos;
 use crate::simeval::{cell_sim_config, CellGraphs};
 use adagp_accel::designs::{bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::LayerCost;
+use adagp_accel::{AdaGpDesign, Dataflow};
+use adagp_nn::models::shapes::InputScale;
+use adagp_nn::models::CnnModel;
 use adagp_sim::{epoch_total, AdaGpGraphs, SimConfig};
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Relative slack over the contention-free cycles that still counts as
 /// "at the roofline" (1%).
@@ -106,7 +115,7 @@ impl CellGraphs {
     }
 
     /// The cell's knee by [`knee_search`] (not memoized).
-    fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
+    pub(crate) fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
         let free = self.free_cycles(spec);
         self.with_channel(spec, |at| knee_search(at, free, tolerance))
     }
@@ -141,51 +150,27 @@ impl CellGraphs {
     }
 }
 
-fn knee_cache() -> &'static Mutex<HashMap<KneeMemoKey, u64>> {
-    static CACHE: std::sync::OnceLock<Mutex<HashMap<KneeMemoKey, u64>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The memoized knee under `key`: one lookup, and on a miss `search`
-/// (outside the lock) followed by one insert.
-fn memoized_knee(key: KneeMemoKey, search: impl FnOnce() -> u64) -> u64 {
-    let cached = knee_cache()
-        .lock()
-        .expect("knee memo poisoned")
-        .get(&key)
-        .copied();
-    cached.unwrap_or_else(|| {
-        let knee = search();
-        knee_cache()
-            .lock()
-            .expect("knee memo poisoned")
-            .insert(key, knee);
-        knee
-    })
-}
-
 /// Memo key of one cell's knee. The cell's own bandwidth value is
-/// deliberately absent — the knee *is* the bandwidth sweep — but every
-/// other input that shapes the curve is a **named field**: a new
-/// curve-shaping knob must be added here explicitly (and shows up in
-/// `Debug`/`Eq`), so it cannot silently alias two distinct curves into
-/// one memo slot the way an ad-hoc format string could. Derivable from
-/// the resolved config alone, so callers can check the cache before
-/// building any graph.
+/// deliberately absent — the knee *is* the bandwidth sweep — and the
+/// dataset is present only as its input scale, the one thing the curve
+/// reads of it; every other input that shapes the curve is a **named
+/// field**: a new curve-shaping knob must be added here explicitly (and
+/// shows up in `Debug`/`Eq`), so it cannot silently alias two distinct
+/// curves into one memo slot the way an ad-hoc format string could.
+/// Derivable from the resolved config alone, so callers can check the
+/// cache before building any graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KneeMemoKey {
-    /// Dataflow display name (all axis names are `&'static str`s from
-    /// the enums' `name()`, so keys are cheap to build and hash).
-    pub dataflow: &'static str,
-    /// Dataset display name.
-    pub dataset: &'static str,
-    /// Model display name.
-    pub model: &'static str,
-    /// Design display name.
-    pub design: &'static str,
-    /// Phase-schedule name.
-    pub schedule: &'static str,
+    /// Dataflow.
+    pub dataflow: Dataflow,
+    /// Input scale of the cell's dataset.
+    pub input_scale: InputScale,
+    /// Model.
+    pub model: CnnModel,
+    /// ADA-GP design.
+    pub design: AdaGpDesign,
+    /// Phase schedule (the epoch mix weighs the curve).
+    pub schedule: PhaseSchedule,
     /// Resolved buffer capacity override (words), `None` = unbounded.
     pub buffer_words: Option<u64>,
     /// Resolved simulation batch size.
@@ -202,11 +187,11 @@ impl KneeMemoKey {
     /// config and search tolerance.
     pub fn new(spec: &CellSpec, cfg: &SimConfig, tolerance: f64) -> KneeMemoKey {
         KneeMemoKey {
-            dataflow: spec.dataflow.name(),
-            dataset: spec.dataset.name(),
-            model: spec.model.name(),
-            design: spec.design.name(),
-            schedule: spec.schedule.name(),
+            dataflow: spec.dataflow,
+            input_scale: spec.dataset.input_scale(),
+            model: spec.model,
+            design: spec.design,
+            schedule: spec.schedule,
             buffer_words: cfg.buffer_words,
             batch: cfg.batch,
             dram_ports: cfg.dram_ports,
@@ -215,21 +200,12 @@ impl KneeMemoKey {
     }
 }
 
-/// The memoized knee of a cell whose graphs are already built, at
-/// [`KNEE_TOLERANCE`] ([`crate::runner::evaluate_cell`]'s path: a miss
-/// searches on them).
-pub(crate) fn knee_of_cell(spec: &CellSpec, cell: &mut CellGraphs) -> u64 {
-    memoized_knee(KneeMemoKey::new(spec, &cell.cfg, KNEE_TOLERANCE), || {
-        cell.search_knee(spec, KNEE_TOLERANCE)
-    })
-}
-
 /// The roofline knee of one cell (words/cycle), memoized. A memo hit
 /// costs only the key lookup — the layer list and the batch graphs are
 /// built only on a miss.
 pub fn cell_knee(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> u64 {
     let key = KneeMemoKey::new(spec, &cell_sim_config(spec, base), tolerance);
-    memoized_knee(key, || {
+    CellMemos::global().knees.get_or_compute(key, || {
         CellGraphs::build(spec, base).search_knee(spec, tolerance)
     })
 }

@@ -1,21 +1,30 @@
 //! Parallel grid execution on the shared `adagp-runtime` pool.
 //!
-//! Cells are independent evaluations of the analytic cycle/energy models,
-//! so they map cleanly onto `ThreadPool::parallel_map`: the work split is
+//! A cell's metrics are a deterministic function of its axis values, so
+//! cells map cleanly onto `ThreadPool::parallel_map`: the work split is
 //! deterministic, result order is the grid's expansion order regardless
 //! of thread count, and the caller participates (a 1-thread pool runs the
-//! sweep inline). Per-cell wall time is recorded for the JSON run record;
-//! it never enters the CSV, which must stay byte-stable across runs.
+//! sweep inline). Cells are not independent in cost: the simulated
+//! batches and the roofline knee come from process-global memos
+//! ([`crate::simeval`]'s `BatchMemoKey`, [`crate::roofline::KneeMemoKey`]),
+//! so a cell that shares its simulator inputs with an earlier one
+//! simulates nothing; [`evaluate_cells`] therefore runs the cells that
+//! will miss before the ones that will hit. The analytic closed forms
+//! are recomputed every time. Per-cell wall time is recorded for the
+//! JSON run record; it never enters the CSV, which must stay byte-stable
+//! across runs.
 
 use crate::grid::{CellSpec, GridSpec};
-use crate::roofline;
+use crate::memo::CellMemos;
+use crate::roofline::{KneeMemoKey, KNEE_TOLERANCE};
 use crate::shapes::cached_shapes;
-use crate::simeval::CellGraphs;
+use crate::simeval::{cell_sim_config, BatchMemoKey, CellGraphs};
 use adagp_accel::energy::{adagp_energy_joules, baseline_energy_joules, EnergyConfig};
 use adagp_accel::speedup::{adagp_training_cycles, baseline_training_cycles};
 use adagp_accel::AcceleratorConfig;
 use adagp_obs as obs;
-use adagp_sim::SimConfig;
+use adagp_sim::{AdaGpSim, SimConfig};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -101,9 +110,15 @@ pub struct SweepRun {
 /// to what the standalone fig17–21 binaries computed, by construction —
 /// plus the six discrete-event metrics from `adagp-sim` under the
 /// default contention-enabled configuration (the cell's bandwidth/buffer
-/// overrides applied; the roofline knee is the cell's own bandwidth
-/// sweep, memoized across cells that share everything but bandwidth).
+/// overrides applied). The simulated batches and the roofline knee come
+/// from the process-global memos: a cell simulates only what no earlier
+/// cell in the process has.
 pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
+    evaluate_cell_in(spec, CellMemos::global())
+}
+
+/// [`evaluate_cell`] against the given memo tables.
+pub(crate) fn evaluate_cell_in(spec: &CellSpec, memos: &CellMemos) -> CellMetrics {
     let layers = cached_shapes(spec.model, spec.dataset.input_scale());
     let cfg = AcceleratorConfig::default();
     let mix = spec.schedule.mix();
@@ -111,13 +126,26 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
     let adagp_cycles = adagp_training_cycles(&cfg, spec.dataflow, spec.design, &layers, &mix);
     let ecfg = EnergyConfig::default();
     let sim_base = SimConfig::default();
-    // One set of compiled BP / GP graphs serves the sim metrics and, on a
-    // knee-memo miss, every probe of the knee search; no metric reads the
-    // baseline batch, so none is built.
-    let mut cell = CellGraphs::build(spec, &sim_base);
-    let sim = cell.graphs.run(&cell.mix);
+    let sim_cfg = cell_sim_config(spec, &sim_base);
+    // Compiled at most once, on the first memo miss: one set of BP / GP
+    // graphs serves the batch replay and every probe of the knee search.
+    let mut graphs = None;
+    let [bp, gp] = memos
+        .batches
+        .get_or_compute(BatchMemoKey::new(spec, &sim_cfg), || {
+            graphs
+                .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
+                .batch_stats()
+        });
+    let knee = memos
+        .knees
+        .get_or_compute(KneeMemoKey::new(spec, &sim_cfg, KNEE_TOLERANCE), || {
+            graphs
+                .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
+                .search_knee(spec, KNEE_TOLERANCE)
+        });
+    let sim = AdaGpSim { bp, gp, mix };
     let sim_cycles = sim.training_cycles();
-    let knee = roofline::knee_of_cell(spec, &mut cell);
     CellMetrics {
         speedup: baseline_cycles / adagp_cycles,
         baseline_cycles,
@@ -140,8 +168,19 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
 /// the shared execution core: [`run_grid`] feeds it a whole expansion,
 /// the shard-log runner ([`crate::shardlog::run_sharded`]) feeds it
 /// bounded windows of pending cells.
+///
+/// The cells run most expensive first (`cost_classes`): the ones that
+/// will search a knee, then the ones that will only simulate, then the
+/// ones both memos will serve. A cell that needs another cell's key
+/// thus runs after it, so a thread seldom waits on a key the other is
+/// still computing, and the cheap hits fill in at the end while the
+/// last miss finishes: a pass's wall time depends on its work, not on
+/// how the threads happened to meet.
 pub fn evaluate_cells(specs: Vec<CellSpec>) -> Vec<CellResult> {
-    adagp_runtime::pool().parallel_map(specs, |spec| {
+    let class = cost_classes(&specs, CellMemos::global());
+    let mut ordered: Vec<(usize, CellSpec)> = specs.into_iter().enumerate().collect();
+    ordered.sort_by_key(|&(i, _)| class[i]);
+    let mut results = adagp_runtime::pool().parallel_map(ordered, |(i, spec)| {
         let t = Instant::now();
         let metrics = obs::span(
             "sweep",
@@ -152,12 +191,49 @@ pub fn evaluate_cells(specs: Vec<CellSpec>) -> Vec<CellResult> {
         cells_counter().inc();
         cell_micros_hist().record(wall_micros);
         cells_per_sec_hist().record(1_000_000 / wall_micros.max(1));
-        CellResult {
+        let result = CellResult {
             spec,
             metrics,
             wall_micros,
-        }
-    })
+        };
+        (i, result)
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Each cell's cost class against `memos`: 0 for the first cell of a
+/// knee key the memo lacks (a knee search, usually with a batch
+/// simulation), 1 for the first cell of a lacking batch key (a
+/// simulation), 2 for a cell both memos will serve.
+fn cost_classes(specs: &[CellSpec], memos: &CellMemos) -> Vec<u8> {
+    let base = SimConfig::default();
+    let keys: Vec<(BatchMemoKey, KneeMemoKey)> = specs
+        .iter()
+        .map(|spec| {
+            let cfg = cell_sim_config(spec, &base);
+            (
+                BatchMemoKey::new(spec, &cfg),
+                KneeMemoKey::new(spec, &cfg, KNEE_TOLERANCE),
+            )
+        })
+        .collect();
+    let batch_absent = memos.batches.absent(keys.iter().map(|(b, _)| b));
+    let knee_absent = memos.knees.absent(keys.iter().map(|(_, k)| k));
+    let (mut batches, mut knees) = (HashSet::new(), HashSet::new());
+    keys.iter()
+        .enumerate()
+        .map(|(i, (batch, knee))| {
+            let new_batch = batch_absent[i] && batches.insert(batch);
+            if knee_absent[i] && knees.insert(knee) {
+                0
+            } else if new_batch {
+                1
+            } else {
+                2
+            }
+        })
+        .collect()
 }
 
 /// Runs every cell of `grid` in parallel on the shared runtime pool.
@@ -177,8 +253,11 @@ pub fn run_grid(grid: &GridSpec) -> SweepRun {
 mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
+    use crate::presets;
+    use crate::simeval::simulate_cell;
     use adagp_accel::{AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
+    use std::collections::HashSet;
 
     fn grid() -> GridSpec {
         GridSpec {
@@ -191,6 +270,14 @@ mod tests {
             bandwidths: vec![None],
             buffers: vec![None],
         }
+    }
+
+    /// Every cell of `specs` evaluated on the pool against one set of
+    /// fresh memo tables: evaluations no earlier one in the process can
+    /// have served.
+    fn evaluate_fresh(specs: Vec<CellSpec>) -> Vec<CellMetrics> {
+        let memos = CellMemos::fresh();
+        adagp_runtime::pool().parallel_map(specs, |spec| evaluate_cell_in(&spec, &memos))
     }
 
     #[test]
@@ -208,9 +295,11 @@ mod tests {
     fn metrics_are_deterministic_and_consistent() {
         let g = grid();
         let a = run_grid(&g);
-        let b = run_grid(&g);
-        for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(x.metrics, y.metrics, "{}", x.spec.key());
+        // The grid's batch and knee keys are all distinct, so against
+        // fresh tables every cell of `b` simulates and searches anew.
+        let b = evaluate_fresh(g.expand());
+        for (x, y) in a.cells.iter().zip(&b) {
+            assert_eq!(x.metrics, *y, "{}", x.spec.key());
             let m = x.metrics;
             assert!(m.speedup > 1.0 && m.speedup < 3.0, "{}", x.spec.key());
             assert_eq!(m.speedup, m.baseline_cycles / m.adagp_cycles);
@@ -250,14 +339,11 @@ mod tests {
     fn results_identical_across_thread_counts() {
         let g = grid();
         let reference = adagp_runtime::with_threads(1, || run_grid(&g));
+        let a: Vec<_> = reference.cells.iter().map(|c| c.metrics).collect();
         for threads in [2, 3, 7] {
-            let got = adagp_runtime::with_threads(threads, || run_grid(&g));
-            let a: Vec<_> = reference
-                .cells
-                .iter()
-                .map(|c| (&c.spec, c.metrics))
-                .collect();
-            let b: Vec<_> = got.cells.iter().map(|c| (&c.spec, c.metrics)).collect();
+            // Fresh tables per thread count: every cell is evaluated
+            // again, its misses racing on the shared tables.
+            let b = adagp_runtime::with_threads(threads, || evaluate_fresh(g.expand()));
             assert_eq!(a, b, "threads={threads}");
         }
     }
@@ -270,6 +356,127 @@ mod tests {
             assert_eq!(chunk[0].spec.design, AdaGpDesign::Low);
             assert!(chunk[2].metrics.speedup >= chunk[1].metrics.speedup);
             assert!(chunk[1].metrics.speedup >= chunk[0].metrics.speedup);
+        }
+    }
+
+    #[test]
+    fn cost_classes_put_knee_searches_first_then_simulations_then_hits() {
+        let g = GridSpec {
+            name: "classes".to_string(),
+            models: vec![CnnModel::Vgg13],
+            datasets: vec![DatasetScale::Cifar10, DatasetScale::Cifar100],
+            designs: vec![AdaGpDesign::Max],
+            dataflows: vec![Dataflow::WeightStationary],
+            schedules: vec![PhaseSchedule::Paper, PhaseSchedule::SteadyOnly],
+            bandwidths: vec![Some(16), Some(256)],
+            buffers: vec![None],
+        };
+        let specs = g.expand();
+        let memos = CellMemos::fresh();
+        // CIFAR-10 (Paper, 16): new knee. (Paper, 256): the same knee,
+        // a new batch. (SteadyOnly, 16): a new knee. (SteadyOnly, 256):
+        // both keys seen. Every CIFAR-100 cell is a CIFAR-10 twin.
+        assert_eq!(cost_classes(&specs, &memos), [0, 1, 0, 2, 2, 2, 2, 2]);
+        for spec in &specs {
+            evaluate_cell_in(spec, &memos);
+        }
+        assert_eq!(cost_classes(&specs, &memos), [2; 8]);
+    }
+
+    /// The eight presets of the benchmark's `sweep_cold` workload.
+    const BENCHMARK_PRESETS: [&str; 8] = [
+        "fig17-ws",
+        "fig18-rs",
+        "fig19-is",
+        "dataflows",
+        "schedules",
+        "bandwidth",
+        "energy",
+        "roofline",
+    ];
+
+    #[test]
+    fn memoized_cells_equal_unmemoized_simulations_in_any_order() {
+        let mut seen = HashSet::new();
+        let mut specs: Vec<CellSpec> = BENCHMARK_PRESETS
+            .iter()
+            .flat_map(|name| presets::by_name(name).expect("known preset").expand())
+            .filter(|spec| seen.insert(spec.id.clone()))
+            .collect();
+        assert_eq!(specs.len(), 633, "distinct cells of the eight presets");
+        // A seeded Fisher–Yates shuffle (xorshift64), so which cell of a
+        // key fills the memo is not the expansion order's choice.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..specs.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            specs.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let memos = CellMemos::fresh();
+        let memoized: Vec<CellMetrics> = specs
+            .iter()
+            .map(|spec| evaluate_cell_in(spec, &memos))
+            .collect();
+        let base = SimConfig::default();
+        let mismatches: Vec<String> = adagp_runtime::pool()
+            .parallel_map(specs.into_iter().zip(memoized).collect(), |(spec, m)| {
+                let sim = simulate_cell(&spec, &base);
+                let knee = CellGraphs::build(&spec, &base).search_knee(&spec, KNEE_TOLERANCE);
+                let got = [
+                    m.sim_cycles,
+                    m.pe_utilization,
+                    m.overlap_efficiency,
+                    m.spill_cycles,
+                    m.knee_words_per_cycle,
+                ];
+                let want = [
+                    sim.sim_cycles,
+                    sim.pe_utilization,
+                    sim.overlap_efficiency,
+                    sim.spill_cycles,
+                    knee as f64,
+                ];
+                let bits = |v: [f64; 5]| v.map(f64::to_bits);
+                (bits(got) != bits(want))
+                    .then(|| format!("{}: memoized {got:?}, direct {want:?}", spec.key()))
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        assert!(mismatches.is_empty(), "{mismatches:#?}");
+    }
+
+    #[test]
+    fn a_cifar100_cell_equals_its_cifar10_twin_in_every_metric() {
+        // The fact both memo keys rest on: the dataset reaches a cell
+        // only through its input scale. Each side evaluates against its
+        // own fresh tables, so neither can be served by the other.
+        let twins = |dataset| GridSpec {
+            name: "twins".to_string(),
+            models: CnnModel::all().to_vec(),
+            datasets: vec![dataset],
+            designs: AdaGpDesign::all().to_vec(),
+            dataflows: Dataflow::all().to_vec(),
+            schedules: vec![PhaseSchedule::Paper],
+            bandwidths: vec![None],
+            buffers: vec![None],
+        };
+        let c10 = twins(DatasetScale::Cifar10).expand();
+        let c100 = twins(DatasetScale::Cifar100).expand();
+        assert_eq!(c10.len(), 13 * 3 * 4);
+        let (m10, m100) = (evaluate_fresh(c10.clone()), evaluate_fresh(c100.clone()));
+        for ((s10, s100), (a, b)) in c10.iter().zip(&c100).zip(m10.iter().zip(&m100)) {
+            assert_eq!(s10.model, s100.model);
+            assert_eq!(s10.design, s100.design);
+            assert_eq!(s10.dataflow, s100.dataflow);
+            assert_eq!(
+                crate::store::metrics_to_array(a).map(f64::to_bits),
+                crate::store::metrics_to_array(b).map(f64::to_bits),
+                "{} vs {}",
+                s10.key(),
+                s100.key()
+            );
         }
     }
 }

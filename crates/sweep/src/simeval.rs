@@ -14,13 +14,19 @@
 //!   byte-stable CSV ([`sim_detail_csv`]) that the tests byte-compare
 //!   with a committed golden, exactly like the analytic smoke grid.
 //!
-//! The first goes through `CellGraphs`: a cell's layer list and its two
-//! ADA-GP batch graphs (BP, GP) compiled once per evaluation and replayed
-//! — untraced — for the metrics above and for every bandwidth probe of
-//! [`crate::roofline`]'s knee search. None of those reads the baseline
-//! batch, so `CellGraphs` does not build it; [`simulate_cell`], whose
-//! detail view reports it, builds all three through
-//! [`adagp_sim::StepSim::run`].
+//! The first reads a cell's two simulated batches (BP, GP) from the
+//! **batch memo**: one entry per `BatchMemoKey`, the exact set of
+//! inputs the simulator reads, holding the two batches'
+//! [`adagp_sim::BatchStats`]. The epoch mix is applied after the replay,
+//! so cells that differ only in schedule share an entry, and so do a
+//! CIFAR-10 cell and its CIFAR-100 twin (one input scale, one layer
+//! table). On a miss the cell compiles `CellGraphs` — its layer list and
+//! its two ADA-GP batch graphs — and replays them untraced; the same set
+//! serves every bandwidth probe of [`crate::roofline`]'s knee search when
+//! the knee memo misses too. A cell that hits both memos builds nothing.
+//! None of that reads the baseline batch, so `CellGraphs` does not build
+//! it; [`simulate_cell`], whose detail view reports it, builds all three
+//! through [`adagp_sim::StepSim::run`] and is never memoized.
 //!
 //! With [`SimConfig::no_contention`] the simulated speed-up is
 //! bit-identical to the analytic `training_speedup` (the sim crate's
@@ -31,8 +37,10 @@ use crate::grid::{CellSpec, GridSpec};
 use crate::shapes::cached_shapes;
 use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::speedup::EpochMix;
-use adagp_accel::AcceleratorConfig;
-use adagp_sim::{model_sim_layers, AdaGpGraphs, SimConfig, SimLayer, StepSim};
+use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
+use adagp_nn::models::shapes::InputScale;
+use adagp_nn::models::CnnModel;
+use adagp_sim::{model_sim_layers, AdaGpGraphs, BatchStats, SimConfig, SimLayer, StepSim};
 
 /// One simulated cell: batch-level makespans plus derived training-level
 /// statistics.
@@ -93,11 +101,52 @@ pub fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
     )
 }
 
-/// Everything one cell evaluation simulates on, built once: the resolved
-/// config, the layer list and the two compiled ADA-GP batch graphs (BP,
-/// GP). One set serves [`crate::runner::evaluate_cell`]'s sim metrics
-/// and every probe of [`crate::roofline`]'s knee search; it lives for one
-/// cell evaluation and is never cached.
+/// Memo key of one cell's simulated BP and GP batches: every input the
+/// simulator reads, as **named fields** (the pattern of
+/// [`crate::roofline::KneeMemoKey`]). The schedule is absent — the epoch
+/// mix weighs the batches after the replay — and so is the dataset,
+/// which reaches the layer shapes only through its input scale.
+/// `AcceleratorConfig::default()` and `PredictorCostModel::default()`
+/// are constants of every cell ([`cell_layers`]); an axis that varies
+/// either one must add a field here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BatchMemoKey {
+    model: CnnModel,
+    input_scale: InputScale,
+    dataflow: Dataflow,
+    design: AdaGpDesign,
+    /// Resolved DRAM bandwidth (words/cycle), `None` = no channel.
+    dram_words_per_cycle: Option<u64>,
+    /// Resolved simulation batch size.
+    batch: usize,
+    /// Resolved buffer capacity (words), `None` = unbounded.
+    buffer_words: Option<u64>,
+    /// DRAM channel port multiplicity.
+    dram_ports: u32,
+}
+
+impl BatchMemoKey {
+    /// The key of `spec`'s batches under the resolved config `cfg`
+    /// ([`cell_sim_config`]).
+    pub(crate) fn new(spec: &CellSpec, cfg: &SimConfig) -> Self {
+        BatchMemoKey {
+            model: spec.model,
+            input_scale: spec.dataset.input_scale(),
+            dataflow: spec.dataflow,
+            design: spec.design,
+            dram_words_per_cycle: cfg.dram_words_per_cycle,
+            batch: cfg.batch,
+            buffer_words: cfg.buffer_words,
+            dram_ports: cfg.dram_ports,
+        }
+    }
+}
+
+/// Everything one cell simulates on: the resolved config, the layer list
+/// and the two compiled ADA-GP batch graphs (BP, GP). Built only on a
+/// memo miss, at most once per cell evaluation: one set serves the batch
+/// memo's replay and every probe of [`crate::roofline`]'s knee search.
+/// The set itself is never cached — the memos keep only what it yields.
 /// Nothing on that path reads the baseline batch: only
 /// [`simulate_cell`] builds it.
 pub(crate) struct CellGraphs {
@@ -124,6 +173,12 @@ impl CellGraphs {
             mix: spec.schedule.mix(),
             graphs,
         }
+    }
+
+    /// The BP and GP batches replayed untraced at the configured
+    /// bandwidth: the batch memo's value.
+    pub fn batch_stats(&self) -> [BatchStats; 2] {
+        [self.graphs.bp.run(), self.graphs.gp.run()]
     }
 }
 
@@ -308,6 +363,126 @@ mod tests {
         let csv = sim_detail_csv(&details);
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), SIM_CSV_HEADER.len());
+        }
+    }
+
+    #[test]
+    fn batch_key_separates_every_sim_knob_bandwidth_included() {
+        use crate::roofline::{KneeMemoKey, KNEE_TOLERANCE};
+        let base = SimConfig::default();
+        let spec = |model, dataset, dataflow, design, schedule, bw, buf| {
+            CellSpec::with_contention(dataflow, dataset, model, design, schedule, bw, buf)
+        };
+        let vgg = |bw, buf| {
+            spec(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                Dataflow::WeightStationary,
+                AdaGpDesign::Max,
+                PhaseSchedule::Paper,
+                bw,
+                buf,
+            )
+        };
+        let batch = |s: &CellSpec| BatchMemoKey::new(s, &cell_sim_config(s, &base));
+        let knee = |s: &CellSpec| KneeMemoKey::new(s, &cell_sim_config(s, &base), KNEE_TOLERANCE);
+        let reference = vgg(None, None);
+
+        // Bandwidth: the knee key ignores it (the search is the bandwidth
+        // sweep), the batch key does not (it times the replay).
+        let narrow = vgg(Some(8), None);
+        assert_eq!(knee(&reference), knee(&narrow));
+        assert_ne!(batch(&reference), batch(&narrow));
+
+        // Schedule and dataset-at-one-scale share batches: the mix is
+        // applied after the replay, CIFAR-100 has CIFAR-10's shapes.
+        let shares = [
+            spec(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                Dataflow::WeightStationary,
+                AdaGpDesign::Max,
+                PhaseSchedule::SteadyOnly,
+                None,
+                None,
+            ),
+            spec(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar100,
+                Dataflow::WeightStationary,
+                AdaGpDesign::Max,
+                PhaseSchedule::Paper,
+                None,
+                None,
+            ),
+        ];
+        for s in &shares {
+            assert_eq!(batch(&reference), batch(s), "{}", s.key());
+        }
+
+        // Every other knob the simulator reads keys a distinct slot.
+        let separated = [
+            vgg(None, Some(1 << 14)),
+            spec(
+                CnnModel::ResNet50,
+                DatasetScale::Cifar10,
+                Dataflow::WeightStationary,
+                AdaGpDesign::Max,
+                PhaseSchedule::Paper,
+                None,
+                None,
+            ),
+            spec(
+                CnnModel::Vgg13,
+                DatasetScale::ImageNet,
+                Dataflow::WeightStationary,
+                AdaGpDesign::Max,
+                PhaseSchedule::Paper,
+                None,
+                None,
+            ),
+            spec(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                Dataflow::RowStationary,
+                AdaGpDesign::Max,
+                PhaseSchedule::Paper,
+                None,
+                None,
+            ),
+            spec(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                Dataflow::WeightStationary,
+                AdaGpDesign::Efficient,
+                PhaseSchedule::Paper,
+                None,
+                None,
+            ),
+        ];
+        for s in &separated {
+            assert_ne!(batch(&reference), batch(s), "{}", s.key());
+        }
+        let cfg = cell_sim_config(&reference, &base);
+        for other in [
+            SimConfig {
+                batch: cfg.batch + 1,
+                ..cfg
+            },
+            SimConfig {
+                dram_ports: cfg.dram_ports + 1,
+                ..cfg
+            },
+            SimConfig {
+                dram_words_per_cycle: None,
+                ..cfg
+            },
+        ] {
+            assert_ne!(
+                BatchMemoKey::new(&reference, &other),
+                batch(&reference),
+                "{other:?}"
+            );
         }
     }
 

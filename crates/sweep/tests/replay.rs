@@ -127,7 +127,7 @@ fn cell_knee_equals_the_rebuild_per_probe_oracle_on_every_preset_key() {
         ))
     })
     .collect();
-    assert_eq!(cells.len(), 425, "distinct knee keys of the eight presets");
+    assert_eq!(cells.len(), 308, "distinct knee keys of the eight presets");
     let mismatches: Vec<String> = adagp_runtime::pool()
         .parallel_map(cells, |spec| {
             let got = cell_knee(&spec, &base, KNEE_TOLERANCE);
