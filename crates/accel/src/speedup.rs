@@ -8,7 +8,7 @@
 
 use crate::dataflow::{AcceleratorConfig, Dataflow};
 use crate::designs::{self, AdaGpDesign};
-use crate::layer_cost::{model_costs, PredictorCostModel};
+use crate::layer_cost::{model_costs, LayerCost, PredictorCostModel};
 use adagp_nn::models::shapes::LayerShape;
 use serde::{Deserialize, Serialize};
 
@@ -76,6 +76,30 @@ pub fn epoch_total(mix: &EpochMix, bp: f64, gp: f64) -> f64 {
         .sum()
 }
 
+/// The per-layer cost table both training-cycle closed forms read:
+/// [`model_costs`] at [`MODEL_BATCH`] under the default predictor model.
+/// A caller that needs both totals builds it once and hands it to
+/// [`adagp_cycles_of`] and [`baseline_cycles_of`].
+pub fn training_costs(
+    cfg: &AcceleratorConfig,
+    df: Dataflow,
+    layers: &[LayerShape],
+) -> Vec<LayerCost> {
+    model_costs(cfg, df, &PredictorCostModel::default(), layers, MODEL_BATCH)
+}
+
+/// [`adagp_training_cycles`] on a [`training_costs`] table.
+pub fn adagp_cycles_of(design: AdaGpDesign, costs: &[LayerCost], mix: &EpochMix) -> f64 {
+    let bp = designs::bp_batch_cycles(design, costs) as f64;
+    let gp = designs::gp_batch_cycles(design, costs) as f64;
+    epoch_total(mix, bp, gp)
+}
+
+/// [`baseline_training_cycles`] on a [`training_costs`] table.
+pub fn baseline_cycles_of(costs: &[LayerCost], mix: &EpochMix) -> f64 {
+    mix.total() as f64 * designs::baseline_batch_cycles(costs) as f64
+}
+
 /// Total ADA-GP training cycles per "epoch-batch unit" (one batch per
 /// epoch; batch counts cancel in the speed-up ratio).
 pub fn adagp_training_cycles(
@@ -85,10 +109,7 @@ pub fn adagp_training_cycles(
     layers: &[LayerShape],
     mix: &EpochMix,
 ) -> f64 {
-    let costs = model_costs(cfg, df, &PredictorCostModel::default(), layers, MODEL_BATCH);
-    let bp = designs::bp_batch_cycles(design, &costs) as f64;
-    let gp = designs::gp_batch_cycles(design, &costs) as f64;
-    epoch_total(mix, bp, gp)
+    adagp_cycles_of(design, &training_costs(cfg, df, layers), mix)
 }
 
 /// Total baseline training cycles for the same run length.
@@ -98,9 +119,7 @@ pub fn baseline_training_cycles(
     layers: &[LayerShape],
     mix: &EpochMix,
 ) -> f64 {
-    let costs = model_costs(cfg, df, &PredictorCostModel::default(), layers, MODEL_BATCH);
-    let b = designs::baseline_batch_cycles(&costs) as f64;
-    mix.total() as f64 * b
+    baseline_cycles_of(&training_costs(cfg, df, layers), mix)
 }
 
 /// End-to-end speed-up of an ADA-GP design over the baseline.

@@ -12,8 +12,9 @@
 //!   Chrome trace behind.
 //! * The shard log survives `SIGKILL`: a server on a log directory is
 //!   killed after serving the smoke grid (4 cells, one group, one fsync;
-//!   4 batch simulations and 4 knee searches on `/metrics`), and its
-//!   successor on the same directory evaluates nothing.
+//!   4 batch simulations, 4 knee searches and 4 replayed knee probes on
+//!   `/metrics`), and its successor on the same directory evaluates
+//!   nothing.
 //! * A stdout closed before `serve --help` prints is not a panic.
 
 use adagp_serve::{check_invariants, fetch_metrics, http_request, submit_grid};
@@ -197,10 +198,12 @@ fn a_killed_server_loses_no_committed_cell() {
     assert_eq!(m["adagp_sweep_log_syncs_total"], 1, "{m:?}");
     assert_histogram_recorded(&m, "adagp_sweep_log_sync_us");
     // Four distinct simulator inputs: each cell simulates its batches and
-    // searches its knee once, and the memos hold one entry each.
+    // searches its knee once, with one replay at the longest-path floor's
+    // bandwidth, and the memos hold one entry each.
     for name in [
         "adagp_sweep_sim_runs_total",
         "adagp_sweep_knee_searches_total",
+        "adagp_sweep_knee_probes_total",
         "adagp_sweep_sim_memo_entries",
         "adagp_sweep_knee_memo_entries",
     ] {

@@ -26,6 +26,18 @@
 //! [`SimBuilder::simulate`] is the one-shot entry (compile + traced run)
 //! for hand-built graphs of owned [`TaskSpec`]s.
 //!
+//! [`TaskGraph::longest_path`] is a lower bound on a run's makespan that
+//! runs no loop: the longest dependency chain at the current durations,
+//! with every resource ignored. No task starts before its dependencies
+//! end, so the bound holds for every graph, bandwidth, port count and
+//! buffer; it is one reverse pass over the CSR, a few times cheaper than
+//! a replay, and the roofline knee search simulates only where it is
+//! within tolerance. It is *not* the zero-slack chain
+//! [`crate::report::critical_path`] extracts from a traced run: that
+//! chain follows resource admissions as well as dependencies and sums to
+//! the makespan itself, while this bound falls short of the makespan
+//! wherever tasks queue for a resource.
+//!
 //! The loop advances the clock from completion event to completion
 //! event; a task starts as soon as all of its dependencies have completed
 //! *and* its resource has a free unit of capacity. Everything is
@@ -463,6 +475,9 @@ struct Scratch {
     queues: Vec<VecDeque<u32>>,
     /// Min-heap of completion events ordered by (time, task id).
     heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per task, the longest chain from its start to the end of the graph
+    /// ([`TaskGraph::longest_path`]).
+    tail: Vec<u64>,
 }
 
 thread_local! {
@@ -633,6 +648,30 @@ impl TaskGraph {
             }
         }
         busy
+    }
+
+    /// The longest dependency chain at the current durations, resources
+    /// ignored: a lower bound on [`TaskGraph::run`]'s makespan that needs
+    /// no event loop (module doc). Task ids are a topological order, so
+    /// one pass in decreasing id order sees every dependent before the
+    /// tasks it waits on.
+    pub fn longest_path(&self) -> u64 {
+        SCRATCH.with_borrow_mut(|st| {
+            let tail = &mut st.tail;
+            tail.clear();
+            tail.resize(self.len(), 0);
+            let mut longest = 0;
+            for t in (0..self.len()).rev() {
+                let after = self.succ[self.succ_start[t] as usize..self.succ_start[t + 1] as usize]
+                    .iter()
+                    .map(|&s| tail[s as usize])
+                    .max()
+                    .unwrap_or(0);
+                tail[t] = self.duration[t] + after;
+                longest = longest.max(tail[t]);
+            }
+            longest
+        })
     }
 
     /// Runs the graph to completion without recording a trace.
@@ -989,6 +1028,34 @@ mod tests {
             assert_eq!(replayed.buffer_curve, fresh.buffer_curve);
             assert_eq!(replayed.busy, fresh.busy);
         }
+    }
+
+    #[test]
+    fn longest_path_of_a_resource_free_chain_is_its_makespan() {
+        // No task occupies a resource, so none queues: the bound is exact.
+        let mut b = SimBuilder::new();
+        let a = b.add_task(task(None, 10, vec![]));
+        let c = b.add_task(task(None, 4, vec![]));
+        let d = b.add_task(task(None, 20, vec![a]));
+        b.add_task(task(None, 5, vec![d, c]));
+        let g = b.compile();
+        assert_eq!(g.longest_path(), 35);
+        assert_eq!(g.longest_path(), g.run().makespan);
+    }
+
+    #[test]
+    fn longest_path_ignores_a_shared_resource() {
+        // Two independent tasks on one capacity-1 resource: the run
+        // serializes them (10 cycles), the bound does not (7).
+        let mut b = SimBuilder::new();
+        let pe = b.add_resource("pe", 1);
+        b.add_task(task(Some(pe), 7, vec![]));
+        b.add_task(task(Some(pe), 3, vec![]));
+        let g = b.compile();
+        assert_eq!(g.run().makespan, 10);
+        assert_eq!(g.longest_path(), 7);
+        assert!(g.longest_path() < g.run().makespan);
+        assert_eq!(SimBuilder::new().compile().longest_path(), 0);
     }
 
     #[test]

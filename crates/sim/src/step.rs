@@ -55,6 +55,20 @@ impl AdaGpGraphs {
         self.gp.set_bandwidth(words_per_cycle);
     }
 
+    /// A lower bound on `self.run(mix).training_cycles()` that replays
+    /// nothing: the epoch blend of both batches'
+    /// [`TaskGraph::longest_path`](crate::engine::TaskGraph::longest_path).
+    /// Each path is at most its batch's makespan, and [`epoch_total`]'s
+    /// weights are non-negative while IEEE rounding is monotone, so the
+    /// bound holds in `f64` too.
+    pub fn training_cycles_floor(&self, mix: &EpochMix) -> f64 {
+        epoch_total(
+            mix,
+            self.bp.graph().longest_path() as f64,
+            self.gp.graph().longest_path() as f64,
+        )
+    }
+
     /// Replays both batches at the current bandwidth.
     pub fn run(&self, mix: &EpochMix) -> AdaGpSim {
         AdaGpSim {

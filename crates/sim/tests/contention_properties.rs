@@ -12,12 +12,15 @@
 //! 3. **Analytic lower bound** — every contended makespan is ≥ the
 //!    closed-form per-batch cycle count, and the no-contention
 //!    configuration reproduces it exactly.
+//! 4. **Longest-path lower bound** — a compiled graph's
+//!    `TaskGraph::longest_path` (the knee search's floor) never exceeds
+//!    its replayed makespan, and never grows with bandwidth.
 
 use adagp_accel::designs::{baseline_batch_cycles, bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::{model_costs, LayerCost, PredictorCostModel};
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::LayerShape;
-use adagp_sim::{model_sim_layers, simulate_batch, Phase, SimConfig};
+use adagp_sim::{model_sim_layers, simulate_batch, BatchGraph, Phase, SimConfig};
 use adagp_tensor::Prng;
 
 /// A random model: 1–12 conv/linear layers with channel counts and
@@ -161,4 +164,47 @@ fn port_counts_never_slow_the_simulation_down() {
              down ({single} -> {multi})"
         );
     }
+}
+
+#[test]
+fn longest_path_bounds_every_makespan_and_never_grows_with_bandwidth() {
+    let acfg = AcceleratorConfig::default();
+    let pred = PredictorCostModel::default();
+    let mut rng = Prng::seed_from_u64(0x10_4C57);
+    // Ascending, so the path must be non-increasing along the ladder.
+    let bandwidths = [1u64, 2, 7, 64, 1 << 20];
+    let buffers = [None, Some(1u64 << 13), Some(1 << 17)];
+    let mut checked = 0;
+    for case in 0..200 {
+        let shapes = random_shapes(&mut rng);
+        let df = DATAFLOWS[(rng.next_u64() % 4) as usize];
+        let batch = 1 + (rng.next_u64() % 32) as usize;
+        let buffer = buffers[(rng.next_u64() % 3) as usize];
+        for dram_ports in 1..=3 {
+            let cfg = SimConfig {
+                batch,
+                dram_ports,
+                ..SimConfig::default()
+            }
+            .with_buffer_words(buffer);
+            let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
+            for (phase, design) in phases() {
+                let mut graph = BatchGraph::build(phase, design, &layers, &cfg);
+                let mut prev = u64::MAX;
+                for &bw in &bandwidths {
+                    graph.set_bandwidth(bw);
+                    let (path, span) = (graph.graph().longest_path(), graph.run().makespan);
+                    let at = format!(
+                        "case {case}: {phase:?} {design:?} at {bw} w/c, {dram_ports} ports, \
+                         buffer {buffer:?}"
+                    );
+                    assert!(path <= span, "{at}: longest path {path} > makespan {span}");
+                    assert!(path <= prev, "{at}: longest path grew {prev} -> {path}");
+                    prev = path;
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 200 * 3 * phases().len() * bandwidths.len());
 }

@@ -39,9 +39,11 @@
 //!   trajectory tracker ROADMAP asked for.
 //! * [`roofline`] — the bandwidth-roofline knee behind every cell's
 //!   `knee_words_per_cycle` metric: the smallest DRAM bandwidth within 1%
-//!   of the contention-free training cycles, found by a gallop-then-bisect
-//!   search on the simulator's monotone bandwidth→makespan curve — every
-//!   probe a replay of the cell's already-compiled batch graphs — and
+//!   of the contention-free training cycles, found on the simulator's
+//!   monotone bandwidth→makespan curve by a search that first finds where
+//!   the graphs' longest dependency paths come within tolerance and
+//!   replays the cell's already-compiled batch graphs only from there —
+//!   and
 //!   memoized across bandwidth-axis siblings and datasets of one input
 //!   scale. The roofline study is the
 //!   `roofline` preset's ordinary run.

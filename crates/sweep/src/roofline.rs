@@ -17,17 +17,28 @@
 //! knee is well-defined and a search over `[1, KNEE_MAX_BW]` finds it
 //! exactly.
 //!
-//! **Gallop, then bisect.** Real knees are small (every knee in the
-//! committed `runs/*.csv` is between 1 and 174 w/c) while the range runs
-//! to 2²⁰, so the search does not bisect the whole range: it probes 1, 2,
-//! 4, … until a power of two `hi` is within tolerance — the last power
-//! is [`KNEE_MAX_BW`] itself — and then bisects `(hi/2, hi]`. A knee `k`
-//! costs at most `2⌈log₂ k⌉ + 1` probes (9 at most for `k ≤ 16`), against
-//! the 21 a bisection of the whole range pays for every knee. A capped
-//! cell — not within tolerance even at the cap — now costs the full 21
-//! gallop probes instead of 1; no preset has one. Under monotonicity
-//! both searches return the same knee; `tests` pins that on every knee
-//! the `roofline`, `bandwidth` and `schedules` presets ask for.
+//! **Floor, then replay.** A replay of both batch graphs is the search's
+//! cost, so the search first finds where replaying can start. The
+//! longest dependency paths of the two graphs, resources ignored
+//! ([`adagp_sim::AdaGpGraphs::training_cycles_floor`], blended like the
+//! cycles), bound the replayed cycles from below at every bandwidth and
+//! cost a fraction of a replay. The search gallops the floor over 1, 2,
+//! 4, … up to [`KNEE_MAX_BW`] and bisects the last doubling, to the
+//! smallest bandwidth `s` whose floor is within tolerance; then it
+//! replays at `s`, `s + 1`, `s + 3`, … (a gallop from `s − 1`) and
+//! bisects the last doubling again. The floor is monotone too (a DRAM
+//! task's duration never grows with bandwidth), so every bandwidth below
+//! `s` has its floor over target and its cycles at least that: the knee
+//! is at or above `s`, and the search returns the knee a search of the
+//! whole range returns (`tests` checks both, and the floor under every
+//! replayed point, on all 308 preset knees). A knee `k` costs at most
+//! `2⌈log₂(k − s + 1)⌉ + 1` replays. On the eight benchmark presets' 308
+//! knees the floor's `s` is the knee for 300 and one below it for the
+//! other 8, so a knee costs 1.03 replays, against 10.5 for the gallop
+//! from 1 this replaced (316 against 3 235, `sweep_knee_probes_total`). A
+//! cell whose floor is over target even at the cap reports the cap
+//! without a replay; no preset has one. Every knee in the committed
+//! `runs/*.csv` is between 1 and 174 w/c.
 //!
 //! **Build once, replay per probe.** The bandwidth being probed only
 //! changes the durations of the DRAM tasks, never the topology of the
@@ -58,12 +69,15 @@
 use crate::grid::{CellSpec, PhaseSchedule};
 use crate::memo::CellMemos;
 use crate::simeval::{cell_sim_config, CellGraphs};
-use adagp_accel::designs::{bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::LayerCost;
+use adagp_accel::speedup::adagp_cycles_of;
 use adagp_accel::{AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::InputScale;
 use adagp_nn::models::CnnModel;
-use adagp_sim::{epoch_total, AdaGpGraphs, SimConfig};
+use adagp_obs as obs;
+use adagp_sim::{AdaGpGraphs, SimConfig};
+use std::cell::RefCell;
+use std::sync::{Arc, OnceLock};
 
 /// Relative slack over the contention-free cycles that still counts as
 /// "at the roofline" (1%).
@@ -75,31 +89,61 @@ pub const KNEE_TOLERANCE: f64 = 0.01;
 /// dominates, which no paper-scale model exhibits.
 pub const KNEE_MAX_BW: u64 = 1 << 20;
 
+/// Replayed knee probes, process-wide (`sweep_knee_probes_total`): one
+/// per bandwidth at which a search re-timed and replayed a cell's graphs.
+fn probes_counter() -> &'static Arc<obs::Counter> {
+    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| obs::registry().counter("sweep_knee_probes_total"))
+}
+
 /// Smallest bandwidth in `[1, KNEE_MAX_BW]` at which the training cycles
 /// `at(bandwidth)` are within `tolerance` of `free_cycles`, on a monotone
-/// non-increasing curve: gallop over the powers of two up to the cap,
-/// then bisect the last doubling (module doc). [`KNEE_MAX_BW`] when even
-/// the cap is not within tolerance.
-fn knee_search(mut at: impl FnMut(u64) -> f64, free_cycles: f64, tolerance: f64) -> u64 {
+/// non-increasing curve bounded below by `floor(bandwidth)`: the smallest
+/// bandwidth `s` whose floor is within tolerance, found without calling
+/// `at`, then the first bandwidth from `s` on whose `at` is (module doc).
+/// [`KNEE_MAX_BW`] when even the cap is not within tolerance — with no
+/// call to `at` at all when the floor already is not.
+fn knee_search(
+    mut at: impl FnMut(u64) -> f64,
+    mut floor: impl FnMut(u64) -> f64,
+    free_cycles: f64,
+    tolerance: f64,
+) -> u64 {
     let target = free_cycles * (1.0 + tolerance);
-    let mut hi = 1u64;
-    while at(hi) > target {
-        if hi == KNEE_MAX_BW {
-            return KNEE_MAX_BW; // capped: even the top of the range stalls
+    first_within(&mut floor, target, 0)
+        .and_then(|s| first_within(&mut at, target, s - 1))
+        .unwrap_or(KNEE_MAX_BW)
+}
+
+/// Smallest bandwidth in `(above, KNEE_MAX_BW]` at which `curve` is at or
+/// under `target`, on a monotone non-increasing curve that is above
+/// `target` at `above` (or `above == 0`): gallop `above + 1, above + 2,
+/// above + 4, …` up to the cap, then bisect the last doubling. A result
+/// `d` past `above` costs at most `2⌈log₂ d⌉ + 1` calls. `None` when even
+/// the cap is above `target`.
+fn first_within(mut curve: impl FnMut(u64) -> f64, target: f64, above: u64) -> Option<u64> {
+    let (mut lo, mut step) = (above, 1);
+    let mut hi = loop {
+        let probe = (above + step).min(KNEE_MAX_BW);
+        if curve(probe) <= target {
+            break probe;
         }
-        hi *= 2;
-    }
-    // at(hi) ≤ target, and at(hi / 2) > target unless hi == 1.
-    let mut lo = hi / 2 + 1;
+        if probe == KNEE_MAX_BW {
+            return None; // capped: even the top of the range stalls
+        }
+        (lo, step) = (probe, step * 2);
+    };
+    // curve(hi) ≤ target, and curve(lo) > target unless lo == above.
+    lo += 1;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if at(mid) <= target {
+        if curve(mid) <= target {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    hi
+    Some(hi)
 }
 
 impl CellGraphs {
@@ -107,34 +151,42 @@ impl CellGraphs {
     /// forms on its layer costs (== the `no_contention` simulation).
     fn free_cycles(&self, spec: &CellSpec) -> f64 {
         let costs: Vec<LayerCost> = self.layers.iter().map(|l| l.cost).collect();
-        epoch_total(
-            &self.mix,
-            bp_batch_cycles(spec.design, &costs) as f64,
-            gp_batch_cycles(spec.design, &costs) as f64,
-        )
+        adagp_cycles_of(spec.design, &costs, &self.mix)
     }
 
     /// The cell's knee by [`knee_search`] (not memoized).
     pub(crate) fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
         let free = self.free_cycles(spec);
-        self.with_channel(spec, |at| knee_search(at, free, tolerance))
+        self.with_channel(spec, |at, floor| knee_search(at, floor, free, tolerance))
     }
 
-    /// Runs `f` on the probe of graphs that have a DRAM channel — the
+    /// Runs `f` on the two curves of graphs that have a DRAM channel — the
     /// cell's own (restored to the configured bandwidth afterwards), or,
-    /// under a contention-off base, a set compiled `with_bandwidth`. The
-    /// probe re-times both graphs and replays them.
+    /// under a contention-off base, a set compiled `with_bandwidth`. Both
+    /// re-time the graphs to the bandwidth asked for; the first replays
+    /// them (a probe, counted in `sweep_knee_probes_total`), the second
+    /// returns their longest-path floor
+    /// ([`AdaGpGraphs::training_cycles_floor`]).
     fn with_channel<T>(
         &mut self,
         spec: &CellSpec,
-        f: impl FnOnce(&mut dyn FnMut(u64) -> f64) -> T,
+        f: impl FnOnce(&mut dyn FnMut(u64) -> f64, &mut dyn FnMut(u64) -> f64) -> T,
     ) -> T {
         let mix = self.mix;
         let probe = |graphs: &mut AdaGpGraphs| {
-            f(&mut |bw| {
+            let graphs = RefCell::new(graphs);
+            let retimed = |bw| {
+                let mut graphs = graphs.borrow_mut();
                 graphs.set_bandwidth(bw);
-                graphs.run(&mix).training_cycles()
-            })
+                graphs
+            };
+            f(
+                &mut |bw| {
+                    probes_counter().inc();
+                    retimed(bw).run(&mix).training_cycles()
+                },
+                &mut |bw| retimed(bw).training_cycles_floor(&mix),
+            )
         };
         match self.cfg.dram_words_per_cycle {
             Some(configured) => {
@@ -253,23 +305,30 @@ mod tests {
         hi
     }
 
-    /// The gallop's probe bound for a knee `k`: `2⌈log₂ k⌉ + 1`.
-    fn probe_bound(k: u64) -> u32 {
-        2 * (64 - (k - 1).leading_zeros()) + 1
+    /// [`first_within`]'s call bound for a result `d` past its start:
+    /// `2⌈log₂ d⌉ + 1`.
+    fn probe_bound(d: u64) -> u32 {
+        2 * (64 - (d - 1).leading_zeros()) + 1
     }
 
-    /// [`knee_search`] on `at`, and how many probes it made.
-    fn counted_search(mut at: impl FnMut(u64) -> f64, free_cycles: f64) -> (u64, u32) {
-        let mut probes = 0;
+    /// [`knee_search`] on `at` over `floor`, and how many times it
+    /// replayed (called `at`).
+    fn counted_search(
+        mut at: impl FnMut(u64) -> f64,
+        floor: impl FnMut(u64) -> f64,
+        free_cycles: f64,
+    ) -> (u64, u32) {
+        let mut replays = 0;
         let knee = knee_search(
             |bw| {
-                probes += 1;
+                replays += 1;
                 at(bw)
             },
+            floor,
             free_cycles,
             KNEE_TOLERANCE,
         );
-        (knee, probes)
+        (knee, replays)
     }
 
     #[test]
@@ -281,65 +340,103 @@ mod tests {
         knees.retain(|k| (1..=KNEE_MAX_BW).contains(k));
         knees.sort_unstable();
         knees.dedup();
+        // A step at `k`: twice the free cycles below it, free from it on.
+        let step_at = |k: u64| move |bw: u64| if bw >= k { 100.0 } else { 200.0 };
         for k in knees {
-            // A step curve: twice the free cycles below the knee, free from it on.
-            let step = |bw: u64| if bw >= k { 100.0 } else { 200.0 };
-            let (knee, probes) = counted_search(step, 100.0);
+            let step = step_at(k);
+            // A zero floor is within tolerance everywhere, so the replays
+            // gallop from 1 as they did before the search had a floor.
+            let (knee, replays) = counted_search(step, |_| 0.0, 100.0);
             assert_eq!(knee, k);
-            assert!(probes <= probe_bound(k), "knee {k}: {probes} probes");
+            assert!(replays <= probe_bound(k), "knee {k}: {replays} replays");
             assert_eq!(bisect_reference(step, 100.0, KNEE_TOLERANCE), k);
+            // A floor that crosses at `s ≤ k` (a step at `s`, under the
+            // curve everywhere): the replays start at `s`.
+            let mut crossings = vec![1, k.div_ceil(2), k - k / 8, k - 1, k];
+            crossings.retain(|&s| s >= 1);
+            for s in crossings {
+                let (knee, replays) = counted_search(step, step_at(s), 100.0);
+                assert_eq!(knee, k, "floor crossing {s}");
+                assert!(
+                    replays <= probe_bound(k - s + 1),
+                    "knee {k}, floor crossing {s}: {replays} replays"
+                );
+                if s == k {
+                    assert_eq!(
+                        replays, 1,
+                        "knee {k}: the floor's crossing needs one replay"
+                    );
+                }
+            }
         }
-        // Capped: no bandwidth is within tolerance, so the gallop probes all
-        // 21 powers of two and reports the cap.
-        assert_eq!(counted_search(|_| 200.0, 100.0), (KNEE_MAX_BW, 21));
+        // Capped under a zero floor: no bandwidth is within tolerance, so
+        // the replays gallop over all 21 powers of two and report the cap.
+        assert_eq!(counted_search(|_| 200.0, |_| 0.0, 100.0), (KNEE_MAX_BW, 21));
+        // A floor above target even at the cap: the cap, with no replay.
+        assert_eq!(
+            counted_search(|_| 200.0, |_| 150.0, 100.0),
+            (KNEE_MAX_BW, 0)
+        );
     }
 
     #[test]
     fn gallop_equals_the_bisection_on_every_preset_knee() {
         let base = SimConfig::default();
         let mut seen = HashSet::new();
-        for grid in [
-            presets::roofline(),
-            presets::bandwidth(),
-            presets::schedules(),
-        ] {
-            for spec in grid.expand() {
-                let key = KneeMemoKey::new(&spec, &cell_sim_config(&spec, &base), KNEE_TOLERANCE);
-                if !seen.insert(key) {
-                    continue;
-                }
-                let mut cell = CellGraphs::build(&spec, &base);
-                let free = cell.free_cycles(&spec);
-                // Every (bandwidth, cycles) either search probed.
+        let specs: Vec<CellSpec> = [
+            "fig17-ws",
+            "fig18-rs",
+            "fig19-is",
+            "dataflows",
+            "schedules",
+            "bandwidth",
+            "energy",
+            "roofline",
+        ]
+        .iter()
+        .flat_map(|name| presets::by_name(name).expect("known preset").expand())
+        .filter(|spec| {
+            seen.insert(KneeMemoKey::new(
+                spec,
+                &cell_sim_config(spec, &base),
+                KNEE_TOLERANCE,
+            ))
+        })
+        .collect();
+        assert_eq!(specs.len(), 308, "distinct knee keys of the eight presets");
+        adagp_runtime::pool().parallel_map(specs, |spec| {
+            let mut cell = CellGraphs::build(&spec, &base);
+            let free = cell.free_cycles(&spec);
+            let target = free * (1.0 + KNEE_TOLERANCE);
+            cell.with_channel(&spec, |at, floor| {
+                // Every (bandwidth, cycles) either search replayed.
                 let mut curve = Vec::new();
-                let (gallop, bisect) = cell.with_channel(&spec, |at| {
-                    let mut probe = |bw| {
-                        let cycles = at(bw);
-                        curve.push((bw, cycles));
-                        cycles
-                    };
-                    let gallop = counted_search(&mut probe, free);
-                    (gallop, bisect_reference(&mut probe, free, KNEE_TOLERANCE))
-                });
-                let (knee, probes) = gallop;
+                let mut probe = |bw| {
+                    let cycles = at(bw);
+                    curve.push((bw, cycles));
+                    cycles
+                };
+                let (knee, replays) = counted_search(&mut probe, &mut *floor, free);
+                let bisect = bisect_reference(&mut probe, free, KNEE_TOLERANCE);
                 assert_eq!(knee, bisect, "{}", spec.key());
+                let s = first_within(&mut *floor, target, 0).expect("finite floor crossing");
                 assert!(
-                    probes <= probe_bound(knee),
-                    "{}: {probes} probes",
+                    s <= knee && replays <= probe_bound(knee - s + 1),
+                    "{}: knee {knee}, floor crossing {s}, {replays} replays",
                     spec.key()
                 );
-                // What makes the two agree: the curve is monotone
-                // non-increasing on the graphs the figures come from.
+                // What makes the searches agree: the curve is monotone
+                // non-increasing on the graphs the figures come from, and
+                // never under its floor.
                 curve.sort_by_key(|&(bw, _)| bw);
+                for &(bw, cycles) in &curve {
+                    assert!(floor(bw) <= cycles, "{} at {bw} w/c", spec.key());
+                }
                 for w in curve.windows(2) {
                     assert!(w[1].1 <= w[0].1, "{}: {w:?}", spec.key());
                 }
-            }
-        }
-        // 13 roofline + 39 bandwidth + 27 schedules knees, less the three
-        // paper-schedule MAX cells of `schedules`, whose default buffer
-        // shares a key with a `bandwidth` row.
-        assert_eq!(seen.len(), 13 + 39 + 27 - 3);
+            });
+        });
     }
 
     /// Every committed `roofline` knee, checked on freshly built

@@ -20,7 +20,7 @@ use crate::roofline::{KneeMemoKey, KNEE_TOLERANCE};
 use crate::shapes::cached_shapes;
 use crate::simeval::{cell_sim_config, BatchMemoKey, CellGraphs};
 use adagp_accel::energy::{adagp_energy_joules, baseline_energy_joules, EnergyConfig};
-use adagp_accel::speedup::{adagp_training_cycles, baseline_training_cycles};
+use adagp_accel::speedup::{adagp_cycles_of, baseline_cycles_of, training_costs};
 use adagp_accel::AcceleratorConfig;
 use adagp_obs as obs;
 use adagp_sim::{AdaGpSim, SimConfig};
@@ -122,8 +122,9 @@ pub(crate) fn evaluate_cell_in(spec: &CellSpec, memos: &CellMemos) -> CellMetric
     let layers = cached_shapes(spec.model, spec.dataset.input_scale());
     let cfg = AcceleratorConfig::default();
     let mix = spec.schedule.mix();
-    let baseline_cycles = baseline_training_cycles(&cfg, spec.dataflow, &layers, &mix);
-    let adagp_cycles = adagp_training_cycles(&cfg, spec.dataflow, spec.design, &layers, &mix);
+    let costs = training_costs(&cfg, spec.dataflow, &layers);
+    let baseline_cycles = baseline_cycles_of(&costs, &mix);
+    let adagp_cycles = adagp_cycles_of(spec.design, &costs, &mix);
     let ecfg = EnergyConfig::default();
     let sim_base = SimConfig::default();
     let sim_cfg = cell_sim_config(spec, &sim_base);

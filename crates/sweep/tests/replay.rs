@@ -9,11 +9,13 @@
 //!    the rebuild-per-probe full-range bisection this crate used to run,
 //!    kept here as the oracle — including its contention-free reference,
 //!    a `no_contention` *simulation* where the production path now takes
-//!    the closed form.
+//!    the closed form. At one w/c below the knee, at the knee and at
+//!    twice the knee, the search's longest-path floor of a freshly built
+//!    pair of graphs must not exceed the oracle's simulated cycles.
 
 use adagp_accel::speedup::EpochMix;
 use adagp_accel::{AdaGpDesign, Dataflow};
-use adagp_sim::{epoch_total, simulate_batch, BatchGraph, Phase, SimConfig, SimLayer};
+use adagp_sim::{epoch_total, simulate_batch, AdaGpGraphs, BatchGraph, Phase, SimConfig, SimLayer};
 use adagp_sweep::roofline::{KNEE_MAX_BW, KNEE_TOLERANCE};
 use adagp_sweep::simeval::cell_layers;
 use adagp_sweep::{cell_knee, cell_sim_config, presets, CellSpec, KneeMemoKey};
@@ -132,7 +134,27 @@ fn cell_knee_equals_the_rebuild_per_probe_oracle_on_every_preset_key() {
         .parallel_map(cells, |spec| {
             let got = cell_knee(&spec, &base, KNEE_TOLERANCE);
             let want = rebuilt_knee(&spec, &base, KNEE_TOLERANCE);
-            (got != want).then(|| format!("{}: knee {got}, oracle {want}", spec.key()))
+            if got != want {
+                return Some(format!("{}: knee {got}, oracle {want}", spec.key()));
+            }
+            let cfg = cell_sim_config(&spec, &base);
+            let layers = cell_layers(&spec, &cfg);
+            let mix = spec.schedule.mix();
+            [want - 1, want, 2 * want]
+                .into_iter()
+                .filter(|bw| (1..=KNEE_MAX_BW).contains(bw))
+                .find_map(|bw| {
+                    let cfg = cfg.with_bandwidth(bw);
+                    let floor =
+                        AdaGpGraphs::build(spec.design, &layers, &cfg).training_cycles_floor(&mix);
+                    let cycles = rebuilt_training_cycles(spec.design, &layers, &mix, &cfg);
+                    (floor > cycles).then(|| {
+                        format!(
+                            "{} at {bw} w/c: floor {floor} > cycles {cycles}",
+                            spec.key()
+                        )
+                    })
+                })
         })
         .into_iter()
         .flatten()
