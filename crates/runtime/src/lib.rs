@@ -2,8 +2,10 @@
 //!
 //! The shared parallel runtime of the ADA-GP reproduction: a persistent
 //! thread pool with **deterministic** data-parallel helpers, a bounded
-//! blocking queue for producer/consumer pipelining, and per-stage busy/idle
-//! instrumentation.
+//! blocking queue for producer/consumer pipelining, per-stage busy/idle
+//! instrumentation, and the compute-once table ([`Memo`]) behind every
+//! memo and cache above it: the sweep's batch, knee and layer-shape
+//! memos and the server's cell cache.
 //!
 //! ADA-GP's speed-up comes from overlapping predictor work with the forward
 //! pass (§3.4 of the paper). Reproducing that on a CPU needs two things this
@@ -39,10 +41,12 @@
 //! assert_eq!(out[999], 999.0);
 //! ```
 
+pub mod memo;
 pub mod pool;
 pub mod queue;
 pub mod stats;
 
+pub use memo::{Found, Memo};
 pub use pool::{det_chunk_len, pool, with_threads, ThreadPool, THREADS_ENV};
 pub use queue::{BoundedQueue, TryPushError, WaitGroup};
 pub use stats::{PipelineStats, Stage, StageReport};

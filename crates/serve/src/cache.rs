@@ -3,15 +3,19 @@
 //!
 //! ## Coalescing
 //!
+//! The cells live in one [`adagp_runtime::Memo`] keyed by cell ID, so
 //! [`CellCache::get_or_evaluate`] guarantees **exactly one evaluation
 //! per cell**, no matter how many requests ask concurrently: the first
-//! asker installs an in-flight marker and evaluates on its own thread;
-//! everyone else parks on the marker's condvar and receives the shared
-//! result ([`Served::Joined`]). The marker only ever exists while its
-//! creator is actively evaluating, so a waiter always waits on a running
-//! computation — there is no lock-holding across the evaluation and no
-//! cross-flight waiting, hence no deadlock on any pool size (including
-//! `ADAGP_THREADS=1`, where pool regions run inline).
+//! asker evaluates on its own thread, inside the cell's slot; everyone
+//! else parks on the slot and receives the shared result
+//! ([`Served::Joined`]). A waiter only ever waits on a running
+//! evaluation, and no lock is held across one, hence no deadlock on any
+//! pool size (including `ADAGP_THREADS=1`, where pool regions run
+//! inline).
+//!
+//! An evaluation that panics is an error for its request and leaves the
+//! cell's slot empty: a request parked on it evaluates the cell itself
+//! (and reports its own error), and a later request retries.
 //!
 //! ## Warm start vs. bit-exactness
 //!
@@ -49,14 +53,14 @@
 //! `CellCache::answer`.
 
 use crate::wire::cell_line;
+use adagp_runtime::{Found, Memo};
+use adagp_sweep::evaluate_cell;
 use adagp_sweep::grid::CellSpec;
 use adagp_sweep::shardlog::ShardWriter;
 use adagp_sweep::store::{StoredCell, StoredRun};
-use adagp_sweep::{evaluate_cell, CellMetrics};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How a cell was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,60 +73,17 @@ pub enum Served {
     Joined,
 }
 
-/// Completion slot of one in-flight evaluation.
-#[derive(Debug)]
-enum FlightState {
-    Pending,
-    Done(Arc<StoredCell>),
-    Failed(String),
-}
-
-#[derive(Debug)]
-struct Flight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            state: Mutex::new(FlightState::Pending),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, result: Result<Arc<StoredCell>, String>) {
-        let mut s = self.state.lock().unwrap();
-        *s = match result {
-            Ok(cell) => FlightState::Done(cell),
-            Err(msg) => FlightState::Failed(msg),
-        };
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<Arc<StoredCell>, String> {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            match &*s {
-                FlightState::Pending => s = self.done.wait(s).unwrap(),
-                FlightState::Done(cell) => return Ok(Arc::clone(cell)),
-                FlightState::Failed(msg) => return Err(msg.clone()),
-            }
-        }
-    }
-}
-
 /// A memoized cell and the line a hit on it streams.
 #[derive(Debug)]
-pub(crate) struct Memo {
-    cell: Arc<StoredCell>,
+pub(crate) struct Entry {
+    pub(crate) cell: Arc<StoredCell>,
     hit_line: OnceLock<String>,
 }
 
-impl Memo {
-    fn new(cell: Arc<StoredCell>) -> Arc<Memo> {
-        Arc::new(Memo {
-            cell,
+impl Entry {
+    fn new(cell: StoredCell) -> Arc<Entry> {
+        Arc::new(Entry {
+            cell: Arc::new(cell),
             hit_line: OnceLock::new(),
         })
     }
@@ -136,35 +97,17 @@ impl Memo {
     }
 }
 
-#[derive(Debug)]
-enum Entry {
-    Ready(Arc<Memo>),
-    InFlight(Arc<Flight>),
-}
-
-/// What the map lookup decided a caller that missed should do.
-enum Claim {
-    Wait(Arc<Flight>),
-    Evaluate(Arc<Flight>),
-}
-
-/// How a cell was answered.
-pub(crate) enum Answer {
-    /// Already memoized: the entry, with its hit line.
-    Hit(Arc<Memo>),
-    /// Evaluated by this call ([`Served::Evaluated`]) or by a concurrent
-    /// one ([`Served::Joined`]).
-    Fresh(Arc<StoredCell>, Served),
-}
-
 /// The concurrent memo store. See the module docs for the contract.
 #[derive(Debug, Default)]
 pub struct CellCache {
-    map: Mutex<HashMap<String, Entry>>,
+    cells: Memo<String, Arc<Entry>>,
     /// The attached append log (`None`: the cache is memory-only). Its
-    /// own mutex, never held together with `map`: a cell's group commits
+    /// own mutex, never held during a lookup: a cell's group commits
     /// after its entry is published.
     log: Mutex<Option<ShardWriter>>,
+    /// A cell whose next evaluation a test holds (see `hold`).
+    #[cfg(test)]
+    gate: Mutex<Option<Gate>>,
 }
 
 impl CellCache {
@@ -201,26 +144,18 @@ impl CellCache {
 
     /// Number of ready (memoized) cells.
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap()
-            .values()
-            .filter(|e| matches!(e, Entry::Ready(_)))
-            .count()
+        self.cells.len()
     }
 
     /// Whether no cell is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.cells.is_empty()
     }
 
     /// The memoized entry of `spec`, if it is ready; an absent or
     /// in-flight cell is `None`.
-    pub(crate) fn memoized(&self, spec: &CellSpec) -> Option<Arc<Memo>> {
-        match self.map.lock().unwrap().get(&spec.id) {
-            Some(Entry::Ready(memo)) => Some(Arc::clone(memo)),
-            _ => None,
-        }
+    pub(crate) fn memoized(&self, spec: &CellSpec) -> Option<Arc<Entry>> {
+        self.cells.get(&spec.id)
     }
 
     /// Serves `spec` from the memo store, evaluating it (exactly once
@@ -229,88 +164,46 @@ impl CellCache {
     ///
     /// # Errors
     ///
-    /// Returns the panic message if the evaluation itself panicked (the
-    /// entry is removed so a later request can retry).
+    /// Returns the panic message if the evaluation panicked (nothing is
+    /// memoized, so a later request retries).
     pub fn get_or_evaluate(&self, spec: &CellSpec) -> Result<(Arc<StoredCell>, Served), String> {
-        Ok(match self.answer(spec)? {
-            Answer::Hit(memo) => (Arc::clone(&memo.cell), Served::Hit),
-            Answer::Fresh(cell, served) => {
-                if served == Served::Evaluated {
-                    self.commit([&*cell]);
-                }
-                (cell, served)
-            }
-        })
+        let (entry, served) = self.answer(spec)?;
+        if served == Served::Evaluated {
+            self.commit([&*entry.cell]);
+        }
+        Ok((Arc::clone(&entry.cell), served))
     }
 
-    /// [`get_or_evaluate`](CellCache::get_or_evaluate), with a hit
-    /// answered by its entry and an evaluated cell left for the caller
-    /// to [`commit`](CellCache::commit).
-    pub(crate) fn answer(&self, spec: &CellSpec) -> Result<Answer, String> {
-        let claim = {
-            let mut map = self.map.lock().unwrap();
-            match map.get(&spec.id) {
-                Some(Entry::Ready(memo)) => return Ok(Answer::Hit(Arc::clone(memo))),
-                Some(Entry::InFlight(flight)) => Claim::Wait(Arc::clone(flight)),
-                None => {
-                    let flight = Arc::new(Flight::new());
-                    map.insert(spec.id.clone(), Entry::InFlight(Arc::clone(&flight)));
-                    Claim::Evaluate(flight)
-                }
-            }
+    /// [`get_or_evaluate`](CellCache::get_or_evaluate), with the cell's
+    /// entry, and an evaluated cell left for the caller to
+    /// [`commit`](CellCache::commit).
+    pub(crate) fn answer(&self, spec: &CellSpec) -> Result<(Arc<Entry>, Served), String> {
+        let evaluate = || {
+            #[cfg(test)]
+            self.wait_at_gate(spec);
+            Entry::new(StoredCell::from_evaluation(spec, &evaluate_cell(spec)))
         };
-        match claim {
-            Claim::Wait(flight) => flight
-                .wait()
-                .map(|cell| Answer::Fresh(cell, Served::Joined)),
-            Claim::Evaluate(flight) => {
-                let result = catch_unwind(AssertUnwindSafe(|| evaluate_cell(spec)));
-                self.publish(spec, &flight, result.map_err(|p| panic_message(p.as_ref())))
-                    .map(|cell| Answer::Fresh(cell, Served::Evaluated))
-            }
-        }
-    }
-
-    /// Ends `spec`'s flight with its evaluation's outcome: a cell is
-    /// memoized and handed to the flight's waiters; a failure removes the
-    /// entry so a later request can retry.
-    fn publish(
-        &self,
-        spec: &CellSpec,
-        flight: &Flight,
-        result: Result<CellMetrics, String>,
-    ) -> Result<Arc<StoredCell>, String> {
-        let mut map = self.map.lock().unwrap();
-        match result {
-            Ok(metrics) => {
-                let cell = Arc::new(StoredCell::from_evaluation(spec, &metrics));
-                map.insert(spec.id.clone(), Entry::Ready(Memo::new(Arc::clone(&cell))));
-                drop(map);
-                flight.complete(Ok(Arc::clone(&cell)));
-                Ok(cell)
-            }
-            Err(msg) => {
-                map.remove(&spec.id);
-                drop(map);
-                flight.complete(Err(msg.clone()));
-                Err(msg)
-            }
-        }
+        let (entry, found) = catch_unwind(AssertUnwindSafe(|| {
+            self.cells.get_or_compute(&spec.id, evaluate)
+        }))
+        .map_err(|p| panic_message(p.as_ref()))?;
+        let served = match found {
+            Found::Ready => Served::Hit,
+            Found::Computed => Served::Evaluated,
+            Found::Joined => Served::Joined,
+        };
+        Ok((entry, served))
     }
 
     /// Memoizes already-evaluated cells (a loaded run file, a replayed
     /// shard log). Cells already memoized or mid-evaluation are left
     /// alone. Returns how many entries were inserted.
     pub fn warm(&self, cells: impl IntoIterator<Item = StoredCell>) -> usize {
-        let mut map = self.map.lock().unwrap();
-        let mut loaded = 0;
-        for cell in cells {
-            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(cell.id.clone()) {
-                slot.insert(Entry::Ready(Memo::new(Arc::new(cell))));
-                loaded += 1;
-            }
-        }
-        loaded
+        cells
+            .into_iter()
+            .map(|cell| self.cells.insert(cell.id.clone(), Entry::new(cell)))
+            .filter(|&inserted| inserted)
+            .count()
     }
 
     /// Warm-loads a committed run artifact (CSV or JSON). Returns how
@@ -324,36 +217,107 @@ impl CellCache {
     }
 }
 
-/// A flight a test holds open, as a concurrent request evaluating the
-/// cell would.
+/// A test's hold on the next evaluation of one cell: it waits, inside
+/// the cell's slot, until `callers` calls hold the slot.
 #[cfg(test)]
-pub(crate) struct HeldFlight(Arc<Flight>);
+#[derive(Debug)]
+struct Gate {
+    id: String,
+    callers: usize,
+    entered: bool,
+}
+
+/// An evaluation a test holds open inside its cell's slot, as a
+/// concurrent request evaluating the cell would.
+#[cfg(test)]
+pub(crate) struct HeldFlight<'scope> {
+    cache: &'scope CellCache,
+    id: String,
+    thread: std::thread::ScopedJoinHandle<'scope, ()>,
+}
 
 #[cfg(test)]
-impl HeldFlight {
-    /// Callers parked on the flight (the map and the holder aside).
+impl HeldFlight<'_> {
+    /// Calls parked on the held evaluation.
     pub(crate) fn waiters(&self) -> usize {
-        Arc::strong_count(&self.0).saturating_sub(2)
+        self.cache.cells.callers(&self.id) - 1
     }
 
-    /// Evaluates `spec` and publishes it to the cache and the waiters.
-    pub(crate) fn finish(self, cache: &CellCache, spec: &CellSpec) {
-        cache
-            .publish(spec, &self.0, Ok(evaluate_cell(spec)))
-            .unwrap();
+    /// Lets the held evaluation run and publish the cell.
+    pub(crate) fn finish(self) {
+        if let Some(gate) = self.cache.gate.lock().unwrap().as_mut() {
+            gate.callers = 0;
+        }
+        self.thread.join().unwrap();
     }
 }
 
 #[cfg(test)]
 impl CellCache {
-    /// Marks the absent `spec` in flight until the returned flight is
-    /// finished.
-    pub(crate) fn hold_flight(&self, spec: &CellSpec) -> HeldFlight {
-        let flight = Arc::new(Flight::new());
-        let mut map = self.map.lock().unwrap();
-        assert!(!map.contains_key(&spec.id), "{} is not absent", spec.key());
-        map.insert(spec.id.clone(), Entry::InFlight(Arc::clone(&flight)));
-        HeldFlight(flight)
+    /// Makes the next evaluation of `spec` wait, inside its slot, until
+    /// `callers` calls hold the slot: itself and `callers − 1` joined
+    /// ones. After a minute without them the evaluation panics.
+    pub(crate) fn hold(&self, spec: &CellSpec, callers: usize) {
+        *self.gate.lock().unwrap() = Some(Gate {
+            id: spec.id.clone(),
+            callers,
+            entered: false,
+        });
+    }
+
+    /// Starts evaluating the absent `spec` on a thread of `scope` and
+    /// holds the evaluation until the returned flight is finished.
+    pub(crate) fn hold_flight<'scope>(
+        &'scope self,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        spec: &'scope CellSpec,
+    ) -> HeldFlight<'scope> {
+        self.hold(spec, usize::MAX);
+        let thread = scope.spawn(move || {
+            let (_, served) = self.get_or_evaluate(spec).unwrap();
+            assert_eq!(served, Served::Evaluated, "{} is not absent", spec.key());
+        });
+        while !self
+            .gate
+            .lock()
+            .unwrap()
+            .as_ref()
+            .is_some_and(|g| g.entered)
+        {
+            assert!(!thread.is_finished(), "{} is not absent", spec.key());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        HeldFlight {
+            cache: self,
+            id: spec.id.clone(),
+            thread,
+        }
+    }
+
+    fn wait_at_gate(&self, spec: &CellSpec) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            {
+                let mut gate = self.gate.lock().unwrap();
+                let Some(held) = gate.as_mut().filter(|g| g.id == spec.id) else {
+                    return;
+                };
+                held.entered = true;
+                let callers = self.cells.callers(&spec.id);
+                if callers >= held.callers {
+                    *gate = None;
+                    return;
+                }
+                if std::time::Instant::now() > deadline {
+                    *gate = None;
+                    panic!(
+                        "{}: {callers} callers joined the held evaluation",
+                        spec.key()
+                    );
+                }
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 }
 
@@ -382,6 +346,51 @@ mod tests {
             adagp_accel::AdaGpDesign::Efficient,
             PhaseSchedule::Paper,
         )
+    }
+
+    /// `f` on `n` threads that start together, results in thread order.
+    fn on_threads<T: Send>(n: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
+        let barrier = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..n)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        f()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_cell_evaluate_once_and_append_one_record() {
+        use adagp_sweep::shardlog::load_shard;
+        use adagp_sweep::{shard_file_name, Shard};
+        const K: usize = 4;
+        let dir = std::env::temp_dir().join(format!("adagp-serve-join-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = CellCache::new();
+        cache.attach_log(ShardWriter::open(&dir, Shard::default()).unwrap());
+        // The evaluation ends only once every caller holds the cell's
+        // slot, so all but the evaluating one join it.
+        cache.hold(&spec(), K);
+        let served = on_threads(K, || cache.get_or_evaluate(&spec()).unwrap());
+        let count = |want| served.iter().filter(|(_, s)| *s == want).count();
+        assert_eq!(
+            (count(Served::Evaluated), count(Served::Joined)),
+            (1, K - 1)
+        );
+        let bits = |c: &StoredCell| c.metrics.map(f64::to_bits);
+        for (cell, _) in &served {
+            assert_eq!(bits(cell), bits(&served[0].0));
+        }
+        let log = load_shard(&dir.join(shard_file_name(Shard::default()))).unwrap();
+        assert_eq!(log.cells.len(), 1, "one record for one evaluation");
+        assert_eq!(bits(&log.cells[0]), bits(&served[0].0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -439,12 +448,17 @@ mod tests {
             Some(0),
             None,
         );
-        for attempt in 0..2 {
-            let err = cache.get_or_evaluate(&bad).unwrap_err();
-            assert!(
-                err.starts_with("evaluation panicked: DRAM bandwidth must be positive"),
-                "attempt {attempt}: {err}"
-            );
+        // The first evaluation panics only once a second request has
+        // joined it; the joined request then evaluates, and fails, itself.
+        // A later request retries alone.
+        cache.hold(&bad, 2);
+        for (attempt, requests) in [2, 1].into_iter().enumerate() {
+            for err in on_threads(requests, || cache.get_or_evaluate(&bad).unwrap_err()) {
+                assert!(
+                    err.starts_with("evaluation panicked: DRAM bandwidth must be positive"),
+                    "attempt {attempt}: {err}"
+                );
+            }
             assert_eq!(cache.len(), 0, "attempt {attempt}");
             assert_eq!(logged(), 0, "attempt {attempt}: nothing is appended");
         }

@@ -26,7 +26,7 @@
 //! log is the server's only persistence; without it the cache lives and
 //! dies with the process.
 
-use crate::cache::{Answer, CellCache, Served};
+use crate::cache::{CellCache, Served};
 use crate::http::{error_response, response, streaming_head, HttpError, Request, RequestParser};
 use crate::metrics::ServerMetrics;
 use crate::wire::{cell_line, done_line, error_line, header_line, parse_grid_request, DoneLine};
@@ -439,7 +439,7 @@ fn serve_grid(
         let fresh = adagp_runtime::pool().parallel_map(misses, |cell| state.cache.answer(cell));
         // The window's evaluations reach the disk before its lines leave.
         let evaluated = fresh.iter().filter_map(|answer| match answer {
-            Ok(Answer::Fresh(cell, Served::Evaluated)) => Some(&**cell),
+            Ok((entry, Served::Evaluated)) => Some(&*entry.cell),
             _ => None,
         });
         state.cache.commit(evaluated);
@@ -447,24 +447,27 @@ fn serve_grid(
         let mut chunk = String::new();
         for (cell, memo) in window.iter().zip(memoized) {
             let answer = match memo {
-                Some(memo) => Ok(Answer::Hit(memo)),
+                Some(entry) => Ok((entry, Served::Hit)),
                 None => fresh.next().expect("one answer per miss"),
             };
-            let served = match answer {
-                Ok(Answer::Hit(memo)) => {
-                    chunk.push_str(memo.hit_line(cell));
-                    Served::Hit
-                }
-                Ok(Answer::Fresh(stored, served)) => {
-                    chunk.push_str(&cell_line(&cell.id, &cell.key(), false, &stored.metrics()));
-                    served
-                }
+            let (entry, served) = match answer {
+                Ok(answer) => answer,
                 Err(msg) => {
                     chunk.push_str(&error_line(&cell.id, &msg));
                     chunk.push('\n');
                     continue;
                 }
             };
+            if served == Served::Hit {
+                chunk.push_str(entry.hit_line(cell));
+            } else {
+                chunk.push_str(&cell_line(
+                    &cell.id,
+                    &cell.key(),
+                    false,
+                    &entry.cell.metrics(),
+                ));
+            }
             chunk.push('\n');
             state.metrics.cells_served.fetch_add(1, Ordering::Relaxed);
             done.cells += 1;
@@ -642,16 +645,16 @@ mod tests {
             [&cells[0], &cells[3]]
                 .map(|c| StoredCell::from_evaluation(c, &adagp_sweep::evaluate_cell(c))),
         );
-        let held = cache.hold_flight(&cells[1]);
         let addr = server.addr();
         let reply = std::thread::scope(|scope| {
+            let held = cache.hold_flight(scope, &cells[1]);
             let client = scope.spawn(move || crate::submit_grid(addr, body));
             let deadline = Instant::now() + Duration::from_secs(60);
             while held.waiters() == 0 && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let joined = held.waiters() == 1;
-            held.finish(cache, &cells[1]);
+            held.finish();
             assert!(joined, "the window never joined the held flight");
             client.join().unwrap().expect("grid reply")
         });

@@ -60,11 +60,11 @@
 //! scale (a CIFAR-100 cell shares its CIFAR-10 twin's knee). The
 //! `bandwidth` preset revisits one (model, buffer) point per bandwidth
 //! value; the eight benchmark presets ask for 308 distinct knees over
-//! 771 cells. The table is the crate's one memo helper (`memo::Memo`):
-//! a hit is one lookup; a miss runs the search outside the table's lock,
-//! once per key even when threads race for it. A cell whose batches come from the batch memo but
-//! whose knee misses (a non-paper `schedules` cell) builds its graphs
-//! for the search alone.
+//! 771 cells. The table is an [`adagp_runtime::Memo`], like the batch
+//! memo: a hit is one lookup; a miss runs the search outside the
+//! table's lock, once per key even when threads race for it. A cell
+//! whose batches come from the batch memo but whose knee misses (a
+//! non-paper `schedules` cell) builds its graphs for the search alone.
 
 use crate::grid::{CellSpec, PhaseSchedule};
 use crate::memo::CellMemos;
@@ -257,9 +257,10 @@ impl KneeMemoKey {
 /// built only on a miss.
 pub fn cell_knee(spec: &CellSpec, base: &SimConfig, tolerance: f64) -> u64 {
     let key = KneeMemoKey::new(spec, &cell_sim_config(spec, base), tolerance);
-    CellMemos::global().knees.get_or_compute(key, || {
+    let (knee, _) = CellMemos::global().knees.get_or_compute(&key, || {
         CellGraphs::build(spec, base).search_knee(spec, tolerance)
-    })
+    });
+    knee
 }
 
 #[cfg(test)]

@@ -5,14 +5,14 @@
 //! deterministic, result order is the grid's expansion order regardless
 //! of thread count, and the caller participates (a 1-thread pool runs the
 //! sweep inline). Cells are not independent in cost: the simulated
-//! batches and the roofline knee come from process-global memos
-//! ([`crate::simeval`]'s `BatchMemoKey`, [`crate::roofline::KneeMemoKey`]),
-//! so a cell that shares its simulator inputs with an earlier one
-//! simulates nothing; [`evaluate_cells`] therefore runs the cells that
-//! will miss before the ones that will hit. The analytic closed forms
-//! are recomputed every time. Per-cell wall time is recorded for the
-//! JSON run record; it never enters the CSV, which must stay byte-stable
-//! across runs.
+//! batches and the roofline knee come from process-global memos, one
+//! [`adagp_runtime::Memo`] each ([`crate::simeval`]'s `BatchMemoKey`,
+//! [`crate::roofline::KneeMemoKey`]), so a cell that shares its
+//! simulator inputs with an earlier one simulates nothing;
+//! [`evaluate_cells`] therefore runs the cells that will miss before the
+//! ones that will hit. The analytic closed forms are recomputed every
+//! time. Per-cell wall time is recorded for the JSON run record; it
+//! never enters the CSV, which must stay byte-stable across runs.
 
 use crate::grid::{CellSpec, GridSpec};
 use crate::memo::CellMemos;
@@ -131,20 +131,19 @@ pub(crate) fn evaluate_cell_in(spec: &CellSpec, memos: &CellMemos) -> CellMetric
     // Compiled at most once, on the first memo miss: one set of BP / GP
     // graphs serves the batch replay and every probe of the knee search.
     let mut graphs = None;
-    let [bp, gp] = memos
+    let ([bp, gp], _) = memos
         .batches
-        .get_or_compute(BatchMemoKey::new(spec, &sim_cfg), || {
+        .get_or_compute(&BatchMemoKey::new(spec, &sim_cfg), || {
             graphs
                 .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
                 .batch_stats()
         });
-    let knee = memos
-        .knees
-        .get_or_compute(KneeMemoKey::new(spec, &sim_cfg, KNEE_TOLERANCE), || {
-            graphs
-                .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
-                .search_knee(spec, KNEE_TOLERANCE)
-        });
+    let knee_key = KneeMemoKey::new(spec, &sim_cfg, KNEE_TOLERANCE);
+    let (knee, _) = memos.knees.get_or_compute(&knee_key, || {
+        graphs
+            .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
+            .search_knee(spec, KNEE_TOLERANCE)
+    });
     let sim = AdaGpSim { bp, gp, mix };
     let sim_cycles = sim.training_cycles();
     CellMetrics {

@@ -4,24 +4,18 @@
 
 use adagp_nn::models::shapes::{model_shapes, InputScale, LayerShape};
 use adagp_nn::models::CnnModel;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-type ShapeCache = Mutex<HashMap<(CnnModel, InputScale), Arc<Vec<LayerShape>>>>;
-
-fn cache() -> &'static ShapeCache {
-    static CACHE: OnceLock<ShapeCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+use adagp_runtime::Memo;
+use std::sync::{Arc, OnceLock};
 
 /// Paper-scale shapes for `model` at `scale`, derived once per process
-/// and shared thereafter (cheap to clone: `Arc`).
+/// (outside the cache's lock) and shared thereafter (cheap to clone:
+/// `Arc`).
 pub fn cached_shapes(model: CnnModel, scale: InputScale) -> Arc<Vec<LayerShape>> {
-    let mut map = cache().lock().expect("shape cache poisoned");
-    Arc::clone(
-        map.entry((model, scale))
-            .or_insert_with(|| Arc::new(model_shapes(model, scale))),
-    )
+    static CACHE: OnceLock<Memo<(CnnModel, InputScale), Arc<Vec<LayerShape>>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(Memo::default);
+    cache
+        .get_or_compute(&(model, scale), || Arc::new(model_shapes(model, scale)))
+        .0
 }
 
 #[cfg(test)]
