@@ -209,6 +209,8 @@ fn a_killed_server_loses_no_committed_cell() {
     ] {
         assert_eq!(m[name], 4, "{name}: {m:?}");
     }
+    // A served cell is a group of one: it compiles its BP and GP graphs.
+    assert_eq!(m["adagp_sweep_graph_builds_total"], 8, "{m:?}");
 
     let second = Serve::start(&args, None);
     let grid = submit_grid(second.addr, SMOKE).expect("grid after restart");

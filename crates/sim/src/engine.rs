@@ -189,14 +189,20 @@ enum Label {
     },
 }
 
-/// One task's column values, as [`SimBuilder`] appends them.
+/// One task as [`SimBuilder`] keeps it, until compiling splits the rows
+/// into the graph's columns.
+#[derive(Debug, Clone, Copy)]
 struct Row {
     kind: TaskKind,
     label: Label,
-    layer: Option<usize>,
-    resource: Option<ResourceId>,
+    /// Layer index ([`NONE`] for synthetic nodes).
+    layer: u32,
+    /// Resource ([`NONE`] for resourceless tasks).
+    resource: u32,
     duration: u64,
     buffer_delta: i64,
+    /// End of the task's dependencies in the builder's `deps`.
+    deps_end: u32,
 }
 
 /// A compiled simulation DAG: task columns plus CSR adjacency. Built by
@@ -205,7 +211,7 @@ struct Row {
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     resources: Vec<ResourceSpec>,
-    layer_labels: Arc<[String]>,
+    layer_labels: Arc<[Arc<str>]>,
     custom_labels: Vec<String>,
     kind: Vec<TaskKind>,
     label: Vec<Label>,
@@ -227,14 +233,18 @@ pub struct TaskGraph {
 /// Accumulates resources and tasks, then compiles or runs the graph.
 #[derive(Debug)]
 pub struct SimBuilder {
-    /// The graph under construction (`succ*` stay empty until
-    /// [`SimBuilder::compile`]).
-    g: TaskGraph,
+    resources: Vec<ResourceSpec>,
+    layer_labels: Arc<[Arc<str>]>,
+    custom_labels: Vec<String>,
+    /// One row per task, in id order.
+    rows: Vec<Row>,
+    /// Every task's dependencies, concatenated in task order.
+    deps: Vec<u32>,
 }
 
 impl Default for SimBuilder {
     fn default() -> Self {
-        Self::with_layer_labels(Arc::from(Vec::new()))
+        Self::with_layer_labels(Arc::default())
     }
 }
 
@@ -319,24 +329,25 @@ impl SimBuilder {
     /// A fresh simulation whose [`LayerTask`]s take their labels from
     /// `layer_labels` (shared, so several graphs over one model clone no
     /// strings).
-    pub fn with_layer_labels(layer_labels: Arc<[String]>) -> Self {
+    pub fn with_layer_labels(layer_labels: Arc<[Arc<str>]>) -> Self {
         SimBuilder {
-            g: TaskGraph {
-                resources: Vec::new(),
-                layer_labels,
-                custom_labels: Vec::new(),
-                kind: Vec::new(),
-                label: Vec::new(),
-                layer: Vec::new(),
-                resource: Vec::new(),
-                duration: Vec::new(),
-                buffer_delta: Vec::new(),
-                dep_start: vec![0],
-                deps: Vec::new(),
-                succ_start: Vec::new(),
-                succ: Vec::new(),
-            },
+            resources: Vec::new(),
+            layer_labels,
+            custom_labels: Vec::new(),
+            rows: Vec::new(),
+            deps: Vec::new(),
         }
+    }
+
+    /// Empties the builder for a new graph over `layer_labels`, keeping
+    /// the capacity of its rows: a builder reused this way grows only for
+    /// a graph larger than every one before it.
+    pub(crate) fn reset(&mut self, layer_labels: Arc<[Arc<str>]>) {
+        self.resources.clear();
+        self.layer_labels = layer_labels;
+        self.custom_labels.clear();
+        self.rows.clear();
+        self.deps.clear();
     }
 
     /// Registers a resource and returns its id.
@@ -346,11 +357,11 @@ impl SimBuilder {
     /// Panics if `capacity == 0`.
     pub fn add_resource(&mut self, name: impl Into<String>, capacity: u32) -> ResourceId {
         assert!(capacity > 0, "resource capacity must be positive");
-        self.g.resources.push(ResourceSpec {
+        self.resources.push(ResourceSpec {
             name: name.into(),
             capacity,
         });
-        self.g.resources.len() - 1
+        self.resources.len() - 1
     }
 
     /// Registers a task and returns its id. Dependencies must refer to
@@ -360,17 +371,14 @@ impl SimBuilder {
     ///
     /// Panics on a forward dependency or an unknown resource id.
     pub fn add_task(&mut self, spec: TaskSpec) -> TaskId {
-        let label = Label::Custom(self.g.custom_labels.len() as u32);
-        self.g.custom_labels.push(spec.label);
+        let label = Label::Custom(self.custom_labels.len() as u32);
+        self.custom_labels.push(spec.label);
         self.push(
-            Row {
-                kind: spec.kind,
-                label,
-                layer: spec.layer,
-                resource: spec.resource,
-                duration: spec.duration,
-                buffer_delta: spec.buffer_delta,
-            },
+            spec.kind,
+            label,
+            spec.layer,
+            spec.resource,
+            (spec.duration, spec.buffer_delta),
             spec.deps,
         )
     }
@@ -387,72 +395,105 @@ impl SimBuilder {
         deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
         assert!(
-            task.layer < self.g.layer_labels.len(),
+            task.layer < self.layer_labels.len(),
             "layer {} has no label",
             task.layer
         );
         self.push(
-            Row {
-                kind: task.kind,
-                label: Label::Layer {
-                    prefix: task.prefix,
-                    suffix: task.suffix,
-                },
-                layer: Some(task.layer),
-                resource: task.resource,
-                duration: task.duration,
-                buffer_delta: task.buffer_delta,
+            task.kind,
+            Label::Layer {
+                prefix: task.prefix,
+                suffix: task.suffix,
             },
+            Some(task.layer),
+            task.resource,
+            (task.duration, task.buffer_delta),
             deps,
         )
     }
 
-    fn push(&mut self, row: Row, deps: impl IntoIterator<Item = TaskId>) -> TaskId {
-        let g = &mut self.g;
-        let id = g.kind.len();
+    fn push(
+        &mut self,
+        kind: TaskKind,
+        label: Label,
+        layer: Option<usize>,
+        resource: Option<ResourceId>,
+        (duration, buffer_delta): (u64, i64),
+        deps: impl IntoIterator<Item = TaskId>,
+    ) -> TaskId {
+        let id = self.rows.len();
         assert!(id < NONE as usize, "too many tasks");
         for d in deps {
             assert!(d < id, "task {id} depends on not-yet-registered task {d}");
-            g.deps.push(d as u32);
+            self.deps.push(d as u32);
         }
-        g.dep_start.push(g.deps.len() as u32);
-        if let Some(r) = row.resource {
-            assert!(r < g.resources.len(), "task {id} uses unknown resource");
+        if let Some(r) = resource {
+            assert!(r < self.resources.len(), "task {id} uses unknown resource");
         }
-        g.kind.push(row.kind);
-        g.label.push(row.label);
-        g.layer.push(row.layer.map_or(NONE, |l| l as u32));
-        g.resource.push(row.resource.map_or(NONE, |r| r as u32));
-        g.duration.push(row.duration);
-        g.buffer_delta.push(row.buffer_delta);
+        self.rows.push(Row {
+            kind,
+            label,
+            layer: layer.map_or(NONE, |l| l as u32),
+            resource: resource.map_or(NONE, |r| r as u32),
+            duration,
+            buffer_delta,
+            deps_end: self.deps.len() as u32,
+        });
         id
     }
 
     /// Compiles the accumulated tasks into a replayable [`TaskGraph`].
-    pub fn compile(self) -> TaskGraph {
-        let mut g = self.g;
-        let n = g.kind.len();
+    pub fn compile(mut self) -> TaskGraph {
+        self.take_compiled()
+    }
+
+    /// Compiles the accumulated tasks into a [`TaskGraph`], each column
+    /// allocated once at its final length, and leaves the builder empty
+    /// but for its capacity ([`SimBuilder::reset`] starts the next graph).
+    pub(crate) fn take_compiled(&mut self) -> TaskGraph {
+        let rows = &self.rows;
+        let n = rows.len();
+        let column = |f: fn(&Row) -> u32| rows.iter().map(f).collect::<Vec<u32>>();
+        let dep_start: Vec<u32> = std::iter::once(0)
+            .chain(rows.iter().map(|r| r.deps_end))
+            .collect();
         // Counting sort of the dependency edges by source: dependents of
         // each task end up in task-id order, which is the order the loop
-        // enqueues them in.
+        // enqueues them in. `start[d]` is first each source's count, then
+        // its write cursor, which ends at the next source's first slot;
+        // shifting those ends up one place gives the starts.
         let mut start = vec![0u32; n + 1];
-        for &d in &g.deps {
-            start[d as usize + 1] += 1;
+        for &d in &self.deps {
+            start[d as usize] += 1;
         }
-        for t in 0..n {
-            start[t + 1] += start[t];
+        let mut sum = 0;
+        for s in &mut start[..n] {
+            (*s, sum) = (sum, sum + *s);
         }
-        let mut next = start.clone();
-        let mut succ = vec![0u32; g.deps.len()];
+        let mut succ = vec![0u32; self.deps.len()];
         for t in 0..n {
-            for &d in &g.deps[g.dep_start[t] as usize..g.dep_start[t + 1] as usize] {
-                succ[next[d as usize] as usize] = t as u32;
-                next[d as usize] += 1;
+            for &d in &self.deps[dep_start[t] as usize..dep_start[t + 1] as usize] {
+                succ[start[d as usize] as usize] = t as u32;
+                start[d as usize] += 1;
             }
         }
-        g.succ_start = start;
-        g.succ = succ;
-        g
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        TaskGraph {
+            kind: rows.iter().map(|r| r.kind).collect(),
+            label: rows.iter().map(|r| r.label).collect(),
+            layer: column(|r| r.layer),
+            resource: column(|r| r.resource),
+            duration: rows.iter().map(|r| r.duration).collect(),
+            buffer_delta: rows.iter().map(|r| r.buffer_delta).collect(),
+            dep_start,
+            deps: self.deps.to_vec(),
+            succ_start: start,
+            succ,
+            resources: std::mem::take(&mut self.resources),
+            layer_labels: std::mem::take(&mut self.layer_labels),
+            custom_labels: std::mem::take(&mut self.custom_labels),
+        }
     }
 
     /// Compiles the graph, runs it to completion and returns the trace.
@@ -542,6 +583,14 @@ impl<R: Recorder> Run<'_, R> {
         self.rec.ready(task, clock);
         match self.g.resource[task] {
             NONE => {
+                self.rec.start(task, clock, cause);
+                self.st
+                    .heap
+                    .push(Reverse((clock + self.g.duration[task], id)));
+            }
+            // A free port with nobody queued ahead: admitted at once.
+            r if self.st.available[r as usize] > 0 && self.st.queues[r as usize].is_empty() => {
+                self.st.available[r as usize] -= 1;
                 self.rec.start(task, clock, cause);
                 self.st
                     .heap
@@ -781,6 +830,34 @@ impl TaskGraph {
 }
 
 #[cfg(test)]
+impl TaskGraph {
+    /// Each column's name, length and capacity.
+    pub(crate) fn column_sizes(&self) -> [(&'static str, usize, usize); 10] {
+        let size = |name, len, capacity| (name, len, capacity);
+        [
+            size("kind", self.kind.len(), self.kind.capacity()),
+            size("label", self.label.len(), self.label.capacity()),
+            size("layer", self.layer.len(), self.layer.capacity()),
+            size("resource", self.resource.len(), self.resource.capacity()),
+            size("duration", self.duration.len(), self.duration.capacity()),
+            size(
+                "buffer_delta",
+                self.buffer_delta.len(),
+                self.buffer_delta.capacity(),
+            ),
+            size("dep_start", self.dep_start.len(), self.dep_start.capacity()),
+            size("deps", self.deps.len(), self.deps.capacity()),
+            size(
+                "succ_start",
+                self.succ_start.len(),
+                self.succ_start.capacity(),
+            ),
+            size("succ", self.succ.len(), self.succ.capacity()),
+        ]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -969,7 +1046,7 @@ mod tests {
 
     #[test]
     fn layer_tasks_render_labels_on_demand_and_share_the_table() {
-        let labels: Arc<[String]> = vec!["conv1".to_string(), "fc".to_string()].into();
+        let labels: Arc<[Arc<str>]> = vec!["conv1".into(), "fc".into()].into();
         let mut b = SimBuilder::with_layer_labels(labels);
         let pe = b.add_resource("pe", 1);
         let row = |layer, prefix, suffix| LayerTask {

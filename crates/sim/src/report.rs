@@ -114,7 +114,7 @@ mod tests {
     fn sim() -> BatchSim {
         let layers: Vec<SimLayer> = (0..3u64)
             .map(|i| SimLayer {
-                label: format!("l{i}"),
+                label: format!("l{i}").into(),
                 cost: LayerCost {
                     fw: 100 * (i + 1),
                     bw: 200 * (i + 1),
@@ -172,7 +172,7 @@ mod tests {
         // zero-slack chain must spend time on the dram lane.
         let layers: Vec<SimLayer> = (0..3u64)
             .map(|i| SimLayer {
-                label: format!("l{i}"),
+                label: format!("l{i}").into(),
                 cost: LayerCost {
                     fw: 50,
                     bw: 100,

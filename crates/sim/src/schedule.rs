@@ -83,7 +83,7 @@ pub fn pipeline_graph(
         devices > 0 && microbatches > 0,
         "a pipeline needs at least one device and one micro-batch"
     );
-    let labels: Arc<[String]> = (0..microbatches).map(|m| format!("m{m}")).collect();
+    let labels: Arc<[Arc<str>]> = (0..microbatches).map(|m| format!("m{m}").into()).collect();
     let mut b = SimBuilder::with_layer_labels(labels);
     let lanes: Vec<_> = (0..devices)
         .map(|d| b.add_resource(format!("device{d}"), 1))

@@ -38,7 +38,7 @@ impl AdaGpGraphs {
         design: AdaGpDesign,
         layers: &[SimLayer],
         cfg: &SimConfig,
-        labels: Arc<[String]>,
+        labels: Arc<[Arc<str>]>,
     ) -> Self {
         let build =
             |phase| BatchGraph::build_labeled(phase, Some(design), layers, cfg, labels.clone());

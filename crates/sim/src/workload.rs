@@ -28,10 +28,14 @@
 //! one chain on the PE array, or one window per layer (MAX).
 //!
 //! Contention is opt-in through [`SimConfig::dram_words_per_cycle`]: each
-//! layer's weights then stream over a DRAM channel before its
-//! FW may start (double-buffered prefetch — loads run ahead of compute
-//! but serialize against each other), which exposes bandwidth stalls the
-//! closed forms cannot see. A finite [`SimConfig::buffer_words`] adds the
+//! layer's weights then stream over a DRAM channel before its FW may
+//! start, which exposes bandwidth stalls the closed forms cannot see. The
+//! prefetch is unbounded: every [`TaskKind::WeightLoad`] has no
+//! dependency and a buffer delta of 0, so all of a batch's loads queue on
+//! the channel at t = 0 in task-id order, run as far ahead of compute as
+//! the channel lets them, and are never charged to the buffer. How many
+//! layers ahead a load may run, and what its words cost the buffer, is
+//! ROADMAP item 25. A finite [`SimConfig::buffer_words`] adds the
 //! second contention axis: layers whose working set exceeds the buffer
 //! re-stream operands ([`adagp_accel::buffer::tiled_fw_traffic`] decides
 //! how many extra words), modeled as a [`TaskKind::Spill`] task on the
@@ -45,7 +49,10 @@
 //! never which tasks exist or what they wait on, so the graph keeps each
 //! DRAM task's *words* and [`BatchGraph::set_bandwidth`] re-times them:
 //! [`BatchGraph::run`] then replays the batch untraced, and
-//! [`simulate_batch`] is one build plus one traced run.
+//! [`simulate_batch`] is one build plus one traced run. A build emits
+//! into the thread's reusable builder, summing the batch's work totals as
+//! it goes, and copies each column of the graph once, at its final
+//! length.
 
 use crate::engine::{LayerTask, ResourceId, SimBuilder, SimResult, TaskGraph, TaskId, TaskKind};
 use adagp_accel::buffer::{tiled_fw_traffic, BufferConfig};
@@ -54,6 +61,7 @@ use adagp_accel::layer_cost::{model_costs, LayerCost, PredictorCostModel};
 use adagp_accel::speedup::MODEL_BATCH;
 use adagp_accel::AdaGpDesign;
 use adagp_nn::models::shapes::LayerShape;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Simulator configuration: batch size plus the contention axes — DRAM
@@ -149,8 +157,9 @@ impl Phase {
 /// that drive contention and buffer-occupancy modeling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimLayer {
-    /// Display label.
-    pub label: String,
+    /// Display label (shared, so the label tables of the graphs built
+    /// over the layer clone no strings).
+    pub label: Arc<str>,
     /// Cycle costs (FW / BW / α) of the layer.
     pub cost: LayerCost,
     /// Weight words streamed from DRAM before the layer's FW (0 = none).
@@ -165,7 +174,7 @@ pub struct SimLayer {
 impl SimLayer {
     /// A layer with costs only — no streaming, no buffer footprint.
     /// (Property tests over random cost mixes use this.)
-    pub fn from_cost(label: impl Into<String>, cost: LayerCost) -> Self {
+    pub fn from_cost(label: impl Into<Arc<str>>, cost: LayerCost) -> Self {
         SimLayer {
             label: label.into(),
             cost,
@@ -218,7 +227,7 @@ pub fn model_sim_layers(
         .iter()
         .zip(costs)
         .map(|(l, cost)| SimLayer {
-            label: l.label.clone(),
+            label: l.label.as_str().into(),
             cost,
             weight_words: l.weight_count(),
             activation_words: l.out_activations() * batch as u64,
@@ -343,7 +352,7 @@ pub fn split_bw(bw: u64) -> (u64, u64) {
 }
 
 /// The shared layer-label table of `layers` ([`BatchGraph::build_labeled`]).
-pub fn layer_labels(layers: &[SimLayer]) -> Arc<[String]> {
+pub(crate) fn layer_labels(layers: &[SimLayer]) -> Arc<[Arc<str>]> {
     layers.iter().map(|l| l.label.clone()).collect()
 }
 
@@ -367,18 +376,95 @@ pub struct BatchGraph {
     totals: BatchStats,
 }
 
-/// Emits one batch graph: the builder plus what the per-layer helpers
-/// share.
+thread_local! {
+    /// The thread's batch emission state: a builder and a DRAM-word list
+    /// that keep their capacity from one build to the next, so a build
+    /// grows no column and [`SimBuilder::take_compiled`] copies each one
+    /// once, at its final length.
+    static SCRATCH: RefCell<(SimBuilder, Vec<(TaskId, u64)>)> = RefCell::default();
+}
+
+/// Emits one batch graph into a builder: the resources, the tasks, the
+/// DRAM tasks' words and the work totals, summed as the tasks go out.
 struct Emitter<'a> {
-    b: SimBuilder,
+    b: &'a mut SimBuilder,
     pe: ResourceId,
     /// The DRAM channel and the words per cycle its tasks are timed at.
     dram: Option<(ResourceId, u64)>,
     layers: &'a [SimLayer],
-    dram_words: Vec<(TaskId, u64)>,
+    dram_words: &'a mut Vec<(TaskId, u64)>,
+    /// Work totals; `makespan` and `buffer_peak` stay 0.
+    totals: BatchStats,
 }
 
-impl Emitter<'_> {
+impl<'a> Emitter<'a> {
+    /// Emits one batch of `phase` under `design` over `layers` into `b`,
+    /// registering the resources first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phase` is not [`Phase::Baseline`] while `design` is
+    /// `None`.
+    fn emit(
+        b: &'a mut SimBuilder,
+        dram_words: &'a mut Vec<(TaskId, u64)>,
+        phase: Phase,
+        design: Option<AdaGpDesign>,
+        layers: &'a [SimLayer],
+        cfg: &SimConfig,
+    ) -> Self {
+        // Both arrays are single-ported: the paper's schedules serialize
+        // through dependency chains, so a second port would change nothing.
+        let pe = b.add_resource("pe-array", 1);
+        let predictor = match (phase, design) {
+            (Phase::Baseline, _) => Predictor::None,
+            (_, Some(AdaGpDesign::Max)) => Predictor::Own(b.add_resource("predictor-array", 1)),
+            (_, Some(d)) => Predictor::Shared {
+                reload: d.reload_cycles(),
+            },
+            (_, None) => panic!("ADA-GP phases need a design"),
+        };
+        let dram = cfg
+            .dram_words_per_cycle
+            .map(|bw| (b.add_resource("dram", cfg.dram_ports), bw));
+        let mut e = Emitter {
+            b,
+            pe,
+            dram,
+            layers,
+            dram_words,
+            totals: BatchStats {
+                makespan: 0,
+                buffer_peak: 0,
+                pe_busy: 0,
+                model_cycles: 0,
+                predictor_cycles: 0,
+                spill_cycles: 0,
+            },
+        };
+        e.batch(phase, predictor);
+        e
+    }
+
+    /// Appends `task` after `deps`, adding its cycles to the totals.
+    fn add(&mut self, task: LayerTask, deps: impl IntoIterator<Item = TaskId>) -> TaskId {
+        let totals = &mut self.totals;
+        match task.kind {
+            TaskKind::Forward | TaskKind::BackwardData | TaskKind::BackwardWeight => {
+                totals.model_cycles += task.duration
+            }
+            TaskKind::PredictorFill | TaskKind::PredictorUpdate | TaskKind::PredictorReload => {
+                totals.predictor_cycles += task.duration
+            }
+            TaskKind::Spill => totals.spill_cycles += task.duration,
+            TaskKind::WeightLoad | TaskKind::Join => {}
+        }
+        if task.resource == Some(self.pe) {
+            totals.pe_busy += task.duration;
+        }
+        self.b.add_layer_task(task, deps)
+    }
+
     /// A compute task of `kind` for layer `i`, labeled `"{kind} {layer}"`.
     fn compute(
         &mut self,
@@ -389,7 +475,7 @@ impl Emitter<'_> {
         buffer_delta: i64,
         deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
-        self.b.add_layer_task(
+        self.add(
             LayerTask {
                 kind,
                 layer: i,
@@ -417,7 +503,7 @@ impl Emitter<'_> {
         if words == 0 {
             return None;
         }
-        let id = self.b.add_layer_task(
+        let id = self.add(
             LayerTask {
                 kind,
                 layer: i,
@@ -482,7 +568,7 @@ impl Emitter<'_> {
     /// A resourceless barrier closing layer `i`'s window, freeing the
     /// layer's activation.
     fn join(&mut self, prefix: &'static str, i: usize, deps: [TaskId; 2]) -> TaskId {
-        self.b.add_layer_task(
+        self.add(
             LayerTask {
                 kind: TaskKind::Join,
                 layer: i,
@@ -547,7 +633,7 @@ impl Emitter<'_> {
         }
         if gp {
             let last = layers.len() - 1;
-            self.b.add_layer_task(
+            self.add(
                 LayerTask {
                     kind: TaskKind::PredictorFill,
                     layer: last,
@@ -582,73 +668,33 @@ impl BatchGraph {
 
     /// [`BatchGraph::build`] with the label table of `layers` passed in,
     /// so several graphs over one model share it ([`layer_labels`]).
-    pub fn build_labeled(
+    pub(crate) fn build_labeled(
         phase: Phase,
         design: Option<AdaGpDesign>,
         layers: &[SimLayer],
         cfg: &SimConfig,
-        labels: Arc<[String]>,
+        labels: Arc<[Arc<str>]>,
     ) -> Self {
         assert!(!layers.is_empty(), "need at least one layer");
         assert!(
             cfg.dram_words_per_cycle != Some(0),
             "DRAM bandwidth must be positive (use None to disable contention)"
         );
-        let mut b = SimBuilder::with_layer_labels(labels);
-        // Both arrays are single-ported: the paper's schedules serialize
-        // through dependency chains, so a second port would change nothing.
-        let pe = b.add_resource("pe-array", 1);
-        let predictor = match (phase, design) {
-            (Phase::Baseline, _) => Predictor::None,
-            (_, Some(AdaGpDesign::Max)) => Predictor::Own(b.add_resource("predictor-array", 1)),
-            (_, Some(d)) => Predictor::Shared {
-                reload: d.reload_cycles(),
-            },
-            (_, None) => panic!("ADA-GP phases need a design"),
-        };
-        let dram = cfg
-            .dram_words_per_cycle
-            .map(|bw| (b.add_resource("dram", cfg.dram_ports), bw));
-        let mut e = Emitter {
-            b,
-            pe,
-            dram,
-            layers,
-            dram_words: Vec::new(),
-        };
-        e.batch(phase, predictor);
-
-        let graph = e.b.compile();
-        let mut totals = BatchStats {
-            makespan: 0,
-            buffer_peak: 0,
-            pe_busy: graph.busy()[pe],
-            model_cycles: 0,
-            predictor_cycles: 0,
-            spill_cycles: 0,
-        };
-        for t in 0..graph.len() {
-            let cycles = graph.duration(t);
-            match graph.kind(t) {
-                TaskKind::Forward | TaskKind::BackwardData | TaskKind::BackwardWeight => {
-                    totals.model_cycles += cycles
-                }
-                TaskKind::PredictorFill | TaskKind::PredictorUpdate | TaskKind::PredictorReload => {
-                    totals.predictor_cycles += cycles
-                }
-                TaskKind::Spill => totals.spill_cycles += cycles,
-                TaskKind::WeightLoad | TaskKind::Join => {}
+        SCRATCH.with_borrow_mut(|(b, dram_words)| {
+            b.reset(labels);
+            dram_words.clear();
+            let e = Emitter::emit(b, dram_words, phase, design, layers, cfg);
+            let (pe_array, totals) = (e.pe, e.totals);
+            BatchGraph {
+                phase,
+                design,
+                graph: b.take_compiled(),
+                pe_array,
+                bandwidth: cfg.dram_words_per_cycle,
+                dram_words: dram_words.to_vec(),
+                totals,
             }
-        }
-        BatchGraph {
-            phase,
-            design,
-            graph,
-            pe_array: pe,
-            bandwidth: cfg.dram_words_per_cycle,
-            dram_words: e.dram_words,
-            totals,
-        }
+        })
     }
 
     /// Re-times every DRAM task to `words_per_cycle`; the graph then runs
@@ -752,7 +798,7 @@ mod tests {
         .iter()
         .enumerate()
         .map(|(i, &cost)| SimLayer {
-            label: format!("l{i}"),
+            label: format!("l{i}").into(),
             cost,
             weight_words: 10_000,
             activation_words: 5_000,
@@ -1006,6 +1052,32 @@ mod tests {
             &ls,
             &SimConfig::no_contention().with_bandwidth(0),
         );
+    }
+
+    #[test]
+    fn every_column_of_a_compiled_graph_is_allocated_at_its_final_length() {
+        use adagp_nn::models::shapes::{model_shapes, InputScale};
+        use adagp_nn::models::CnnModel;
+        let (acfg, pred) = (AcceleratorConfig::default(), PredictorCostModel::default());
+        let cfg = SimConfig::default();
+        let mut schedules = vec![(Phase::Baseline, None)];
+        for d in AdaGpDesign::all() {
+            schedules.extend([(Phase::Bp, Some(d)), (Phase::Gp, Some(d))]);
+        }
+        for model in CnnModel::all() {
+            let shapes = model_shapes(model, InputScale::ImageNet);
+            let ls = model_sim_layers(&acfg, Dataflow::WeightStationary, &pred, &shapes, &cfg);
+            for &(phase, design) in &schedules {
+                // Built after larger and smaller graphs on this thread: the
+                // builder's capacity from one build never leaks into the
+                // next graph's columns.
+                let g = BatchGraph::build(phase, design, &ls, &cfg);
+                for (column, len, capacity) in g.graph.column_sizes() {
+                    assert_eq!(capacity, len, "{model:?} {phase:?} {design:?}: {column}");
+                }
+                assert_eq!(g.dram_words.capacity(), g.dram_words.len());
+            }
+        }
     }
 
     #[test]

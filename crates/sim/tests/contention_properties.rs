@@ -14,12 +14,17 @@
 //!    configuration reproduces it exactly.
 //! 4. **Longest-path lower bound** — a compiled graph's
 //!    `TaskGraph::longest_path` (the knee search's floor) never exceeds
-//!    its replayed makespan, and never grows with bandwidth.
+//!    its replayed makespan, and never grows with bandwidth. Without the
+//!    DRAM channel it *is* the makespan, on every zoo model's batch graph:
+//!    each resource's tasks then form one dependency chain, so nothing
+//!    queues. That is why the floor's crossing is the knee for 300 of the
+//!    eight benchmark presets' 308 knee keys.
 
 use adagp_accel::designs::{baseline_batch_cycles, bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::{model_costs, LayerCost, PredictorCostModel};
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
-use adagp_nn::models::shapes::LayerShape;
+use adagp_nn::models::shapes::{model_shapes, InputScale, LayerShape};
+use adagp_nn::models::CnnModel;
 use adagp_sim::{model_sim_layers, simulate_batch, BatchGraph, Phase, SimConfig};
 use adagp_tensor::Prng;
 
@@ -207,4 +212,30 @@ fn longest_path_bounds_every_makespan_and_never_grows_with_bandwidth() {
         }
     }
     assert_eq!(checked, 200 * 3 * phases().len() * bandwidths.len());
+}
+
+#[test]
+fn without_contention_the_longest_path_is_the_makespan_of_every_zoo_graph() {
+    let acfg = AcceleratorConfig::default();
+    let pred = PredictorCostModel::default();
+    let cfg = SimConfig::no_contention();
+    let mut checked = 0;
+    for model in CnnModel::all() {
+        for scale in [InputScale::Cifar, InputScale::ImageNet] {
+            let shapes = model_shapes(model, scale);
+            for df in DATAFLOWS {
+                let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
+                for (phase, design) in phases() {
+                    let graph = BatchGraph::build(phase, design, &layers, &cfg);
+                    assert_eq!(
+                        graph.graph().longest_path(),
+                        graph.run().makespan,
+                        "{model:?} {scale:?} {df:?} {phase:?} {design:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 13 * 2 * 4 * 7);
 }

@@ -32,7 +32,7 @@ fn random_layers(rng: &mut Prng) -> Vec<SimLayer> {
             let bw = 2 * fw + jitter;
             let alpha = rng.next_u64() % (2 * fw);
             SimLayer {
-                label: format!("l{i}"),
+                label: format!("l{i}").into(),
                 cost: LayerCost { fw, bw, alpha },
                 weight_words: rng.next_u64() % 1_000_000,
                 activation_words: rng.next_u64() % 1_000_000,

@@ -11,11 +11,17 @@
 //! pinned by `runs/roofline.csv`). [`cell_knee`] is the same knee on its
 //! own, under any base config and tolerance.
 //!
-//! The search leans on a property the simulator guarantees (and
-//! `crates/sim/tests/contention_properties.rs` sweeps): the simulated
-//! makespan is monotone non-increasing in `dram_words_per_cycle`, so the
-//! knee is well-defined and a search over `[1, KNEE_MAX_BW]` finds it
-//! exactly.
+//! The search assumes that the simulated makespan is monotone
+//! non-increasing in `dram_words_per_cycle`, so that the knee is
+//! well-defined and a search over `[1, KNEE_MAX_BW]` finds it exactly.
+//! That is sampled, not guaranteed: `crates/sim/tests/contention_properties.rs`
+//! checks it on 200 seeded layer mixes, and
+//! `gallop_equals_the_bisection_on_every_preset_knee` (below) on the
+//! replayed points of all 308 preset knees. FIFO list scheduling is not
+//! monotone in general — a schedule can get longer when a task gets
+//! shorter (Graham, "Bounds on Multiprocessing Timing Anomalies", 1969) —
+//! so the premise needs an argument about these graphs in particular;
+//! ROADMAP item 24 is that argument and an independent reference engine.
 //!
 //! **Floor, then replay.** A replay of both batch graphs is the search's
 //! cost, so the search first finds where replaying can start. The
@@ -45,9 +51,11 @@
 //! batch graphs, so the search compiles nothing: it re-times the cell's
 //! already-built Phase-BP and Phase-GP graphs
 //! ([`adagp_sim::AdaGpGraphs::set_bandwidth`]) and replays them untraced,
-//! two makespans per probe. The graphs are the same set the cell's sim
-//! metrics came from ([`crate::simeval`]'s `CellGraphs`), built at most
-//! once per cell evaluation and only on a memo miss. The contention-free
+//! two makespans per probe. The graphs are the set of the cell's group
+//! ([`crate::simeval`]'s `CellGraphs`: the cells that differ only in
+//! bandwidth and schedule), built at most once per group and only on a
+//! memo miss; the search leaves them at the last bandwidth it probed, and
+//! the next cell re-times them to its own. The contention-free
 //! reference is the closed form of [`adagp_accel::designs`] on the cell's
 //! layer costs, which the `no_contention` simulation equals bit-for-bit
 //! (the sim crate's contract, golden-tested) — the knee is anchored to
@@ -62,13 +70,14 @@
 //! value; the eight benchmark presets ask for 308 distinct knees over
 //! 771 cells. The table is an [`adagp_runtime::Memo`], like the batch
 //! memo: a hit is one lookup; a miss runs the search outside the
-//! table's lock, once per key even when threads race for it. A cell
-//! whose batches come from the batch memo but whose knee misses (a
-//! non-paper `schedules` cell) builds its graphs for the search alone.
+//! table's lock, once per key even when threads race for it. A group
+//! whose batches all come from the batch memo but whose knees miss (the
+//! non-paper `schedules` cells) compiles its graphs once, for the
+//! searches alone.
 
 use crate::grid::{CellSpec, PhaseSchedule};
 use crate::memo::CellMemos;
-use crate::simeval::{cell_sim_config, CellGraphs};
+use crate::simeval::{build_graphs, cell_sim_config, CellGraphs};
 use adagp_accel::layer_cost::LayerCost;
 use adagp_accel::speedup::adagp_cycles_of;
 use adagp_accel::{AdaGpDesign, Dataflow};
@@ -147,32 +156,33 @@ fn first_within(mut curve: impl FnMut(u64) -> f64, target: f64, above: u64) -> O
 }
 
 impl CellGraphs {
-    /// Contention-free ADA-GP training cycles of the cell: the closed
-    /// forms on its layer costs (== the `no_contention` simulation).
+    /// Contention-free ADA-GP training cycles of `spec`: the closed forms
+    /// on the group's layer costs (== the `no_contention` simulation).
     fn free_cycles(&self, spec: &CellSpec) -> f64 {
         let costs: Vec<LayerCost> = self.layers.iter().map(|l| l.cost).collect();
-        adagp_cycles_of(spec.design, &costs, &self.mix)
+        adagp_cycles_of(spec.design, &costs, &spec.schedule.mix())
     }
 
-    /// The cell's knee by [`knee_search`] (not memoized).
+    /// `spec`'s knee by [`knee_search`] (not memoized), on this group's
+    /// graphs. They are left timed at the last bandwidth probed: a cell
+    /// re-times them before it replays them.
     pub(crate) fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
         let free = self.free_cycles(spec);
         self.with_channel(spec, |at, floor| knee_search(at, floor, free, tolerance))
     }
 
-    /// Runs `f` on the two curves of graphs that have a DRAM channel — the
-    /// cell's own (restored to the configured bandwidth afterwards), or,
-    /// under a contention-off base, a set compiled `with_bandwidth`. Both
-    /// re-time the graphs to the bandwidth asked for; the first replays
-    /// them (a probe, counted in `sweep_knee_probes_total`), the second
-    /// returns their longest-path floor
-    /// ([`AdaGpGraphs::training_cycles_floor`]).
+    /// Runs `f` on `spec`'s two curves over graphs that have a DRAM
+    /// channel — the group's own, or, under a contention-off base, a set
+    /// compiled `with_bandwidth`. Both re-time the graphs to the bandwidth
+    /// asked for; the first replays them (a probe, counted in
+    /// `sweep_knee_probes_total`), the second returns their longest-path
+    /// floor ([`AdaGpGraphs::training_cycles_floor`]).
     fn with_channel<T>(
         &mut self,
         spec: &CellSpec,
         f: impl FnOnce(&mut dyn FnMut(u64) -> f64, &mut dyn FnMut(u64) -> f64) -> T,
     ) -> T {
-        let mix = self.mix;
+        let mix = spec.schedule.mix();
         let probe = |graphs: &mut AdaGpGraphs| {
             let graphs = RefCell::new(graphs);
             let retimed = |bw| {
@@ -188,16 +198,11 @@ impl CellGraphs {
                 &mut |bw| retimed(bw).training_cycles_floor(&mix),
             )
         };
-        match self.cfg.dram_words_per_cycle {
-            Some(configured) => {
-                let out = probe(&mut self.graphs);
-                self.graphs.set_bandwidth(configured);
-                out
-            }
-            None => {
-                let cfg = self.cfg.with_bandwidth(KNEE_MAX_BW);
-                probe(&mut AdaGpGraphs::build(spec.design, &self.layers, &cfg))
-            }
+        if self.cfg.dram_words_per_cycle.is_some() {
+            probe(&mut self.graphs)
+        } else {
+            let cfg = self.cfg.with_bandwidth(KNEE_MAX_BW);
+            probe(&mut build_graphs(spec.design, &self.layers, &cfg))
         }
     }
 }
@@ -463,7 +468,7 @@ mod tests {
                 StepSim::run(
                     spec.design,
                     &cell.layers,
-                    &cell.mix,
+                    &spec.schedule.mix(),
                     &cell.cfg.with_bandwidth(bw),
                 )
                 .adagp

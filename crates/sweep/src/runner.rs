@@ -8,11 +8,13 @@
 //! batches and the roofline knee come from process-global memos, one
 //! [`adagp_runtime::Memo`] each ([`crate::simeval`]'s `BatchMemoKey`,
 //! [`crate::roofline::KneeMemoKey`]), so a cell that shares its
-//! simulator inputs with an earlier one simulates nothing;
-//! [`evaluate_cells`] therefore runs the cells that will miss before the
-//! ones that will hit. The analytic closed forms are recomputed every
-//! time. Per-cell wall time is recorded for the JSON run record; it
-//! never enters the CSV, which must stay byte-stable across runs.
+//! simulator inputs with an earlier one simulates nothing, and the cells
+//! that differ only in bandwidth and schedule share one compiled set of
+//! graphs; [`evaluate_cells`] therefore runs such siblings as one group
+//! and the groups that will miss before the cells that will hit. The
+//! analytic closed forms are recomputed every time. Per-cell wall time is
+//! recorded for the JSON run record; it never enters the CSV, which must
+//! stay byte-stable across runs.
 
 use crate::grid::{CellSpec, GridSpec};
 use crate::memo::CellMemos;
@@ -24,7 +26,8 @@ use adagp_accel::speedup::{adagp_cycles_of, baseline_cycles_of, training_costs};
 use adagp_accel::AcceleratorConfig;
 use adagp_obs as obs;
 use adagp_sim::{AdaGpSim, SimConfig};
-use std::collections::HashSet;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -117,8 +120,28 @@ pub fn evaluate_cell(spec: &CellSpec) -> CellMetrics {
     evaluate_cell_in(spec, CellMemos::global())
 }
 
-/// [`evaluate_cell`] against the given memo tables.
+/// [`evaluate_cell`] against the given memo tables: a group of one.
 pub(crate) fn evaluate_cell_in(spec: &CellSpec, memos: &CellMemos) -> CellMetrics {
+    evaluate_member(spec, memos, &mut None)
+}
+
+/// The compiled set of `spec`'s group, compiled now if the group has none.
+fn compiled<'g>(
+    graphs: &'g mut Option<CellGraphs>,
+    spec: &CellSpec,
+    base: &SimConfig,
+) -> &'g mut CellGraphs {
+    graphs.get_or_insert_with(|| CellGraphs::build(spec, base))
+}
+
+/// Evaluates `spec` as a member of the group whose compiled set is
+/// `graphs`: the set is compiled on the group's first memo miss, and a
+/// later miss of the group re-times it instead of compiling another.
+fn evaluate_member(
+    spec: &CellSpec,
+    memos: &CellMemos,
+    graphs: &mut Option<CellGraphs>,
+) -> CellMetrics {
     let layers = cached_shapes(spec.model, spec.dataset.input_scale());
     let cfg = AcceleratorConfig::default();
     let mix = spec.schedule.mix();
@@ -128,21 +151,14 @@ pub(crate) fn evaluate_cell_in(spec: &CellSpec, memos: &CellMemos) -> CellMetric
     let ecfg = EnergyConfig::default();
     let sim_base = SimConfig::default();
     let sim_cfg = cell_sim_config(spec, &sim_base);
-    // Compiled at most once, on the first memo miss: one set of BP / GP
-    // graphs serves the batch replay and every probe of the knee search.
-    let mut graphs = None;
     let ([bp, gp], _) = memos
         .batches
         .get_or_compute(&BatchMemoKey::new(spec, &sim_cfg), || {
-            graphs
-                .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
-                .batch_stats()
+            compiled(graphs, spec, &sim_base).batch_stats(&sim_cfg)
         });
     let knee_key = KneeMemoKey::new(spec, &sim_cfg, KNEE_TOLERANCE);
     let (knee, _) = memos.knees.get_or_compute(&knee_key, || {
-        graphs
-            .get_or_insert_with(|| CellGraphs::build(spec, &sim_base))
-            .search_knee(spec, KNEE_TOLERANCE)
+        compiled(graphs, spec, &sim_base).search_knee(spec, KNEE_TOLERANCE)
     });
     let sim = AdaGpSim { bp, gp, mix };
     let sim_cycles = sim.training_cycles();
@@ -169,44 +185,75 @@ pub(crate) fn evaluate_cell_in(spec: &CellSpec, memos: &CellMemos) -> CellMetric
 /// the shard-log runner ([`crate::shardlog::run_sharded`]) feeds it
 /// bounded windows of pending cells.
 ///
-/// The cells run most expensive first (`cost_classes`): the ones that
-/// will search a knee, then the ones that will only simulate, then the
-/// ones both memos will serve. A cell that needs another cell's key
-/// thus runs after it, so a thread seldom waits on a key the other is
-/// still computing, and the cheap hits fill in at the end while the
-/// last miss finishes: a pass's wall time depends on its work, not on
-/// how the threads happened to meet.
+/// The cells run in groups, one group per pool item: the cells with a
+/// key the memos lack, grouped by batch memo key minus the bandwidth
+/// (`GroupKey`), that is, the bandwidth and schedule siblings of one
+/// model, input scale, dataflow, design and buffer; a cell both memos
+/// will serve is a group of its own. A group compiles its BP / GP graphs
+/// once, on its first memo miss, and each later miss re-times them. Every
+/// key a call computes falls in exactly one group, so within one call no
+/// two threads compute or wait on the same key. The groups run most
+/// expensive first (`cost_classes`): those that will search a knee, then
+/// those that will only simulate, then the served cells, which fill in
+/// at the end while the last miss finishes. A cell's `wall_micros` times
+/// its own evaluation; the grouping is done before any cell starts.
 pub fn evaluate_cells(specs: Vec<CellSpec>) -> Vec<CellResult> {
-    let class = cost_classes(&specs, CellMemos::global());
-    let mut ordered: Vec<(usize, CellSpec)> = specs.into_iter().enumerate().collect();
-    ordered.sort_by_key(|&(i, _)| class[i]);
-    let mut results = adagp_runtime::pool().parallel_map(ordered, |(i, spec)| {
-        let t = Instant::now();
-        let metrics = obs::span(
-            "sweep",
-            || format!("cell {}", spec.id),
-            || evaluate_cell(&spec),
-        );
-        let wall_micros = t.elapsed().as_micros() as u64;
-        cells_counter().inc();
-        cell_micros_hist().record(wall_micros);
-        cells_per_sec_hist().record(1_000_000 / wall_micros.max(1));
-        let result = CellResult {
-            spec,
-            metrics,
-            wall_micros,
-        };
-        (i, result)
-    });
-    results.sort_unstable_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, result)| result).collect()
+    evaluate_cells_in(specs, CellMemos::global())
 }
 
-/// Each cell's cost class against `memos`: 0 for the first cell of a
-/// knee key the memo lacks (a knee search, usually with a batch
-/// simulation), 1 for the first cell of a lacking batch key (a
-/// simulation), 2 for a cell both memos will serve.
-fn cost_classes(specs: &[CellSpec], memos: &CellMemos) -> Vec<u8> {
+/// [`evaluate_cells`] against the given memo tables.
+pub(crate) fn evaluate_cells_in(specs: Vec<CellSpec>, memos: &CellMemos) -> Vec<CellResult> {
+    let Groups { order, groups } = cost_classes(&specs, memos);
+    let evaluated: Vec<OnceLock<(CellMetrics, u64)>> =
+        specs.iter().map(|_| OnceLock::new()).collect();
+    adagp_runtime::pool().parallel_map(groups, |(_, cells)| {
+        let mut graphs = None;
+        for &i in &order[cells] {
+            let spec = &specs[i];
+            let t = Instant::now();
+            let metrics = obs::span(
+                "sweep",
+                || format!("cell {}", spec.id),
+                || evaluate_member(spec, memos, &mut graphs),
+            );
+            let wall_micros = t.elapsed().as_micros() as u64;
+            cells_counter().inc();
+            cell_micros_hist().record(wall_micros);
+            cells_per_sec_hist().record(1_000_000 / wall_micros.max(1));
+            evaluated[i]
+                .set((metrics, wall_micros))
+                .expect("a cell is in one group");
+        }
+    });
+    specs
+        .into_iter()
+        .zip(evaluated)
+        .map(|(spec, evaluated)| {
+            let (metrics, wall_micros) = evaluated.into_inner().expect("every cell is evaluated");
+            CellResult {
+                spec,
+                metrics,
+                wall_micros,
+            }
+        })
+        .collect()
+}
+
+/// The groups one [`evaluate_cells`] call runs: ranges of `order`, a
+/// list of cell indices, each with its cost class (`cost_classes`).
+struct Groups {
+    order: Vec<usize>,
+    groups: Vec<(u8, Range<usize>)>,
+}
+
+/// `specs` in groups, most expensive first, each with its cost class
+/// against `memos`: 0 for a group with a knee key the memo lacks (a knee
+/// search, usually with a simulation), 1 for one with a lacking batch key
+/// (a simulation), 2 for a cell both memos will serve. A cell with a
+/// lacking key joins the group of its `GroupKey`; a served cell needs no
+/// graphs and is a group of its own. Groups of one class keep the order
+/// of their first cells, and cells within a group their input order.
+fn cost_classes(specs: &[CellSpec], memos: &CellMemos) -> Groups {
     let base = SimConfig::default();
     let keys: Vec<(BatchMemoKey, KneeMemoKey)> = specs
         .iter()
@@ -220,20 +267,39 @@ fn cost_classes(specs: &[CellSpec], memos: &CellMemos) -> Vec<u8> {
         .collect();
     let batch_absent = memos.batches.absent(keys.iter().map(|(b, _)| b));
     let knee_absent = memos.knees.absent(keys.iter().map(|(_, k)| k));
-    let (mut batches, mut knees) = (HashSet::new(), HashSet::new());
-    keys.iter()
-        .enumerate()
-        .map(|(i, (batch, knee))| {
-            let new_batch = batch_absent[i] && batches.insert(batch);
-            if knee_absent[i] && knees.insert(knee) {
-                0
-            } else if new_batch {
-                1
-            } else {
-                2
-            }
+    // Per group, its class; per cell, its group.
+    let mut index = HashMap::new();
+    let mut class: Vec<u8> = Vec::new();
+    let mut group_of = Vec::with_capacity(specs.len());
+    for (i, (batch, _)) in keys.iter().enumerate() {
+        let cell_class = match (knee_absent[i], batch_absent[i]) {
+            (true, _) => 0,
+            (false, true) => 1,
+            (false, false) => 2,
+        };
+        let mut new_group = || {
+            class.push(cell_class);
+            class.len() - 1
+        };
+        let g = if cell_class == 2 {
+            new_group()
+        } else {
+            *index.entry(batch.group()).or_insert_with(new_group)
+        };
+        class[g] = class[g].min(cell_class);
+        group_of.push(g);
+    }
+    let mut order: Vec<usize> = (0..specs.len()).collect();
+    order.sort_unstable_by_key(|&i| (class[group_of[i]], group_of[i], i));
+    let mut at = 0;
+    let groups = order
+        .chunk_by(|&a, &b| group_of[a] == group_of[b])
+        .map(|cells| {
+            at += cells.len();
+            (class[group_of[cells[0]]], at - cells.len()..at)
         })
-        .collect()
+        .collect();
+    Groups { order, groups }
 }
 
 /// Runs every cell of `grid` in parallel on the shared runtime pool.
@@ -361,26 +427,84 @@ mod tests {
 
     #[test]
     fn cost_classes_put_knee_searches_first_then_simulations_then_hits() {
-        let g = GridSpec {
-            name: "classes".to_string(),
-            models: vec![CnnModel::Vgg13],
-            datasets: vec![DatasetScale::Cifar10, DatasetScale::Cifar100],
-            designs: vec![AdaGpDesign::Max],
-            dataflows: vec![Dataflow::WeightStationary],
-            schedules: vec![PhaseSchedule::Paper, PhaseSchedule::SteadyOnly],
-            bandwidths: vec![Some(16), Some(256)],
-            buffers: vec![None],
+        let cell = |model, dataset, design, bw| {
+            CellSpec::with_contention(
+                Dataflow::WeightStationary,
+                dataset,
+                model,
+                design,
+                PhaseSchedule::Paper,
+                Some(bw),
+                None,
+            )
         };
-        let specs = g.expand();
+        let specs = [
+            // Group 0: a CIFAR-10 cell and its CIFAR-100 twin.
+            cell(CnnModel::Vgg13, DatasetScale::Cifar10, AdaGpDesign::Max, 16),
+            cell(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar100,
+                AdaGpDesign::Max,
+                16,
+            ),
+            // Group 1: bandwidth siblings, one knee key.
+            cell(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                AdaGpDesign::Efficient,
+                16,
+            ),
+            cell(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                AdaGpDesign::Efficient,
+                256,
+            ),
+            cell(
+                CnnModel::Vgg13,
+                DatasetScale::Cifar10,
+                AdaGpDesign::Efficient,
+                64,
+            ),
+            // Group 2.
+            cell(
+                CnnModel::MobileNetV2,
+                DatasetScale::Cifar10,
+                AdaGpDesign::Max,
+                16,
+            ),
+        ];
         let memos = CellMemos::fresh();
-        // CIFAR-10 (Paper, 16): new knee. (Paper, 256): the same knee,
-        // a new batch. (SteadyOnly, 16): a new knee. (SteadyOnly, 256):
-        // both keys seen. Every CIFAR-100 cell is a CIFAR-10 twin.
-        assert_eq!(cost_classes(&specs, &memos), [0, 1, 0, 2, 2, 2, 2, 2]);
+        let classes = |memos: &CellMemos| {
+            let Groups { order, groups } = cost_classes(&specs, memos);
+            groups
+                .into_iter()
+                .map(|(class, cells)| (class, order[cells].to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            classes(&memos),
+            [(0, vec![0, 1]), (0, vec![2, 3, 4]), (0, vec![5])]
+        );
+        // Group 0 is served, and a served cell runs alone. Group 1 has its
+        // knee but lacks the batches at 256 and 64 w/c; group 2 lacks both.
+        evaluate_cell_in(&specs[0], &memos);
+        evaluate_cell_in(&specs[2], &memos);
+        assert_eq!(
+            classes(&memos),
+            [
+                (0, vec![5]),
+                (1, vec![3, 4]),
+                (2, vec![0]),
+                (2, vec![1]),
+                (2, vec![2])
+            ]
+        );
         for spec in &specs {
             evaluate_cell_in(spec, &memos);
         }
-        assert_eq!(cost_classes(&specs, &memos), [2; 8]);
+        let served: Vec<_> = (0..specs.len()).map(|i| (2, vec![i])).collect();
+        assert_eq!(classes(&memos), served);
     }
 
     /// The eight presets of the benchmark's `sweep_cold` workload.
@@ -445,6 +569,72 @@ mod tests {
             .flatten()
             .collect();
         assert!(mismatches.is_empty(), "{mismatches:#?}");
+    }
+
+    #[test]
+    fn grouped_passes_equal_cell_by_cell_evaluations_and_no_key_spans_two_groups() {
+        let presets: Vec<Vec<CellSpec>> = BENCHMARK_PRESETS
+            .iter()
+            .map(|name| presets::by_name(name).expect("known preset").expand())
+            .collect();
+        let base = SimConfig::default();
+        // Within one call every batch key and every knee key is in one
+        // group, so no two pool items compute or wait on the same key.
+        for specs in &presets {
+            let mut batch_group = HashMap::new();
+            let mut knee_group = HashMap::new();
+            let Groups { order, groups } = cost_classes(specs, &CellMemos::fresh());
+            for (g, (_, cells)) in groups.into_iter().enumerate() {
+                for &i in &order[cells] {
+                    let cfg = cell_sim_config(&specs[i], &base);
+                    let batch = BatchMemoKey::new(&specs[i], &cfg);
+                    let knee = KneeMemoKey::new(&specs[i], &cfg, KNEE_TOLERANCE);
+                    assert_eq!(*batch_group.entry(batch).or_insert(g), g, "{batch:?}");
+                    assert_eq!(*knee_group.entry(knee).or_insert(g), g, "{knee:?}");
+                }
+            }
+        }
+        // The reference: every distinct cell on its own, in a seeded
+        // shuffle (xorshift64), against fresh tables.
+        let mut seen = HashSet::new();
+        let mut cells: Vec<CellSpec> = presets
+            .iter()
+            .flatten()
+            .filter(|spec| seen.insert(spec.id.clone()))
+            .cloned()
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..cells.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            cells.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let memos = CellMemos::fresh();
+        let reference: HashMap<String, [u64; 11]> = cells
+            .into_iter()
+            .map(|spec| {
+                let bits = crate::store::metrics_to_array(&evaluate_cell_in(&spec, &memos));
+                (spec.id, bits.map(f64::to_bits))
+            })
+            .collect();
+        for threads in [1, 3] {
+            let memos = CellMemos::fresh();
+            for specs in &presets {
+                let run = adagp_runtime::with_threads(threads, || {
+                    evaluate_cells_in(specs.clone(), &memos)
+                });
+                for (spec, result) in specs.iter().zip(&run) {
+                    assert_eq!(result.spec.id, spec.id, "input order");
+                    assert_eq!(
+                        crate::store::metrics_to_array(&result.metrics).map(f64::to_bits),
+                        reference[&spec.id],
+                        "{} at {threads} threads",
+                        spec.key()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,13 +20,17 @@
 //! [`adagp_sim::BatchStats`]. The epoch mix is applied after the replay,
 //! so cells that differ only in schedule share an entry, and so do a
 //! CIFAR-10 cell and its CIFAR-100 twin (one input scale, one layer
-//! table). On a miss the cell compiles `CellGraphs` — its layer list and
-//! its two ADA-GP batch graphs — and replays them untraced; the same set
-//! serves every bandwidth probe of [`crate::roofline`]'s knee search when
-//! the knee memo misses too. A cell that hits both memos builds nothing.
-//! None of that reads the baseline batch, so `CellGraphs` does not build
-//! it; [`simulate_cell`], whose detail view reports it, builds all three
-//! through [`adagp_sim::StepSim::run`] and is never memoized.
+//! table). A cell is evaluated in its group: the cells whose batch keys
+//! differ at most in the bandwidth (`GroupKey`), i.e. its bandwidth and
+//! schedule siblings. On the group's first miss it compiles `CellGraphs`
+//! — the layer list and the two ADA-GP batch graphs — and each miss
+//! re-times the set to its cell's bandwidth and replays it untraced; the
+//! same set serves every bandwidth probe of [`crate::roofline`]'s knee
+//! search when the knee memo misses too. A group whose cells hit both
+//! memos builds nothing. None of that reads the baseline batch, so
+//! `CellGraphs` does not build it; [`simulate_cell`], whose detail view
+//! reports it, builds all three through [`adagp_sim::StepSim::run`] and
+//! is never memoized.
 //!
 //! With [`SimConfig::no_contention`] the simulated speed-up is
 //! bit-identical to the analytic `training_speedup` (the sim crate's
@@ -36,11 +40,12 @@
 use crate::grid::{CellSpec, GridSpec};
 use crate::shapes::cached_shapes;
 use adagp_accel::layer_cost::PredictorCostModel;
-use adagp_accel::speedup::EpochMix;
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::InputScale;
 use adagp_nn::models::CnnModel;
+use adagp_obs as obs;
 use adagp_sim::{model_sim_layers, AdaGpGraphs, BatchStats, SimConfig, SimLayer, StepSim};
+use std::sync::{Arc, OnceLock};
 
 /// One simulated cell: batch-level makespans plus derived training-level
 /// statistics.
@@ -142,21 +147,51 @@ impl BatchMemoKey {
     }
 }
 
-/// Everything one cell simulates on: the resolved config, the layer list
-/// and the two compiled ADA-GP batch graphs (BP, GP). Built only on a
-/// memo miss, at most once per cell evaluation: one set serves the batch
-/// memo's replay and every probe of [`crate::roofline`]'s knee search.
-/// The set itself is never cached — the memos keep only what it yields.
-/// Nothing on that path reads the baseline batch: only
-/// [`simulate_cell`] builds it.
+/// The key of the group a cell is evaluated in: its [`BatchMemoKey`] with
+/// the bandwidth erased. Whether the DRAM channel exists stays in it,
+/// because that decides which tasks the graphs have; the bandwidth only
+/// times them, so every cell of a group can replay one compiled set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct GroupKey(BatchMemoKey);
+
+impl BatchMemoKey {
+    /// The key of the group this cell's batches belong to.
+    pub(crate) fn group(&self) -> GroupKey {
+        GroupKey(BatchMemoKey {
+            dram_words_per_cycle: self.dram_words_per_cycle.map(|_| 0),
+            ..*self
+        })
+    }
+}
+
+/// Compiles the BP and GP schedules of `design` over `layers`, counting
+/// both graphs in `sweep_graph_builds_total` (process-wide).
+pub(crate) fn build_graphs(
+    design: AdaGpDesign,
+    layers: &[SimLayer],
+    cfg: &SimConfig,
+) -> AdaGpGraphs {
+    static BUILDS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    BUILDS
+        .get_or_init(|| obs::registry().counter("sweep_graph_builds_total"))
+        .add(2);
+    AdaGpGraphs::build(design, layers, cfg)
+}
+
+/// Everything the cells of one group simulate on: the resolved config,
+/// the layer list and the two compiled ADA-GP batch graphs (BP, GP).
+/// Built only on a memo miss, at most once per group: each cell re-times
+/// the set to its own bandwidth ([`CellGraphs::batch_stats`]), and the set
+/// serves every probe of [`crate::roofline`]'s knee search. The set itself
+/// is never cached — the memos keep only what it yields. Nothing on that
+/// path reads the baseline batch: only [`simulate_cell`] builds it.
 pub(crate) struct CellGraphs {
-    /// [`cell_sim_config`]`(spec, base)`.
+    /// [`cell_sim_config`]`(spec, base)` of the cell that built the set;
+    /// its bandwidth is whichever one the graphs were compiled at.
     pub cfg: SimConfig,
     /// `cell_layers(spec, cfg)`.
     pub layers: Vec<SimLayer>,
-    /// The cell's epoch mix.
-    pub mix: EpochMix,
-    /// The compiled BP and GP schedules, timed at `cfg`'s bandwidth.
+    /// The compiled BP and GP schedules.
     pub graphs: AdaGpGraphs,
 }
 
@@ -166,18 +201,21 @@ impl CellGraphs {
     pub fn build(spec: &CellSpec, base: &SimConfig) -> Self {
         let cfg = cell_sim_config(spec, base);
         let layers = cell_layers(spec, &cfg);
-        let graphs = AdaGpGraphs::build(spec.design, &layers, &cfg);
+        let graphs = build_graphs(spec.design, &layers, &cfg);
         CellGraphs {
             cfg,
             layers,
-            mix: spec.schedule.mix(),
             graphs,
         }
     }
 
-    /// The BP and GP batches replayed untraced at the configured
-    /// bandwidth: the batch memo's value.
-    pub fn batch_stats(&self) -> [BatchStats; 2] {
+    /// The BP and GP batches re-timed to `cfg`'s bandwidth and replayed
+    /// untraced: the batch memo's value for a cell of this group resolved
+    /// to `cfg`.
+    pub fn batch_stats(&mut self, cfg: &SimConfig) -> [BatchStats; 2] {
+        if let Some(bw) = cfg.dram_words_per_cycle {
+            self.graphs.set_bandwidth(bw);
+        }
         [self.graphs.bp.run(), self.graphs.gp.run()]
     }
 }
