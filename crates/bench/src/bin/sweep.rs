@@ -1,4 +1,4 @@
-//! The `sweep` CLI: run, list, simulate and diff declarative experiment
+//! The `sweep` CLI: run, list, merge and diff declarative experiment
 //! grids.
 //!
 //! ```text
@@ -8,8 +8,6 @@
 //!           [--log-dir <dir>] [--shard <k/n>]
 //! sweep merge <preset> --log-dir <dir> [--csv <path>] [--json <path>]
 //!           [--partial] [--quiet]
-//! sweep sim <preset> [--csv <path>] [--no-contention] [--bandwidth <n>]
-//!           [--buffer-words <n>] [--quiet]
 //! sweep diff <before> <after> [--tol <rel>]
 //! ```
 //!
@@ -28,13 +26,9 @@
 //! log-dir mode the JSON record is the zero-timing snapshot form (wall
 //! clocks are meaningless across resumed fragments). `merge` rebuilds
 //! the final artifacts from an existing log directory without running
-//! anything. `sim` runs every cell through the `adagp-sim`
-//! discrete-event simulator and reports the batch-level detail
-//! (per-phase makespans, simulated speed-up, utilization, overlap, spill
-//! cycles, buffer peak); `--bandwidth`/`--buffer-words` set the base
-//! contention config, per-cell axis overrides apply on top, and
-//! `--no-contention` wins over everything (the analytic-equality mode).
-//! Every cell's metrics include its bandwidth-roofline knee
+//! anything. Every cell's metrics include its simulated columns (the
+//! grid's `bandwidths` / `buffers` axes set the DRAM channel) and its
+//! bandwidth-roofline knee
 //! (`knee_words_per_cycle`), so the roofline study is `run roofline
 //! --csv <path>`. `diff` loads two stored runs
 //! (CSV or JSON, by extension), compares them cell-by-cell and exits
@@ -42,12 +36,10 @@
 //! it prints the command that regenerates `<before>`, naming the grid
 //! when the file's stem is a preset (as every `runs/<grid>.*` is).
 
-use adagp_bench::cli::SimFlags;
 use adagp_bench::report::render_table;
 use adagp_bench::{out, outln};
 use adagp_sweep::{
-    diff, presets, runner, shardlog, simeval, store, DiffConfig, GridSpec, RunFormat, Shard,
-    StoredRun,
+    diff, presets, runner, shardlog, store, DiffConfig, GridSpec, RunFormat, Shard, StoredRun,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -59,7 +51,6 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
-        Some("sim") => cmd_sim(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             out!("{USAGE}");
@@ -91,12 +82,6 @@ Usage:
                                             logs without evaluating anything
                                             (--partial accepts an incomplete
                                             grid)
-  sweep sim <preset> [--csv p] [--no-contention] [--bandwidth n]
-            [--buffer-words n] [--quiet]
-                                            simulate a grid on the event engine
-                                            (per-phase makespans, utilization,
-                                            spill cycles; --no-contention wins
-                                            over every bandwidth/buffer knob)
   sweep diff <before> <after> [--tol rel]
                                             compare stored runs (.csv/.json)
 
@@ -183,7 +168,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 vec![
                     c.spec.id.clone(),
                     c.spec.key(),
-                    adagp_sweep::store::csv_float(c.metrics.speedup),
+                    store::csv_float(c.metrics.speedup),
                 ]
             })
             .collect();
@@ -360,88 +345,6 @@ fn report_skipped(skipped: &[(PathBuf, shardlog::SkippedSpan)]) {
                 .unwrap_or_else(|| path.display().to_string())
         );
     }
-}
-
-fn cmd_sim(args: &[String]) -> Result<ExitCode, String> {
-    let name = args
-        .first()
-        .ok_or_else(|| format!("sim: missing preset name\n{USAGE}"))?;
-    let grid = preset(name)?;
-    let mut csv_path: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut flags = SimFlags::default();
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => csv_path = Some(path_arg(&mut it, "--csv")?),
-            "--quiet" => quiet = true,
-            other => {
-                if !flags.contention_flag(other, &mut it)? {
-                    return Err(format!("sim: unexpected argument `{other}`"));
-                }
-            }
-        }
-    }
-    // --no-contention is applied last: contention off silences every
-    // bandwidth/buffer knob, including the per-cell axis overrides
-    // (simeval composes overrides only while the DRAM channel exists).
-    let cfg = flags.config();
-
-    let details = simeval::run_sim_grid(&grid, &cfg);
-    if !quiet {
-        let rows: Vec<Vec<String>> = details
-            .iter()
-            .map(|d| {
-                vec![
-                    d.spec.id.clone(),
-                    d.spec.key(),
-                    store::csv_float(d.sim_speedup),
-                    store::csv_float(d.pe_utilization),
-                    store::csv_float(d.overlap_efficiency),
-                    store::csv_float(d.spill_cycles),
-                    d.peak_buffer_words.to_string(),
-                ]
-            })
-            .collect();
-        out!(
-            "{}",
-            render_table(
-                &format!("sweep sim: {name}"),
-                &[
-                    "ID",
-                    "Cell",
-                    "Sim speed-up",
-                    "PE util",
-                    "Overlap eff",
-                    "Spill cycles",
-                    "Peak buf (words)"
-                ],
-                &rows
-            )
-        );
-    }
-    outln!(
-        "{}: simulated {} cells ({}) on {} thread(s)",
-        name,
-        details.len(),
-        match cfg.dram_words_per_cycle {
-            Some(bw) => format!(
-                "DRAM {bw} words/cycle, buffer {}",
-                match cfg.buffer_words {
-                    Some(w) => format!("{w} words"),
-                    None => "unbounded".to_string(),
-                }
-            ),
-            None => "no contention".to_string(),
-        },
-        adagp_runtime::pool().size()
-    );
-    if let Some(p) = &csv_path {
-        std::fs::write(p, simeval::sim_detail_csv(&details))
-            .map_err(|e| format!("write {}: {e}", p.display()))?;
-        outln!("wrote CSV to {}", p.display());
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {

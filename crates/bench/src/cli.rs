@@ -1,10 +1,9 @@
-//! The simulator flags the `critpath sim` and `sweep sim` CLIs share, and
-//! the one model-name rule (also `ADAGP_MODELS`'s).
+//! The simulator flags of the `critpath sim` CLI, and the one model-name
+//! rule (also `ADAGP_MODELS`'s).
 //!
-//! `--no-contention` is applied last, so it wins regardless of flag order
-//! — the precedence contract `sweep sim` documents and tests. A zero
-//! `--bandwidth`, `--buffer-words` or `--dram-ports` is a usage error
-//! (`"--bandwidth: must be positive"`), like every other bad value.
+//! `--no-contention` is applied last, so it wins regardless of flag order.
+//! A zero `--bandwidth`, `--buffer-words` or `--dram-ports` is a usage
+//! error (`"--bandwidth: must be positive"`), like every other bad value.
 
 use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
@@ -91,26 +90,9 @@ impl Default for SimFlags {
 }
 
 impl SimFlags {
-    /// Takes `flag` (and its value from `args`) if it is a contention
-    /// flag — `--no-contention`, `--bandwidth N`, `--buffer-words N`;
-    /// returns whether it was.
-    pub fn contention_flag(
-        &mut self,
-        flag: &str,
-        args: &mut Iter<'_, String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--no-contention" => self.no_contention = true,
-            "--bandwidth" => self.cfg.dram_words_per_cycle = Some(positive(flag, args)?),
-            "--buffer-words" => self.cfg.buffer_words = Some(positive(flag, args)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Takes `flag` (and its value from `args`) if it is any simulator
-    /// flag — the cell flags, `--dram-ports N` and the contention flags;
-    /// returns whether it was.
+    /// Takes `flag` (and its value from `args`) if it is a simulator
+    /// flag — the cell flags, `--dram-ports N`, `--bandwidth N`,
+    /// `--buffer-words N` and `--no-contention`; returns whether it was.
     pub fn flag(&mut self, flag: &str, args: &mut Iter<'_, String>) -> Result<bool, String> {
         match flag {
             "--model" => self.model = parse_model(&value(flag, args)?)?,
@@ -148,7 +130,10 @@ impl SimFlags {
                 }
             }
             "--dram-ports" => self.cfg.dram_ports = positive(flag, args)?,
-            _ => return self.contention_flag(flag, args),
+            "--bandwidth" => self.cfg.dram_words_per_cycle = Some(positive(flag, args)?),
+            "--buffer-words" => self.cfg.buffer_words = Some(positive(flag, args)?),
+            "--no-contention" => self.no_contention = true,
+            _ => return Ok(false),
         }
         Ok(true)
     }

@@ -6,7 +6,7 @@
 //! library holds the shared experiment logic so integration tests can
 //! exercise the same code with reduced budgets. The crate's other
 //! binaries are the `sweep`, `serve` and `critpath` CLIs; [`cli`] holds
-//! the simulator flags `critpath sim` and `sweep sim` share, and
+//! the simulator flags of `critpath sim`, and
 //! [`stage_pipeline`] the measured-vs-sim harness behind
 //! `critpath measured` and `critpath diff`. All four binaries print to
 //! stdout through [`out!`] / [`outln!`], so a reader that quits early

@@ -21,7 +21,7 @@ use adagp_nn::models::shapes::{InputScale, LayerShape};
 use adagp_nn::models::CnnModel;
 use adagp_pipeline::{PipelineConfig, PipelineScheme};
 use adagp_sweep::shapes::cached_shapes;
-use adagp_sweep::{presets, runner, GridSpec, PhaseSchedule, SweepRun};
+use adagp_sweep::{presets, runner, SweepRun};
 use serde::{Deserialize, Serialize};
 
 pub use crate::model_grid::{transformer_shapes, yolo_shapes};
@@ -29,7 +29,7 @@ pub use adagp_sweep::DatasetScale;
 
 /// One row of a Figures 17–19 speed-up table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpeedupRow {
+struct SpeedupRow {
     /// Model name.
     pub model: String,
     /// ADA-GP-LOW speed-up.
@@ -38,20 +38,6 @@ pub struct SpeedupRow {
     pub efficient: f64,
     /// ADA-GP-MAX speed-up.
     pub max: f64,
-}
-
-/// The single-dataset slice of a figure grid (engine form of one panel).
-fn panel_grid(df: Dataflow, dataset: DatasetScale) -> GridSpec {
-    GridSpec {
-        name: format!("panel-{}-{}", df.name(), dataset.name()),
-        models: CnnModel::all().to_vec(),
-        datasets: vec![dataset],
-        designs: AdaGpDesign::all().to_vec(),
-        dataflows: vec![df],
-        schedules: vec![PhaseSchedule::Paper],
-        bandwidths: vec![None],
-        buffers: vec![None],
-    }
 }
 
 /// Pivots one dataset's cells of a figure run into the paper's table rows
@@ -85,12 +71,6 @@ fn rows_from_run(run: &SweepRun, dataset: DatasetScale) -> Vec<SpeedupRow> {
         max: g(&|r| r.max),
     });
     rows
-}
-
-/// Speed-up rows for one dataflow and dataset (one panel of Figs 17–19),
-/// plus the geomean row — a single-panel sweep through the grid engine.
-pub fn speedup_rows(df: Dataflow, dataset: DatasetScale) -> Vec<SpeedupRow> {
-    rows_from_run(&runner::run_grid(&panel_grid(df, dataset)), dataset)
 }
 
 /// Figure 16: per-layer characterization of VGG13's ten conv layers under
@@ -228,6 +208,11 @@ pub fn cycle_pair(layers: &[LayerShape], design: AdaGpDesign) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fig. 17's panel for `dataset`, as [`print_speedup_figure`] pivots it.
+    fn speedup_rows(df: Dataflow, dataset: DatasetScale) -> Vec<SpeedupRow> {
+        rows_from_run(&runner::run_grid(&presets::speedup_figure(df)), dataset)
+    }
 
     #[test]
     fn speedup_rows_cover_13_models_plus_geomean() {

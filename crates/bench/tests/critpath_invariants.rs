@@ -22,7 +22,7 @@ use adagp_nn::models::shapes::LayerShape;
 use adagp_obs::crit::{CritReport, FRACTION_TOLERANCE};
 use adagp_sim::{critical_path, model_sim_layers, simulate_batch, Phase, SimConfig};
 use adagp_sweep::presets;
-use adagp_sweep::simeval::cell_layers;
+use adagp_sweep::shapes::cached_shapes;
 use adagp_tensor::Prng;
 
 /// Asserts every chain/blame invariant on one finished batch sim and
@@ -77,7 +77,13 @@ fn fig17_chains_are_bit_exact_for_every_cell_and_phase() {
     let checked: usize = adagp_runtime::pool()
         .parallel_map(cells, |spec| {
             let cell_cfg = adagp_sweep::cell_sim_config(&spec, &cfg);
-            let layers = cell_layers(&spec, &cell_cfg);
+            let layers = model_sim_layers(
+                &AcceleratorConfig::default(),
+                spec.dataflow,
+                &PredictorCostModel::default(),
+                &cached_shapes(spec.model, spec.dataset.input_scale()),
+                &cell_cfg,
+            );
             for (phase, design) in [
                 (Phase::Baseline, None),
                 (Phase::Bp, Some(spec.design)),

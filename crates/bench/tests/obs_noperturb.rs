@@ -9,8 +9,8 @@
 //!   `scope_run` hot path), compared bit-for-bit;
 //! * the smoke sweep grid's CSV (per-cell spans plus histograms on the
 //!   instrumented runner), compared byte-for-byte with the committed
-//!   golden, and its unmemoized simulator detail view traced against
-//!   untraced.
+//!   golden, and each smoke cell's unmemoized `simulate_cell` columns,
+//!   traced against untraced bit for bit.
 //!
 //! The recorder is process-global, so the tests serialize on
 //! `obs::test_guard()`, which also leaves recording disabled and the
@@ -67,12 +67,18 @@ fn sweep_csv_is_byte_identical_with_tracing_on() {
             store::to_csv_string(&runner::run_grid(&presets::smoke()))
         })
     };
-    let sim_csv = |on: bool| {
+    let sim_bits = |on: bool| {
         with_tracing(on, || {
-            simeval::sim_detail_csv(&simeval::run_sim_grid(
-                &presets::smoke(),
-                &SimConfig::default(),
-            ))
+            adagp_runtime::pool().parallel_map(presets::smoke().expand(), |spec| {
+                let d = simeval::simulate_cell(&spec, &SimConfig::default());
+                [
+                    d.sim_cycles,
+                    d.pe_utilization,
+                    d.overlap_efficiency,
+                    d.spill_cycles,
+                ]
+                .map(f64::to_bits)
+            })
         })
     };
     // No other test in this binary evaluates a cell, so the first traced
@@ -80,8 +86,8 @@ fn sweep_csv_is_byte_identical_with_tracing_on() {
     // run with recording on. Later runs read the sweep's memos, so the
     // untraced side of the sweep CSV is the committed golden (the
     // untraced evaluation `sweep_golden.rs` holds to it), and the
-    // simulator is compared again through `run_sim_grid`, which
-    // simulates every call.
+    // simulator is compared again through `simulate_cell`, which
+    // compiles and replays on every call.
     for threads in [1usize, 4] {
         let traced = with_threads(threads, || csv(true));
         assert_eq!(
@@ -90,8 +96,8 @@ fn sweep_csv_is_byte_identical_with_tracing_on() {
         );
         assert_eq!(with_threads(threads, || csv(false)), golden);
         assert_eq!(
-            with_threads(threads, || sim_csv(true)),
-            with_threads(threads, || sim_csv(false)),
+            with_threads(threads, || sim_bits(true)),
+            with_threads(threads, || sim_bits(false)),
             "tracing perturbed the simulator at {threads} threads"
         );
     }

@@ -111,12 +111,12 @@ fn every_record_boundary_resumes_to_byte_identical_outputs() {
             run.skipped
         );
         assert_eq!(
-            run.to_csv_string(),
+            stored_csv_string(&run.cells),
             reference_csv,
             "CSV differs at boundary {k}"
         );
         assert_eq!(
-            run.to_json_string(&grid.name),
+            stored_json_string(&grid.name, &run.cells),
             reference_json,
             "JSON differs at boundary {k}"
         );
@@ -137,12 +137,12 @@ fn every_record_boundary_resumes_to_byte_identical_outputs() {
         let run = merge_to_run(&dir, &grid).unwrap();
         assert!(run.is_complete(), "boundary {k}: {:?}", run.missing);
         assert_eq!(
-            run.to_csv_string(),
+            stored_csv_string(&run.cells),
             reference_csv,
             "CSV differs at boundary {k}"
         );
         assert_eq!(
-            run.to_json_string(&grid.name),
+            stored_json_string(&grid.name, &run.cells),
             reference_json,
             "JSON differs at boundary {k}"
         );
@@ -487,7 +487,7 @@ fn log_written_before_record_versions_resumes_and_merges_to_the_golden() {
     let run = merge_to_run(&dir, &grid).unwrap();
     assert!(run.is_complete() && run.skipped.is_empty(), "{run:?}");
     assert_eq!(
-        run.to_csv_string(),
+        stored_csv_string(&run.cells),
         std::fs::read_to_string(testdata.join("sweep_smoke_golden.csv")).unwrap()
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -1,5 +1,5 @@
 //! `critpath sim`, driven through the real executable: a zero contention
-//! value is a usage error (exit 2, the flag named) — before the shared
+//! value is a usage error (exit 2, the flag named) — before the flag
 //! parser the engine, the batch builder or the tiling model panicked
 //! (exit 101) — and one cell prints its utilization report and span
 //! table and writes a Chrome trace and an `adagp-critpath-v1` report

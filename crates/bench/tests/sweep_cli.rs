@@ -1,20 +1,23 @@
-//! End-to-end checks of the `sweep` binary's contention surface, driven
-//! through the real executable (`CARGO_BIN_EXE_sweep`):
+//! End-to-end checks of the `sweep` binary's usage surface, driven
+//! through the real executable (`CARGO_BIN_EXE_sweep`), and of the
+//! contention flags that moved from the removed `sweep sim` to `critpath
+//! sim` (`CARGO_BIN_EXE_critpath`):
 //!
-//! * `sweep sim <grid> --no-contention` composes with the bandwidth
-//!   grid's per-cell buffer/bandwidth overrides by *winning*: every
-//!   `spill_cycles` value in the emitted CSV is exactly `0.000000`.
-//! * The same grid with contention on reports nonzero spills — the flag
-//!   is doing the silencing, not the grid.
-//! * A zero `--bandwidth` / `--buffer-words` on `sweep sim` is exit 2.
+//! * `critpath sim --no-contention` wins over `--bandwidth` /
+//!   `--buffer-words` in any order: zero buffer-spill cycles in every
+//!   phase, and the same report as the flag alone.
+//! * With contention on, the same tight buffer spills — the flag is doing
+//!   the silencing — and so does every tight-buffer cell of `sweep run
+//!   bandwidth-smoke`.
+//! * A zero `--bandwidth` / `--buffer-words` on `critpath sim` is exit 2
+//!   naming the flag; `sweep run` takes neither flag (exit 2).
 //! * A NaN, negative or infinite `--tol` on `sweep diff` is exit 2, and
 //!   a regression's hint names the grid of a `<before>` named after it.
 //! * `--shard` on `sweep run` without `--log-dir`, the removed
 //!   `--window`, the removed `diff --preset` and the removed `sweep
 //!   roofline` are exit 2.
-//! * The documented simulator entry point, `sweep sim smoke`, runs end
-//!   to end and its `--csv` is the committed sim golden, and `sweep
-//!   list` survives a stdout closed before it prints.
+//! * The removed `sweep sim` is exit 2 with the usage, and writes nothing.
+//! * `sweep list` survives a stdout closed before it prints.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,101 +30,164 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("adagp-sweep-cli-{}-{name}", std::process::id()))
 }
 
-/// Runs `sweep sim bandwidth-smoke` with `extra` flags and returns the
-/// spill_cycles column of the emitted CSV.
-fn sim_spill_column(csv: &PathBuf, extra: &[&str]) -> Vec<String> {
-    let mut cmd = sweep();
-    cmd.args(["sim", "bandwidth-smoke", "--quiet", "--csv"])
-        .arg(csv)
-        .args(extra);
-    let out = cmd.output().expect("sweep sim runs");
+fn critpath() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_critpath"))
+}
+
+/// The stdout of a successful `critpath sim` with `args`.
+fn critpath_sim(args: &[&str]) -> String {
+    let out = critpath()
+        .arg("sim")
+        .args(args)
+        .output()
+        .expect("critpath runs");
     assert!(
         out.status.success(),
-        "sweep sim failed:\n{}",
+        "critpath sim {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = std::fs::read_to_string(csv).expect("CSV written");
-    let header: Vec<&str> = text.lines().next().expect("header").split(',').collect();
-    let spill = header
-        .iter()
-        .position(|&h| h == "spill_cycles")
-        .expect("spill_cycles column");
-    text.lines()
-        .skip(1)
-        .map(|l| l.split(',').nth(spill).expect("column present").to_string())
-        .collect()
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
+
+/// The buffer-spill cycles of a `critpath sim` utilization report.
+fn spill_cycles(report: &str) -> u64 {
+    let tail = report
+        .split("+ buffer-spill ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no buffer-spill in:\n{report}"));
+    tail.split(' ')
+        .next()
+        .unwrap()
+        .parse()
+        .expect("spill cycles")
+}
+
+const PHASES: [&str; 3] = ["baseline", "bp", "gp"];
+
+/// The tightest buffer of the bandwidth grids.
+const TIGHT_BUFFER: &str = "16384";
 
 #[test]
 fn no_contention_zeroes_spill_cycles_exactly_even_with_buffer_overrides() {
-    let csv = tmp("no-contention.csv");
-    let spills = sim_spill_column(&csv, &["--no-contention"]);
-    assert_eq!(spills.len(), 8, "bandwidth-smoke has 8 cells");
-    for (i, s) in spills.iter().enumerate() {
-        assert_eq!(
-            s, "0.000000",
-            "cell {i}: --no-contention must zero spill_cycles exactly"
-        );
+    for phase in PHASES {
+        let report = critpath_sim(&[
+            "--phase",
+            phase,
+            "--bandwidth",
+            "16",
+            "--buffer-words",
+            TIGHT_BUFFER,
+            "--no-contention",
+        ]);
+        assert_eq!(spill_cycles(&report), 0, "phase {phase}: --no-contention");
     }
-    std::fs::remove_file(&csv).ok();
 }
 
 #[test]
 fn contention_on_reports_nonzero_spills_for_the_tight_buffer_cells() {
-    let csv = tmp("contention.csv");
-    let spills = sim_spill_column(&csv, &[]);
+    for phase in PHASES {
+        let report = critpath_sim(&["--phase", phase, "--buffer-words", TIGHT_BUFFER]);
+        assert!(spill_cycles(&report) > 0, "phase {phase}: no spill");
+    }
+    let csv = tmp("bandwidth-smoke.csv");
+    let out = sweep()
+        .args(["run", "bandwidth-smoke", "--quiet", "--csv"])
+        .arg(&csv)
+        .output()
+        .expect("sweep runs");
     assert!(
-        spills.iter().any(|s| s != "0.000000"),
-        "expected at least one spilling cell in bandwidth-smoke: {spills:?}"
+        out.status.success(),
+        "sweep run failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let text = std::fs::read_to_string(&csv).expect("CSV written");
     std::fs::remove_file(&csv).ok();
+    let header: Vec<&str> = text.lines().next().expect("header").split(',').collect();
+    let col = |name: &str| header.iter().position(|&h| h == name).expect(name);
+    let (buffer, spill) = (col("buffer_words"), col("spill_cycles"));
+    let tight: Vec<Vec<&str>> = text
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').collect::<Vec<_>>())
+        .filter(|row| row[buffer] == TIGHT_BUFFER)
+        .collect();
+    assert_eq!(tight.len(), 4, "bandwidth-smoke has 4 tight-buffer cells");
+    for row in tight {
+        assert_ne!(row[spill], "0.000000", "{}: no spill", row[0]);
+    }
 }
 
 #[test]
 fn no_contention_composes_with_explicit_bandwidth_and_buffer_flags() {
     // The flag must win even when the CLI also passes the base knobs.
-    let csv = tmp("composed.csv");
-    let spills = sim_spill_column(
-        &csv,
-        &[
+    let alone = critpath_sim(&["--no-contention"]);
+    assert_eq!(spill_cycles(&alone), 0);
+    for args in [
+        [
             "--bandwidth",
             "4",
             "--buffer-words",
             "1024",
             "--no-contention",
         ],
-    );
-    assert!(spills.iter().all(|s| s == "0.000000"), "{spills:?}");
-    std::fs::remove_file(&csv).ok();
+        [
+            "--no-contention",
+            "--bandwidth",
+            "4",
+            "--buffer-words",
+            "1024",
+        ],
+    ] {
+        assert_eq!(critpath_sim(&args), alone, "{args:?}");
+    }
 }
 
+/// A zero bandwidth or buffer is a usage error naming the flag (it was a
+/// panic, exit 101, inside the batch builder or the tiling model); the
+/// run path takes neither flag — a grid's `bandwidths` / `buffers` axes
+/// set them per cell.
 #[test]
-fn sweep_sim_subcommand_runs_the_smoke_grid() {
+fn sim_rejects_zero_contention_values_as_usage_errors() {
+    for flag in ["--bandwidth", "--buffer-words"] {
+        let out = critpath()
+            .args(["sim", flag, "0"])
+            .output()
+            .expect("critpath runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: must be positive")),
+            "{stderr}"
+        );
+        let out = sweep()
+            .args(["run", "smoke", "--quiet", flag, "0"])
+            .output()
+            .expect("sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "sweep run {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument `{flag}`")),
+            "{stderr}"
+        );
+    }
+}
+
+/// The simulated columns are `sweep run`'s (`evaluate_cell`), and one
+/// cell's per-phase makespans under any flags are `critpath sim`'s, so
+/// `sweep sim` is an unknown subcommand: usage, exit 2, no file.
+#[test]
+fn sweep_sim_is_an_unknown_subcommand() {
     let csv = tmp("sim-smoke.csv");
-    let output = sweep()
+    let out = sweep()
         .args(["sim", "smoke", "--csv"])
         .arg(&csv)
         .output()
-        .expect("sweep sim runs");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "sweep sim exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
-        output.status
-    );
-    assert!(
-        stdout.contains("simulated 4 cells"),
-        "sweep sim did not report its cells\nstdout:\n{stdout}"
-    );
-    assert!(stdout.contains("Overlap eff"), "detail table missing");
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/sim_smoke_golden.csv");
-    assert_eq!(
-        std::fs::read_to_string(&csv).expect("CSV written"),
-        std::fs::read_to_string(golden).expect("committed sim golden"),
-        "the binary's --csv differs from testdata/sim_smoke_golden.csv"
-    );
-    std::fs::remove_file(&csv).ok();
+        .expect("sweep runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown subcommand `sim`"), "{stderr}");
+    assert!(stderr.contains("Usage:"), "{stderr}");
+    assert!(!csv.exists(), "sweep sim wrote {}", csv.display());
 }
 
 #[test]
@@ -136,24 +202,6 @@ fn sweep_list_survives_a_closed_stdout() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-}
-
-/// A zero bandwidth or buffer is a usage error naming the flag (it was a
-/// panic, exit 101, inside the batch builder or the tiling model).
-#[test]
-fn sim_rejects_zero_contention_values_as_usage_errors() {
-    for flag in ["--bandwidth", "--buffer-words"] {
-        let out = sweep()
-            .args(["sim", "smoke", "--quiet", flag, "0"])
-            .output()
-            .expect("sweep sim runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{flag}: must be positive")),
-            "{stderr}"
-        );
-    }
 }
 
 /// `sweep diff`'s documented exit-code contract, end to end: 0 for a

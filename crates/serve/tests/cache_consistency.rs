@@ -21,7 +21,7 @@ use adagp_serve::{
     ServerHandle,
 };
 use adagp_sweep::grid::GridSpec;
-use adagp_sweep::store::{to_csv_string, StoredRun};
+use adagp_sweep::store::{stored_csv_string, to_csv_string, StoredRun};
 use adagp_sweep::{evaluate_cell, merge_to_run, presets, run_grid};
 use std::path::PathBuf;
 
@@ -167,7 +167,10 @@ fn shard_log_survives_restart_cycles_byte_stable_and_merges_to_a_run_file() {
     let grid = presets::smoke();
     let merged = merge_to_run(&dir, &grid).expect("log merges");
     assert!(merged.is_complete(), "{:?}", merged.missing);
-    assert_eq!(merged.to_csv_string(), to_csv_string(&run_grid(&grid)));
+    assert_eq!(
+        stored_csv_string(&merged.cells),
+        to_csv_string(&run_grid(&grid))
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -161,14 +161,6 @@ impl StepSim {
     pub fn training_speedup(&self) -> f64 {
         self.baseline_training_cycles() / self.adagp.training_cycles()
     }
-
-    /// Largest buffer occupancy any of the three batches reached (words).
-    pub fn peak_buffer_words(&self) -> i64 {
-        self.baseline
-            .buffer_peak
-            .max(self.adagp.bp.buffer_peak)
-            .max(self.adagp.gp.buffer_peak)
-    }
 }
 
 #[cfg(test)]

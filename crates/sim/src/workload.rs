@@ -121,14 +121,6 @@ impl SimConfig {
             ..self
         }
     }
-
-    /// This configuration with the buffer capacity replaced.
-    pub fn with_buffer_words(self, words: Option<u64>) -> Self {
-        SimConfig {
-            buffer_words: words,
-            ..self
-        }
-    }
 }
 
 /// Which batch schedule to simulate.
@@ -1026,7 +1018,10 @@ mod tests {
             Dataflow::WeightStationary,
             &pred,
             &shapes,
-            &sim_cfg.with_buffer_words(None),
+            &SimConfig {
+                buffer_words: None,
+                ..sim_cfg
+            },
         );
         assert!(unbounded.iter().all(|l| l.spill_words == 0));
         // A bigger buffer never spills more, layer by layer.
@@ -1035,7 +1030,10 @@ mod tests {
             Dataflow::WeightStationary,
             &pred,
             &shapes,
-            &sim_cfg.with_buffer_words(Some(1 << 22)),
+            &SimConfig {
+                buffer_words: Some(1 << 22),
+                ..sim_cfg
+            },
         );
         for (b, s) in bigger.iter().zip(&ls) {
             assert!(b.spill_words <= s.spill_words);

@@ -106,7 +106,10 @@ fn makespan_is_monotone_in_bandwidth_and_buffer_and_bounded_by_analytic() {
         for &bw in &[16u64, 256] {
             let mut prev = 0u64;
             for &buf in &buffers {
-                let cfg = base.with_bandwidth(bw).with_buffer_words(Some(buf));
+                let cfg = SimConfig {
+                    buffer_words: Some(buf),
+                    ..base.with_bandwidth(bw)
+                };
                 let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
                 let span = simulate_batch(phase, design, &layers, &cfg).makespan();
                 assert!(
@@ -121,10 +124,14 @@ fn makespan_is_monotone_in_bandwidth_and_buffer_and_bounded_by_analytic() {
 
         // Bandwidth ladder at fixed buffer: more bandwidth, never slower.
         for &buf in &[None, Some(1u64 << 15)] {
-            let layers = model_sim_layers(&acfg, df, &pred, &shapes, &base.with_buffer_words(buf));
+            let buffered = SimConfig {
+                buffer_words: buf,
+                ..base
+            };
+            let layers = model_sim_layers(&acfg, df, &pred, &shapes, &buffered);
             let mut prev = 0u64;
             for &bw in &bandwidths {
-                let cfg = base.with_bandwidth(bw).with_buffer_words(buf);
+                let cfg = buffered.with_bandwidth(bw);
                 let span = simulate_batch(phase, design, &layers, &cfg).makespan();
                 assert!(
                     span >= prev,
@@ -189,9 +196,9 @@ fn longest_path_bounds_every_makespan_and_never_grows_with_bandwidth() {
             let cfg = SimConfig {
                 batch,
                 dram_ports,
+                buffer_words: buffer,
                 ..SimConfig::default()
-            }
-            .with_buffer_words(buffer);
+            };
             let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
             for (phase, design) in phases() {
                 let mut graph = BatchGraph::build(phase, design, &layers, &cfg);

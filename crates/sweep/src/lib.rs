@@ -16,13 +16,13 @@
 //! * [`runner`] — executes cells in parallel on the shared
 //!   `adagp-runtime` pool (`parallel_map`, so result order is the
 //!   deterministic expansion order) with per-cell wall timing.
-//! * [`simeval`] — the sim-backed evaluator: each cell also runs through
-//!   the `adagp-sim` discrete-event simulator, contributing the
-//!   `sim_cycles` / `pe_utilization` / `overlap_efficiency` metrics and
-//!   the batch-level detail view behind the `sweep sim` subcommand. A
-//!   cell's two simulated batches are memoized per process by exactly
-//!   what the simulator reads, so a sweep simulates each batch
-//!   configuration once.
+//! * [`simeval`] — the sim-backed evaluator: each cell also runs its
+//!   two ADA-GP batches through the `adagp-sim` discrete-event
+//!   simulator, contributing the `sim_cycles` / `pe_utilization` /
+//!   `overlap_efficiency` / `spill_cycles` metrics. A cell's two
+//!   simulated batches are memoized per process by exactly what the
+//!   simulator reads, so a sweep simulates each batch configuration
+//!   once.
 //! * [`store`] — the one stored form of a cell
 //!   ([`StoredCell`]) with one encoder and one
 //!   decoder per format: byte-stable CSV (fixed-precision floats, no
@@ -86,7 +86,7 @@ pub use shardlog::{
     load_shard, merge_dir, merge_to_run, run_sharded, shard_file_name, MergedRun, ShardLoad,
     ShardRunStats, ShardWriter, SkippedSpan,
 };
-pub use simeval::{cell_sim_config, run_sim_grid, sim_detail_csv, simulate_cell, SimCellDetail};
+pub use simeval::{cell_sim_config, simulate_cell, SimCellDetail};
 pub use store::{
     metrics_to_array, stored_csv_string, stored_json_string, write_run_file, RunFormat, StoredCell,
     StoredRun,

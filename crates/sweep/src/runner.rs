@@ -20,7 +20,7 @@ use crate::grid::{CellSpec, GridSpec};
 use crate::memo::CellMemos;
 use crate::roofline::{KneeMemoKey, KNEE_TOLERANCE};
 use crate::shapes::cached_shapes;
-use crate::simeval::{cell_sim_config, BatchMemoKey, CellGraphs};
+use crate::simeval::{cell_sim_config, BatchMemoKey, CellGraphs, SimCellDetail};
 use adagp_accel::energy::{adagp_energy_joules, baseline_energy_joules, EnergyConfig};
 use adagp_accel::speedup::{adagp_cycles_of, baseline_cycles_of, training_costs};
 use adagp_accel::AcceleratorConfig;
@@ -160,21 +160,20 @@ fn evaluate_member(
     let (knee, _) = memos.knees.get_or_compute(&knee_key, || {
         compiled(graphs, spec, &sim_base).search_knee(spec, KNEE_TOLERANCE)
     });
-    let sim = AdaGpSim { bp, gp, mix };
-    let sim_cycles = sim.training_cycles();
+    let sim = SimCellDetail::from(AdaGpSim { bp, gp, mix });
     CellMetrics {
         speedup: baseline_cycles / adagp_cycles,
         baseline_cycles,
         adagp_cycles,
         baseline_energy_j: baseline_energy_joules(&ecfg, &layers, &mix),
         adagp_energy_j: adagp_energy_joules(&ecfg, &layers, &mix, spec.design),
-        sim_cycles,
-        pe_utilization: sim.pe_utilization(),
-        overlap_efficiency: sim.overlap_efficiency(),
-        spill_cycles: sim.spill_cycles(),
+        sim_cycles: sim.sim_cycles,
+        pe_utilization: sim.pe_utilization,
+        overlap_efficiency: sim.overlap_efficiency,
+        spill_cycles: sim.spill_cycles,
         // The no-contention sim equals the analytic cycles bit-for-bit,
         // so the analytic value is the contention-free reference here.
-        dram_stall_frac: ((sim_cycles - adagp_cycles) / sim_cycles).max(0.0),
+        dram_stall_frac: ((sim.sim_cycles - adagp_cycles) / sim.sim_cycles).max(0.0),
         knee_words_per_cycle: knee as f64,
     }
 }
@@ -320,9 +319,10 @@ mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
     use crate::presets;
-    use crate::simeval::simulate_cell;
+    use crate::simeval::{cell_layers, simulate_cell};
     use adagp_accel::{AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
+    use adagp_sim::StepSim;
     use std::collections::HashSet;
 
     fn grid() -> GridSpec {
@@ -542,19 +542,35 @@ mod tests {
             .iter()
             .map(|spec| evaluate_cell_in(spec, &memos))
             .collect();
+        // The reference shares no sweep code past the layer list: the
+        // three-batch `StepSim`, built fresh at the cell's config. The
+        // unmemoized `simulate_cell` compiles the run path's `CellGraphs`,
+        // so it is held to the same reference instead of being it.
         let base = SimConfig::default();
         let mismatches: Vec<String> = adagp_runtime::pool()
             .parallel_map(specs.into_iter().zip(memoized).collect(), |(spec, m)| {
-                let sim = simulate_cell(&spec, &base);
+                let cfg = cell_sim_config(&spec, &base);
+                let layers = cell_layers(&spec, &cfg);
+                let step = StepSim::run(spec.design, &layers, &spec.schedule.mix(), &cfg).adagp;
                 let knee = CellGraphs::build(&spec, &base).search_knee(&spec, KNEE_TOLERANCE);
-                let got = [
+                let want = [
+                    step.training_cycles(),
+                    step.pe_utilization(),
+                    step.overlap_efficiency(),
+                    step.spill_cycles(),
+                    knee as f64,
+                ];
+                let sim = simulate_cell(&spec, &base);
+                let memoized = [
                     m.sim_cycles,
                     m.pe_utilization,
                     m.overlap_efficiency,
                     m.spill_cycles,
                     m.knee_words_per_cycle,
                 ];
-                let want = [
+                // `simulate_cell` searches no knee: its slot repeats the
+                // reference's.
+                let unmemoized = [
                     sim.sim_cycles,
                     sim.pe_utilization,
                     sim.overlap_efficiency,
@@ -562,8 +578,13 @@ mod tests {
                     knee as f64,
                 ];
                 let bits = |v: [f64; 5]| v.map(f64::to_bits);
-                (bits(got) != bits(want))
-                    .then(|| format!("{}: memoized {got:?}, direct {want:?}", spec.key()))
+                (bits(memoized) != bits(want) || bits(unmemoized) != bits(want)).then(|| {
+                    format!(
+                        "{}: memoized {memoized:?}, simulate_cell {unmemoized:?}, \
+                         StepSim {want:?}",
+                        spec.key()
+                    )
+                })
             })
             .into_iter()
             .flatten()

@@ -38,7 +38,8 @@
 //! ID-keyed cell map, deterministically: files in `(n, k)` order, lines
 //! in file order, **last write wins** for duplicate IDs. Given the
 //! grid, [`merge_to_run`] re-sequences the map into expansion order —
-//! from there [`stored_csv_string`]/[`stored_json_string`] (or
+//! from there [`stored_csv_string`](crate::store::stored_csv_string) /
+//! [`stored_json_string`](crate::store::stored_json_string) (or
 //! [`write_run_file`](crate::store::write_run_file)) reproduce
 //! byte-identical final artifacts no matter how the work was sharded,
 //! interleaved, crashed or resumed.
@@ -54,7 +55,7 @@
 
 use crate::grid::{CellSpec, GridSpec, Shard};
 use crate::runner;
-use crate::store::{stored_csv_string, stored_json_string, StoredCell};
+use crate::store::StoredCell;
 use adagp_obs as obs;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
@@ -471,18 +472,6 @@ impl MergedRun {
     pub fn is_complete(&self) -> bool {
         self.missing.is_empty()
     }
-
-    /// The byte-stable CSV of the merged cells — identical to the
-    /// whole-file CSV of an uninterrupted, unsharded run of the grid
-    /// when the merge is complete.
-    pub fn to_csv_string(&self) -> String {
-        stored_csv_string(&self.cells)
-    }
-
-    /// The byte-stable zero-timing JSON run record of the merged cells.
-    pub fn to_json_string(&self, grid: &str) -> String {
-        stored_json_string(grid, &self.cells)
-    }
 }
 
 /// Re-sequences a directory merge into `grid`'s expansion order,
@@ -586,7 +575,7 @@ pub fn run_sharded(
 mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
-    use crate::store::METRICS;
+    use crate::store::{stored_csv_string, stored_json_string, METRICS};
     use adagp_accel::{AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
 
@@ -789,7 +778,10 @@ mod tests {
             }
             let run = merge_to_run(&dir, &g).unwrap();
             assert!(run.is_complete());
-            let bytes = (run.to_csv_string(), run.to_json_string(&g.name));
+            let bytes = (
+                stored_csv_string(&run.cells),
+                stored_json_string(&g.name, &run.cells),
+            );
             std::fs::remove_dir_all(&dir).ok();
             bytes
         };
@@ -824,9 +816,13 @@ mod tests {
             let run = merge_to_run(&dir, &g).unwrap();
             assert!(run.is_complete(), "n={n}: {:?}", run.missing);
             assert_eq!(run.extras, 0);
-            assert_eq!(run.to_csv_string(), reference.0, "CSV differs at n={n}");
             assert_eq!(
-                run.to_json_string(&g.name),
+                stored_csv_string(&run.cells),
+                reference.0,
+                "CSV differs at n={n}"
+            );
+            assert_eq!(
+                stored_json_string(&g.name, &run.cells),
                 reference.1,
                 "JSON differs at n={n}"
             );
@@ -915,7 +911,7 @@ mod tests {
         // as a later record (cells[5] is in the tail we just wrote).
         let run = merge_to_run(&dir, &g).unwrap();
         assert!(run.is_complete(), "{:?}", run.missing);
-        assert_eq!(run.to_csv_string(), stored_csv_string(&cells));
+        assert_eq!(stored_csv_string(&run.cells), stored_csv_string(&cells));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -953,14 +949,17 @@ mod tests {
         assert_eq!((s2.resumed, s2.evaluated), (0, 2));
         let run = merge_to_run(&dir, &g).unwrap();
         assert!(run.is_complete());
-        assert_eq!(run.to_csv_string(), reference.to_csv_string());
         assert_eq!(
-            run.to_json_string(&g.name),
-            reference.to_json_string(&g.name)
+            stored_csv_string(&run.cells),
+            stored_csv_string(&reference.cells)
+        );
+        assert_eq!(
+            stored_json_string(&g.name, &run.cells),
+            stored_json_string(&g.name, &reference.cells)
         );
         // And the merged CSV equals the classic in-memory run's CSV.
         let direct = crate::store::to_csv_string(&runner::run_grid(&g));
-        assert_eq!(run.to_csv_string(), direct);
+        assert_eq!(stored_csv_string(&run.cells), direct);
         std::fs::remove_dir_all(&ref_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,66 +1,49 @@
 //! The sim-backed cell evaluator: every grid cell run through the
 //! `adagp-sim` discrete-event simulator.
 //!
-//! Two consumers share this module:
+//! A cell's four simulated columns (`sim_cycles`, `pe_utilization`,
+//! `overlap_efficiency`, `spill_cycles`; [`SimCellDetail`]) come from its
+//! two ADA-GP batches, BP and GP, under the default contention-enabled
+//! [`SimConfig`]. Both paths to them compile the same `CellGraphs` — the
+//! layer list and the two batch graphs — and replay it at the cell's
+//! resolved config ([`cell_sim_config`]):
 //!
-//! * [`crate::runner::evaluate_cell`] pulls the three sim metrics
-//!   (`sim_cycles`, `pe_utilization`, `overlap_efficiency`) computed with
-//!   the *default* contention-enabled [`SimConfig`], so they flow through
-//!   the regular store/diff/golden machinery next to the analytic
-//!   metrics.
-//! * The `sweep sim` CLI subcommand runs [`run_sim_grid`] for the
-//!   batch-level detail view — per-phase makespans, the simulated
-//!   speed-up and the peak buffer occupancy — and writes it as a
-//!   byte-stable CSV ([`sim_detail_csv`]) that the tests byte-compare
-//!   with a committed golden, exactly like the analytic smoke grid.
+//! * [`crate::runner::evaluate_cell`] reads the two batches from the
+//!   **batch memo**: one entry per `BatchMemoKey`, the exact set of
+//!   inputs the simulator reads, holding the two batches'
+//!   [`adagp_sim::BatchStats`]. The epoch mix is applied after the
+//!   replay, so cells that differ only in schedule share an entry, and so
+//!   do a CIFAR-10 cell and its CIFAR-100 twin (one input scale, one
+//!   layer table). A cell is evaluated in its group: the cells whose
+//!   batch keys differ at most in the bandwidth (`GroupKey`), i.e. its
+//!   bandwidth and schedule siblings. On the group's first miss it
+//!   compiles `CellGraphs`, and each miss re-times the set to its cell's
+//!   bandwidth and replays it untraced; the same set serves every
+//!   bandwidth probe of [`crate::roofline`]'s knee search when the knee
+//!   memo misses too. A group whose cells hit both memos builds nothing.
+//! * [`simulate_cell`] is the same simulated half on its own, under any
+//!   base config: it compiles the set, replays it once and keeps nothing.
 //!
-//! The first reads a cell's two simulated batches (BP, GP) from the
-//! **batch memo**: one entry per `BatchMemoKey`, the exact set of
-//! inputs the simulator reads, holding the two batches'
-//! [`adagp_sim::BatchStats`]. The epoch mix is applied after the replay,
-//! so cells that differ only in schedule share an entry, and so do a
-//! CIFAR-10 cell and its CIFAR-100 twin (one input scale, one layer
-//! table). A cell is evaluated in its group: the cells whose batch keys
-//! differ at most in the bandwidth (`GroupKey`), i.e. its bandwidth and
-//! schedule siblings. On the group's first miss it compiles `CellGraphs`
-//! — the layer list and the two ADA-GP batch graphs — and each miss
-//! re-times the set to its cell's bandwidth and replays it untraced; the
-//! same set serves every bandwidth probe of [`crate::roofline`]'s knee
-//! search when the knee memo misses too. A group whose cells hit both
-//! memos builds nothing. None of that reads the baseline batch, so
-//! `CellGraphs` does not build it; [`simulate_cell`], whose detail view
-//! reports it, builds all three through [`adagp_sim::StepSim::run`] and
-//! is never memoized.
-//!
-//! With [`SimConfig::no_contention`] the simulated speed-up is
-//! bit-identical to the analytic `training_speedup` (the sim crate's
-//! contract); the golden test in `adagp-bench` asserts that over the full
-//! fig17 grid.
+//! Neither reads the baseline batch, so neither builds it; the
+//! independent reference that does is [`adagp_sim::StepSim::run`]. With
+//! [`SimConfig::no_contention`] the simulated cycles are bit-identical to
+//! the analytic `adagp_cycles` (the sim crate's contract); the golden
+//! test in `adagp-bench` asserts that over the full fig17 grid.
 
-use crate::grid::{CellSpec, GridSpec};
+use crate::grid::CellSpec;
 use crate::shapes::cached_shapes;
 use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::InputScale;
 use adagp_nn::models::CnnModel;
 use adagp_obs as obs;
-use adagp_sim::{model_sim_layers, AdaGpGraphs, BatchStats, SimConfig, SimLayer, StepSim};
+use adagp_sim::{model_sim_layers, AdaGpGraphs, AdaGpSim, BatchStats, SimConfig, SimLayer};
 use std::sync::{Arc, OnceLock};
 
-/// One simulated cell: batch-level makespans plus derived training-level
-/// statistics.
-#[derive(Debug, Clone, PartialEq)]
+/// One cell's simulated columns: the epoch-weighted statistics of its
+/// two ADA-GP batches.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimCellDetail {
-    /// The grid point that was simulated.
-    pub spec: CellSpec,
-    /// Simulated baseline batch makespan (cycles).
-    pub baseline_batch_cycles: u64,
-    /// Simulated Phase-BP batch makespan (cycles).
-    pub bp_batch_cycles: u64,
-    /// Simulated Phase-GP batch makespan (cycles).
-    pub gp_batch_cycles: u64,
-    /// Simulated end-to-end training speed-up.
-    pub sim_speedup: f64,
     /// Simulated ADA-GP training cycles (epoch-mix weighted).
     pub sim_cycles: f64,
     /// Epoch-weighted main PE-array utilization.
@@ -70,8 +53,17 @@ pub struct SimCellDetail {
     /// Epoch-weighted buffer-spill cycles of the ADA-GP run (exactly 0
     /// with contention off or an unbounded buffer).
     pub spill_cycles: f64,
-    /// Peak buffer occupancy across the three batch schedules (words).
-    pub peak_buffer_words: i64,
+}
+
+impl From<AdaGpSim> for SimCellDetail {
+    fn from(sim: AdaGpSim) -> Self {
+        SimCellDetail {
+            sim_cycles: sim.training_cycles(),
+            pe_utilization: sim.pe_utilization(),
+            overlap_efficiency: sim.overlap_efficiency(),
+            spill_cycles: sim.spill_cycles(),
+        }
+    }
 }
 
 /// Resolves the simulator configuration one cell runs under: the cell's
@@ -96,7 +88,7 @@ pub fn cell_sim_config(spec: &CellSpec, base: &SimConfig) -> SimConfig {
 
 /// The model's layers under `cfg`: the same shapes, accelerator config
 /// and predictor cost model as the analytic evaluator.
-pub fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
+pub(crate) fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
     model_sim_layers(
         &AcceleratorConfig::default(),
         spec.dataflow,
@@ -183,8 +175,8 @@ pub(crate) fn build_graphs(
 /// Built only on a memo miss, at most once per group: each cell re-times
 /// the set to its own bandwidth ([`CellGraphs::batch_stats`]), and the set
 /// serves every probe of [`crate::roofline`]'s knee search. The set itself
-/// is never cached — the memos keep only what it yields. Nothing on that
-/// path reads the baseline batch: only [`simulate_cell`] builds it.
+/// is never cached — the memos keep only what it yields. Nothing reads
+/// the baseline batch, so the set does not hold it.
 pub(crate) struct CellGraphs {
     /// [`cell_sim_config`]`(spec, base)` of the cell that built the set;
     /// its bandwidth is whichever one the graphs were compiled at.
@@ -220,97 +212,24 @@ impl CellGraphs {
     }
 }
 
-/// Simulates one cell under [`cell_sim_config`]`(spec, base)`: the same
-/// shapes, accelerator config and epoch mix the analytic evaluator uses,
-/// executed on the event engine — the baseline batch and both ADA-GP
-/// batches, one untraced replay each.
+/// Simulates one cell under [`cell_sim_config`]`(spec, base)`: the
+/// simulated half of [`crate::runner::evaluate_cell`] — the same compiled
+/// BP / GP set, replayed untraced at the cell's resolved config — with no
+/// memo, so every call compiles and replays anew (two graphs in
+/// `sweep_graph_builds_total`).
 pub fn simulate_cell(spec: &CellSpec, base: &SimConfig) -> SimCellDetail {
-    let cfg = cell_sim_config(spec, base);
-    let step = StepSim::run(
-        spec.design,
-        &cell_layers(spec, &cfg),
-        &spec.schedule.mix(),
-        &cfg,
-    );
-    let adagp = &step.adagp;
-    SimCellDetail {
-        spec: spec.clone(),
-        baseline_batch_cycles: step.baseline.makespan,
-        bp_batch_cycles: adagp.bp.makespan,
-        gp_batch_cycles: adagp.gp.makespan,
-        sim_speedup: step.training_speedup(),
-        sim_cycles: adagp.training_cycles(),
-        pe_utilization: adagp.pe_utilization(),
-        overlap_efficiency: adagp.overlap_efficiency(),
-        spill_cycles: adagp.spill_cycles(),
-        peak_buffer_words: step.peak_buffer_words(),
-    }
-}
-
-/// Simulates every cell of `grid` in parallel on the shared runtime pool
-/// (expansion order, thread-count invariant — the same contract as
-/// [`crate::runner::run_grid`]).
-pub fn run_sim_grid(grid: &GridSpec, cfg: &SimConfig) -> Vec<SimCellDetail> {
-    adagp_runtime::pool().parallel_map(grid.expand(), |spec| simulate_cell(&spec, cfg))
-}
-
-/// Column layout of the sim-detail CSV.
-pub const SIM_CSV_HEADER: [&str; 16] = [
-    "id",
-    "dataflow",
-    "dataset",
-    "model",
-    "design",
-    "schedule",
-    "dram_bw",
-    "buffer_words",
-    "baseline_batch_cycles",
-    "bp_batch_cycles",
-    "gp_batch_cycles",
-    "sim_speedup",
-    "pe_utilization",
-    "overlap_efficiency",
-    "spill_cycles",
-    "peak_buffer_words",
-];
-
-/// Renders simulated cells as byte-stable CSV (integers verbatim, floats
-/// at the store's fixed precision).
-pub fn sim_detail_csv(details: &[SimCellDetail]) -> String {
-    use crate::store::csv_float;
-    let mut out = String::new();
-    out.push_str(&SIM_CSV_HEADER.join(","));
-    out.push('\n');
-    for d in details {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            d.spec.id,
-            d.spec.dataflow.name(),
-            d.spec.dataset.name(),
-            d.spec.model.name(),
-            d.spec.design.name(),
-            d.spec.schedule.name(),
-            d.spec.dram_bw_name(),
-            d.spec.buffer_words_name(),
-            d.baseline_batch_cycles,
-            d.bp_batch_cycles,
-            d.gp_batch_cycles,
-            csv_float(d.sim_speedup),
-            csv_float(d.pe_utilization),
-            csv_float(d.overlap_efficiency),
-            csv_float(d.spill_cycles),
-            d.peak_buffer_words,
-        ));
-    }
-    out
+    let mut set = CellGraphs::build(spec, base);
+    let cfg = set.cfg;
+    let [bp, gp] = set.batch_stats(&cfg);
+    let mix = spec.schedule.mix();
+    AdaGpSim { bp, gp, mix }.into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{DatasetScale, PhaseSchedule};
-    use crate::presets;
-    use adagp_accel::speedup::training_speedup;
+    use adagp_accel::speedup::{baseline_training_cycles, training_speedup};
     use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
     use adagp_nn::models::CnnModel;
 
@@ -328,21 +247,24 @@ mod tests {
     fn no_contention_speedup_is_bit_exact_vs_analytic() {
         let d = simulate_cell(&cell(), &SimConfig::no_contention());
         let shapes = cached_shapes(CnnModel::Vgg13, DatasetScale::Cifar10.input_scale());
+        let mix = PhaseSchedule::Paper.mix();
+        let cfg = AcceleratorConfig::default();
+        let baseline = baseline_training_cycles(&cfg, Dataflow::WeightStationary, &shapes, &mix);
         let direct = training_speedup(
-            &AcceleratorConfig::default(),
+            &cfg,
             Dataflow::WeightStationary,
             AdaGpDesign::Max,
             &shapes,
-            &PhaseSchedule::Paper.mix(),
+            &mix,
         );
-        assert_eq!(d.sim_speedup.to_bits(), direct.to_bits());
+        assert_eq!((baseline / d.sim_cycles).to_bits(), direct.to_bits());
     }
 
     #[test]
     fn no_contention_base_wins_over_cell_overrides() {
-        // `sweep sim --no-contention` on the bandwidth grid: the cells
-        // carry bandwidth/buffer overrides, but a contention-off base
-        // must silence them — zero spills, analytic-exact speed-up.
+        // A contention-off base on the bandwidth grid: the cells carry
+        // bandwidth/buffer overrides, but the base must silence them —
+        // zero spills, analytic-exact cycles.
         let spec = CellSpec::with_contention(
             Dataflow::WeightStationary,
             DatasetScale::Cifar10,
@@ -357,7 +279,7 @@ mod tests {
         let d = simulate_cell(&spec, &base);
         assert_eq!(d.spill_cycles, 0.0);
         let plain = simulate_cell(&cell(), &base);
-        assert_eq!(d.sim_speedup.to_bits(), plain.sim_speedup.to_bits());
+        assert_eq!(d.sim_cycles.to_bits(), plain.sim_cycles.to_bits());
 
         // With a contention-on base the overrides bite: tighter bandwidth
         // and a tiny buffer can only slow things down.
@@ -370,38 +292,35 @@ mod tests {
     fn contention_never_beats_the_ideal() {
         let free = simulate_cell(&cell(), &SimConfig::no_contention());
         let tight = simulate_cell(&cell(), &SimConfig::default());
-        assert!(tight.baseline_batch_cycles >= free.baseline_batch_cycles);
-        assert!(tight.bp_batch_cycles >= free.bp_batch_cycles);
-        assert!(tight.gp_batch_cycles >= free.gp_batch_cycles);
         assert!(tight.sim_cycles >= free.sim_cycles);
         assert!(tight.pe_utilization <= free.pe_utilization + 1e-12);
+        assert!(tight.spill_cycles >= free.spill_cycles);
     }
 
     #[test]
     fn sim_grid_is_thread_count_invariant_csv_bytes() {
-        let grid = presets::smoke();
-        let cfg = SimConfig::default();
-        let reference =
-            adagp_runtime::with_threads(1, || sim_detail_csv(&run_sim_grid(&grid, &cfg)));
+        use crate::store::csv_float;
+        let grid = crate::presets::smoke();
+        let csv = || {
+            let rows = adagp_runtime::pool().parallel_map(grid.expand(), |spec| {
+                let d = simulate_cell(&spec, &SimConfig::default());
+                format!(
+                    "{},{},{},{},{}\n",
+                    spec.id,
+                    csv_float(d.sim_cycles),
+                    csv_float(d.pe_utilization),
+                    csv_float(d.overlap_efficiency),
+                    csv_float(d.spill_cycles),
+                )
+            });
+            rows.concat()
+        };
+        let reference = adagp_runtime::with_threads(1, csv);
         for threads in [2, 4] {
-            let got =
-                adagp_runtime::with_threads(threads, || sim_detail_csv(&run_sim_grid(&grid, &cfg)));
+            let got = adagp_runtime::with_threads(threads, csv);
             assert_eq!(got, reference, "threads={threads}");
         }
-        assert_eq!(reference.lines().count(), 1 + grid.cell_count());
-    }
-
-    #[test]
-    fn detail_csv_parses_and_orders_like_the_grid() {
-        let grid = presets::smoke();
-        let details = run_sim_grid(&grid, &SimConfig::no_contention());
-        let expected: Vec<String> = grid.expand().into_iter().map(|c| c.id).collect();
-        let got: Vec<String> = details.iter().map(|d| d.spec.id.clone()).collect();
-        assert_eq!(got, expected);
-        let csv = sim_detail_csv(&details);
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), SIM_CSV_HEADER.len());
-        }
+        assert_eq!(reference.lines().count(), grid.cell_count());
     }
 
     #[test]
@@ -541,6 +460,6 @@ mod tests {
         let max = mk(AdaGpDesign::Max);
         let eff = mk(AdaGpDesign::Efficient);
         assert!(max.overlap_efficiency > eff.overlap_efficiency);
-        assert!(max.sim_speedup > eff.sim_speedup);
+        assert!(max.sim_cycles < eff.sim_cycles);
     }
 }

@@ -13,13 +13,29 @@
 //!    twice the knee, the search's longest-path floor of a freshly built
 //!    pair of graphs must not exceed the oracle's simulated cycles.
 
+use adagp_accel::layer_cost::PredictorCostModel;
 use adagp_accel::speedup::EpochMix;
-use adagp_accel::{AdaGpDesign, Dataflow};
-use adagp_sim::{epoch_total, simulate_batch, AdaGpGraphs, BatchGraph, Phase, SimConfig, SimLayer};
+use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
+use adagp_sim::{
+    epoch_total, model_sim_layers, simulate_batch, AdaGpGraphs, BatchGraph, Phase, SimConfig,
+    SimLayer,
+};
 use adagp_sweep::roofline::{KNEE_MAX_BW, KNEE_TOLERANCE};
-use adagp_sweep::simeval::cell_layers;
+use adagp_sweep::shapes::cached_shapes;
 use adagp_sweep::{cell_knee, cell_sim_config, presets, CellSpec, KneeMemoKey};
 use std::collections::HashSet;
+
+/// `spec`'s simulator layers under `cfg`, from the same shapes, accelerator
+/// config and predictor cost model as a sweep cell.
+fn cell_layers(spec: &CellSpec, cfg: &SimConfig) -> Vec<SimLayer> {
+    model_sim_layers(
+        &AcceleratorConfig::default(),
+        spec.dataflow,
+        &PredictorCostModel::default(),
+        &cached_shapes(spec.model, spec.dataset.input_scale()),
+        cfg,
+    )
+}
 
 #[test]
 fn fig17_replays_equal_fresh_builds_at_every_bandwidth() {
