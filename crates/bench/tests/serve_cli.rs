@@ -211,6 +211,8 @@ fn a_killed_server_loses_no_committed_cell() {
     }
     // A served cell is a group of one: it compiles its BP and GP graphs.
     assert_eq!(m["adagp_sweep_graph_builds_total"], 8, "{m:?}");
+    // Each search finds its floor's crossing in two longest-path walks.
+    assert_eq!(m["adagp_sweep_floor_walks_total"], 8, "{m:?}");
 
     let second = Serve::start(&args, None);
     let grid = submit_grid(second.addr, SMOKE).expect("grid after restart");

@@ -31,8 +31,13 @@
 //! with every resource ignored. No task starts before its dependencies
 //! end, so the bound holds for every graph, bandwidth, port count and
 //! buffer; it is one reverse pass over the CSR, a few times cheaper than
-//! a replay, and the roofline knee search simulates only where it is
-//! within tolerance. It is *not* the zero-slack chain
+//! a replay. The pass also leaves one chain that attains the length,
+//! which it hands to a visitor: the batch graphs turn that chain into a
+//! bound at every other bandwidth
+//! ([`crate::workload::ChainCertificate`]), and the roofline knee search
+//! walks only where those bounds cannot rule a bandwidth out, and
+//! simulates only where the walk is within tolerance. It is *not* the
+//! zero-slack chain
 //! [`crate::report::critical_path`] extracts from a traced run: that
 //! chain follows resource admissions as well as dependencies and sums to
 //! the makespan itself, while this bound falls short of the makespan
@@ -519,6 +524,9 @@ struct Scratch {
     /// Per task, the longest chain from its start to the end of the graph
     /// ([`TaskGraph::longest_path`]).
     tail: Vec<u64>,
+    /// Per task, the successor that chain continues with (`NONE` at its
+    /// end).
+    next: Vec<u32>,
 }
 
 thread_local! {
@@ -703,21 +711,36 @@ impl TaskGraph {
     /// ignored: a lower bound on [`TaskGraph::run`]'s makespan that needs
     /// no event loop (module doc). Task ids are a topological order, so
     /// one pass in decreasing id order sees every dependent before the
-    /// tasks it waits on.
-    pub fn longest_path(&self) -> u64 {
+    /// tasks it waits on. The pass keeps each task's longest successor
+    /// (the first of equals) in the thread's scratch, so `on_chain` then
+    /// visits one longest chain, source to sink, without allocating: each
+    /// task it is called on waits on the one before, and their durations
+    /// sum to the returned length. `on_chain` runs while the scratch is
+    /// borrowed, so it must not run or walk a graph itself.
+    pub fn longest_path(&self, mut on_chain: impl FnMut(TaskId)) -> u64 {
         SCRATCH.with_borrow_mut(|st| {
-            let tail = &mut st.tail;
+            let n = self.len();
+            let (tail, next) = (&mut st.tail, &mut st.next);
             tail.clear();
-            tail.resize(self.len(), 0);
-            let mut longest = 0;
-            for t in (0..self.len()).rev() {
-                let after = self.succ[self.succ_start[t] as usize..self.succ_start[t + 1] as usize]
-                    .iter()
-                    .map(|&s| tail[s as usize])
-                    .max()
-                    .unwrap_or(0);
+            tail.resize(n, 0);
+            next.clear();
+            next.resize(n, NONE);
+            let (mut longest, mut head) = (0, NONE);
+            for t in (0..n).rev() {
+                let mut after = 0;
+                for &s in &self.succ[self.succ_start[t] as usize..self.succ_start[t + 1] as usize] {
+                    if next[t] == NONE || tail[s as usize] > after {
+                        (after, next[t]) = (tail[s as usize], s);
+                    }
+                }
                 tail[t] = self.duration[t] + after;
-                longest = longest.max(tail[t]);
+                if tail[t] >= longest {
+                    (longest, head) = (tail[t], t as u32);
+                }
+            }
+            while head != NONE {
+                on_chain(head as usize);
+                head = next[head as usize];
             }
             longest
         })
@@ -1116,8 +1139,28 @@ mod tests {
         let d = b.add_task(task(None, 20, vec![a]));
         b.add_task(task(None, 5, vec![d, c]));
         let g = b.compile();
-        assert_eq!(g.longest_path(), 35);
-        assert_eq!(g.longest_path(), g.run().makespan);
+        let mut chain = Vec::new();
+        assert_eq!(g.longest_path(|t| chain.push(t)), 35);
+        assert_eq!(g.longest_path(|_| {}), g.run().makespan);
+        // The walk's chain is a → d → last (10 + 20 + 5), not c → last.
+        assert_eq!(chain, [a, d, 3]);
+    }
+
+    #[test]
+    fn the_longest_chain_follows_the_first_of_the_longest_successors() {
+        // a fans out to a 2-cycle task and two 6-cycle tasks, all three
+        // feeding the sink: the chain skips the shorter first successor
+        // and takes the first of the two longest.
+        let mut b = SimBuilder::new();
+        let a = b.add_task(task(None, 1, vec![]));
+        let x = b.add_task(task(None, 2, vec![a]));
+        let y = b.add_task(task(None, 6, vec![a]));
+        let w = b.add_task(task(None, 6, vec![a]));
+        let z = b.add_task(task(None, 2, vec![x, y, w]));
+        let g = b.compile();
+        let mut chain = Vec::new();
+        assert_eq!(g.longest_path(|t| chain.push(t)), 9);
+        assert_eq!(chain, [a, y, z]);
     }
 
     #[test]
@@ -1130,9 +1173,15 @@ mod tests {
         b.add_task(task(Some(pe), 3, vec![]));
         let g = b.compile();
         assert_eq!(g.run().makespan, 10);
-        assert_eq!(g.longest_path(), 7);
-        assert!(g.longest_path() < g.run().makespan);
-        assert_eq!(SimBuilder::new().compile().longest_path(), 0);
+        let mut chain = Vec::new();
+        assert_eq!(g.longest_path(|t| chain.push(t)), 7);
+        assert_eq!(chain, [0]);
+        let mut visited = 0;
+        assert_eq!(
+            SimBuilder::new().compile().longest_path(|_| visited += 1),
+            0
+        );
+        assert_eq!(visited, 0);
     }
 
     #[test]

@@ -98,10 +98,10 @@ pub use engine::{
 };
 pub use report::{crit_tasks, critical_path};
 pub use schedule::{pipeline_graph, PipelineOrder};
-pub use step::{AdaGpGraphs, AdaGpSim, StepSim};
+pub use step::{AdaGpGraphs, AdaGpSim, StepSim, TrainingFloor};
 pub use steps::{step_timeline, StepTimeline};
 pub use trace::{chrome_trace, write_chrome_trace};
 pub use workload::{
-    layer_spill_words, model_sim_layers, simulate_batch, BatchGraph, BatchSim, BatchStats, Phase,
-    SimConfig, SimLayer,
+    layer_spill_words, model_sim_layers, simulate_batch, BatchGraph, BatchSim, BatchStats,
+    ChainCertificate, Phase, SimConfig, SimLayer,
 };

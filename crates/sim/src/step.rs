@@ -9,7 +9,9 @@
 //! are bit-identical to the closed forms. The fig17-grid golden test
 //! relies on this.
 
-use crate::workload::{layer_labels, BatchGraph, BatchStats, Phase, SimConfig, SimLayer};
+use crate::workload::{
+    layer_labels, BatchGraph, BatchStats, ChainCertificate, Phase, SimConfig, SimLayer,
+};
 use adagp_accel::speedup::{epoch_total, EpochMix};
 use adagp_accel::AdaGpDesign;
 use std::sync::Arc;
@@ -56,17 +58,19 @@ impl AdaGpGraphs {
     }
 
     /// A lower bound on `self.run(mix).training_cycles()` that replays
-    /// nothing: the epoch blend of both batches'
-    /// [`TaskGraph::longest_path`](crate::engine::TaskGraph::longest_path).
-    /// Each path is at most its batch's makespan, and [`epoch_total`]'s
-    /// weights are non-negative while IEEE rounding is monotone, so the
-    /// bound holds in `f64` too.
-    pub fn training_cycles_floor(&self, mix: &EpochMix) -> f64 {
-        epoch_total(
-            mix,
-            self.bp.graph().longest_path() as f64,
-            self.gp.graph().longest_path() as f64,
-        )
+    /// nothing: the epoch blend of both batches' longest paths
+    /// ([`BatchGraph::longest_path`]), with the certificates of the two
+    /// chains that attain them. Each path is at most its batch's makespan,
+    /// and [`epoch_total`]'s weights are non-negative while IEEE rounding
+    /// is monotone, so the bound holds in `f64` too.
+    pub fn training_cycles_floor(&self, mix: &EpochMix) -> TrainingFloor {
+        let (bp_path, bp) = self.bp.longest_path();
+        let (gp_path, gp) = self.gp.longest_path();
+        TrainingFloor {
+            cycles: epoch_total(mix, bp_path as f64, gp_path as f64),
+            bp,
+            gp,
+        }
     }
 
     /// Replays both batches at the current bandwidth.
@@ -77,6 +81,20 @@ impl AdaGpGraphs {
             mix: *mix,
         }
     }
+}
+
+/// [`AdaGpGraphs::training_cycles_floor`] at one bandwidth: the blended
+/// floor and a longest chain of each batch. Blending the certificates'
+/// [`ChainCertificate::cycles_at`] the same way bounds the floor, and so
+/// the training cycles, from below at any other bandwidth.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrainingFloor {
+    /// `epoch_total` of the two batches' longest paths.
+    pub cycles: f64,
+    /// A longest chain of the Phase-BP batch.
+    pub bp: ChainCertificate,
+    /// A longest chain of the Phase-GP batch.
+    pub gp: ChainCertificate,
 }
 
 /// The two simulated batches of one ADA-GP training run plus its

@@ -368,6 +368,30 @@ pub struct BatchGraph {
     totals: BatchStats,
 }
 
+/// One dependency chain of a [`BatchGraph`], reduced to what a bandwidth
+/// changes: the cycles of its compute and synchronization tasks, which no
+/// bandwidth moves, and the words its DRAM tasks stream. At `b` words per
+/// cycle the chain takes `fixed_cycles + Σ⌈wᵢ/b⌉` cycles, which is at
+/// least [`ChainCertificate::cycles_at`]`(b)` because
+/// `Σ⌈wᵢ/b⌉ ≥ ⌈Σwᵢ/b⌉`; and every chain is at most the graph's longest
+/// path. So a chain taken at one bandwidth bounds the longest path, and
+/// with it the makespan, from below at every other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainCertificate {
+    /// Summed durations of the chain's tasks that are not DRAM tasks.
+    pub fixed_cycles: u64,
+    /// Summed words of the chain's weight-load and spill tasks.
+    pub dram_words: u64,
+}
+
+impl ChainCertificate {
+    /// `fixed_cycles + ⌈dram_words / words_per_cycle⌉`: a lower bound on
+    /// the graph's longest path at `words_per_cycle`.
+    pub fn cycles_at(&self, words_per_cycle: u64) -> u64 {
+        self.fixed_cycles + self.dram_words.div_ceil(words_per_cycle)
+    }
+}
+
 thread_local! {
     /// The thread's batch emission state: a builder and a DRAM-word list
     /// that keep their capacity from one build to the next, so a build
@@ -715,6 +739,26 @@ impl BatchGraph {
                 self.totals.spill_cycles += cycles;
             }
         }
+    }
+
+    /// The graph's longest dependency path at the current bandwidth
+    /// ([`TaskGraph::longest_path`]), with the certificate of one chain
+    /// that attains it. The chain's DRAM words come from a merge over
+    /// `dram_words`, which is in task-id order like the chain.
+    pub fn longest_path(&self) -> (u64, ChainCertificate) {
+        let mut cert = ChainCertificate {
+            fixed_cycles: 0,
+            dram_words: 0,
+        };
+        let mut dram = self.dram_words.iter().peekable();
+        let path = self.graph.longest_path(|task| {
+            while dram.next_if(|&&(t, _)| t < task).is_some() {}
+            match dram.next_if(|&&(t, _)| t == task) {
+                Some(&(_, words)) => cert.dram_words += words,
+                None => cert.fixed_cycles += self.graph.duration(task),
+            }
+        });
+        (path, cert)
     }
 
     /// The compiled task graph.

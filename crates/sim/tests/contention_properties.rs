@@ -19,13 +19,18 @@
 //!    each resource's tasks then form one dependency chain, so nothing
 //!    queues. That is why the floor's crossing is the knee for 300 of the
 //!    eight benchmark presets' 308 knee keys.
+//! 5. **Chain certificates** — the chain the longest-path walk visits is
+//!    a dependency path whose durations sum to the path, and its
+//!    certificate (fixed cycles, DRAM words) taken at one bandwidth is at
+//!    most the longest path, and so the makespan, at every other: the
+//!    knee search's proof that a bandwidth's floor is over target.
 
 use adagp_accel::designs::{baseline_batch_cycles, bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::{model_costs, LayerCost, PredictorCostModel};
 use adagp_accel::{AcceleratorConfig, AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::{model_shapes, InputScale, LayerShape};
 use adagp_nn::models::CnnModel;
-use adagp_sim::{model_sim_layers, simulate_batch, BatchGraph, Phase, SimConfig};
+use adagp_sim::{model_sim_layers, simulate_batch, BatchGraph, Phase, SimConfig, TaskKind};
 use adagp_tensor::Prng;
 
 /// A random model: 1–12 conv/linear layers with channel counts and
@@ -205,7 +210,7 @@ fn longest_path_bounds_every_makespan_and_never_grows_with_bandwidth() {
                 let mut prev = u64::MAX;
                 for &bw in &bandwidths {
                     graph.set_bandwidth(bw);
-                    let (path, span) = (graph.graph().longest_path(), graph.run().makespan);
+                    let (path, span) = (graph.longest_path().0, graph.run().makespan);
                     let at = format!(
                         "case {case}: {phase:?} {design:?} at {bw} w/c, {dram_ports} ports, \
                          buffer {buffer:?}"
@@ -235,7 +240,7 @@ fn without_contention_the_longest_path_is_the_makespan_of_every_zoo_graph() {
                 for (phase, design) in phases() {
                     let graph = BatchGraph::build(phase, design, &layers, &cfg);
                     assert_eq!(
-                        graph.graph().longest_path(),
+                        graph.longest_path().0,
                         graph.run().makespan,
                         "{model:?} {scale:?} {df:?} {phase:?} {design:?}"
                     );
@@ -245,4 +250,103 @@ fn without_contention_the_longest_path_is_the_makespan_of_every_zoo_graph() {
         }
     }
     assert_eq!(checked, 13 * 2 * 4 * 7);
+}
+
+/// Checks property 5 on `graph` over `bandwidths`: at each, the visited
+/// chain and its certificate against the graph itself; then every
+/// certificate against the longest path and the makespan at every
+/// bandwidth. Returns how many chains held more than one DRAM task (the
+/// ones whose certificate rounds up less than their tasks do).
+fn check_certificates(graph: &mut BatchGraph, bandwidths: &[u64], at: &str) -> usize {
+    let mut multi = 0;
+    let mut certs = Vec::new();
+    for &bw in bandwidths {
+        graph.set_bandwidth(bw);
+        let mut chain = Vec::new();
+        let path = graph.graph().longest_path(|t| chain.push(t));
+        let (same, cert) = graph.longest_path();
+        assert_eq!(same, path, "{at}, {bw} w/c");
+        let g = graph.graph();
+        for pair in chain.windows(2) {
+            assert!(
+                g.deps(pair[1]).any(|d| d == pair[0]),
+                "{at}, {bw} w/c: {} does not wait on {}",
+                pair[1],
+                pair[0]
+            );
+        }
+        assert!(chain.first().is_none_or(|&t| g.deps(t).next().is_none()));
+        let sum: u64 = chain.iter().map(|&t| g.duration(t)).sum();
+        assert_eq!(sum, path, "{at}, {bw} w/c: chain durations");
+        let (dram, fixed): (Vec<usize>, Vec<usize>) = chain
+            .iter()
+            .partition(|&&t| matches!(g.kind(t), TaskKind::WeightLoad | TaskKind::Spill));
+        let fixed: u64 = fixed.iter().map(|&t| g.duration(t)).sum();
+        assert_eq!(cert.fixed_cycles, fixed, "{at}, {bw} w/c: fixed cycles");
+        // At 1 w/c a DRAM task takes as many cycles as it has words.
+        graph.set_bandwidth(1);
+        let words: u64 = dram.iter().map(|&t| graph.graph().duration(t)).sum();
+        assert_eq!(cert.dram_words, words, "{at}, {bw} w/c: DRAM words");
+        multi += usize::from(dram.len() > 1);
+        certs.push((bw, cert));
+    }
+    for &bw in bandwidths {
+        graph.set_bandwidth(bw);
+        let (path, span) = (graph.longest_path().0, graph.run().makespan);
+        assert!(
+            path <= span,
+            "{at}, {bw} w/c: path {path} > makespan {span}"
+        );
+        for (taken, cert) in &certs {
+            assert!(
+                cert.cycles_at(bw) <= path,
+                "{at}: chain taken at {taken} w/c bounds {} > path {path} at {bw} w/c",
+                cert.cycles_at(bw)
+            );
+        }
+    }
+    multi
+}
+
+#[test]
+fn a_chain_certificate_bounds_the_longest_path_at_every_bandwidth() {
+    let acfg = AcceleratorConfig::default();
+    let pred = PredictorCostModel::default();
+    let bandwidths = [1u64, 3, 64, 1 << 20];
+    // Every zoo model's batch graphs under the default channel and buffer.
+    let cfg = SimConfig::default();
+    let (mut checked, mut multi) = (0, 0);
+    for model in CnnModel::all() {
+        for scale in [InputScale::Cifar, InputScale::ImageNet] {
+            let shapes = model_shapes(model, scale);
+            for df in DATAFLOWS {
+                let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
+                for (phase, design) in phases() {
+                    let mut graph = BatchGraph::build(phase, design, &layers, &cfg);
+                    let at = format!("{model:?} {scale:?} {df:?} {phase:?} {design:?}");
+                    multi += check_certificates(&mut graph, &bandwidths, &at);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 13 * 2 * 4 * 7);
+    // Seeded mixes, with buffers small enough that chains carry spills.
+    let mut rng = Prng::seed_from_u64(0xCE27);
+    let buffers = [None, Some(1u64 << 10), Some(1 << 13), Some(1 << 17)];
+    for case in 0..200 {
+        let shapes = random_shapes(&mut rng);
+        let df = DATAFLOWS[(rng.next_u64() % 4) as usize];
+        let cfg = SimConfig {
+            batch: 1 + (rng.next_u64() % 32) as usize,
+            dram_ports: 1 + (rng.next_u64() % 3) as u32,
+            buffer_words: buffers[(rng.next_u64() % 4) as usize],
+            ..SimConfig::default()
+        };
+        let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
+        let (phase, design) = phases()[case % phases().len()];
+        let mut graph = BatchGraph::build(phase, design, &layers, &cfg);
+        multi += check_certificates(&mut graph, &bandwidths, &format!("case {case}: {cfg:?}"));
+    }
+    assert!(multi > 0, "no chain carried two DRAM tasks");
 }

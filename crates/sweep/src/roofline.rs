@@ -23,28 +23,48 @@
 //! so the premise needs an argument about these graphs in particular;
 //! ROADMAP item 24 is that argument and an independent reference engine.
 //!
-//! **Floor, then replay.** A replay of both batch graphs is the search's
-//! cost, so the search first finds where replaying can start. The
-//! longest dependency paths of the two graphs, resources ignored
+//! **Chains, then crossing, then replay.** A replay of both batch
+//! graphs is the search's cost, so the search first finds where
+//! replaying can start. The longest dependency paths of the two graphs,
+//! resources ignored
 //! ([`adagp_sim::AdaGpGraphs::training_cycles_floor`], blended like the
-//! cycles), bound the replayed cycles from below at every bandwidth and
-//! cost a fraction of a replay. The search gallops the floor over 1, 2,
-//! 4, … up to [`KNEE_MAX_BW`] and bisects the last doubling, to the
-//! smallest bandwidth `s` whose floor is within tolerance; then it
+//! cycles), bound the replayed cycles from below at every bandwidth; a
+//! walk of both costs a fraction of a replay, and it also leaves behind
+//! one longest chain per graph, as a certificate: the chain's fixed
+//! (compute and join) cycles and its DRAM words
+//! ([`adagp_sim::ChainCertificate`]). A longest path is a max over
+//! chains (a max-plus expression), so any chain bounds it from below,
+//! at any bandwidth `b`: a chain with DRAM tasks of `wᵢ` words takes
+//! `fixed + Σ⌈wᵢ/b⌉ ≥ fixed + ⌈Σwᵢ/b⌉` cycles. The search walks at 1;
+//! while the walk is over target, it keeps the walk's two chains and
+//! walks next at the first bandwidth at which `lb(b)` — [`epoch_total`]
+//! of the longest kept BP chain's `fixed + ⌈W/b⌉` and the same for GP —
+//! is within target. `lb` never exceeds the floor (each term is at most
+//! its graph's longest path, and `epoch_total` is monotone under IEEE
+//! rounding), so every bandwidth it skips has its floor over target,
+//! and the first walk within target is the floor's crossing `s`: the
+//! chains prove it without assuming anything of the floor's shape. On
+//! the eight benchmark presets' 308 knees that takes 611 walks, two at
+//! most per knee (`sweep_floor_walks_total`), where galloping the floor
+//! over 1, 2, 4, … took 3 235; every crossing is the one that gallop
+//! finds (`tests` checks it on all 308). The walks have no logarithmic
+//! bound: where a chain's DRAM tasks round up apart, `lb` can sit under
+//! target over a stretch where the floor is over it, and the search
+//! then walks that stretch one bandwidth at a time (ROADMAP). Then it
 //! replays at `s`, `s + 1`, `s + 3`, … (a gallop from `s − 1`) and
-//! bisects the last doubling again. The floor is monotone too (a DRAM
-//! task's duration never grows with bandwidth), so every bandwidth below
-//! `s` has its floor over target and its cycles at least that: the knee
-//! is at or above `s`, and the search returns the knee a search of the
-//! whole range returns (`tests` checks both, and the floor under every
-//! replayed point, on all 308 preset knees). A knee `k` costs at most
-//! `2⌈log₂(k − s + 1)⌉ + 1` replays. On the eight benchmark presets' 308
-//! knees the floor's `s` is the knee for 300 and one below it for the
-//! other 8, so a knee costs 1.03 replays, against 10.5 for the gallop
-//! from 1 this replaced (316 against 3 235, `sweep_knee_probes_total`). A
-//! cell whose floor is over target even at the cap reports the cap
-//! without a replay; no preset has one. Every knee in the committed
-//! `runs/*.csv` is between 1 and 174 w/c.
+//! bisects the last doubling. Every bandwidth below `s` has its floor
+//! over target and its cycles at least that, so the knee is at or above
+//! `s`, and the search returns the knee a search of the whole range
+//! returns (`tests` checks both, and the floor under every replayed
+//! point, on all 308 preset knees); only this replay gallop rests on
+//! the makespan's monotonicity. A knee `k` costs at most
+//! `2⌈log₂(k − s + 1)⌉ + 1` replays. On the presets the floor's `s` is
+//! the knee for 300 knees and one below it for the other 8, so a knee
+//! costs 1.03 replays, against 10.5 for the gallop from 1 the floor
+//! replaced (316 against 3 235, `sweep_knee_probes_total`). A cell
+//! whose floor is over target even at the cap reports the cap without a
+//! replay; no preset has one. Every knee in the committed `runs/*.csv`
+//! is between 1 and 174 w/c.
 //!
 //! **Build once, replay per probe.** The bandwidth being probed only
 //! changes the durations of the DRAM tasks, never the topology of the
@@ -79,12 +99,12 @@ use crate::grid::{CellSpec, PhaseSchedule};
 use crate::memo::CellMemos;
 use crate::simeval::{build_graphs, cell_sim_config, CellGraphs};
 use adagp_accel::layer_cost::LayerCost;
-use adagp_accel::speedup::adagp_cycles_of;
+use adagp_accel::speedup::{adagp_cycles_of, epoch_total, EpochMix};
 use adagp_accel::{AdaGpDesign, Dataflow};
 use adagp_nn::models::shapes::InputScale;
 use adagp_nn::models::CnnModel;
 use adagp_obs as obs;
-use adagp_sim::{AdaGpGraphs, SimConfig};
+use adagp_sim::{AdaGpGraphs, ChainCertificate, SimConfig, TrainingFloor};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
@@ -105,28 +125,72 @@ fn probes_counter() -> &'static Arc<obs::Counter> {
     C.get_or_init(|| obs::registry().counter("sweep_knee_probes_total"))
 }
 
+/// Longest-path walks, process-wide (`sweep_floor_walks_total`): one per
+/// bandwidth at which a search re-timed a cell's graphs and walked both
+/// for their floor and its chains.
+fn walks_counter() -> &'static Arc<obs::Counter> {
+    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| obs::registry().counter("sweep_floor_walks_total"))
+}
+
 /// Smallest bandwidth in `[1, KNEE_MAX_BW]` at which the training cycles
 /// `at(bandwidth)` are within `tolerance` of `free_cycles`, on a monotone
-/// non-increasing curve bounded below by `floor(bandwidth)`: the smallest
-/// bandwidth `s` whose floor is within tolerance, found without calling
-/// `at`, then the first bandwidth from `s` on whose `at` is (module doc).
-/// [`KNEE_MAX_BW`] when even the cap is not within tolerance — with no
-/// call to `at` at all when the floor already is not.
+/// non-increasing curve bounded below by the floor `walk(bandwidth)`
+/// returns (blended under `mix`): the floor's crossing
+/// ([`floor_crossing`]), found without calling `at`, then the first
+/// bandwidth from there on whose `at` is (module doc). [`KNEE_MAX_BW`] when even the cap is not within
+/// tolerance — with no call to `at` at all when the floor already is not.
 fn knee_search(
     mut at: impl FnMut(u64) -> f64,
-    mut floor: impl FnMut(u64) -> f64,
+    walk: impl FnMut(u64) -> TrainingFloor,
+    mix: &EpochMix,
     free_cycles: f64,
     tolerance: f64,
 ) -> u64 {
     let target = free_cycles * (1.0 + tolerance);
-    first_within(&mut floor, target, 0)
+    floor_crossing(walk, mix, target)
         .and_then(|s| first_within(&mut at, target, s - 1))
         .unwrap_or(KNEE_MAX_BW)
 }
 
+/// Smallest bandwidth in `[1, KNEE_MAX_BW]` whose floor `walk(bw).cycles`
+/// is at or under `target`, or `None` when no bandwidth's is. Walks at 1,
+/// then, while the walk is over target, keeps its two chains and walks
+/// next at the first bandwidth the kept chains cannot prove over target:
+/// their blended [`ChainCertificate::cycles_at`] bounds the floor from
+/// below everywhere (module doc), so every bandwidth skipped is over
+/// target. Assumes nothing about the floor's shape.
+fn floor_crossing(
+    mut walk: impl FnMut(u64) -> TrainingFloor,
+    mix: &EpochMix,
+    target: f64,
+) -> Option<u64> {
+    let mut chains: Vec<(ChainCertificate, ChainCertificate)> = Vec::new();
+    let mut bw = 1;
+    loop {
+        let floor = walk(bw);
+        if floor.cycles <= target {
+            return Some(bw);
+        }
+        if bw == KNEE_MAX_BW {
+            return None;
+        }
+        chains.push((floor.bp, floor.gp));
+        let bound = |b| {
+            let (mut bp, mut gp) = (0, 0);
+            for (bp_chain, gp_chain) in &chains {
+                bp = bp.max(bp_chain.cycles_at(b));
+                gp = gp.max(gp_chain.cycles_at(b));
+            }
+            epoch_total(mix, bp as f64, gp as f64)
+        };
+        bw = first_within(bound, target, bw)?;
+    }
+}
+
 /// Smallest bandwidth in `(above, KNEE_MAX_BW]` at which `curve` is at or
-/// under `target`, on a monotone non-increasing curve that is above
-/// `target` at `above` (or `above == 0`): gallop `above + 1, above + 2,
+/// under `target`, on a curve that is monotone non-increasing over that
+/// range (`curve(above)` is never called): gallop `above + 1, above + 2,
 /// above + 4, …` up to the cap, then bisect the last doubling. A result
 /// `d` past `above` costs at most `2⌈log₂ d⌉ + 1` calls. `None` when even
 /// the cap is above `target`.
@@ -167,20 +231,23 @@ impl CellGraphs {
     /// graphs. They are left timed at the last bandwidth probed: a cell
     /// re-times them before it replays them.
     pub(crate) fn search_knee(&mut self, spec: &CellSpec, tolerance: f64) -> u64 {
-        let free = self.free_cycles(spec);
-        self.with_channel(spec, |at, floor| knee_search(at, floor, free, tolerance))
+        let (free, mix) = (self.free_cycles(spec), spec.schedule.mix());
+        self.with_channel(spec, |at, walk| {
+            knee_search(at, walk, &mix, free, tolerance)
+        })
     }
 
     /// Runs `f` on `spec`'s two curves over graphs that have a DRAM
     /// channel — the group's own, or, under a contention-off base, a set
     /// compiled `with_bandwidth`. Both re-time the graphs to the bandwidth
     /// asked for; the first replays them (a probe, counted in
-    /// `sweep_knee_probes_total`), the second returns their longest-path
-    /// floor ([`AdaGpGraphs::training_cycles_floor`]).
+    /// `sweep_knee_probes_total`), the second walks them for their floor
+    /// and its chains ([`AdaGpGraphs::training_cycles_floor`], counted in
+    /// `sweep_floor_walks_total`).
     fn with_channel<T>(
         &mut self,
         spec: &CellSpec,
-        f: impl FnOnce(&mut dyn FnMut(u64) -> f64, &mut dyn FnMut(u64) -> f64) -> T,
+        f: impl FnOnce(&mut dyn FnMut(u64) -> f64, &mut dyn FnMut(u64) -> TrainingFloor) -> T,
     ) -> T {
         let mix = spec.schedule.mix();
         let probe = |graphs: &mut AdaGpGraphs| {
@@ -195,7 +262,10 @@ impl CellGraphs {
                     probes_counter().inc();
                     retimed(bw).run(&mix).training_cycles()
                 },
-                &mut |bw| retimed(bw).training_cycles_floor(&mix),
+                &mut |bw| {
+                    walks_counter().inc();
+                    retimed(bw).training_cycles_floor(&mix)
+                },
             )
         };
         if self.cfg.dram_words_per_cycle.is_some() {
@@ -317,24 +387,59 @@ mod tests {
         2 * (64 - (d - 1).leading_zeros()) + 1
     }
 
-    /// [`knee_search`] on `at` over `floor`, and how many times it
-    /// replayed (called `at`).
+    /// [`knee_search`] on `at` over the floor `walk` blends under `mix`,
+    /// and how many times it replayed (called `at`) and walked.
     fn counted_search(
         mut at: impl FnMut(u64) -> f64,
-        floor: impl FnMut(u64) -> f64,
+        mut walk: impl FnMut(u64) -> TrainingFloor,
+        mix: &EpochMix,
         free_cycles: f64,
-    ) -> (u64, u32) {
-        let mut replays = 0;
+    ) -> (u64, u32, u32) {
+        let (mut replays, mut walks) = (0, 0);
         let knee = knee_search(
             |bw| {
                 replays += 1;
                 at(bw)
             },
-            floor,
+            |bw| {
+                walks += 1;
+                walk(bw)
+            },
+            mix,
             free_cycles,
             KNEE_TOLERANCE,
         );
-        (knee, replays)
+        (knee, replays, walks)
+    }
+
+    /// One warm-up epoch: [`epoch_total`] is then the BP value itself.
+    fn one_epoch() -> EpochMix {
+        EpochMix {
+            warmup: 1,
+            stage_4_1: 0,
+            stage_3_1: 0,
+            stage_2_1: 0,
+            stage_1_1: 0,
+        }
+    }
+
+    /// The floor of two batches that are each the one chain `chain`, and
+    /// that chain as both certificates.
+    fn single_chain(chain: ChainCertificate, mix: &EpochMix) -> impl Fn(u64) -> TrainingFloor + '_ {
+        move |bw| {
+            let cycles = chain.cycles_at(bw) as f64;
+            TrainingFloor {
+                cycles: epoch_total(mix, cycles, cycles),
+                bp: chain,
+                gp: chain,
+            }
+        }
+    }
+
+    /// A step at `k` over `floor`: 2000 cycles below it, 1000 from it on,
+    /// and never under the floor.
+    fn step_at(k: u64, floor: &dyn Fn(u64) -> TrainingFloor) -> impl Fn(u64) -> f64 + '_ {
+        move |bw| floor(bw).cycles.max(if bw >= k { 1000.0 } else { 2000.0 })
     }
 
     #[test]
@@ -346,23 +451,46 @@ mod tests {
         knees.retain(|k| (1..=KNEE_MAX_BW).contains(k));
         knees.sort_unstable();
         knees.dedup();
-        // A step at `k`: twice the free cycles below it, free from it on.
-        let step_at = |k: u64| move |bw: u64| if bw >= k { 100.0 } else { 200.0 };
+        let mix = one_epoch();
+        // Free cycles 1000.5, so the target is 1010.505: a chain of 1000
+        // fixed cycles and 10·s words is within it from `s` on, and not
+        // below (⌈10s/b⌉ ≤ 10 exactly when b ≥ s).
+        let free = 1000.5;
+        let crossing_at = |s: u64| {
+            single_chain(
+                ChainCertificate {
+                    fixed_cycles: 1000,
+                    dram_words: 10 * s,
+                },
+                &mix,
+            )
+        };
+        let zero = single_chain(
+            ChainCertificate {
+                fixed_cycles: 0,
+                dram_words: 0,
+            },
+            &mix,
+        );
         for k in knees {
-            let step = step_at(k);
-            // A zero floor is within tolerance everywhere, so the replays
-            // gallop from 1 as they did before the search had a floor.
-            let (knee, replays) = counted_search(step, |_| 0.0, 100.0);
-            assert_eq!(knee, k);
+            // A zero floor is within tolerance everywhere, so one walk
+            // suffices and the replays gallop from 1.
+            let step = step_at(k, &zero);
+            let (knee, replays, walks) = counted_search(&step, &zero, &mix, free);
+            assert_eq!((knee, walks), (k, 1));
             assert!(replays <= probe_bound(k), "knee {k}: {replays} replays");
-            assert_eq!(bisect_reference(step, 100.0, KNEE_TOLERANCE), k);
-            // A floor that crosses at `s ≤ k` (a step at `s`, under the
-            // curve everywhere): the replays start at `s`.
+            assert_eq!(bisect_reference(&step, free, KNEE_TOLERANCE), k);
+            // A floor that crosses at `s ≤ k`, certified by its own chain:
+            // one walk at 1 and, unless `s` is 1, one at `s`; the replays
+            // start at `s`.
             let mut crossings = vec![1, k.div_ceil(2), k - k / 8, k - 1, k];
             crossings.retain(|&s| s >= 1);
             for s in crossings {
-                let (knee, replays) = counted_search(step, step_at(s), 100.0);
+                let floor = crossing_at(s);
+                let step = step_at(k, &floor);
+                let (knee, replays, walks) = counted_search(&step, &floor, &mix, free);
                 assert_eq!(knee, k, "floor crossing {s}");
+                assert_eq!(walks, if s == 1 { 1 } else { 2 }, "floor crossing {s}");
                 assert!(
                     replays <= probe_bound(k - s + 1),
                     "knee {k}, floor crossing {s}: {replays} replays"
@@ -377,11 +505,22 @@ mod tests {
         }
         // Capped under a zero floor: no bandwidth is within tolerance, so
         // the replays gallop over all 21 powers of two and report the cap.
-        assert_eq!(counted_search(|_| 200.0, |_| 0.0, 100.0), (KNEE_MAX_BW, 21));
-        // A floor above target even at the cap: the cap, with no replay.
         assert_eq!(
-            counted_search(|_| 200.0, |_| 150.0, 100.0),
-            (KNEE_MAX_BW, 0)
+            counted_search(|_| 2000.0, &zero, &mix, free),
+            (KNEE_MAX_BW, 21, 1)
+        );
+        // A floor above target even at the cap: its chain proves it after
+        // one walk, and the cap comes with no replay.
+        let over = single_chain(
+            ChainCertificate {
+                fixed_cycles: 1500,
+                dram_words: 0,
+            },
+            &mix,
+        );
+        assert_eq!(
+            counted_search(|_| 2000.0, &over, &mix, free),
+            (KNEE_MAX_BW, 0, 1)
         );
     }
 
@@ -410,11 +549,10 @@ mod tests {
         })
         .collect();
         assert_eq!(specs.len(), 308, "distinct knee keys of the eight presets");
-        adagp_runtime::pool().parallel_map(specs, |spec| {
+        let walks = adagp_runtime::pool().parallel_map(specs, |spec| {
             let mut cell = CellGraphs::build(&spec, &base);
-            let free = cell.free_cycles(&spec);
-            let target = free * (1.0 + KNEE_TOLERANCE);
-            cell.with_channel(&spec, |at, floor| {
+            let (free, mix) = (cell.free_cycles(&spec), spec.schedule.mix());
+            cell.with_channel(&spec, |at, walk| {
                 // Every (bandwidth, cycles) either search replayed.
                 let mut curve = Vec::new();
                 let mut probe = |bw| {
@@ -422,10 +560,21 @@ mod tests {
                     curve.push((bw, cycles));
                     cycles
                 };
-                let (knee, replays) = counted_search(&mut probe, &mut *floor, free);
+                let (knee, replays, _) = counted_search(&mut probe, &mut *walk, &mix, free);
                 let bisect = bisect_reference(&mut probe, free, KNEE_TOLERANCE);
                 assert_eq!(knee, bisect, "{}", spec.key());
-                let s = first_within(&mut *floor, target, 0).expect("finite floor crossing");
+                // The certified crossing is the one the floor gallop it
+                // replaced finds.
+                let target = free * (1.0 + KNEE_TOLERANCE);
+                let (mut walks, mut gallop_walks) = (0, 0);
+                let mut counted = |n: &mut u32, bw| {
+                    *n += 1;
+                    walk(bw)
+                };
+                let s = floor_crossing(|bw| counted(&mut walks, bw), &mix, target);
+                let gallop = first_within(|bw| counted(&mut gallop_walks, bw).cycles, target, 0);
+                assert_eq!(s, gallop, "{}", spec.key());
+                let s = s.expect("finite floor crossing");
                 assert!(
                     s <= knee && replays <= probe_bound(knee - s + 1),
                     "{}: knee {knee}, floor crossing {s}, {replays} replays",
@@ -436,13 +585,18 @@ mod tests {
                 // never under its floor.
                 curve.sort_by_key(|&(bw, _)| bw);
                 for &(bw, cycles) in &curve {
-                    assert!(floor(bw) <= cycles, "{} at {bw} w/c", spec.key());
+                    assert!(walk(bw).cycles <= cycles, "{} at {bw} w/c", spec.key());
                 }
                 for w in curve.windows(2) {
                     assert!(w[1].1 <= w[0].1, "{}: {w:?}", spec.key());
                 }
-            });
+                (walks, gallop_walks)
+            })
         });
+        let certified: u32 = walks.iter().map(|w| w.0).sum();
+        let gallop: u32 = walks.iter().map(|w| w.1).sum();
+        assert!(certified <= 2 * 308, "{certified} walks for 308 knees");
+        assert_eq!(gallop, 3_235, "the floor gallop's walks");
     }
 
     /// Every committed `roofline` knee, checked on freshly built

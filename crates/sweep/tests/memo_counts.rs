@@ -4,7 +4,9 @@
 //! A first pass runs each exactly once, a second pass none. The 308 knee
 //! searches replay their graphs 316 times in all: the longest-path floor
 //! puts 300 knees at the first bandwidth replayed and the other 8 one
-//! above it (3 235 replays before the search had a floor). The cells run
+//! above it (3 235 replays before the search had a floor). They find that
+//! floor's crossing in 611 walks of the graphs' longest paths, two at
+//! most per knee (3 235 walks when the floor galloped). The cells run
 //! in groups that differ only in bandwidth and schedule, and a group
 //! compiles its BP and GP graphs once: 312 groups, 624 graphs (1 006 when
 //! every cell that missed compiled its own). The counts hold at 1, 2 and
@@ -41,6 +43,7 @@ fn check_counts(threads: usize) {
     let sims = registry.counter("sweep_sim_runs_total");
     let knees = registry.counter("sweep_knee_searches_total");
     let probes = registry.counter("sweep_knee_probes_total");
+    let walks = registry.counter("sweep_floor_walks_total");
     let builds = registry.counter("sweep_graph_builds_total");
     let sim_entries = registry.gauge("sweep_sim_memo_entries");
     let knee_entries = registry.gauge("sweep_knee_memo_entries");
@@ -60,6 +63,7 @@ fn check_counts(threads: usize) {
         assert_eq!(pass(), 771);
         assert_eq!((sims.get(), knees.get()), (485, 308), "{name}");
         assert_eq!(probes.get(), 316, "replayed knee probes, {name}");
+        assert_eq!(walks.get(), 611, "longest-path walks, {name}");
         assert_eq!(builds.get(), 624, "compiled graphs, {name}");
         assert_eq!((sim_entries.get(), knee_entries.get()), (485, 308));
     }
@@ -68,6 +72,7 @@ fn check_counts(threads: usize) {
         "adagp_sweep_sim_runs_total 485",
         "adagp_sweep_knee_searches_total 308",
         "adagp_sweep_knee_probes_total 316",
+        "adagp_sweep_floor_walks_total 611",
         "adagp_sweep_graph_builds_total 624",
         "adagp_sweep_sim_memo_entries 485",
         "adagp_sweep_knee_memo_entries 308",

@@ -161,8 +161,9 @@ fn cell_knee_equals_the_rebuild_per_probe_oracle_on_every_preset_key() {
                 .filter(|bw| (1..=KNEE_MAX_BW).contains(bw))
                 .find_map(|bw| {
                     let cfg = cfg.with_bandwidth(bw);
-                    let floor =
-                        AdaGpGraphs::build(spec.design, &layers, &cfg).training_cycles_floor(&mix);
+                    let floor = AdaGpGraphs::build(spec.design, &layers, &cfg)
+                        .training_cycles_floor(&mix)
+                        .cycles;
                     let cycles = rebuilt_training_cycles(spec.design, &layers, &mix, &cfg);
                     (floor > cycles).then(|| {
                         format!(
