@@ -7,6 +7,10 @@
 //!
 //! * a pool-parallel tensor kernel chain (the instrumented
 //!   `scope_run` hot path), compared bit-for-bit;
+//! * ADA-GP training on MobileNet-V2 through warm-up, BP and GP batches
+//!   (the trainer's spans, "predictor rows" around the one pool region of
+//!   a BP batch's predictor inputs among them), every weight compared bit
+//!   for bit;
 //! * the smoke sweep grid's CSV (per-cell spans plus histograms on the
 //!   instrumented runner), compared byte-for-byte with the committed
 //!   golden, and each smoke cell's unmemoized `simulate_cell` columns,
@@ -16,6 +20,11 @@
 //! `obs::test_guard()`, which also leaves recording disabled and the
 //! lanes clear for whoever runs next.
 
+use adagp_core::{AdaGp, AdaGpConfig, ScheduleConfig};
+use adagp_nn::data::{DatasetSpec, VisionDataset};
+use adagp_nn::models::{build_cnn, CnnModel, ModelConfig};
+use adagp_nn::module::Module;
+use adagp_nn::optim::Sgd;
 use adagp_obs as obs;
 use adagp_runtime::with_threads;
 use adagp_sim::SimConfig;
@@ -52,6 +61,67 @@ fn kernels_are_bit_identical_with_tracing_on() {
             "tracing perturbed kernels at {threads} threads"
         );
     }
+}
+
+/// Every weight, as bits, after two warm-up, two GP and two BP batches of
+/// MobileNet-V2 (the schedule of `end_to_end_training.rs`'s pin).
+fn trained_bits() -> Vec<u32> {
+    let ds = VisionDataset::new(DatasetSpec::tiny(4, 16), 22);
+    let mut rng = Prng::seed_from_u64(22);
+    let mut model = build_cnn(
+        CnnModel::MobileNetV2,
+        &ModelConfig::tiny(4),
+        3,
+        16,
+        &mut rng,
+    );
+    let cfg = AdaGpConfig {
+        schedule: ScheduleConfig {
+            warmup_epochs: 1,
+            ratios: [(1, 1); 4],
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut adagp = AdaGp::new(cfg, &mut model, &mut rng);
+    let mut opt = Sgd::new(0.02, 0.9);
+    for (epoch, batches) in [2, 4].into_iter().enumerate() {
+        for b in 0..batches {
+            let (x, y) = ds.train_batch(b + 2 * epoch, 4);
+            adagp.train_batch(&mut model, &mut opt, &x, &y);
+        }
+        adagp.controller_mut().end_epoch();
+    }
+    assert_eq!(adagp.controller_mut().phase_counts(), (2, 2, 2));
+    let mut bits = Vec::new();
+    model.visit_params(&mut |p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+    bits
+}
+
+#[test]
+fn training_is_bit_identical_with_tracing_on() {
+    let _g = obs::test_guard();
+    for threads in [1usize, 4] {
+        let plain = with_threads(threads, || with_tracing(false, trained_bits));
+        let traced = with_threads(threads, || with_tracing(true, trained_bits));
+        assert!(
+            plain == traced,
+            "tracing perturbed training at {threads} threads"
+        );
+    }
+    // The traced arms recorded the BP batches' predictor spans.
+    let spans = obs::snapshot();
+    let named = |name: &str| {
+        spans
+            .lanes
+            .iter()
+            .flat_map(|l| &l.spans)
+            .filter(|s| s.cat == "train" && s.name == name)
+            .count()
+    };
+    // Two warm-up and two BP batches per traced run, two traced runs.
+    assert_eq!(named("predictor rows"), 8);
+    assert_eq!(named("train predictor"), 8);
 }
 
 #[test]

@@ -257,20 +257,17 @@ impl Predictor {
         activation: &Tensor,
         true_grad: Tensor,
     ) -> f32 {
-        let (pooled, target_rows) = self.training_rows(meta, activation, true_grad);
-        let pred = self
-            .net
-            .forward_cols(&pooled, &mut ForwardCtx::train(), target_rows.dim(1));
-        let (loss, dpred) = mse(&pred, &target_rows);
-        self.net.backward_params(&dpred);
-        self.opt.step(&mut self.net);
-        loss
+        let rows = self.training_rows(meta, activation, true_grad);
+        self.train_on_rows(rows)
     }
 
-    /// A training step's pooled inputs and `(rows, row_len)` targets, every
-    /// `stride`-th row of a site wider than `max_rows_per_batch` (bounds the
-    /// cost of very wide layers).
-    fn training_rows(
+    /// A training step's head-independent half: the pooled inputs and
+    /// `(rows, row_len)` targets, every `stride`-th row of a site wider
+    /// than `max_rows_per_batch` (bounds the cost of very wide layers).
+    /// Reads no parameter, so a BP batch computes every site's rows at
+    /// once before [`Predictor::train_on_rows`] steps the head site by
+    /// site.
+    pub(crate) fn training_rows(
         &self,
         meta: &SiteMeta,
         activation: &Tensor,
@@ -280,9 +277,8 @@ impl Predictor {
         let r = reorg::reorganize(meta, activation);
         let target_rows = reorg::gradient_rows(meta, true_grad);
         let pooled = self.pool_input(&r);
-        let rows = pooled.dim(0);
-        if rows > self.cfg.max_rows_per_batch {
-            let stride = rows.div_ceil(self.cfg.max_rows_per_batch);
+        if self.subsamples(meta) {
+            let stride = pooled.dim(0).div_ceil(self.cfg.max_rows_per_batch);
             (
                 subsample_rows(&pooled, stride),
                 subsample_rows(&target_rows, stride),
@@ -290,6 +286,25 @@ impl Predictor {
         } else {
             (pooled, target_rows)
         }
+    }
+
+    /// Whether [`Predictor::training_rows`] keeps a subsample of the site's
+    /// `out_ch` rows rather than its whole gradient.
+    pub(crate) fn subsamples(&self, meta: &SiteMeta) -> bool {
+        meta.out_channels() > self.cfg.max_rows_per_batch
+    }
+
+    /// A training step on [`Predictor::training_rows`]' output: the MSE
+    /// over the site's `row_len` columns, backpropagated through those
+    /// columns only, then an Adam step. Returns the loss.
+    pub(crate) fn train_on_rows(&mut self, (pooled, target_rows): (Tensor, Tensor)) -> f32 {
+        let pred = self
+            .net
+            .forward_cols(&pooled, &mut ForwardCtx::train(), target_rows.dim(1));
+        let (loss, dpred) = mse(pred, &target_rows);
+        self.net.backward_params(&dpred);
+        self.opt.step(&mut self.net);
+        loss
     }
 }
 
@@ -309,16 +324,18 @@ fn subsample_rows(t: &Tensor, stride: usize) -> Tensor {
 
 /// Mean squared error and its gradient `2 (pred - target) / len`, rounded
 /// as `(2 d) / len` (`softmax::mse_loss` scales by a rounded `2 / len`,
-/// which moves the predictor's training floats).
-fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    let mut grad = pred.sub(target);
-    let count = grad.len().max(1) as f32;
+/// which moves the predictor's training floats). The gradient is written
+/// into `pred`'s buffer.
+fn mse(mut pred: Tensor, target: &Tensor) -> (f32, Tensor) {
+    assert_eq!(pred.shape(), target.shape(), "mse: shape mismatch");
+    let count = pred.len().max(1) as f32;
     let mut loss = 0.0f32;
-    for d in grad.data_mut() {
+    for (d, &t) in pred.data_mut().iter_mut().zip(target.data()) {
+        *d -= t;
         loss += *d * *d;
         *d = 2.0 * *d / count;
     }
-    (loss / count, grad)
+    (loss / count, pred)
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //!   reads of the one predictor, so they run as one pool region, one task
 //!   per site with its kernels inline ([`adagp_tensor::par::tasks`]); only
 //!   the install into the model is serial, in site order. Phase BP's
-//!   predictor training stays one site after another: Adam steps the
-//!   shared head after every site.
+//!   predictor training computes every site's head-independent rows as
+//!   one such region, then steps the predictor one site after another:
+//!   Adam steps the shared head after every site.
 //!
 //! [`AdaGp::train_batch`] is that step with the classification closure
 //! (`Module::forward` + cross-entropy). [`AdaGp::train_epoch_pipelined`]
@@ -32,6 +33,7 @@
 use crate::controller::{Phase, PhaseController, ScheduleConfig};
 use crate::metrics::{gradient_errors, PredictorMetrics, MAPE_EPS};
 use crate::predictor::{Predictor, PredictorConfig};
+use crate::reorg;
 use adagp_nn::module::{site_metas, ForwardCtx, Module};
 use adagp_nn::optim::Optimizer;
 use adagp_nn::SiteMeta;
@@ -307,29 +309,63 @@ fn harvest_sites(model: &mut dyn Module, norm_ema: &mut [Option<f32>]) -> Vec<Pr
     examples
 }
 
-/// The predictor's share of a BP batch: per site, in forward order, an
-/// optional metrics pass and then a training step. Returns `(mean
-/// predictor loss, mean MAPE if tracked)`. The serial step runs this
-/// inline and the pipelined epoch on its predictor stage, so both touch
-/// the predictor in exactly the same order.
+/// A site's training rows ([`Predictor::training_rows`]), with what the
+/// metrics pass reads when tracked: the activation and, for a site whose
+/// target rows are a subsample, a copy of its whole gradient as rows.
+struct SiteRows {
+    site_idx: usize,
+    meta: SiteMeta,
+    rows: (Tensor, Tensor),
+    tracked: Option<(Tensor, Option<Tensor>)>,
+}
+
+/// The predictor's share of a BP batch, in two halves:
+///
+/// 1. every site's head-independent half, [`Predictor::training_rows`]
+///    (the batch mean, the pooling, the row subsample and the target
+///    reshape), as one pool region, one task per site ([`par::tasks`]);
+/// 2. the chain: per site, in forward order, an optional metrics pass and
+///    then a training step on its rows. It stays serial because Adam steps
+///    the shared head after every site.
+///
+/// Returns `(mean predictor loss, mean MAPE if tracked)`. The serial step
+/// runs this inline and the pipelined epoch on its predictor stage, so
+/// both touch the predictor in exactly the same order.
 fn train_on_examples(
     predictor: &mut Predictor,
     metrics: &mut PredictorMetrics,
     track: bool,
     examples: Vec<PredictorExample>,
 ) -> (f32, Option<f32>) {
+    let head = &*predictor;
+    let sites = train_span("predictor rows", || {
+        par::tasks(examples, |ex| {
+            // Otherwise the target rows are the whole gradient, unmoved.
+            let whole = (track && head.subsamples(&ex.meta))
+                .then(|| reorg::gradient_rows(&ex.meta, ex.true_grad.clone()));
+            let rows = head.training_rows(&ex.meta, &ex.act, ex.true_grad);
+            SiteRows {
+                site_idx: ex.site_idx,
+                meta: ex.meta,
+                rows,
+                tracked: track.then_some((ex.act, whole)),
+            }
+        })
+    });
     train_span("train predictor", || {
-        let mut losses = Vec::with_capacity(examples.len());
+        let mut losses = Vec::with_capacity(sites.len());
         let mut mapes = Vec::new();
-        // By value: each site's tensors are freed as soon as it is done.
-        for ex in examples {
-            if track {
-                let predicted = predictor.predict_gradient(&ex.meta, &ex.act);
-                let e = gradient_errors(&predicted, &ex.true_grad, MAPE_EPS);
-                metrics.record(ex.site_idx, e);
+        // By value: each site's rows are freed as soon as it is done.
+        for site in sites {
+            if let Some((act, whole)) = &site.tracked {
+                // Rows are the gradient's elements in its own order.
+                let predicted = predictor.predict_rows(&site.meta, act);
+                let e =
+                    gradient_errors(&predicted, whole.as_ref().unwrap_or(&site.rows.1), MAPE_EPS);
+                metrics.record(site.site_idx, e);
                 mapes.push(e.mape);
             }
-            losses.push(predictor.train_step_owned(&ex.meta, &ex.act, ex.true_grad));
+            losses.push(predictor.train_on_rows(site.rows));
         }
         let mean = |v: &[f32]| (!v.is_empty()).then(|| v.iter().sum::<f32>() / v.len() as f32);
         (mean(&losses).unwrap_or(0.0), mean(&mapes))
@@ -828,6 +864,61 @@ mod tests {
         assert!(adagp.metrics().layer_mean(1).is_some());
     }
 
+    /// The metrics pass scores each site's prediction, before its step,
+    /// against its whole gradient, also for a site that trains on a
+    /// subsample of its rows (40 rows against `max_rows_per_batch` 16):
+    /// bit for bit `predict_gradient` then `train_step`, site by site.
+    #[test]
+    fn tracked_metrics_read_a_subsampled_site_s_whole_gradient() {
+        let cfg = PredictorConfig {
+            max_rows_per_batch: 16,
+            ..Default::default()
+        };
+        let mut rng = Prng::seed_from_u64(11);
+        let sites: Vec<_> = [([40, 3, 1, 1], [2, 40, 5, 5]), ([8, 4, 3, 3], [2, 8, 6, 6])]
+            .into_iter()
+            .map(|(weight_shape, act_shape)| {
+                let meta = SiteMeta {
+                    kind: adagp_nn::SiteKind::Conv2d,
+                    weight_shape: weight_shape.to_vec(),
+                    label: "c".into(),
+                };
+                let act = adagp_tensor::init::gaussian(&act_shape, 0.0, 1.0, &mut rng);
+                let grad = adagp_tensor::init::gaussian(&weight_shape, 0.0, 0.05, &mut rng);
+                (meta, act, grad)
+            })
+            .collect();
+        let metas: Vec<SiteMeta> = sites.iter().map(|(m, _, _)| m.clone()).collect();
+        let predictor = || Predictor::for_sites(cfg, &metas, &mut Prng::seed_from_u64(5));
+        let mut reference = predictor();
+        let mut want = PredictorMetrics::new(sites.len());
+        let mut losses = Vec::new();
+        for (site_idx, (meta, act, grad)) in sites.iter().enumerate() {
+            let predicted = reference.predict_gradient(meta, act);
+            want.record(site_idx, gradient_errors(&predicted, grad, MAPE_EPS));
+            losses.push(reference.train_step(meta, act, grad));
+        }
+        let examples = sites
+            .into_iter()
+            .enumerate()
+            .map(|(site_idx, (meta, act, true_grad))| PredictorExample {
+                site_idx,
+                meta,
+                act,
+                true_grad,
+            });
+        let mut hoisted = predictor();
+        let mut got = PredictorMetrics::new(metas.len());
+        let (loss, mape) = train_on_examples(&mut hoisted, &mut got, true, examples.collect());
+        assert!(reference.subsamples(&metas[0]) && !reference.subsamples(&metas[1]));
+        for l in 0..metas.len() {
+            assert_eq!(got.layer_mean(l), want.layer_mean(l), "site {l}");
+        }
+        let mapes = [0, 1].map(|l| want.layer_mean(l).expect("recorded").mape);
+        assert_eq!(mape, Some((mapes[0] + mapes[1]) / 2.0));
+        assert_eq!(loss, (losses[0] + losses[1]) / 2.0);
+    }
+
     /// A model with a batch-norm, a depthwise conv and a `Linear` site
     /// behind the first conv: more site kinds and cached state than
     /// [`tiny_model`].
@@ -1170,16 +1261,18 @@ mod tests {
         assert!(piped.contains(expected), "{piped}");
     }
 
-    /// Six sites of uneven width — convs of 9, `9·c`, 9 (depthwise) and 16
+    /// Six sites of uneven width — convs of 9, `9·c`, 9 (depthwise) and 48
     /// weights a row, then `Linear`s of 64 and 24 — on `(2, 1, 4, 4)` input.
+    /// The second conv's 48 rows of `9·c` make the predictor's largest FC
+    /// products.
     fn uneven_model(c: usize, rng: &mut Prng) -> Sequential {
         let mut m = Sequential::new();
         m.push(Conv2d::new(1, c, 3, 1, 1, true, rng));
         m.push(Relu::new());
-        m.push(Conv2d::new(c, 16, 3, 1, 1, false, rng));
+        m.push(Conv2d::new(c, 48, 3, 1, 1, false, rng));
         m.push(Relu::new());
-        m.push(Conv2d::depthwise(16, 3, 1, 1, rng));
-        m.push(Conv2d::new(16, 4, 1, 1, 0, true, rng));
+        m.push(Conv2d::depthwise(48, 3, 1, 1, rng));
+        m.push(Conv2d::new(48, 4, 1, 1, 0, true, rng));
         m.push(Relu::new());
         m.push(Flatten::new());
         m.push(Linear::new(4 * 4 * 4, 24, true, rng));
@@ -1236,6 +1329,14 @@ mod tests {
 
     #[test]
     fn predicted_gradients_are_thread_count_invariant() {
+        // Some site's predictor FC (rows × features × row_len) reaches the
+        // pool: the warm-up batch's training chain dispatches it at 2 and 3
+        // threads (prediction runs it inline, inside its task).
+        let cfg = PredictorConfig::default();
+        let features = cfg.conv_channels * cfg.pooled_size * cfg.pooled_size;
+        let metas = site_metas(&mut uneven_model(6, &mut Prng::seed_from_u64(0)));
+        let fc_work = |m: &SiteMeta| m.out_channels() * features * m.grads_per_out_channel();
+        assert!(metas.iter().any(|m| fc_work(m) >= par::PAR_MIN_WORK));
         let skip = 2;
         let (before, serial) = install_on(1, skip);
         assert_eq!(serial.len(), 6);

@@ -13,7 +13,8 @@
 //! from its thread's `scratch` stack; weight-backward, whose samples all sum
 //! into one `dw`, then adds their products in sample order (below). Two
 //! cases need no lowering copy: a 1×1, stride-1, unpadded window, and a
-//! grouped call with one input channel per group.
+//! call with one input channel per group (weight-backward even at
+//! `groups = 1`).
 //!
 //! # The geometry
 //!
@@ -97,8 +98,18 @@
 //! `Cin / groups == 1`: MobileNet-V2's depthwise sites, channel multipliers
 //! included) runs a direct stencil over a zero-padded copy of each input
 //! plane instead of `im2col` + a `1 × owh × k²` `gemm` per channel and
-//! sample. It is the second multiply-accumulate loop of this crate, and it
-//! keeps, per element, the order the lowering had:
+//! sample. So does the weight-backward of a **dense** call with one input
+//! channel (`groups = 1`, `Cin = 1`: ADA-GP's predictor conv, 1 → 8 filters
+//! on 4×4 pooled rows, 35 calls per MobileNet-V2 BP batch), whose lowering
+//! was a `Cout × k² × owh` `gemm` per sample on a `colsᵀ` copy: it is the
+//! same stencil with all filters reading the one plane. Bit-equal to the
+//! lowering, it took 3.7 → 2.7 µs at 8 rows, 30.4 → 24.0 µs at 77 and
+//! 100.9 → 78.5 µs at 256 (one thread, x86-64, best of 20; the bias
+//! gradient's 2 µs at 77 rows included). Such a call's forward and
+//! data-backward keep the lowering: a lane forward of the predictor conv
+//! measured 23.9 → 25.8 µs, slower. The stencil is the second
+//! multiply-accumulate loop of this crate, and it keeps, per element, the
+//! order the lowering had:
 //!
 //! * **forward** — taps `ki, kj` ascending from `0.0`, then the bias;
 //! * **data-backward** — each tap's `Σ_f w·dy` from `0.0` (filters
@@ -131,7 +142,8 @@
 //!
 //! Forward and data-backward split the samples, weight-backward the lane
 //! groups (each walks the samples in order), into `STENCIL_BLOCKS` pool
-//! tasks.
+//! tasks; the predictor conv's eight filters are one lane group, so its
+//! weight-backward runs inline.
 //!
 //! # Dispatch
 //!
@@ -286,14 +298,20 @@ impl Geometry {
         self.ho * self.wo
     }
 
-    /// Whether the call takes the depthwise stencil.
+    /// Whether forward and data-backward take the depthwise stencil.
     fn depthwise(&self) -> bool {
         self.groups > 1 && self.cin_g() == 1
     }
 
-    /// Rows (samples, or the stencil weight-backward's lane groups) per pool
-    /// task of a call over `rows` rows: `det_chunk_len`'s for the lowering,
-    /// `STENCIL_BLOCKS` blocks for the stencil.
+    /// Whether weight-backward takes the stencil: one input channel per
+    /// group, `groups = 1` included (module documentation).
+    fn one_channel(&self) -> bool {
+        self.cin_g() == 1
+    }
+
+    /// Samples per pool task of a forward or data-backward call over `rows`
+    /// samples: `det_chunk_len`'s for the lowering, `STENCIL_BLOCKS` blocks
+    /// for the stencil.
     fn block_rows(&self, rows: usize) -> usize {
         if self.depthwise() {
             rows.div_ceil(STENCIL_BLOCKS)
@@ -455,12 +473,18 @@ impl Geometry {
         (oy * self.stride + ki) * self.pw() + kj
     }
 
-    /// Scratch a pass needs: forward and weight-backward a packed plane and
-    /// a packed weight or `dy` plane, data-backward a packed plane, `dy`
-    /// and weights for every multiplier.
+    /// Scratch a forward or data-backward pass needs: a packed plane, and
+    /// `dy` and weights for every multiplier (forward reads the weights
+    /// only).
     fn stencil_len(&self) -> usize {
         let (patch, owh) = (self.kh * self.kw, self.owh());
         LANES * (self.padded_len() + self.cout_g() * (owh + patch))
+    }
+
+    /// Scratch a weight-backward pass needs: a packed plane and a packed
+    /// `dy` plane.
+    fn stencil_weight_len(&self) -> usize {
+        LANES * (self.padded_len() + self.owh())
     }
 
     /// Packs the input planes that lane group `group`'s filters read into
@@ -898,17 +922,17 @@ pub fn conv2d_backward_weight(
 
     // dw = 0 + s_0 + s_1 + ..., samples ascending, where s_i is sample i's
     // dy_band (cout_g, owh) . cols^T (owh, patch) summed from zero.
-    if g.depthwise() {
+    if g.one_channel() {
         let groups = cout.div_ceil(LANES);
         par::row_blocks_by(
-            g.block_rows(groups),
+            groups.div_ceil(STENCIL_BLOCKS),
             &mut dw,
             groups,
             LANES * patch,
             n * cout * patch * owh,
             |first, dw| {
                 let (x, dy) = (input.data(), dy.data());
-                scratch::with(g.stencil_len(), |buf| {
+                scratch::with(g.stencil_weight_len(), |buf| {
                     g.stencil_backward_weight(x, dy, first, dw, buf)
                 });
             },

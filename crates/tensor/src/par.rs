@@ -15,14 +15,46 @@
 //! one region per call with one task per piece costs one, and every kernel
 //! inside a task runs inline. The bytes stay the same because a kernel's
 //! result never depends on whether it ran inline.
+//!
+//! # The threshold
+//!
+//! A region costs a pool wake-up and two allocations per task, so a kernel
+//! goes to the pool only when its estimated op count reaches
+//! [`PAR_MIN_WORK`], the one threshold (`tasks` ignores it: its caller
+//! judges). It is 256 Ki ops. Medians and quartiles of the benchmark's
+//! serial BP (`cold_op_ms_p50`) and GP (`fast_op_ms_p50`) batch, in ms, at
+//! four values, over 8 interleaved rounds of seed 1 on a 2-vCPU x86-64
+//! host (pool of 2):
+//!
+//! | `PAR_MIN_WORK`           | 16 Ki            | 64 Ki            | 256 Ki           | 1 Mi             |
+//! |--------------------------|------------------|------------------|------------------|------------------|
+//! | `train_mobilenet` BP     | 18.2 (17.6–19.9) | 17.3 (16.4–20.4) | 16.7 (16.0–17.6) | 15.6 (15.1–21.6) |
+//! | `train_mobilenet` GP     | 5.8 (5.4–6.3)    | 5.2 (4.9–6.4)    | 5.2 (4.9–5.5)    | 5.0 (4.7–6.6)    |
+//! | `train_vgg` BP           | 45.3 (43.3–46.5) | 43.5 (40.6–47.6) | 43.4 (40.5–48.8) | 43.2 (41.0–47.9) |
+//! | `train_vgg` GP           | 15.6 (14.3–16.6) | 14.2 (13.7–15.7) | 13.9 (13.3–16.9) | 15.0 (13.6–17.0) |
+//!
+//! MobileNet-V2's kernels (1×1 and depthwise convs on 2×2 to 16×16 planes,
+//! the predictor's per-site calls) mostly fall between 16 Ki and 1 Mi ops,
+//! and ran faster inline; VGG13's are above 1 Mi and did not move. 1 Mi
+//! read lower again on MobileNet-V2, but with the widest quartiles and no
+//! gain on VGG13, and on a larger pool it would keep kernels inline that
+//! could fill it (not measured here), so the threshold stops at 256 Ki.
+//!
+//! To re-measure: make one checkout per value, all with paths of the same
+//! length (the crates embed their source paths, which moves code layout),
+//! set `PAR_MIN_WORK` in each, build `benchmark/` once per checkout into a
+//! target directory of its own, and alternate `adagp-benchmark --workload
+//! train_mobilenet --seed 1 --seconds 20 --trace 0` (then `train_vgg`)
+//! over the checkouts, reversing the order every round.
 
 use adagp_runtime::{det_chunk_len, ThreadPool};
 use std::cell::Cell;
 use std::sync::Arc;
 
 /// Estimated scalar-op count below which parallel dispatch is not worth
-/// the queueing overhead and the kernel runs inline.
-pub(crate) const PAR_MIN_WORK: usize = 16 * 1024;
+/// the queueing overhead and the kernel runs inline (module documentation,
+/// "The threshold"). Public so that tests can put cases on both sides.
+pub const PAR_MIN_WORK: usize = 256 * 1024;
 
 thread_local! {
     /// Set while this thread runs a block. Blocks do not nest: a kernel called
@@ -171,6 +203,32 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
         });
         calls.into_inner()
+    }
+
+    /// `PAR_MIN_WORK` is where dispatch starts: a region one op below it is
+    /// one inline block, at it the region's blocks; so for the paired
+    /// region.
+    #[test]
+    fn regions_dispatch_from_the_threshold_up() {
+        with_threads(2, || {
+            let blocks = |work: usize| {
+                let (single, pair) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                row_blocks(&mut [0.0; ROWS], ROWS, 1, work, |_, _| {
+                    single.fetch_add(1, Ordering::Relaxed);
+                });
+                let (mut a, mut b) = ([0.0; ROWS], [0.0; ROWS]);
+                row_blocks_pair(&mut a, &mut b, ROWS, 1, 1, work, |_, _, _| {
+                    pair.fetch_add(1, Ordering::Relaxed);
+                });
+                (single.into_inner(), pair.into_inner())
+            };
+            let dispatched = ROWS.div_ceil(det_chunk_len(ROWS));
+            assert!(dispatched > 1);
+            assert_eq!(blocks(PAR_MIN_WORK - 1), (1, 1));
+            assert_eq!(blocks(PAR_MIN_WORK), (dispatched, dispatched));
+        });
+        // At pool size 1 nothing dispatches.
+        with_threads(1, || assert_eq!(blocks_of_a_region(), 1));
     }
 
     /// A region whose block panicked on this thread, with the panic caught

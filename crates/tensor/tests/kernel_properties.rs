@@ -10,6 +10,7 @@ use adagp_runtime::with_threads;
 use adagp_tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weight, Conv2dParams};
 use adagp_tensor::gemm::{gemm, Mat, MR, NR};
 use adagp_tensor::norm::{batchnorm2d_backward, batchnorm2d_forward};
+use adagp_tensor::par::PAR_MIN_WORK;
 use adagp_tensor::pool::{avgpool2d, avgpool2d_backward, global_avgpool, maxpool2d};
 use adagp_tensor::softmax::{cross_entropy, log_softmax, relu, relu_backward};
 use adagp_tensor::{init, Prng, Tensor};
@@ -182,8 +183,10 @@ fn conv_zero_weights_zero_output() {
 // ---------------------------------------------------------------------------
 // Thread-count invariance: every parallel kernel must be *bit-identical* to
 // the scalar reference (`ADAGP_THREADS=1` runs the kernels inline) for every
-// pool size. The shapes are chosen large enough to clear the kernels'
-// serial-dispatch thresholds, so the parallel paths genuinely execute.
+// pool size. The drawn cases mostly sit below `PAR_MIN_WORK` and run
+// inline; `large_shapes_thread_invariant`, the grouped-conv rows and the
+// `gemm` shapes each assert that some case is above it, so the parallel
+// paths genuinely execute.
 // ---------------------------------------------------------------------------
 
 /// Thread counts swept against the scalar reference. 7 is deliberately odd
@@ -302,7 +305,8 @@ fn batchnorm_backward_thread_invariant() {
 }
 
 /// Large-shape spot check at the bench sizes, where chunking covers many
-/// row blocks per thread.
+/// row blocks per thread: every kernel's work is at least `PAR_MIN_WORK`,
+/// so each runs on the pool (the drawn cases above mostly run inline).
 #[test]
 fn large_shapes_thread_invariant() {
     let mut rng = Prng::seed_from_u64(0xbeef);
@@ -311,11 +315,21 @@ fn large_shapes_thread_invariant() {
     let p = Conv2dParams::new(1, 1);
     let a = init::gaussian(&[128, 96], 0.0, 1.0, &mut rng);
     let b = init::gaussian(&[96, 128], 0.0, 1.0, &mut rng);
+    let bn = init::gaussian(&[8, 20, 48, 48], 1.0, 2.0, &mut rng);
+    let gamma = init::uniform(&[20], 0.5, 1.5, &mut rng);
+    let beta = init::uniform(&[20], -0.5, 0.5, &mut rng);
+    // Conv and `matmul` MACs, and batch-norm forward's elementwise pass
+    // (one op an element; its statistics pass counts two).
+    for work in [4 * 32 * 16 * 9 * 256, 128 * 128 * 96, bn.len()] {
+        assert!(work >= PAR_MIN_WORK, "{work} runs inline");
+    }
     assert_thread_invariant("large_shapes", || {
         let y = conv2d(&x, &w, None, &p);
         let dx = conv2d_backward_data(&y, &w, 16, 16, &p);
         let (dw, db) = conv2d_backward_weight(&x, &y, 3, 3, &p);
-        vec![y, dx, dw, db, a.matmul(&b)]
+        let (bn_y, cache, mean, var) = batchnorm2d_forward(&bn, &gamma, &beta, 1e-5);
+        let [mean, var] = [mean, var].map(|v| Tensor::from_vec(v, &[20]));
+        vec![y, dx, dw, db, a.matmul(&b), bn_y, cache.x_hat, mean, var]
     });
 }
 
@@ -348,6 +362,34 @@ fn row_band(t: &Tensor, g: usize, groups: usize) -> Tensor {
     Tensor::from_vec(t.data()[g * len..(g + 1) * len].to_vec(), &shape)
 }
 
+/// Weight-backward of a one-channel call through the lowering: a dense call
+/// with one input channel takes the stencil itself, so the input gets a
+/// second, zero channel and the result keeps channel 0's taps. Each of
+/// those is the same sum as the one-channel call's — `dy · x` over the
+/// outputs ascending from `0.0`, then the samples in order — since a
+/// `gemm` output reads one column of `colsᵀ` only.
+fn one_channel_dw_by_lowering(
+    x: &Tensor,
+    dy: &Tensor,
+    (kh, kw): (usize, usize),
+    p: &Conv2dParams,
+) -> (Tensor, Tensor) {
+    let (n, plane) = (x.dim(0), x.dim(2) * x.dim(3));
+    let mut wide = Tensor::zeros(&[n, 2, x.dim(2), x.dim(3)]);
+    for (dst, src) in wide
+        .data_mut()
+        .chunks_mut(2 * plane)
+        .zip(x.data().chunks(plane))
+    {
+        dst[..plane].copy_from_slice(src);
+    }
+    let (dw2, db) = conv2d_backward_weight(&wide, dy, kh, kw, p);
+    let taps = kh * kw;
+    let dw = dw2.data().chunks(2 * taps).flat_map(|f| &f[..taps]);
+    let dw = Tensor::from_vec(dw.copied().collect(), &[dy.dim(1), 1, kh, kw]);
+    (dw, db)
+}
+
 /// What `groups` means, spelled with the dense kernels alone (and how a
 /// depthwise layer was lowered before the kernels took `groups`): per group,
 /// gather the band of every operand into fresh tensors, call the *dense*
@@ -370,7 +412,11 @@ fn conv_by_bands(
         scatter_band(&mut y, &conv2d(&x_g, &w_g, Some(&bias_g), dense), g, groups);
         let dx_g = conv2d_backward_data(&dy_g, &w_g, h, wd, dense);
         scatter_band(&mut dx, &dx_g, g, groups);
-        let (dw_g, db_g) = conv2d_backward_weight(&x_g, &dy_g, kh, kw, dense);
+        let (dw_g, db_g) = if x_g.dim(1) == 1 {
+            one_channel_dw_by_lowering(&x_g, &dy_g, (kh, kw), dense)
+        } else {
+            conv2d_backward_weight(&x_g, &dy_g, kh, kw, dense)
+        };
         dw.extend_from_slice(dw_g.data());
         db.extend_from_slice(db_g.data());
     }
@@ -384,13 +430,16 @@ fn conv_by_bands(
 
 /// A grouped convolution is, bit for bit, the dense kernels run band by
 /// band — forward, data-backward and weight-backward, at 1, 2, 4 and 7
-/// threads. Rows with `Cin / groups == 1` take the depthwise stencil while
-/// their per-band reference (`groups = 1`, one input channel) takes the
-/// lowering, so every stencil branch is checked against `im2col` + `gemm`:
-/// padding 0, 1 and 2, `k` 1, 3 and 5, a `kh != kw` kernel, a 2×2 plane
-/// under a padded 3×3, odd sizes at stride 2, channel multipliers 2 and 3,
-/// and sites large enough for the stencil to run on the pool. The
-/// `groups = 1` rows sit on both sides of the parallel-dispatch threshold.
+/// threads. Rows with `Cin / groups == 1` take the stencil while their
+/// per-band reference (`groups = 1`, one input channel) takes the lowering
+/// (for weight-backward, which takes the stencil at `groups = 1` too,
+/// through a second, zero channel: `one_channel_dw_by_lowering`), so every
+/// stencil branch is checked against `im2col` + `gemm`: padding 0, 1 and
+/// 2, `k` 1, 3 and 5, a `kh != kw` kernel, a 2×2 plane under a padded 3×3,
+/// odd sizes at stride 2, channel multipliers 2 and 3, dense calls with
+/// one input channel (the predictor conv's shape among them), and sites
+/// far above `PAR_MIN_WORK`, where the stencil runs on the pool. The
+/// dense rows sit on both sides of the parallel-dispatch threshold.
 #[test]
 fn grouped_conv_matches_dense_kernels_on_each_band() {
     // (n, cin, cout, size, [kh, kw], stride, padding, groups)
@@ -418,7 +467,33 @@ fn grouped_conv_matches_dense_kernels_on_each_band() {
         (2, 2, 3, 5, [3, 3], 2, 1, 1),
         (4, 8, 16, 12, [3, 3], 1, 1, 1),
         (4, 8, 16, 12, [3, 3], 2, 1, 1),
+        (77, 1, 8, 4, [3, 3], 1, 1, 1),
+        (3, 1, 20, 7, [3, 2], 2, 1, 1),
+        (8, 64, 64, 16, [3, 3], 1, 1, 64),
+        (8, 16, 32, 16, [3, 3], 2, 1, 1),
+        (8, 1, 24, 32, [3, 3], 1, 1, 1),
     ];
+    // The MACs of each kind of site, the work every conv kernel dispatches
+    // on: some site of each kind must reach the pool.
+    let dispatched = |one_channel: bool, dense: bool| {
+        sites
+            .iter()
+            .any(|&(n, cin, cout, size, [kh, kw], stride, padding, groups)| {
+                let p = Conv2dParams::new(stride, padding);
+                let work =
+                    n * cout * cin / groups * kh * kw * p.out_size(size, kh) * p.out_size(size, kw);
+                (cin / groups == 1, groups == 1) == (one_channel, dense) && work >= PAR_MIN_WORK
+            })
+    };
+    assert!(
+        dispatched(true, false),
+        "no depthwise site reaches the pool"
+    );
+    assert!(dispatched(false, true), "no dense site reaches the pool");
+    assert!(
+        dispatched(true, true),
+        "no one-channel dense site reaches the pool"
+    );
     let mut rng = Prng::seed_from_u64(0x96a0);
     for (n, cin, cout, size, [kh, kw], stride, padding, groups) in sites {
         let dense = Conv2dParams::new(stride, padding);
@@ -454,8 +529,8 @@ fn grouped_conv_matches_dense_kernels_on_each_band() {
 // ---------------------------------------------------------------------------
 
 /// Sizes around the register tile for `m` and `n` with short `k`, sizes on
-/// both sides of the parallel-dispatch threshold (16 Ki multiply-adds), and
-/// a seeded draw.
+/// both sides of the parallel-dispatch threshold (`PAR_MIN_WORK`
+/// multiply-adds over at least two strips of `MR` rows), and a seeded draw.
 fn gemm_shapes() -> Vec<(usize, usize, usize)> {
     let edges = [1, 2, 3, MR - 1, MR + 1, NR - 1, NR + 1];
     let mut shapes = Vec::new();
@@ -467,6 +542,7 @@ fn gemm_shapes() -> Vec<(usize, usize, usize)> {
         }
     }
     shapes.extend([(33, 17, 29), (33, 17, 30), (64, 40, 48), (130, 24, 19)]);
+    shapes.extend([(67, 80, 53), (130, 48, 45), (9, 256, 130)]);
     let mut rng = Prng::seed_from_u64(0x6e44);
     for _ in 0..24 {
         shapes.push((
@@ -487,6 +563,11 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
 /// at 1, 2, 4 and 7 threads.
 #[test]
 fn gemm_matches_scalar_reference_bit_for_bit() {
+    let dispatched = |&(m, n, k): &(usize, usize, usize)| m > MR && m * n * k >= PAR_MIN_WORK;
+    assert!(
+        gemm_shapes().iter().any(dispatched),
+        "no shape reaches the pool"
+    );
     let mut rng = Prng::seed_from_u64(0x9e33);
     let cases: Vec<_> = gemm_shapes()
         .into_iter()
@@ -798,6 +879,21 @@ fn zero_times_non_finite_reaches_the_output() {
             dw.data()[18..].iter().all(|&v| v == 0.0),
             "dense conv2d_backward_weight"
         );
+        // Dense with one input channel (the stencil's weight-backward) at 9
+        // filters, a lane group and a tail: a non-finite `dy` of filter 5
+        // reaches every tap of that filter's `dw` through the zero input
+        // and its padding, and no other filter's.
+        let mut dy = Tensor::zeros(&[2, 9, 3, 3]);
+        dy.data_mut()[(9 + 5) * 9 + 4] = bad;
+        let x = Tensor::zeros(&[2, 1, 3, 3]);
+        let (dw, _) = conv2d_backward_weight(&x, &dy, 3, 3, &Conv2dParams::new(1, 1));
+        for (f, taps) in dw.data().chunks(9).enumerate() {
+            let expected = |v: &f32| if f == 5 { v.is_nan() } else { *v == 0.0 };
+            assert!(
+                taps.iter().all(expected),
+                "one-channel conv2d_backward_weight, filter {f}"
+            );
+        }
     }
 }
 
@@ -940,9 +1036,11 @@ fn conv_site_hash(seed: u64, x: [usize; 4], w: [usize; 4], p: Conv2dParams) -> u
 /// "gemm n 16, 24, 37": before `gemm` gained its AVX2 build and
 /// weight-backward split its samples over the pool; the depthwise rows at
 /// C = 7, 9 and 17: before the stencil ran eight channels per instruction;
-/// the rows from "linear" on: before `gemm` packed its operand panels and the
-/// lowering moved whole rows) and are identical in the dev and release
-/// profiles at 1 and 3 threads (the rows from "linear" on at 2 as well); a
+/// the rows from "linear" to "conv planes": before `gemm` packed its operand
+/// panels and the lowering moved whole rows; the last two: before a dense
+/// call with one input channel took the stencil's weight-backward) and are
+/// identical in the dev and release profiles at 1 and 3 threads (the rows
+/// from "linear" on at 2 as well); a
 /// kernel change that moves one must say so and re-baseline the training
 /// goldens with it (see `gemm`'s module doc).
 #[test]
@@ -959,7 +1057,7 @@ fn product_kernel_bytes_are_pinned() {
     let (a, b, bt) = (gauss(&[37, 29]), gauss(&[29, 53]), gauss(&[53, 29]));
     // The predictor head at 1024 rows.
     let (rows, head) = (gauss(&[1024, 1152]), gauss(&[128, 1152]));
-    let pins: [(&str, u64, u64); 38] = [
+    let pins: [(&str, u64, u64); 40] = [
         // VGG13 w0.25 on 3x32x32 at batch 8.
         (
             "vgg 3->16 @32",
@@ -1171,6 +1269,17 @@ fn product_kernel_bytes_are_pinned() {
         ("gemm strips, short k, bands", gemm_edges_hash(), PINS[36]),
         // The lowering: strides 1 and 2, padding 0-2, planes 1x1 to 32x32.
         ("conv planes", conv_planes_hash(), PINS[37]),
+        // The predictor's conv stage at a MobileNetV2 site's 77 rows and at
+        // the 256-row cap, a BP batch's calls with one input channel.
+        (
+            "predictor conv 77 and 256 rows",
+            conv_site_hash(38, [77, 1, 4, 4], [8, 1, 3, 3], s1p1).rotate_left(7)
+                ^ conv_site_hash(39, [256, 1, 4, 4], [8, 1, 3, 3], s1p1),
+            PINS[38],
+        ),
+        // Dense calls with one input channel: lane groups of filters with a
+        // tail, stride 2 under a 3x2 window, a 5x5 window and a 1x1 one.
+        ("one input channel", one_channel_hash(), PINS[39]),
     ];
     let moved: Vec<String> = pins
         .iter()
@@ -1298,7 +1407,7 @@ fn conv_planes_hash() -> u64 {
     hash
 }
 
-const PINS: [u64; 38] = [
+const PINS: [u64; 40] = [
     0x844e_9e73_d3f1_351b,
     0x3173_600d_e824_856a,
     0xf98a_e0e0_29eb_6d32,
@@ -1337,7 +1446,27 @@ const PINS: [u64; 38] = [
     0x58ef_2254_211e_b1f5,
     0x0c63_a893_e630_61b8,
     0xd6a7_8c62_8051_1ba8,
+    0x1bd0_0d36_8b54_e9b8,
+    0xfa93_3a7b_9a02_704e,
 ];
+
+/// Hash of [`conv_site_hash`] on dense calls with one input channel:
+/// 20 filters (two lane groups of eight and a tail of four), 5 filters
+/// under a 3x2 window at stride 2, a 5x5 window padded by 2, and a 1x1
+/// window.
+fn one_channel_hash() -> u64 {
+    let sites = [
+        ([4, 1, 12, 12], [20, 1, 3, 3], Conv2dParams::new(1, 1)),
+        ([3, 1, 9, 7], [5, 1, 3, 2], Conv2dParams::new(2, 1)),
+        ([2, 1, 6, 6], [8, 1, 5, 5], Conv2dParams::new(1, 2)),
+        ([5, 1, 4, 4], [12, 1, 1, 1], Conv2dParams::new(1, 0)),
+    ];
+    let mut hash = 0u64;
+    for (seed, (x, w, p)) in (0x1c_0000..).zip(sites) {
+        hash = hash.rotate_left(7) ^ conv_site_hash(seed, x, w, p);
+    }
+    hash
+}
 
 /// Hash of batch-norm forward (output, `x_hat`, `std`, mean, var) and
 /// backward (`dx`, `dγ`, `dβ`) at `c` channels, batch 1 and 8, planes of
@@ -1425,37 +1554,59 @@ fn scratch_calls(sites: &[Site], (n, k): (usize, usize)) -> Vec<Call> {
     calls
 }
 
+/// Multiply-adds of a convolution site: the work its forward,
+/// data-backward and weight-backward each dispatch on (a dense
+/// weight-backward dispatches a wave of four samples at a time, so this
+/// holds for dense sites of at most four).
+fn site_macs(&(x, w, p): &Site) -> usize {
+    w.iter().product::<usize>() * x[0] * p.out_size(x[2], w[2]) * p.out_size(x[3], w[3])
+}
+
 /// Kernels borrow their buffers from their thread's scratch stack with
 /// whatever the last borrower left in them. Each small call runs on a fresh
 /// thread; then, on one thread, each runs again after every large call has
 /// left the buffers longer and full of other values. The bytes are equal,
 /// so no kernel reads a buffer before writing it. The same holds on the
-/// pool, whose workers' stacks earlier tests left dirty too.
+/// pool, whose workers' stacks the large calls dirty: every large site,
+/// and a small dense, depthwise and one-channel dense site (two lane
+/// groups of filters, so the stencil's weight-backward splits), reach
+/// `PAR_MIN_WORK`, while their scratch stays shorter than the large calls'.
 #[test]
 fn kernels_do_not_read_a_stale_scratch_buffer() {
-    let small = scratch_calls(
-        &[
-            ([2, 3, 6, 6], [4, 3, 3, 3], Conv2dParams::new(1, 1)),
-            ([2, 3, 9, 9], [4, 3, 3, 3], Conv2dParams::new(1, 1)),
-            (
-                [2, 8, 5, 5],
-                [8, 1, 3, 3],
-                Conv2dParams::new(1, 1).grouped(8),
-            ),
-        ],
-        (9, 7),
-    );
-    let large = scratch_calls(
-        &[
-            ([4, 16, 12, 12], [16, 16, 3, 3], Conv2dParams::new(1, 2)),
-            (
-                [3, 24, 9, 9],
-                [48, 1, 3, 3],
-                Conv2dParams::new(2, 1).grouped(24),
-            ),
-        ],
-        (30, 40),
-    );
+    let small_sites = [
+        ([2, 3, 6, 6], [4, 3, 3, 3], Conv2dParams::new(1, 1)),
+        ([2, 3, 9, 9], [4, 3, 3, 3], Conv2dParams::new(1, 1)),
+        (
+            [2, 8, 5, 5],
+            [8, 1, 3, 3],
+            Conv2dParams::new(1, 1).grouped(8),
+        ),
+        ([4, 8, 9, 9], [16, 8, 3, 3], Conv2dParams::new(1, 1)),
+        (
+            [16, 8, 12, 12],
+            [16, 1, 3, 3],
+            Conv2dParams::new(1, 1).grouped(8),
+        ),
+        ([32, 1, 8, 8], [16, 1, 3, 3], Conv2dParams::new(1, 1)),
+    ];
+    let large_sites = [
+        ([4, 16, 12, 12], [16, 16, 3, 3], Conv2dParams::new(1, 2)),
+        (
+            [8, 24, 20, 20],
+            [48, 1, 3, 3],
+            Conv2dParams::new(2, 1).grouped(24),
+        ),
+    ];
+    let on_pool = |sites: &[Site]| {
+        sites
+            .iter()
+            .filter(|s| site_macs(s) >= PAR_MIN_WORK)
+            .count()
+    };
+    assert_eq!(on_pool(&small_sites), 3, "small sites on the pool");
+    assert_eq!(on_pool(&large_sites), 2, "large sites on the pool");
+    let small = scratch_calls(&small_sites, (9, 7));
+    let large = scratch_calls(&large_sites, (30, 40));
     let after_large = || -> Vec<u64> {
         let each = small.iter().map(|call| {
             large.iter().for_each(|dirty| _ = dirty());
