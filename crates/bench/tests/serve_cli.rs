@@ -213,6 +213,10 @@ fn a_killed_server_loses_no_committed_cell() {
     assert_eq!(m["adagp_sweep_graph_builds_total"], 8, "{m:?}");
     // Each search finds its floor's crossing in two longest-path walks.
     assert_eq!(m["adagp_sweep_floor_walks_total"], 8, "{m:?}");
+    // Every replay, the four batch pairs and the four knee probes, runs
+    // both graphs by the fixed-order pass, none by the event loop.
+    assert_eq!(m["adagp_sim_fixed_order_passes_total"], 16, "{m:?}");
+    assert_eq!(m["adagp_sim_event_loop_runs_total"], 0, "{m:?}");
 
     let second = Serve::start(&args, None);
     let grid = submit_grid(second.addr, SMOKE).expect("grid after restart");

@@ -1,5 +1,5 @@
-//! The discrete-event core: a compiled task graph, a virtual clock and an
-//! event heap — *compile once, replay many*.
+//! The discrete-event core: a compiled task graph and two executors that
+//! run it — *compile once, replay many*.
 //!
 //! A simulation is a DAG of tasks. Each task has a fixed cycle duration,
 //! an optional resource it occupies for that duration, and a list of
@@ -12,41 +12,10 @@
 //! runs ([`TaskGraph::set_duration`] — the batch workloads re-time their
 //! DRAM tasks per bandwidth), so one build serves any number of runs.
 //!
-//! One event loop runs a graph, over per-thread scratch (indegrees,
-//! capacities, FIFO queues, heap) that is reset, not reallocated, per
-//! run. The loop is generic over what it records:
-//!
-//! * [`TaskGraph::run`] records nothing and returns the [`RunStats`]
-//!   (makespan, buffer peak) — the replay the roofline knee search and
-//!   the sweep's cell evaluation call dozens of times per graph;
-//! * [`TaskGraph::simulate`] records the full [`SimResult`] trace: one
-//!   [`Span`] per task, ready cycles, admission causes and the
-//!   buffer-occupancy curve fed by each task's `buffer_delta`.
-//!
-//! [`SimBuilder::simulate`] is the one-shot entry (compile + traced run)
-//! for hand-built graphs of owned [`TaskSpec`]s.
-//!
-//! [`TaskGraph::longest_path`] is a lower bound on a run's makespan that
-//! runs no loop: the longest dependency chain at the current durations,
-//! with every resource ignored. No task starts before its dependencies
-//! end, so the bound holds for every graph, bandwidth, port count and
-//! buffer; it is one reverse pass over the CSR, a few times cheaper than
-//! a replay. The pass also leaves one chain that attains the length,
-//! which it hands to a visitor: the batch graphs turn that chain into a
-//! bound at every other bandwidth
-//! ([`crate::workload::ChainCertificate`]), and the roofline knee search
-//! walks only where those bounds cannot rule a bandwidth out, and
-//! simulates only where the walk is within tolerance. It is *not* the
-//! zero-slack chain
-//! [`crate::report::critical_path`] extracts from a traced run: that
-//! chain follows resource admissions as well as dependencies and sums to
-//! the makespan itself, while this bound falls short of the makespan
-//! wherever tasks queue for a resource.
-//!
-//! The loop advances the clock from completion event to completion
-//! event; a task starts as soon as all of its dependencies have completed
-//! *and* its resource has a free unit of capacity. Everything is
-//! deterministic:
+//! **The semantics** are those of the event loop, which advances the
+//! clock from completion event to completion event; a task starts as soon
+//! as all of its dependencies have completed *and* its resource has a
+//! free unit of capacity. Everything is deterministic:
 //!
 //! * completion events are ordered by `(time, task id)` — equal-time
 //!   completions are processed in task-id order;
@@ -55,12 +24,74 @@
 //!   task releases its capacity before its dependents are enqueued;
 //! * a run is single-threaded — callers may run many simulations in
 //!   parallel (the sweep runner does), but one simulation never races,
-//!   and no state survives in the scratch from one run to the next.
+//!   and no state survives in the thread's scratch (indegrees, queues,
+//!   heap, end times; reset, not reallocated, per run) from one run to
+//!   the next.
+//!
+//! **Two executors.**
+//!
+//! * The *event loop* (a heap of completions and a FIFO per resource)
+//!   runs every traced run — [`TaskGraph::simulate`] records the full
+//!   [`SimResult`]: one [`Span`] per task, ready cycles, admission causes
+//!   and the buffer-occupancy curve fed by each task's `buffer_delta` —
+//!   and the untraced runs ([`TaskGraph::run`], the makespan alone) of
+//!   every graph nobody declares order-determinate: hand-built
+//!   [`SimBuilder`] graphs and `crate::schedule`'s pipelines.
+//!   [`SimBuilder::simulate`] is the one-shot entry (compile + traced
+//!   run) for hand-built graphs of owned [`TaskSpec`]s.
+//! * The *fixed-order pass* runs the untraced replays of graphs whose
+//!   builder declares them order-determinate: every batch graph
+//!   [`crate::workload`]'s emitter builds, which are the replays the
+//!   sweep's cells and the roofline knee search make. It is one pass over
+//!   the columns, with no heap and no queue, and reproduces the loop's
+//!   every start bit for bit.
+//!
+//! **Why the order is fixed.** A graph is *order-determinate* when, on
+//! every resource, each task that has dependencies is reachable from the
+//! previous such task, in id order ([`TaskGraph::is_order_determinate`]).
+//! Then the loop admits each resource's tasks in one order, whatever the
+//! durations: first its dependency-free tasks in id order — the loop
+//! queues all of them at t = 0, before it processes any event — then its
+//! other tasks in id order, because each waits, through its
+//! dependencies, on the one before, and so becomes ready only after that
+//! one was admitted. With the order fixed, a run is a recursion: each
+//! task starts at the latest of its dependencies' ends and its
+//! resource's earliest free port, the ports taken in that order. (It
+//! never starts before its resource predecessor does: ready times follow
+//! the order, so starts do. At one port the free port *is* the
+//! predecessor's end.) Ids are a topological order, so the pass
+//! evaluates the recursion in two scans in id order, sources first,
+//! then the rest. The recursion is built from `max` and `+` alone — a
+//! max-plus system at one port (Baccelli, Cohen, Olsder & Quadrat,
+//! "Synchronization and Linearity", 1992), the FIFO multi-server
+//! recursion at k ports (Kiefer & Wolfowitz, Trans. AMS 1955) — so every
+//! start, and the makespan, is monotone non-decreasing in every
+//! duration: on these graphs Graham's timing anomalies cannot happen.
+//! The predicate is a property of the emitter, not checked on a release
+//! build: a check on every compile would cost a third of what the pass
+//! saves. The emitter `debug_assert`s it, and tests check it on every
+//! preset graph and on seeded mixes.
+//!
+//! [`TaskGraph::longest_path`] is a lower bound on a run's makespan that
+//! runs neither executor: the longest dependency chain at the current
+//! durations, with every resource ignored. No task starts before its
+//! dependencies end, so the bound holds for every graph, bandwidth, port
+//! count and buffer; it is one reverse pass over the CSR. The pass also
+//! leaves one chain that attains the length, which it hands to a
+//! visitor: the batch graphs turn that chain into a bound at every other
+//! bandwidth ([`crate::workload::ChainCertificate`]), and the roofline
+//! knee search walks only where those bounds cannot rule a bandwidth
+//! out, and replays only where the walk is within tolerance. It is *not*
+//! the zero-slack chain [`crate::report::critical_path`] extracts from a
+//! traced run: that chain follows resource admissions as well as
+//! dependencies and sums to the makespan itself, while this bound falls
+//! short of the makespan wherever tasks queue for a resource.
 
+use adagp_obs as obs;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a resource registered with [`SimBuilder::add_resource`].
 pub type ResourceId = usize;
@@ -211,8 +242,9 @@ struct Row {
 }
 
 /// A compiled simulation DAG: task columns plus CSR adjacency. Built by
-/// [`SimBuilder::compile`]; run with [`TaskGraph::run`] (untraced) or
-/// [`TaskGraph::simulate`] (traced).
+/// [`SimBuilder::compile`]; run with [`TaskGraph::run`] (untraced, by the
+/// fixed-order pass where the graph is declared order-determinate) or
+/// [`TaskGraph::simulate`] (traced, by the event loop).
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     resources: Vec<ResourceSpec>,
@@ -233,6 +265,9 @@ pub struct TaskGraph {
     /// task-id order.
     succ_start: Vec<u32>,
     succ: Vec<u32>,
+    /// Whether the builder declared the graph order-determinate (module
+    /// doc), so that [`TaskGraph::run`] takes the fixed-order pass.
+    fixed_order: bool,
 }
 
 /// Accumulates resources and tasks, then compiles or runs the graph.
@@ -245,6 +280,8 @@ pub struct SimBuilder {
     rows: Vec<Row>,
     /// Every task's dependencies, concatenated in task order.
     deps: Vec<u32>,
+    /// Set by [`SimBuilder::declare_fixed_order`].
+    fixed_order: bool,
 }
 
 impl Default for SimBuilder {
@@ -262,17 +299,6 @@ pub struct Span {
     pub start: u64,
     /// End cycle (`start + duration`).
     pub end: u64,
-}
-
-/// What an untraced run reports. (Per-resource busy cycles are not here:
-/// every task runs exactly once, so they are a column sum of the graph —
-/// [`TaskGraph::busy`].)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// Cycle at which the last task completed.
-    pub makespan: u64,
-    /// Peak buffer occupancy in words.
-    pub buffer_peak: i64,
 }
 
 /// The completed traced simulation: makespan, the full span trace,
@@ -341,6 +367,7 @@ impl SimBuilder {
             custom_labels: Vec::new(),
             rows: Vec::new(),
             deps: Vec::new(),
+            fixed_order: false,
         }
     }
 
@@ -353,6 +380,16 @@ impl SimBuilder {
         self.custom_labels.clear();
         self.rows.clear();
         self.deps.clear();
+        self.fixed_order = false;
+    }
+
+    /// Declares the graph order-determinate (module doc), so that its
+    /// untraced runs take the fixed-order pass. Only a builder that
+    /// guarantees the predicate for every graph it emits may call this:
+    /// nothing checks it in a release build, and on a graph that breaks
+    /// it the pass may start tasks in an order the event loop would not.
+    pub(crate) fn declare_fixed_order(&mut self) {
+        self.fixed_order = true;
     }
 
     /// Registers a resource and returns its id.
@@ -495,6 +532,7 @@ impl SimBuilder {
             deps: self.deps.to_vec(),
             succ_start: start,
             succ,
+            fixed_order: std::mem::take(&mut self.fixed_order),
             resources: std::mem::take(&mut self.resources),
             layer_labels: std::mem::take(&mut self.layer_labels),
             custom_labels: std::mem::take(&mut self.custom_labels),
@@ -521,6 +559,11 @@ struct Scratch {
     queues: Vec<VecDeque<u32>>,
     /// Min-heap of completion events ordered by (time, task id).
     heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per task, its end cycle in the fixed-order pass.
+    end: Vec<u64>,
+    /// Per resource, when each of its ports is next free in the
+    /// fixed-order pass (at most one port per task).
+    ports: Vec<Vec<u64>>,
     /// Per task, the longest chain from its start to the end of the graph
     /// ([`TaskGraph::longest_path`]).
     tail: Vec<u64>,
@@ -533,6 +576,20 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
+/// Untraced runs, process-wide, by executor: fixed-order passes
+/// (`sim_fixed_order_passes_total`) and event-loop runs
+/// (`sim_event_loop_runs_total`). Both register on the first run.
+fn run_counters() -> &'static [Arc<obs::Counter>; 2] {
+    static C: OnceLock<[Arc<obs::Counter>; 2]> = OnceLock::new();
+    C.get_or_init(|| {
+        let registry = obs::registry();
+        [
+            registry.counter("sim_fixed_order_passes_total"),
+            registry.counter("sim_event_loop_runs_total"),
+        ]
+    })
+}
+
 /// What the event loop reports as it goes. The untraced run records
 /// nothing; the traced run records everything a [`SimResult`] holds.
 trait Recorder {
@@ -541,8 +598,9 @@ trait Recorder {
     /// `task` started at `clock`; `cause` is the task whose completion
     /// is being processed (`None` during the t = 0 seeding).
     fn start(&mut self, _task: usize, _clock: u64, _cause: Option<TaskId>) {}
-    /// The buffer occupancy changed to `words` at `clock`.
-    fn buffer(&mut self, _clock: u64, _words: i64) {}
+    /// A task that changes the buffer occupancy by `delta` words
+    /// completed at `clock`.
+    fn buffer(&mut self, _clock: u64, _delta: i64) {}
 }
 
 struct Untraced;
@@ -553,6 +611,7 @@ struct Traced {
     start_of: Vec<u64>,
     ready_of: Vec<u64>,
     unblocked_by: Vec<Option<TaskId>>,
+    occupancy: i64,
     buffer_curve: Vec<(u64, i64)>,
 }
 
@@ -571,8 +630,9 @@ impl Recorder for Traced {
         }
     }
 
-    fn buffer(&mut self, clock: u64, words: i64) {
-        self.buffer_curve.push((clock, words));
+    fn buffer(&mut self, clock: u64, delta: i64) {
+        self.occupancy += delta;
+        self.buffer_curve.push((clock, self.occupancy));
     }
 }
 
@@ -746,14 +806,73 @@ impl TaskGraph {
         })
     }
 
-    /// Runs the graph to completion without recording a trace.
+    /// Whether the graph is order-determinate (module doc): on every
+    /// resource, each task that has dependencies is reachable from the
+    /// previous such task, in id order. One scan in id order keeps, per
+    /// task and resource, the highest-id task with dependencies on that
+    /// resource that reaches the task; a task with dependencies passes
+    /// when that highest one among its dependencies' is its resource's
+    /// previous such task. A debug check of the emitter's declaration
+    /// and a test oracle: [`TaskGraph::run`] never calls it.
+    pub fn is_order_determinate(&self) -> bool {
+        let (n, rs) = (self.len(), self.resources.len());
+        // `reach[t * rs + r]` is one more than that task's id, 0 for none.
+        let mut reach = vec![0u32; n * rs];
+        let mut previous = vec![0u32; rs];
+        for t in 0..n {
+            for d in self.deps(t) {
+                for r in 0..rs {
+                    reach[t * rs + r] = reach[t * rs + r].max(reach[d * rs + r]);
+                }
+            }
+            let r = self.resource[t] as usize;
+            if r == NONE as usize || self.dep_start[t] == self.dep_start[t + 1] {
+                continue;
+            }
+            if reach[t * rs + r] != previous[r] {
+                return false;
+            }
+            (previous[r], reach[t * rs + r]) = (t as u32 + 1, t as u32 + 1);
+        }
+        true
+    }
+
+    /// Runs the graph to completion without recording a trace and returns
+    /// its makespan: the cycle at which the last task completed. A graph
+    /// its builder declared order-determinate takes the fixed-order pass,
+    /// any other the event loop (module doc); each run counts in
+    /// `sim_fixed_order_passes_total` or `sim_event_loop_runs_total`.
     ///
     /// # Panics
     ///
     /// Panics if any task never becomes runnable (impossible for graphs
     /// built through [`SimBuilder`], which forbids cycles).
-    pub fn run(&self) -> RunStats {
-        self.execute(&mut Untraced)
+    pub fn run(&self) -> u64 {
+        let [passes, loops] = run_counters();
+        if self.fixed_order {
+            passes.inc();
+            SCRATCH.with_borrow_mut(|st| self.pass(st))
+        } else {
+            loops.inc();
+            self.execute(&mut Untraced)
+        }
+    }
+
+    /// The cycle each task starts at in an untraced run, by the executor
+    /// [`TaskGraph::run`] takes (not counted). The event loop's are
+    /// `simulate().start_of`; tests hold the pass to them this way.
+    pub fn start_times(&self) -> Vec<u64> {
+        if !self.fixed_order {
+            return self.clone().simulate().start_of;
+        }
+        SCRATCH.with_borrow_mut(|st| {
+            self.pass(st);
+            st.end
+                .iter()
+                .zip(&self.duration)
+                .map(|(e, d)| e - d)
+                .collect()
+        })
     }
 
     /// Runs the graph to completion and returns the full trace.
@@ -767,16 +886,20 @@ impl TaskGraph {
             start_of: vec![0; n],
             ready_of: vec![0; n],
             unblocked_by: vec![None; n],
+            occupancy: 0,
             buffer_curve: Vec::new(),
         };
-        let stats = self.execute(&mut trace);
+        let makespan = self.execute(&mut trace);
         let mut result = SimResult {
-            makespan: stats.makespan,
+            makespan,
             spans: Vec::new(),
             busy: self.busy(),
             tasks: self,
+            buffer_peak: trace
+                .buffer_curve
+                .iter()
+                .fold(0, |peak, &(_, w)| peak.max(w)),
             buffer_curve: trace.buffer_curve,
-            buffer_peak: stats.buffer_peak,
             start_of: trace.start_of,
             ready_of: trace.ready_of,
             unblocked_by: trace.unblocked_by,
@@ -786,8 +909,50 @@ impl TaskGraph {
         result
     }
 
-    /// The event loop — the only one; `rec` decides what is kept.
-    fn execute<R: Recorder>(&self, rec: &mut R) -> RunStats {
+    /// The fixed-order pass (module doc): every resource's dependency-free
+    /// tasks in id order, then its other tasks in id order. Each task
+    /// starts at the latest of its dependencies' ends and its resource's
+    /// earliest free port (the first of equals), which it then holds until
+    /// it ends. Leaves every task's end in `st.end` and returns the
+    /// makespan. Reproduces the event loop only on an order-determinate
+    /// graph.
+    fn pass(&self, st: &mut Scratch) -> u64 {
+        let n = self.len();
+        st.end.clear();
+        st.end.resize(n, 0);
+        st.ports.resize_with(self.resources.len(), Vec::new);
+        for (free, spec) in st.ports.iter_mut().zip(&self.resources) {
+            free.clear();
+            free.resize((spec.capacity as usize).min(n), 0);
+        }
+        let mut makespan = 0;
+        for sources in [true, false] {
+            for t in 0..n {
+                let deps = &self.deps[self.dep_start[t] as usize..self.dep_start[t + 1] as usize];
+                if deps.is_empty() != sources {
+                    continue;
+                }
+                let mut start = deps.iter().map(|&d| st.end[d as usize]).max().unwrap_or(0);
+                let r = self.resource[t];
+                if r != NONE {
+                    let free = &mut st.ports[r as usize];
+                    let (port, &at) = free
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, &at)| at)
+                        .expect("a resource has a port");
+                    start = start.max(at);
+                    free[port] = start + self.duration[t];
+                }
+                st.end[t] = start + self.duration[t];
+                makespan = makespan.max(st.end[t]);
+            }
+        }
+        makespan
+    }
+
+    /// The event loop; `rec` decides what is kept. Returns the makespan.
+    fn execute<R: Recorder>(&self, rec: &mut R) -> u64 {
         SCRATCH.with_borrow_mut(|st| {
             let n = self.len();
             st.indegree.clear();
@@ -801,8 +966,6 @@ impl TaskGraph {
             st.heap.clear();
 
             let mut run = Run { g: self, st, rec };
-            let mut occupancy: i64 = 0;
-            let mut peak: i64 = 0;
             let mut clock: u64 = 0;
             let mut completed = 0usize;
 
@@ -822,9 +985,7 @@ impl TaskGraph {
                     run.st.available[freed as usize] += 1;
                 }
                 if self.buffer_delta[task] != 0 {
-                    occupancy += self.buffer_delta[task];
-                    peak = peak.max(occupancy);
-                    run.rec.buffer(clock, occupancy);
+                    run.rec.buffer(clock, self.buffer_delta[task]);
                 }
                 for i in self.succ_start[task]..self.succ_start[task + 1] {
                     let dep = self.succ[i as usize];
@@ -844,10 +1005,7 @@ impl TaskGraph {
                 "simulation stalled: {} of {n} tasks never ran",
                 n - completed
             );
-            RunStats {
-                makespan: clock,
-                buffer_peak: peak,
-            }
+            clock
         })
     }
 }
@@ -1115,7 +1273,7 @@ mod tests {
             (b.compile(), d)
         };
         let (mut g, d) = build(3);
-        assert_eq!(g.run().makespan, 14);
+        assert_eq!(g.run(), 14);
         for cycles in [30, 3, 0, 12] {
             g.set_duration(d, cycles);
             let (fresh, _) = build(cycles);
@@ -1141,7 +1299,7 @@ mod tests {
         let g = b.compile();
         let mut chain = Vec::new();
         assert_eq!(g.longest_path(|t| chain.push(t)), 35);
-        assert_eq!(g.longest_path(|_| {}), g.run().makespan);
+        assert_eq!(g.longest_path(|_| {}), g.run());
         // The walk's chain is a → d → last (10 + 20 + 5), not c → last.
         assert_eq!(chain, [a, d, 3]);
     }
@@ -1172,7 +1330,7 @@ mod tests {
         b.add_task(task(Some(pe), 7, vec![]));
         b.add_task(task(Some(pe), 3, vec![]));
         let g = b.compile();
-        assert_eq!(g.run().makespan, 10);
+        assert_eq!(g.run(), 10);
         let mut chain = Vec::new();
         assert_eq!(g.longest_path(|t| chain.push(t)), 7);
         assert_eq!(chain, [0]);
@@ -1182,6 +1340,128 @@ mod tests {
             0
         );
         assert_eq!(visited, 0);
+    }
+
+    /// The graph `build` makes, compiled as built and declared
+    /// order-determinate.
+    fn both_ways(build: impl Fn(&mut SimBuilder)) -> (TaskGraph, TaskGraph) {
+        let (mut plain, mut declared) = (SimBuilder::new(), SimBuilder::new());
+        build(&mut plain);
+        build(&mut declared);
+        declared.declare_fixed_order();
+        (plain.compile(), declared.compile())
+    }
+
+    /// A declared graph's untraced run against the event loop: every
+    /// start, and the makespan.
+    fn assert_pass_is_the_loop(g: &TaskGraph) -> Vec<u64> {
+        assert!(g.fixed_order && g.is_order_determinate());
+        let looped = g.clone().simulate();
+        let starts = g.start_times();
+        assert_eq!(starts, looped.start_of);
+        assert_eq!(g.run(), looped.makespan);
+        starts
+    }
+
+    #[test]
+    fn the_pass_matches_the_loop_on_equal_time_ties_at_two_ports() {
+        // Two DRAM tasks end at 10 with a PE task; at 10 a queued source
+        // takes one port and a zero-cycle task readied by the PE task the
+        // other, which frees it at once for its dependent.
+        let mut b = SimBuilder::new();
+        let pe = b.add_resource("pe", 1);
+        let dram = b.add_resource("dram", 2);
+        let t0 = b.add_task(task(Some(pe), 10, vec![]));
+        b.add_task(task(Some(dram), 10, vec![]));
+        b.add_task(task(Some(dram), 10, vec![]));
+        b.add_task(task(Some(dram), 5, vec![]));
+        let t4 = b.add_task(task(Some(dram), 0, vec![t0]));
+        let t5 = b.add_task(task(Some(dram), 7, vec![t4]));
+        b.add_task(task(Some(pe), 3, vec![t5, t0]));
+        b.declare_fixed_order();
+        let g = b.compile();
+        assert_eq!(assert_pass_is_the_loop(&g), [0, 0, 0, 10, 10, 10, 17]);
+        assert_eq!(g.run(), 20);
+    }
+
+    #[test]
+    fn the_pass_takes_the_earliest_free_port() {
+        // Ports free at 100 and 10 after the first two loads: the later
+        // loads take the second port, and so does the spill a PE task
+        // readies at 4, which queues behind every load although its id
+        // comes before the last two.
+        let mut b = SimBuilder::new();
+        let pe = b.add_resource("pe", 1);
+        let dram = b.add_resource("dram", 2);
+        let p = b.add_task(task(Some(pe), 4, vec![]));
+        b.add_task(task(Some(dram), 100, vec![]));
+        b.add_task(task(Some(dram), 10, vec![]));
+        let spill = b.add_task(task(Some(dram), 6, vec![p]));
+        b.add_task(task(Some(dram), 10, vec![]));
+        b.add_task(task(Some(dram), 10, vec![]));
+        b.add_task(task(Some(pe), 1, vec![spill]));
+        b.declare_fixed_order();
+        let g = b.compile();
+        assert_eq!(assert_pass_is_the_loop(&g), [0, 0, 0, 30, 10, 20, 36]);
+        assert_eq!(g.run(), 100);
+    }
+
+    #[test]
+    fn a_graph_that_breaks_the_predicate_runs_the_event_loop() {
+        // Two PE tasks readied from other resources, the later id first
+        // (at 1, against 100): neither reaches the other, so the FIFO
+        // order depends on the durations and only the loop gets it right.
+        let (g, declared) = both_ways(|b| {
+            let pe = b.add_resource("pe", 1);
+            let slow = b.add_resource("slow", 1);
+            let fast = b.add_resource("fast", 1);
+            let x = b.add_task(task(Some(slow), 100, vec![]));
+            let y = b.add_task(task(Some(fast), 1, vec![]));
+            b.add_task(task(Some(pe), 10, vec![x]));
+            b.add_task(task(Some(pe), 10, vec![y]));
+        });
+        assert!(!g.is_order_determinate());
+        let looped = g.clone().simulate();
+        assert_eq!(looped.start_of, [0, 0, 100, 1]);
+        assert_eq!((g.run(), g.start_times()), (110, looped.start_of));
+        // The pass would admit id 2 first: 100 + 10, then 10 more.
+        assert_eq!(
+            (declared.run(), declared.start_times()),
+            (120, vec![0, 0, 100, 110])
+        );
+    }
+
+    #[test]
+    fn the_predicate_follows_reachability_per_resource() {
+        // pe: a source, then b and c with dependencies; c reaches b only
+        // through the resourceless join j.
+        let chained = |through_join: bool| {
+            let mut b = SimBuilder::new();
+            let pe = b.add_resource("pe", 1);
+            let aux = b.add_resource("aux", 1);
+            b.add_task(task(Some(pe), 1, vec![]));
+            let a = b.add_task(task(Some(aux), 1, vec![]));
+            let first = b.add_task(task(Some(pe), 1, vec![a]));
+            let j = b.add_task(TaskSpec::join(
+                "j",
+                vec![if through_join { first } else { a }],
+            ));
+            b.add_task(task(Some(pe), 1, vec![j]));
+            b.compile()
+        };
+        assert!(chained(true).is_order_determinate());
+        assert!(!chained(false).is_order_determinate());
+        // Sources alone, resourceless tasks and an empty graph impose nothing.
+        let (g, declared) = both_ways(|b| {
+            let pe = b.add_resource("pe", 2);
+            let s = b.add_task(task(Some(pe), 3, vec![]));
+            b.add_task(task(Some(pe), 5, vec![]));
+            b.add_task(task(None, 1, vec![s]));
+            b.add_task(task(None, 1, vec![s]));
+        });
+        assert!(g.is_order_determinate());
+        assert_pass_is_the_loop(&declared);
+        assert!(SimBuilder::new().compile().is_order_determinate());
     }
 
     #[test]

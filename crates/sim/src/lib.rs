@@ -29,10 +29,14 @@
 //! * [`engine`] — the deterministic event core, *compile once, replay
 //!   many*: a [`SimBuilder`] compiles tasks into a [`TaskGraph`]
 //!   (struct-of-arrays columns, CSR adjacency, labels rendered on
-//!   demand), and one event loop runs it either untraced
-//!   ([`TaskGraph::run`]: makespan and buffer peak) or traced
+//!   demand), run over per-thread reusable scratch either untraced
+//!   ([`TaskGraph::run`]: the makespan) or traced
 //!   ([`TaskGraph::simulate`]: spans, ready cycles, admission causes,
-//!   busy/occupancy accounting) over per-thread reusable scratch.
+//!   busy/occupancy accounting). A traced run, and an untraced one of a
+//!   hand-built graph, takes the event loop; an untraced replay of a
+//!   batch graph takes the fixed-order pass, which the batch emitter's
+//!   graphs admit because each resource serves its tasks in one order
+//!   whatever the durations (*order-determinate*).
 //! * [`workload`] — batch task graphs per phase × design, mirroring the
 //!   paper's §3.7 overlap semantics layer by layer. One builder emits all
 //!   of them: the design only decides where the predictor runs (nowhere,
@@ -93,8 +97,8 @@ pub mod workload;
 
 pub use adagp_accel::speedup::epoch_total;
 pub use engine::{
-    LayerTask, ResourceId, ResourceSpec, RunStats, SimBuilder, SimResult, Span, TaskGraph, TaskId,
-    TaskKind, TaskSpec,
+    LayerTask, ResourceId, ResourceSpec, SimBuilder, SimResult, Span, TaskGraph, TaskId, TaskKind,
+    TaskSpec,
 };
 pub use report::{crit_tasks, critical_path};
 pub use schedule::{pipeline_graph, PipelineOrder};

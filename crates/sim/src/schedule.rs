@@ -147,7 +147,7 @@ mod tests {
     const ORDERS: [PipelineOrder; 2] = [PipelineOrder::GPipe, PipelineOrder::OneFOneB];
 
     fn makespan(order: PipelineOrder, d: usize, m: usize, batches: &[Phase]) -> u64 {
-        pipeline_graph(order, d, m, 1, 2, batches).run().makespan
+        pipeline_graph(order, d, m, 1, 2, batches).run()
     }
 
     fn bubble_fraction(r: &SimResult) -> f64 {

@@ -44,6 +44,23 @@
 //! loads nor spills exist, whatever the buffer knobs say — so
 //! `--no-contention` always reproduces the closed forms bit-for-bit.
 //!
+//! **Every graph the emitter builds is order-determinate**
+//! ([`crate::engine`]'s module doc), and the emitter declares it, so an
+//! untraced replay is the engine's fixed-order pass, not its event loop:
+//! on each resource, every task with dependencies waits, through them, on
+//! the previous such task. The PE array and MAX's predictor array serve
+//! chains: each task there waits on the one before it, directly or
+//! through the previous window's join. On the DRAM channel every weight
+//! load is dependency-free, and a layer's spill waits on the layer's
+//! readiness, which waits through the previous layers' forward passes on
+//! every earlier spill. [`BatchGraph::build`] `debug_assert`s the
+//! predicate; release builds trust it. An emitter change must keep it or
+//! stop declaring it. ROADMAP item 25 (a bounded prefetch, whose loads
+//! wait on compute) must keep the channel's tasks in one program order,
+//! each waiting on the one before, or show that the predicate still
+//! holds: a spill readied out of chain order (on the forward pass two
+//! layers back) breaks it.
+//!
 //! A schedule is compiled once into a [`BatchGraph`]. The bandwidth only
 //! sets the durations of the DRAM tasks (`words.div_ceil(bandwidth)`),
 //! never which tasks exist or what they wait on, so the graph keeps each
@@ -258,15 +275,14 @@ impl Predictor {
     }
 }
 
-/// The numbers one batch run yields: the makespan and buffer peak of the
-/// run plus the graph's work totals — everything the training-level
-/// statistics of [`crate::StepSim`] are derived from.
+/// The numbers one batch run yields: the makespan of the run plus the
+/// graph's work totals — everything the training-level statistics of
+/// [`crate::StepSim`] are derived from. (The buffer-occupancy curve and
+/// its peak come from a traced run: [`SimResult::buffer_peak`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
     /// Batch makespan in cycles.
     pub makespan: u64,
-    /// Peak buffer occupancy in words.
-    pub buffer_peak: i64,
     /// Busy cycles of the main PE array.
     pub pe_busy: u64,
     /// Σ durations of model tasks (FW, BW-data, BW-weight).
@@ -313,7 +329,7 @@ pub struct BatchSim {
     pub design: Option<AdaGpDesign>,
     /// The execution trace.
     pub result: SimResult,
-    /// Makespan, buffer peak and work totals of the run.
+    /// Makespan and work totals of the run.
     pub stats: BatchStats,
     /// Resource id of the main PE array in [`BatchSim::result`].
     pub pe_array: ResourceId,
@@ -364,7 +380,7 @@ pub struct BatchGraph {
     bandwidth: Option<u64>,
     /// `(task, words)` of every weight-load and spill task.
     dram_words: Vec<(TaskId, u64)>,
-    /// Work totals; `makespan` and `buffer_peak` are filled per run.
+    /// Work totals; `makespan` is filled per run.
     totals: BatchStats,
 }
 
@@ -409,7 +425,7 @@ struct Emitter<'a> {
     dram: Option<(ResourceId, u64)>,
     layers: &'a [SimLayer],
     dram_words: &'a mut Vec<(TaskId, u64)>,
-    /// Work totals; `makespan` and `buffer_peak` stay 0.
+    /// Work totals; `makespan` stays 0.
     totals: BatchStats,
 }
 
@@ -451,7 +467,6 @@ impl<'a> Emitter<'a> {
             dram_words,
             totals: BatchStats {
                 makespan: 0,
-                buffer_peak: 0,
                 pe_busy: 0,
                 model_cycles: 0,
                 predictor_cycles: 0,
@@ -459,6 +474,7 @@ impl<'a> Emitter<'a> {
             },
         };
         e.batch(phase, predictor);
+        e.b.declare_fixed_order();
         e
     }
 
@@ -701,10 +717,15 @@ impl BatchGraph {
             dram_words.clear();
             let e = Emitter::emit(b, dram_words, phase, design, layers, cfg);
             let (pe_array, totals) = (e.pe, e.totals);
+            let graph = b.take_compiled();
+            debug_assert!(
+                graph.is_order_determinate(),
+                "{phase:?} {design:?}: the emitter built a graph that is not order-determinate"
+            );
             BatchGraph {
                 phase,
                 design,
-                graph: b.take_compiled(),
+                graph,
                 pe_array,
                 bandwidth: cfg.dram_words_per_cycle,
                 dram_words: dram_words.to_vec(),
@@ -766,12 +787,11 @@ impl BatchGraph {
         &self.graph
     }
 
-    /// Replays the batch at the current bandwidth without a trace.
+    /// Replays the batch at the current bandwidth without a trace, by the
+    /// fixed-order pass (the graph is order-determinate; module doc).
     pub fn run(&self) -> BatchStats {
-        let run = self.graph.run();
         BatchStats {
-            makespan: run.makespan,
-            buffer_peak: run.buffer_peak,
+            makespan: self.graph.run(),
             ..self.totals
         }
     }
@@ -784,7 +804,6 @@ impl BatchGraph {
             design: self.design,
             stats: BatchStats {
                 makespan: result.makespan,
-                buffer_peak: result.buffer_peak,
                 ..self.totals
             },
             result,

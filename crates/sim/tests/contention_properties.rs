@@ -24,6 +24,11 @@
 //!    certificate (fixed cycles, DRAM words) taken at one bandwidth is at
 //!    most the longest path, and so the makespan, at every other: the
 //!    knee search's proof that a bandwidth's floor is over target.
+//! 6. **The fixed-order pass is the event loop** — every batch graph is
+//!    order-determinate (each resource's tasks with dependencies reach
+//!    one another in id order), and its untraced replay, the engine's
+//!    fixed-order pass, starts every task at the cycle the traced event
+//!    loop does, at every bandwidth, port count and buffer tried.
 
 use adagp_accel::designs::{baseline_batch_cycles, bp_batch_cycles, gp_batch_cycles};
 use adagp_accel::layer_cost::{model_costs, LayerCost, PredictorCostModel};
@@ -349,4 +354,75 @@ fn a_chain_certificate_bounds_the_longest_path_at_every_bandwidth() {
         multi += check_certificates(&mut graph, &bandwidths, &format!("case {case}: {cfg:?}"));
     }
     assert!(multi > 0, "no chain carried two DRAM tasks");
+}
+
+/// Property 6 on `graph` at `bandwidths`: every task's start in the
+/// untraced replay against the traced event loop's.
+fn check_pass_is_the_loop(graph: &mut BatchGraph, bandwidths: &[u64], at: &str) {
+    assert!(graph.graph().is_order_determinate(), "{at}");
+    for &bw in bandwidths {
+        graph.set_bandwidth(bw);
+        let looped = graph.clone().simulate().result;
+        let g = graph.graph();
+        assert_eq!(g.start_times(), looped.start_of, "{at}, {bw} w/c");
+        assert_eq!(graph.run().makespan, looped.makespan, "{at}, {bw} w/c");
+    }
+}
+
+#[test]
+fn every_batch_graph_is_order_determinate_and_its_pass_is_the_event_loop() {
+    let acfg = AcceleratorConfig::default();
+    let pred = PredictorCostModel::default();
+    // Every zoo configuration: the predicate does not read durations.
+    let mut zoo = 0;
+    for model in CnnModel::all() {
+        for scale in [InputScale::Cifar, InputScale::ImageNet] {
+            let shapes = model_shapes(model, scale);
+            for df in DATAFLOWS {
+                for buffer_words in [Some(1u64 << 17), Some(1 << 12), None] {
+                    for dram_ports in [1, 2] {
+                        let cfg = SimConfig {
+                            buffer_words,
+                            dram_ports,
+                            ..SimConfig::default()
+                        };
+                        let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
+                        for (phase, design) in phases() {
+                            let graph = BatchGraph::build(phase, design, &layers, &cfg);
+                            assert!(
+                                graph.graph().is_order_determinate(),
+                                "{model:?} {scale:?} {df:?} {phase:?} {design:?} {cfg:?}"
+                            );
+                            zoo += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(zoo, 13 * 2 * 4 * 3 * 2 * 7);
+    // Seeded mixes, every schedule, 1-3 ports, buffers down to 1 Ki words.
+    let mut rng = Prng::seed_from_u64(0x0F1F0);
+    let buffers = [None, Some(1u64 << 10), Some(1 << 13), Some(1 << 17)];
+    let mut multi_port_spills = 0;
+    for case in 0..200 {
+        let shapes = random_shapes(&mut rng);
+        let df = DATAFLOWS[(rng.next_u64() % 4) as usize];
+        let cfg = SimConfig {
+            batch: 1 + (rng.next_u64() % 32) as usize,
+            dram_ports: 1 + (rng.next_u64() % 3) as u32,
+            buffer_words: buffers[(rng.next_u64() % 4) as usize],
+            ..SimConfig::default()
+        };
+        let layers = model_sim_layers(&acfg, df, &pred, &shapes, &cfg);
+        if cfg.dram_ports > 1 && layers.iter().any(|l| l.spill_words > 0) {
+            multi_port_spills += 1;
+        }
+        for (phase, design) in phases() {
+            let mut graph = BatchGraph::build(phase, design, &layers, &cfg);
+            let at = format!("case {case}: {phase:?} {design:?} {cfg:?}");
+            check_pass_is_the_loop(&mut graph, &[1, 3, 64, 1 << 20], &at);
+        }
+    }
+    assert!(multi_port_spills > 0, "no mix spilled over two ports");
 }

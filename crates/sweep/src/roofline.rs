@@ -11,17 +11,28 @@
 //! pinned by `runs/roofline.csv`). [`cell_knee`] is the same knee on its
 //! own, under any base config and tolerance.
 //!
-//! The search assumes that the simulated makespan is monotone
+//! The search rests on the simulated makespan being monotone
 //! non-increasing in `dram_words_per_cycle`, so that the knee is
 //! well-defined and a search over `[1, KNEE_MAX_BW]` finds it exactly.
-//! That is sampled, not guaranteed: `crates/sim/tests/contention_properties.rs`
-//! checks it on 200 seeded layer mixes, and
+//! FIFO list scheduling is not monotone in general — a schedule can get
+//! longer when a task gets shorter (Graham, "Bounds on Multiprocessing
+//! Timing Anomalies", 1969) — but on the graphs searched here it is, as
+//! a result and not a sample, wherever the emitter's predicate holds.
+//! Every batch graph is *order-determinate* ([`adagp_sim::engine`]'s
+//! module doc): each resource admits its tasks in one order at every
+//! bandwidth, so a run is a recursion of `max` and `+` over the
+//! durations — a max-plus system at one port (Baccelli et al.,
+//! "Synchronization and Linearity", 1992), the FIFO multi-server
+//! recursion at k ports (Kiefer & Wolfowitz, 1955). Every start, and so
+//! the makespan, is monotone non-decreasing in every duration, and a
+//! DRAM task's `⌈words / b⌉` cycles never grow with `b`. The emitter
+//! `debug_assert`s the predicate, and tests check it on every preset
+//! graph and on seeded mixes; an emitter change that broke it would put
+//! the premise back on trust (ROADMAP item 25 must keep it).
+//! `crates/sim/tests/contention_properties.rs` still samples the
+//! monotonicity on 200 seeded layer mixes, and
 //! `gallop_equals_the_bisection_on_every_preset_knee` (below) on the
-//! replayed points of all 308 preset knees. FIFO list scheduling is not
-//! monotone in general — a schedule can get longer when a task gets
-//! shorter (Graham, "Bounds on Multiprocessing Timing Anomalies", 1969) —
-//! so the premise needs an argument about these graphs in particular;
-//! ROADMAP item 24 is that argument and an independent reference engine.
+//! replayed points of all 308 preset knees.
 //!
 //! **Chains, then crossing, then replay.** A replay of both batch
 //! graphs is the search's cost, so the search first finds where
@@ -71,7 +82,7 @@
 //! batch graphs, so the search compiles nothing: it re-times the cell's
 //! already-built Phase-BP and Phase-GP graphs
 //! ([`adagp_sim::AdaGpGraphs::set_bandwidth`]) and replays them untraced,
-//! two makespans per probe. The graphs are the set of the cell's group
+//! two makespans per probe, each one fixed-order pass. The graphs are the set of the cell's group
 //! ([`crate::simeval`]'s `CellGraphs`: the cells that differ only in
 //! bandwidth and schedule), built at most once per group and only on a
 //! memo miss; the search leaves them at the last bandwidth it probed, and

@@ -462,4 +462,53 @@ mod tests {
         assert!(max.overlap_efficiency > eff.overlap_efficiency);
         assert!(max.sim_cycles < eff.sim_cycles);
     }
+
+    #[test]
+    fn every_preset_graph_replays_by_a_pass_that_is_the_event_loop() {
+        // Every graph a cold pass of the eight benchmark presets compiles
+        // (624 builds of 290 distinct groups, a BP and a GP graph each):
+        // each is order-determinate, and its untraced replay starts every
+        // task at the cycle the traced event loop does.
+        let base = SimConfig::default();
+        let mut seen = std::collections::HashSet::new();
+        let specs: Vec<CellSpec> = [
+            "fig17-ws",
+            "fig18-rs",
+            "fig19-is",
+            "dataflows",
+            "schedules",
+            "bandwidth",
+            "energy",
+            "roofline",
+        ]
+        .iter()
+        .flat_map(|name| {
+            crate::presets::by_name(name)
+                .expect("known preset")
+                .expand()
+        })
+        .filter(|spec| seen.insert(BatchMemoKey::new(spec, &cell_sim_config(spec, &base)).group()))
+        .collect();
+        assert_eq!(specs.len(), 290, "groups of the eight presets");
+        let tasks = adagp_runtime::pool().parallel_map(specs, |spec| {
+            let mut set = CellGraphs::build(&spec, &base);
+            let mut tasks = 0;
+            for graph in [&mut set.graphs.bp, &mut set.graphs.gp] {
+                assert!(graph.graph().is_order_determinate(), "{}", spec.key());
+                for bw in [1, 3, 64, 1 << 20] {
+                    graph.set_bandwidth(bw);
+                    let looped = graph.clone().simulate().result;
+                    assert_eq!(
+                        graph.graph().start_times(),
+                        looped.start_of,
+                        "{} at {bw} w/c",
+                        spec.key()
+                    );
+                    tasks += looped.start_of.len();
+                }
+            }
+            tasks
+        });
+        assert_eq!(tasks.iter().sum::<usize>(), 4 * 316_852, "tasks compared");
+    }
 }

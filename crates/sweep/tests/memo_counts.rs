@@ -9,7 +9,10 @@
 //! most per knee (3 235 walks when the floor galloped). The cells run
 //! in groups that differ only in bandwidth and schedule, and a group
 //! compiles its BP and GP graphs once: 312 groups, 624 graphs (1 006 when
-//! every cell that missed compiled its own). The counts hold at 1, 2 and
+//! every cell that missed compiled its own). Every replay, a batch pair's
+//! or a knee probe's, runs both graphs by the engine's fixed-order pass,
+//! since the batch emitter declares its graphs order-determinate:
+//! 2 × (485 + 316) = 1 602 passes and no event-loop run. The counts hold at 1, 2 and
 //! 3 pool threads: no two groups of one call share a key, and a cell
 //! whose key another call is computing waits for its value instead of
 //! computing it again.
@@ -45,6 +48,8 @@ fn check_counts(threads: usize) {
     let probes = registry.counter("sweep_knee_probes_total");
     let walks = registry.counter("sweep_floor_walks_total");
     let builds = registry.counter("sweep_graph_builds_total");
+    let passes = registry.counter("sim_fixed_order_passes_total");
+    let loops = registry.counter("sim_event_loop_runs_total");
     let sim_entries = registry.gauge("sweep_sim_memo_entries");
     let knee_entries = registry.gauge("sweep_knee_memo_entries");
     let pass = || {
@@ -65,6 +70,8 @@ fn check_counts(threads: usize) {
         assert_eq!(probes.get(), 316, "replayed knee probes, {name}");
         assert_eq!(walks.get(), 611, "longest-path walks, {name}");
         assert_eq!(builds.get(), 624, "compiled graphs, {name}");
+        assert_eq!(passes.get(), 2 * (485 + 316), "fixed-order passes, {name}");
+        assert_eq!(loops.get(), 0, "event-loop runs, {name}");
         assert_eq!((sim_entries.get(), knee_entries.get()), (485, 308));
     }
     let text = registry.render("adagp_");
@@ -74,6 +81,8 @@ fn check_counts(threads: usize) {
         "adagp_sweep_knee_probes_total 316",
         "adagp_sweep_floor_walks_total 611",
         "adagp_sweep_graph_builds_total 624",
+        "adagp_sim_fixed_order_passes_total 1602",
+        "adagp_sim_event_loop_runs_total 0",
         "adagp_sweep_sim_memo_entries 485",
         "adagp_sweep_knee_memo_entries 308",
     ] {

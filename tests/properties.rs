@@ -186,11 +186,7 @@ fn gpipe_simulation_consistent() {
         let bw = draw(rng, 1, 4) as u64;
         for order in [PipelineOrder::GPipe, PipelineOrder::OneFOneB] {
             let g = pipeline_graph(order, d, m, fw, bw, &[Phase::Bp]);
-            assert_eq!(
-                g.run().makespan,
-                (d + m - 1) as u64 * (fw + bw),
-                "{order:?}"
-            );
+            assert_eq!(g.run(), (d + m - 1) as u64 * (fw + bw), "{order:?}");
             let busy: u64 = g.busy().iter().sum();
             assert_eq!(busy, (d * m) as u64 * (fw + bw), "{order:?}");
         }
@@ -226,8 +222,7 @@ fn pipeline_closed_forms_match_the_engine() {
                                 bw as u64,
                                 batches,
                             )
-                            .run()
-                            .makespan as usize
+                            .run() as usize
                         };
                         let at = format!("{} {cfg:?}", scheme.name());
                         assert_eq!(steps(&[Phase::Bp]), scheme.batch_steps(&cfg), "{at}");
